@@ -5,6 +5,8 @@
 //! repro [fig1|fig3|fig5|table1|fig7|fig8|table2|fig9|table3|tuning|bandwidth|extensions|multigcd|raw_speed|all]
 //! ```
 //!
+//! An unknown target exits with status 2 and the list above.
+//!
 //! `raw_speed` regenerates the checked-in perf trajectory
 //! `BENCH_raw_speed.json` at the repository root (see
 //! [`gbatch_bench::raw_speed`]); the release perf-gate test replays it.
@@ -35,8 +37,34 @@ fn print_speedups(
     writeln!(out).unwrap();
 }
 
+/// Every target `repro` accepts (`all` runs each of the others).
+const TARGETS: [&str; 15] = [
+    "fig1",
+    "fig3",
+    "fig5",
+    "table1",
+    "fig7",
+    "fig8",
+    "table2",
+    "fig9",
+    "table3",
+    "tuning",
+    "bandwidth",
+    "extensions",
+    "multigcd",
+    "raw_speed",
+    "all",
+];
+
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    if !TARGETS.contains(&what.as_str()) {
+        eprintln!(
+            "repro: unknown target `{what}`; expected one of: {}",
+            TARGETS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
 

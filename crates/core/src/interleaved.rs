@@ -65,14 +65,12 @@ impl<S: Scalar> InterleavedBandBatch<S> {
     pub fn from_batch(src: &BandBatch<S>) -> Self {
         let layout = src.layout();
         let batch = src.batch();
-        let len = layout.len();
-        let mut data = vec![S::ZERO; len * batch];
-        // Read each matrix contiguously, scatter with stride `batch`.
-        for (b, m) in src.chunks().enumerate() {
-            for (e, &v) in m.iter().enumerate() {
-                data[e * batch + b] = v;
-            }
-        }
+        let mut data = vec![S::ZERO; layout.len() * batch];
+        scatter_strip(
+            src.data(),
+            layout.len(),
+            &mut LaneStrip::new(&mut data[..], batch, 0, batch),
+        );
         InterleavedBandBatch {
             layout,
             batch,
@@ -84,16 +82,20 @@ impl<S: Scalar> InterleavedBandBatch<S> {
     /// [`InterleavedBandBatch::from_batch`]).
     #[must_use = "returns the column-major copy; the source is unchanged"]
     pub fn to_batch(&self) -> BandBatch<S> {
-        let len = self.layout.len();
         let mut out = BandBatch::zeros_with_layout(self.layout, self.batch)
             .expect("layout/batch already validated");
-        for (b, m) in out.chunks_mut().enumerate() {
-            for (e, v) in m.iter_mut().enumerate() {
-                *v = self.data[e * self.batch + b];
-            }
-        }
-        debug_assert_eq!(out.matrix_stride(), len);
+        gather_strip(
+            &self.strip(0, self.batch),
+            out.data_mut(),
+            self.layout.len(),
+        );
         out
+    }
+
+    /// Read-only strip of lanes `lo .. lo + lanes` (every element index).
+    #[must_use]
+    pub fn strip(&self, lo: usize, lanes: usize) -> LaneStrip<&[S]> {
+        LaneStrip::new(&self.data[..], self.batch, lo, lanes)
     }
 
     /// Layout shared by every matrix in the batch.
@@ -167,6 +169,127 @@ impl<S: Scalar> InterleavedBandBatch<S> {
     #[must_use]
     pub fn bytes(&self) -> usize {
         self.data.len() * S::BYTES
+    }
+}
+
+/// Edge of the element tiles the strip transposes walk: one tile of
+/// element rows is 16 sequential read or write streams, and each lane's
+/// share of it is a whole 128-byte run of `f64` (two cache lines).
+const TILE: usize = 16;
+
+/// Element-major rows of a lane strip: `row(e)` holds the strip's lanes of
+/// element `e`, one value per lane.
+pub trait StripRows<S> {
+    /// Lanes of element `e`.
+    fn row(&self, e: usize) -> &[S];
+}
+
+/// Mutable counterpart of [`StripRows`].
+pub trait StripRowsMut<S> {
+    /// Lanes of element `e`, mutable.
+    fn row_mut(&mut self, e: usize) -> &mut [S];
+}
+
+/// Lanes `lo .. lo + lanes` of an element-major array that holds `batch`
+/// lanes per element (the interleaved storage order, `data[e * batch + b]`).
+#[derive(Debug)]
+pub struct LaneStrip<T> {
+    data: T,
+    batch: usize,
+    lo: usize,
+    lanes: usize,
+}
+
+impl<T> LaneStrip<T> {
+    /// Lanes `lo .. lo + lanes` of `data`, which holds `batch` lanes per
+    /// element.
+    pub fn new(data: T, batch: usize, lo: usize, lanes: usize) -> Self {
+        assert!(lo + lanes <= batch, "strip exceeds the batch");
+        LaneStrip {
+            data,
+            batch,
+            lo,
+            lanes,
+        }
+    }
+}
+
+impl<S> StripRows<S> for LaneStrip<&[S]> {
+    #[inline]
+    fn row(&self, e: usize) -> &[S] {
+        let off = e * self.batch + self.lo;
+        &self.data[off..off + self.lanes]
+    }
+}
+
+impl<S> StripRowsMut<S> for LaneStrip<&mut [S]> {
+    #[inline]
+    fn row_mut(&mut self, e: usize) -> &mut [S] {
+        let off = e * self.batch + self.lo;
+        &mut self.data[off..off + self.lanes]
+    }
+}
+
+/// Cache-blocked strip transpose, element-major to lane-major:
+/// `dst[b * elems + e] = src.row(e)[b]` for every lane `b` of the strip and
+/// every element `e < elems`. `dst` holds `lanes * elems` values, one
+/// contiguous `elems`-run per lane (the column-major batch order).
+///
+/// The walk takes `TILE` element rows at a time and sweeps the lanes under
+/// them, so every source row streams sequentially and every destination
+/// run is written whole.
+pub fn gather_strip<S: Copy>(src: &impl StripRows<S>, dst: &mut [S], elems: usize) {
+    if elems == 0 {
+        return;
+    }
+    assert_eq!(dst.len() % elems, 0, "destination holds whole lanes");
+    let lanes = dst.len() / elems;
+    assert_eq!(
+        src.row(0).len(),
+        lanes,
+        "strip width matches the destination"
+    );
+    for e0 in (0..elems).step_by(TILE) {
+        let e1 = (e0 + TILE).min(elems);
+        let mut rows: [&[S]; TILE] = [&[]; TILE];
+        for (r, e) in rows.iter_mut().zip(e0..e1) {
+            *r = src.row(e);
+        }
+        let rows = &rows[..e1 - e0];
+        for (b, lane) in dst.chunks_exact_mut(elems).enumerate() {
+            for (v, r) in lane[e0..e1].iter_mut().zip(rows) {
+                *v = r[b];
+            }
+        }
+    }
+}
+
+/// Inverse of [`gather_strip`]: `dst.row_mut(e)[b] = src[b * elems + e]`.
+/// The walk visits each element tile in blocks of `TILE * TILE` lanes, so
+/// the strided source runs it reads stay in L1 across the tile's rows.
+pub fn scatter_strip<S: Copy>(src: &[S], elems: usize, dst: &mut impl StripRowsMut<S>) {
+    if elems == 0 {
+        return;
+    }
+    assert_eq!(src.len() % elems, 0, "source holds whole lanes");
+    let lanes = src.len() / elems;
+    assert_eq!(
+        dst.row_mut(0).len(),
+        lanes,
+        "strip width matches the source"
+    );
+    for e0 in (0..elems).step_by(TILE) {
+        let e1 = (e0 + TILE).min(elems);
+        for b0 in (0..lanes).step_by(TILE * TILE) {
+            let b1 = (b0 + TILE * TILE).min(lanes);
+            let block = &src[b0 * elems..b1 * elems];
+            for e in e0..e1 {
+                let row = &mut dst.row_mut(e)[b0..b1];
+                for (v, lane) in row.iter_mut().zip(block.chunks_exact(elems)) {
+                    *v = lane[e];
+                }
+            }
+        }
     }
 }
 
@@ -261,6 +384,38 @@ mod tests {
         let i = InterleavedBandBatch::from_batch(&a);
         assert_eq!(i.layout().ldab, 9);
         assert_eq!(i.to_batch(), a);
+    }
+
+    #[test]
+    fn strip_transposes_are_inverse_and_respect_the_strip() {
+        // Element counts off the tile edge, strips at an offset, and a
+        // strip wider than one lane block of the scatter walk.
+        for (elems, batch, lo, lanes) in [(37, 9, 2, 5), (16, 3, 0, 3), (5, 300, 17, 270)] {
+            let src: Vec<f64> = (0..lanes * elems).map(|k| k as f64 + 0.5).collect();
+            let mut data = vec![-1.0f64; elems * batch];
+            scatter_strip(
+                &src,
+                elems,
+                &mut LaneStrip::new(&mut data[..], batch, lo, lanes),
+            );
+            for e in 0..elems {
+                for b in 0..batch {
+                    let want = if (lo..lo + lanes).contains(&b) {
+                        src[(b - lo) * elems + e]
+                    } else {
+                        -1.0
+                    };
+                    assert_eq!(data[e * batch + b], want, "e {e} b {b}");
+                }
+            }
+            let mut back = vec![0.0f64; lanes * elems];
+            gather_strip(
+                &LaneStrip::new(&data[..], batch, lo, lanes),
+                &mut back,
+                elems,
+            );
+            assert_eq!(back, src, "elems {elems} batch {batch}");
+        }
     }
 
     #[test]

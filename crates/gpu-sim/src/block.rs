@@ -185,6 +185,28 @@ impl BlockContext {
         self.counters.cycles += cycles;
     }
 
+    /// Record a whole block's worth of counters at once, as if each of its
+    /// events had been recorded through the methods above: every block-
+    /// recorded field adds to the running totals. `hazards` (owned by the
+    /// shared-memory tracker) and `threads_spawned` (host provenance) are
+    /// not block-recorded quantities and are ignored.
+    ///
+    /// Meant for kernels whose cost is data-independent, where an
+    /// analytic predictor reproduces the per-event recording exactly.
+    #[inline]
+    pub fn record(&mut self, c: &KernelCounters) {
+        let k = &mut self.counters;
+        k.global_read += c.global_read;
+        k.global_write += c.global_write;
+        k.flops += c.flops;
+        k.smem_trips += c.smem_trips;
+        k.syncs += c.syncs;
+        k.cycles += c.cycles;
+        k.smem_elems += c.smem_elems;
+        k.lane_sweeps += c.lane_sweeps;
+        k.lane_elems += c.lane_elems;
+    }
+
     /// Counters recorded so far (including any hazards the shared-memory
     /// tracker detected for this block).
     #[inline]
@@ -251,6 +273,34 @@ mod tests {
         );
         ctx.vec_work(0, 5); // no-op
         assert_eq!(ctx.counters().lane_sweeps, 3);
+    }
+
+    #[test]
+    fn record_matches_per_event_recording() {
+        let mut events = BlockContext::new(0, 16, 0);
+        events.gld(96);
+        events.gst(40);
+        events.vec_work(20, 2);
+        events.smem_work(7, 1);
+        events.sync();
+        events.smem_trip();
+        events.seq_cycles(3.5);
+        let mut once = BlockContext::new(0, 16, 0);
+        once.record(&events.counters());
+        assert_eq!(once.counters(), events.counters());
+        // Recording adds to what is already there.
+        once.record(&events.counters());
+        assert_eq!(once.counters().global_read, 192);
+        assert_eq!(once.counters().syncs, 2);
+        // Provenance fields are not block-recorded.
+        let provenance = KernelCounters {
+            hazards: 3,
+            threads_spawned: 4,
+            ..KernelCounters::default()
+        };
+        let mut ctx = BlockContext::new(0, 16, 0);
+        ctx.record(&provenance);
+        assert_eq!(ctx.counters(), KernelCounters::default());
     }
 
     #[test]

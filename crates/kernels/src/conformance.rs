@@ -464,7 +464,6 @@ fn conform_interleaved<S: Scalar>(dev: &DeviceSpec, shape: &Shape) -> Result<usi
         lanes_per_block: shape.lanes,
         threads: shape.threads as u32,
         parallel: ParallelPolicy::Serial,
-        ..InterleavedParams::default()
     };
     let _guard = trace_mode();
     let (mut il, rep0) = interleave_launch(dev, &src, params)

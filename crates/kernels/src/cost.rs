@@ -219,9 +219,9 @@ fn vec(c: &mut KernelCounters, lanes: usize, flops_per_item: usize, threads: u32
 /// Predicted per-block counters of the interleaved factorization
 /// ([`crate::interleaved::gbtrf_batch_interleaved`]) for a chunk of
 /// `lanes` batch lanes in the given traffic mode (`windowed = true` for
-/// [`crate::interleaved::LaneTrafficMode::Windowed`]). The kernel's
-/// recording is *structural* (mask-independent), so this prediction is
-/// **exact**, not a bound.
+/// [`crate::interleaved::LaneTrafficMode::Windowed`]). The lockstep cost
+/// is *structural* (mask-independent) and each block of the kernel records
+/// exactly these counters, so this prediction is **exact**, not a bound.
 pub fn predict_interleaved_factor<S: Scalar>(
     l: &BandLayout,
     lanes: usize,
@@ -295,7 +295,7 @@ pub fn predict_interleaved_factor<S: Scalar>(
 /// Predicted per-block counters of the interleaved solve
 /// ([`crate::interleaved::gbtrs_batch_interleaved`]) for a chunk of
 /// `lanes` batch lanes in the given traffic mode. Exact, like the factor
-/// prediction.
+/// prediction: each block of the kernel records these counters.
 pub fn predict_interleaved_solve<S: Scalar>(
     l: &BandLayout,
     nrhs: usize,

@@ -479,8 +479,7 @@ pub fn gbtrf_batch<S: Scalar>(
         let iparams = opts.interleaved_params(dev, &l, 0);
         let (mut ia, pack) = interleave_launch(dev, a, iparams)?;
         let f = gbtrf_batch_interleaved(dev, &mut ia, piv, info, iparams)?;
-        let (fa, unpack) = deinterleave_launch(dev, &ia, iparams)?;
-        a.data_mut().copy_from_slice(fa.data());
+        let unpack = deinterleave_launch(dev, &ia, a, iparams)?;
         return Ok(BatchReport {
             algo: ChosenAlgo::Interleaved,
             time: pack.time + f.time + unpack.time,
@@ -818,8 +817,7 @@ pub fn gbsv_batch<S: Scalar>(
         let (mut ia, pack) = interleave_launch(dev, a, iparams)?;
         let f = gbtrf_batch_interleaved(dev, &mut ia, piv, info, iparams)?;
         let s = gbtrs_batch_interleaved(dev, &ia, piv, rhs, info, iparams)?;
-        let (fa, unpack) = deinterleave_launch(dev, &ia, iparams)?;
-        a.data_mut().copy_from_slice(fa.data());
+        let unpack = deinterleave_launch(dev, &ia, a, iparams)?;
         return Ok(BatchReport {
             algo: ChosenAlgo::Interleaved,
             time: pack.time + f.time + s.time + unpack.time,

@@ -1,25 +1,18 @@
-//! Interleaved (batch-major) band LU kernels: `GBTRF`/`GBTRS` whose inner
-//! loops sweep the *batch* index over contiguous lanes.
+//! Interleaved (batch-major) band LU kernels: `GBTRF`/`GBTRS` on
+//! [`InterleavedBandBatch`] storage, where band element `(r, j)` of every
+//! matrix in the batch is contiguous.
 //!
 //! The column-major designs (§5.1–§5.3) parallelize across matrices only at
 //! block granularity; inside one matrix the column-step primitives stride
 //! within a small `ldab x n` panel. With the batch transposed to
-//! [`InterleavedBandBatch`] order, every primitive — IAMAX, SWAP, SCAL, the
-//! rank-1 update, the triangular-solve updates — becomes a sweep over a
-//! contiguous lane of `batch` doubles: the coalesced/auto-vectorizable
-//! access pattern of "Efficient Interleaved Batch Matrix Solvers" (Gloster
-//! et al., arXiv:1909.04539). One simulated block owns a contiguous chunk
-//! of lanes, so the whole batch needs only `ceil(batch / lanes_per_block)`
-//! blocks, no shared memory, and **no barriers**: lanes never communicate.
-//!
-//! Numerics: each lane executes exactly the scalar operation sequence of
-//! [`gbatch_core::gbtf2`] / [`gbatch_core::gbtrs::gbtrs`], with per-lane
-//! masks standing in for SIMT divergence — lanes whose pivot is zero skip
-//! the masked ops of that column (recording `info`, like LAPACK) without
-//! disturbing sibling lanes, and the `u == 0` column skip of
-//! `rank_one_update` is replicated per lane. Factors, pivots and solutions
-//! are therefore **bitwise identical** to the sequential reference on every
-//! lane, singular or not.
+//! interleaved order, every primitive — IAMAX, SWAP, SCAL, the rank-1
+//! update, the triangular-solve updates — becomes a sweep over a
+//! contiguous lane of `batch` values: the coalesced access pattern of
+//! "Efficient Interleaved Batch Matrix Solvers" (Gloster et al.,
+//! arXiv:1909.04539). One simulated block owns a contiguous chunk of
+//! lanes, so the whole batch needs only `ceil(batch / lanes_per_block)`
+//! blocks, no shared memory traffic between lanes, and **no barriers**:
+//! lanes never communicate.
 //!
 //! Memory model — two traffic modes, chosen per launch from the device's
 //! shared-memory capacity ([`LaneTrafficMode`]):
@@ -42,22 +35,38 @@
 //!   launch overhead *per column*), which the streaming mode undercuts —
 //!   the wide-band corner of the layout crossover.
 //!
-//! Cost recording is *structural* (mask-independent): a SIMT machine pays
-//! a masked sweep at the worst lane's reach, so every column records the
-//! worst-case `w = min(kl + ku, n - 1 - j)` sweep width regardless of the
-//! data. Recorded counters are therefore exactly predictable by
-//! [`crate::cost::predict_interleaved_factor`] /
-//! [`crate::cost::predict_interleaved_solve`], which the layout-dispatch
-//! crossover model relies on.
+//! Cost recording: a SIMT machine runs the lanes in lockstep and pays
+//! every masked sweep at the worst lane's reach, so the modeled cost is
+//! *structural* (data-independent). Each block records it in one
+//! [`BlockContext::record`](gbatch_gpu_sim::BlockContext::record) call
+//! from [`crate::cost::predict_interleaved_factor`] /
+//! [`crate::cost::predict_interleaved_solve`] /
+//! [`crate::cost::predict_interleave_pass`] — the same predictors the
+//! layout-dispatch crossover model prices with, so model and launch
+//! cannot drift apart.
+//!
+//! Host execution: the kernels are lane-private (no lane ever reads
+//! another lane's data), so the lockstep order of the device is not
+//! observable in the results. Each block therefore copies its lane strip
+//! into a block-local lane-major scratch with one cache-blocked strip
+//! transpose ([`gather_strip`]), runs [`gbatch_core::gbtf2`] /
+//! [`gbatch_core::gbtrs::gbtrs`] on each lane to completion, and writes
+//! the factors back ([`scatter_strip`]). Factors, pivots, info codes and
+//! solutions are therefore **bitwise identical** to the sequential
+//! reference on every lane, singular or not, by construction.
+
+use std::marker::PhantomData;
 
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
-use gbatch_core::interleaved::InterleavedBandBatch;
-use gbatch_core::lanes::{LaneMode, LANE_WIDTH};
-use gbatch_core::layout::update_bound;
+use gbatch_core::gbtf2::gbtf2;
+use gbatch_core::gbtrs::{gbtrs, Transpose};
+use gbatch_core::interleaved::{
+    gather_strip, scatter_strip, InterleavedBandBatch, StripRows, StripRowsMut,
+};
 use gbatch_core::scalar::Scalar;
 use gbatch_gpu_sim::{launch, DeviceSpec, LaunchConfig, LaunchError, LaunchReport, ParallelPolicy};
 
-const I32: usize = std::mem::size_of::<i32>();
+use crate::cost::{predict_interleave_pass, predict_interleaved_factor, predict_interleaved_solve};
 
 /// Tunable parameters of the interleaved kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,12 +80,6 @@ pub struct InterleavedParams {
     /// Host scheduling of the lane-chunk blocks (results are
     /// bitwise-identical for every policy).
     pub parallel: ParallelPolicy,
-    /// Loop shape of the batch-innermost lane sweeps (default
-    /// [`LaneMode::Chunked`]). Chunked mode runs every masked sweep over
-    /// fixed [`LANE_WIDTH`] groups with a scalar remainder — same per-lane
-    /// operations, masks and order, so results are bitwise-identical to
-    /// [`LaneMode::Scalar`] by construction.
-    pub lane_mode: LaneMode,
 }
 
 impl Default for InterleavedParams {
@@ -85,7 +88,6 @@ impl Default for InterleavedParams {
             lanes_per_block: 256,
             threads: 256,
             parallel: ParallelPolicy::Serial,
-            lane_mode: LaneMode::default(),
         }
     }
 }
@@ -182,19 +184,12 @@ impl InterleavedParams {
             lanes_per_block: lanes,
             threads,
             parallel: ParallelPolicy::Serial,
-            lane_mode: LaneMode::default(),
         }
     }
 
     /// Builder: set the host scheduling policy.
     pub fn with_parallel(mut self, parallel: ParallelPolicy) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Builder: set the lane-sweep loop shape.
-    pub fn with_lane_mode(mut self, lane_mode: LaneMode) -> Self {
-        self.lane_mode = lane_mode;
         self
     }
 
@@ -211,38 +206,6 @@ fn lane_chunks(batch: usize, lanes_per_block: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Run `f(b)` for every lane `b in 0..lanes`, in ascending order.
-///
-/// The index-driven analogue of `gbatch_core::lanes::zip_each` for the
-/// kernels' masked multi-array sweeps: under [`LaneMode::Chunked`] the body
-/// runs in fixed [`LANE_WIDTH`] groups (a constant-trip inner loop the
-/// compiler can unroll and vectorize around the per-lane masks) plus a
-/// scalar remainder. Lane order, operations and masks are unchanged, so
-/// both modes are bitwise-identical by construction.
-#[inline(always)]
-fn sweep_lanes<F: FnMut(usize)>(mode: LaneMode, lanes: usize, mut f: F) {
-    match mode {
-        LaneMode::Scalar => {
-            for b in 0..lanes {
-                f(b);
-            }
-        }
-        LaneMode::Chunked => {
-            let whole = lanes - lanes % LANE_WIDTH;
-            let mut lo = 0;
-            while lo < whole {
-                for k in 0..LANE_WIDTH {
-                    f(lo + k);
-                }
-                lo += LANE_WIDTH;
-            }
-            for b in whole..lanes {
-                f(b);
-            }
-        }
-    }
-}
-
 /// Strided mutable view of one lane chunk of an interleaved array.
 ///
 /// The interleaved storage is `[elem][batch]` with the batch index
@@ -256,72 +219,78 @@ fn sweep_lanes<F: FnMut(usize)>(mode: LaneMode, lanes: usize, mut f: F) {
 /// Invariants every constructor must uphold (and the accessors rely on):
 ///
 /// 1. `base` points at the first element of a live `[S]` allocation of at
-///    least `elems * batch` elements, obtained from a `&mut` borrow that
-///    outlives every view into it (the launch holds the borrow of the
-///    `InterleavedBandBatch` until all workers join).
-/// 2. `lo + lanes <= batch`, so `offset(e, b) < elems * batch` for every
-///    in-range `(e, b)` — no access leaves the allocation.
+///    least `elems * batch` elements, obtained from the `&'a mut` borrow
+///    the views carry, so the allocation outlives every view into it.
+/// 2. `lo + lanes <= batch`, so `offset(e) + lanes <= elems * batch` for
+///    every in-range `e` — no access leaves the allocation.
 /// 3. Concurrently live views cover pairwise-disjoint `[lo, lo + lanes)`
 ///    ranges: no element offset is reachable from two views at once.
-struct LaneView<S> {
+struct LaneView<'a, S> {
     base: *mut S,
     batch: usize,
     lo: usize,
     lanes: usize,
     elems: usize,
+    _borrow: PhantomData<&'a mut [S]>,
 }
 
 // SAFETY: a `LaneView` only ever dereferences `base` inside its own
 // `[lo, lo + lanes)` lane range (asserted below); views handed to different
 // executor workers cover disjoint ranges, so sending one to another thread
-// cannot race with its siblings.
-unsafe impl<S: Scalar> Send for LaneView<S> {}
+// cannot race with its siblings. The remaining fields are plain integers
+// and a zero-sized borrow marker.
+unsafe impl<S: Scalar> Send for LaneView<'_, S> {}
 
-impl<S: Scalar> LaneView<S> {
+impl<'a, S: Scalar> LaneView<'a, S> {
+    /// Views of lanes `[lo, lo + lanes)` for every chunk of `batch`, over
+    /// the interleaved array `data` of `elems` elements per lane.
+    fn chunks(data: &'a mut [S], elems: usize, batch: usize, lanes_per_block: usize) -> Vec<Self> {
+        assert_eq!(data.len(), elems * batch, "interleaved array size");
+        let base = data.as_mut_ptr();
+        lane_chunks(batch, lanes_per_block)
+            .into_iter()
+            .map(|(lo, lanes)| LaneView {
+                base,
+                batch,
+                lo,
+                lanes,
+                elems,
+                _borrow: PhantomData,
+            })
+            .collect()
+    }
+
     #[inline(always)]
-    fn offset(&self, e: usize, b: usize) -> usize {
-        debug_assert!(
+    fn offset(&self, e: usize) -> usize {
+        assert!(
             e < self.elems,
             "element {e} out of range (< {})",
             self.elems
         );
-        debug_assert!(b < self.lanes, "lane {b} out of range (< {})", self.lanes);
-        e * self.batch + self.lo + b
+        e * self.batch + self.lo
     }
+}
 
+impl<S: Scalar> StripRows<S> for LaneView<'_, S> {
     /// Lane slice of element `e`, immutable.
     #[inline(always)]
     fn row(&self, e: usize) -> &[S] {
-        let off = self.offset(e, 0);
+        let off = self.offset(e);
         // SAFETY: `[off, off + lanes)` lies inside this chunk's lane range
         // of element `e`; no other chunk touches it (struct invariant) and
         // `&self` prevents simultaneous mutation through this view.
         unsafe { std::slice::from_raw_parts(self.base.add(off), self.lanes) }
     }
+}
 
+impl<S: Scalar> StripRowsMut<S> for LaneView<'_, S> {
     /// Lane slice of element `e`, mutable.
     #[inline(always)]
     fn row_mut(&mut self, e: usize) -> &mut [S] {
-        let off = self.offset(e, 0);
+        let off = self.offset(e);
         // SAFETY: as in `row`, plus `&mut self` serializes mutable access
         // within the chunk.
         unsafe { std::slice::from_raw_parts_mut(self.base.add(off), self.lanes) }
-    }
-
-    /// Element `e`, lane `b` (lane index local to the chunk).
-    #[inline(always)]
-    fn get(&self, e: usize, b: usize) -> S {
-        let off = self.offset(e, b);
-        // SAFETY: single in-range element of this chunk's lane range.
-        unsafe { *self.base.add(off) }
-    }
-
-    /// Store element `e`, lane `b`.
-    #[inline(always)]
-    fn set(&mut self, e: usize, b: usize, v: S) {
-        let off = self.offset(e, b);
-        // SAFETY: single in-range element of this chunk's lane range.
-        unsafe { *self.base.add(off) = v }
     }
 }
 
@@ -362,211 +331,37 @@ pub fn gbtrf_batch_interleaved<S: Scalar>(
         .with_precision(crate::flop_class::<S>());
 
     struct Chunk<'a, S> {
-        view: LaneView<S>,
+        view: LaneView<'a, S>,
         piv: &'a mut [i32],
         info: &'a mut [i32],
     }
 
     let elems = l.len();
-    let base = a.data_mut().as_mut_ptr();
-    let mut chunks: Vec<Chunk<'_, S>> = lane_chunks(batch, lpb)
+    let mut chunks: Vec<Chunk<'_, S>> = LaneView::chunks(a.data_mut(), elems, batch, lpb)
         .into_iter()
         .zip(piv.as_mut_slice().chunks_mut(per * lpb))
         .zip(info.as_mut_slice().chunks_mut(lpb))
-        .map(|(((lo, lanes), piv), info)| Chunk {
-            view: LaneView {
-                base,
-                batch,
-                lo,
-                lanes,
-                elems,
-            },
-            piv,
-            info,
-        })
+        .map(|((view, piv), info)| Chunk { view, piv, info })
         .collect();
 
     launch(dev, &cfg, &mut chunks, |p, ctx| {
-        let kv = l.kv();
-        let (n, kl) = (l.n, l.kl);
         let lanes = p.view.lanes;
-        let mode = params.lane_mode;
-
-        // Windowed mode streams the chunk's band panel in once; the
-        // `kv + 2`-column working window stays block-resident (the
-        // launch's shared-memory footprint), so the column sweeps below
-        // touch no DRAM. Streaming mode skips the panel stream and pays
-        // DRAM per primitive instead.
-        if windowed {
-            ctx.gld(l.len() * lanes * S::BYTES);
-            ctx.vec_work(l.len() * lanes, 0);
+        ctx.record(&predict_interleaved_factor::<S>(
+            &l,
+            lanes,
+            ctx.threads,
+            windowed,
+        ));
+        let mut ab = vec![S::ZERO; lanes * elems];
+        gather_strip(&p.view, &mut ab, elems);
+        for ((ab, piv), info) in ab
+            .chunks_exact_mut(elems)
+            .zip(p.piv.chunks_exact_mut(per))
+            .zip(p.info.iter_mut())
+        {
+            *info = gbtf2(&l, ab, piv);
         }
-
-        // DGBTF2 prologue: zero the partially-reachable fill rows.
-        let mut fill_items = 0usize;
-        for j in (l.ku + 1)..kv.min(n) {
-            for r in (kv - j)..kl {
-                p.view.row_mut(l.idx(r, j)).fill(S::ZERO);
-                fill_items += 1;
-            }
-        }
-        ctx.vec_work(fill_items * lanes, 0);
-        if !windowed {
-            ctx.gst(fill_items * lanes * S::BYTES);
-        }
-
-        // Per-lane factorization state.
-        let mut ju = vec![0usize; lanes];
-        let mut jp = vec![0usize; lanes];
-        let mut best = vec![S::ZERO; lanes];
-        let mut pivval = vec![S::ZERO; lanes];
-        let mut inv = vec![S::ZERO; lanes];
-        let mut lane_info = vec![0i32; lanes];
-        let mut mult = vec![S::ZERO; kl * lanes];
-        let mut uvec = vec![S::ZERO; lanes];
-        let mut fixed = vec![S::ZERO; lanes];
-
-        for j in 0..per {
-            let km = l.km(j);
-            let w = kv.min(n - 1 - j); // structural worst-case reach
-
-            // SET_FILLIN for the incoming column.
-            if j + kv < n {
-                for r in 0..kl {
-                    p.view.row_mut(l.idx(r, j + kv)).fill(S::ZERO);
-                }
-                ctx.vec_work(kl * lanes, 0);
-                if !windowed {
-                    ctx.gst(kl * lanes * S::BYTES);
-                }
-            }
-
-            // IAMAX, k-outer / lane-inner: per lane this is the exact
-            // first-max scan of `gbtf2::pivot_search` (strict `>` keeps
-            // the earliest maximum).
-            for b in 0..lanes {
-                best[b] = S::from_f64(-1.0);
-                jp[b] = 0;
-            }
-            for k in 0..=km {
-                let row = p.view.row(l.idx(kv + k, j));
-                sweep_lanes(mode, lanes, |b| {
-                    let v = row[b].abs();
-                    if v > best[b] {
-                        best[b] = v;
-                        jp[b] = k;
-                    }
-                });
-            }
-            ctx.vec_work((km + 1) * lanes, 0);
-            if !windowed {
-                ctx.gld((km + 1) * lanes * S::BYTES);
-            }
-
-            // Pivot gather + bookkeeping (singular lanes record info and
-            // drop out of this column's masked ops only).
-            for b in 0..lanes {
-                pivval[b] = p.view.get(l.idx(kv + jp[b], j), b);
-                p.piv[b * per + j] = (j + jp[b]) as i32;
-                if pivval[b] != S::ZERO {
-                    ju[b] = update_bound(ju[b].max(j), j, l.ku, jp[b], n);
-                } else if lane_info[b] == 0 {
-                    lane_info[b] = (j + 1) as i32;
-                }
-            }
-            ctx.gst(lanes * I32);
-            if !windowed {
-                ctx.gld(lanes * S::BYTES); // pivot value re-read
-            }
-
-            // SWAP to the right: structural sweep over w + 1 columns;
-            // lanes with jp == 0, a zero pivot, or a shorter per-lane
-            // reach are masked (and, as on a SIMT machine, still paid
-            // for by the sweep).
-            for k in 0..=w {
-                let e_lo = l.idx(kv - k, j + k);
-                fixed.copy_from_slice(p.view.row(e_lo));
-                let view = &mut p.view;
-                sweep_lanes(mode, lanes, |b| {
-                    if pivval[b] != S::ZERO && jp[b] != 0 && k <= ju[b] - j {
-                        let e_hi = l.idx(kv + jp[b] - k, j + k);
-                        view.set(e_lo, b, view.get(e_hi, b));
-                        view.set(e_hi, b, fixed[b]);
-                    }
-                });
-            }
-            ctx.vec_work((w + 1) * lanes, 0);
-            if !windowed {
-                // Both swap rows of each column: read-modify-write.
-                ctx.gld(2 * (w + 1) * lanes * S::BYTES);
-                ctx.gst(2 * (w + 1) * lanes * S::BYTES);
-            }
-
-            if km > 0 {
-                // SCAL by the reciprocal pivot (masked per lane).
-                for b in 0..lanes {
-                    inv[b] = if pivval[b] != S::ZERO {
-                        S::ONE / pivval[b]
-                    } else {
-                        S::ZERO
-                    };
-                }
-                for k in 1..=km {
-                    let row = p.view.row_mut(l.idx(kv + k, j));
-                    sweep_lanes(mode, lanes, |b| {
-                        if pivval[b] != S::ZERO {
-                            row[b] *= inv[b];
-                        }
-                    });
-                }
-                ctx.vec_work(km * lanes, 1);
-                if !windowed {
-                    ctx.gld(km * lanes * S::BYTES);
-                    ctx.gst(km * lanes * S::BYTES);
-                }
-
-                // Snapshot the multipliers once; every update column
-                // reuses them (they are not modified below).
-                for k in 1..=km {
-                    mult[(k - 1) * lanes..k * lanes].copy_from_slice(p.view.row(l.idx(kv + k, j)));
-                }
-
-                // RANK_ONE_UPDATE over the structural reach; per-lane
-                // masks apply the true reach `ju[b] - j` and gbtf2's
-                // `u == 0` column skip (needed for bitwise identity:
-                // `x - 0.0 * m` is not always a no-op, e.g. for -0.0).
-                for c in 1..=w {
-                    uvec.copy_from_slice(p.view.row(l.idx(kv - c, j + c)));
-                    for i in 1..=km {
-                        let dst = p.view.row_mut(l.idx(kv - c + i, j + c));
-                        let mrow = &mult[(i - 1) * lanes..i * lanes];
-                        sweep_lanes(mode, lanes, |b| {
-                            let u = uvec[b];
-                            if pivval[b] != S::ZERO && u != S::ZERO && c <= ju[b] - j {
-                                dst[b] -= mrow[b] * u;
-                            }
-                        });
-                    }
-                }
-                ctx.vec_work(w * lanes, 0);
-                ctx.vec_work(w * km * lanes, 2);
-                if !windowed {
-                    // Per update column: u row + multiplier re-read + dst
-                    // read-modify-write (no register cache of `mult` in
-                    // streaming mode — `km` can exceed any register file).
-                    ctx.gld(w * (1 + 2 * km) * lanes * S::BYTES);
-                    ctx.gst(w * km * lanes * S::BYTES);
-                }
-            }
-        }
-
-        // Windowed mode streams the factored panel back out.
-        if windowed {
-            ctx.gst(l.len() * lanes * S::BYTES);
-            ctx.vec_work(l.len() * lanes, 0);
-        }
-        p.info.copy_from_slice(&lane_info);
-        ctx.gst(lanes * I32);
+        scatter_strip(&ab, elems, &mut p.view);
     })
 }
 
@@ -594,7 +389,6 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
     assert_eq!(info.len(), batch, "info batch mismatch");
     assert_eq!(rhs.n(), l.n, "rhs order mismatch");
     let n = l.n;
-    let per = n;
     let (ldb, nrhs, bs) = (rhs.ldb(), rhs.nrhs(), rhs.block_stride());
     let lpb = params.lanes_clamped(batch);
     let windowed = solve_mode::<S>(dev, &l, nrhs, lpb) == LaneTrafficMode::Windowed;
@@ -607,7 +401,6 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
         .with_parallel(params.parallel)
         .with_label("gbtrs_interleaved")
         .with_precision(crate::flop_class::<S>());
-    let fac = a.data();
 
     struct Chunk<'a, S> {
         lo: usize,
@@ -620,7 +413,7 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
     let mut chunks: Vec<Chunk<'_, S>> = lane_chunks(batch, lpb)
         .into_iter()
         .zip(rhs.data_mut().chunks_mut(bs * lpb))
-        .zip(piv.as_slice().chunks(per * lpb))
+        .zip(piv.as_slice().chunks(n * lpb))
         .zip(info.as_slice().chunks(lpb))
         .map(|((((lo, lanes), rhs), piv), info)| Chunk {
             lo,
@@ -631,137 +424,26 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
         })
         .collect();
 
+    let elems = l.len();
     launch(dev, &cfg, &mut chunks, |p, ctx| {
-        let kv = l.kv();
-        let kl = l.kl;
-        let (lo, lanes) = (p.lo, p.lanes);
-        let mode = params.lane_mode;
-        // Read-only lane slice of factor element `e` for this chunk.
-        let frow = |e: usize| &fac[e * batch + lo..e * batch + lo + lanes];
-        let active: Vec<bool> = p.info.iter().map(|&i| i == 0).collect();
-
-        // Gather the chunk's RHS blocks into a batch-major scratch
-        // `x[(c * n + i) * lanes + b]` (the transposing load a native
-        // interleaved RHS layout would not need). In windowed mode the
-        // scratch is the launch's shared-memory footprint and the sweeps
-        // below touch DRAM only for the factor panel; in streaming mode
-        // the scratch models in-place global updates, so every sweep pays
-        // its RHS traffic too.
-        let mut x = vec![S::ZERO; n * nrhs * lanes];
-        for b in 0..lanes {
-            let blk = &p.rhs[b * bs..(b + 1) * bs];
-            for c in 0..nrhs {
-                for i in 0..n {
-                    x[(c * n + i) * lanes + b] = blk[c * ldb + i];
-                }
+        ctx.record(&predict_interleaved_solve::<S>(
+            &l,
+            nrhs,
+            p.lanes,
+            ctx.threads,
+            windowed,
+        ));
+        let mut ab = vec![S::ZERO; p.lanes * elems];
+        gather_strip(&a.strip(p.lo, p.lanes), &mut ab, elems);
+        let lanes = ab
+            .chunks_exact(elems)
+            .zip(p.piv.chunks_exact(n))
+            .zip(p.rhs.chunks_exact_mut(bs))
+            .zip(p.info);
+        for (((ab, piv), b), &info) in lanes {
+            if info == 0 {
+                gbtrs(Transpose::No, &l, ab, piv, b, ldb, nrhs);
             }
-        }
-        if windowed {
-            ctx.gld(n * nrhs * lanes * S::BYTES);
-            ctx.vec_work(n * nrhs * lanes, 0);
-        }
-
-        // Forward elimination with progressive pivoting (`forward_step`
-        // per column, lane-innermost).
-        if kl > 0 {
-            for j in 0..n - 1 {
-                let lm = kl.min(n - 1 - j);
-                for c in 0..nrhs {
-                    sweep_lanes(mode, lanes, |b| {
-                        let pvt = p.piv[b * per + j] as usize;
-                        if active[b] && pvt != j {
-                            x.swap((c * n + pvt) * lanes + b, (c * n + j) * lanes + b);
-                        }
-                    });
-                }
-                ctx.gld(lanes * I32); // pivot row
-                ctx.vec_work(nrhs * lanes, 0);
-                if !windowed {
-                    // Structural swap: both RHS rows, read-modify-write.
-                    ctx.gld(2 * nrhs * lanes * S::BYTES);
-                    ctx.gst(2 * nrhs * lanes * S::BYTES);
-                }
-                if lm > 0 {
-                    for c in 0..nrhs {
-                        for i in 1..=lm {
-                            let m = frow(l.idx(kv + i, j));
-                            sweep_lanes(mode, lanes, |b| {
-                                let bj = x[(c * n + j) * lanes + b];
-                                if active[b] && bj != S::ZERO {
-                                    x[(c * n + j + i) * lanes + b] -= m[b] * bj;
-                                }
-                            });
-                        }
-                    }
-                    ctx.gld(lm * lanes * S::BYTES); // L multipliers of column j
-                    ctx.vec_work(lm * nrhs * lanes, 2);
-                    if !windowed {
-                        // `b[j]` re-read plus the `lm` updated rows.
-                        ctx.gld((1 + lm) * nrhs * lanes * S::BYTES);
-                        ctx.gst(lm * nrhs * lanes * S::BYTES);
-                    }
-                }
-            }
-        }
-
-        // Backward substitution on the banded U (`backward_solve`,
-        // lane-innermost).
-        for c in 0..nrhs {
-            for j in (0..n).rev() {
-                let reach = kv.min(j);
-                let diag = frow(l.idx(kv, j));
-                let jrow = (c * n + j) * lanes;
-                sweep_lanes(mode, lanes, |b| {
-                    if active[b] {
-                        x[jrow + b] /= diag[b];
-                    }
-                });
-                ctx.gld(lanes * S::BYTES); // diagonal of U
-                ctx.vec_work(lanes, 1);
-                if !windowed {
-                    // `x[j]` read-modify-write by the division.
-                    ctx.gld(lanes * S::BYTES);
-                    ctx.gst(lanes * S::BYTES);
-                }
-                if reach > 0 {
-                    for i in 1..=reach {
-                        let u = frow(l.idx(kv - i, j));
-                        sweep_lanes(mode, lanes, |b| {
-                            let bj = x[jrow + b];
-                            if active[b] && bj != S::ZERO {
-                                x[(c * n + j - i) * lanes + b] -= u[b] * bj;
-                            }
-                        });
-                    }
-                    ctx.gld(reach * lanes * S::BYTES); // U column above the diagonal
-                    ctx.vec_work(reach * lanes, 2);
-                    if !windowed {
-                        // The `reach` updated rows, read-modify-write.
-                        ctx.gld(reach * lanes * S::BYTES);
-                        ctx.gst(reach * lanes * S::BYTES);
-                    }
-                }
-            }
-        }
-
-        // Scatter solutions back; masked (singular) lanes keep their
-        // original RHS. The store sweep is structural: masked lanes still
-        // occupy their transaction slots. (Streaming mode updated the
-        // global RHS in place — no final scatter to pay.)
-        for b in 0..lanes {
-            if !active[b] {
-                continue;
-            }
-            let blk = &mut p.rhs[b * bs..(b + 1) * bs];
-            for c in 0..nrhs {
-                for i in 0..n {
-                    blk[c * ldb + i] = x[(c * n + i) * lanes + b];
-                }
-            }
-        }
-        if windowed {
-            ctx.gst(n * nrhs * lanes * S::BYTES);
-            ctx.vec_work(n * nrhs * lanes, 0);
         }
     })
 }
@@ -785,89 +467,60 @@ pub fn interleave_launch<S: Scalar>(
         .with_precision(crate::flop_class::<S>());
 
     struct Chunk<'a, S> {
-        view: LaneView<S>,
+        view: LaneView<'a, S>,
         src: &'a [S],
     }
 
-    let base = dst.data_mut().as_mut_ptr();
-    let src_data = src.data();
-    let mut chunks: Vec<Chunk<'_, S>> = lane_chunks(batch, lpb)
+    let mut chunks: Vec<Chunk<'_, S>> = LaneView::chunks(dst.data_mut(), elems, batch, lpb)
         .into_iter()
-        .map(|(lo, lanes)| Chunk {
-            view: LaneView {
-                base,
-                batch,
-                lo,
-                lanes,
-                elems,
-            },
-            src: &src_data[lo * elems..(lo + lanes) * elems],
-        })
+        .zip(src.data().chunks(elems * lpb))
+        .map(|(view, src)| Chunk { view, src })
         .collect();
 
     let rep = launch(dev, &cfg, &mut chunks, |p, ctx| {
-        let lanes = p.view.lanes;
-        for (b, m) in p.src.chunks(elems).enumerate() {
-            for (e, &v) in m.iter().enumerate() {
-                p.view.set(e, b, v);
-            }
-        }
-        ctx.gld(elems * lanes * S::BYTES);
-        ctx.gst(elems * lanes * S::BYTES);
-        ctx.vec_work(elems * lanes, 0);
+        ctx.record(&predict_interleave_pass::<S>(&l, p.view.lanes, ctx.threads));
+        scatter_strip(p.src, elems, &mut p.view);
     })?;
     Ok((dst, rep))
 }
 
-/// Transpose interleaved storage back to a column-major batch as a modeled
-/// kernel launch (the unpack pass of a dispatch-level layout switch).
+/// Transpose interleaved storage back into the column-major batch `dst`
+/// as a modeled kernel launch (the unpack pass of a dispatch-level layout
+/// switch). `dst` must share `src`'s layout and batch size; every stored
+/// element is overwritten.
 pub fn deinterleave_launch<S: Scalar>(
     dev: &DeviceSpec,
     src: &InterleavedBandBatch<S>,
+    dst: &mut BandBatch<S>,
     params: InterleavedParams,
-) -> Result<(BandBatch<S>, LaunchReport), LaunchError> {
+) -> Result<LaunchReport, LaunchError> {
     let l = src.layout();
     let batch = src.batch();
+    assert_eq!(dst.layout(), l, "unpack layout mismatch");
+    assert_eq!(dst.batch(), batch, "unpack batch mismatch");
     let elems = l.len();
-    let mut dst = BandBatch::zeros_with_layout(l, batch).expect("source batch is non-empty");
     let lpb = params.lanes_clamped(batch);
     let cfg = LaunchConfig::new(params.threads, 0)
         .with_parallel(params.parallel)
         .with_label("deinterleave")
         .with_precision(crate::flop_class::<S>());
-    let src_data = src.data();
 
-    struct Chunk<'a, S> {
-        lo: usize,
-        dst: &'a mut [S],
-    }
-
-    let mut chunks: Vec<Chunk<'_, S>> = lane_chunks(batch, lpb)
+    let mut chunks: Vec<(usize, &mut [S])> = lane_chunks(batch, lpb)
         .into_iter()
         .zip(dst.data_mut().chunks_mut(elems * lpb))
-        .map(|((lo, _lanes), dst)| Chunk { lo, dst })
+        .map(|((lo, _), dst)| (lo, dst))
         .collect();
 
-    let rep = launch(dev, &cfg, &mut chunks, |p, ctx| {
-        let lanes = p.dst.len() / elems;
-        for (bi, m) in p.dst.chunks_mut(elems).enumerate() {
-            let b = p.lo + bi;
-            for (e, v) in m.iter_mut().enumerate() {
-                *v = src_data[e * batch + b];
-            }
-        }
-        ctx.gld(elems * lanes * S::BYTES);
-        ctx.gst(elems * lanes * S::BYTES);
-        ctx.vec_work(elems * lanes, 0);
-    })?;
-    Ok((dst, rep))
+    launch(dev, &cfg, &mut chunks, |(lo, dst), ctx| {
+        let lanes = dst.len() / elems;
+        ctx.record(&predict_interleave_pass::<S>(&l, lanes, ctx.threads));
+        gather_strip(&src.strip(*lo, lanes), dst, elems);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbatch_core::gbtf2::gbtf2;
-    use gbatch_core::gbtrs::{gbtrs, Transpose};
 
     const F64: usize = std::mem::size_of::<f64>();
 
@@ -1025,10 +678,11 @@ mod tests {
 
     #[test]
     fn lane_modes_are_bitwise_identical() {
-        use gbatch_core::lanes::LaneMode;
+        use gbatch_core::lanes::{with_lane_mode, LaneMode};
         // Chunk sizes straddling LANE_WIDTH (remainder lanes included) and
-        // a mid-batch singular lane: the chunked sweeps must reproduce the
-        // scalar sweeps bit for bit, masks and all.
+        // a mid-batch singular lane: the per-lane `gbtf2`/`gbtrs` calls
+        // must produce the same bits whichever loop shape the calling
+        // thread's lane mode selects.
         let (batch, n, kl, ku, nrhs) = (37usize, 16usize, 2usize, 3usize, 2usize);
         let dev = DeviceSpec::h100_pcie();
         let mut a = random_batch(batch, n, n, kl, ku);
@@ -1043,19 +697,21 @@ mod tests {
         })
         .unwrap();
         for lpb in [5usize, 8, 37] {
-            let base = InterleavedParams {
+            let params = InterleavedParams {
                 lanes_per_block: lpb,
                 ..Default::default()
             };
             let runs: Vec<_> = [LaneMode::Scalar, LaneMode::Chunked]
                 .into_iter()
-                .map(|lane_mode| {
-                    let params = base.with_lane_mode(lane_mode);
-                    let (ia, piv, info, rep) = factor_interleaved(&a, params);
-                    let mut rhs = rhs0.clone();
-                    let srep =
-                        gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params).unwrap();
-                    (ia, piv, info, rhs, rep.counters, srep.counters)
+                .map(|mode| {
+                    with_lane_mode(mode, || {
+                        let (ia, piv, info, rep) = factor_interleaved(&a, params);
+                        let mut rhs = rhs0.clone();
+                        let srep =
+                            gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params)
+                                .unwrap();
+                        (ia, piv, info, rhs, rep.counters, srep.counters)
+                    })
                 })
                 .collect();
             assert_ne!(runs[0].2.get(13), 0, "lane 13 is singular");
@@ -1153,7 +809,8 @@ mod tests {
         let bytes = (a.layout().len() * 11 * F64) as u64;
         assert_eq!(rep_in.counters.global_read, bytes);
         assert_eq!(rep_in.counters.global_write, bytes);
-        let (back, rep_out) = deinterleave_launch(&dev, &ia, params).unwrap();
+        let mut back = BandBatch::zeros_with_layout(a.layout(), 11).unwrap();
+        let rep_out = deinterleave_launch(&dev, &ia, &mut back, params).unwrap();
         assert_eq!(back, a);
         assert_eq!(rep_out.counters.global_bytes(), 2 * bytes);
     }
@@ -1278,8 +935,8 @@ mod tests {
 
     /// Miri-sized exercises of the `LaneView` pointer plumbing: tiny shapes
     /// so `cargo miri test -p gbatch-kernels interleaved::tests::miri_sized`
-    /// finishes quickly while still driving every `unsafe` accessor
-    /// (`row`/`row_mut`/`get`/`set`) across worker threads.
+    /// finishes quickly while still driving both `unsafe` accessors
+    /// (`row`/`row_mut`) across worker threads.
     mod miri_sized {
         use super::super::*;
         use gbatch_core::gbtf2::gbtf2;

@@ -58,6 +58,13 @@ pub enum AdmitError {
         /// The service clock at the refusal.
         clock_s: f64,
     },
+    /// A time field is NaN or infinite: it cannot be ordered against the
+    /// virtual clock, so admission refuses it before the clock moves.
+    NonFinite {
+        /// Name of the offending field (`submitted_s`, `deadline_s`, or
+        /// `now_s` for [`crate::Server::factorize`]).
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for AdmitError {
@@ -81,6 +88,7 @@ impl std::fmt::Display for AdmitError {
                 f,
                 "submission time {now_s:.6} s precedes the service clock {clock_s:.6} s"
             ),
+            AdmitError::NonFinite { field } => write!(f, "{field} is not a finite time"),
         }
     }
 }

@@ -406,6 +406,8 @@ impl Server {
     }
 
     fn admit(&mut self, req: SolveRequest, handle: Option<FactorHandle>) -> Result<(), AdmitError> {
+        finite("submitted_s", req.submitted_s)?;
+        finite("deadline_s", req.deadline_s)?;
         if req.submitted_s < self.clock_s {
             return Err(AdmitError::NonMonotonicTime {
                 now_s: req.submitted_s,
@@ -508,6 +510,7 @@ impl Server {
         ab: &[f64],
         now_s: f64,
     ) -> Result<FactorHandle, FactorizeError> {
+        finite("now_s", now_s).map_err(FactorizeError::Admit)?;
         if now_s < self.clock_s {
             return Err(FactorizeError::Admit(AdmitError::NonMonotonicTime {
                 now_s,
@@ -989,6 +992,16 @@ impl Server {
     }
 }
 
+/// Admission check of one time field: NaN passes every `<` comparison
+/// against the clock as "not earlier", so it is refused up front.
+fn finite(field: &'static str, t: f64) -> Result<(), AdmitError> {
+    if t.is_finite() {
+        Ok(())
+    } else {
+        Err(AdmitError::NonFinite { field })
+    }
+}
+
 /// Solve `reqs` on `primary`; on a batch-level failure bisect the batch
 /// (the classic poisoned-batch retry) and rescue stubborn singletons on
 /// `fallback`. Returns per-request outcomes aligned with `reqs` and
@@ -1205,6 +1218,42 @@ mod tests {
             AdmitError::NonMonotonicTime { .. }
         ));
         assert!(s.report().is_conserved());
+    }
+
+    #[test]
+    fn non_finite_times_are_refused_before_the_clock_moves() {
+        let shape = ShapeKey::gbsv(16, 1, 1, 1);
+        let mut s = sim_server(ServerConfig::default());
+        s.advance(1.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = s.submit(req(0, shape, bad, 2.0)).unwrap_err();
+            assert_eq!(
+                err,
+                AdmitError::NonFinite {
+                    field: "submitted_s"
+                }
+            );
+            let err = s.submit(req(1, shape, 1.5, bad)).unwrap_err();
+            assert_eq!(
+                err,
+                AdmitError::NonFinite {
+                    field: "deadline_s"
+                }
+            );
+            let r = req(2, shape, 1.5, 2.0);
+            let err = s.factorize(shape, &r.ab, bad).unwrap_err();
+            assert!(matches!(
+                err,
+                FactorizeError::Admit(AdmitError::NonFinite { field: "now_s" })
+            ));
+            assert_eq!(s.clock_s(), 1.0, "refusal leaves the clock alone");
+        }
+        let rep = s.report();
+        assert_eq!(rep.submitted, 0, "refused before admission counts them");
+        assert!(rep.is_conserved());
+        // The service is unharmed: a finite request still admits.
+        s.submit(req(3, shape, 1.5, 2.0)).unwrap();
+        assert_eq!(s.pending(), 1);
     }
 
     #[test]

@@ -242,7 +242,6 @@ fn enforce_interleaved_kernels_run_hazard_free() {
                 lanes_per_block: 3,
                 threads: 2,
                 parallel: policy,
-                ..Default::default()
             };
             let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
             assert!(info.all_ok(), "igbtrf ({kl},{ku}) {policy:?}");
@@ -388,7 +387,6 @@ fn enforce_f32_kernel_instantiations_run_hazard_free() {
                 lanes_per_block: 3,
                 threads: 2,
                 parallel: policy,
-                ..Default::default()
             };
             let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, iparams).unwrap();
             assert!(info.all_ok(), "f32 igbtrf ({kl},{ku}) {policy:?}");

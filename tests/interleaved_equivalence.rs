@@ -1,16 +1,22 @@
 //! Interleaved-layout equivalence suite: converter round-trips, bitwise
 //! cross-algorithm agreement with the sequential `gbtf2`/`gbtrs` ground
-//! truth (mixed singular batches included), and invariance under the
-//! parallel host executor (1/2/8 workers).
+//! truth (mixed singular batches included), invariance under the
+//! parallel host executor (1/2/8 workers), and exact cost-predictor
+//! pricing at the benchmark's own geometry.
 
 use gbatch::core::gbtf2::gbtf2;
 use gbatch::core::gbtrs::{gbtrs, Transpose};
-use gbatch::core::{BandBatch, InfoArray, InterleavedBandBatch, PivotBatch, RhsBatch};
-use gbatch::gpu_sim::{DeviceSpec, ParallelPolicy};
+use gbatch::core::{BandBatch, InfoArray, InterleavedBandBatch, PivotBatch, RhsBatch, Scalar};
+use gbatch::gpu_sim::{DeviceSpec, KernelCounters, LaunchReport, ParallelPolicy};
+use gbatch::kernels::cost::{
+    predict_interleave_pass, predict_interleaved_factor, predict_interleaved_solve,
+    predict_interleaved_time,
+};
 use gbatch::kernels::dispatch::{dgbsv_batch, ChosenAlgo, GbsvOptions, MatrixLayout};
 use gbatch::kernels::interleaved::{
-    deinterleave_launch, gbtrf_batch_interleaved, gbtrs_batch_interleaved, interleave_launch,
-    InterleavedParams,
+    deinterleave_launch, factor_mode, factor_smem_bytes, gbtrf_batch_interleaved,
+    gbtrs_batch_interleaved, interleave_launch, solve_mode, solve_smem_bytes, InterleavedParams,
+    LaneTrafficMode,
 };
 use proptest::prelude::*;
 
@@ -90,7 +96,8 @@ proptest! {
         let params = InterleavedParams::auto(&dev, &a0.layout(), 0);
         let (packed2, _) = interleave_launch(&dev, &a0, params).unwrap();
         prop_assert_eq!(packed2.data(), packed.data());
-        let (back, _) = deinterleave_launch(&dev, &packed2, params).unwrap();
+        let mut back = BandBatch::zeros_with_layout(a0.layout(), batch).unwrap();
+        let _ = deinterleave_launch(&dev, &packed2, &mut back, params).unwrap();
         prop_assert_eq!(back.data(), a0.data());
     }
 
@@ -272,4 +279,127 @@ fn dispatch_layouts_agree_on_mixed_singular_batches() {
             }
         }
     }
+}
+
+/// Same values as `a`, stored at precision `S`.
+fn cast_batch<S: Scalar>(a: &BandBatch) -> BandBatch<S> {
+    let mut out = BandBatch::<S>::zeros_with_layout(a.layout(), a.batch()).unwrap();
+    for (d, &v) in out.data_mut().iter_mut().zip(a.data()) {
+        *d = S::from_f64(v);
+    }
+    out
+}
+
+/// Pack, factor and solve at the benchmark's n512 (10,7) geometry with the
+/// auto parameters dispatch uses, one singular lane, under `Serial` and
+/// `Threads(2)`: factors, pivots, info and solutions are bitwise equal to
+/// per-lane `gbtf2`/`gbtrs` (the singular lane's RHS untouched), and every
+/// launch's counters and modeled time equal the cost predictors.
+fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[usize]) {
+    let dev = DeviceSpec::h100_pcie();
+    let (n, kl, ku, singular) = (512usize, 10usize, 7usize, 6usize);
+    let mut a64 = filled_batch(batch, n, kl, ku, 0.29);
+    make_singular(&mut a64, singular, 200);
+    let a0 = cast_batch::<S>(&a64);
+    let l = a0.layout();
+    let b0 = RhsBatch::<S>::from_fn(batch, n, nrhs, |id, i, c| {
+        S::from_f64(((id * 7 + i * 3 + c) as f64 * 0.37).sin())
+    })
+    .unwrap();
+
+    // Sequential ground truth.
+    let mut want = Vec::new();
+    for id in 0..batch {
+        let mut ab = a0.matrix(id).data.to_vec();
+        let mut p = vec![0i32; n];
+        let info = gbtf2(&l, &mut ab, &mut p);
+        let mut b = b0.block(id).to_vec();
+        if info == 0 {
+            gbtrs(Transpose::No, &l, &ab, &p, &mut b, n, nrhs);
+        }
+        want.push((ab, p, info, b));
+    }
+    assert_ne!(want[singular].2, 0, "lane {singular} is singular");
+
+    let params = InterleavedParams::auto(&dev, &l, nrhs);
+    let lpb = params.lanes_per_block;
+    let chunks: Vec<usize> = (0..batch)
+        .step_by(lpb)
+        .map(|lo| lpb.min(batch - lo))
+        .collect();
+    assert_eq!(chunks, want_chunks, "chunk geometry");
+    let t = params.threads;
+    let fwin = factor_mode::<S>(&dev, &l, lpb) == LaneTrafficMode::Windowed;
+    let swin = solve_mode::<S>(&dev, &l, nrhs, lpb) == LaneTrafficMode::Windowed;
+    let fsmem = if fwin {
+        factor_smem_bytes::<S>(&l, lpb) as u32
+    } else {
+        0
+    };
+    let ssmem = if swin {
+        solve_smem_bytes::<S>(&l, nrhs, lpb) as u32
+    } else {
+        0
+    };
+    let predicted = |smem: u32, per_chunk: &dyn Fn(usize) -> KernelCounters| {
+        let mut agg = KernelCounters::default();
+        for &lanes in &chunks {
+            agg.merge_wave(&per_chunk(lanes));
+        }
+        let time = predict_interleaved_time::<S>(&dev, batch, &params, smem, per_chunk).unwrap();
+        (agg, time)
+    };
+    let pass = predicted(0, &|lanes| predict_interleave_pass::<S>(&l, lanes, t));
+    let factor = predicted(fsmem, &|lanes| {
+        predict_interleaved_factor::<S>(&l, lanes, t, fwin)
+    });
+    let solve = predicted(ssmem, &|lanes| {
+        predict_interleaved_solve::<S>(&l, nrhs, lanes, t, swin)
+    });
+    // `threads_spawned` is host provenance, not a modeled quantity.
+    let priced = |rep: &LaunchReport| {
+        let mut c = rep.counters;
+        c.threads_spawned = 0;
+        (c, rep.time)
+    };
+
+    for policy in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
+        let params = params.with_parallel(policy);
+        let (mut ia, rep) = interleave_launch(&dev, &a0, params).unwrap();
+        assert_eq!(priced(&rep), pass, "{policy:?}: pack");
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        let rep = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
+        assert_eq!(priced(&rep), factor, "{policy:?}: factor");
+        let mut b = b0.clone();
+        let rep = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut b, &info, params).unwrap();
+        assert_eq!(priced(&rep), solve, "{policy:?}: solve");
+        let mut back = BandBatch::<S>::zeros_with_layout(l, batch).unwrap();
+        let rep = deinterleave_launch(&dev, &ia, &mut back, params).unwrap();
+        assert_eq!(priced(&rep), pass, "{policy:?}: unpack");
+
+        for (id, (ab, p, code, x)) in want.iter().enumerate() {
+            assert_eq!(back.matrix(id).data, &ab[..], "{policy:?}: factors {id}");
+            assert_eq!(piv.pivots(id), &p[..], "{policy:?}: pivots {id}");
+            assert_eq!(info.get(id), *code, "{policy:?}: info {id}");
+            assert_eq!(b.block(id), &x[..], "{policy:?}: solution {id}");
+        }
+        assert_eq!(
+            b.block(singular),
+            b0.block(singular),
+            "singular RHS untouched"
+        );
+    }
+}
+
+#[test]
+fn benchmark_geometry_f64_ten_rhs_is_bitwise_and_priced_exactly() {
+    // The solve scratch is 40 KB per lane, so auto fits 5 lanes per
+    // block: chunks of 5, 5 and a partial tail of 3.
+    benchmark_geometry_case::<f64>(10, 13, &[5, 5, 3]);
+}
+
+#[test]
+fn benchmark_geometry_f32_one_rhs_is_bitwise_and_priced_exactly() {
+    benchmark_geometry_case::<f32>(1, 13, &[13]);
 }

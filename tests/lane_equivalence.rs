@@ -4,7 +4,7 @@
 //! they never reassociate an accumulation. The grid deliberately draws
 //! vector lengths and batch sizes that are *not* multiples of
 //! [`LANE_WIDTH`] (remainder loops included) and poisons lanes into
-//! singularity so the masked sweeps are exercised under every mask shape.
+//! singularity so the zero-pivot skips are exercised under every mask shape.
 
 use gbatch::core::blas1::{axpy, scal};
 use gbatch::core::blas2::{gbmv, gemv, ger};
@@ -128,8 +128,10 @@ fn gbtf2_case<S: Scalar>(
 /// pivots, info codes, and solution bits.
 type InterleavedObservation = (Vec<u64>, PivotBatch, Vec<i32>, Vec<u64>);
 
-/// Interleaved factor + solve: arbitrary batch size (remainder chunks),
-/// arbitrary singular-lane mask, both precisions.
+/// Interleaved factor + solve under each lane mode, scoped on the calling
+/// thread (the kernels run `gbtf2`/`gbtrs` per lane, which honour it):
+/// arbitrary batch size (remainder chunks), arbitrary singular-lane mask,
+/// both precisions.
 fn interleaved_case<S: Scalar>(
     batch: usize,
     lanes_per_block: usize,
@@ -158,26 +160,28 @@ fn interleaved_case<S: Scalar>(
         S::from_f64(((id * 17 + c * 5 + i) as f64 * 0.73).sin())
     })
     .unwrap();
+    let params = InterleavedParams {
+        lanes_per_block,
+        ..Default::default()
+    };
     MODES
         .iter()
         .map(|&mode| {
-            let params = InterleavedParams {
-                lanes_per_block,
-                ..Default::default()
-            }
-            .with_lane_mode(mode);
-            let mut ia = InterleavedBandBatch::from_batch(&a0);
-            let mut piv = PivotBatch::new(batch, n, n);
-            let mut info = InfoArray::new(batch);
-            let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
-            let mut rhs = rhs0.clone();
-            let _ = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params).unwrap();
-            (
-                bits(ia.data()),
-                piv,
-                info.as_slice().to_vec(),
-                bits(rhs.data()),
-            )
+            with_lane_mode(mode, || {
+                let mut ia = InterleavedBandBatch::from_batch(&a0);
+                let mut piv = PivotBatch::new(batch, n, n);
+                let mut info = InfoArray::new(batch);
+                let _ =
+                    gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
+                let mut rhs = rhs0.clone();
+                let _ = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params).unwrap();
+                (
+                    bits(ia.data()),
+                    piv,
+                    info.as_slice().to_vec(),
+                    bits(rhs.data()),
+                )
+            })
         })
         .collect()
 }

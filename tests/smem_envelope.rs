@@ -169,7 +169,6 @@ fn launch_interleaved_solve(dev: &DeviceSpec, n: usize) -> bool {
         lanes_per_block: LANES,
         threads: 8,
         parallel: ParallelPolicy::Serial,
-        ..InterleavedParams::default()
     };
     let (mut il, _) = interleave_launch(dev, &src, params).unwrap();
     let mut piv = PivotBatch::new(1, n, n);
