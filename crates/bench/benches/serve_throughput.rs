@@ -149,7 +149,7 @@ fn summarize(trace: &[Arrival]) {
     for &tb in &TARGET_BATCHES {
         let report = serve(trace, tb);
         assert!(report.is_conserved());
-        let busy_s = report.gpu_busy_s + report.cpu_busy_s;
+        let busy_s = report.busy_s();
         best = best.min(busy_s);
         served.push(tb, busy_s * 1e3);
         baseline.push(tb, streams_s * 1e3);

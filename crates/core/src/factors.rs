@@ -8,10 +8,13 @@
 //! bitwise-identical to the solve that would have followed a fresh
 //! factorization.
 
+use crate::band::BandMatrixRef;
 use crate::batch::BandBatch;
+use crate::gbtrf::gbtrf;
+use crate::gbtrs::{gbtrs, Transpose};
 use crate::layout::BandLayout;
-use crate::scalar::Precision;
-use crate::spike::SpikeFactor;
+use crate::scalar::{Precision, Scalar};
+use crate::spike::{spike_factorize, spike_solve_retained, SpikeFactor};
 
 /// Factored band payload at the precision the factorization ran at.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,26 +42,112 @@ pub struct RetainedFactor {
     pub pivots: Vec<i32>,
 }
 
+/// Maps a [`Scalar`] to its [`FactorPayload`] variants, so generic code
+/// can retain and read factors at the precision it runs at. Sealed in
+/// effect: [`Scalar`] is sealed, and the orphan rule keeps other crates
+/// from implementing this trait for `f32`/`f64`.
+pub trait FactorScalar: Scalar {
+    /// Wrap monolithic band factors.
+    fn band_payload(factors: Vec<Self>) -> FactorPayload;
+    /// Wrap a SPIKE factorization.
+    fn spike_payload(f: SpikeFactor<Self>) -> FactorPayload;
+    /// The monolithic band factors, when `p` holds them at this precision.
+    fn band_of(p: &FactorPayload) -> Option<&[Self]>;
+    /// The SPIKE factorization, when `p` holds one at this precision.
+    fn spike_of(p: &FactorPayload) -> Option<&SpikeFactor<Self>>;
+}
+
+macro_rules! factor_scalar {
+    ($s:ty, $band:ident, $spike:ident) => {
+        impl FactorScalar for $s {
+            fn band_payload(factors: Vec<Self>) -> FactorPayload {
+                FactorPayload::$band(factors)
+            }
+            fn spike_payload(f: SpikeFactor<Self>) -> FactorPayload {
+                FactorPayload::$spike(Box::new(f))
+            }
+            fn band_of(p: &FactorPayload) -> Option<&[Self]> {
+                match p {
+                    FactorPayload::$band(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn spike_of(p: &FactorPayload) -> Option<&SpikeFactor<Self>> {
+                match p {
+                    FactorPayload::$spike(f) => Some(f),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+factor_scalar!(f64, F64, SpikeF64);
+factor_scalar!(f32, F32, SpikeF32);
+
 impl RetainedFactor {
-    /// Harvest one lane out of a factored batch (`f64`).
+    /// Harvest one lane out of a factored batch.
     #[must_use]
-    pub fn from_lane_f64(a: &BandBatch<f64>, piv: &[i32], lane: usize) -> Self {
+    pub fn from_lane<S: FactorScalar>(a: &BandBatch<S>, piv: &[i32], lane: usize) -> Self {
         let stride = a.matrix_stride();
         RetainedFactor {
             layout: a.layout(),
-            payload: FactorPayload::F64(a.data()[lane * stride..(lane + 1) * stride].to_vec()),
+            payload: S::band_payload(a.data()[lane * stride..(lane + 1) * stride].to_vec()),
             pivots: piv.to_vec(),
         }
     }
 
-    /// Harvest one lane out of a factored batch (`f32`).
-    #[must_use]
-    pub fn from_lane_f32(a: &BandBatch<f32>, piv: &[i32], lane: usize) -> Self {
-        let stride = a.matrix_stride();
-        RetainedFactor {
-            layout: a.layout(),
-            payload: FactorPayload::F32(a.data()[lane * stride..(lane + 1) * stride].to_vec()),
-            pivots: piv.to_vec(),
+    /// Factor one operator on the host at precision `S`: split into
+    /// `parts` SPIKE blocks when given, else monolithic `gbtrf`. `Err`
+    /// carries the failing `info` code (of a block or the reduced system,
+    /// for a split).
+    pub fn factor<S: FactorScalar>(
+        layout: BandLayout,
+        mut ab: Vec<S>,
+        parts: Option<usize>,
+    ) -> Result<Self, i32> {
+        let (payload, pivots) = match parts {
+            Some(parts) => {
+                let aref = BandMatrixRef {
+                    layout,
+                    data: &ab[..],
+                };
+                (S::spike_payload(spike_factorize(&aref, parts)?), Vec::new())
+            }
+            None => {
+                let mut ipiv = vec![0i32; layout.m.min(layout.n)];
+                match gbtrf::<S>(&layout, &mut ab, &mut ipiv) {
+                    0 => (S::band_payload(ab), ipiv),
+                    code => return Err(code),
+                }
+            }
+        };
+        Ok(RetainedFactor {
+            layout,
+            payload,
+            pivots,
+        })
+    }
+
+    /// Solve `b` (`nrhs` columns of leading dimension `n`) in place over
+    /// the retained factors: a SPIKE payload through
+    /// [`spike_solve_retained`], monolithic factors through band `gbtrs`.
+    ///
+    /// # Panics
+    /// If the payload was not retained at precision `S`.
+    pub fn solve<S: FactorScalar>(&self, b: &mut [S], nrhs: usize) {
+        match (self.spike::<S>(), self.factors::<S>()) {
+            (Some(f), _) => spike_solve_retained(f, b, nrhs),
+            (None, Some(ab)) => gbtrs(
+                Transpose::No,
+                &self.layout,
+                ab,
+                &self.pivots,
+                b,
+                self.layout.n,
+                nrhs,
+            ),
+            (None, None) => panic!("retained factor is not at precision {}", S::PRECISION),
         }
     }
 
@@ -71,45 +160,18 @@ impl RetainedFactor {
         }
     }
 
-    /// The `f64` monolithic band factors, when retained at double
-    /// precision (`None` for SPIKE payloads — those solve through
-    /// [`crate::spike::spike_solve_retained`]).
+    /// The monolithic band factors, when retained at precision `S`
+    /// (`None` for SPIKE payloads).
     #[must_use]
-    pub fn factors_f64(&self) -> Option<&[f64]> {
-        match &self.payload {
-            FactorPayload::F64(v) => Some(v),
-            _ => None,
-        }
+    pub fn factors<S: FactorScalar>(&self) -> Option<&[S]> {
+        S::band_of(&self.payload)
     }
 
-    /// The `f32` monolithic band factors, when retained at single
-    /// precision.
+    /// The retained SPIKE factorization, when the operator was split at
+    /// precision `S`.
     #[must_use]
-    pub fn factors_f32(&self) -> Option<&[f32]> {
-        match &self.payload {
-            FactorPayload::F32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The retained SPIKE factorization, when the operator was split
-    /// (`f64`).
-    #[must_use]
-    pub fn spike_f64(&self) -> Option<&SpikeFactor<f64>> {
-        match &self.payload {
-            FactorPayload::SpikeF64(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The retained SPIKE factorization, when the operator was split
-    /// (`f32`).
-    #[must_use]
-    pub fn spike_f32(&self) -> Option<&SpikeFactor<f32>> {
-        match &self.payload {
-            FactorPayload::SpikeF32(f) => Some(f),
-            _ => None,
-        }
+    pub fn spike<S: FactorScalar>(&self) -> Option<&SpikeFactor<S>> {
+        S::spike_of(&self.payload)
     }
 
     /// Retained footprint in bytes (payload + pivots) — what a cache's
@@ -129,6 +191,8 @@ impl RetainedFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::band::BandMatrixMut;
+    use crate::gbsv::gbsv;
     use crate::gbtf2::gbtf2;
 
     #[test]
@@ -153,18 +217,66 @@ mod tests {
             assert_eq!(gbtf2(&l, ab, &mut pivots[k]), 0);
         }
         let lane = 1;
-        let retained = RetainedFactor::from_lane_f64(&a, &pivots[lane], lane);
+        let retained = RetainedFactor::from_lane(&a, &pivots[lane], lane);
         assert_eq!(retained.precision(), Precision::F64);
         assert_eq!(
-            retained.factors_f64().unwrap(),
+            retained.factors::<f64>().unwrap(),
             &a.data()[lane * stride..(lane + 1) * stride]
         );
         assert_eq!(retained.pivots, pivots[lane]);
-        assert!(retained.factors_f32().is_none());
+        assert!(retained.factors::<f32>().is_none());
         assert_eq!(
             retained.bytes(),
             stride * std::mem::size_of::<f64>() + n * std::mem::size_of::<i32>()
         );
+    }
+
+    #[test]
+    fn host_factor_and_solve_follow_the_payload_kind() {
+        let (n, kl, ku) = (64, 2, 1);
+        let l = BandLayout::factor(n, n, kl, ku).unwrap();
+        let mut ab = vec![0.0f64; l.len()];
+        {
+            let mut m = BandMatrixMut {
+                layout: l,
+                data: &mut ab,
+            };
+            for j in 0..n {
+                let (s, e) = l.col_rows(j);
+                for i in s..e {
+                    m.set(i, j, ((i * 5 + j * 3) % 7) as f64 * 0.1 - 0.3);
+                }
+                m.set(j, j, 4.0);
+            }
+        }
+        let b0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut want = b0.clone();
+        let mut ipiv = vec![0i32; n];
+        assert_eq!(gbsv(&l, &mut ab.clone(), &mut ipiv, &mut want, n, 1), 0);
+
+        // Monolithic: bitwise the gbsv solve.
+        let mono = RetainedFactor::factor(l, ab.clone(), None).unwrap();
+        assert!(mono.factors::<f64>().is_some() && mono.spike::<f64>().is_none());
+        let mut b = b0.clone();
+        mono.solve(&mut b, 1);
+        assert_eq!(b, want);
+
+        // Split: a SPIKE payload with no monolithic pivots, same answer.
+        let split = RetainedFactor::factor(l, ab.clone(), Some(4)).unwrap();
+        assert!(split.spike::<f64>().is_some() && split.pivots.is_empty());
+        let mut b = b0.clone();
+        split.solve(&mut b, 1);
+        for (x, y) in b.iter().zip(&want) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        }
+
+        // A singular operator reports its info code.
+        let mut zero_col = ab;
+        let (s, e) = l.col_rows(0);
+        for i in s..e {
+            zero_col[l.idx_full(i, 0).unwrap()] = 0.0;
+        }
+        assert_eq!(RetainedFactor::factor(l, zero_col, None), Err(1));
     }
 
     #[test]
@@ -181,7 +293,7 @@ mod tests {
             pivots: vec![0; 4],
         };
         assert_eq!(f32_side.precision(), Precision::F32);
-        assert!(f32_side.factors_f32().is_some());
+        assert!(f32_side.factors::<f32>().is_some());
         assert_eq!(
             f64_side.bytes() - f32_side.bytes(),
             l.len() * std::mem::size_of::<f32>()

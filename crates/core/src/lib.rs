@@ -89,7 +89,7 @@ pub mod vbatch;
 pub use band::{BandMatrix, BandMatrixMut, BandMatrixRef};
 pub use batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 pub use error::{BandError, Result};
-pub use factors::{FactorPayload, RetainedFactor};
+pub use factors::{FactorPayload, FactorScalar, RetainedFactor};
 pub use fingerprint::{operator_fingerprint, Fingerprint, FingerprintHasher};
 pub use interleaved::InterleavedBandBatch;
 pub use lanes::{with_lane_mode, LaneMode, LANE_WIDTH};

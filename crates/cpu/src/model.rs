@@ -12,6 +12,7 @@
 //! sides (Fig. 9/Table 3) — RHS traffic dominates once `nrhs` grows.
 
 use gbatch_core::layout::BandLayout;
+use gbatch_core::Scalar;
 use serde::{Deserialize, Serialize};
 
 /// Descriptor of the multicore CPU.
@@ -100,6 +101,12 @@ pub fn gbtrf_flops(l: &BandLayout) -> f64 {
 /// in and out once, plus pivot traffic.
 pub fn gbtrf_bytes(l: &BandLayout) -> f64 {
     (2 * l.len() * 8 + l.m.min(l.n) * 4) as f64
+}
+
+/// Scale a byte count of the `f64` formulas above to elements of `S`: the
+/// whole traffic, pivots included, scales by `S::BYTES / 8`.
+pub fn scale_bytes<S: Scalar>(bytes: f64) -> f64 {
+    bytes * S::BYTES as f64 / 8.0
 }
 
 /// Flop count of one band triangular solve with `nrhs` right-hand sides.

@@ -6,10 +6,11 @@
 //! the sequential reference regardless of the thread count, because
 //! matrices are independent.
 
-use crate::model::{gbtrf_bytes, gbtrf_flops, gbtrs_bytes, gbtrs_flops, CpuSpec};
+use crate::model::{gbtrf_bytes, gbtrf_flops, gbtrs_bytes, gbtrs_flops, scale_bytes, CpuSpec};
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::gbtrs::Transpose;
 use gbatch_core::layout::BandLayout;
+use gbatch_core::Scalar;
 
 /// Result of a CPU batched routine.
 #[derive(Debug, Clone, Copy)]
@@ -107,12 +108,14 @@ pub fn cpu_gbtrs_batch(
     }
 }
 
-/// Batched band factorize-and-solve on the CPU (`DGBSV` per matrix).
-pub fn cpu_gbsv_batch(
+/// Batched band factorize-and-solve on the CPU (`xGBSV` per matrix). The
+/// model charges the `f64` flop count at either precision and scales the
+/// memory traffic by the element width ([`scale_bytes`]).
+pub fn cpu_gbsv_batch<S: Scalar>(
     cpu: &CpuSpec,
-    a: &mut BandBatch,
+    a: &mut BandBatch<S>,
     piv: &mut PivotBatch,
-    rhs: &mut RhsBatch,
+    rhs: &mut RhsBatch<S>,
     info: &mut InfoArray,
 ) -> CpuReport {
     let l = a.layout();
@@ -122,13 +125,13 @@ pub fn cpu_gbsv_batch(
     assert_eq!(info.len(), batch);
     let (nrhs, ldb) = (rhs.nrhs(), rhs.ldb());
     let start = std::time::Instant::now();
-    struct Prob<'a> {
-        ab: &'a mut [f64],
+    struct Prob<'a, S> {
+        ab: &'a mut [S],
         piv: &'a mut [i32],
-        b: &'a mut [f64],
+        b: &'a mut [S],
         info: &'a mut i32,
     }
-    let mut probs: Vec<Prob<'_>> = a
+    let mut probs: Vec<Prob<'_, S>> = a
         .chunks_mut()
         .zip(piv.chunks_mut())
         .zip(rhs.blocks_mut())
@@ -139,7 +142,7 @@ pub fn cpu_gbsv_batch(
         *p.info = gbatch_core::gbsv::gbsv(&l, p.ab, p.piv, p.b, ldb, nrhs);
     });
     let flops = gbtrf_flops(&l) + gbtrs_flops(&l, nrhs);
-    let bytes = gbtrf_bytes(&l) + gbtrs_bytes(&l, nrhs);
+    let bytes = scale_bytes::<S>(gbtrf_bytes(&l) + gbtrs_bytes(&l, nrhs));
     CpuReport {
         model_time_s: cpu.batch_time(batch, flops, bytes),
         wall_time_s: start.elapsed().as_secs_f64(),

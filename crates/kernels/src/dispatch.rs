@@ -637,30 +637,6 @@ pub fn gbtrs_batch<S: Scalar>(
     }
 }
 
-/// [`gbtrs_batch_lanes`] for `f64`.
-pub fn dgbtrs_batch_lanes(
-    dev: &DeviceSpec,
-    trans: Transpose,
-    l: &BandLayout,
-    lanes: &[(&[f64], &[i32])],
-    rhs: &mut RhsBatch,
-    opts: &GbsvOptions,
-) -> Result<BatchReport, LaunchError> {
-    gbtrs_batch_lanes::<f64>(dev, trans, l, lanes, rhs, opts)
-}
-
-/// [`gbtrs_batch_lanes`] for `f32`.
-pub fn sgbtrs_batch_lanes(
-    dev: &DeviceSpec,
-    trans: Transpose,
-    l: &BandLayout,
-    lanes: &[(&[f32], &[i32])],
-    rhs: &mut RhsBatch<f32>,
-    opts: &GbsvOptions,
-) -> Result<BatchReport, LaunchError> {
-    gbtrs_batch_lanes::<f32>(dev, trans, l, lanes, rhs, opts)
-}
-
 /// Batched band triangular solve over **retained per-lane factors** —
 /// the serving layer's factorization-reuse hot path.
 ///
@@ -1450,7 +1426,7 @@ mod tests {
             .collect();
         let mut b_lanes = b0.clone();
         let lane_rep =
-            dgbtrs_batch_lanes(&dev, Transpose::No, &l, &lanes, &mut b_lanes, &opts).unwrap();
+            gbtrs_batch_lanes::<f64>(&dev, Transpose::No, &l, &lanes, &mut b_lanes, &opts).unwrap();
 
         assert_eq!(b_lanes.data(), b_ref.data(), "solutions must be bitwise");
         assert_eq!(lane_rep.algo, ref_rep.algo);

@@ -66,14 +66,15 @@ fn main() {
         report.p99_latency_s * 1e6,
         report.max_latency_s * 1e6
     );
-    println!(
-        "gpu served {} ({:.1} ms busy), cpu served {} ({:.1} ms busy), spills {}",
-        report.gpu_requests,
-        report.gpu_busy_s * 1e3,
-        report.cpu_requests,
-        report.cpu_busy_s * 1e3,
-        report.spills
-    );
+    for d in &report.devices {
+        println!(
+            "{} served {} ({:.1} ms busy)",
+            d.name,
+            d.requests,
+            d.busy_s * 1e3
+        );
+    }
+    println!("spills {}", report.spills);
     println!();
     println!(
         "{}",

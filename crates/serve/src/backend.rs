@@ -4,43 +4,40 @@
 //!
 //! - [`GpuBackend`] — the simulated-GPU batch path: the flush is split
 //!   across a [`DeviceGroup`] (one partition per device, e.g. the two GCDs
-//!   of an MI250x) and each partition runs one `dgbsv_batch` dispatch.
+//!   of an MI250x) and each partition runs one `gbsv_batch` dispatch.
 //!   Service time is the group makespan, so the server's busy-tracking
 //!   sees the same launch-overhead economics as the paper's Figure 1.
 //! - [`CpuBackend`] — the multicore spill-over path (`cpu_gbsv_batch`),
 //!   used for batches too small or too stale to be worth a device launch.
 //!
-//! Payloads travel in `f64` on the wire regardless of precision; a key
-//! tagged [`Precision::F32`] means the client accepts single-precision
-//! compute, so the flush is narrowed at assembly and runs on the `f32`
-//! instantiation of the batch stack (`sgbsv_batch` on the GPU, the `f32`
-//! core driver on the CPU) — half the shared-memory footprint, twice the
-//! modeled fp32 lane throughput. Because [`ShapeKey`] carries the
-//! precision, f32 and f64 traffic of the same geometry never share a
-//! bucket or a launch.
-//!
-//! Both are behind the [`SolveBackend`] trait so tests can inject faulting
-//! doubles to exercise the server's bisect-retry logic.
+//! Each backend has one body per operation — cold (factor and solve,
+//! optionally retaining the factors), warm (solve over cached factors) and
+//! factor-only — generic over the [`Scalar`] it runs at. Payloads travel in
+//! `f64` on the wire; each [`SolveBackend`] method matches the shape's
+//! [`Precision`] once, and the body narrows at assembly and widens the
+//! results back. Because [`ShapeKey`] carries the precision, f32 and f64
+//! traffic of the same geometry never share a bucket or a launch. The
+//! trait also lets tests inject faulting doubles for the bisect retry.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gbatch_core::gbtrs::Transpose;
 use gbatch_core::layout::BandLayout;
-use gbatch_core::spike::{spike_factorize, spike_solve_retained};
 use gbatch_core::{
-    BandBatch, BandMatrixRef, FactorPayload, InfoArray, PivotBatch, Precision, RetainedFactor,
-    RhsBatch, ShapeKey,
+    BandBatch, FactorScalar, InfoArray, PivotBatch, Precision, RetainedFactor, RhsBatch, Scalar,
+    ShapeKey,
 };
+use gbatch_cpu::model::{gbtrf_bytes, gbtrf_flops, gbtrs_bytes, gbtrs_flops, scale_bytes};
 use gbatch_cpu::{cpu_gbsv_batch, CpuSpec};
 use gbatch_gpu_sim::engine::LaunchError;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, MegabatchQueue, ParallelPolicy, SimTime};
 use gbatch_kernels::cost::{predict_spike_time, CrossoverModel};
-use gbatch_kernels::dispatch::{ChosenAlgo, GbsvOptions, MatrixLayout, SPIKE_MIN_N};
+use gbatch_kernels::dispatch::{
+    gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, GbsvOptions, MatrixLayout, SPIKE_MIN_N,
+};
 use gbatch_kernels::spike::SpikeParams;
-use gbatch_kernels::window::WindowParams;
-use gbatch_tuning::TuningTable;
 
 use crate::request::SolveRequest;
 
@@ -179,125 +176,134 @@ pub trait SolveBackend {
     }
 }
 
-/// Copy the requests' payloads into freshly-allocated batch containers.
-fn assemble(
+fn layout_of(shape: &ShapeKey) -> Result<BandLayout, BackendError> {
+    shape
+        .layout()
+        .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))
+}
+
+/// Narrow `f64` wire values into `S` storage (an exact copy at `f64`).
+fn narrow<S: Scalar>(dst: &mut [S], src: &[f64]) {
+    assert_eq!(dst.len(), src.len(), "wire payload length");
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = S::from_f64(v);
+    }
+}
+
+/// Widen `S` results back onto the `f64` wire.
+fn widen<S: Scalar>(v: &[S]) -> Vec<f64> {
+    v.iter().map(|x| x.to_f64()).collect()
+}
+
+/// A lane's answer: its widened solution, or — for a singular lane — the
+/// *original* `f64` right-hand side, untouched by any narrowing.
+fn answer<S: Scalar>(r: &SolveRequest, info: i32, b: &[S]) -> Vec<f64> {
+    if info > 0 {
+        r.rhs.clone()
+    } else {
+        widen(b)
+    }
+}
+
+/// Narrow band payloads into one `S` batch.
+fn band_batch<'a, S: Scalar>(
+    l: BandLayout,
+    ops: impl ExactSizeIterator<Item = &'a [f64]>,
+) -> Result<BandBatch<S>, BackendError> {
+    let mut a = BandBatch::<S>::zeros_with_layout(l, ops.len())
+        .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
+    for (dst, op) in a.chunks_mut().zip(ops) {
+        narrow(dst, op);
+    }
+    Ok(a)
+}
+
+/// Narrow the requests' right-hand sides into one `S` batch.
+fn rhs_batch<S: Scalar>(
     shape: &ShapeKey,
     reqs: &[SolveRequest],
-) -> Result<(BandBatch, PivotBatch, RhsBatch, InfoArray), BackendError> {
-    let l = shape
-        .layout()
-        .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-    let batch = reqs.len();
-    let mut a = BandBatch::zeros_with_layout(l, batch)
-        .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-    let mut rhs = RhsBatch::zeros(batch, l.n, shape.nrhs)
+) -> Result<RhsBatch<S>, BackendError> {
+    let mut rhs = RhsBatch::<S>::zeros(reqs.len(), shape.n, shape.nrhs)
         .map_err(|e| BackendError::Fault(format!("rhs allocation failed: {e}")))?;
-    let stride = a.matrix_stride();
-    for (k, r) in reqs.iter().enumerate() {
-        a.data_mut()[k * stride..(k + 1) * stride].copy_from_slice(&r.ab);
-        rhs.block_mut(k).copy_from_slice(&r.rhs);
+    for (dst, r) in rhs.blocks_mut().zip(reqs) {
+        narrow(dst, &r.rhs);
     }
-    let piv = PivotBatch::new(batch, l.m, l.n);
-    let info = InfoArray::new(batch);
-    Ok((a, piv, rhs, info))
+    Ok(rhs)
 }
 
-/// [`assemble`] for an F32-tagged key: the `f64` wire payloads are
-/// narrowed element-wise into `f32` batch containers.
-fn assemble_f32(
+/// The `solve_with` precondition both backends share: one retained factor
+/// per request, each with the shape's layout and precision.
+fn check_factors(
     shape: &ShapeKey,
     reqs: &[SolveRequest],
-) -> Result<(BandBatch<f32>, PivotBatch, RhsBatch<f32>, InfoArray), BackendError> {
-    let l = shape
-        .layout()
-        .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-    let batch = reqs.len();
-    let mut a = BandBatch::<f32>::zeros_with_layout(l, batch)
-        .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-    let mut rhs = RhsBatch::<f32>::zeros(batch, l.n, shape.nrhs)
-        .map_err(|e| BackendError::Fault(format!("rhs allocation failed: {e}")))?;
-    let stride = a.matrix_stride();
-    for (k, r) in reqs.iter().enumerate() {
-        for (dst, &src) in a.data_mut()[k * stride..(k + 1) * stride]
-            .iter_mut()
-            .zip(&r.ab)
-        {
-            *dst = src as f32;
-        }
-        for (dst, &src) in rhs.block_mut(k).iter_mut().zip(&r.rhs) {
-            *dst = src as f32;
-        }
+    factors: &[Arc<RetainedFactor>],
+) -> Result<BandLayout, BackendError> {
+    let l = layout_of(shape)?;
+    if factors.len() != reqs.len() {
+        return Err(BackendError::Fault(format!(
+            "{} retained factors for {} requests",
+            factors.len(),
+            reqs.len()
+        )));
     }
-    let piv = PivotBatch::new(batch, l.m, l.n);
-    let info = InfoArray::new(batch);
-    Ok((a, piv, rhs, info))
+    match factors
+        .iter()
+        .position(|f| f.layout != l || f.precision() != shape.precision)
+    {
+        None => Ok(l),
+        Some(k) => Err(BackendError::Fault(format!(
+            "lane {k}: retained factor does not match shape {shape}"
+        ))),
+    }
 }
 
-/// Whether a shape is served by the SPIKE split regime on the device: at
-/// or past the dispatch floor, with a band to actually split.
-fn spike_worthy(shape: &ShapeKey) -> bool {
-    shape.n >= SPIKE_MIN_N && shape.kl + shape.ku > 0
-}
-
-/// Harvest a large-`n` operator as a retained SPIKE factorization
-/// (`f64`). `None` when any block or the reduced system factors singular
-/// — callers skip retention and stay correct.
-fn spike_retain_f64(dev: &DeviceSpec, l: &BandLayout, ab: &[f64]) -> Option<Arc<RetainedFactor>> {
-    let parts = SpikeParams::auto(dev, l.kl).parts;
-    let aref = BandMatrixRef {
-        layout: *l,
-        data: ab,
-    };
-    spike_factorize(&aref, parts).ok().map(|f| {
-        Arc::new(RetainedFactor {
-            layout: *l,
-            payload: FactorPayload::SpikeF64(Box::new(f)),
-            pivots: Vec::new(),
-        })
-    })
-}
-
-/// [`spike_retain_f64`] for F32-tagged traffic: the wire payload is
-/// narrowed before the split factorization, matching the precision the
-/// device solve ran at.
-fn spike_retain_f32(dev: &DeviceSpec, l: &BandLayout, ab: &[f64]) -> Option<Arc<RetainedFactor>> {
-    let parts = SpikeParams::auto(dev, l.kl).parts;
-    let narrowed: Vec<f32> = ab.iter().map(|&v| v as f32).collect();
-    let aref = BandMatrixRef {
-        layout: *l,
-        data: &narrowed[..],
-    };
-    spike_factorize(&aref, parts).ok().map(|f| {
-        Arc::new(RetainedFactor {
-            layout: *l,
-            payload: FactorPayload::SpikeF32(Box::new(f)),
-            pivots: Vec::new(),
-        })
-    })
-}
-
-/// Price the host-side split refactorization that retention runs when a
-/// SPIKE-dispatched lane's factors are harvested ([`spike_retain_f64`] /
-/// [`spike_retain_f32`] re-run `spike_factorize` from the original band),
-/// using the same factor-phase cost terms as [`GpuBackend::factorize_spike`].
-fn spike_retention_time(
-    dev: &DeviceSpec,
+/// Factor one wire operator on the host at precision `S` (see
+/// [`RetainedFactor::factor`]).
+fn host_factor<S: FactorScalar>(
     l: &BandLayout,
-    precision: Precision,
-    lanes: usize,
-) -> SimTime {
-    if lanes == 0 {
-        return SimTime(0.0);
-    }
-    let params = SpikeParams::auto(dev, l.kl);
-    let per = match precision {
-        Precision::F32 => predict_spike_time::<f32>(dev, l, 0, &params),
-        Precision::F64 => predict_spike_time::<f64>(dev, l, 0, &params),
-    };
-    per.map_or(SimTime(0.0), |p| SimTime(p.secs() * lanes as f64))
+    ab: &[f64],
+    parts: Option<usize>,
+) -> Result<Arc<RetainedFactor>, i32> {
+    let mut band = vec![S::ZERO; ab.len()];
+    narrow(&mut band, ab);
+    RetainedFactor::factor(*l, band, parts).map(Arc::new)
 }
 
-/// Simulated-GPU backend: one `dgbsv_batch` dispatch per device partition.
+/// Solve one wire right-hand side on the host over retained factors at
+/// precision `S`; SPIKE or monolithic per the payload kind.
+fn host_solve<S: FactorScalar>(f: &RetainedFactor, rhs: &[f64], nrhs: usize) -> Vec<f64> {
+    let mut b = vec![S::ZERO; rhs.len()];
+    narrow(&mut b, rhs);
+    f.solve(&mut b, nrhs);
+    widen(&b)
+}
+
+/// Per-lane `info` codes and retained factors of a factor-only batch.
+fn factor_outcome(
+    lanes: impl Iterator<Item = Result<Arc<RetainedFactor>, i32>>,
+    service_s: f64,
+) -> FactorOutcome {
+    let (info, factors) = lanes
+        .map(|lane| match lane {
+            Ok(f) => (0, Some(f)),
+            Err(code) => (code, None),
+        })
+        .unzip();
+    FactorOutcome {
+        factors,
+        info,
+        service_s,
+    }
+}
+
+/// Price of the split factor phase of `lanes` operators on `dev`, when it
+/// can be priced there at all.
+fn spike_factor_time<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, lanes: usize) -> Option<SimTime> {
+    let per = predict_spike_time::<S>(dev, l, 0, &SpikeParams::auto(dev, l.kl))?;
+    Some(SimTime(per.secs() * lanes as f64))
+}
+
+/// Simulated-GPU backend: one `gbsv_batch` dispatch per device partition.
 ///
 /// With [`EngineMode::Resident`] (see [`GpuBackend::with_engine`]) the
 /// backend keeps a persistent worker pool alive across flushes: launches
@@ -309,7 +315,6 @@ fn spike_retention_time(
 pub struct GpuBackend {
     group: DeviceGroup,
     parallel: ParallelPolicy,
-    tuning: Option<TuningTable>,
     engine: EngineMode,
     layout: MatrixLayout,
     megabatch: Mutex<MegabatchQueue>,
@@ -325,7 +330,6 @@ impl GpuBackend {
         GpuBackend {
             group,
             parallel,
-            tuning: None,
             engine: EngineMode::PerLaunch,
             layout: MatrixLayout::Auto,
             megabatch: Mutex::new(MegabatchQueue::new()),
@@ -341,25 +345,12 @@ impl GpuBackend {
         self
     }
 
-    /// Builder: consult a tuning table for window parameters per shape.
-    #[must_use]
-    pub fn with_tuning(mut self, tuning: TuningTable) -> Self {
-        self.tuning = Some(tuning);
-        self
-    }
-
     /// Builder: select how launches source host threads and price their
     /// overhead ([`EngineMode::PerLaunch`] is the default).
     #[must_use]
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The device group this backend dispatches to.
-    #[must_use]
-    pub fn group(&self) -> &DeviceGroup {
-        &self.group
     }
 
     /// The engine mode flushes run under.
@@ -376,21 +367,13 @@ impl GpuBackend {
         *self.megabatch.lock().unwrap()
     }
 
-    fn options(&self, shape: &ShapeKey) -> GbsvOptions {
-        let mut opts = GbsvOptions {
+    fn options(&self) -> GbsvOptions {
+        GbsvOptions {
             parallel: Some(self.parallel),
             engine: Some(self.engine),
             layout: self.layout,
             ..Default::default()
-        };
-        if let Some(entry) = self.tuning.as_ref().and_then(|t| t.lookup_shape(shape)) {
-            opts.window = Some(WindowParams {
-                nb: entry.nb,
-                threads: entry.threads,
-                parallel: self.parallel,
-            });
         }
-        opts
     }
 
     /// Price one partition's flush under the backend's engine mode.
@@ -417,154 +400,111 @@ impl GpuBackend {
             coalesced + self.engine.spinup(dev)
         }
     }
-}
 
-impl GpuBackend {
-    /// The shared `gbsv` flush body. `retain` additionally harvests every
-    /// healthy lane's factors. For monolithic lanes that is a host-side
-    /// copy that leaves the modeled service time untouched, so `solve` and
-    /// `solve_retaining` price identically; SPIKE-dispatched lanes refactor
-    /// on the host during the harvest, and that work is priced into the
-    /// flush via [`spike_retention_time`].
-    fn run_gbsv(
+    /// The cold flush body: narrow, `gbsv_batch` per partition, widen.
+    /// `retain` also harvests each healthy lane's factors: a host-side copy
+    /// for monolithic lanes, priced at nothing, so `solve` and
+    /// `solve_retaining` price alike. SPIKE-dispatched lanes wrote back
+    /// block-partitioned factors no monolithic GBTRS can consume, so they
+    /// refactor on the host as split factorizations, priced into the flush.
+    fn cold<S: FactorScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
         retain: bool,
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
+        let l = layout_of(shape)?;
         let batch = reqs.len();
         let mut x = vec![Vec::new(); batch];
         let mut info_out = vec![0i32; batch];
         let mut lanes: RetainedLanes = vec![None; batch];
-        let opts = self.options(shape);
-        let time = if shape.precision == Precision::F32 {
-            // Single-precision traffic: narrow at assembly, dispatch the
-            // f32 instantiation, widen the solutions back onto the f64
-            // wire. A singular lane's response is the *original* f64
-            // right-hand side, matching the f64 path's untouched-RHS
-            // contract exactly (no f32 round-trip on the payload).
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (mut a, mut piv, mut rhs, mut info) = assemble_f32(shape, part)?;
-                let rep = gbatch_kernels::dispatch::sgbsv_batch(
-                    dev, &mut a, &mut piv, &mut rhs, &mut info, &opts,
-                )
+        let opts = self.options();
+        let time = self.group.run_split(batch, |dev, lo, hi| {
+            let part = &reqs[lo..hi];
+            let mut a = band_batch::<S>(l, part.iter().map(|r| &r.ab[..]))?;
+            let mut rhs = rhs_batch::<S>(shape, part)?;
+            let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
+            let mut info = InfoArray::new(hi - lo);
+            let rep = gbsv_batch::<S>(dev, &mut a, &mut piv, &mut rhs, &mut info, &opts)
                 .map_err(BackendError::Launch)?;
-                let mut spike_retained = 0usize;
-                for (k, r) in part.iter().enumerate() {
-                    info_out[lo + k] = info.get(k);
-                    x[lo + k] = if info.get(k) > 0 {
-                        r.rhs.clone()
+            let spike = rep.algo == ChosenAlgo::Spike;
+            let mut split = 0usize;
+            for (k, r) in part.iter().enumerate() {
+                info_out[lo + k] = info.get(k);
+                x[lo + k] = answer(r, info.get(k), rhs.block(k));
+                if retain && info.get(k) == 0 {
+                    lanes[lo + k] = if spike {
+                        split += 1;
+                        host_factor::<S>(&l, &r.ab, Some(SpikeParams::auto(dev, l.kl).parts)).ok()
                     } else {
-                        rhs.block(k).iter().map(|&v| v as f64).collect()
+                        Some(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k)))
                     };
-                    if retain && info.get(k) == 0 {
-                        // A SPIKE dispatch wrote *block-partitioned*
-                        // factors back — harvest the split factorization
-                        // itself, not a band that no monolithic GBTRS
-                        // can consume.
-                        lanes[lo + k] = if rep.algo == ChosenAlgo::Spike {
-                            spike_retained += 1;
-                            spike_retain_f32(dev, &a.layout(), &r.ab)
-                        } else {
-                            Some(Arc::new(RetainedFactor::from_lane_f32(
-                                &a,
-                                piv.pivots(k),
-                                k,
-                            )))
-                        };
-                    }
                 }
-                // The SPIKE retention harvest refactors each lane on the
-                // host — priced into the flush, not hidden.
-                let t = rep.time
-                    + spike_retention_time(dev, &a.layout(), Precision::F32, spike_retained);
-                Ok(self.flush_time(dev, t, rep.launches))
-            })?
-        } else {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (mut a, mut piv, mut rhs, mut info) = assemble(shape, part)?;
-                let rep = gbatch_kernels::dispatch::dgbsv_batch(
-                    dev, &mut a, &mut piv, &mut rhs, &mut info, &opts,
-                )
-                .map_err(BackendError::Launch)?;
-                let mut spike_retained = 0usize;
-                for (k, r) in part.iter().enumerate() {
-                    x[lo + k] = rhs.block(k).to_vec();
-                    info_out[lo + k] = info.get(k);
-                    if retain && info.get(k) == 0 {
-                        lanes[lo + k] = if rep.algo == ChosenAlgo::Spike {
-                            spike_retained += 1;
-                            spike_retain_f64(dev, &a.layout(), &r.ab)
-                        } else {
-                            Some(Arc::new(RetainedFactor::from_lane_f64(
-                                &a,
-                                piv.pivots(k),
-                                k,
-                            )))
-                        };
-                    }
-                }
-                let t = rep.time
-                    + spike_retention_time(dev, &a.layout(), Precision::F64, spike_retained);
-                Ok(self.flush_time(dev, t, rep.launches))
-            })?
+            }
+            let retention = match split {
+                0 => SimTime::ZERO,
+                n => spike_factor_time::<S>(dev, &l, n).unwrap_or(SimTime::ZERO),
+            };
+            Ok(self.flush_time(dev, rep.time + retention, rep.launches))
+        })?;
+        let sol = BatchSolution {
+            x,
+            info: info_out,
+            service_s: time.secs(),
         };
-        Ok((
-            BatchSolution {
-                x,
-                info: info_out,
-                service_s: time.secs(),
-            },
-            lanes,
-        ))
+        Ok((sol, lanes))
     }
 
-    /// The warm SPIKE solve body: every lane rides its retained split
-    /// factorization ([`spike_solve_retained`] — block triangular solves,
-    /// reduced back-substitution, combine), priced with the split cost
-    /// model's solve-only terms and the backend's engine mode.
-    fn solve_with_spike(
+    /// The warm flush body. Monolithic lanes run one GBTRS-only dispatch per
+    /// partition over an RHS-only batch: no band is assembled, no `gbtrf`
+    /// launches. Retained SPIKE factorizations solve lane by lane on the
+    /// host, priced with the split model's solve-only terms. Both price
+    /// under the engine mode like a cold flush. A mixed monolithic/SPIKE
+    /// batch fails closed; the server demotes it to the cold path.
+    fn warm<S: FactorScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
         factors: &[Arc<RetainedFactor>],
-        l: &BandLayout,
     ) -> Result<BatchSolution, BackendError> {
+        let l = check_factors(shape, reqs, factors)?;
         let batch = reqs.len();
         let nrhs = shape.nrhs;
+        let split = factors.iter().filter(|f| f.spike::<S>().is_some()).count();
+        if split != 0 && split != batch {
+            return Err(BackendError::Fault(
+                "mixed monolithic/SPIKE warm batch".into(),
+            ));
+        }
         let mut x = vec![Vec::new(); batch];
+        let opts = self.options();
         let time = self.group.run_split(batch, |dev, lo, hi| {
-            for k in lo..hi {
-                let r = &reqs[k];
-                let f = &factors[k];
-                if shape.precision == Precision::F32 {
-                    let sf = f.spike_f32().expect("all lanes SPIKE at shape precision");
-                    let mut b: Vec<f32> = r.rhs.iter().map(|&v| v as f32).collect();
-                    spike_solve_retained(sf, &mut b, nrhs);
-                    x[k] = b.iter().map(|&v| v as f64).collect();
-                } else {
-                    let sf = f.spike_f64().expect("all lanes SPIKE at shape precision");
-                    let mut b = r.rhs.clone();
-                    spike_solve_retained(sf, &mut b, nrhs);
-                    x[k] = b;
+            let part = &reqs[lo..hi];
+            let fs = &factors[lo..hi];
+            if split > 0 {
+                for (k, (r, f)) in part.iter().zip(fs).enumerate() {
+                    x[lo + k] = host_solve::<S>(f, &r.rhs, nrhs);
                 }
+                let parts = fs[0].spike::<S>().expect("all lanes split").partition.parts;
+                let params = SpikeParams::auto(dev, l.kl).with_parts(parts);
+                let t = CrossoverModel::default()
+                    .spike_warm_time::<S>(dev, &l, hi - lo, nrhs, &params)
+                    .ok_or_else(|| {
+                        BackendError::Fault("warm SPIKE solve cannot be priced".into())
+                    })?;
+                return Ok(self.flush_time(dev, t, 2 * (hi - lo)));
             }
-            let parts = match &factors[lo].payload {
-                FactorPayload::SpikeF64(f) => f.partition.parts,
-                FactorPayload::SpikeF32(f) => f.partition.parts,
-                _ => unreachable!("all lanes checked SPIKE above"),
-            };
-            let params = SpikeParams::auto(dev, l.kl).with_parts(parts);
-            let model = CrossoverModel::default();
-            let t = if shape.precision == Precision::F32 {
-                model.spike_warm_time::<f32>(dev, l, hi - lo, nrhs, &params)
-            } else {
-                model.spike_warm_time::<f64>(dev, l, hi - lo, nrhs, &params)
+            let mut rhs = rhs_batch::<S>(shape, part)?;
+            let lanes: Vec<(&[S], &[i32])> = fs
+                .iter()
+                .map(|f| (f.factors::<S>().expect("precision checked"), &f.pivots[..]))
+                .collect();
+            let rep = gbtrs_batch_lanes::<S>(dev, Transpose::No, &l, &lanes, &mut rhs, &opts)
+                .map_err(BackendError::Launch)?;
+            for k in 0..part.len() {
+                x[lo + k] = widen(rhs.block(k));
             }
-            .ok_or_else(|| BackendError::Fault("warm SPIKE solve cannot be priced".into()))?;
-            Ok(self.flush_time(dev, t, 2 * (hi - lo)))
+            Ok(self.flush_time(dev, rep.time, rep.launches))
         })?;
         Ok(BatchSolution {
             x,
@@ -573,88 +513,54 @@ impl GpuBackend {
         })
     }
 
-    /// Factor-ahead body for large-`n` operators: each lane is split,
-    /// block-factored and retained as a [`gbatch_core::spike::SpikeFactor`]
-    /// payload, priced as the split driver's factor-phase launches.
-    /// `Ok(None)` when the split cannot be priced on some group member —
-    /// the caller falls back to the monolithic path.
-    fn factorize_spike(
+    /// The factor-only body. Large-`n` operators factor on the host as SPIKE
+    /// split factorizations (monolithic `gbtrf` gives the `info` code when a
+    /// block is singular), priced as the split factor phase, so warm solves
+    /// ride the split path. Everything else runs `gbtrf_batch`, as do large
+    /// operators whose split some group member cannot price.
+    fn factor_only<S: FactorScalar>(
         &self,
         shape: &ShapeKey,
         operators: &[&[f64]],
-        l: &BandLayout,
-    ) -> Result<Option<FactorOutcome>, BackendError> {
-        let f32_tagged = shape.precision == Precision::F32;
-        let priceable = self.group.devices.iter().all(|dev| {
-            let params = SpikeParams::auto(dev, l.kl);
-            if f32_tagged {
-                predict_spike_time::<f32>(dev, l, 0, &params).is_some()
-            } else {
-                predict_spike_time::<f64>(dev, l, 0, &params).is_some()
-            }
-        });
-        if !priceable {
-            return Ok(None);
-        }
+    ) -> Result<FactorOutcome, BackendError> {
+        let l = layout_of(shape)?;
         let batch = operators.len();
-        let mut factors: RetainedLanes = vec![None; batch];
-        let mut info_out = vec![0i32; batch];
+        let mut lanes = vec![Err(0); batch];
+        // SPIKE-worthy: at or past the dispatch floor, with a band to
+        // split, and priceable on every group member.
+        let split = l.n >= SPIKE_MIN_N
+            && l.kl + l.ku > 0
+            && self
+                .group
+                .devices
+                .iter()
+                .all(|dev| spike_factor_time::<S>(dev, &l, batch).is_some());
+        let opts = self.options();
         let time = self.group.run_split(batch, |dev, lo, hi| {
-            for (k, op) in operators[lo..hi].iter().enumerate() {
-                if f32_tagged {
-                    match spike_retain_f32(dev, l, op) {
-                        Some(f) => factors[lo + k] = Some(f),
-                        None => {
-                            // A singular block (or reduced system): fall
-                            // back to the monolithic host factorization
-                            // for the honest info code.
-                            let mut ab: Vec<f32> = op.iter().map(|&v| v as f32).collect();
-                            let mut ipiv = vec![0i32; l.m.min(l.n)];
-                            let code = gbatch_core::gbtrf::gbtrf::<f32>(l, &mut ab, &mut ipiv);
-                            info_out[lo + k] = code;
-                            if code == 0 {
-                                factors[lo + k] = Some(Arc::new(RetainedFactor {
-                                    layout: *l,
-                                    payload: FactorPayload::F32(ab),
-                                    pivots: ipiv,
-                                }));
-                            }
-                        }
-                    }
-                } else {
-                    match spike_retain_f64(dev, l, op) {
-                        Some(f) => factors[lo + k] = Some(f),
-                        None => {
-                            let mut ab = op.to_vec();
-                            let mut ipiv = vec![0i32; l.m.min(l.n)];
-                            let code = gbatch_core::gbtrf::gbtrf::<f64>(l, &mut ab, &mut ipiv);
-                            info_out[lo + k] = code;
-                            if code == 0 {
-                                factors[lo + k] = Some(Arc::new(RetainedFactor {
-                                    layout: *l,
-                                    payload: FactorPayload::F64(ab),
-                                    pivots: ipiv,
-                                }));
-                            }
-                        }
-                    }
+            let ops = &operators[lo..hi];
+            if split {
+                let parts = SpikeParams::auto(dev, l.kl).parts;
+                for (k, op) in ops.iter().enumerate() {
+                    lanes[lo + k] = host_factor::<S>(&l, op, Some(parts))
+                        .or_else(|_| host_factor::<S>(&l, op, None));
                 }
+                let t = spike_factor_time::<S>(dev, &l, hi - lo).expect("priceability checked");
+                return Ok(self.flush_time(dev, t, 3 * (hi - lo)));
             }
-            let params = SpikeParams::auto(dev, l.kl);
-            let per = if f32_tagged {
-                predict_spike_time::<f32>(dev, l, 0, &params)
-            } else {
-                predict_spike_time::<f64>(dev, l, 0, &params)
+            let mut a = band_batch::<S>(l, ops.iter().copied())?;
+            let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
+            let mut info = InfoArray::new(hi - lo);
+            let rep = gbtrf_batch::<S>(dev, &mut a, &mut piv, &mut info, &opts)
+                .map_err(BackendError::Launch)?;
+            for k in 0..hi - lo {
+                lanes[lo + k] = match info.get(k) {
+                    0 => Ok(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k))),
+                    code => Err(code),
+                };
             }
-            .expect("priceability checked above");
-            let t = SimTime(per.secs() * (hi - lo) as f64);
-            Ok(self.flush_time(dev, t, 3 * (hi - lo)))
+            Ok(self.flush_time(dev, rep.time, rep.launches))
         })?;
-        Ok(Some(FactorOutcome {
-            factors,
-            info: info_out,
-            service_s: time.secs(),
-        }))
+        Ok(factor_outcome(lanes.into_iter(), time.secs()))
     }
 }
 
@@ -677,7 +583,11 @@ impl SolveBackend for GpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<BatchSolution, BackendError> {
-        self.run_gbsv(shape, reqs, false).map(|(sol, _)| sol)
+        match shape.precision {
+            Precision::F32 => self.cold::<f32>(shape, reqs, false),
+            Precision::F64 => self.cold::<f64>(shape, reqs, false),
+        }
+        .map(|(sol, _)| sol)
     }
 
     fn solve_retaining(
@@ -685,195 +595,38 @@ impl SolveBackend for GpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        self.run_gbsv(shape, reqs, true)
+        match shape.precision {
+            Precision::F32 => self.cold::<f32>(shape, reqs, true),
+            Precision::F64 => self.cold::<f64>(shape, reqs, true),
+        }
     }
 
-    /// The GBTRS-only fast path: gather each lane's retained factors and
-    /// dispatch the batched triangular solve — no `gbtrf` launch at all.
-    /// Priced under the backend's engine mode exactly like a full flush
-    /// (megabatch coalescing, one-time spin-up on the first resident
-    /// flush), so the serve layer sees honest warm-flush economics.
     fn solve_with(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
         factors: &[Arc<RetainedFactor>],
     ) -> Result<BatchSolution, BackendError> {
-        let batch = reqs.len();
-        assert_eq!(batch, factors.len(), "one retained factor per request");
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        for (k, f) in factors.iter().enumerate() {
-            if f.layout != l || f.precision() != shape.precision {
-                return Err(BackendError::Fault(format!(
-                    "lane {k}: retained factor does not match shape {shape}"
-                )));
-            }
+        match shape.precision {
+            Precision::F32 => self.warm::<f32>(shape, reqs, factors),
+            Precision::F64 => self.warm::<f64>(shape, reqs, factors),
         }
-        // Retained SPIKE factorizations (large-n split operators) solve
-        // through the split warm path: block triangular solves + reduced
-        // back-substitution + combine, host math priced with the split
-        // cost model. A mixed monolithic/SPIKE batch — or a SPIKE payload
-        // whose precision disagrees with the shape tag — fails closed;
-        // the server demotes the flush to the cold path, which is always
-        // correct.
-        let spike_any = factors
-            .iter()
-            .filter(|f| f.spike_f64().is_some() || f.spike_f32().is_some())
-            .count();
-        if spike_any > 0 {
-            let spike_at_precision = match shape.precision {
-                Precision::F32 => factors.iter().filter(|f| f.spike_f32().is_some()).count(),
-                Precision::F64 => factors.iter().filter(|f| f.spike_f64().is_some()).count(),
-            };
-            if spike_at_precision != batch {
-                return Err(BackendError::Fault(
-                    "mixed monolithic/SPIKE warm batch or SPIKE precision mismatch".into(),
-                ));
-            }
-            return self.solve_with_spike(shape, reqs, factors, &l);
-        }
-        let mut x = vec![Vec::new(); batch];
-        let opts = self.options(shape);
-        let time = if shape.precision == Precision::F32 {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (_, _, mut rhs, _) = assemble_f32(shape, part)?;
-                let lanes: Vec<(&[f32], &[i32])> = factors[lo..hi]
-                    .iter()
-                    .map(|f| (f.factors_f32().expect("checked above"), &f.pivots[..]))
-                    .collect();
-                let rep = gbatch_kernels::dispatch::sgbtrs_batch_lanes(
-                    dev,
-                    Transpose::No,
-                    &l,
-                    &lanes,
-                    &mut rhs,
-                    &opts,
-                )
-                .map_err(BackendError::Launch)?;
-                for k in 0..part.len() {
-                    x[lo + k] = rhs.block(k).iter().map(|&v| v as f64).collect();
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        } else {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (_, _, mut rhs, _) = assemble(shape, part)?;
-                let lanes: Vec<(&[f64], &[i32])> = factors[lo..hi]
-                    .iter()
-                    .map(|f| (f.factors_f64().expect("checked above"), &f.pivots[..]))
-                    .collect();
-                let rep = gbatch_kernels::dispatch::dgbtrs_batch_lanes(
-                    dev,
-                    Transpose::No,
-                    &l,
-                    &lanes,
-                    &mut rhs,
-                    &opts,
-                )
-                .map_err(BackendError::Launch)?;
-                for k in 0..part.len() {
-                    x[lo + k] = rhs.block(k).to_vec();
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        };
-        Ok(BatchSolution {
-            x,
-            info: vec![0; batch],
-            service_s: time.secs(),
-        })
     }
 
-    /// Factor-only dispatch for the explicit `Factorize` entry point.
-    /// Large-`n` operators are retained as SPIKE split factorizations, so
-    /// their warm solves ride the split path instead of a monolithic
-    /// triangular solve the device could not batch.
     fn factorize(
         &self,
         shape: &ShapeKey,
         operators: &[&[f64]],
     ) -> Result<FactorOutcome, BackendError> {
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        if spike_worthy(shape) {
-            if let Some(out) = self.factorize_spike(shape, operators, &l)? {
-                return Ok(out);
-            }
+        match shape.precision {
+            Precision::F32 => self.factor_only::<f32>(shape, operators),
+            Precision::F64 => self.factor_only::<f64>(shape, operators),
         }
-        let batch = operators.len();
-        let mut factors: RetainedLanes = vec![None; batch];
-        let mut info_out = vec![0i32; batch];
-        let opts = self.options(shape);
-        let time = if shape.precision == Precision::F32 {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let mut a = BandBatch::<f32>::zeros_with_layout(l, hi - lo)
-                    .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-                let stride = a.matrix_stride();
-                for (k, op) in operators[lo..hi].iter().enumerate() {
-                    for (dst, &src) in a.data_mut()[k * stride..(k + 1) * stride]
-                        .iter_mut()
-                        .zip(*op)
-                    {
-                        *dst = src as f32;
-                    }
-                }
-                let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
-                let mut info = InfoArray::new(hi - lo);
-                let rep =
-                    gbatch_kernels::dispatch::sgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts)
-                        .map_err(BackendError::Launch)?;
-                for k in 0..hi - lo {
-                    info_out[lo + k] = info.get(k);
-                    if info.get(k) == 0 {
-                        factors[lo + k] = Some(Arc::new(RetainedFactor::from_lane_f32(
-                            &a,
-                            piv.pivots(k),
-                            k,
-                        )));
-                    }
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        } else {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let mut a = BandBatch::<f64>::zeros_with_layout(l, hi - lo)
-                    .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-                let stride = a.matrix_stride();
-                for (k, op) in operators[lo..hi].iter().enumerate() {
-                    a.data_mut()[k * stride..(k + 1) * stride].copy_from_slice(op);
-                }
-                let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
-                let mut info = InfoArray::new(hi - lo);
-                let rep =
-                    gbatch_kernels::dispatch::dgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts)
-                        .map_err(BackendError::Launch)?;
-                for k in 0..hi - lo {
-                    info_out[lo + k] = info.get(k);
-                    if info.get(k) == 0 {
-                        factors[lo + k] = Some(Arc::new(RetainedFactor::from_lane_f64(
-                            &a,
-                            piv.pivots(k),
-                            k,
-                        )));
-                    }
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        };
-        Ok(FactorOutcome {
-            factors,
-            info: info_out,
-            service_s: time.secs(),
-        })
     }
 }
 
-/// Multicore CPU spill-over backend.
+/// Multicore CPU spill-over backend. The model charges the `f64` flop
+/// count at either precision and scales the traffic by the element width.
 pub struct CpuBackend {
     cpu: CpuSpec,
 }
@@ -885,106 +638,77 @@ impl CpuBackend {
         CpuBackend { cpu }
     }
 
-    /// The CPU descriptor this backend models.
-    #[must_use]
-    pub fn spec(&self) -> &CpuSpec {
-        &self.cpu
-    }
-
-    /// Spill-over path for F32-tagged keys: each lane runs the `f32`
-    /// instantiation of the core driver sequentially (deterministic), and
-    /// the model charges half the `f64` memory traffic — the flop count is
-    /// unchanged, the element bytes halve. `retain` harvests healthy
+    /// The cold spill body ([`cpu_gbsv_batch`]); `retain` harvests healthy
     /// lanes' factors without touching the modeled time.
-    fn run_f32(
+    fn cold<S: FactorScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
         retain: bool,
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        let (mut a, mut piv, mut rhs, mut info) = assemble_f32(shape, reqs)?;
-        let l = a.layout();
-        let (nrhs, ldb) = (rhs.nrhs(), rhs.ldb());
-        let stride = l.len();
-        for k in 0..reqs.len() {
-            let ab = &mut a.data_mut()[k * stride..(k + 1) * stride];
-            let code = gbatch_core::gbsv::gbsv::<f32>(
-                &l,
-                ab,
-                piv.pivots_mut(k),
-                rhs.block_mut(k),
-                ldb,
-                nrhs,
-            );
-            info.set(k, code);
-        }
-        let flops = gbatch_cpu::model::gbtrf_flops(&l) + gbatch_cpu::model::gbtrs_flops(&l, nrhs);
-        let bytes = gbatch_cpu::model::gbtrf_bytes(&l) + gbatch_cpu::model::gbtrs_bytes(&l, nrhs);
-        let mut x = Vec::with_capacity(reqs.len());
-        let mut info_out = Vec::with_capacity(reqs.len());
-        let mut lanes: RetainedLanes = vec![None; reqs.len()];
-        for (k, r) in reqs.iter().enumerate() {
-            if info.get(k) > 0 {
-                x.push(r.rhs.clone());
-            } else {
-                x.push(rhs.block(k).iter().map(|&v| v as f64).collect());
-                if retain {
-                    lanes[k] = Some(Arc::new(RetainedFactor::from_lane_f32(
-                        &a,
-                        piv.pivots(k),
-                        k,
-                    )));
-                }
-            }
-            info_out.push(info.get(k));
-        }
-        Ok((
-            BatchSolution {
-                x,
-                info: info_out,
-                service_s: self.cpu.batch_time(reqs.len(), flops, bytes / 2.0),
-            },
-            lanes,
-        ))
+        let l = layout_of(shape)?;
+        let mut a = band_batch::<S>(l, reqs.iter().map(|r| &r.ab[..]))?;
+        let mut rhs = rhs_batch::<S>(shape, reqs)?;
+        let mut piv = PivotBatch::new(reqs.len(), l.m, l.n);
+        let mut info = InfoArray::new(reqs.len());
+        let rep = cpu_gbsv_batch(&self.cpu, &mut a, &mut piv, &mut rhs, &mut info);
+        let x = reqs
+            .iter()
+            .enumerate()
+            .map(|(k, r)| answer(r, info.get(k), rhs.block(k)))
+            .collect();
+        let lanes = (0..reqs.len())
+            .map(|k| {
+                (retain && info.get(k) == 0)
+                    .then(|| Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k)))
+            })
+            .collect();
+        let sol = BatchSolution {
+            x,
+            info: info.as_slice().to_vec(),
+            service_s: rep.model_time_s,
+        };
+        Ok((sol, lanes))
     }
 
-    /// The `f64` spill body ([`cpu_gbsv_batch`]), optionally harvesting.
-    fn run_f64(
+    /// The GBTRS-only spill body: each lane is one sequential host solve
+    /// over its retained factors, priced with triangular-solve flops and
+    /// bytes only — the spilled warm batch skips the factorization cost.
+    fn warm<S: FactorScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
-        retain: bool,
-    ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        let (mut a, mut piv, mut rhs, mut info) = assemble(shape, reqs)?;
-        let rep = cpu_gbsv_batch(&self.cpu, &mut a, &mut piv, &mut rhs, &mut info);
-        let mut x = Vec::with_capacity(reqs.len());
-        let mut info_out = Vec::with_capacity(reqs.len());
-        let mut lanes: RetainedLanes = vec![None; reqs.len()];
-        for (k, r) in reqs.iter().enumerate() {
-            // Uniform contract with the GPU dispatcher: a singular lane
-            // returns its right-hand side untouched.
-            if info.get(k) > 0 {
-                x.push(r.rhs.clone());
-            } else {
-                x.push(rhs.block(k).to_vec());
-                if retain {
-                    lanes[k] = Some(Arc::new(RetainedFactor::from_lane_f64(
-                        &a,
-                        piv.pivots(k),
-                        k,
-                    )));
-                }
-            }
-            info_out.push(info.get(k));
-        }
-        Ok((
-            BatchSolution {
-                x,
-                info: info_out,
-                service_s: rep.model_time_s,
-            },
-            lanes,
-        ))
+        factors: &[Arc<RetainedFactor>],
+    ) -> Result<BatchSolution, BackendError> {
+        let l = check_factors(shape, reqs, factors)?;
+        let nrhs = shape.nrhs;
+        let x = reqs
+            .iter()
+            .zip(factors)
+            .map(|(r, f)| host_solve::<S>(f, &r.rhs, nrhs))
+            .collect();
+        let bytes = scale_bytes::<S>(gbtrs_bytes(&l, nrhs));
+        Ok(BatchSolution {
+            x,
+            info: vec![0; reqs.len()],
+            service_s: self
+                .cpu
+                .batch_time(reqs.len(), gbtrs_flops(&l, nrhs), bytes),
+        })
+    }
+
+    /// The factor-only spill body: sequential `gbtrf` per operator, priced
+    /// with factorization flops and bytes only.
+    fn factor_only<S: FactorScalar>(
+        &self,
+        shape: &ShapeKey,
+        operators: &[&[f64]],
+    ) -> Result<FactorOutcome, BackendError> {
+        let l = layout_of(shape)?;
+        let bytes = scale_bytes::<S>(gbtrf_bytes(&l));
+        let service_s = self.cpu.batch_time(operators.len(), gbtrf_flops(&l), bytes);
+        let lanes = operators.iter().map(|op| host_factor::<S>(&l, op, None));
+        Ok(factor_outcome(lanes, service_s))
     }
 }
 
@@ -998,11 +722,11 @@ impl SolveBackend for CpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<BatchSolution, BackendError> {
-        if shape.precision == Precision::F32 {
-            self.run_f32(shape, reqs, false).map(|(sol, _)| sol)
-        } else {
-            self.run_f64(shape, reqs, false).map(|(sol, _)| sol)
+        match shape.precision {
+            Precision::F32 => self.cold::<f32>(shape, reqs, false),
+            Precision::F64 => self.cold::<f64>(shape, reqs, false),
         }
+        .map(|(sol, _)| sol)
     }
 
     fn solve_retaining(
@@ -1010,147 +734,39 @@ impl SolveBackend for CpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        if shape.precision == Precision::F32 {
-            self.run_f32(shape, reqs, true)
-        } else {
-            self.run_f64(shape, reqs, true)
+        match shape.precision {
+            Precision::F32 => self.cold::<f32>(shape, reqs, true),
+            Precision::F64 => self.cold::<f64>(shape, reqs, true),
         }
     }
 
-    /// GBTRS-only spill path: each lane is one sequential `gbtrs` over its
-    /// retained factors, priced with triangular-solve flops and bytes only
-    /// — the spilled warm batch skips the factorization cost too.
     fn solve_with(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
         factors: &[Arc<RetainedFactor>],
     ) -> Result<BatchSolution, BackendError> {
-        let batch = reqs.len();
-        assert_eq!(batch, factors.len(), "one retained factor per request");
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        for (k, f) in factors.iter().enumerate() {
-            if f.layout != l || f.precision() != shape.precision {
-                return Err(BackendError::Fault(format!(
-                    "lane {k}: retained factor does not match shape {shape}"
-                )));
-            }
+        match shape.precision {
+            Precision::F32 => self.warm::<f32>(shape, reqs, factors),
+            Precision::F64 => self.warm::<f64>(shape, reqs, factors),
         }
-        let (nrhs, ldb) = (shape.nrhs, l.n);
-        let mut x = Vec::with_capacity(batch);
-        if shape.precision == Precision::F32 {
-            for (r, f) in reqs.iter().zip(factors) {
-                let mut b: Vec<f32> = r.rhs.iter().map(|&v| v as f32).collect();
-                // A retained SPIKE factorization (large-n split operator)
-                // solves through the split warm path; monolithic factors
-                // through the band triangular solve.
-                if let Some(sf) = f.spike_f32() {
-                    spike_solve_retained(sf, &mut b, nrhs);
-                } else {
-                    gbatch_core::gbtrs::gbtrs::<f32>(
-                        Transpose::No,
-                        &l,
-                        f.factors_f32().expect("checked above"),
-                        &f.pivots,
-                        &mut b,
-                        ldb,
-                        nrhs,
-                    );
-                }
-                x.push(b.iter().map(|&v| v as f64).collect());
-            }
-        } else {
-            for (r, f) in reqs.iter().zip(factors) {
-                let mut b = r.rhs.clone();
-                if let Some(sf) = f.spike_f64() {
-                    spike_solve_retained(sf, &mut b, nrhs);
-                } else {
-                    gbatch_core::gbtrs::gbtrs::<f64>(
-                        Transpose::No,
-                        &l,
-                        f.factors_f64().expect("checked above"),
-                        &f.pivots,
-                        &mut b,
-                        ldb,
-                        nrhs,
-                    );
-                }
-                x.push(b);
-            }
-        }
-        let flops = gbatch_cpu::model::gbtrs_flops(&l, nrhs);
-        let mut bytes = gbatch_cpu::model::gbtrs_bytes(&l, nrhs);
-        if shape.precision == Precision::F32 {
-            bytes /= 2.0;
-        }
-        Ok(BatchSolution {
-            x,
-            info: vec![0; batch],
-            service_s: self.cpu.batch_time(batch, flops, bytes),
-        })
     }
 
-    /// Factor-only spill path: sequential `gbtrf` per operator, priced
-    /// with factorization flops and bytes only.
     fn factorize(
         &self,
         shape: &ShapeKey,
         operators: &[&[f64]],
     ) -> Result<FactorOutcome, BackendError> {
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        let batch = operators.len();
-        let mut factors: RetainedLanes = vec![None; batch];
-        let mut info_out = vec![0i32; batch];
-        if shape.precision == Precision::F32 {
-            for (k, op) in operators.iter().enumerate() {
-                let mut ab: Vec<f32> = op.iter().map(|&v| v as f32).collect();
-                let mut ipiv = vec![0i32; l.m.min(l.n)];
-                let code = gbatch_core::gbtrf::gbtrf::<f32>(&l, &mut ab, &mut ipiv);
-                info_out[k] = code;
-                if code == 0 {
-                    factors[k] = Some(Arc::new(RetainedFactor {
-                        layout: l,
-                        payload: gbatch_core::FactorPayload::F32(ab),
-                        pivots: ipiv,
-                    }));
-                }
-            }
-        } else {
-            for (k, op) in operators.iter().enumerate() {
-                let mut ab = op.to_vec();
-                let mut ipiv = vec![0i32; l.m.min(l.n)];
-                let code = gbatch_core::gbtrf::gbtrf::<f64>(&l, &mut ab, &mut ipiv);
-                info_out[k] = code;
-                if code == 0 {
-                    factors[k] = Some(Arc::new(RetainedFactor {
-                        layout: l,
-                        payload: gbatch_core::FactorPayload::F64(ab),
-                        pivots: ipiv,
-                    }));
-                }
-            }
+        match shape.precision {
+            Precision::F32 => self.factor_only::<f32>(shape, operators),
+            Precision::F64 => self.factor_only::<f64>(shape, operators),
         }
-        let flops = gbatch_cpu::model::gbtrf_flops(&l);
-        let mut bytes = gbatch_cpu::model::gbtrf_bytes(&l);
-        if shape.precision == Precision::F32 {
-            bytes /= 2.0;
-        }
-        Ok(FactorOutcome {
-            factors,
-            info: info_out,
-            service_s: self.cpu.batch_time(batch, flops, bytes),
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbatch_core::gbtf2::gbtf2;
 
     fn healthy_request(id: u64, shape: ShapeKey, seed: f64) -> SolveRequest {
         let l = shape.layout().unwrap();
@@ -1179,10 +795,35 @@ mod tests {
         }
     }
 
+    /// Zero the first column of a request's operator (`info = 1`).
+    fn poison(req: &mut SolveRequest) {
+        let l = req.shape.layout().unwrap();
+        let (s, e) = l.col_rows(0);
+        for i in s..e {
+            req.ab[l.idx_full(i, 0).unwrap()] = 0.0;
+        }
+    }
+
+    /// `‖A x − b‖∞` against the request's `f64` wire payload.
+    fn residual(r: &SolveRequest, x: &[f64]) -> f64 {
+        let l = r.shape.layout().unwrap();
+        let m = gbatch_core::BandMatrixRef {
+            layout: l,
+            data: &r.ab,
+        };
+        (0..l.n)
+            .map(|i| {
+                let lo = i.saturating_sub(l.kl);
+                let hi = (i + l.ku + 1).min(l.n);
+                let ax: f64 = (lo..hi).map(|j| m.get(i, j) * x[j]).sum();
+                (ax - r.rhs[i]).abs()
+            })
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn gpu_and_cpu_backends_agree_on_residuals() {
         let shape = ShapeKey::gbsv(40, 3, 2, 1);
-        let l = shape.layout().unwrap();
         let reqs: Vec<_> = (0..12)
             .map(|i| healthy_request(i, shape, 0.01 * i as f64))
             .collect();
@@ -1195,58 +836,35 @@ mod tests {
         assert!(gs.service_s > 0.0 && cs.service_s > 0.0);
         for (k, r) in reqs.iter().enumerate() {
             for x in [&gs.x[k], &cs.x[k]] {
-                // ‖Ax − b‖∞ small for both backends.
-                let m = gbatch_core::BandMatrixRef {
-                    layout: l,
-                    data: &r.ab,
-                };
-                let mut worst: f64 = 0.0;
-                for i in 0..l.n {
-                    let lo = i.saturating_sub(l.kl);
-                    let hi = (i + l.ku + 1).min(l.n);
-                    let ax: f64 = x[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(k, xj)| m.get(i, lo + k) * xj)
-                        .sum();
-                    worst = worst.max((ax - r.rhs[i]).abs());
-                }
+                let worst = residual(r, x);
                 assert!(worst < 1e-10, "lane {k}: residual {worst:e}");
             }
         }
     }
 
     #[test]
-    fn singular_lane_returns_rhs_untouched_on_both_backends() {
-        let shape = ShapeKey::gbsv(24, 2, 2, 1);
-        let l = shape.layout().unwrap();
-        let mut reqs: Vec<_> = (0..6)
-            .map(|i| healthy_request(i, shape, 0.02 * i as f64))
-            .collect();
-        // Poison lane 4: zero its first column.
-        {
-            let req = &mut reqs[4];
-            let mut m = gbatch_core::BandMatrixMut {
-                layout: l,
-                data: &mut req.ab,
-            };
-            let (s, e) = l.col_rows(0);
-            for i in s..e {
-                m.set(i, 0, 0.0);
+    fn singular_lane_returns_the_original_rhs_on_both_backends() {
+        for shape in [ShapeKey::gbsv(24, 2, 2, 1), ShapeKey::sgbsv(24, 2, 2, 1)] {
+            let mut reqs: Vec<_> = (0..6)
+                .map(|i| healthy_request(i, shape, 0.02 * i as f64))
+                .collect();
+            poison(&mut reqs[4]);
+            // Not representable in f32, so a narrowed round-trip would show.
+            for (i, v) in reqs[4].rhs.iter_mut().enumerate() {
+                *v = 0.1 * (i + 1) as f64;
             }
-            let mut ab = req.ab.clone();
-            let mut piv = vec![0i32; l.n];
-            assert_eq!(gbtf2(&l, &mut ab, &mut piv), 1);
-        }
-        let gpu = GpuBackend::new(DeviceGroup::mi250x_full(), ParallelPolicy::Serial);
-        let cpu = CpuBackend::new(CpuSpec::xeon_gold_6140());
-        for backend in [&gpu as &dyn SolveBackend, &cpu as &dyn SolveBackend] {
-            let sol = backend.solve(&shape, &reqs).unwrap();
-            assert_eq!(sol.info[4], 1, "{} backend info", backend.kind());
-            assert_eq!(sol.x[4], reqs[4].rhs, "{} backend rhs", backend.kind());
-            for k in [0, 1, 2, 3, 5] {
-                assert_eq!(sol.info[k], 0);
-                assert_ne!(sol.x[k], reqs[k].rhs, "healthy lane {k} solved");
+            let gpu = GpuBackend::new(DeviceGroup::mi250x_full(), ParallelPolicy::Serial);
+            let cpu = CpuBackend::new(CpuSpec::xeon_gold_6140());
+            for backend in [&gpu as &dyn SolveBackend, &cpu as &dyn SolveBackend] {
+                let sol = backend.solve(&shape, &reqs).unwrap();
+                let who = format!("{} backend, {shape}", backend.kind());
+                assert_eq!(sol.info[4], 1, "{who}");
+                // Bitwise the original f64 payload, not a narrowed round-trip.
+                assert_eq!(sol.x[4], reqs[4].rhs, "{who}");
+                for k in [0, 1, 2, 3, 5] {
+                    assert_eq!(sol.info[k], 0);
+                    assert_ne!(sol.x[k], reqs[k].rhs, "{who}: healthy lane {k} solved");
+                }
             }
         }
     }
@@ -1254,7 +872,6 @@ mod tests {
     #[test]
     fn f32_tagged_shapes_run_the_single_precision_stack() {
         let shape = ShapeKey::sgbsv(48, 3, 3, 1);
-        let l = shape.layout().unwrap();
         let reqs: Vec<_> = (0..10)
             .map(|i| healthy_request(i, shape, 0.01 * i as f64))
             .collect();
@@ -1270,55 +887,13 @@ mod tests {
                     assert_eq!(v, v as f32 as f64, "{} lane {k}", backend.kind());
                 }
                 // Residual at f32 accuracy against the f64 wire payload.
-                let m = gbatch_core::BandMatrixRef {
-                    layout: l,
-                    data: &r.ab,
-                };
-                let mut worst: f64 = 0.0;
-                for i in 0..l.n {
-                    let lo = i.saturating_sub(l.kl);
-                    let hi = (i + l.ku + 1).min(l.n);
-                    let ax: f64 = sol.x[k][lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(j, xj)| m.get(i, lo + j) * xj)
-                        .sum();
-                    worst = worst.max((ax - r.rhs[i]).abs());
-                }
+                let worst = residual(r, &sol.x[k]);
                 assert!(
                     worst < 1e-3,
                     "{} lane {k}: f32 residual {worst:e}",
                     backend.kind()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn f32_singular_lane_returns_the_original_f64_rhs() {
-        let shape = ShapeKey::sgbsv(24, 2, 2, 1);
-        let l = shape.layout().unwrap();
-        let mut reqs: Vec<_> = (0..5)
-            .map(|i| healthy_request(i, shape, 0.02 * i as f64))
-            .collect();
-        {
-            let req = &mut reqs[2];
-            let mut m = gbatch_core::BandMatrixMut {
-                layout: l,
-                data: &mut req.ab,
-            };
-            let (s, e) = l.col_rows(0);
-            for i in s..e {
-                m.set(i, 0, 0.0);
-            }
-        }
-        let gpu = GpuBackend::new(DeviceGroup::mi250x_full(), ParallelPolicy::Serial);
-        let cpu = CpuBackend::new(CpuSpec::xeon_gold_6140());
-        for backend in [&gpu as &dyn SolveBackend, &cpu as &dyn SolveBackend] {
-            let sol = backend.solve(&shape, &reqs).unwrap();
-            assert_eq!(sol.info[2], 1, "{} backend", backend.kind());
-            // Bitwise the original f64 payload, not an f32 round-trip.
-            assert_eq!(sol.x[2], reqs[2].rhs, "{} backend", backend.kind());
         }
     }
 
@@ -1333,28 +908,14 @@ mod tests {
         assert!(out.service_s > 0.0);
         let f = out.factors[0].clone().expect("healthy operator retained");
         assert!(
-            f.spike_f64().is_some(),
+            f.spike::<f64>().is_some(),
             "large-n operator retained as a SPIKE split factorization"
         );
         let sol = gpu
             .solve_with(&shape, std::slice::from_ref(&r), std::slice::from_ref(&f))
             .unwrap();
         assert_eq!(sol.info, vec![0]);
-        let m = gbatch_core::BandMatrixRef {
-            layout: l,
-            data: &r.ab,
-        };
-        let mut worst: f64 = 0.0;
-        for i in 0..l.n {
-            let lo = i.saturating_sub(l.kl);
-            let hi = (i + l.ku + 1).min(l.n);
-            let ax: f64 = sol.x[0][lo..hi]
-                .iter()
-                .enumerate()
-                .map(|(j, xj)| m.get(i, lo + j) * xj)
-                .sum();
-            worst = worst.max((ax - r.rhs[i]).abs());
-        }
+        let worst = residual(&r, &sol.x[0]);
         assert!(worst < 1e-9, "warm SPIKE residual {worst:e}");
         // The spilled warm path runs the identical host math: bitwise.
         let cpu = CpuBackend::new(CpuSpec::xeon_gold_6140());
@@ -1363,19 +924,43 @@ mod tests {
             .unwrap();
         assert_eq!(cs.x, sol.x, "GPU and CPU warm SPIKE paths agree bitwise");
         // A mixed monolithic/SPIKE warm batch fails closed on the GPU.
-        let mono = {
-            let mut ab = r.ab.clone();
-            let mut ipiv = vec![0i32; l.n];
-            assert_eq!(gbatch_core::gbtrf::gbtrf::<f64>(&l, &mut ab, &mut ipiv), 0);
-            Arc::new(RetainedFactor {
-                layout: l,
-                payload: FactorPayload::F64(ab),
-                pivots: ipiv,
-            })
-        };
+        let mono = Arc::new(RetainedFactor::factor(l, r.ab.clone(), None).unwrap());
         assert!(gpu
             .solve_with(&shape, &[r.clone(), r.clone()], &[f, mono])
             .is_err());
+    }
+
+    /// `solve_with` over fewer retained factors than requests is a typed
+    /// fault, not a panic.
+    fn short_factor_slice_faults(backend: &dyn SolveBackend) {
+        let shape = ShapeKey::gbsv(16, 1, 1, 1);
+        let reqs: Vec<_> = (0..3)
+            .map(|i| healthy_request(i, shape, 0.01 * i as f64))
+            .collect();
+        let (_, lanes) = backend.solve_retaining(&shape, &reqs).unwrap();
+        let factors: Vec<_> = lanes.into_iter().flatten().collect();
+        assert_eq!(factors.len(), 3);
+        let err = backend
+            .solve_with(&shape, &reqs, &factors[..2])
+            .unwrap_err();
+        assert!(
+            matches!(&err, BackendError::Fault(why) if why.contains("2 retained factors for 3")),
+            "{} backend: {err}",
+            backend.kind()
+        );
+    }
+
+    #[test]
+    fn gpu_short_factor_slice_is_a_fault() {
+        short_factor_slice_faults(&GpuBackend::new(
+            DeviceGroup::mi250x_full(),
+            ParallelPolicy::Serial,
+        ));
+    }
+
+    #[test]
+    fn cpu_short_factor_slice_is_a_fault() {
+        short_factor_slice_faults(&CpuBackend::new(CpuSpec::xeon_gold_6140()));
     }
 
     #[test]

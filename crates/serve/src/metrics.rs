@@ -4,8 +4,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::BackendKind;
-use crate::cache::CacheStats;
+use crate::cache::FactorCache;
 use crate::policy::FlushReason;
 
 /// Live counters the server mutates as it runs. [`Metrics::report`]
@@ -31,10 +30,6 @@ pub(crate) struct Metrics {
     pub stale_handles: u64,
     pub factorize_requests: u64,
     pub max_queue_depth: usize,
-    pub gpu_busy_s: f64,
-    pub cpu_busy_s: f64,
-    pub gpu_requests: u64,
-    pub cpu_requests: u64,
     pub batch_hist: BTreeMap<usize, u64>,
     pub latencies_s: Vec<f64>,
 }
@@ -49,34 +44,10 @@ impl Metrics {
         *self.batch_hist.entry(batch).or_insert(0) += 1;
     }
 
-    pub(crate) fn note_served(&mut self, kind: BackendKind) {
-        match kind {
-            BackendKind::Gpu => self.gpu_requests += 1,
-            BackendKind::Cpu => self.cpu_requests += 1,
-        }
-    }
-
-    /// [`Metrics::report`] with the factor-cache dimensions filled in
-    /// from a live cache snapshot.
-    pub(crate) fn report_with_cache(
-        &self,
-        stats: CacheStats,
-        entries: usize,
-        bytes: usize,
-    ) -> ServeReport {
-        let mut r = self.report();
-        r.cache_lookups = stats.lookups;
-        r.cache_hits = stats.hits;
-        r.cache_misses = stats.misses;
-        r.cache_insertions = stats.insertions;
-        r.cache_evictions = stats.evictions;
-        r.cache_negative_hits = stats.negative_hits;
-        r.cache_entries = entries;
-        r.cache_bytes = bytes;
-        r
-    }
-
-    pub(crate) fn report(&self) -> ServeReport {
+    /// Freeze the counters, the factor cache's snapshot and the
+    /// per-worker breakdown into one report.
+    pub(crate) fn report(&self, cache: &FactorCache, devices: Vec<DeviceReport>) -> ServeReport {
+        let stats = cache.stats();
         let mut sorted = self.latencies_s.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         let quantile = |q: f64| -> f64 {
@@ -112,25 +83,21 @@ impl Metrics {
             warm_fallbacks: self.warm_fallbacks,
             stale_handles: self.stale_handles,
             factorize_requests: self.factorize_requests,
-            cache_lookups: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_insertions: 0,
-            cache_evictions: 0,
-            cache_negative_hits: 0,
-            cache_entries: 0,
-            cache_bytes: 0,
+            cache_lookups: stats.lookups,
+            cache_hits: stats.hits,
+            cache_misses: stats.misses,
+            cache_insertions: stats.insertions,
+            cache_evictions: stats.evictions,
+            cache_negative_hits: stats.negative_hits,
+            cache_entries: cache.len(),
+            cache_bytes: cache.bytes(),
             max_queue_depth: self.max_queue_depth,
-            gpu_busy_s: self.gpu_busy_s,
-            cpu_busy_s: self.cpu_busy_s,
-            gpu_requests: self.gpu_requests,
-            cpu_requests: self.cpu_requests,
             batch_hist: self.batch_hist.iter().map(|(&k, &v)| (k, v)).collect(),
             p50_latency_s: quantile(0.50),
             p99_latency_s: quantile(0.99),
             max_latency_s: sorted.last().copied().unwrap_or(0.0),
             mean_latency_s: mean,
-            devices: Vec::new(),
+            devices,
         }
     }
 }
@@ -201,14 +168,6 @@ pub struct ServeReport {
     pub cache_bytes: usize,
     /// Peak total queue depth observed at admission.
     pub max_queue_depth: usize,
-    /// Total modeled GPU busy time, seconds.
-    pub gpu_busy_s: f64,
-    /// Total modeled CPU busy time, seconds.
-    pub cpu_busy_s: f64,
-    /// Requests answered by the GPU backend.
-    pub gpu_requests: u64,
-    /// Requests answered by the CPU backend.
-    pub cpu_requests: u64,
     /// Histogram of flushed batch sizes: `(size, count)`, ascending.
     pub batch_hist: Vec<(usize, u64)>,
     /// Median end-to-end latency, seconds (0 when nothing completed).
@@ -292,6 +251,12 @@ impl ServeReport {
         }
     }
 
+    /// Total modeled busy time across every worker, seconds.
+    #[must_use]
+    pub fn busy_s(&self) -> f64 {
+        self.devices.iter().map(|d| d.busy_s).sum()
+    }
+
     /// Mean modeled backend busy time per completed request, seconds —
     /// the amortized service cost a factor cache is supposed to push
     /// down (0 when nothing completed).
@@ -300,7 +265,7 @@ impl ServeReport {
         if self.completed == 0 {
             0.0
         } else {
-            (self.gpu_busy_s + self.cpu_busy_s) / self.completed as f64
+            self.busy_s() / self.completed as f64
         }
     }
 
@@ -334,6 +299,7 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
 
     #[test]
     fn quantiles_and_means() {
@@ -343,7 +309,7 @@ mod tests {
             submitted: 100,
             ..Default::default()
         };
-        let r = m.report();
+        let r = m.report(&FactorCache::new(CacheConfig::default()), Vec::new());
         assert!((r.p50_latency_s - 0.051).abs() < 1e-12);
         assert!((r.p99_latency_s - 0.099).abs() < 1e-12);
         assert!((r.max_latency_s - 0.100).abs() < 1e-12);
@@ -362,7 +328,7 @@ mod tests {
         };
         m.note_flush(FlushReason::SizeReached, 4);
         m.note_flush(FlushReason::DeadlineExpired, 3);
-        let r = m.report();
+        let r = m.report(&FactorCache::new(CacheConfig::default()), Vec::new());
         let text = serde_json::to_string_pretty(&r).unwrap();
         let back: ServeReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, r);
@@ -372,7 +338,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_quiet() {
-        let r = Metrics::default().report();
+        let r = Metrics::default().report(&FactorCache::new(CacheConfig::default()), Vec::new());
         assert_eq!(r.p50_latency_s, 0.0);
         assert_eq!(r.max_latency_s, 0.0);
         assert_eq!(r.mean_batch(), 0.0);

@@ -567,11 +567,6 @@ impl Server {
         w.free_s = end;
         w.busy_s += outcome.service_s;
         w.note_inflight(t, end);
-        if on_gpu {
-            self.metrics.gpu_busy_s += outcome.service_s;
-        } else {
-            self.metrics.cpu_busy_s += outcome.service_s;
-        }
         if outcome.info[0] > 0 {
             self.cache.insert_negative(fp, outcome.info[0]);
             return Err(FactorizeError::Singular {
@@ -630,27 +625,13 @@ impl Server {
     /// dimensions included.
     #[must_use]
     pub fn report(&self) -> ServeReport {
-        let mut r = self.metrics.report_with_cache(
-            self.cache.stats(),
-            self.cache.len(),
-            self.cache.bytes(),
-        );
+        let workers = || self.gpus.iter().chain(std::iter::once(&self.cpu));
         // The utilization horizon is the drained-schedule end: service
         // assigned by the last flush extends past the caller's clock, so
         // dividing by `clock_s` alone would over-report saturated fleets.
-        let horizon = self
-            .gpus
-            .iter()
-            .chain(std::iter::once(&self.cpu))
-            .map(|w| w.free_s)
-            .fold(self.clock_s, f64::max);
-        r.devices = self
-            .gpus
-            .iter()
-            .chain(std::iter::once(&self.cpu))
-            .map(|w| w.report(horizon))
-            .collect();
-        r
+        let horizon = workers().map(|w| w.free_s).fold(self.clock_s, f64::max);
+        let devices = workers().map(|w| w.report(horizon)).collect();
+        self.metrics.report(&self.cache, devices)
     }
 
     /// Estimated service time of a `batch`-problem bucket on a worker's
@@ -919,11 +900,6 @@ impl Server {
             w.flushes += 1;
             w.note_inflight(t, end);
         }
-        if spill {
-            self.metrics.cpu_busy_s += service_s;
-        } else {
-            self.metrics.gpu_busy_s += service_s;
-        }
 
         for ((r, fp), mut o) in reqs.into_iter().zip(fps).zip(outcomes) {
             // Cache maintenance. A lane the bisect retry rescued as
@@ -957,7 +933,6 @@ impl Server {
                 BackendKind::Gpu => self.gpus[wi].requests += 1,
                 BackendKind::Cpu => self.cpu.requests += 1,
             }
-            self.metrics.note_served(o.kind);
             self.push_response(r, status, Some(o.x), end, batch, reason, o.kind);
         }
     }
@@ -1171,7 +1146,7 @@ mod tests {
         let rep = s.report();
         assert_eq!(rep.flush_deadline, 1);
         assert_eq!(rep.spills, 1);
-        assert_eq!(rep.cpu_requests, 2);
+        assert_eq!(rep.devices.last().unwrap().requests, 2);
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn factorize_returns_a_stable_handle_and_submit_with_rides_warm() {
     assert_eq!(s.factorize(shape(), &operator(3), 0.1).unwrap(), h);
     assert_eq!(s.report().factorize_requests, 1, "second call was a no-op");
     assert!(
-        s.report().gpu_busy_s > 0.0,
+        s.report().devices[0].busy_s > 0.0,
         "factorization occupied the GPU"
     );
 
@@ -216,10 +216,10 @@ fn factorize_rejects_singular_operators_via_the_negative_cache() {
     assert_eq!(s.cache().negative_len(), 1);
     // The second attempt is answered by the negative cache without
     // touching a backend (busy time unchanged).
-    let busy = s.report().gpu_busy_s + s.report().cpu_busy_s;
+    let busy = s.report().busy_s();
     let err = s.factorize(shape(), &singular_operator(), 0.1).unwrap_err();
     assert_eq!(err, FactorizeError::Singular { column: 1 });
-    assert_eq!(s.report().gpu_busy_s + s.report().cpu_busy_s, busy);
+    assert_eq!(s.report().busy_s(), busy);
 }
 
 #[test]

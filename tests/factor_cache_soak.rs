@@ -104,10 +104,10 @@ fn cache_soak_hit_rate_conservation_and_determinism() {
     let (_, cold) = run_soak(ParallelPolicy::Serial, 1.0);
     assert_eq!(cold.cache_hits, 0, "full churn never repeats an operator");
     assert!(
-        report.gpu_busy_s + report.cpu_busy_s < cold.gpu_busy_s + cold.cpu_busy_s,
+        report.busy_s() < cold.busy_s(),
         "cached busy {:.6}s !< cold busy {:.6}s",
-        report.gpu_busy_s + report.cpu_busy_s,
-        cold.gpu_busy_s + cold.cpu_busy_s
+        report.busy_s(),
+        cold.busy_s()
     );
     assert!(
         report.amortized_cost_s() < cold.amortized_cost_s(),

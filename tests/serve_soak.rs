@@ -220,7 +220,7 @@ fn served_schedule_beats_per_request_stream_launches() {
         streams_s += simulate_streams(&dev, &cfg, count, 16, &per_block).secs();
     }
 
-    let served_s = report.gpu_busy_s + report.cpu_busy_s;
+    let served_s = report.busy_s();
     assert!(
         served_s < streams_s / 2.0,
         "dynamic batching should clearly beat per-request streams: \
