@@ -8,8 +8,9 @@
 //! - `interleaved+conv` — the dispatched interleaved path, forced with
 //!   [`MatrixLayout::Interleaved`]: pack, factor, unpack (what a
 //!   column-major caller actually pays);
-//! - `interleaved` — the native kernel on pre-packed storage (what a
-//!   caller keeping data interleaved end-to-end pays).
+//! - `interleaved` — the interleaved factor kernel alone, without the
+//!   pack/unpack passes (what a caller keeping data interleaved end-to-end
+//!   on the device pays).
 //!
 //! Criterion measures host wall-clock; the modeled `SimTime` per contender
 //! is deterministic, so the summary at the end records it into a
@@ -21,7 +22,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbatch_bench::report::Figure;
 use gbatch_core::batch::{InfoArray, PivotBatch};
-use gbatch_core::InterleavedBandBatch;
 use gbatch_gpu_sim::DeviceSpec;
 use gbatch_kernels::dispatch::{dgbtrf_batch, GbsvOptions, MatrixLayout};
 use gbatch_kernels::interleaved::{gbtrf_batch_interleaved, InterleavedParams};
@@ -59,12 +59,11 @@ fn dispatch_ms(dev: &DeviceSpec, a0: &gbatch_core::BandBatch, layout: MatrixLayo
     rep.time.secs() * 1e3
 }
 
-/// Modeled `SimTime` (ms) of the native interleaved factorization on
-/// pre-packed storage (no conversion passes).
+/// Modeled `SimTime` (ms) of the interleaved factor kernel alone (no
+/// conversion passes).
 fn native_ms(dev: &DeviceSpec, a0: &gbatch_core::BandBatch) -> f64 {
-    let packed = InterleavedBandBatch::from_batch(a0);
     let params = InterleavedParams::auto(dev, &a0.layout(), 0);
-    let mut a = packed;
+    let mut a = a0.clone();
     let mut piv = PivotBatch::new(a0.batch(), a0.layout().m, a0.layout().n);
     let mut info = InfoArray::new(a0.batch());
     let rep = gbtrf_batch_interleaved(dev, &mut a, &mut piv, &mut info, params).unwrap();
@@ -98,7 +97,6 @@ fn bench_layouts(c: &mut Criterion) {
                 );
             });
         }
-        let packed0 = InterleavedBandBatch::from_batch(&a0);
         let params = InterleavedParams::auto(&dev, &a0.layout(), 0);
         group.bench_with_input(
             BenchmarkId::new("interleaved", &label),
@@ -107,7 +105,7 @@ fn bench_layouts(c: &mut Criterion) {
                 bench.iter_batched(
                     || {
                         (
-                            packed0.clone(),
+                            a0.clone(),
                             PivotBatch::new(batch, n, n),
                             InfoArray::new(batch),
                         )

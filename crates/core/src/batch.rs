@@ -39,9 +39,8 @@ impl<S: Scalar> BandBatch<S> {
     }
 
     /// Zero-initialized batch with an explicit layout (any storage
-    /// flavour, any valid `ldab`) — the general constructor behind
-    /// layout-conversion code such as
-    /// [`crate::interleaved::InterleavedBandBatch::to_batch`].
+    /// flavour, any valid `ldab`) — the general constructor for batches
+    /// that mirror another batch's layout, e.g. a precision cast.
     pub fn zeros_with_layout(layout: BandLayout, batch: usize) -> Result<Self> {
         if batch == 0 {
             return Err(BandError::BadDimension {

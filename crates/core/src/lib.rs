@@ -74,7 +74,6 @@ pub mod gbsvx;
 pub mod gbtf2;
 pub mod gbtrf;
 pub mod gbtrs;
-pub mod interleaved;
 pub mod io;
 pub mod lanes;
 pub mod layout;
@@ -91,7 +90,6 @@ pub use batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 pub use error::{BandError, Result};
 pub use factors::{FactorPayload, FactorScalar, RetainedFactor};
 pub use fingerprint::{operator_fingerprint, Fingerprint, FingerprintHasher};
-pub use interleaved::InterleavedBandBatch;
 pub use lanes::{with_lane_mode, LaneMode, LANE_WIDTH};
 pub use layout::{BandLayout, RowClass};
 pub use scalar::{Precision, Scalar};

@@ -5,7 +5,7 @@
 //! batches.
 
 use crate::model::CpuSpec;
-use crate::solver::CpuReport;
+use crate::solver::{host_workers, parallel_chunks, CpuReport};
 use gbatch_core::band::BandMatrix;
 use gbatch_core::batch::BandBatch;
 use gbatch_core::gbsvx::{gbsvx, GbsvxResult};
@@ -27,7 +27,6 @@ pub fn cpu_gbsvx_batch(
     let start = std::time::Instant::now();
 
     let mut results: Vec<Option<GbsvxResult>> = (0..batch).map(|_| None).collect();
-    let threads = (cpu.cores as usize).min(batch);
     struct Task<'a> {
         mat: BandMatrix,
         b: &'a mut [f64],
@@ -43,23 +42,9 @@ pub fn cpu_gbsvx_batch(
             out,
         })
         .collect();
-    if threads <= 1 {
-        for t in tasks.iter_mut() {
-            *t.out = Some(gbsvx(&t.mat, t.b, nrhs));
-        }
-    } else {
-        let chunk = tasks.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
-            for slice in tasks.chunks_mut(chunk) {
-                s.spawn(move |_| {
-                    for t in slice.iter_mut() {
-                        *t.out = Some(gbsvx(&t.mat, t.b, nrhs));
-                    }
-                });
-            }
-        })
-        .expect("worker panicked");
-    }
+    parallel_chunks(&mut tasks, host_workers(cpu), |_, t| {
+        *t.out = Some(gbsvx(&t.mat, t.b, nrhs));
+    });
 
     // Model: factor + solve + ~2 extra band sweeps (rcond estimate and
     // refinement residuals) + the refinement solves.

@@ -22,10 +22,18 @@ pub struct CpuReport {
     pub wall_time_s: f64,
 }
 
+/// Host worker threads for a batch on `cpu`: the modeled core count,
+/// capped at the parallelism this machine offers. Only the host execution
+/// is capped; the model keeps `cpu.cores`.
+pub(crate) fn host_workers(cpu: &CpuSpec) -> usize {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (cpu.cores as usize).min(host)
+}
+
 /// Run `work(id)` for every problem id, statically chunked over `threads`
 /// workers. The closure only receives disjoint data through the index, so
 /// each worker wraps its own mutable chunk.
-fn parallel_chunks<T: Send, F>(items: &mut [T], threads: usize, work: F)
+pub(crate) fn parallel_chunks<T: Send, F>(items: &mut [T], threads: usize, work: F)
 where
     F: Fn(usize, &mut T) + Sync,
 {
@@ -73,7 +81,7 @@ pub fn cpu_gbtrf_batch(
         .zip(info.as_mut_slice().iter_mut())
         .map(|((ab, piv), info)| Prob { ab, piv, info })
         .collect();
-    parallel_chunks(&mut probs, cpu.cores as usize, |_, p| {
+    parallel_chunks(&mut probs, host_workers(cpu), |_, p| {
         *p.info = gbatch_core::gbtrf::gbtrf(&l, p.ab, p.piv);
     });
     CpuReport {
@@ -98,7 +106,7 @@ pub fn cpu_gbtrs_batch(
     assert_eq!(n, rhs.n());
     let start = std::time::Instant::now();
     let mut blocks: Vec<&mut [f64]> = rhs.blocks_mut().collect();
-    parallel_chunks(&mut blocks, cpu.cores as usize, |id, b| {
+    parallel_chunks(&mut blocks, host_workers(cpu), |id, b| {
         let ab = &factors[id * stride..(id + 1) * stride];
         gbatch_core::gbtrs::gbtrs(Transpose::No, l, ab, piv.pivots(id), b, ldb, nrhs);
     });
@@ -138,7 +146,7 @@ pub fn cpu_gbsv_batch<S: Scalar>(
         .zip(info.as_mut_slice().iter_mut())
         .map(|(((ab, piv), b), info)| Prob { ab, piv, b, info })
         .collect();
-    parallel_chunks(&mut probs, cpu.cores as usize, |_, p| {
+    parallel_chunks(&mut probs, host_workers(cpu), |_, p| {
         *p.info = gbatch_core::gbsv::gbsv(&l, p.ab, p.piv, p.b, ldb, nrhs);
     });
     let flops = gbtrf_flops(&l) + gbtrs_flops(&l, nrhs);
@@ -193,27 +201,56 @@ mod tests {
     fn multithreaded_equals_sequential_bitwise() {
         let (batch, n, kl, ku) = (7, 24, 3, 1);
         let (a0, _) = random_system(batch, n, kl, ku);
-        let mut a_par = a0.clone();
-        let mut piv_par = PivotBatch::new(batch, n, n);
-        let mut info_par = InfoArray::new(batch);
+        let l = a0.layout();
+        // Factor on an explicit worker count, recording which threads ran.
+        let factor = |threads: usize| {
+            let mut a = a0.clone();
+            let mut piv = PivotBatch::new(batch, n, n);
+            let mut info = InfoArray::new(batch);
+            let workers = std::sync::Mutex::new(std::collections::HashSet::new());
+            let mut probs: Vec<_> = a
+                .chunks_mut()
+                .zip(piv.chunks_mut())
+                .zip(info.as_mut_slice().iter_mut())
+                .collect();
+            parallel_chunks(&mut probs, threads, |_, ((ab, p), info)| {
+                **info = gbatch_core::gbtrf::gbtrf(&l, ab, p);
+                workers.lock().unwrap().insert(std::thread::current().id());
+            });
+            let workers = workers.into_inner().unwrap().len();
+            (a, piv, info, workers)
+        };
+        let (a_par, piv_par, info_par, workers) = factor(4);
+        assert_eq!(workers, 4, "7 problems in chunks of 2 over 4 workers");
+        let (a_seq, piv_seq, info_seq, _) = factor(1);
+        assert_eq!(a_par.data(), a_seq.data());
+        assert_eq!(piv_par, piv_seq);
+        assert_eq!(info_par, info_seq);
+
+        // The batch entry point agrees at any modeled core count.
         let many = CpuSpec {
             cores: 8,
             ..CpuSpec::test_cpu()
         };
-        cpu_gbtrf_batch(&many, &mut a_par, &mut piv_par, &mut info_par);
+        let mut a = a0.clone();
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        cpu_gbtrf_batch(&many, &mut a, &mut piv, &mut info);
+        assert_eq!(a.data(), a_seq.data());
+        assert_eq!(piv, piv_seq);
+        assert_eq!(info, info_seq);
+    }
 
-        let mut a_seq = a0.clone();
-        let mut piv_seq = PivotBatch::new(batch, n, n);
-        let mut info_seq = InfoArray::new(batch);
+    #[test]
+    fn host_workers_cap_at_the_machine_not_the_model() {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let big = CpuSpec::xeon_gold_6140();
+        assert_eq!(host_workers(&big), (big.cores as usize).min(host));
         let one = CpuSpec {
             cores: 1,
             ..CpuSpec::test_cpu()
         };
-        cpu_gbtrf_batch(&one, &mut a_seq, &mut piv_seq, &mut info_seq);
-
-        assert_eq!(a_par.data(), a_seq.data());
-        assert_eq!(piv_par, piv_seq);
-        assert_eq!(info_par, info_seq);
+        assert_eq!(host_workers(&one), 1);
     }
 
     #[test]

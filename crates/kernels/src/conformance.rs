@@ -459,22 +459,22 @@ fn conform_gbtrs<S: Scalar>(
 /// shared-memory accesses at all. Run relayout + factor + solve under
 /// `Trace` and require completely empty hazard reports.
 fn conform_interleaved<S: Scalar>(dev: &DeviceSpec, shape: &Shape) -> Result<usize, String> {
-    let src = factor_batch::<S>(shape, CONFORMANCE_BATCH);
+    let mut a = factor_batch::<S>(shape, CONFORMANCE_BATCH);
     let params = InterleavedParams {
         lanes_per_block: shape.lanes,
         threads: shape.threads as u32,
         parallel: ParallelPolicy::Serial,
     };
     let _guard = trace_mode();
-    let (mut il, rep0) = interleave_launch(dev, &src, params)
+    let rep0 = interleave_launch(dev, &a, params)
         .map_err(|e| format!("interleave at {shape:?}: launch failed: {e}"))?;
     let mut piv = PivotBatch::new(CONFORMANCE_BATCH, shape.n, shape.n);
     let mut info = InfoArray::new(CONFORMANCE_BATCH);
-    let rep1 = gbtrf_batch_interleaved(dev, &mut il, &mut piv, &mut info, params)
+    let rep1 = gbtrf_batch_interleaved(dev, &mut a, &mut piv, &mut info, params)
         .map_err(|e| format!("gbtrf_interleaved at {shape:?}: launch failed: {e}"))?;
     let mut rhs = RhsBatch::<S>::from_fn(CONFORMANCE_BATCH, shape.n, shape.nrhs, seed_rhs::<S>)
         .expect("valid rhs shape");
-    let rep2 = gbtrs_batch_interleaved(dev, &il, &piv, &mut rhs, &info, params)
+    let rep2 = gbtrs_batch_interleaved(dev, &a, &piv, &mut rhs, &info, params)
         .map_err(|e| format!("gbtrs_interleaved at {shape:?}: launch failed: {e}"))?;
     for (rep, which) in [(&rep0, "relayout"), (&rep1, "factor"), (&rep2, "solve")] {
         if !rep.hazards.is_empty() {

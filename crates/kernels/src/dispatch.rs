@@ -406,6 +406,35 @@ impl BatchReport {
     }
 }
 
+/// The interleaved plan, one launch per step: pack, factor, solve when
+/// `rhs` is given, unpack. The kernels run on the caller's column-major
+/// storage; pack and unpack are priced passes that move no host data.
+fn interleaved_plan<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &mut BandBatch<S>,
+    piv: &mut PivotBatch,
+    rhs: Option<&mut RhsBatch<S>>,
+    info: &mut InfoArray,
+    opts: &GbsvOptions,
+) -> Result<BatchReport, LaunchError> {
+    let nrhs = rhs.as_ref().map_or(0, |r| r.nrhs());
+    let iparams = opts.interleaved_params(dev, &a.layout(), nrhs);
+    let mut time = interleave_launch(dev, a, iparams)?.time;
+    time += gbtrf_batch_interleaved(dev, a, piv, info, iparams)?.time;
+    let mut launches = 3;
+    if let Some(rhs) = rhs {
+        time += gbtrs_batch_interleaved(dev, a, piv, rhs, info, iparams)?.time;
+        launches += 1;
+    }
+    time += deinterleave_launch(dev, a, iparams)?.time;
+    Ok(BatchReport {
+        algo: ChosenAlgo::Interleaved,
+        time,
+        launches,
+        singular: info.failures(),
+    })
+}
+
 /// Batched band LU factorization (`dgbtrf_batch`, paper Section 4).
 pub fn dgbtrf_batch(
     dev: &DeviceSpec,
@@ -476,16 +505,7 @@ pub fn gbtrf_batch<S: Scalar>(
     // Layout dimension: pack, factor batch-major, unpack the factors.
     let layout = choose_layout::<S>(dev, &l, a.batch(), 0, opts, &fused_params, &window_params);
     if layout == MatrixLayout::Interleaved {
-        let iparams = opts.interleaved_params(dev, &l, 0);
-        let (mut ia, pack) = interleave_launch(dev, a, iparams)?;
-        let f = gbtrf_batch_interleaved(dev, &mut ia, piv, info, iparams)?;
-        let unpack = deinterleave_launch(dev, &ia, a, iparams)?;
-        return Ok(BatchReport {
-            algo: ChosenAlgo::Interleaved,
-            time: pack.time + f.time + unpack.time,
-            launches: 3,
-            singular: info.failures(),
-        });
+        return interleaved_plan(dev, a, piv, None, info, opts);
     }
 
     let algo = match opts.algo {
@@ -789,17 +809,7 @@ pub fn gbsv_batch<S: Scalar>(
         &window_params,
     );
     if layout == MatrixLayout::Interleaved {
-        let iparams = opts.interleaved_params(dev, &l, rhs.nrhs());
-        let (mut ia, pack) = interleave_launch(dev, a, iparams)?;
-        let f = gbtrf_batch_interleaved(dev, &mut ia, piv, info, iparams)?;
-        let s = gbtrs_batch_interleaved(dev, &ia, piv, rhs, info, iparams)?;
-        let unpack = deinterleave_launch(dev, &ia, a, iparams)?;
-        return Ok(BatchReport {
-            algo: ChosenAlgo::Interleaved,
-            time: pack.time + f.time + s.time + unpack.time,
-            launches: 4,
-            singular: info.failures(),
-        });
+        return interleaved_plan(dev, a, piv, Some(rhs), info, opts);
     }
     // The factor call below re-runs the layout decision with nrhs = 0;
     // pin it to the choice made here so factor and solve stay one plan.

@@ -1,6 +1,6 @@
-//! Interleaved (batch-major) band LU kernels: `GBTRF`/`GBTRS` on
-//! [`InterleavedBandBatch`] storage, where band element `(r, j)` of every
-//! matrix in the batch is contiguous.
+//! Interleaved (batch-major) band LU kernels: `GBTRF`/`GBTRS` priced as
+//! if the batch sat in device memory with band element `(r, j)` of every
+//! matrix contiguous, run on the caller's column-major [`BandBatch`].
 //!
 //! The column-major designs (§5.1–§5.3) parallelize across matrices only at
 //! block granularity; inside one matrix the column-step primitives stride
@@ -45,24 +45,22 @@
 //! layout-dispatch crossover model prices with, so model and launch
 //! cannot drift apart.
 //!
-//! Host execution: the kernels are lane-private (no lane ever reads
-//! another lane's data), so the lockstep order of the device is not
-//! observable in the results. Each block therefore copies its lane strip
-//! into a block-local lane-major scratch with one cache-blocked strip
-//! transpose ([`gather_strip`]), runs [`gbatch_core::gbtf2`] /
-//! [`gbatch_core::gbtrs::gbtrs`] on each lane to completion, and writes
-//! the factors back ([`scatter_strip`]). Factors, pivots, info codes and
-//! solutions are therefore **bitwise identical** to the sequential
-//! reference on every lane, singular or not, by construction.
-
-use std::marker::PhantomData;
+//! Host execution: the interleaved layout is a device layout that only
+//! the model sees; host storage stays column-major. The kernels are
+//! lane-private (no lane ever reads another lane's data), so the lockstep
+//! order of the device is not observable in the results, and a lane chunk
+//! of a column-major batch is already the lane-major strip the block
+//! works on. Each block therefore borrows its chunk of the caller's batch
+//! and runs [`gbatch_core::gbtf2`] / [`gbatch_core::gbtrs::gbtrs`] on each
+//! lane to completion, in place. Factors, pivots, info codes and
+//! solutions are **bitwise identical** to the sequential reference on
+//! every lane, singular or not, by construction. The pack and unpack
+//! passes ([`interleave_launch`] / [`deinterleave_launch`]) are priced
+//! launches over the same chunk grid that move no host data.
 
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::gbtf2::gbtf2;
 use gbatch_core::gbtrs::{gbtrs, Transpose};
-use gbatch_core::interleaved::{
-    gather_strip, scatter_strip, InterleavedBandBatch, StripRows, StripRowsMut,
-};
 use gbatch_core::scalar::Scalar;
 use gbatch_gpu_sim::{launch, DeviceSpec, LaunchConfig, LaunchError, LaunchReport, ParallelPolicy};
 
@@ -206,103 +204,15 @@ fn lane_chunks(batch: usize, lanes_per_block: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Strided mutable view of one lane chunk of an interleaved array.
+/// Batched band LU factorization, priced in the interleaved layout.
 ///
-/// The interleaved storage is `[elem][batch]` with the batch index
-/// innermost; a chunk owns lanes `lo .. lo + lanes` of **every** element
-/// index. Because chunks partition the batch into disjoint lane ranges,
-/// the per-element slices of two different chunks never overlap, so the
-/// parallel executor can run chunks on different workers — the same
-/// disjointness argument as `ProblemsPtr` in `gbatch_gpu_sim::executor`,
-/// applied per element index instead of per problem index.
-///
-/// Invariants every constructor must uphold (and the accessors rely on):
-///
-/// 1. `base` points at the first element of a live `[S]` allocation of at
-///    least `elems * batch` elements, obtained from the `&'a mut` borrow
-///    the views carry, so the allocation outlives every view into it.
-/// 2. `lo + lanes <= batch`, so `offset(e) + lanes <= elems * batch` for
-///    every in-range `e` — no access leaves the allocation.
-/// 3. Concurrently live views cover pairwise-disjoint `[lo, lo + lanes)`
-///    ranges: no element offset is reachable from two views at once.
-struct LaneView<'a, S> {
-    base: *mut S,
-    batch: usize,
-    lo: usize,
-    lanes: usize,
-    elems: usize,
-    _borrow: PhantomData<&'a mut [S]>,
-}
-
-// SAFETY: a `LaneView` only ever dereferences `base` inside its own
-// `[lo, lo + lanes)` lane range (asserted below); views handed to different
-// executor workers cover disjoint ranges, so sending one to another thread
-// cannot race with its siblings. The remaining fields are plain integers
-// and a zero-sized borrow marker.
-unsafe impl<S: Scalar> Send for LaneView<'_, S> {}
-
-impl<'a, S: Scalar> LaneView<'a, S> {
-    /// Views of lanes `[lo, lo + lanes)` for every chunk of `batch`, over
-    /// the interleaved array `data` of `elems` elements per lane.
-    fn chunks(data: &'a mut [S], elems: usize, batch: usize, lanes_per_block: usize) -> Vec<Self> {
-        assert_eq!(data.len(), elems * batch, "interleaved array size");
-        let base = data.as_mut_ptr();
-        lane_chunks(batch, lanes_per_block)
-            .into_iter()
-            .map(|(lo, lanes)| LaneView {
-                base,
-                batch,
-                lo,
-                lanes,
-                elems,
-                _borrow: PhantomData,
-            })
-            .collect()
-    }
-
-    #[inline(always)]
-    fn offset(&self, e: usize) -> usize {
-        assert!(
-            e < self.elems,
-            "element {e} out of range (< {})",
-            self.elems
-        );
-        e * self.batch + self.lo
-    }
-}
-
-impl<S: Scalar> StripRows<S> for LaneView<'_, S> {
-    /// Lane slice of element `e`, immutable.
-    #[inline(always)]
-    fn row(&self, e: usize) -> &[S] {
-        let off = self.offset(e);
-        // SAFETY: `[off, off + lanes)` lies inside this chunk's lane range
-        // of element `e`; no other chunk touches it (struct invariant) and
-        // `&self` prevents simultaneous mutation through this view.
-        unsafe { std::slice::from_raw_parts(self.base.add(off), self.lanes) }
-    }
-}
-
-impl<S: Scalar> StripRowsMut<S> for LaneView<'_, S> {
-    /// Lane slice of element `e`, mutable.
-    #[inline(always)]
-    fn row_mut(&mut self, e: usize) -> &mut [S] {
-        let off = self.offset(e);
-        // SAFETY: as in `row`, plus `&mut self` serializes mutable access
-        // within the chunk.
-        unsafe { std::slice::from_raw_parts_mut(self.base.add(off), self.lanes) }
-    }
-}
-
-/// Batched band LU factorization on interleaved storage.
-///
-/// Factors every lane of `a` in place (LAPACK factor storage), filling
+/// Factors every matrix of `a` in place (LAPACK factor storage), filling
 /// `piv` and `info` exactly like [`gbatch_core::gbtf2::gbtf2`] would per
 /// matrix — bitwise-identical pivots, factors and info codes, under every
 /// [`ParallelPolicy`].
 pub fn gbtrf_batch_interleaved<S: Scalar>(
     dev: &DeviceSpec,
-    a: &mut InterleavedBandBatch<S>,
+    a: &mut BandBatch<S>,
     piv: &mut PivotBatch,
     info: &mut InfoArray,
     params: InterleavedParams,
@@ -331,42 +241,39 @@ pub fn gbtrf_batch_interleaved<S: Scalar>(
         .with_precision(crate::flop_class::<S>());
 
     struct Chunk<'a, S> {
-        view: LaneView<'a, S>,
+        ab: &'a mut [S],
         piv: &'a mut [i32],
         info: &'a mut [i32],
     }
 
     let elems = l.len();
-    let mut chunks: Vec<Chunk<'_, S>> = LaneView::chunks(a.data_mut(), elems, batch, lpb)
-        .into_iter()
+    let mut chunks: Vec<Chunk<'_, S>> = a
+        .data_mut()
+        .chunks_mut(elems * lpb)
         .zip(piv.as_mut_slice().chunks_mut(per * lpb))
         .zip(info.as_mut_slice().chunks_mut(lpb))
-        .map(|((view, piv), info)| Chunk { view, piv, info })
+        .map(|((ab, piv), info)| Chunk { ab, piv, info })
         .collect();
 
     launch(dev, &cfg, &mut chunks, |p, ctx| {
-        let lanes = p.view.lanes;
         ctx.record(&predict_interleaved_factor::<S>(
             &l,
-            lanes,
+            p.info.len(),
             ctx.threads,
             windowed,
         ));
-        let mut ab = vec![S::ZERO; lanes * elems];
-        gather_strip(&p.view, &mut ab, elems);
-        for ((ab, piv), info) in ab
-            .chunks_exact_mut(elems)
-            .zip(p.piv.chunks_exact_mut(per))
-            .zip(p.info.iter_mut())
+        for ((ab, piv), info) in
+            p.ab.chunks_exact_mut(elems)
+                .zip(p.piv.chunks_exact_mut(per))
+                .zip(p.info.iter_mut())
         {
             *info = gbtf2(&l, ab, piv);
         }
-        scatter_strip(&ab, elems, &mut p.view);
     })
 }
 
-/// Batched band triangular solve (`A x = b`, no transpose) on interleaved
-/// factors.
+/// Batched band triangular solve (`A x = b`, no transpose), priced in the
+/// interleaved layout.
 ///
 /// Lanes whose `info` code is non-zero (singular factorization) are masked
 /// out entirely: their RHS blocks are left untouched, siblings are solved
@@ -375,7 +282,7 @@ pub fn gbtrf_batch_interleaved<S: Scalar>(
 /// [`gbatch_core::gbtrs::gbtrs`].
 pub fn gbtrs_batch_interleaved<S: Scalar>(
     dev: &DeviceSpec,
-    a: &InterleavedBandBatch<S>,
+    a: &BandBatch<S>,
     piv: &PivotBatch,
     rhs: &mut RhsBatch<S>,
     info: &InfoArray,
@@ -403,43 +310,35 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
         .with_precision(crate::flop_class::<S>());
 
     struct Chunk<'a, S> {
-        lo: usize,
-        lanes: usize,
+        ab: &'a [S],
         piv: &'a [i32],
         info: &'a [i32],
         rhs: &'a mut [S],
     }
 
-    let mut chunks: Vec<Chunk<'_, S>> = lane_chunks(batch, lpb)
-        .into_iter()
+    let elems = l.len();
+    let mut chunks: Vec<Chunk<'_, S>> = a
+        .data()
+        .chunks(elems * lpb)
         .zip(rhs.data_mut().chunks_mut(bs * lpb))
         .zip(piv.as_slice().chunks(n * lpb))
         .zip(info.as_slice().chunks(lpb))
-        .map(|((((lo, lanes), rhs), piv), info)| Chunk {
-            lo,
-            lanes,
-            piv,
-            info,
-            rhs,
-        })
+        .map(|(((ab, rhs), piv), info)| Chunk { ab, piv, info, rhs })
         .collect();
 
-    let elems = l.len();
     launch(dev, &cfg, &mut chunks, |p, ctx| {
         ctx.record(&predict_interleaved_solve::<S>(
             &l,
             nrhs,
-            p.lanes,
+            p.info.len(),
             ctx.threads,
             windowed,
         ));
-        let mut ab = vec![S::ZERO; p.lanes * elems];
-        gather_strip(&a.strip(p.lo, p.lanes), &mut ab, elems);
-        let lanes = ab
-            .chunks_exact(elems)
-            .zip(p.piv.chunks_exact(n))
-            .zip(p.rhs.chunks_exact_mut(bs))
-            .zip(p.info);
+        let lanes =
+            p.ab.chunks_exact(elems)
+                .zip(p.piv.chunks_exact(n))
+                .zip(p.rhs.chunks_exact_mut(bs))
+                .zip(p.info);
         for (((ab, piv), b), &info) in lanes {
             if info == 0 {
                 gbtrs(Transpose::No, &l, ab, piv, b, ldb, nrhs);
@@ -448,73 +347,43 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
     })
 }
 
-/// Transpose a column-major batch into interleaved storage as a modeled
-/// kernel launch (the pack pass a dispatch-level layout switch pays).
+/// The pack pass of a dispatch-level layout switch (column-major to
+/// interleaved) as a priced launch. Host storage stays column-major, so
+/// the launch moves no data; it records the pass's modeled traffic per
+/// lane chunk.
 pub fn interleave_launch<S: Scalar>(
     dev: &DeviceSpec,
-    src: &BandBatch<S>,
-    params: InterleavedParams,
-) -> Result<(InterleavedBandBatch<S>, LaunchReport), LaunchError> {
-    let l = src.layout();
-    let batch = src.batch();
-    let elems = l.len();
-    let mut dst =
-        InterleavedBandBatch::zeros_with_layout(l, batch).expect("source batch is non-empty");
-    let lpb = params.lanes_clamped(batch);
-    let cfg = LaunchConfig::new(params.threads, 0)
-        .with_parallel(params.parallel)
-        .with_label("interleave")
-        .with_precision(crate::flop_class::<S>());
-
-    struct Chunk<'a, S> {
-        view: LaneView<'a, S>,
-        src: &'a [S],
-    }
-
-    let mut chunks: Vec<Chunk<'_, S>> = LaneView::chunks(dst.data_mut(), elems, batch, lpb)
-        .into_iter()
-        .zip(src.data().chunks(elems * lpb))
-        .map(|(view, src)| Chunk { view, src })
-        .collect();
-
-    let rep = launch(dev, &cfg, &mut chunks, |p, ctx| {
-        ctx.record(&predict_interleave_pass::<S>(&l, p.view.lanes, ctx.threads));
-        scatter_strip(p.src, elems, &mut p.view);
-    })?;
-    Ok((dst, rep))
-}
-
-/// Transpose interleaved storage back into the column-major batch `dst`
-/// as a modeled kernel launch (the unpack pass of a dispatch-level layout
-/// switch). `dst` must share `src`'s layout and batch size; every stored
-/// element is overwritten.
-pub fn deinterleave_launch<S: Scalar>(
-    dev: &DeviceSpec,
-    src: &InterleavedBandBatch<S>,
-    dst: &mut BandBatch<S>,
+    a: &BandBatch<S>,
     params: InterleavedParams,
 ) -> Result<LaunchReport, LaunchError> {
-    let l = src.layout();
-    let batch = src.batch();
-    assert_eq!(dst.layout(), l, "unpack layout mismatch");
-    assert_eq!(dst.batch(), batch, "unpack batch mismatch");
-    let elems = l.len();
-    let lpb = params.lanes_clamped(batch);
+    layout_pass(dev, a, params, "interleave")
+}
+
+/// The unpack pass of a dispatch-level layout switch (interleaved back to
+/// column-major) as a priced launch; like [`interleave_launch`] it moves
+/// no host data.
+pub fn deinterleave_launch<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &BandBatch<S>,
+    params: InterleavedParams,
+) -> Result<LaunchReport, LaunchError> {
+    layout_pass(dev, a, params, "deinterleave")
+}
+
+fn layout_pass<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &BandBatch<S>,
+    params: InterleavedParams,
+    label: &'static str,
+) -> Result<LaunchReport, LaunchError> {
+    let l = a.layout();
     let cfg = LaunchConfig::new(params.threads, 0)
         .with_parallel(params.parallel)
-        .with_label("deinterleave")
+        .with_label(label)
         .with_precision(crate::flop_class::<S>());
-
-    let mut chunks: Vec<(usize, &mut [S])> = lane_chunks(batch, lpb)
-        .into_iter()
-        .zip(dst.data_mut().chunks_mut(elems * lpb))
-        .map(|((lo, _), dst)| (lo, dst))
-        .collect();
-
-    launch(dev, &cfg, &mut chunks, |(lo, dst), ctx| {
-        let lanes = dst.len() / elems;
+    let mut chunks = lane_chunks(a.batch(), params.lanes_clamped(a.batch()));
+    launch(dev, &cfg, &mut chunks, |&mut (_, lanes), ctx| {
         ctx.record(&predict_interleave_pass::<S>(&l, lanes, ctx.threads));
-        gather_strip(&src.strip(*lo, lanes), dst, elems);
     })
 }
 
@@ -557,14 +426,14 @@ mod tests {
     fn factor_interleaved(
         a: &BandBatch,
         params: InterleavedParams,
-    ) -> (InterleavedBandBatch, PivotBatch, InfoArray, LaunchReport) {
+    ) -> (BandBatch, PivotBatch, InfoArray, LaunchReport) {
         let dev = DeviceSpec::h100_pcie();
         let l = a.layout();
-        let mut ia = InterleavedBandBatch::from_batch(a);
+        let mut fa = a.clone();
         let mut piv = PivotBatch::new(a.batch(), l.m, l.n);
         let mut info = InfoArray::new(a.batch());
-        let rep = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
-        (ia, piv, info, rep)
+        let rep = gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params).unwrap();
+        (fa, piv, info, rep)
     }
 
     #[test]
@@ -582,9 +451,8 @@ mod tests {
             let batch = 7;
             let a = random_batch(batch, m, n, kl, ku);
             let (fs, ps, is) = gbtf2_oracle(&a);
-            let (ia, piv, info, rep) = factor_interleaved(&a, InterleavedParams::default());
+            let (back, piv, info, rep) = factor_interleaved(&a, InterleavedParams::default());
             assert_eq!(rep.grid, 1, "7 lanes fit one chunk");
-            let back = ia.to_batch();
             for id in 0..batch {
                 assert_eq!(back.matrix(id).data, &fs[id][..], "factors m={m} n={n}");
                 assert_eq!(piv.pivots(id), &ps[id][..], "pivots m={m} n={n}");
@@ -614,8 +482,7 @@ mod tests {
         }
         let (fs, ps, is) = gbtf2_oracle(&a);
         assert!(is.iter().any(|&i| i != 0), "test setup produces failures");
-        let (ia, piv, info, _) = factor_interleaved(&a, InterleavedParams::default());
-        let back = ia.to_batch();
+        let (back, piv, info, _) = factor_interleaved(&a, InterleavedParams::default());
         for id in 0..6 {
             assert_eq!(info.get(id), is[id], "info lane {id}");
             assert_eq!(back.matrix(id).data, &fs[id][..], "factors lane {id}");
@@ -646,8 +513,8 @@ mod tests {
                 parallel: policy,
                 ..Default::default()
             };
-            let (ia, piv, info, _) = factor_interleaved(&a, params);
-            assert_eq!(ia, baseline.0, "factors lpb={lpb} policy={policy:?}");
+            let (fa, piv, info, _) = factor_interleaved(&a, params);
+            assert_eq!(fa, baseline.0, "factors lpb={lpb} policy={policy:?}");
             assert_eq!(piv, baseline.1, "pivots lpb={lpb}");
             assert_eq!(info, baseline.2, "info lpb={lpb}");
         }
@@ -705,12 +572,12 @@ mod tests {
                 .into_iter()
                 .map(|mode| {
                     with_lane_mode(mode, || {
-                        let (ia, piv, info, rep) = factor_interleaved(&a, params);
+                        let (fa, piv, info, rep) = factor_interleaved(&a, params);
                         let mut rhs = rhs0.clone();
                         let srep =
-                            gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params)
+                            gbtrs_batch_interleaved(&dev, &fa, &piv, &mut rhs, &info, params)
                                 .unwrap();
-                        (ia, piv, info, rhs, rep.counters, srep.counters)
+                        (fa, piv, info, rhs, rep.counters, srep.counters)
                     })
                 })
                 .collect();
@@ -730,11 +597,11 @@ mod tests {
             })
             .unwrap();
             let (fs, ps, is) = gbtf2_oracle(&a);
-            let (ia, piv, info, _) = factor_interleaved(&a, InterleavedParams::default());
+            let (fa, piv, info, _) = factor_interleaved(&a, InterleavedParams::default());
             let mut rhs = rhs0.clone();
             let _ = gbtrs_batch_interleaved(
                 &dev,
-                &ia,
+                &fa,
                 &piv,
                 &mut rhs,
                 &info,
@@ -767,14 +634,14 @@ mod tests {
             m.set(1, 0, 0.0);
         }
         let (fs, ps, is) = gbtf2_oracle(&a);
-        let (ia, piv, info, _) = factor_interleaved(&a, InterleavedParams::default());
+        let (fa, piv, info, _) = factor_interleaved(&a, InterleavedParams::default());
         assert_eq!(info.get(3), is[3]);
         assert_ne!(info.get(3), 0);
         let rhs0 = RhsBatch::from_fn(batch, n, 2, |id, i, c| (id + i + c) as f64 * 0.1).unwrap();
         let mut rhs = rhs0.clone();
         let _ = gbtrs_batch_interleaved(
             &dev,
-            &ia,
+            &fa,
             &piv,
             &mut rhs,
             &info,
@@ -797,22 +664,22 @@ mod tests {
     }
 
     #[test]
-    fn conversion_launches_round_trip() {
+    fn conversion_launches_are_priced_passes() {
         let dev = DeviceSpec::h100_pcie();
         let a = random_batch(11, 9, 9, 2, 3);
         let params = InterleavedParams {
             lanes_per_block: 4,
             ..Default::default()
         };
-        let (ia, rep_in) = interleave_launch(&dev, &a, params).unwrap();
-        assert_eq!(ia, InterleavedBandBatch::from_batch(&a));
         let bytes = (a.layout().len() * 11 * F64) as u64;
+        let rep_in = interleave_launch(&dev, &a, params).unwrap();
+        assert_eq!(rep_in.grid, 3, "chunks of 4, 4, 3");
         assert_eq!(rep_in.counters.global_read, bytes);
         assert_eq!(rep_in.counters.global_write, bytes);
-        let mut back = BandBatch::zeros_with_layout(a.layout(), 11).unwrap();
-        let rep_out = deinterleave_launch(&dev, &ia, &mut back, params).unwrap();
-        assert_eq!(back, a);
-        assert_eq!(rep_out.counters.global_bytes(), 2 * bytes);
+        let rep_out = deinterleave_launch(&dev, &a, params).unwrap();
+        assert_eq!(rep_out.grid, 3);
+        assert_eq!(rep_out.counters, rep_in.counters);
+        assert_eq!(rep_out.time, rep_in.time);
     }
 
     #[test]
@@ -886,7 +753,7 @@ mod tests {
         let batch = 4;
         let a = random_batch(batch, n, n, 40, 40);
         let l = a.layout();
-        let mut ia = InterleavedBandBatch::from_batch(&a);
+        let mut fa = a.clone();
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let params = InterleavedParams {
@@ -899,16 +766,15 @@ mod tests {
         // same numerics.
         assert!(factor_smem_bytes::<f64>(&l, 4) > dev.max_smem_per_block as usize);
         assert_eq!(factor_mode::<f64>(&dev, &l, 4), LaneTrafficMode::Streaming);
-        let rep = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params)
+        let rep = gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params)
             .expect("streaming mode must not require shared memory");
         // More traffic than the once-through windowed stream…
         let once_through = 2 * l.len() * batch * std::mem::size_of::<f64>();
         assert!(rep.counters.global_bytes() as usize > once_through);
         // …but bitwise-identical factors, pivots and info codes.
         let (fs, ps, is) = gbtf2_oracle(&a);
-        let out = ia.to_batch();
         for id in 0..batch {
-            assert_eq!(out.matrix(id).data, &fs[id][..]);
+            assert_eq!(fa.matrix(id).data, &fs[id][..]);
             assert_eq!(piv.pivots(id), &ps[id][..]);
             assert_eq!(info.get(id), is[id]);
         }
@@ -924,7 +790,7 @@ mod tests {
         })
         .unwrap();
         let mut rhs = rhs0.clone();
-        let _ = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params)
+        let _ = gbtrs_batch_interleaved(&dev, &fa, &piv, &mut rhs, &info, params)
             .expect("streaming solve must not require shared memory");
         for id in 0..batch {
             let mut expect = rhs0.block(id).to_vec();
@@ -933,84 +799,65 @@ mod tests {
         }
     }
 
-    /// Miri-sized exercises of the `LaneView` pointer plumbing: tiny shapes
-    /// so `cargo miri test -p gbatch-kernels interleaved::tests::miri_sized`
-    /// finishes quickly while still driving both `unsafe` accessors
-    /// (`row`/`row_mut`) across worker threads.
-    mod miri_sized {
-        use super::super::*;
-        use gbatch_core::gbtf2::gbtf2;
-        use gbatch_core::BandBatch;
-
-        #[test]
-        fn lane_views_partition_without_aliasing() {
-            // 5 lanes split into chunks of 2 => ranges [0,2), [2,4), [4,5):
-            // every element of the interleaved array is written through
-            // exactly one view, concurrently under the threaded policy.
-            let dev = DeviceSpec::h100_pcie();
-            let (n, kl, ku, batch) = (4usize, 1usize, 1usize, 5usize);
-            let mut seed = 0.37f64;
-            let aos = BandBatch::from_fn(batch, n, n, kl, ku, |id, m| {
-                for j in 0..n {
-                    let (s, e) = m.layout.col_rows(j);
-                    for i in s..e {
-                        seed = (seed * 1.7 + 0.11 + id as f64 * 1e-3).fract();
-                        m.set(i, j, seed - 0.5 + if i == j { 1.0 } else { 0.0 });
-                    }
+    #[test]
+    fn small_chunks_under_threads_match_gbtf2() {
+        // 5 lanes split into chunks of 2 => ranges [0,2), [2,4), [4,5),
+        // factored concurrently under the threaded policy.
+        let dev = DeviceSpec::h100_pcie();
+        let (n, kl, ku, batch) = (4usize, 1usize, 1usize, 5usize);
+        let mut seed = 0.37f64;
+        let aos = BandBatch::from_fn(batch, n, n, kl, ku, |id, m| {
+            for j in 0..n {
+                let (s, e) = m.layout.col_rows(j);
+                for i in s..e {
+                    seed = (seed * 1.7 + 0.11 + id as f64 * 1e-3).fract();
+                    m.set(i, j, seed - 0.5 + if i == j { 1.0 } else { 0.0 });
                 }
-            })
-            .unwrap();
-            let expected: Vec<(Vec<f64>, Vec<i32>, i32)> = (0..batch)
-                .map(|id| {
-                    let mut ab = aos.matrix(id).data.to_vec();
-                    let mut p = vec![0i32; n];
-                    let info = gbtf2(&aos.layout(), &mut ab, &mut p);
-                    (ab, p, info)
-                })
-                .collect();
-
-            let mut ia = InterleavedBandBatch::from_batch(&aos);
-            let mut piv = PivotBatch::new(batch, n, n);
-            let mut info = InfoArray::new(batch);
-            let params = InterleavedParams {
-                lanes_per_block: 2,
-                parallel: ParallelPolicy::threads(3),
-                ..Default::default()
-            };
-            let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
-            let back = ia.to_batch();
-            for id in 0..batch {
-                assert_eq!(back.matrix(id).data, &expected[id].0[..]);
-                assert_eq!(piv.pivots(id), &expected[id].1[..]);
-                assert_eq!(info.get(id), expected[id].2);
             }
+        })
+        .unwrap();
+        let (fs, ps, is) = gbtf2_oracle(&aos);
+        let mut fa = aos.clone();
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        let params = InterleavedParams {
+            lanes_per_block: 2,
+            parallel: ParallelPolicy::threads(3),
+            ..Default::default()
+        };
+        let _ = gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params).unwrap();
+        for id in 0..batch {
+            assert_eq!(fa.matrix(id).data, &fs[id][..]);
+            assert_eq!(piv.pivots(id), &ps[id][..]);
+            assert_eq!(info.get(id), is[id]);
         }
+    }
 
-        #[test]
-        fn lane_view_single_lane_chunks() {
-            // Degenerate chunking (one lane per view) maximizes the number
-            // of simultaneously live views over one allocation.
-            let dev = DeviceSpec::h100_pcie();
-            let (n, batch) = (3usize, 4usize);
-            let aos = BandBatch::from_fn(batch, n, n, 1, 1, |id, m| {
-                for j in 0..n {
-                    let (s, e) = m.layout.col_rows(j);
-                    for i in s..e {
-                        m.set(i, j, 1.0 + (id + i + 2 * j) as f64 * 0.25);
-                    }
+    #[test]
+    fn single_lane_chunks_factor_a_healthy_batch() {
+        // Degenerate chunking: one lane per block, every block on its own
+        // worker task.
+        let dev = DeviceSpec::h100_pcie();
+        let (n, batch) = (3usize, 4usize);
+        let aos = BandBatch::from_fn(batch, n, n, 1, 1, |id, m| {
+            for j in 0..n {
+                let (s, e) = m.layout.col_rows(j);
+                for i in s..e {
+                    m.set(i, j, 1.0 + (id + i + 2 * j) as f64 * 0.25);
                 }
-            })
-            .unwrap();
-            let mut ia = InterleavedBandBatch::from_batch(&aos);
-            let mut piv = PivotBatch::new(batch, n, n);
-            let mut info = InfoArray::new(batch);
-            let params = InterleavedParams {
-                lanes_per_block: 1,
-                parallel: ParallelPolicy::threads(2),
-                ..Default::default()
-            };
-            let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
-            assert!(info.all_ok());
-        }
+            }
+        })
+        .unwrap();
+        let mut fa = aos.clone();
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        let params = InterleavedParams {
+            lanes_per_block: 1,
+            parallel: ParallelPolicy::threads(2),
+            ..Default::default()
+        };
+        let rep = gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params).unwrap();
+        assert_eq!(rep.grid, batch);
+        assert!(info.all_ok());
     }
 }

@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gbatch::core::gbtrs::Transpose;
 use gbatch::core::layout::BandLayout;
-use gbatch::core::{BandBatch, InfoArray, InterleavedBandBatch, PivotBatch, RhsBatch};
+use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch::gpu_sim::hazard::{set_global_mode, HazardKind, HazardMode};
 use gbatch::gpu_sim::{launch, registry, DeviceSpec, LaunchConfig, ParallelPolicy};
 use gbatch::kernels::dispatch::{
@@ -234,8 +234,7 @@ fn enforce_interleaved_kernels_run_hazard_free() {
     let dev = dev();
     for &(kl, ku) in SHAPES {
         for policy in policies() {
-            let aos = band_batch(BATCH, N, kl, ku);
-            let mut ia = InterleavedBandBatch::from_batch(&aos);
+            let mut a = band_batch(BATCH, N, kl, ku);
             let mut piv = PivotBatch::new(BATCH, N, N);
             let mut info = InfoArray::new(BATCH);
             let params = InterleavedParams {
@@ -243,11 +242,11 @@ fn enforce_interleaved_kernels_run_hazard_free() {
                 threads: 2,
                 parallel: policy,
             };
-            let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
+            let _ = gbtrf_batch_interleaved(&dev, &mut a, &mut piv, &mut info, params).unwrap();
             assert!(info.all_ok(), "igbtrf ({kl},{ku}) {policy:?}");
             for nrhs in [1usize, 10] {
                 let mut rhs = rhs_batch(BATCH, N, nrhs);
-                let _ = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params).unwrap();
+                let _ = gbtrs_batch_interleaved(&dev, &a, &piv, &mut rhs, &info, params).unwrap();
                 assert!(rhs.data().iter().all(|v| v.is_finite()));
             }
         }
@@ -381,8 +380,7 @@ fn enforce_f32_kernel_instantiations_run_hazard_free() {
             assert_eq!(rep.counters.hazards, 0);
 
             // Interleaved factor + solve.
-            let aos = band_batch_f32(BATCH, N, kl, ku);
-            let mut ia = InterleavedBandBatch::from_batch(&aos);
+            let mut ia = band_batch_f32(BATCH, N, kl, ku);
             let iparams = InterleavedParams {
                 lanes_per_block: 3,
                 threads: 2,

@@ -1,18 +1,19 @@
-//! Interleaved-layout equivalence suite: converter round-trips, bitwise
-//! cross-algorithm agreement with the sequential `gbtf2`/`gbtrs` ground
-//! truth (mixed singular batches included), invariance under the
-//! parallel host executor (1/2/8 workers), and exact cost-predictor
-//! pricing at the benchmark's own geometry.
+//! Interleaved-layout equivalence suite: bitwise cross-algorithm
+//! agreement with the sequential `gbtf2`/`gbtrs` ground truth (mixed
+//! singular batches included), invariance under the parallel host
+//! executor (1/2/8 workers), and exact cost-predictor pricing at the
+//! benchmark's own geometry, kernel by kernel and through `Auto`
+//! dispatch.
 
 use gbatch::core::gbtf2::gbtf2;
 use gbatch::core::gbtrs::{gbtrs, Transpose};
-use gbatch::core::{BandBatch, InfoArray, InterleavedBandBatch, PivotBatch, RhsBatch, Scalar};
+use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
 use gbatch::gpu_sim::{DeviceSpec, KernelCounters, LaunchReport, ParallelPolicy};
 use gbatch::kernels::cost::{
     predict_interleave_pass, predict_interleaved_factor, predict_interleaved_solve,
     predict_interleaved_time,
 };
-use gbatch::kernels::dispatch::{dgbsv_batch, ChosenAlgo, GbsvOptions, MatrixLayout};
+use gbatch::kernels::dispatch::{dgbsv_batch, gbsv_batch, ChosenAlgo, GbsvOptions, MatrixLayout};
 use gbatch::kernels::interleaved::{
     deinterleave_launch, factor_mode, factor_smem_bytes, gbtrf_batch_interleaved,
     gbtrs_batch_interleaved, interleave_launch, solve_mode, solve_smem_bytes, InterleavedParams,
@@ -75,30 +76,39 @@ fn gbtf2_oracle(a: &BandBatch) -> (Vec<Vec<f64>>, Vec<Vec<i32>>, Vec<i32>) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
-    /// Converter round-trip is lossless bit-for-bit: column-major ->
-    /// interleaved -> column-major is the identity, both through the plain
-    /// converters and through the modeled pack/unpack launches.
+    /// The layout round trip is lossless bit-for-bit: the modeled pack
+    /// and unpack launches leave the caller's column-major batch as it
+    /// was, and each is one priced pass over the lane-chunk grid that
+    /// reads and writes every band element exactly once.
     #[test]
     fn layout_roundtrip_is_lossless(
         n in 1usize..40,
         kl in 0usize..6,
         ku in 0usize..6,
         batch in 1usize..20,
+        lanes in 1usize..24,
         seed in 0.0f64..1.0,
     ) {
         let kl = kl.min(n - 1);
         let ku = ku.min(n - 1);
         let a0 = filled_batch(batch, n, kl, ku, seed);
-        let packed = InterleavedBandBatch::from_batch(&a0);
-        prop_assert_eq!(packed.to_batch().data(), a0.data());
-
         let dev = DeviceSpec::h100_pcie();
-        let params = InterleavedParams::auto(&dev, &a0.layout(), 0);
-        let (packed2, _) = interleave_launch(&dev, &a0, params).unwrap();
-        prop_assert_eq!(packed2.data(), packed.data());
-        let mut back = BandBatch::zeros_with_layout(a0.layout(), batch).unwrap();
-        let _ = deinterleave_launch(&dev, &packed2, &mut back, params).unwrap();
-        prop_assert_eq!(back.data(), a0.data());
+        let params = InterleavedParams {
+            lanes_per_block: lanes,
+            ..InterleavedParams::auto(&dev, &a0.layout(), 0)
+        };
+        let a = a0.clone();
+        let pack = interleave_launch(&dev, &a, params).unwrap();
+        let unpack = deinterleave_launch(&dev, &a, params).unwrap();
+        prop_assert_eq!(a.data(), a0.data());
+
+        let bytes = (a0.layout().len() * batch * std::mem::size_of::<f64>()) as u64;
+        prop_assert_eq!(pack.grid as usize, batch.div_ceil(lanes.min(batch)));
+        prop_assert_eq!(pack.counters.global_read, bytes);
+        prop_assert_eq!(pack.counters.global_write, bytes);
+        prop_assert_eq!(unpack.grid, pack.grid);
+        prop_assert_eq!(unpack.counters, pack.counters);
+        prop_assert_eq!(unpack.time, pack.time);
     }
 
     /// The interleaved factorization is bitwise-identical to the
@@ -119,15 +129,14 @@ proptest! {
         let a0 = filled_batch(batch, n, kl, ku, seed);
         let (fs, ps, is) = gbtf2_oracle(&a0);
 
-        let mut ia = InterleavedBandBatch::from_batch(&a0);
+        let mut back = a0.clone();
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let params = InterleavedParams {
             lanes_per_block: lanes,
             ..InterleavedParams::auto(&dev, &a0.layout(), 0)
         };
-        let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
-        let back = ia.to_batch();
+        let _ = gbtrf_batch_interleaved(&dev, &mut back, &mut piv, &mut info, params).unwrap();
         for id in 0..batch {
             prop_assert_eq!(back.matrix(id).data, &fs[id][..], "factors, lane {}", id);
             prop_assert_eq!(piv.pivots(id), &ps[id][..], "pivots, lane {}", id);
@@ -156,12 +165,11 @@ fn mixed_singular_batch_is_bitwise_identical_under_all_policies() {
         );
 
         for policy in policies() {
-            let mut ia = InterleavedBandBatch::from_batch(&a0);
+            let mut back = a0.clone();
             let mut piv = PivotBatch::new(batch, n, n);
             let mut info = InfoArray::new(batch);
             let params = InterleavedParams::auto(&dev, &a0.layout(), 0).with_parallel(policy);
-            let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
-            let back = ia.to_batch();
+            let _ = gbtrf_batch_interleaved(&dev, &mut back, &mut piv, &mut info, params).unwrap();
             for id in 0..batch {
                 assert_eq!(
                     back.matrix(id).data,
@@ -200,13 +208,13 @@ fn interleaved_solve_matches_gbtrs_and_masks_singular_lanes() {
     }
 
     for policy in policies() {
-        let mut ia = InterleavedBandBatch::from_batch(&a0);
+        let mut fa = a0.clone();
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let params = InterleavedParams::auto(&dev, &l, nrhs).with_parallel(policy);
-        let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
+        let _ = gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params).unwrap();
         let mut b = b0.clone();
-        let _ = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut b, &info, params).unwrap();
+        let _ = gbtrs_batch_interleaved(&dev, &fa, &piv, &mut b, &info, params).unwrap();
         for id in 0..batch {
             if is[id] == 0 {
                 assert_eq!(
@@ -290,11 +298,13 @@ fn cast_batch<S: Scalar>(a: &BandBatch) -> BandBatch<S> {
     out
 }
 
-/// Pack, factor and solve at the benchmark's n512 (10,7) geometry with the
-/// auto parameters dispatch uses, one singular lane, under `Serial` and
-/// `Threads(2)`: factors, pivots, info and solutions are bitwise equal to
-/// per-lane `gbtf2`/`gbtrs` (the singular lane's RHS untouched), and every
-/// launch's counters and modeled time equal the cost predictors.
+/// Pack, factor, solve and unpack at the benchmark's n512 (10,7) geometry
+/// with the auto parameters dispatch uses, one singular lane, under
+/// `Serial` and `Threads(2)`, kernel by kernel and through `Auto`
+/// `gbsv_batch`: factors, pivots, info and solutions are bitwise equal to
+/// per-lane `gbtf2`/`gbtrs` (the singular lane's RHS untouched), every
+/// launch's counters and modeled time equal the cost predictors, and the
+/// dispatch report's time is the sum of its four launches.
 fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[usize]) {
     let dev = DeviceSpec::h100_pcie();
     let (n, kl, ku, singular) = (512usize, 10usize, 7usize, 6usize);
@@ -363,32 +373,56 @@ fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[
         (c, rep.time)
     };
 
+    let check =
+        |what: &str, a: &BandBatch<S>, piv: &PivotBatch, info: &InfoArray, b: &RhsBatch<S>| {
+            for (id, (ab, p, code, x)) in want.iter().enumerate() {
+                assert_eq!(a.matrix(id).data, &ab[..], "{what}: factors {id}");
+                assert_eq!(piv.pivots(id), &p[..], "{what}: pivots {id}");
+                assert_eq!(info.get(id), *code, "{what}: info {id}");
+                assert_eq!(b.block(id), &x[..], "{what}: solution {id}");
+            }
+            assert_eq!(
+                b.block(singular),
+                b0.block(singular),
+                "{what}: singular RHS untouched"
+            );
+        };
+
     for policy in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
         let params = params.with_parallel(policy);
-        let (mut ia, rep) = interleave_launch(&dev, &a0, params).unwrap();
+        let mut a = a0.clone();
+        let rep = interleave_launch(&dev, &a, params).unwrap();
         assert_eq!(priced(&rep), pass, "{policy:?}: pack");
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
-        let rep = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
+        let rep = gbtrf_batch_interleaved(&dev, &mut a, &mut piv, &mut info, params).unwrap();
         assert_eq!(priced(&rep), factor, "{policy:?}: factor");
         let mut b = b0.clone();
-        let rep = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut b, &info, params).unwrap();
+        let rep = gbtrs_batch_interleaved(&dev, &a, &piv, &mut b, &info, params).unwrap();
         assert_eq!(priced(&rep), solve, "{policy:?}: solve");
-        let mut back = BandBatch::<S>::zeros_with_layout(l, batch).unwrap();
-        let rep = deinterleave_launch(&dev, &ia, &mut back, params).unwrap();
+        let rep = deinterleave_launch(&dev, &a, params).unwrap();
         assert_eq!(priced(&rep), pass, "{policy:?}: unpack");
+        check(&format!("{policy:?} kernels"), &a, &piv, &info, &b);
 
-        for (id, (ab, p, code, x)) in want.iter().enumerate() {
-            assert_eq!(back.matrix(id).data, &ab[..], "{policy:?}: factors {id}");
-            assert_eq!(piv.pivots(id), &p[..], "{policy:?}: pivots {id}");
-            assert_eq!(info.get(id), *code, "{policy:?}: info {id}");
-            assert_eq!(b.block(id), &x[..], "{policy:?}: solution {id}");
-        }
+        // The same plan through `Auto` dispatch: four launches whose
+        // modeled times sum to the report's.
+        let mut a = a0.clone();
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        let mut b = b0.clone();
+        let opts = GbsvOptions {
+            parallel: Some(policy),
+            ..Default::default()
+        };
+        let rep = gbsv_batch::<S>(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
+        assert_eq!(rep.algo, ChosenAlgo::Interleaved, "{policy:?}: Auto layout");
+        assert_eq!(rep.launches, 4, "{policy:?}: pack, factor, solve, unpack");
         assert_eq!(
-            b.block(singular),
-            b0.block(singular),
-            "singular RHS untouched"
+            rep.time,
+            pass.1 + factor.1 + solve.1 + pass.1,
+            "{policy:?}: time"
         );
+        check(&format!("{policy:?} dispatch"), &a, &piv, &info, &b);
     }
 }
 

@@ -10,8 +10,8 @@ use gbatch::core::blas1::{axpy, scal};
 use gbatch::core::blas2::{gbmv, gemv, ger};
 use gbatch::core::gbtf2::gbtf2;
 use gbatch::core::{
-    with_lane_mode, BandBatch, BandMatrixRef, InfoArray, InterleavedBandBatch, LaneMode,
-    PivotBatch, RhsBatch, Scalar, LANE_WIDTH,
+    with_lane_mode, BandBatch, BandMatrixRef, InfoArray, LaneMode, PivotBatch, RhsBatch, Scalar,
+    LANE_WIDTH,
 };
 use gbatch::gpu_sim::DeviceSpec;
 use gbatch::kernels::interleaved::{
@@ -168,15 +168,15 @@ fn interleaved_case<S: Scalar>(
         .iter()
         .map(|&mode| {
             with_lane_mode(mode, || {
-                let mut ia = InterleavedBandBatch::from_batch(&a0);
+                let mut fa = a0.clone();
                 let mut piv = PivotBatch::new(batch, n, n);
                 let mut info = InfoArray::new(batch);
                 let _ =
-                    gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, params).unwrap();
+                    gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params).unwrap();
                 let mut rhs = rhs0.clone();
-                let _ = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, params).unwrap();
+                let _ = gbtrs_batch_interleaved(&dev, &fa, &piv, &mut rhs, &info, params).unwrap();
                 (
-                    bits(ia.data()),
+                    bits(fa.data()),
                     piv,
                     info.as_slice().to_vec(),
                     bits(rhs.data()),

@@ -164,18 +164,18 @@ fn gbsv_boundary_matches_dispatch() {
 }
 
 fn launch_interleaved_solve(dev: &DeviceSpec, n: usize) -> bool {
-    let src = identity_band(n);
+    let mut a = identity_band(n);
     let params = InterleavedParams {
         lanes_per_block: LANES,
         threads: 8,
         parallel: ParallelPolicy::Serial,
     };
-    let (mut il, _) = interleave_launch(dev, &src, params).unwrap();
+    let _ = interleave_launch(dev, &a, params).unwrap();
     let mut piv = PivotBatch::new(1, n, n);
     let mut info = InfoArray::new(1);
-    let _ = gbtrf_batch_interleaved(dev, &mut il, &mut piv, &mut info, params).unwrap();
+    let _ = gbtrf_batch_interleaved(dev, &mut a, &mut piv, &mut info, params).unwrap();
     let mut rhs = RhsBatch::<f64>::from_fn(1, n, NRHS, |_, r, c| (r + c) as f64).unwrap();
-    gbtrs_batch_interleaved(dev, &il, &piv, &mut rhs, &info, params).is_ok()
+    gbtrs_batch_interleaved(dev, &a, &piv, &mut rhs, &info, params).is_ok()
 }
 
 #[test]
