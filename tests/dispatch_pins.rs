@@ -1,0 +1,471 @@
+//! Bitwise pins of the batched dispatch, cell by cell.
+//!
+//! Every cell runs one `gbsv_batch` or `gbtrf_batch` call and pins what
+//! the dispatcher decided and what it produced: the chosen algorithm, the
+//! launch count, the modeled time bits, the `info` codes, and FNV-1a
+//! digests of the factors, pivots and solutions. The case grid reaches
+//! every selection branch:
+//!
+//! - the fused GBSV kernel, and the same shape with it disallowed;
+//! - the fused factorization under a 10-RHS solve;
+//! - the sliding window;
+//! - the layout priced by `Auto` either way, and the interleaved layout
+//!   forced;
+//! - each forced column-major algorithm;
+//! - the wide-band corner (`kl = ku = 200`), where nothing column-major
+//!   fits: the reference kernels, or the streaming interleaved kernels;
+//! - the per-column solve, when the blocked solve's RHS cache cannot fit;
+//! - SPIKE picked by `Auto` (n = 4096, (2,2)), forced, and blocked by a
+//!   forced algorithm;
+//! - singular lanes on the fused, column-major and interleaved paths.
+//!
+//! Each case runs at f64 and f32, on `h100_pcie` and `mi250x_gcd`, under
+//! the per-launch and the resident engine.
+
+use std::fmt::Write as _;
+use std::iter::once;
+
+use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
+use gbatch::gpu_sim::{registry, EngineMode};
+use gbatch::kernels::dispatch::{gbsv_batch, gbtrf_batch, FactorAlgo, GbsvOptions, MatrixLayout};
+use gbatch::kernels::spike::SpikeParams;
+
+/// 64-bit FNV-1a over a stream of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (w.to_le_bytes().iter()).fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    })
+}
+
+/// Digest of the length, then the bit pattern of every element (f32
+/// widened exactly).
+fn bits<S: Scalar>(v: &[S]) -> u64 {
+    fnv(once(v.len() as u64).chain(v.iter().map(|x| x.to_f64().to_bits())))
+}
+
+fn ints(v: &[i32]) -> u64 {
+    fnv(once(v.len() as u64).chain(v.iter().map(|&p| p as u64)))
+}
+
+/// One dispatch call of the grid.
+struct Case {
+    name: &'static str,
+    /// `None` runs the factor-only entry point.
+    nrhs: Option<usize>,
+    n: usize,
+    kl: usize,
+    ku: usize,
+    batch: usize,
+    /// Lane whose first column is zeroed (`info = 1`).
+    singular: Option<usize>,
+    opts: GbsvOptions,
+}
+
+fn cases() -> Vec<Case> {
+    let column = GbsvOptions {
+        layout: MatrixLayout::ColumnMajor,
+        ..Default::default()
+    };
+    let forced = |algo| GbsvOptions {
+        algo,
+        allow_fused_gbsv: Some(false),
+        ..Default::default()
+    };
+    let case = |name, nrhs, (n, kl, ku), batch, singular, opts| Case {
+        name,
+        nrhs,
+        n,
+        kl,
+        ku,
+        batch,
+        singular,
+        opts,
+    };
+    vec![
+        case(
+            "fused_gbsv",
+            Some(1),
+            (32, 2, 3),
+            6,
+            Some(3),
+            GbsvOptions::default(),
+        ),
+        case(
+            "no_fused_gbsv",
+            Some(1),
+            (32, 2, 3),
+            6,
+            None,
+            GbsvOptions {
+                allow_fused_gbsv: Some(false),
+                ..column
+            },
+        ),
+        case("fused_10rhs", Some(10), (48, 2, 3), 4, None, column),
+        case("window", Some(1), (200, 2, 3), 6, Some(1), column),
+        case("window_factor", None, (200, 10, 7), 3, None, column),
+        case(
+            "auto_gbsv",
+            Some(1),
+            (96, 2, 3),
+            40,
+            None,
+            GbsvOptions::default(),
+        ),
+        case(
+            "auto_factor",
+            None,
+            (96, 2, 3),
+            40,
+            Some(7),
+            GbsvOptions::default(),
+        ),
+        case(
+            "auto_column",
+            Some(2),
+            (24, 1, 1),
+            64,
+            None,
+            GbsvOptions::default(),
+        ),
+        case(
+            "auto_column_factor",
+            None,
+            (16, 1, 2),
+            256,
+            None,
+            GbsvOptions::default(),
+        ),
+        case(
+            "forced_interleaved",
+            Some(2),
+            (100, 1, 1),
+            4,
+            Some(2),
+            GbsvOptions {
+                layout: MatrixLayout::Interleaved,
+                ..Default::default()
+            },
+        ),
+        case(
+            "forced_fused",
+            Some(2),
+            (48, 2, 3),
+            3,
+            None,
+            forced(FactorAlgo::Fused),
+        ),
+        case(
+            "forced_window",
+            Some(2),
+            (48, 2, 3),
+            3,
+            None,
+            forced(FactorAlgo::Window),
+        ),
+        case(
+            "forced_reference",
+            Some(2),
+            (48, 2, 3),
+            3,
+            Some(0),
+            forced(FactorAlgo::Reference),
+        ),
+        case(
+            "forced_fused_factor",
+            None,
+            (48, 2, 3),
+            3,
+            None,
+            forced(FactorAlgo::Fused),
+        ),
+        case(
+            "wide_auto",
+            None,
+            (208, 200, 200),
+            2,
+            None,
+            GbsvOptions::default(),
+        ),
+        case("wide_column", None, (208, 200, 200), 2, None, column),
+        case("percol_solve", Some(1232), (96, 40, 40), 2, None, column),
+        case(
+            "spike_auto",
+            Some(1),
+            (4096, 2, 2),
+            1,
+            None,
+            GbsvOptions::default(),
+        ),
+        case(
+            "spike_forced",
+            Some(2),
+            (120, 2, 3),
+            2,
+            None,
+            GbsvOptions {
+                spike: Some(SpikeParams::default().with_parts(4)),
+                ..Default::default()
+            },
+        ),
+        case(
+            "spike_blocked",
+            Some(1),
+            (4096, 2, 2),
+            1,
+            None,
+            GbsvOptions {
+                algo: FactorAlgo::Window,
+                ..Default::default()
+            },
+        ),
+    ]
+}
+
+/// Deterministic diagonally dominant batch.
+fn band<S: Scalar>(c: &Case) -> BandBatch<S> {
+    BandBatch::<S>::from_fn(c.batch, c.n, c.n, c.kl, c.ku, |id, m| {
+        for j in 0..c.n {
+            let (s, e) = m.layout.col_rows(j);
+            let mut sum = 0.0;
+            for i in (s..e).filter(|&i| i != j) {
+                let v = ((i * 7 + j * 3 + id) % 5) as f64 * 0.1 + 0.05;
+                sum += v;
+                m.set(i, j, S::from_f64(v));
+            }
+            m.set(j, j, S::from_f64(sum + 1.0));
+            if c.singular == Some(id) && j == 0 {
+                (s..e).for_each(|i| m.set(i, 0, S::ZERO));
+            }
+        }
+    })
+    .unwrap()
+}
+
+/// Run one cell and render its line.
+fn cell<S: Scalar>(out: &mut String, dev_name: &str, engine: EngineMode, c: &Case) {
+    let dev = registry::device(dev_name).unwrap();
+    let opts = GbsvOptions {
+        engine: Some(engine),
+        ..c.opts
+    };
+    let mut a = band::<S>(c);
+    let mut piv = PivotBatch::new(c.batch, c.n, c.n);
+    let mut info = InfoArray::new(c.batch);
+    let (rep, x) = match c.nrhs {
+        Some(nrhs) => {
+            let mut b = RhsBatch::<S>::from_fn(c.batch, c.n, nrhs, |id, i, col| {
+                S::from_f64(((i * 13 + col * 5 + id) % 11) as f64 * 0.1 - 0.5)
+            })
+            .unwrap();
+            let rep = gbsv_batch::<S>(&dev, &mut a, &mut piv, &mut b, &mut info, &opts);
+            (rep.unwrap(), format!("{:#018x}", bits(b.data())))
+        }
+        None => {
+            let rep = gbtrf_batch::<S>(&dev, &mut a, &mut piv, &mut info, &opts);
+            (rep.unwrap(), "-".into())
+        }
+    };
+    writeln!(
+        out,
+        "{dev_name} {} {engine:?} {} algo={:?} launches={} time={:#018x} singular={:?} \
+         info={:#018x} a={:#018x} piv={:#018x} x={x}",
+        S::PRECISION,
+        c.name,
+        rep.algo,
+        rep.launches,
+        rep.time.secs().to_bits(),
+        rep.singular,
+        ints(info.as_slice()),
+        bits(a.data()),
+        ints(piv.as_slice()),
+    )
+    .unwrap();
+}
+
+fn render() -> String {
+    let mut out = String::new();
+    for c in &cases() {
+        for dev in [registry::H100_PCIE, registry::MI250X_GCD] {
+            for engine in [EngineMode::PerLaunch, EngineMode::Resident] {
+                cell::<f64>(&mut out, dev, engine, c);
+                cell::<f32>(&mut out, dev, engine, c);
+            }
+        }
+    }
+    out
+}
+
+const PINS: &str = "\
+h100_pcie f64 PerLaunch fused_gbsv algo=FusedGbsv launches=1 time=0x3eefe74dd910881e singular=[3] info=0x2f08ef342a184562 a=0x36d79449e25368f3 piv=0x828e1f95781f8285 x=0x9139a41d1924b583\n\
+h100_pcie f32 PerLaunch fused_gbsv algo=FusedGbsv launches=1 time=0x3eefe74dd910881e singular=[3] info=0x2f08ef342a184562 a=0x82b68a253b6bfdc1 piv=0x828e1f95781f8285 x=0x82b4cfe7d6ff9481\n\
+h100_pcie f64 Resident fused_gbsv algo=FusedGbsv launches=1 time=0x3ee8904182c0f030 singular=[3] info=0x2f08ef342a184562 a=0x36d79449e25368f3 piv=0x828e1f95781f8285 x=0x9139a41d1924b583\n\
+h100_pcie f32 Resident fused_gbsv algo=FusedGbsv launches=1 time=0x3ee8904182c0f030 singular=[3] info=0x2f08ef342a184562 a=0x82b68a253b6bfdc1 piv=0x828e1f95781f8285 x=0x82b4cfe7d6ff9481\n\
+mi250x_gcd f64 PerLaunch fused_gbsv algo=FusedGbsv launches=1 time=0x3ef90dded6ab63b7 singular=[3] info=0x2f08ef342a184562 a=0x36d79449e25368f3 piv=0x828e1f95781f8285 x=0x9139a41d1924b583\n\
+mi250x_gcd f32 PerLaunch fused_gbsv algo=FusedGbsv launches=1 time=0x3ef90dded6ab63b7 singular=[3] info=0x2f08ef342a184562 a=0x82b68a253b6bfdc1 piv=0x828e1f95781f8285 x=0x82b4cfe7d6ff9481\n\
+mi250x_gcd f64 Resident fused_gbsv algo=FusedGbsv launches=1 time=0x3ef38c9595efb1c5 singular=[3] info=0x2f08ef342a184562 a=0x36d79449e25368f3 piv=0x828e1f95781f8285 x=0x9139a41d1924b583\n\
+mi250x_gcd f32 Resident fused_gbsv algo=FusedGbsv launches=1 time=0x3ef38c9595efb1c5 singular=[3] info=0x2f08ef342a184562 a=0x82b68a253b6bfdc1 piv=0x828e1f95781f8285 x=0x82b4cfe7d6ff9481\n\
+h100_pcie f64 PerLaunch no_fused_gbsv algo=Fused launches=3 time=0x3efa6c69b84cf596 singular=[] info=0x55b0986fe7822fc3 a=0x9abadd536f6a1d76 piv=0x828e1f95781f8285 x=0x349966098178b08e\n\
+h100_pcie f32 PerLaunch no_fused_gbsv algo=Fused launches=3 time=0x3efa6c69b84cf596 singular=[] info=0x55b0986fe7822fc3 a=0xc4ec02fafbb2bf6d piv=0x828e1f95781f8285 x=0x83a79f21a2cbfe8a\n\
+h100_pcie f64 Resident no_fused_gbsv algo=Fused launches=3 time=0x3eeed3ae6dab2364 singular=[] info=0x55b0986fe7822fc3 a=0x9abadd536f6a1d76 piv=0x828e1f95781f8285 x=0x349966098178b08e\n\
+h100_pcie f32 Resident no_fused_gbsv algo=Fused launches=3 time=0x3eeed3ae6dab2364 singular=[] info=0x55b0986fe7822fc3 a=0xc4ec02fafbb2bf6d piv=0x828e1f95781f8285 x=0x83a79f21a2cbfe8a\n\
+mi250x_gcd f64 PerLaunch no_fused_gbsv algo=Fused launches=3 time=0x3f04479ee445789a singular=[] info=0x55b0986fe7822fc3 a=0x9abadd536f6a1d76 piv=0x828e1f95781f8285 x=0x349966098178b08e\n\
+mi250x_gcd f32 PerLaunch no_fused_gbsv algo=Fused launches=3 time=0x3f04479ee445789a singular=[] info=0x55b0986fe7822fc3 a=0xc4ec02fafbb2bf6d piv=0x828e1f95781f8285 x=0x83a79f21a2cbfe8a\n\
+mi250x_gcd f64 Resident no_fused_gbsv algo=Fused launches=3 time=0x3ef80b620657db5c singular=[] info=0x55b0986fe7822fc3 a=0x9abadd536f6a1d76 piv=0x828e1f95781f8285 x=0x349966098178b08e\n\
+mi250x_gcd f32 Resident no_fused_gbsv algo=Fused launches=3 time=0x3ef80b620657db5c singular=[] info=0x55b0986fe7822fc3 a=0xc4ec02fafbb2bf6d piv=0x828e1f95781f8285 x=0x83a79f21a2cbfe8a\n\
+h100_pcie f64 PerLaunch fused_10rhs algo=Fused launches=3 time=0x3f071dd38c9826b0 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x517c80a4c75ebcd6\n\
+h100_pcie f32 PerLaunch fused_10rhs algo=Fused launches=3 time=0x3f071dd38c9826b0 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x63180685a0a7d9ba\n\
+h100_pcie f64 Resident fused_10rhs algo=Fused launches=3 time=0x3f019c8a4bdc74be singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x517c80a4c75ebcd6\n\
+h100_pcie f32 Resident fused_10rhs algo=Fused launches=3 time=0x3f019c8a4bdc74be singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x63180685a0a7d9ba\n\
+mi250x_gcd f64 PerLaunch fused_10rhs algo=Fused launches=3 time=0x3f15441b9f7f7364 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x517c80a4c75ebcd6\n\
+mi250x_gcd f32 PerLaunch fused_10rhs algo=Fused launches=3 time=0x3f15441b9f7f7364 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x63180685a0a7d9ba\n\
+mi250x_gcd f64 Resident fused_10rhs algo=Fused launches=3 time=0x3f112324aef2adee singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x517c80a4c75ebcd6\n\
+mi250x_gcd f32 Resident fused_10rhs algo=Fused launches=3 time=0x3f112324aef2adee singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x63180685a0a7d9ba\n\
+h100_pcie f64 PerLaunch window algo=Window launches=3 time=0x3f1b0d5f8e7f0594 singular=[1] info=0xb7148fa574af9522 a=0x75773844718b60a8 piv=0x388351899e644ec9 x=0x02b2c8e47171b3ca\n\
+h100_pcie f32 PerLaunch window algo=Window launches=3 time=0x3f1b0d5f8e7f0594 singular=[1] info=0xb7148fa574af9522 a=0x027d36f3e0cd09c7 piv=0x388351899e644ec9 x=0xa4af4c35559ecd54\n\
+h100_pcie f64 Resident window algo=Window launches=3 time=0x3f184cbaee212c9a singular=[1] info=0xb7148fa574af9522 a=0x75773844718b60a8 piv=0x388351899e644ec9 x=0x02b2c8e47171b3ca\n\
+h100_pcie f32 Resident window algo=Window launches=3 time=0x3f184cbaee212c9a singular=[1] info=0xb7148fa574af9522 a=0x027d36f3e0cd09c7 piv=0x388351899e644ec9 x=0xa4af4c35559ecd54\n\
+mi250x_gcd f64 PerLaunch window algo=Window launches=3 time=0x3f25a7b491f0048d singular=[1] info=0xb7148fa574af9522 a=0x75773844718b60a8 piv=0x388351899e644ec9 x=0x02b2c8e47171b3ca\n\
+mi250x_gcd f32 PerLaunch window algo=Window launches=3 time=0x3f25a7b491f0048d singular=[1] info=0xb7148fa574af9522 a=0x027d36f3e0cd09c7 piv=0x388351899e644ec9 x=0xa4af4c35559ecd54\n\
+mi250x_gcd f64 Resident window algo=Window launches=3 time=0x3f23973919a9a1d2 singular=[1] info=0xb7148fa574af9522 a=0x75773844718b60a8 piv=0x388351899e644ec9 x=0x02b2c8e47171b3ca\n\
+mi250x_gcd f32 Resident window algo=Window launches=3 time=0x3f23973919a9a1d2 singular=[1] info=0xb7148fa574af9522 a=0x027d36f3e0cd09c7 piv=0x388351899e644ec9 x=0xa4af4c35559ecd54\n\
+h100_pcie f64 PerLaunch window_factor algo=Window launches=1 time=0x3f250ddbfa2f8cdd singular=[] info=0x11dac35ef0813626 a=0x7bef3546acb1fcd9 piv=0xa4025740ca1faa67 x=-\n\
+h100_pcie f32 PerLaunch window_factor algo=Window launches=1 time=0x3f250ddbfa2f8cdd singular=[] info=0x11dac35ef0813626 a=0xd74cc85ba8e82e22 piv=0xa4025740ca1faa67 x=-\n\
+h100_pcie f64 Resident window_factor algo=Window launches=1 time=0x3f24986b34ca935f singular=[] info=0x11dac35ef0813626 a=0x7bef3546acb1fcd9 piv=0xa4025740ca1faa67 x=-\n\
+h100_pcie f32 Resident window_factor algo=Window launches=1 time=0x3f24986b34ca935f singular=[] info=0x11dac35ef0813626 a=0xd74cc85ba8e82e22 piv=0xa4025740ca1faa67 x=-\n\
+mi250x_gcd f64 PerLaunch window_factor algo=Window launches=1 time=0x3f36feca1ff43c27 singular=[] info=0x11dac35ef0813626 a=0x7bef3546acb1fcd9 piv=0xa4025740ca1faa67 x=-\n\
+mi250x_gcd f32 PerLaunch window_factor algo=Window launches=1 time=0x3f36feca1ff43c27 singular=[] info=0x11dac35ef0813626 a=0xd74cc85ba8e82e22 piv=0xa4025740ca1faa67 x=-\n\
+mi250x_gcd f64 Resident window_factor algo=Window launches=1 time=0x3f36a6b58be88108 singular=[] info=0x11dac35ef0813626 a=0x7bef3546acb1fcd9 piv=0xa4025740ca1faa67 x=-\n\
+mi250x_gcd f32 Resident window_factor algo=Window launches=1 time=0x3f36a6b58be88108 singular=[] info=0x11dac35ef0813626 a=0xd74cc85ba8e82e22 piv=0xa4025740ca1faa67 x=-\n\
+h100_pcie f64 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3ef204809e3123fd singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+h100_pcie f32 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3ef19b6eab5efe76 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+h100_pcie f64 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ecab33f8c8fa10f singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+h100_pcie f32 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ec76aaff5fe74d0 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+mi250x_gcd f64 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3efaace435cfe75a singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+mi250x_gcd f32 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3efa18268dc21080 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+mi250x_gcd f64 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ed29efccb847e42 singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+mi250x_gcd f32 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ed04c062b4d22da singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+h100_pcie f64 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3eeb141e5f41287e singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f32 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3eea8aadfffff1ca singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f64 Resident auto_factor algo=Interleaved launches=3 time=0x3ec43be5714982d6 singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f32 Resident auto_factor algo=Interleaved launches=3 time=0x3ec21623f444a803 singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f64 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3ef4112ca01cffb6 singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f32 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3ef3aae5d95db11c singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f64 Resident auto_factor algo=Interleaved launches=3 time=0x3ecc6a86ef4f4efa singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f32 Resident auto_factor algo=Interleaved launches=3 time=0x3ec93850b954da25 singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f64 PerLaunch auto_column algo=Interleaved launches=4 time=0x3ef10f5190197e44 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+h100_pcie f32 PerLaunch auto_column algo=Interleaved launches=4 time=0x3ef0f491334ea0d9 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+h100_pcie f64 Resident auto_column algo=Interleaved launches=4 time=0x3ec309c71bd2734d singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+h100_pcie f32 Resident auto_column algo=Interleaved launches=4 time=0x3ec233c4357b87e8 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+mi250x_gcd f64 PerLaunch auto_column algo=Fused launches=3 time=0x3f00c1ad73298198 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+mi250x_gcd f32 PerLaunch auto_column algo=Fused launches=3 time=0x3f00c1ad73298198 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+mi250x_gcd f64 Resident auto_column algo=Fused launches=3 time=0x3ef0ff7f241fed59 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+mi250x_gcd f32 Resident auto_column algo=Fused launches=3 time=0x3ef0ff7f241fed59 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+h100_pcie f64 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee0c8756713db97 singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f32 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee0c8756713db97 singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f64 Resident auto_column_factor algo=Fused launches=1 time=0x3ed2e2d221888753 singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f32 Resident auto_column_factor algo=Fused launches=1 time=0x3ed2e2d221888753 singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f64 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee8ad644009c99c singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f32 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee8ad644009c99c singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f64 Resident auto_column_factor algo=Fused launches=1 time=0x3edb55a37d24cb6e singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f32 Resident auto_column_factor algo=Fused launches=1 time=0x3edb55a37d24cb6e singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f64 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef0da2d7f75c2ca singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+h100_pcie f32 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef0d307e514ae90 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+h100_pcie f64 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec160a696b49780 singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+h100_pcie f32 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec12779c3abf5a7 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+mi250x_gcd f64 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef94202cef9f53d singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+mi250x_gcd f32 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef93842ae8415b3 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+mi250x_gcd f64 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec9e6ee60596ba3 singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+mi250x_gcd f32 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec998ed5caa6f49 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+h100_pcie f64 PerLaunch forced_fused algo=Fused launches=3 time=0x3f0170519c65d796 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+h100_pcie f32 PerLaunch forced_fused algo=Fused launches=3 time=0x3f0170519c65d796 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+h100_pcie f64 Resident forced_fused algo=Fused launches=3 time=0x3ef7de10b7544b48 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+h100_pcie f32 Resident forced_fused algo=Fused launches=3 time=0x3ef7de10b7544b48 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+mi250x_gcd f64 PerLaunch forced_fused algo=Fused launches=3 time=0x3f0bb11088be5a1d singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+mi250x_gcd f32 PerLaunch forced_fused algo=Fused launches=3 time=0x3f0bb11088be5a1d singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+mi250x_gcd f64 Resident forced_fused algo=Fused launches=3 time=0x3f036f22a7a4cf32 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+mi250x_gcd f32 Resident forced_fused algo=Fused launches=3 time=0x3f036f22a7a4cf32 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+h100_pcie f64 PerLaunch forced_window algo=Window launches=3 time=0x3f024396626091a4 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+h100_pcie f32 PerLaunch forced_window algo=Window launches=3 time=0x3f024396626091a4 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+h100_pcie f64 Resident forced_window algo=Window launches=3 time=0x3ef9849a4349bf64 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+h100_pcie f32 Resident forced_window algo=Window launches=3 time=0x3ef9849a4349bf64 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+mi250x_gcd f64 PerLaunch forced_window algo=Window launches=3 time=0x3f0d5b673b851dee singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+mi250x_gcd f32 PerLaunch forced_window algo=Window launches=3 time=0x3f0d5b673b851dee singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+mi250x_gcd f64 Resident forced_window algo=Window launches=3 time=0x3f0519795a6b9303 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
+mi250x_gcd f32 Resident forced_window algo=Window launches=3 time=0x3f0519795a6b9303 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
+h100_pcie f64 PerLaunch forced_reference algo=Reference launches=99 time=0x3f3a7ce098ebcab0 singular=[0] info=0x38826c9aadeb2087 a=0xf71a8c84cbf9e620 piv=0xc4efdfaac20c3b55 x=0xe112453a3dba8e3f\n\
+h100_pcie f32 PerLaunch forced_reference algo=Reference launches=99 time=0x3f3a7cc910425362 singular=[0] info=0x38826c9aadeb2087 a=0x51e5b9bc5058031c piv=0xc4efdfaac20c3b55 x=0xb934afdf15ea3d0e\n\
+h100_pcie f64 Resident forced_reference algo=Reference launches=99 time=0x3f0e3c936f2c6550 singular=[0] info=0x38826c9aadeb2087 a=0xf71a8c84cbf9e620 piv=0xc4efdfaac20c3b55 x=0xe112453a3dba8e3f\n\
+h100_pcie f32 Resident forced_reference algo=Reference launches=99 time=0x3f0e3bd729e0aab0 singular=[0] info=0x38826c9aadeb2087 a=0x51e5b9bc5058031c piv=0xc4efdfaac20c3b55 x=0xb934afdf15ea3d0e\n\
+mi250x_gcd f64 PerLaunch forced_reference algo=Reference launches=99 time=0x3f43f1bbe2a13e9e singular=[0] info=0x38826c9aadeb2087 a=0xf71a8c84cbf9e620 piv=0xc4efdfaac20c3b55 x=0xe112453a3dba8e3f\n\
+mi250x_gcd f32 PerLaunch forced_reference algo=Reference launches=99 time=0x3f43f1a545058b99 singular=[0] info=0x38826c9aadeb2087 a=0x51e5b9bc5058031c piv=0xc4efdfaac20c3b55 x=0xb934afdf15ea3d0e\n\
+mi250x_gcd f64 Resident forced_reference algo=Reference launches=99 time=0x3f174e0a12e480e2 singular=[0] info=0x38826c9aadeb2087 a=0xf71a8c84cbf9e620 piv=0xc4efdfaac20c3b55 x=0xe112453a3dba8e3f\n\
+mi250x_gcd f32 Resident forced_reference algo=Reference launches=99 time=0x3f174d552606e896 singular=[0] info=0x38826c9aadeb2087 a=0x51e5b9bc5058031c piv=0xc4efdfaac20c3b55 x=0xb934afdf15ea3d0e\n\
+h100_pcie f64 PerLaunch forced_fused_factor algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=-\n\
+h100_pcie f32 PerLaunch forced_fused_factor algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=-\n\
+h100_pcie f64 Resident forced_fused_factor algo=Fused launches=1 time=0x3eec884d809c827a singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=-\n\
+h100_pcie f32 Resident forced_fused_factor algo=Fused launches=1 time=0x3eec884d809c827a singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=-\n\
+mi250x_gcd f64 PerLaunch forced_fused_factor algo=Fused launches=1 time=0x3efb75d9d3781440 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=-\n\
+mi250x_gcd f32 PerLaunch forced_fused_factor algo=Fused launches=1 time=0x3efb75d9d3781440 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=-\n\
+mi250x_gcd f64 Resident forced_fused_factor algo=Fused launches=1 time=0x3ef5f49092bc624e singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=-\n\
+mi250x_gcd f32 Resident forced_fused_factor algo=Fused launches=1 time=0x3ef5f49092bc624e singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=-\n\
+h100_pcie f64 PerLaunch wide_auto algo=Interleaved launches=3 time=0x3f1818ad17722eea singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+h100_pcie f32 PerLaunch wide_auto algo=Interleaved launches=3 time=0x3f0b3e0a7b8b76ae singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+h100_pcie f64 Resident wide_auto algo=Interleaved launches=3 time=0x3f155808771455f0 singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+h100_pcie f32 Resident wide_auto algo=Interleaved launches=3 time=0x3f05bcc13acfc4bc singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f64 PerLaunch wide_auto algo=Interleaved launches=3 time=0x3f21b6635e4f606d singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f32 PerLaunch wide_auto algo=Interleaved launches=3 time=0x3f141269279a2eea singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f64 Resident wide_auto algo=Interleaved launches=3 time=0x3f1f4bcfcc11fb64 singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f32 Resident wide_auto algo=Interleaved launches=3 time=0x3f0fe2e46e1ad2e8 singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+h100_pcie f64 PerLaunch wide_column algo=Reference launches=417 time=0x3f5c274f97705e38 singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+h100_pcie f32 PerLaunch wide_column algo=Reference launches=417 time=0x3f5bbdb4f1397a6c singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+h100_pcie f64 Resident wide_column algo=Reference launches=417 time=0x3f30f6e5990444f5 singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+h100_pcie f32 Resident wide_column algo=Reference launches=417 time=0x3f2ea0f600516bc4 singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f64 PerLaunch wide_column algo=Reference launches=417 time=0x3f6519db01abc590 singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f32 PerLaunch wide_column algo=Reference launches=417 time=0x3f64cc775aeb1ea2 singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f64 Resident wide_column algo=Reference launches=417 time=0x3f395552e6425ebd singular=[] info=0xcf21924e7b0ff7c7 a=0x73e28af9a42f1ef4 piv=0xd2823800fb56834a x=-\n\
+mi250x_gcd f32 Resident wide_column algo=Reference launches=417 time=0x3f36ea35b03d2774 singular=[] info=0xcf21924e7b0ff7c7 a=0x45a309e870999d3f piv=0xd2823800fb56834a x=-\n\
+h100_pcie f64 PerLaunch percol_solve algo=Window launches=287 time=0x3f5fc825893afc77 singular=[] info=0xcf21924e7b0ff7c7 a=0xf3bf167b3349d5e3 piv=0x8e778e9fd6c80e85 x=0x4327032d11b7b4aa\n\
+h100_pcie f32 PerLaunch percol_solve algo=Window launches=287 time=0x3f5eb1a8b109a9d9 singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
+h100_pcie f64 Resident percol_solve algo=Window launches=287 time=0x3f4ea5efbf690b9e singular=[] info=0xcf21924e7b0ff7c7 a=0xf3bf167b3349d5e3 piv=0x8e778e9fd6c80e85 x=0x4327032d11b7b4aa\n\
+h100_pcie f32 Resident percol_solve algo=Window launches=287 time=0x3f4c78f60f06665d singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
+mi250x_gcd f64 PerLaunch percol_solve algo=Reference launches=479 time=0x3f69739ea535559c singular=[] info=0xcf21924e7b0ff7c7 a=0xf3bf167b3349d5e3 piv=0x8e778e9fd6c80e85 x=0x4327032d11b7b4aa\n\
+mi250x_gcd f32 PerLaunch percol_solve algo=Window launches=287 time=0x3f6c62efc78bbadc singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
+mi250x_gcd f64 Resident percol_solve algo=Reference launches=479 time=0x3f43673a13dbc6b4 singular=[] info=0xcf21924e7b0ff7c7 a=0xf3bf167b3349d5e3 piv=0x8e778e9fd6c80e85 x=0x4327032d11b7b4aa\n\
+mi250x_gcd f32 Resident percol_solve algo=Window launches=287 time=0x3f600b0d8866e1db singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
+h100_pcie f64 PerLaunch spike_auto algo=Spike launches=6 time=0x3f33ecba665fc898 singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
+h100_pcie f32 PerLaunch spike_auto algo=Spike launches=6 time=0x3f33eb02b3df0af6 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
+h100_pcie f64 Resident spike_auto algo=Spike launches=6 time=0x3f328c681630dc1b singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
+h100_pcie f32 Resident spike_auto algo=Spike launches=6 time=0x3f328ab063b01e79 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
+mi250x_gcd f64 PerLaunch spike_auto algo=Spike launches=6 time=0x3f417c7a5156e3b5 singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
+mi250x_gcd f32 PerLaunch spike_auto algo=Spike launches=6 time=0x3f417b3818c9a4f4 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
+mi250x_gcd f64 Resident spike_auto algo=Spike launches=6 time=0x3f40743c9533b258 singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
+mi250x_gcd f32 Resident spike_auto algo=Spike launches=6 time=0x3f4072fa5ca67397 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
+h100_pcie f64 PerLaunch spike_forced algo=Spike launches=16 time=0x3f1beb911a9ed549 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
+h100_pcie f32 PerLaunch spike_forced algo=Spike launches=12 time=0x3f1659bb77bbdc17 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
+h100_pcie f64 Resident spike_forced algo=Spike launches=16 time=0x3f0a7af0dbff4adb singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
+h100_pcie f32 Resident spike_forced algo=Spike launches=12 time=0x3f06ae51ec88f063 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
+mi250x_gcd f64 PerLaunch spike_forced algo=Spike launches=16 time=0x3f26f465ce8d29e3 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
+mi250x_gcd f32 PerLaunch spike_forced algo=Spike launches=12 time=0x3f2294984bda7de3 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
+mi250x_gcd f64 Resident spike_forced algo=Spike launches=16 time=0x3f17e3a69a2b8bfd singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
+mi250x_gcd f32 Resident spike_forced algo=Spike launches=12 time=0x3f14a554d581e5ee singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
+h100_pcie f64 PerLaunch spike_blocked algo=Window launches=3 time=0x3f5de473bfc0d19b singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
+h100_pcie f32 PerLaunch spike_blocked algo=Window launches=3 time=0x3f5de473bfc0d19b singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
+h100_pcie f64 Resident spike_blocked algo=Window launches=3 time=0x3f5db86975baf40c singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
+h100_pcie f32 Resident spike_blocked algo=Window launches=3 time=0x3f5db86975baf40c singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
+mi250x_gcd f64 PerLaunch spike_blocked algo=Window launches=3 time=0x3f67a0277fce43f2 singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
+mi250x_gcd f32 PerLaunch spike_blocked algo=Window launches=3 time=0x3f67a0277fce43f2 singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
+mi250x_gcd f64 Resident spike_blocked algo=Window launches=3 time=0x3f677f1fc849ddc7 singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
+mi250x_gcd f32 Resident spike_blocked algo=Window launches=3 time=0x3f677f1fc849ddc7 singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
+";
+
+#[test]
+fn dispatch_cells_are_pinned_bitwise() {
+    let got = render();
+    for (g, p) in got.lines().zip(PINS.lines().chain(std::iter::repeat(""))) {
+        if g != p {
+            eprintln!("got: {g}\npin: {p}");
+        }
+    }
+    assert!(got == PINS, "dispatch pins moved:\n{got}");
+}
