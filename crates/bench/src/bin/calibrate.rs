@@ -83,7 +83,7 @@ fn main() {
         m.0, m.1, m.2
     );
 
-    println!("calibrating layout crossover (CrossoverModel scales)...");
+    println!("checking the layout crossover...");
     let cal = gbatch_bench::calibrate_layout();
     for p in &cal.points {
         println!(
@@ -103,10 +103,7 @@ fn main() {
         );
     }
     println!(
-        "layout fit: interleaved_scale {:.6}, column_scale {:.6}, \
-         winner agreement {:.0}%, max auto regret {:.3}",
-        cal.interleaved_scale,
-        cal.column_scale,
+        "layout check: winner agreement {:.0}%, max auto regret {:.3}",
         cal.agreement * 100.0,
         cal.max_auto_regret
     );

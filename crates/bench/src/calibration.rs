@@ -1,24 +1,25 @@
-//! Layout-crossover calibration: fit the [`CrossoverModel`] scale
-//! constants from *executed* dispatch runs and persist the table the
-//! dispatch decision documents (`results/layout_calibration.json`).
+//! Layout-crossover check: run both forced layouts and the `Auto` layout
+//! decision over a grid of *executed* dispatch runs and persist the
+//! evidence (`results/layout_calibration.json`).
 //!
-//! The simulated engine prices every launch through the same analytic
-//! machinery the model uses, so the fitted scales land at unity — the
-//! point of the table is (a) to prove that on the calibration grid, (b) to
-//! record the measured crossover batch sizes for the docs, and (c) to give
-//! a real-hardware port a place to drop measured constants.
+//! The dispatch plan prices the interleaved path with the exact launch
+//! predictors, so there is nothing to fit: the table shows (a) that the
+//! predicted interleaved time equals the executed one at every point,
+//! (b) where the measured crossover lies, and (c) that `Auto` picks the
+//! measured winner.
 
 use gbatch_core::batch::{InfoArray, PivotBatch};
 use gbatch_core::{BandBatch, BandLayout};
 use gbatch_gpu_sim::registry;
 use gbatch_gpu_sim::DeviceSpec;
-use gbatch_kernels::cost::CrossoverModel;
+use gbatch_kernels::cost::predict_interleaved_dispatch;
 use gbatch_kernels::dispatch::{dgbtrf_batch, GbsvOptions, MatrixLayout};
 use gbatch_kernels::interleaved::InterleavedParams;
 use serde::{Deserialize, Serialize};
 
 /// One grid point of the calibration run: measured (executed, modeled)
-/// time per forced layout next to the model's prediction and verdict.
+/// time per forced layout next to the predicted interleaved time and the
+/// `Auto` pick.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CalibrationPoint {
     /// Device name (`h100_pcie` / `mi250x_gcd` spec label).
@@ -46,15 +47,10 @@ pub struct CalibrationPoint {
     pub auto_regret: f64,
 }
 
-/// The persisted calibration table: fitted scales + the grid evidence.
+/// The persisted calibration table: the grid evidence and its summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayoutCalibration {
-    /// Fitted multiplier on the predicted interleaved time (geometric mean
-    /// of executed / predicted over the grid).
-    pub interleaved_scale: f64,
-    /// Fitted multiplier on the predicted column-major time.
-    pub column_scale: f64,
-    /// Fraction of grid points where the model's winner matches the
+    /// Fraction of grid points where the `Auto` pick matches the
     /// executed winner.
     pub agreement: f64,
     /// Largest `auto_regret` across the grid.
@@ -64,15 +60,6 @@ pub struct LayoutCalibration {
 }
 
 impl LayoutCalibration {
-    /// The [`CrossoverModel`] this table fits.
-    pub fn model(&self) -> CrossoverModel {
-        CrossoverModel {
-            interleaved_scale: self.interleaved_scale,
-            column_scale: self.column_scale,
-            include_conversion: true,
-        }
-    }
-
     /// Serialize to pretty JSON (the `results/layout_calibration.json`
     /// format).
     pub fn to_json(&self) -> String {
@@ -131,21 +118,18 @@ fn run_ms(dev: &DeviceSpec, a0: &BandBatch, layout: MatrixLayout) -> (f64, Matri
 
 fn predicted_interleaved_ms(dev: &DeviceSpec, l: &BandLayout, batch: usize) -> f64 {
     let params = InterleavedParams::auto(dev, l, 0);
-    CrossoverModel::default()
-        .interleaved_time::<f64>(dev, l, batch, 0, &params)
+    predict_interleaved_dispatch::<f64>(dev, l, batch, 0, &params)
         .map(|t| t.secs() * 1e3)
         .unwrap_or(f64::INFINITY)
 }
 
-/// Run the calibration grid on both paper devices and fit the scales.
+/// Run the calibration grid on both paper devices.
 pub fn calibrate_layout() -> LayoutCalibration {
     let devices = [
         registry::device(registry::H100_PCIE).expect("catalog entry"),
         registry::device(registry::MI250X_GCD).expect("catalog entry"),
     ];
     let mut points = Vec::new();
-    let mut log_ratio_sum = 0.0;
-    let mut log_ratio_count = 0usize;
     let mut agree = 0usize;
     let mut max_auto_regret: f64 = 0.0;
     for dev in &devices {
@@ -155,10 +139,6 @@ pub fn calibrate_layout() -> LayoutCalibration {
             let (interleaved_ms, _) = run_ms(dev, &a0, MatrixLayout::Interleaved);
             let (auto_ms, auto_pick) = run_ms(dev, &a0, MatrixLayout::Auto);
             let predicted = predicted_interleaved_ms(dev, &a0.layout(), batch);
-            if predicted.is_finite() && interleaved_ms > 0.0 {
-                log_ratio_sum += (interleaved_ms / predicted).ln();
-                log_ratio_count += 1;
-            }
             let measured_winner = if interleaved_ms < column_ms {
                 MatrixLayout::Interleaved
             } else {
@@ -185,14 +165,7 @@ pub fn calibrate_layout() -> LayoutCalibration {
             });
         }
     }
-    let interleaved_scale = if log_ratio_count > 0 {
-        (log_ratio_sum / log_ratio_count as f64).exp()
-    } else {
-        1.0
-    };
     LayoutCalibration {
-        interleaved_scale,
-        column_scale: 1.0,
         agreement: agree as f64 / points.len() as f64,
         max_auto_regret,
         points,
@@ -203,21 +176,30 @@ pub fn calibrate_layout() -> LayoutCalibration {
 mod tests {
     use super::*;
 
-    /// The simulated engine executes exactly what the model predicts, so
-    /// the fit must land at unity, the model must agree with the measured
-    /// winner everywhere, and auto must never lose by more than the ISSUE
-    /// bound (10%) on the calibration grid.
+    /// The simulated engine executes exactly what the plan predicts, so
+    /// the predicted interleaved time must equal the executed one at every
+    /// point, the plan must agree with the measured winner everywhere, and
+    /// auto must never lose by more than 10% on the calibration grid.
     #[test]
     fn calibration_fits_unity_and_auto_is_never_much_slower() {
         let cal = calibrate_layout();
-        assert!(
-            (cal.interleaved_scale - 1.0).abs() < 1e-9,
-            "interleaved_scale {} must be unity on the simulated engine",
-            cal.interleaved_scale
-        );
+        for p in &cal.points {
+            let rel = (p.predicted_interleaved_ms - p.interleaved_ms).abs() / p.interleaved_ms;
+            assert!(
+                rel <= 1e-12,
+                "{} n={} ({},{}) batch={}: predicted {} ms vs executed {} ms",
+                p.device,
+                p.n,
+                p.kl,
+                p.ku,
+                p.batch,
+                p.predicted_interleaved_ms,
+                p.interleaved_ms
+            );
+        }
         assert!(
             (cal.agreement - 1.0).abs() < f64::EPSILON,
-            "model/measurement winner disagreement: {:#?}",
+            "auto/measurement winner disagreement: {:#?}",
             cal.points
         );
         assert!(

@@ -13,8 +13,9 @@ use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::residual::backward_error;
 use gbatch_cpu::{cpu_gbsv_batch, cpu_gbtrf_batch, CpuSpec};
 use gbatch_gpu_sim::stream::simulate_streams;
-use gbatch_gpu_sim::timing::estimate_aggregate;
-use gbatch_gpu_sim::{DeviceSpec, KernelCounters, LaunchConfig};
+use gbatch_gpu_sim::timing::estimate;
+use gbatch_gpu_sim::{DeviceSpec, FlopPrecision, KernelCounters, LaunchConfig, SimTime};
+use gbatch_kernels::cost::predict_time;
 use gbatch_kernels::dispatch::{dgbsv_batch, dgbtrf_batch, FactorAlgo, GbsvOptions, MatrixLayout};
 use gbatch_kernels::fused::{fused_smem_bytes, gbtrf_batch_fused, FusedParams};
 use gbatch_kernels::gemm::{gemm_block_counters, gemm_gflops, gemm_smem_bytes};
@@ -48,7 +49,7 @@ fn reprice(
     agg: &KernelCounters,
     exec_grid: usize,
     target_grid: usize,
-) -> Option<f64> {
+) -> Option<SimTime> {
     let occ = gbatch_gpu_sim::engine::validate(dev, cfg).ok()?;
     let scale = target_grid as f64 / exec_grid as f64;
     let scaled = KernelCounters {
@@ -57,7 +58,14 @@ fn reprice(
         flops: (agg.flops as f64 * scale) as u64,
         ..*agg
     };
-    Some(estimate_aggregate(dev, &occ, target_grid, &scaled).ms())
+    Some(estimate(
+        dev,
+        &occ,
+        target_grid,
+        &scaled,
+        FlopPrecision::Fp64,
+        dev.launch_overhead_s,
+    ))
 }
 
 /// GPU GBTRF measurement: runs the requested design on a seeded random
@@ -162,7 +170,7 @@ pub fn gbtrf_gpu_ms(
             )
             .ok()?,
         };
-        reprice(dev, &time_cfg, &raw.counters, EXEC_BATCH, PAPER_BATCH)
+        reprice(dev, &time_cfg, &raw.counters, EXEC_BATCH, PAPER_BATCH).map(SimTime::ms)
     }
 }
 
@@ -289,8 +297,7 @@ pub fn fig1(p: &Platforms) -> Vec<Figure> {
             } else {
                 (LaunchConfig::new(128, 0), gemv_block_counters(n, 128))
             };
-            let occ = gbatch_gpu_sim::engine::validate(dev, &cfg).expect("cfg");
-            let t_batch = gbatch_gpu_sim::timing::estimate(dev, &occ, batch, &per_block);
+            let t_batch = predict_time(dev, &cfg, batch, &per_block).expect("cfg");
             let t_stream = simulate_streams(dev, &cfg, batch, 16, &per_block);
             let (gb, gs) = if kernel == "dgemm" {
                 (
@@ -433,7 +440,7 @@ pub fn fig7(p: &Platforms) -> Vec<Figure> {
                                     as u32,
                             );
                             match reprice(dev, &cfg, &rep.counters, EXEC_BATCH, PAPER_BATCH) {
-                                Some(ms) => fused.push(n, ms),
+                                Some(t) => fused.push(n, t.ms()),
                                 None => fused.push_fail(n),
                             }
                         }
@@ -765,7 +772,9 @@ pub fn extensions(p: &Platforms) -> String {
             FusedParams::auto(dev, 2).threads,
             gbatch_kernels::gbsv_fused::gbsv_smem_bytes::<f64>(&l, 1) as u32,
         );
-        let batched = reprice(dev, &cfg, &rep.counters, EXEC_BATCH, PAPER_BATCH).expect("price");
+        let batched = reprice(dev, &cfg, &rep.counters, EXEC_BATCH, PAPER_BATCH)
+            .expect("price")
+            .ms();
         // Per-kernel counters = aggregate / grid (uniform batch).
         let per_block = KernelCounters {
             global_read: rep.counters.global_read / EXEC_BATCH as u64,
@@ -806,15 +815,7 @@ pub fn extensions(p: &Platforms) -> String {
         )
         .expect("launch");
         let price = |dev: &DeviceSpec, grid: usize| {
-            let occ = gbatch_gpu_sim::engine::validate(dev, &cfg).expect("cfg");
-            let scale = grid as f64 / EXEC_BATCH as f64;
-            let scaled = KernelCounters {
-                global_read: (raw.counters.global_read as f64 * scale) as u64,
-                global_write: (raw.counters.global_write as f64 * scale) as u64,
-                flops: (raw.counters.flops as f64 * scale) as u64,
-                ..raw.counters
-            };
-            estimate_aggregate(dev, &occ, grid, &scaled)
+            reprice(dev, &cfg, &raw.counters, EXEC_BATCH, grid).expect("cfg")
         };
         let single = price(&p.mi250x, big_batch);
         let split = group

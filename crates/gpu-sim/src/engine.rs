@@ -18,7 +18,7 @@ use crate::executor::{execute_blocks, ParallelPolicy};
 use crate::hazard::{global_mode, HazardMode, HazardReport};
 use crate::occupancy::{occupancy_with_regs, Occupancy};
 use crate::resident::EngineMode;
-use crate::timing::{estimate_aggregate_with_overhead, FlopPrecision, SimTime};
+use crate::timing::{estimate, FlopPrecision, SimTime};
 
 /// Launch configuration: threads per block, dynamic shared memory,
 /// (for register-blocked kernels) registers per thread, and the host
@@ -218,7 +218,7 @@ where
     let occ = validate(dev, cfg)?;
     let grid = problems.len();
     let (agg, hazards) = execute_blocks(dev, cfg, problems, &body);
-    let time = estimate_aggregate_with_overhead(
+    let time = estimate(
         dev,
         &occ,
         grid,

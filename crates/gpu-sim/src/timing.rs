@@ -104,89 +104,20 @@ pub fn effective_bandwidth(dev: &DeviceSpec, occ: &Occupancy) -> f64 {
     dev.mem_bw * frac
 }
 
-/// Per-wave aggregate: total traffic of the wave's blocks plus the critical
-/// path of its slowest block (for uniform batches every block is the same,
-/// so the launch aggregate divided into waves is exact).
+/// Modeled time of one launch of `grid` blocks at residency `occ`.
+///
+/// `total` is the launch aggregate, as [`crate::engine::launch`] produces
+/// it: traffic and flops summed over the grid, critical-path fields
+/// (`cycles`, `smem_elems`, `smem_trips`, `syncs`) the slowest block's. A
+/// caller holding one block's counters of a uniform grid passes them with
+/// traffic and flops multiplied by `grid`; that is exact while byte and
+/// flop totals stay below 2^53. fp32 launches divide the flop cost over
+/// `lane_multiplier()` times the fp64 lanes. `overhead_s` is the fixed
+/// launch overhead: the cold `launch_overhead_s` for
+/// [`crate::resident::EngineMode::PerLaunch`], the warm
+/// `warm_launch_overhead_s` for submissions through a
+/// [`crate::resident::ResidentPool`].
 pub fn estimate(
-    dev: &DeviceSpec,
-    occ: &Occupancy,
-    grid: usize,
-    per_block: &KernelCounters,
-) -> SimTime {
-    estimate_with_precision(dev, occ, grid, per_block, FlopPrecision::Fp64)
-}
-
-/// [`estimate`] with an explicit throughput class. fp32 launches divide the
-/// flop cost over `lane_multiplier()` times the fp64 lanes; the `Fp64` path
-/// is bitwise-identical to [`estimate`] (multiplier 1 is an exact integer
-/// no-op on the divisor).
-pub fn estimate_with_precision(
-    dev: &DeviceSpec,
-    occ: &Occupancy,
-    grid: usize,
-    per_block: &KernelCounters,
-    precision: FlopPrecision,
-) -> SimTime {
-    if grid == 0 {
-        return SimTime(dev.launch_overhead_s);
-    }
-    let n_waves = waves(grid, occ);
-    // Memory: traffic of a full wave at effective bandwidth. The last
-    // (possibly partial) wave is costed like a full one only for the blocks
-    // it actually has.
-    let eff_bw = effective_bandwidth(dev, occ);
-    let total_bytes = per_block.global_bytes() as f64 * grid as f64;
-    let mem_time = total_bytes / eff_bw;
-
-    // Compute/latency: each wave pays the slowest block's critical path.
-    let latency_cycles = per_block.cycles
-        + per_block.smem_elems * dev.work_scale
-        + per_block.smem_trips as f64 * dev.smem_latency_cycles
-        + per_block.syncs as f64 * dev.sync_cycles;
-    // Throughput correction: co-resident blocks share the SM's lanes.
-    // A grid smaller than one full wave leaves SMs partially filled, so the
-    // sharing factor is capped by the blocks actually resident on an SM.
-    let resident = (occ.blocks_per_sm as usize).min(grid.div_ceil(dev.sms as usize));
-    let lanes = dev.fp64_lanes_per_sm * precision.lane_multiplier();
-    let lane_cycles_per_sm = per_block.flops as f64 * resident as f64 / lanes as f64;
-    let wave_cycles = latency_cycles.max(lane_cycles_per_sm / 2.0);
-    let compute_time = n_waves as f64 * wave_cycles / dev.clock_hz;
-
-    SimTime(dev.launch_overhead_s + mem_time.max(compute_time))
-}
-
-/// Convenience: estimate from an aggregate where the caller already summed
-/// per-block traffic over the whole grid and kept per-block critical path
-/// (what [`crate::engine::launch`] produces).
-pub fn estimate_aggregate(
-    dev: &DeviceSpec,
-    occ: &Occupancy,
-    grid: usize,
-    total: &KernelCounters,
-) -> SimTime {
-    estimate_aggregate_with_precision(dev, occ, grid, total, FlopPrecision::Fp64)
-}
-
-/// [`estimate_aggregate`] with an explicit throughput class (see
-/// [`estimate_with_precision`] for the lane-multiplier semantics).
-pub fn estimate_aggregate_with_precision(
-    dev: &DeviceSpec,
-    occ: &Occupancy,
-    grid: usize,
-    total: &KernelCounters,
-    precision: FlopPrecision,
-) -> SimTime {
-    estimate_aggregate_with_overhead(dev, occ, grid, total, precision, dev.launch_overhead_s)
-}
-
-/// [`estimate_aggregate_with_precision`] with an explicit fixed launch
-/// overhead. The engine passes the cold `launch_overhead_s` for
-/// [`crate::resident::EngineMode::PerLaunch`] (making that path
-/// bitwise-identical to the legacy model) and the warm
-/// `warm_launch_overhead_s` for [`crate::resident::EngineMode::Resident`]
-/// submissions through a persistent pool; the device-time body is shared,
-/// so the two modes differ by exactly the overhead constant.
-pub fn estimate_aggregate_with_overhead(
     dev: &DeviceSpec,
     occ: &Occupancy,
     grid: usize,
@@ -198,12 +129,17 @@ pub fn estimate_aggregate_with_overhead(
         return SimTime(overhead_s);
     }
     let n_waves = waves(grid, occ);
+    // Memory: the launch's traffic at effective bandwidth.
     let eff_bw = effective_bandwidth(dev, occ);
     let mem_time = total.global_bytes() as f64 / eff_bw;
+    // Compute/latency: each wave pays the slowest block's critical path.
     let latency_cycles = total.cycles
         + total.smem_elems * dev.work_scale
         + total.smem_trips as f64 * dev.smem_latency_cycles
         + total.syncs as f64 * dev.sync_cycles;
+    // Throughput correction: co-resident blocks share the SM's lanes.
+    // A grid smaller than one full wave leaves SMs partially filled, so the
+    // sharing factor is capped by the blocks actually resident on an SM.
     let flops_per_block = total.flops as f64 / grid as f64;
     let resident = (occ.blocks_per_sm as usize).min(grid.div_ceil(dev.sms as usize));
     let lanes = dev.fp64_lanes_per_sm * precision.lane_multiplier();
@@ -230,13 +166,36 @@ mod tests {
         }
     }
 
+    /// A uniform grid's aggregate: one block's summed fields times `grid`.
+    fn over_grid(c: &KernelCounters, grid: usize) -> KernelCounters {
+        KernelCounters {
+            global_read: c.global_read * grid as u64,
+            global_write: c.global_write * grid as u64,
+            flops: c.flops * grid as u64,
+            ..*c
+        }
+    }
+
+    /// Cold fp64 launch of `grid` copies of the block `c`.
+    fn cold(dev: &DeviceSpec, occ: &Occupancy, grid: usize, c: &KernelCounters) -> SimTime {
+        let total = over_grid(c, grid);
+        estimate(
+            dev,
+            occ,
+            grid,
+            &total,
+            FlopPrecision::Fp64,
+            dev.launch_overhead_s,
+        )
+    }
+
     #[test]
     fn doubling_waves_roughly_doubles_time() {
         let dev = DeviceSpec::test_device();
         let occ = occupancy(&dev, 8, 8192).unwrap(); // 8 concurrent blocks
         let c = block_counters();
-        let t1 = estimate(&dev, &occ, 8, &c);
-        let t2 = estimate(&dev, &occ, 16, &c);
+        let t1 = cold(&dev, &occ, 8, &c);
+        let t2 = cold(&dev, &occ, 16, &c);
         let ratio = (t2.secs() - dev.launch_overhead_s) / (t1.secs() - dev.launch_overhead_s);
         assert!((ratio - 2.0).abs() < 0.3, "ratio {ratio}");
     }
@@ -252,8 +211,8 @@ mod tests {
         let occ1 = occupancy(&dev, 8, dev.smem_per_sm / 2 + 64).unwrap();
         assert_eq!(occ2.blocks_per_sm, 2);
         assert_eq!(occ1.blocks_per_sm, 1);
-        let t2 = estimate(&dev, &occ2, grid, &c);
-        let t1 = estimate(&dev, &occ1, grid, &c);
+        let t2 = cold(&dev, &occ2, grid, &c);
+        let t1 = cold(&dev, &occ1, grid, &c);
         assert!(
             t1.secs() > 1.7 * t2.secs() - dev.launch_overhead_s,
             "staircase missing: {} vs {}",
@@ -276,7 +235,7 @@ mod tests {
     fn empty_grid_costs_launch_overhead() {
         let dev = DeviceSpec::test_device();
         let occ = occupancy(&dev, 8, 0).unwrap();
-        let t = estimate(&dev, &occ, 0, &KernelCounters::default());
+        let t = cold(&dev, &occ, 0, &KernelCounters::default());
         assert_eq!(t.secs(), dev.launch_overhead_s);
     }
 
@@ -298,13 +257,17 @@ mod tests {
         let occ = occupancy(&dev, 8, 4096).unwrap();
         let mut c = block_counters();
         c.flops = 10_000_000; // force the flop-throughput term to dominate
-        let t64 = estimate_with_precision(&dev, &occ, 64, &c, FlopPrecision::Fp64);
-        let t32 = estimate_with_precision(&dev, &occ, 64, &c, FlopPrecision::Fp32);
+        let total = over_grid(&c, 64);
+        let at = |p| estimate(&dev, &occ, 64, &total, p, dev.launch_overhead_s);
+        let (t64, t32) = (at(FlopPrecision::Fp64), at(FlopPrecision::Fp32));
         assert!(t32.secs() <= t64.secs());
         assert!(t32.secs() < t64.secs(), "flop-bound launch must speed up");
-        // Fp64 wrapper is the exact legacy model.
-        let legacy = estimate(&dev, &occ, 64, &c);
-        assert_eq!(t64.secs().to_bits(), legacy.secs().to_bits());
+        // Fp64 is the default class, with lane multiplier 1.
+        assert_eq!(FlopPrecision::Fp64.lane_multiplier(), 1);
+        assert_eq!(
+            at(FlopPrecision::default()).secs().to_bits(),
+            t64.secs().to_bits()
+        );
     }
 
     #[test]
@@ -312,29 +275,13 @@ mod tests {
         let dev = DeviceSpec::test_device();
         let occ = occupancy(&dev, 8, 4096).unwrap();
         let c = block_counters();
-        let cold = estimate_aggregate_with_precision(&dev, &occ, 12, &c, FlopPrecision::Fp64);
-        let warm = estimate_aggregate_with_overhead(
-            &dev,
-            &occ,
-            12,
-            &c,
-            FlopPrecision::Fp64,
-            dev.warm_launch_overhead_s,
-        );
+        let at = |overhead| estimate(&dev, &occ, 12, &c, FlopPrecision::Fp64, overhead);
+        let cold = at(dev.launch_overhead_s);
+        let warm = at(dev.warm_launch_overhead_s);
         let delta = dev.launch_overhead_s - dev.warm_launch_overhead_s;
         assert!((cold.secs() - warm.secs() - delta).abs() < 1e-18);
-        // Passing the cold overhead explicitly is the exact legacy model.
-        let explicit = estimate_aggregate_with_overhead(
-            &dev,
-            &occ,
-            12,
-            &c,
-            FlopPrecision::Fp64,
-            dev.launch_overhead_s,
-        );
-        assert_eq!(explicit.secs().to_bits(), cold.secs().to_bits());
         // Empty grids cost exactly the requested overhead.
-        let empty = estimate_aggregate_with_overhead(
+        let empty = estimate(
             &dev,
             &occ,
             0,
@@ -347,23 +294,36 @@ mod tests {
 
     #[test]
     fn aggregate_matches_per_block_for_uniform_grid() {
+        // The aggregate of a uniform grid, merged block by block, prices
+        // bitwise like the per-block model: one block's traffic times the
+        // grid, its flops, and its critical path.
         let dev = DeviceSpec::test_device();
         let occ = occupancy(&dev, 8, 4096).unwrap();
         let c = block_counters();
         let grid = 40;
         let mut agg = KernelCounters::default();
         for _ in 0..grid {
-            let mut b = c;
-            b.global_read *= 1; // per-block
-            agg.global_read += b.global_read;
-            agg.global_write += b.global_write;
-            agg.flops += b.flops;
-            agg.smem_trips = agg.smem_trips.max(b.smem_trips);
-            agg.syncs = agg.syncs.max(b.syncs);
-            agg.cycles = agg.cycles.max(b.cycles);
+            agg.merge_wave(&c);
         }
-        let t1 = estimate(&dev, &occ, grid, &c);
-        let t2 = estimate_aggregate(&dev, &occ, grid, &agg);
-        assert!((t1.secs() - t2.secs()).abs() < 1e-12);
+        assert_eq!(agg, over_grid(&c, grid));
+        let eff_bw = effective_bandwidth(&dev, &occ);
+        let mem_time = c.global_bytes() as f64 * grid as f64 / eff_bw;
+        let latency = c.cycles
+            + c.smem_elems * dev.work_scale
+            + c.smem_trips as f64 * dev.smem_latency_cycles
+            + c.syncs as f64 * dev.sync_cycles;
+        let resident = (occ.blocks_per_sm as usize).min(grid.div_ceil(dev.sms as usize));
+        let lane_cycles = c.flops as f64 * resident as f64 / dev.fp64_lanes_per_sm as f64;
+        let compute_time = waves(grid, &occ) as f64 * latency.max(lane_cycles / 2.0) / dev.clock_hz;
+        let per_block = dev.launch_overhead_s + mem_time.max(compute_time);
+        let t = estimate(
+            &dev,
+            &occ,
+            grid,
+            &agg,
+            FlopPrecision::Fp64,
+            dev.launch_overhead_s,
+        );
+        assert_eq!(t.secs().to_bits(), per_block.to_bits());
     }
 }

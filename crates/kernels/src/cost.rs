@@ -396,136 +396,57 @@ pub fn predict_interleaved_time<S: Scalar>(
     if rem > 0 {
         total.merge_wave(&per_chunk(rem));
     }
-    Some(gbatch_gpu_sim::timing::estimate_aggregate_with_precision(
+    Some(gbatch_gpu_sim::timing::estimate(
         dev,
         &occ,
         grid,
         &total,
         crate::flop_class::<S>(),
+        dev.launch_overhead_s,
     ))
 }
 
-/// Fitted constants of the layout crossover model (§5.4 extended with a
-/// storage-layout dimension). Both layouts are priced through the same
-/// analytic launch model; the scales absorb whatever the byte-count model
-/// underprices on a given machine (e.g. the strided conversion gathers)
-/// and are refreshed by `bench/src/bin/calibrate.rs` from measured
-/// crossovers, persisted in `results/layout_calibration.json`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrossoverModel {
-    /// Multiplier on the predicted interleaved time (factor + solve).
-    pub interleaved_scale: f64,
-    /// Multiplier on the predicted column-major time.
-    pub column_scale: f64,
-    /// Price the pack/unpack conversion passes into the interleaved side
-    /// (true for the dispatch path, which must accept and return
-    /// column-major storage).
-    pub include_conversion: bool,
-}
-
-impl Default for CrossoverModel {
-    /// Constants fitted from the shipped calibration run
-    /// (`results/layout_calibration.json`): the analytic model prices both
-    /// layouts through the same machinery, so the fitted scales are unity.
-    fn default() -> Self {
-        CrossoverModel {
-            interleaved_scale: 1.0,
-            column_scale: 1.0,
-            include_conversion: true,
-        }
-    }
-}
-
-impl CrossoverModel {
-    /// Predicted cost of factoring (and, with `nrhs > 0`, solving) the
-    /// batch in interleaved layout, including the conversion passes when
-    /// the model says so. `None` when the configuration cannot launch.
-    pub fn interleaved_time<S: Scalar>(
-        &self,
-        dev: &DeviceSpec,
-        l: &BandLayout,
-        batch: usize,
-        nrhs: usize,
-        params: &InterleavedParams,
-    ) -> Option<SimTime> {
-        use crate::interleaved::{factor_mode, solve_mode, LaneTrafficMode};
-        let t = params.threads;
-        let lpb = params.lanes_clamped(batch);
-        let fwin = factor_mode::<S>(dev, l, lpb) == LaneTrafficMode::Windowed;
-        let fsmem = if fwin {
-            u32::try_from(crate::interleaved::factor_smem_bytes::<S>(l, lpb)).ok()?
+/// Predicted cost of the whole interleaved dispatch path: pack, factor,
+/// solve when `nrhs > 0`, unpack — the launches
+/// [`crate::dispatch`] issues for [`crate::dispatch::MatrixLayout::Interleaved`].
+/// Every term is the exact price of its launch. `None` when a launch
+/// cannot run.
+pub fn predict_interleaved_dispatch<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    batch: usize,
+    nrhs: usize,
+    params: &InterleavedParams,
+) -> Option<SimTime> {
+    use crate::interleaved::{factor_mode, solve_mode, LaneTrafficMode};
+    let t = params.threads;
+    let lpb = params.lanes_clamped(batch);
+    let fwin = factor_mode::<S>(dev, l, lpb) == LaneTrafficMode::Windowed;
+    let fsmem = if fwin {
+        u32::try_from(crate::interleaved::factor_smem_bytes::<S>(l, lpb)).ok()?
+    } else {
+        0
+    };
+    let mut total = predict_interleaved_time::<S>(dev, batch, params, fsmem, |lanes| {
+        predict_interleaved_factor::<S>(l, lanes, t, fwin)
+    })?;
+    if nrhs > 0 {
+        let swin = solve_mode::<S>(dev, l, nrhs, lpb) == LaneTrafficMode::Windowed;
+        let ssmem = if swin {
+            u32::try_from(crate::interleaved::solve_smem_bytes::<S>(l, nrhs, lpb)).ok()?
         } else {
             0
         };
-        let mut total = predict_interleaved_time::<S>(dev, batch, params, fsmem, |lanes| {
-            predict_interleaved_factor::<S>(l, lanes, t, fwin)
+        total += predict_interleaved_time::<S>(dev, batch, params, ssmem, |lanes| {
+            predict_interleaved_solve::<S>(l, nrhs, lanes, t, swin)
         })?;
-        if nrhs > 0 {
-            let swin = solve_mode::<S>(dev, l, nrhs, lpb) == LaneTrafficMode::Windowed;
-            let ssmem = if swin {
-                u32::try_from(crate::interleaved::solve_smem_bytes::<S>(l, nrhs, lpb)).ok()?
-            } else {
-                0
-            };
-            total += predict_interleaved_time::<S>(dev, batch, params, ssmem, |lanes| {
-                predict_interleaved_solve::<S>(l, nrhs, lanes, t, swin)
-            })?;
-        }
-        if self.include_conversion {
-            let pass = predict_interleaved_time::<S>(dev, batch, params, 0, |lanes| {
-                predict_interleave_pass::<S>(l, lanes, t)
-            })?;
-            total += pass; // pack
-            total += pass; // unpack factors
-        }
-        Some(SimTime(total.secs() * self.interleaved_scale))
     }
-
-    /// Decide whether the interleaved layout wins against a column-major
-    /// price the caller computed with the dispatch's own algorithm choice.
-    pub fn interleaved_wins(&self, interleaved: SimTime, column_major: SimTime) -> bool {
-        interleaved.secs() < column_major.secs() * self.column_scale
-    }
-
-    /// Predicted cost of solving `batch` lanes through the SPIKE split
-    /// driver (lanes run sequentially, so the per-lane price scales
-    /// linearly). `None` when the split degenerates or cannot launch.
-    pub fn spike_time<S: Scalar>(
-        &self,
-        dev: &DeviceSpec,
-        l: &BandLayout,
-        batch: usize,
-        nrhs: usize,
-        params: &crate::spike::SpikeParams,
-    ) -> Option<SimTime> {
-        let lane = predict_spike_time::<S>(dev, l, nrhs, params)?;
-        Some(SimTime(lane.secs() * batch as f64))
-    }
-
-    /// Decide whether the SPIKE split wins against the unsplit
-    /// column-major window + blocked-solve price. Both sides are priced
-    /// by the same column family, so `column_scale` cancels; a 10%
-    /// safety margin keeps marginal splits on the proven unsplit path.
-    pub fn spike_wins(&self, spike: SimTime, column_major: SimTime) -> bool {
-        spike.secs() < 0.9 * column_major.secs()
-    }
-
-    /// Predicted cost of a **warm** (factor-reusing) SPIKE solve of
-    /// `batch` lanes: the block triangular solves over the true RHS
-    /// columns plus the combine sweep — no extraction, no factorization,
-    /// no refinement. This is what a serve-layer warm flush over a
-    /// retained [`gbatch_core::spike::SpikeFactor`] pays.
-    pub fn spike_warm_time<S: Scalar>(
-        &self,
-        dev: &DeviceSpec,
-        l: &BandLayout,
-        batch: usize,
-        nrhs: usize,
-        params: &crate::spike::SpikeParams,
-    ) -> Option<SimTime> {
-        let lane = predict_spike_warm_time::<S>(dev, l, nrhs, params)?;
-        Some(SimTime(lane.secs() * batch as f64))
-    }
+    let pass = predict_interleaved_time::<S>(dev, batch, params, 0, |lanes| {
+        predict_interleave_pass::<S>(l, lanes, t)
+    })?;
+    total += pass; // pack
+    total += pass; // unpack
+    Some(total)
 }
 
 /// Predicted modeled time of the SPIKE split solve of **one** lane
@@ -705,9 +626,10 @@ pub fn predict_reference_floor<S: Scalar>(
     SimTime(launches as f64 * dev.launch_overhead_s + bytes / dev.mem_bw)
 }
 
-/// Predicted modeled time of a batched launch of either factorization
-/// kernel: validates the configuration and prices the launch exactly as the
-/// engine would. Returns `None` when the launch cannot run (shared memory).
+/// Predicted modeled time of a uniform batched launch of `batch` blocks
+/// that each record `per_block`: validates the configuration and prices
+/// the launch exactly as the engine would (cold launch overhead). Returns
+/// `None` when the launch cannot run (shared memory).
 pub fn predict_time(
     dev: &DeviceSpec,
     cfg: &LaunchConfig,
@@ -715,12 +637,19 @@ pub fn predict_time(
     per_block: &KernelCounters,
 ) -> Option<gbatch_gpu_sim::SimTime> {
     let occ = gbatch_gpu_sim::engine::validate(dev, cfg).ok()?;
-    Some(gbatch_gpu_sim::timing::estimate_with_precision(
+    let total = KernelCounters {
+        global_read: per_block.global_read * batch as u64,
+        global_write: per_block.global_write * batch as u64,
+        flops: per_block.flops * batch as u64,
+        ..*per_block
+    };
+    Some(gbatch_gpu_sim::timing::estimate(
         dev,
         &occ,
         batch,
-        per_block,
+        &total,
         cfg.precision,
+        dev.launch_overhead_s,
     ))
 }
 
@@ -951,21 +880,26 @@ mod tests {
         //    streaming interleaved wins *despite* paying the conversion.
         let dev = DeviceSpec::h100_pcie();
 
-        // Regime 1: native layouts, no conversion priced.
-        let native = CrossoverModel {
-            include_conversion: false,
-            ..Default::default()
-        };
+        // Regime 1: native layouts — the factor launch alone, no
+        // conversion passes.
         let small = BandLayout::factor(16, 16, 1, 1).unwrap();
         let params = InterleavedParams::auto(&dev, &small, 0);
         let fused_cfg = LaunchConfig::new(32, (small.len() * 8) as u32);
         let column =
             predict_time(&dev, &fused_cfg, 10_000, &predict_fused::<f64>(&small, 32)).unwrap();
-        let inter = native
-            .interleaved_time::<f64>(&dev, &small, 10_000, 0, &params)
-            .unwrap();
+        let lanes = params.lanes_clamped(10_000);
+        let windowed = crate::interleaved::factor_mode::<f64>(&dev, &small, lanes)
+            == crate::interleaved::LaneTrafficMode::Windowed;
+        let smem = match windowed {
+            true => crate::interleaved::factor_smem_bytes::<f64>(&small, lanes) as u32,
+            false => 0,
+        };
+        let inter = predict_interleaved_time::<f64>(&dev, 10_000, &params, smem, |lanes| {
+            predict_interleaved_factor::<f64>(&small, lanes, params.threads, windowed)
+        })
+        .unwrap();
         assert!(
-            native.interleaved_wins(inter, column),
+            inter.secs() < column.secs(),
             "batch=10000 n=16 tridiagonal (native): interleaved {:.1}us should beat fused {:.1}us",
             inter.us(),
             column.us()
@@ -976,7 +910,6 @@ mod tests {
         // paid once per occupancy wave, so it amortizes across a full
         // device, while the interleaved side keeps paying the ~3x
         // conversion traffic per matrix.
-        let model = CrossoverModel::default();
         let big = BandLayout::factor(512, 512, 8, 8).unwrap();
         let params_big = InterleavedParams::auto(&dev, &big, 0);
         let wide_cfg = LaunchConfig::new(
@@ -985,22 +918,20 @@ mod tests {
         );
         let column_big =
             predict_time(&dev, &wide_cfg, 4000, &predict_window::<f64>(&big, 16, 128)).unwrap();
-        let inter_big = model
-            .interleaved_time::<f64>(&dev, &big, 4000, 0, &params_big)
-            .unwrap();
+        let inter_big =
+            predict_interleaved_dispatch::<f64>(&dev, &big, 4000, 0, &params_big).unwrap();
         assert!(
-            !model.interleaved_wins(inter_big, column_big),
+            inter_big.secs() >= column_big.secs(),
             "batch=4000 n=512 kl=ku=8: window {:.1}us should beat interleaved {:.1}us",
             column_big.us(),
             inter_big.us()
         );
         // ... and regime 2 also holds at the small-n point: through the
         // column-major API the conversion eats the native win there.
-        let inter_conv = model
-            .interleaved_time::<f64>(&dev, &small, 10_000, 0, &params)
-            .unwrap();
+        let inter_conv =
+            predict_interleaved_dispatch::<f64>(&dev, &small, 10_000, 0, &params).unwrap();
         assert!(
-            !model.interleaved_wins(inter_conv, column),
+            inter_conv.secs() >= column.secs(),
             "batch=10000 n=16 with conversion: fused {:.1}us should beat interleaved {:.1}us",
             column.us(),
             inter_conv.us()
@@ -1023,25 +954,23 @@ mod tests {
         );
         assert!(gbatch_gpu_sim::engine::validate(&dev, &window_huge).is_err());
         let params_huge = InterleavedParams::auto(&dev, &huge, 0);
-        let inter_huge = model
-            .interleaved_time::<f64>(&dev, &huge, 4, 0, &params_huge)
-            .unwrap();
+        let inter_huge =
+            predict_interleaved_dispatch::<f64>(&dev, &huge, 4, 0, &params_huge).unwrap();
         let reference_floor = predict_reference_floor::<f64>(&dev, &huge, 4);
         assert!(
-            model.interleaved_wins(inter_huge, reference_floor),
+            inter_huge.secs() < reference_floor.secs(),
             "batch=4 n=512 kl=ku=200: streaming interleaved {:.1}us should beat the \
              reference floor {:.1}us",
             inter_huge.us(),
             reference_floor.us()
         );
         // At large batch the traffic term takes over and the ranking flips
-        // back — the crossover model sees both sides of the regime.
-        let inter_many = model
-            .interleaved_time::<f64>(&dev, &huge, 256, 0, &params_huge)
-            .unwrap();
+        // back — the layout decision sees both sides of the regime.
+        let inter_many =
+            predict_interleaved_dispatch::<f64>(&dev, &huge, 256, 0, &params_huge).unwrap();
         let floor_many = predict_reference_floor::<f64>(&dev, &huge, 256);
         assert!(
-            !model.interleaved_wins(inter_many, floor_many),
+            inter_many.secs() >= floor_many.secs(),
             "batch=256 n=512 kl=ku=200: the reference floor {:.1}us should beat \
              streaming interleaved {:.1}us",
             floor_many.us(),

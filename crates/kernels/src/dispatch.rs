@@ -18,20 +18,26 @@
 //! containers of `gbatch_core`; the `info` array and per-matrix pivot
 //! vectors are preserved verbatim.
 //!
-//! On top of the paper's algorithm dimension this dispatcher adds a
-//! **storage-layout** dimension ([`MatrixLayout`]): the batch-major
-//! interleaved kernels of [`crate::interleaved`] are priced against the
-//! column-major choice by [`CrossoverModel`] — both sides through the same
-//! analytic launch model — and selected when they win *including* the
-//! pack/unpack conversion passes the column-major API forces on them.
+//! On top of the paper's algorithm dimension this dispatcher adds two
+//! regimes: the batch-major interleaved kernels of [`crate::interleaved`]
+//! (a **storage-layout** dimension, [`MatrixLayout`]) and the SPIKE split
+//! of [`crate::spike`] for large single systems. Each call is decided
+//! once, by a pure plan that reads only the shape and the options and
+//! issues no launch; the entry points then execute that plan. The plan
+//! prices the candidates with the exact launch predictors of
+//! [`crate::cost`], with no fitted constants: the interleaved layout wins
+//! when it beats the column-major price *including* the pack/unpack passes
+//! the column-major API forces on it.
 
 use crate::cost::{
-    predict_fused, predict_gbtrs_blocked, predict_reference_floor, predict_time, predict_window,
-    CrossoverModel,
+    predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch, predict_reference_floor,
+    predict_spike_time, predict_time, predict_window,
 };
 use crate::fused::{fused_smem_bytes, gbtrf_batch_fused, FusedParams};
 use crate::gbsv_fused::{gbsv_batch_fused, gbsv_smem_bytes, FUSED_GBSV_MAX_N};
-use crate::gbtrs_blocked::{gbtrs_batch_blocked, SolveParams};
+use crate::gbtrs_blocked::{
+    backward_smem_bytes, forward_smem_bytes, gbtrs_batch_blocked, SolveParams,
+};
 use crate::gbtrs_cols::gbtrs_batch_cols;
 use crate::gbtrs_trans::gbtrs_batch_blocked_trans;
 use crate::interleaved::{
@@ -76,8 +82,6 @@ pub enum ChosenAlgo {
     Reference,
     /// Single-kernel factorize-and-solve (`GBSV` only).
     FusedGbsv,
-    /// Band-specialized register-file kernel (§8.1 emulation, opt-in).
-    Specialized,
     /// Batch-major interleaved kernels behind pack/unpack conversion
     /// passes ([`crate::interleaved`]).
     Interleaved,
@@ -90,9 +94,9 @@ pub enum ChosenAlgo {
 /// Storage-layout selection for the batched routines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatrixLayout {
-    /// Price both layouts with the [`CrossoverModel`] and pick the
-    /// predicted winner (conversion passes included on the interleaved
-    /// side — the API accepts and returns column-major storage).
+    /// Price both layouts with the exact launch predictors and pick the
+    /// cheaper (conversion passes included on the interleaved side — the
+    /// API accepts and returns column-major storage).
     #[default]
     Auto,
     /// Keep the paper's column-major kernels (§5.1–§5.3).
@@ -113,40 +117,29 @@ pub struct GbsvOptions {
     /// Sliding-window tuning parameters (default: [`WindowParams::auto`];
     /// the `gbatch-tuning` crate produces better values per band shape).
     pub window: Option<WindowParams>,
-    /// Fused-kernel thread count (default: [`FusedParams::auto`]).
-    pub fused_threads: Option<u32>,
     /// Blocked-solve tuning parameters (default: [`SolveParams::auto`]).
     pub solve: Option<SolveParams>,
     /// Allow the single-kernel fused GBSV for small single-RHS systems
     /// (default true; disable for the Figure 7 "standard" baseline).
     pub allow_fused_gbsv: Option<bool>,
-    /// Prefer the band-specialized register-file kernels (the §8.1
-    /// JIT-emulation of [`crate::specialized`]) when an instantiation for
-    /// the batch's band shape exists (default false: the paper's published
-    /// design does not include them).
-    pub prefer_specialized: Option<bool>,
     /// Host-side scheduling of the per-matrix blocks inside the simulated
     /// engine (default: serial). Results are bitwise-identical for every
     /// policy; `Some(_)` overrides the policy carried by explicit
-    /// `window`/`solve`/`interleaved` parameter structs.
+    /// `window`/`solve`/`interleaved`/`spike` parameter structs.
     pub parallel: Option<ParallelPolicy>,
     /// Storage layout (default: [`MatrixLayout::Auto`]). The layout
     /// dimension is independent of `algo`: forcing a column-major `algo`
     /// pins the layout to column-major under `Auto`, while forcing
     /// [`MatrixLayout::Interleaved`] overrides `algo` entirely.
     pub layout: MatrixLayout,
-    /// Crossover-model constants for the `Auto` layout decision (default:
-    /// the calibrated constants of [`CrossoverModel::default`], refreshed
-    /// by `bench/src/bin/calibrate.rs`).
-    pub crossover: Option<CrossoverModel>,
     /// Interleaved-kernel geometry (default: [`InterleavedParams::auto`]).
     pub interleaved: Option<InterleavedParams>,
     /// SPIKE split-solve parameters. `Some(_)` *forces* the split driver
     /// for `gbsv` calls whose band storage it supports (square, LAPACK
     /// factor layout, `kl + ku >= 1`), regardless of matrix size or
     /// pricing; `None` (the default) lets the `Auto` policy route
-    /// large-`n` systems (`n >= SPIKE_MIN_N`) through the split when the
-    /// crossover model predicts a win.
+    /// large-`n` systems (`n >= SPIKE_MIN_N`) through the split when it
+    /// is priced at least 10% below the unsplit path.
     pub spike: Option<SpikeParams>,
     /// Engine mode for every launch this dispatch issues (default: the
     /// caller's ambient mode, i.e. [`EngineMode::PerLaunch`] unless the
@@ -157,140 +150,36 @@ pub struct GbsvOptions {
 }
 
 impl GbsvOptions {
-    fn cutoff(&self) -> usize {
-        self.fused_cutoff.unwrap_or(FUSED_GBSV_MAX_N)
-    }
-
     /// Ambient engine scope for this dispatch, if the options pin a mode.
     /// Held across the kernel calls so every internally-built
-    /// `LaunchConfig` (and the crossover pricing) sees one engine mode.
+    /// `LaunchConfig` sees one engine mode.
     fn engine_scope(&self) -> Option<EngineScope> {
         self.engine.map(EngineScope::enter)
     }
 
-    fn parallel_policy(&self) -> ParallelPolicy {
-        self.parallel.unwrap_or_default()
+    /// Blocked-solve parameters with the `parallel` override applied.
+    fn solve_params(&self, dev: &DeviceSpec, kl: usize) -> SolveParams {
+        let p = self.solve.unwrap_or_else(|| SolveParams::auto(dev, kl));
+        self.parallel.map_or(p, |pol| p.with_parallel(pol))
     }
 
-    fn interleaved_params(
-        &self,
-        dev: &DeviceSpec,
-        l: &BandLayout,
-        nrhs: usize,
-    ) -> InterleavedParams {
-        let mut p = self
-            .interleaved
-            .unwrap_or_else(|| InterleavedParams::auto(dev, l, nrhs));
-        if let Some(pol) = self.parallel {
-            p = p.with_parallel(pol);
+    /// The no-transpose solve kernel for `nrhs` columns: blocked, or the
+    /// per-column kernels when the blocked solve's RHS caches cannot fit
+    /// shared memory. Decided before either launch, so the fallback
+    /// always starts from the caller's untouched RHS.
+    fn column_solve<S: Scalar>(&self, dev: &DeviceSpec, l: &BandLayout, nrhs: usize) -> Solve {
+        let p = self.solve_params(dev, l.kl);
+        if blocked_solve_smem::<S>(l, &p, nrhs) > dev.max_smem_per_block as usize {
+            Solve::PerColumn(self.parallel.unwrap_or_default())
+        } else {
+            Solve::Blocked(p)
         }
-        p
     }
 }
 
-/// Decide the storage layout for a factor (`nrhs == 0`) or factor+solve
-/// (`nrhs > 0`) call.
-///
-/// The column-major side is priced by mirroring the §5.4 algorithm choice
-/// exactly (fused below the cutoff, window otherwise); when no column-major
-/// factorization fits shared memory the price is
-/// [`predict_reference_floor`] — a *lower bound* on the fork–join fallback
-/// — so the interleaved layout only takes over when it certainly beats the
-/// column path. A blocked solve that cannot be priced is likewise folded in
-/// as a per-column-launch floor. Both floors bias the decision toward
-/// column-major, never toward a slower interleaved pick.
-fn choose_layout<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    batch: usize,
-    nrhs: usize,
-    opts: &GbsvOptions,
-    fused_params: &FusedParams,
-    window_params: &WindowParams,
-) -> MatrixLayout {
-    match opts.layout {
-        MatrixLayout::ColumnMajor => return MatrixLayout::ColumnMajor,
-        MatrixLayout::Interleaved => return MatrixLayout::Interleaved,
-        MatrixLayout::Auto => {}
-    }
-    // Forcing a column-major algorithm pins the layout; the interleaved
-    // kernels also require LAPACK factor storage.
-    if opts.algo != FactorAlgo::Auto || l.row_offset != l.kv() || batch == 0 {
-        return MatrixLayout::ColumnMajor;
-    }
-    let iparams = opts.interleaved_params(dev, l, nrhs);
-    let model = opts.crossover.unwrap_or_default();
-    let Some(inter) = model.interleaved_time::<S>(dev, l, batch, nrhs, &iparams) else {
-        return MatrixLayout::ColumnMajor;
-    };
-    let fused_cfg = LaunchConfig::new(
-        fused_params.threads,
-        fused_smem_bytes::<S>(l.ldab, l.n) as u32,
-    )
-    .with_precision(crate::flop_class::<S>());
-    let window_cfg = LaunchConfig::new(
-        window_params.threads,
-        window_smem_bytes::<S>(l, window_params.nb) as u32,
-    )
-    .with_precision(crate::flop_class::<S>());
-    let fused_fits = validate(dev, &fused_cfg).is_ok();
-    let window_fits = validate(dev, &window_cfg).is_ok();
-    let factor_time = if l.n.max(l.m) <= opts.cutoff() && fused_fits {
-        predict_time(
-            dev,
-            &fused_cfg,
-            batch,
-            &predict_fused::<S>(l, fused_params.threads),
-        )
-    } else if window_fits {
-        predict_time(
-            dev,
-            &window_cfg,
-            batch,
-            &predict_window::<S>(l, window_params.nb, window_params.threads),
-        )
-    } else if fused_fits {
-        predict_time(
-            dev,
-            &fused_cfg,
-            batch,
-            &predict_fused::<S>(l, fused_params.threads),
-        )
-    } else {
-        Some(predict_reference_floor::<S>(dev, l, batch))
-    };
-    let Some(mut column) = factor_time else {
-        return MatrixLayout::ColumnMajor;
-    };
-    if nrhs > 0 {
-        let sp = opts.solve.unwrap_or_else(|| SolveParams::auto(dev, l.kl));
-        let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(l, sp.nb, nrhs).max(
-            crate::gbtrs_blocked::backward_smem_bytes::<S>(l, sp.nb, nrhs),
-        );
-        let scfg =
-            LaunchConfig::new(sp.threads, smem as u32).with_precision(crate::flop_class::<S>());
-        match predict_time(
-            dev,
-            &scfg,
-            batch,
-            &predict_gbtrs_blocked::<S>(l, sp.nb, nrhs, sp.threads),
-        ) {
-            Some(t) => column += t,
-            // Blocked solve cannot launch: the column path falls back to
-            // the per-column solve kernels (~2n launches). Fold in their
-            // launch-overhead floor plus a once-through pass over factors
-            // and RHS.
-            None => {
-                let bytes = ((l.len() + 2 * l.n * nrhs) * batch * S::BYTES) as f64;
-                column += SimTime(2.0 * l.n as f64 * dev.launch_overhead_s + bytes / dev.mem_bw);
-            }
-        }
-    }
-    if model.interleaved_wins(inter, column) {
-        MatrixLayout::Interleaved
-    } else {
-        MatrixLayout::ColumnMajor
-    }
+/// Shared bytes of the larger of the two blocked-solve launches.
+fn blocked_solve_smem<S: Scalar>(l: &BandLayout, p: &SolveParams, nrhs: usize) -> usize {
+    forward_smem_bytes::<S>(l, p.nb, nrhs).max(backward_smem_bytes::<S>(l, p.nb, nrhs))
 }
 
 /// Minimum matrix order for the SPIKE split regime under `Auto` routing.
@@ -299,74 +188,192 @@ fn choose_layout<S: Scalar>(
 /// [`GbsvOptions::spike`] bypasses the floor.
 pub const SPIKE_MIN_N: usize = 4096;
 
-/// Decide whether a `gbsv` call routes through the SPIKE split driver,
-/// returning the parameters to run it with. Structural requirements
-/// (square LAPACK factor storage, a nonempty band) gate both the forced
-/// and the `Auto` path; under `Auto` the split must additionally clear
-/// the size floor and beat the unsplit window + blocked-solve price by
-/// the [`CrossoverModel::spike_wins`] margin.
-fn spike_choice<S: Scalar>(
+/// What one batched call runs, with every parameter resolved.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    /// Single-kernel factorize-and-solve.
+    FusedGbsv {
+        threads: u32,
+        parallel: ParallelPolicy,
+    },
+    /// SPIKE split driver.
+    Spike(SpikeParams),
+    /// Pack, factor, solve when the call has a RHS, unpack.
+    Interleaved(InterleavedParams),
+    /// The paper's column-major kernels: a factorization, then (for
+    /// `gbsv`) a solve.
+    Column { factor: Factor, solve: Solve },
+}
+
+/// Column-major factorization kernel.
+#[derive(Debug, Clone, Copy)]
+enum Factor {
+    Fused(FusedParams),
+    Window(WindowParams),
+    Reference(ParallelPolicy),
+}
+
+/// Column-major no-transpose solve kernel.
+#[derive(Debug, Clone, Copy)]
+enum Solve {
+    Blocked(SolveParams),
+    PerColumn(ParallelPolicy),
+}
+
+/// Decide a factor (`nrhs == 0`) or factor+solve (`nrhs > 0`) call on a
+/// batch of `batch` matrices of layout `l`. Pure: reads no matrix data
+/// and issues no launch. The decisions, in order:
+///
+/// 1. **Fused GBSV** for single-RHS systems up to the cutoff whose working
+///    set fits shared memory (unless disallowed).
+/// 2. **SPIKE** for square LAPACK-storage systems with a nonempty band,
+///    unless an algorithm or the interleaved layout is forced: always
+///    when [`GbsvOptions::spike`] is set, otherwise from
+///    [`SPIKE_MIN_N`] on when the split is priced below 90% of the unsplit
+///    window factorization plus blocked solve.
+/// 3. **Layout**: under `Auto` with no forced algorithm, the interleaved
+///    path when its price (conversion passes included) beats the
+///    column-major one. A column path that cannot be priced exactly is
+///    priced by a floor — the reference factorization's launch and
+///    traffic floor, the per-column solve's launch floor — which biases
+///    the decision toward column-major, never toward a slower pick.
+/// 4. **§5.4 algorithm**: fused below the cutoff, window otherwise,
+///    fused when only it fits, reference as the safety net; the solve is
+///    blocked unless its RHS caches cannot fit.
+fn plan<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
     batch: usize,
     nrhs: usize,
     opts: &GbsvOptions,
-) -> Option<SpikeParams> {
-    if batch == 0 || nrhs == 0 {
-        return None;
-    }
-    // Structural requirements of the split driver.
-    if l.m != l.n || l.row_offset != l.kv() || l.kl + l.ku == 0 {
-        return None;
-    }
-    let minimal = BandLayout::factor(l.n, l.n, l.kl, l.ku).ok()?;
-    if l.ldab != minimal.ldab {
-        return None;
-    }
-    // A forced column-major algorithm or interleaved layout overrides
-    // the split regime entirely.
-    if opts.algo != FactorAlgo::Auto || opts.layout == MatrixLayout::Interleaved {
-        return None;
-    }
-    let mut params = opts.spike.unwrap_or_else(|| SpikeParams::auto(dev, l.kl));
+) -> Plan {
+    let parallel = opts.parallel.unwrap_or_default();
+    let cutoff = opts.fused_cutoff.unwrap_or(FUSED_GBSV_MAX_N);
+    let mut fused = FusedParams::auto(dev, l.kl);
+    let mut window = opts.window.unwrap_or_else(|| WindowParams::auto(dev, l.kl));
+    let mut spike = opts.spike.unwrap_or_else(|| SpikeParams::auto(dev, l.kl));
+    let mut interleaved =
+        (opts.interleaved).unwrap_or_else(|| InterleavedParams::auto(dev, l, nrhs));
     if let Some(p) = opts.parallel {
-        params = params.with_parallel(p);
+        fused = fused.with_parallel(p);
+        window = window.with_parallel(p);
+        spike = spike.with_parallel(p);
+        interleaved = interleaved.with_parallel(p);
     }
-    if opts.spike.is_some() {
-        return Some(params);
+    let solve = opts.column_solve::<S>(dev, l, nrhs);
+
+    if nrhs == 1
+        && opts.allow_fused_gbsv.unwrap_or(true)
+        && l.n <= cutoff
+        && validate(
+            dev,
+            &LaunchConfig::new(fused.threads, gbsv_smem_bytes::<S>(l, nrhs) as u32),
+        )
+        .is_ok()
+    {
+        return Plan::FusedGbsv {
+            threads: fused.threads,
+            parallel,
+        };
     }
-    if l.n < SPIKE_MIN_N {
-        return None;
+
+    let prec = crate::flop_class::<S>();
+    let fused_cfg = LaunchConfig::new(fused.threads, fused_smem_bytes::<S>(l.ldab, l.n) as u32)
+        .with_precision(prec);
+    let window_cfg = LaunchConfig::new(window.threads, window_smem_bytes::<S>(l, window.nb) as u32)
+        .with_precision(prec);
+    let fused_fits = validate(dev, &fused_cfg).is_ok();
+    let window_fits = validate(dev, &window_cfg).is_ok();
+    let factor = match opts.algo {
+        FactorAlgo::Fused => Factor::Fused(fused),
+        FactorAlgo::Window => Factor::Window(window),
+        FactorAlgo::Reference => Factor::Reference(parallel),
+        FactorAlgo::Auto if l.n.max(l.m) <= cutoff && fused_fits => Factor::Fused(fused),
+        FactorAlgo::Auto if window_fits => Factor::Window(window),
+        FactorAlgo::Auto if fused_fits => Factor::Fused(fused),
+        FactorAlgo::Auto => Factor::Reference(parallel),
+    };
+    let column = Plan::Column { factor, solve };
+    if opts.algo != FactorAlgo::Auto || batch == 0 {
+        return match opts.layout {
+            MatrixLayout::Interleaved => Plan::Interleaved(interleaved),
+            _ => column,
+        };
     }
-    let model = opts.crossover.unwrap_or_default();
-    let spike = model.spike_time::<S>(dev, l, batch, nrhs, &params)?;
-    // Unsplit column price: window factorization + blocked solve (large
-    // `n` is far above the fused cutoff). If either side cannot be
-    // priced, stay on the proven unsplit path.
-    let wp = opts.window.unwrap_or_else(|| WindowParams::auto(dev, l.kl));
-    let wcfg = LaunchConfig::new(wp.threads, window_smem_bytes::<S>(l, wp.nb) as u32)
-        .with_precision(crate::flop_class::<S>());
-    let mut column = predict_time(
-        dev,
-        &wcfg,
-        batch,
-        &predict_window::<S>(l, wp.nb, wp.threads),
-    )?;
-    let sp = opts.solve.unwrap_or_else(|| SolveParams::auto(dev, l.kl));
-    let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(l, sp.nb, nrhs).max(
-        crate::gbtrs_blocked::backward_smem_bytes::<S>(l, sp.nb, nrhs),
-    );
-    let scfg = LaunchConfig::new(sp.threads, smem as u32).with_precision(crate::flop_class::<S>());
-    column += predict_time(
-        dev,
-        &scfg,
-        batch,
-        &predict_gbtrs_blocked::<S>(l, sp.nb, nrhs, sp.threads),
-    )?;
-    if model.spike_wins(spike, column) {
-        Some(params)
+
+    // The column-major price, shared by the SPIKE and layout tests.
+    let factor_time = match factor {
+        Factor::Fused(p) => predict_time(dev, &fused_cfg, batch, &predict_fused::<S>(l, p.threads)),
+        Factor::Window(p) => predict_time(
+            dev,
+            &window_cfg,
+            batch,
+            &predict_window::<S>(l, p.nb, p.threads),
+        ),
+        Factor::Reference(_) => Some(predict_reference_floor::<S>(dev, l, batch)),
+    };
+    let solve_time = match solve {
+        Solve::Blocked(p) if nrhs > 0 => predict_time(
+            dev,
+            &LaunchConfig::new(p.threads, blocked_solve_smem::<S>(l, &p, nrhs) as u32)
+                .with_precision(prec),
+            batch,
+            &predict_gbtrs_blocked::<S>(l, p.nb, nrhs, p.threads),
+        ),
+        _ => None,
+    };
+
+    let spike_storage = nrhs > 0
+        && l.m == l.n
+        && l.row_offset == l.kv()
+        && l.kl + l.ku > 0
+        && BandLayout::factor(l.n, l.n, l.kl, l.ku).is_ok_and(|min| min.ldab == l.ldab)
+        && opts.layout != MatrixLayout::Interleaved;
+    if spike_storage && opts.spike.is_some() {
+        return Plan::Spike(spike);
+    }
+    if spike_storage && l.n >= SPIKE_MIN_N && matches!(factor, Factor::Window(_)) {
+        if let (Some(f), Some(s), Some(lane)) = (
+            factor_time,
+            solve_time,
+            predict_spike_time::<S>(dev, l, nrhs, &spike),
+        ) {
+            if lane.secs() * (batch as f64) < 0.9 * (f + s).secs() {
+                return Plan::Spike(spike);
+            }
+        }
+    }
+
+    let interleaved_wins = match opts.layout {
+        MatrixLayout::Interleaved => true,
+        MatrixLayout::ColumnMajor => false,
+        MatrixLayout::Auto => {
+            let inter = if l.row_offset == l.kv() {
+                predict_interleaved_dispatch::<S>(dev, l, batch, nrhs, &interleaved)
+            } else {
+                None
+            };
+            match (inter, factor_time) {
+                (Some(inter), Some(mut column)) => {
+                    if nrhs > 0 {
+                        // An unpriced blocked solve means the per-column
+                        // kernels (~2n launches): their launch floor plus
+                        // one pass over factors and RHS.
+                        column += solve_time.unwrap_or_else(|| {
+                            let bytes = ((l.len() + 2 * l.n * nrhs) * batch * S::BYTES) as f64;
+                            SimTime(2.0 * l.n as f64 * dev.launch_overhead_s + bytes / dev.mem_bw)
+                        });
+                    }
+                    inter.secs() < column.secs()
+                }
+                _ => false,
+            }
+        }
+    };
+    if interleaved_wins {
+        Plan::Interleaved(interleaved)
     } else {
-        None
+        column
     }
 }
 
@@ -409,29 +416,90 @@ impl BatchReport {
 /// The interleaved plan, one launch per step: pack, factor, solve when
 /// `rhs` is given, unpack. The kernels run on the caller's column-major
 /// storage; pack and unpack are priced passes that move no host data.
-fn interleaved_plan<S: Scalar>(
+fn run_interleaved<S: Scalar>(
     dev: &DeviceSpec,
     a: &mut BandBatch<S>,
     piv: &mut PivotBatch,
     rhs: Option<&mut RhsBatch<S>>,
     info: &mut InfoArray,
-    opts: &GbsvOptions,
+    params: InterleavedParams,
 ) -> Result<BatchReport, LaunchError> {
-    let nrhs = rhs.as_ref().map_or(0, |r| r.nrhs());
-    let iparams = opts.interleaved_params(dev, &a.layout(), nrhs);
-    let mut time = interleave_launch(dev, a, iparams)?.time;
-    time += gbtrf_batch_interleaved(dev, a, piv, info, iparams)?.time;
+    let mut time = interleave_launch(dev, a, params)?.time;
+    time += gbtrf_batch_interleaved(dev, a, piv, info, params)?.time;
     let mut launches = 3;
     if let Some(rhs) = rhs {
-        time += gbtrs_batch_interleaved(dev, a, piv, rhs, info, iparams)?.time;
+        time += gbtrs_batch_interleaved(dev, a, piv, rhs, info, params)?.time;
         launches += 1;
     }
-    time += deinterleave_launch(dev, a, iparams)?.time;
+    time += deinterleave_launch(dev, a, params)?.time;
     Ok(BatchReport {
         algo: ChosenAlgo::Interleaved,
         time,
         launches,
         singular: info.failures(),
+    })
+}
+
+/// Run one column-major factorization kernel.
+fn run_factor<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &mut BandBatch<S>,
+    piv: &mut PivotBatch,
+    info: &mut InfoArray,
+    factor: Factor,
+) -> Result<BatchReport, LaunchError> {
+    let (algo, time, launches) = match factor {
+        Factor::Fused(p) => (
+            ChosenAlgo::Fused,
+            gbtrf_batch_fused(dev, a, piv, info, p)?.time,
+            1,
+        ),
+        Factor::Window(p) => (
+            ChosenAlgo::Window,
+            gbtrf_batch_window(dev, a, piv, info, p)?.time,
+            1,
+        ),
+        Factor::Reference(pol) => {
+            let rep = gbtrf_batch_reference(dev, a, piv, info, pol)?;
+            (ChosenAlgo::Reference, rep.time, rep.launches)
+        }
+    };
+    Ok(BatchReport {
+        algo,
+        time,
+        launches,
+        singular: info.failures(),
+    })
+}
+
+/// Run one column-major no-transpose solve kernel.
+fn run_solve<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    factors: &[S],
+    piv: &PivotBatch,
+    rhs: &mut RhsBatch<S>,
+    solve: Solve,
+) -> Result<BatchReport, LaunchError> {
+    let (algo, time, launches) = match solve {
+        Solve::Blocked(p) => {
+            let rep = gbtrs_batch_blocked(dev, l, factors, piv, rhs, p)?;
+            (
+                ChosenAlgo::Window,
+                rep.time(),
+                1 + rep.forward.is_some() as usize,
+            )
+        }
+        Solve::PerColumn(pol) => {
+            let rep = gbtrs_batch_cols(dev, l, factors, piv, rhs, pol)?;
+            (ChosenAlgo::Reference, rep.time, rep.launches)
+        }
+    };
+    Ok(BatchReport {
+        algo,
+        time,
+        launches,
+        singular: Vec::new(),
     })
 }
 
@@ -469,109 +537,11 @@ pub fn gbtrf_batch<S: Scalar>(
     opts: &GbsvOptions,
 ) -> Result<BatchReport, LaunchError> {
     let _engine = opts.engine_scope();
-    let l = a.layout();
-    let mut fused_params = opts
-        .fused_threads
-        .map(|threads| FusedParams {
-            threads,
-            ..Default::default()
-        })
-        .unwrap_or_else(|| FusedParams::auto(dev, l.kl));
-    let mut window_params = opts.window.unwrap_or_else(|| WindowParams::auto(dev, l.kl));
-    if let Some(p) = opts.parallel {
-        fused_params = fused_params.with_parallel(p);
-        window_params = window_params.with_parallel(p);
-    }
-
-    // Opt-in: the specialized register-file kernels (paper §8.1). Their
-    // shape registry is instantiated for `f64` only, so other precisions
-    // fall through to the generic selection below.
-    if opts.prefer_specialized.unwrap_or(false) {
-        if let Some(a64) = (a as &mut dyn std::any::Any).downcast_mut::<BandBatch<f64>>() {
-            if let Some(res) =
-                crate::specialized::specialized_gbtrf(dev, a64, piv, info, fused_params.threads)
-            {
-                let rep = res?;
-                return Ok(BatchReport {
-                    algo: ChosenAlgo::Specialized,
-                    time: rep.time,
-                    launches: 1,
-                    singular: info.failures(),
-                });
-            }
-        }
-    }
-
-    // Layout dimension: pack, factor batch-major, unpack the factors.
-    let layout = choose_layout::<S>(dev, &l, a.batch(), 0, opts, &fused_params, &window_params);
-    if layout == MatrixLayout::Interleaved {
-        return interleaved_plan(dev, a, piv, None, info, opts);
-    }
-
-    let algo = match opts.algo {
-        FactorAlgo::Fused => ChosenAlgo::Fused,
-        FactorAlgo::Window => ChosenAlgo::Window,
-        FactorAlgo::Reference => ChosenAlgo::Reference,
-        FactorAlgo::Auto => {
-            let fused_fits = validate(
-                dev,
-                &LaunchConfig::new(
-                    fused_params.threads,
-                    fused_smem_bytes::<S>(l.ldab, l.n) as u32,
-                ),
-            )
-            .is_ok();
-            let window_fits = validate(
-                dev,
-                &LaunchConfig::new(
-                    window_params.threads,
-                    window_smem_bytes::<S>(&l, window_params.nb) as u32,
-                ),
-            )
-            .is_ok();
-            if l.n.max(l.m) <= opts.cutoff() && fused_fits {
-                ChosenAlgo::Fused
-            } else if window_fits {
-                ChosenAlgo::Window
-            } else if fused_fits {
-                ChosenAlgo::Fused
-            } else {
-                ChosenAlgo::Reference
-            }
-        }
-    };
-
-    match algo {
-        ChosenAlgo::Fused => {
-            let rep = gbtrf_batch_fused(dev, a, piv, info, fused_params)?;
-            Ok(BatchReport {
-                algo,
-                time: rep.time,
-                launches: 1,
-                singular: info.failures(),
-            })
-        }
-        ChosenAlgo::Window => {
-            let rep = gbtrf_batch_window(dev, a, piv, info, window_params)?;
-            Ok(BatchReport {
-                algo,
-                time: rep.time,
-                launches: 1,
-                singular: info.failures(),
-            })
-        }
-        ChosenAlgo::Reference
-        | ChosenAlgo::FusedGbsv
-        | ChosenAlgo::Specialized
-        | ChosenAlgo::Interleaved
-        | ChosenAlgo::Spike => {
-            let rep = gbtrf_batch_reference(dev, a, piv, info, opts.parallel_policy())?;
-            Ok(BatchReport {
-                algo: ChosenAlgo::Reference,
-                time: rep.time,
-                launches: rep.launches,
-                singular: info.failures(),
-            })
+    match plan::<S>(dev, &a.layout(), a.batch(), 0, opts) {
+        Plan::Interleaved(p) => run_interleaved(dev, a, piv, None, info, p),
+        Plan::Column { factor, .. } => run_factor(dev, a, piv, info, factor),
+        Plan::FusedGbsv { .. } | Plan::Spike(_) => {
+            unreachable!("a plan without right-hand sides never solves")
         }
     }
 }
@@ -618,39 +588,18 @@ pub fn gbtrs_batch<S: Scalar>(
     opts: &GbsvOptions,
 ) -> Result<BatchReport, LaunchError> {
     let _engine = opts.engine_scope();
-    let mut params = opts.solve.unwrap_or_else(|| SolveParams::auto(dev, l.kl));
-    if let Some(p) = opts.parallel {
-        params = params.with_parallel(p);
-    }
     match trans {
-        Transpose::No => match gbtrs_batch_blocked(dev, l, factors, piv, rhs, params) {
-            Ok(rep) => {
-                let launches = 1 + rep.forward.is_some() as usize;
-                Ok(BatchReport {
-                    algo: ChosenAlgo::Window,
-                    time: rep.time(),
-                    launches,
-                    singular: Vec::new(),
-                })
-            }
-            Err(LaunchError::SharedMemExceeded { .. }) => {
-                let rep = gbtrs_batch_cols(dev, l, factors, piv, rhs, opts.parallel_policy())?;
-                Ok(BatchReport {
-                    algo: ChosenAlgo::Reference,
-                    time: rep.time,
-                    launches: rep.launches,
-                    singular: Vec::new(),
-                })
-            }
-            Err(e) => Err(e),
-        },
+        Transpose::No => {
+            let solve = opts.column_solve::<S>(dev, l, rhs.nrhs());
+            run_solve(dev, l, factors, piv, rhs, solve)
+        }
         Transpose::Yes => {
+            let params = opts.solve_params(dev, l.kl);
             let rep = gbtrs_batch_blocked_trans(dev, l, factors, piv, rhs, params)?;
-            let launches = 1 + rep.lt.is_some() as usize;
             Ok(BatchReport {
                 algo: ChosenAlgo::Window,
                 time: rep.time(),
-                launches,
+                launches: 1 + rep.lt.is_some() as usize,
                 singular: Vec::new(),
             })
         }
@@ -722,6 +671,11 @@ pub fn sgbsv_batch(
 
 /// Precision-generic batched band factorize-and-solve; `dgbsv_batch` /
 /// `sgbsv_batch` are its two instantiations.
+///
+/// Every path returns a singular lane's RHS untouched: the SPIKE driver
+/// and the interleaved solve skip such lanes themselves, while the fused
+/// GBSV kernel and the column-major solve run on them and get their RHS
+/// restored afterwards.
 pub fn gbsv_batch<S: Scalar>(
     dev: &DeviceSpec,
     a: &mut BandBatch<S>,
@@ -733,138 +687,72 @@ pub fn gbsv_batch<S: Scalar>(
     let _engine = opts.engine_scope();
     let l = a.layout();
     assert_eq!(l.m, l.n, "dgbsv_batch requires square systems");
-    let allow_fused = opts.allow_fused_gbsv.unwrap_or(true);
-    let threads = opts
-        .fused_threads
-        .unwrap_or_else(|| FusedParams::auto(dev, l.kl).threads);
-    let fused_ok = allow_fused
-        && l.n <= opts.cutoff()
-        && rhs.nrhs() == 1
-        && validate(
-            dev,
-            &LaunchConfig::new(threads, gbsv_smem_bytes::<S>(&l, rhs.nrhs()) as u32),
-        )
-        .is_ok();
-    if fused_ok {
-        // The fused kernel eliminates the RHS in lockstep with the
-        // factorization, so a lane that hits a zero pivot mid-sweep has
-        // already scrambled part of its RHS. Snapshot the (cheap,
-        // host-side) RHS payload and restore failed lanes so the
-        // dispatcher's contract is uniform across every path: a singular
-        // lane is flagged in `info`/`singular` and its RHS is returned
-        // untouched.
-        let saved = rhs.data().to_vec();
-        let rep = gbsv_batch_fused(dev, a, piv, rhs, info, threads, opts.parallel_policy())?;
-        if !info.all_ok() {
-            let stride = rhs.block_stride();
-            for id in info.failures() {
-                rhs.block_mut(id)
-                    .copy_from_slice(&saved[id * stride..(id + 1) * stride]);
-            }
+    match plan::<S>(dev, &l, a.batch(), rhs.nrhs(), opts) {
+        Plan::FusedGbsv { threads, parallel } => {
+            // The fused kernel eliminates the RHS in lockstep with the
+            // factorization, so a lane that hits a zero pivot mid-sweep
+            // has already scrambled part of its RHS.
+            let saved = rhs.data().to_vec();
+            let rep = gbsv_batch_fused(dev, a, piv, rhs, info, threads, parallel)?;
+            restore_failed(rhs, info, &saved);
+            Ok(BatchReport {
+                algo: ChosenAlgo::FusedGbsv,
+                time: rep.time,
+                launches: 1,
+                singular: info.failures(),
+            })
         }
-        return Ok(BatchReport {
-            algo: ChosenAlgo::FusedGbsv,
-            time: rep.time,
-            launches: 1,
-            singular: info.failures(),
-        });
-    }
-
-    // Third regime: SPIKE split for large single systems (forced via
-    // `opts.spike`, or priced in under `Auto` for `n >= SPIKE_MIN_N`).
-    // The split driver handles singular blocks itself (per-lane unsplit
-    // fallback) and leaves failed lanes' RHS untouched.
-    if let Some(params) = spike_choice::<S>(dev, &l, a.batch(), rhs.nrhs(), opts) {
-        let rep = spike_gbsv_batch(dev, a, piv, rhs, info, params)?;
-        return Ok(BatchReport {
-            algo: ChosenAlgo::Spike,
-            time: rep.time,
-            launches: rep.launches,
-            singular: info.failures(),
-        });
-    }
-
-    // Layout dimension, priced over the whole factor+solve call. The
-    // native interleaved solve masks singular lanes itself (their RHS
-    // blocks stay untouched), so no save/restore pass is needed.
-    let mut fused_params = opts
-        .fused_threads
-        .map(|threads| FusedParams {
-            threads,
-            ..Default::default()
-        })
-        .unwrap_or_else(|| FusedParams::auto(dev, l.kl));
-    let mut window_params = opts.window.unwrap_or_else(|| WindowParams::auto(dev, l.kl));
-    if let Some(p) = opts.parallel {
-        fused_params = fused_params.with_parallel(p);
-        window_params = window_params.with_parallel(p);
-    }
-    let layout = choose_layout::<S>(
-        dev,
-        &l,
-        a.batch(),
-        rhs.nrhs(),
-        opts,
-        &fused_params,
-        &window_params,
-    );
-    if layout == MatrixLayout::Interleaved {
-        return interleaved_plan(dev, a, piv, Some(rhs), info, opts);
-    }
-    // The factor call below re-runs the layout decision with nrhs = 0;
-    // pin it to the choice made here so factor and solve stay one plan.
-    let opts = &GbsvOptions {
-        layout: MatrixLayout::ColumnMajor,
-        ..*opts
-    };
-    let f = gbtrf_batch::<S>(dev, a, piv, info, opts)?;
-    if !info.all_ok() {
-        // LAPACK semantics: no solve when any factorization is singular?
-        // DGBSV is per-system; we solve only the healthy systems. The
-        // triangular kernels would divide by zero on singular ones, so we
-        // filter them out by solving everything and restoring the RHS of
-        // failed systems afterwards.
-        let saved: Vec<(usize, Vec<S>)> = info
-            .failures()
-            .into_iter()
-            .map(|id| (id, rhs.block(id).to_vec()))
-            .collect();
-        let s = gbtrs_batch_skip_singular::<S>(dev, &l, a.data(), piv, rhs, info, opts)?;
-        for (id, data) in saved {
-            rhs.block_mut(id).copy_from_slice(&data);
+        Plan::Spike(params) => {
+            let rep = spike_gbsv_batch(dev, a, piv, rhs, info, params)?;
+            Ok(BatchReport {
+                algo: ChosenAlgo::Spike,
+                time: rep.time,
+                launches: rep.launches,
+                singular: info.failures(),
+            })
         }
-        return Ok(BatchReport {
-            algo: f.algo,
-            time: f.time + s.time,
-            launches: f.launches + s.launches,
-            singular: info.failures(),
-        });
+        Plan::Interleaved(p) => run_interleaved(dev, a, piv, Some(rhs), info, p),
+        Plan::Column { factor, solve } => {
+            let f = run_factor(dev, a, piv, info, factor)?;
+            // DGBSV is per-system: solve only the healthy systems. The
+            // triangular kernels would divide by zero on singular ones, so
+            // their zero diagonals are patched to one for the solve and
+            // their RHS restored afterwards.
+            let s = if f.singular.is_empty() {
+                run_solve(dev, &l, a.data(), piv, rhs, solve)?
+            } else {
+                let saved = rhs.data().to_vec();
+                let patched = patch_zero_diagonals(&l, a.data(), &f.singular);
+                let s = run_solve(dev, &l, &patched, piv, rhs, solve)?;
+                restore_failed(rhs, info, &saved);
+                s
+            };
+            Ok(BatchReport {
+                algo: f.algo,
+                time: f.time + s.time,
+                launches: f.launches + s.launches,
+                singular: f.singular,
+            })
+        }
     }
-    let s = gbtrs_batch::<S>(dev, Transpose::No, &l, a.data(), piv, rhs, opts)?;
-    Ok(BatchReport {
-        algo: f.algo,
-        time: f.time + s.time,
-        launches: f.launches + s.launches,
-        singular: Vec::new(),
-    })
 }
 
-/// Solve pass that tolerates singular factorizations by replacing their
-/// divisions with no-ops (the RHS of failed systems is restored by the
-/// caller anyway). Implementation: temporarily patch zero diagonals to 1.
-fn gbtrs_batch_skip_singular<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    factors: &[S],
-    piv: &PivotBatch,
-    rhs: &mut RhsBatch<S>,
-    info: &InfoArray,
-    opts: &GbsvOptions,
-) -> Result<BatchReport, LaunchError> {
+/// Copy the saved RHS blocks of every lane `info` flags back into `rhs`.
+fn restore_failed<S: Scalar>(rhs: &mut RhsBatch<S>, info: &InfoArray, saved: &[S]) {
+    let stride = rhs.block_stride();
+    for id in info.failures() {
+        rhs.block_mut(id)
+            .copy_from_slice(&saved[id * stride..(id + 1) * stride]);
+    }
+}
+
+/// A copy of `factors` with the zero diagonals of the `failed` lanes set
+/// to one, so the solve kernels run on them without dividing by zero.
+fn patch_zero_diagonals<S: Scalar>(l: &BandLayout, factors: &[S], failed: &[usize]) -> Vec<S> {
     let mut patched = factors.to_vec();
     let stride = l.len();
     let kv = l.kv();
-    for id in info.failures() {
+    for &id in failed {
         let ab = &mut patched[id * stride..(id + 1) * stride];
         for j in 0..l.n {
             if ab[l.idx(kv, j)] == S::ZERO {
@@ -872,7 +760,7 @@ fn gbtrs_batch_skip_singular<S: Scalar>(
             }
         }
     }
-    gbtrs_batch::<S>(dev, Transpose::No, l, &patched, piv, rhs, opts)
+    patched
 }
 
 #[cfg(test)]
@@ -1022,6 +910,19 @@ mod tests {
         };
         let algo = solve_and_check(1024, 4, 4, 1, &opts);
         assert_eq!(algo, ChosenAlgo::Window);
+    }
+
+    #[test]
+    fn solve_falls_back_before_the_forward_sweep_when_only_it_fits() {
+        // (2,60) with 500 RHS on the H100: the forward RHS cache (10 rows)
+        // fits shared memory, the backward one (70 rows) does not. The
+        // per-column fallback must start from the caller's RHS, not from
+        // one the blocked forward sweep already overwrote.
+        let opts = GbsvOptions {
+            layout: MatrixLayout::ColumnMajor,
+            ..Default::default()
+        };
+        assert_eq!(solve_and_check(100, 2, 60, 500, &opts), ChosenAlgo::Window);
     }
 
     #[test]
@@ -1199,7 +1100,7 @@ mod tests {
 
     #[test]
     fn auto_layout_never_picks_a_much_slower_layout() {
-        // Acceptance gate for the crossover model: on a grid spanning all
+        // Acceptance gate for the layout decision: on a grid spanning all
         // three regimes, run both forced layouts and the auto decision;
         // the auto pick's executed time must be within 10% of the faster
         // forced side.

@@ -144,8 +144,7 @@ mod tests {
             let per_block = gemm_block_counters(n, 256);
             // Batched launch time from the analytic path (avoid the O(n^3)
             // host compute for n = 512 here).
-            let occ = gbatch_gpu_sim::engine::validate(&dev, &cfg).unwrap();
-            let batched = gbatch_gpu_sim::timing::estimate(&dev, &occ, batch, &per_block);
+            let batched = crate::cost::predict_time(&dev, &cfg, batch, &per_block).unwrap();
             let streamed = simulate_streams(&dev, &cfg, batch, 16, &per_block);
             gaps.push(streamed.secs() / batched.secs());
         }

@@ -157,11 +157,10 @@ mod tests {
         let dev = DeviceSpec::h100_pcie();
         let batch = 500;
         let cfg = LaunchConfig::new(128, 0);
-        let occ = gbatch_gpu_sim::engine::validate(&dev, &cfg).unwrap();
         let mut gaps = Vec::new();
         for n in [32usize, 512] {
             let per_block = gemv_block_counters(n, 128);
-            let batched = gbatch_gpu_sim::timing::estimate(&dev, &occ, batch, &per_block);
+            let batched = crate::cost::predict_time(&dev, &cfg, batch, &per_block).unwrap();
             let streamed = simulate_streams(&dev, &cfg, batch, 16, &per_block);
             gaps.push(streamed.secs() / batched.secs());
         }

@@ -42,8 +42,8 @@
 //! from [`crate::cost::predict_interleaved_factor`] /
 //! [`crate::cost::predict_interleaved_solve`] /
 //! [`crate::cost::predict_interleave_pass`] — the same predictors the
-//! layout-dispatch crossover model prices with, so model and launch
-//! cannot drift apart.
+//! dispatch plan prices the layout with, so plan and launch cannot drift
+//! apart.
 //!
 //! Host execution: the interleaved layout is a device layout that only
 //! the model sees; host storage stays column-major. The kernels are

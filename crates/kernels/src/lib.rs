@@ -37,12 +37,12 @@
 //!   (Li/Serban/Negrut, arXiv:1509.07919): P diagonal blocks factor
 //!   concurrently as an intra-matrix batch, a tiny dense reduced system
 //!   couples the cuts, and a truncated mode trades coupling for
-//!   iterative refinement; the third regime of the dispatch crossover.
+//!   iterative refinement; the third regime of the dispatch plan.
 //! - [`mod@interleaved`] — batch-major (interleaved) GBTRF/GBTRS whose
 //!   column-step primitives sweep contiguous batch lanes innermost: no
 //!   shared memory, no barriers, bitwise-identical numerics per lane, and
 //!   the coalesced access pattern of Gloster et al. (arXiv:1909.04539);
-//!   the layout dimension of the dispatch crossover model.
+//!   the layout dimension of the dispatch plan.
 //! - [`gemm`] / [`gemv`] — simple batched dense kernels used by the
 //!   Figure 1 motivation experiment.
 //! - [`cost`] — analytic counter prediction (dry-run cost model) used by

@@ -33,7 +33,7 @@ use gbatch_cpu::{cpu_gbsv_batch, CpuSpec};
 use gbatch_gpu_sim::engine::LaunchError;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, MegabatchQueue, ParallelPolicy, SimTime};
-use gbatch_kernels::cost::{predict_spike_time, CrossoverModel};
+use gbatch_kernels::cost::{predict_spike_time, predict_spike_warm_time};
 use gbatch_kernels::dispatch::{
     gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, GbsvOptions, MatrixLayout, SPIKE_MIN_N,
 };
@@ -487,11 +487,11 @@ impl GpuBackend {
                 }
                 let parts = fs[0].spike::<S>().expect("all lanes split").partition.parts;
                 let params = SpikeParams::auto(dev, l.kl).with_parts(parts);
-                let t = CrossoverModel::default()
-                    .spike_warm_time::<S>(dev, &l, hi - lo, nrhs, &params)
-                    .ok_or_else(|| {
+                let lane =
+                    predict_spike_warm_time::<S>(dev, &l, nrhs, &params).ok_or_else(|| {
                         BackendError::Fault("warm SPIKE solve cannot be priced".into())
                     })?;
+                let t = SimTime(lane.secs() * (hi - lo) as f64);
                 return Ok(self.flush_time(dev, t, 2 * (hi - lo)));
             }
             let mut rhs = rhs_batch::<S>(shape, part)?;

@@ -58,11 +58,14 @@ pub enum AdmitError {
         /// The service clock at the refusal.
         clock_s: f64,
     },
-    /// A time field is NaN or infinite: it cannot be ordered against the
-    /// virtual clock, so admission refuses it before the clock moves.
+    /// A time field, or an entry of the operator or right-hand side, is
+    /// NaN or infinite. A time cannot be ordered against the virtual
+    /// clock, so it is refused before the clock moves; a payload would
+    /// come back as a NaN solution, so it is refused before anything is
+    /// enqueued.
     NonFinite {
-        /// Name of the offending field (`submitted_s`, `deadline_s`, or
-        /// `now_s` for [`crate::Server::factorize`]).
+        /// Name of the offending field (`submitted_s`, `deadline_s`, `ab`
+        /// or `rhs`, or `now_s` for [`crate::Server::factorize`]).
         field: &'static str,
     },
 }
@@ -88,7 +91,7 @@ impl std::fmt::Display for AdmitError {
                 f,
                 "submission time {now_s:.6} s precedes the service clock {clock_s:.6} s"
             ),
-            AdmitError::NonFinite { field } => write!(f, "{field} is not a finite time"),
+            AdmitError::NonFinite { field } => write!(f, "{field} is not finite"),
         }
     }
 }
