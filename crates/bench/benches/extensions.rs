@@ -1,16 +1,13 @@
 //! Benches for the beyond-the-paper extensions: band-specialized
-//! ("JIT") kernels, mixed-precision GBSV, SPD Cholesky, and non-uniform
-//! batches. Host wall-clock of the real numerics.
+//! ("JIT") kernels, mixed-precision GBSV and SPD Cholesky. Host
+//! wall-clock of the real numerics.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gbatch_core::batch::{InfoArray, PivotBatch, RhsBatch};
-use gbatch_core::layout::BandLayout;
-use gbatch_core::vbatch::{VarBandBatch, VarPivots};
 use gbatch_gpu_sim::DeviceSpec;
 use gbatch_kernels::mixed::msgbsv_batch_fused;
 use gbatch_kernels::pbtrf::{pbtrf_batch_window, PbBatch};
 use gbatch_kernels::specialized::specialized_gbtrf;
-use gbatch_kernels::vbatch::dgbtrf_vbatch;
 use gbatch_kernels::window::{gbtrf_batch_window, WindowParams};
 use gbatch_workloads::random::{random_band_batch, BandDistribution};
 use rand::rngs::StdRng;
@@ -123,47 +120,6 @@ fn bench_cholesky(c: &mut Criterion) {
     });
 }
 
-fn bench_vbatch(c: &mut Criterion) {
-    let dev = DeviceSpec::h100_pcie();
-    let layouts: Vec<BandLayout> = (0..24)
-        .map(|k| {
-            let n = 32 + (k % 4) * 48;
-            BandLayout::factor(n, n, 2, 3).unwrap()
-        })
-        .collect();
-    let mut v = 0.41f64;
-    let a0 = VarBandBatch::from_fn(layouts, |_, m| {
-        let n = m.layout.n;
-        for j in 0..n {
-            let (s, e) = m.layout.col_rows(j);
-            for i in s..e {
-                v = (v * 1.9 + 0.077).fract();
-                m.set(i, j, v - 0.5 + if i == j { 2.0 } else { 0.0 });
-            }
-        }
-    })
-    .unwrap();
-    let mut group = c.benchmark_group("ext_nonuniform_batch");
-    for nb in [4usize, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |bench, &nb| {
-            bench.iter_batched(
-                || {
-                    (
-                        a0.clone(),
-                        VarPivots::for_batch(&a0),
-                        InfoArray::new(a0.batch()),
-                    )
-                },
-                |(mut a, mut piv, mut info)| {
-                    dgbtrf_vbatch(&dev, &mut a, &mut piv, &mut info, nb).unwrap()
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    group.finish();
-}
-
 /// Bounded-time criterion config: the numerics are deterministic and the
 /// host box is a single core, so small samples suffice.
 fn quick() -> Criterion {
@@ -173,5 +129,5 @@ fn quick() -> Criterion {
         .measurement_time(std::time::Duration::from_secs(2))
 }
 
-criterion_group!(name = benches; config = quick(); targets = bench_specialized, bench_mixed, bench_cholesky, bench_vbatch);
+criterion_group!(name = benches; config = quick(); targets = bench_specialized, bench_mixed, bench_cholesky);
 criterion_main!(benches);

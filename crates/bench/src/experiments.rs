@@ -555,10 +555,9 @@ pub fn tuning_sweep(p: &Platforms) -> String {
 }
 
 /// Beyond-the-paper extensions report: specialized ("JIT") kernels,
-/// mixed-precision GBSV, SPD Cholesky, non-uniform batches, multi-GCD.
+/// mixed-precision GBSV, SPD Cholesky, multi-GCD.
 pub fn extensions(p: &Platforms) -> String {
     use gbatch_core::layout::BandLayout;
-    use gbatch_core::vbatch::{VarBandBatch, VarPivots};
     use gbatch_gpu_sim::multi::DeviceGroup;
     let mut out = String::new();
 
@@ -697,54 +696,7 @@ pub fn extensions(p: &Platforms) -> String {
         ));
     }
 
-    // 4. Non-uniform batch vs per-size launches.
-    out.push_str("# Non-uniform batch (one launch) vs per-size launches, (2,3)\n");
-    {
-        let dev = &p.h100;
-        let sizes = [(24usize, 64usize), (16, 128), (8, 256)];
-        let layouts: Vec<BandLayout> = sizes
-            .iter()
-            .flat_map(|&(count, n)| {
-                std::iter::repeat_with(move || BandLayout::factor(n, n, 2, 3).unwrap()).take(count)
-            })
-            .collect();
-        let mut v = 0.59f64;
-        let a0 = VarBandBatch::from_fn(layouts, |_, m| {
-            let n = m.layout.n;
-            for j in 0..n {
-                let (s, e) = m.layout.col_rows(j);
-                for i in s..e {
-                    v = (v * 2.1 + 0.033) % 1.0;
-                    m.set(i, j, v - 0.5 + if i == j { 2.0 } else { 0.0 });
-                }
-            }
-        })
-        .unwrap();
-        let mut a = a0.clone();
-        let mut piv = VarPivots::for_batch(&a);
-        let mut info = InfoArray::new(a.batch());
-        let joint = gbatch_kernels::vbatch::dgbtrf_vbatch(dev, &mut a, &mut piv, &mut info, 8)
-            .expect("launch");
-        let mut separate = 0.0;
-        for &(count, n) in &sizes {
-            let mut rng = seeded(n, 2, 3, 47);
-            let mut ua = random_band_batch(&mut rng, count, n, 2, 3, BandDistribution::Uniform);
-            let mut upiv = PivotBatch::new(count, n, n);
-            let mut uinfo = InfoArray::new(count);
-            separate += dgbtrf_batch(dev, &mut ua, &mut upiv, &mut uinfo, &GbsvOptions::default())
-                .expect("launch")
-                .time
-                .ms();
-        }
-        out.push_str(&format!(
-            "  {:<26} joint {:.4} ms vs separate {:.4} ms\n",
-            dev.name,
-            joint.time.ms(),
-            separate
-        ));
-    }
-
-    // 5. The streamed counterfactual: the paper notes a stream-based
+    // 4. The streamed counterfactual: the paper notes a stream-based
     // batched GBSV "is not possible since the band matrix processing is
     // absent from the single matrix API" — our simulator can price the
     // hypothetical anyway: one fused-GBSV kernel per matrix over 16
@@ -791,7 +743,7 @@ pub fn extensions(p: &Platforms) -> String {
         ));
     }
 
-    // 6. Multi-GCD MI250x: visible once the batch needs multiple waves
+    // 5. Multi-GCD MI250x: visible once the batch needs multiple waves
     // (a wave-saturating configuration — big batch, wide band).
     out.push_str("# Full MI250x (2 GCDs) vs a single GCD, GBTRF (10,7), n=512, batch 8000\n");
     {

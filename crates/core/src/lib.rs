@@ -74,7 +74,6 @@ pub mod gbsvx;
 pub mod gbtf2;
 pub mod gbtrf;
 pub mod gbtrs;
-pub mod io;
 pub mod lanes;
 pub mod layout;
 pub mod mixed;
@@ -83,7 +82,6 @@ pub mod residual;
 pub mod scalar;
 pub mod shape;
 pub mod spike;
-pub mod vbatch;
 
 pub use band::{BandMatrix, BandMatrixMut, BandMatrixRef};
 pub use batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};

@@ -34,19 +34,32 @@ use gbatch_core::layout::BandLayout;
 use gbatch_core::scalar::Scalar;
 use gbatch_gpu_sim::hazard::{self, HazardMode};
 use gbatch_gpu_sim::{DeviceSpec, HazardReport, ParallelPolicy};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes conformance runs: the hazard mode is process-wide, so a
+/// second run finishing early would restore the old mode under the first.
+static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Restores the process-wide hazard mode on drop, so a failed conformance
-/// check cannot leak `Trace` mode into unrelated tests.
-struct ModeGuard(HazardMode);
+/// check cannot leak `Trace` mode into unrelated tests. The lock is
+/// released only after the mode is restored.
+struct ModeGuard {
+    prev: HazardMode,
+    _lock: MutexGuard<'static, ()>,
+}
 
 impl Drop for ModeGuard {
     fn drop(&mut self) {
-        hazard::set_global_mode(self.0);
+        hazard::set_global_mode(self.prev);
     }
 }
 
 fn trace_mode() -> ModeGuard {
-    let guard = ModeGuard(hazard::global_mode());
+    let lock = TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let guard = ModeGuard {
+        prev: hazard::global_mode(),
+        _lock: lock,
+    };
     hazard::set_global_mode(HazardMode::Trace);
     guard
 }

@@ -24,8 +24,6 @@
 //!   `dgbtrs_batch`, `dgbsv_batch`, with the §5.4 selection logic (fused
 //!   below the size cutoff, sliding window otherwise, reference as the
 //!   safety net).
-//! - [`vbatch`] — non-uniform batches (per-matrix sizes and bandwidths),
-//!   the paper's stated future work (Section 9).
 //! - [`specialized`] — compile-time band-specialized register-file kernels,
 //!   emulating the paper's §8.1 JIT-compilation proposal.
 //! - [`pbtrf`] — batched SPD band Cholesky (fused + window), extending the
@@ -75,7 +73,6 @@ pub mod specialized;
 pub mod spike;
 pub mod step;
 pub mod tridiag;
-pub mod vbatch;
 pub mod window;
 
 pub use dispatch::{

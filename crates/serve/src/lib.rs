@@ -15,8 +15,10 @@
 //! - [`Server`] — the virtual-time engine: `submit` / `advance` / `drain`
 //!   / `take_responses`, deterministic for a given trace regardless of
 //!   host parallelism;
-//! - [`BucketMap`] — shape-keyed FIFO buckets under one bounded admission
-//!   capacity (backpressure via [`AdmitError::QueueFull`]);
+//! - [`BucketMap`] — one ordered map of shape-keyed FIFO buckets under
+//!   one bounded admission capacity (backpressure via
+//!   [`AdmitError::QueueFull`]), owned by the server and reached only
+//!   through `&mut`;
 //! - [`FlushPolicy`] — size/deadline/drain triggers, CPU spill-over rules,
 //!   and launch-overhead-aware target-batch sizing;
 //! - [`GpuBackend`] / [`CpuBackend`] — the simulated device group (split
@@ -85,7 +87,7 @@ pub use backend::{
     BackendError, BackendKind, BatchSolution, CpuBackend, FactorOutcome, GpuBackend, RetainedLanes,
     SolveBackend,
 };
-pub use bucket::{Bucket, BucketMap, Bucketed};
+pub use bucket::{BucketMap, Bucketed};
 pub use cache::{CacheConfig, CacheStats, FactorCache, FactorHandle};
 pub use metrics::{DeviceReport, ServeReport};
 pub use policy::{FlushPolicy, FlushReason};

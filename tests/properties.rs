@@ -3,9 +3,7 @@
 //! solve backward errors, pivot bounds, and occupancy monotonicity.
 
 use gbatch::core::gbtrs::{gbtrs, Transpose};
-use gbatch::core::layout::BandLayout;
 use gbatch::core::residual::backward_error;
-use gbatch::core::vbatch::{VarBandBatch, VarPivots};
 use gbatch::core::{BandBatch, BandMatrix, InfoArray, PivotBatch, RhsBatch};
 use gbatch::gpu_sim::ParallelPolicy;
 use gbatch::gpu_sim::{occupancy, DeviceSpec};
@@ -265,46 +263,6 @@ proptest! {
         gbtrs_batch_blocked_trans(&dev, &l, fac.data(), &piv, &mut rhs,
                                   SolveParams { nb, threads: 32, ..Default::default() }).unwrap();
         prop_assert_eq!(rhs.data(), expect.data());
-    }
-
-    /// The non-uniform batch kernel factors every member exactly like the
-    /// sequential reference, whatever mix of layouts it gets.
-    #[test]
-    fn vbatch_matches_per_matrix_reference(
-        shapes in proptest::collection::vec((2usize..24, 0usize..4, 0usize..4), 1..6),
-        vals in proptest::collection::vec(-1.0f64..1.0, 24),
-    ) {
-        let layouts: Vec<BandLayout> = shapes
-            .iter()
-            .map(|&(n, kl, ku)| {
-                BandLayout::factor(n, n, kl.min(n - 1), ku.min(n - 1)).unwrap()
-            })
-            .collect();
-        let mut k = 0usize;
-        let mut a = VarBandBatch::from_fn(layouts, |_, m| {
-            let n = m.layout.n;
-            for j in 0..n {
-                let (s, e) = m.layout.col_rows(j);
-                for i in s..e {
-                    m.set(i, j, vals[k % vals.len()] + if i == j { 3.0 } else { 0.0 });
-                    k += 1;
-                }
-            }
-        }).unwrap();
-        let orig = a.clone();
-        let dev = DeviceSpec::h100_pcie();
-        let mut piv = VarPivots::for_batch(&a);
-        let mut info = InfoArray::new(a.batch());
-        let _ = gbatch::kernels::vbatch::dgbtrf_vbatch(&dev, &mut a, &mut piv, &mut info, 4).unwrap();
-        for id in 0..a.batch() {
-            let l = orig.layout(id);
-            let mut expect = orig.matrix(id).data.to_vec();
-            let mut p = vec![0i32; l.n];
-            let i = gbatch::core::gbtf2::gbtf2(&l, &mut expect, &mut p);
-            prop_assert_eq!(info.get(id), i);
-            prop_assert_eq!(piv.pivots(id), &p[..]);
-            prop_assert_eq!(a.matrix(id).data, &expect[..]);
-        }
     }
 
     /// The specialized register-file kernels agree with the generic path
