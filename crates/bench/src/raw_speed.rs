@@ -18,7 +18,7 @@
 //!    deterministic repeated-operator mini-soak through the [`Server`];
 //! 6. **spike** — the large-`n` split regime: one `n = 65536`,
 //!    `kl = ku = 8` system solved by the SPIKE driver at
-//!    `P ∈ {1, 2, 4, 8, 16}` blocks in both precisions under the resident
+//!    `P ∈ {1, 2, 4, ..., 64}` blocks in both precisions under the resident
 //!    engine, against the unsplit window + blocked-solve baseline the
 //!    split competes with. Floor-gated at 3.0x for `P = 8`, f64.
 //!
@@ -105,7 +105,7 @@ pub const SPIKE_KL: usize = 8;
 /// Superdiagonals of the spike measurement.
 pub const SPIKE_KU: usize = 8;
 /// Block counts swept by the spike measurement.
-pub const SPIKE_PARTS: [usize; 5] = [1, 2, 4, 8, 16];
+pub const SPIKE_PARTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Acceptance floor: SPIKE at `P = 8`, f64, beats the unsplit solve by
 /// at least this factor.
 pub const SPIKE_FLOOR: f64 = 3.0;

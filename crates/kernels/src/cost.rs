@@ -449,165 +449,212 @@ pub fn predict_interleaved_dispatch<S: Scalar>(
     Some(total)
 }
 
-/// Predicted modeled time of the SPIKE split solve of **one** lane
-/// ([`crate::spike::spike_gbsv_batch`]): the extract launch, the window
-/// factorization of the `P` diagonal blocks (riding one batched launch),
-/// the blocked solve over the augmented RHS (`nrhs + kl + ku` columns),
-/// the combine launch and the residual guard. Truncated mode adds two
-/// assumed refinement rounds (residual + block solve + combine) — a
-/// conservative stand-in for the data-dependent iteration count. `None`
-/// when the partition degenerates to one block or a launch cannot fit.
-pub fn predict_spike_time<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    nrhs: usize,
-    params: &crate::spike::SpikeParams,
-) -> Option<SimTime> {
-    use gbatch_core::spike::SpikePartition;
-    let part = SpikePartition::new(l.n, l.kl, l.ku, params.parts);
-    if part.parts < 2 {
-        return None;
-    }
-    let bl = part.block_layout().ok()?;
-    let (kl, ku, blk) = (l.kl, l.ku, part.block);
-    let t = params.threads;
-    let prec = crate::flop_class::<S>();
-    let mut total = SimTime::ZERO;
+/// Per-launch prices of the SPIKE driver ([`crate::spike`]) over one
+/// partition of one lane, each priced exactly as the engine would.
+struct SpikePrices<'a, S> {
+    dev: &'a DeviceSpec,
+    params: &'a crate::spike::SpikeParams,
+    part: gbatch_core::spike::SpikePartition,
+    /// Diagonal-block layout.
+    bl: BandLayout,
+    /// Exact reduced band layout (factored and solved at batch 1).
+    rl: BandLayout,
+    _s: std::marker::PhantomData<S>,
+}
 
-    // Coupling extraction: one block per interface, corners staged through
-    // shared memory.
-    {
+impl<'a, S: Scalar> SpikePrices<'a, S> {
+    /// `None` when the partition degenerates to one block.
+    fn new(
+        dev: &'a DeviceSpec,
+        l: &BandLayout,
+        params: &'a crate::spike::SpikeParams,
+    ) -> Option<Self> {
+        let part = gbatch_core::spike::SpikePartition::new(l.n, l.kl, l.ku, params.parts);
+        if part.parts < 2 {
+            return None;
+        }
+        Some(SpikePrices {
+            dev,
+            params,
+            part,
+            bl: part.block_layout().ok()?,
+            rl: part.reduced_layout()?,
+            _s: std::marker::PhantomData,
+        })
+    }
+
+    fn cfg(&self, threads: u32, smem: usize) -> LaunchConfig {
+        LaunchConfig::new(threads, smem as u32).with_precision(crate::flop_class::<S>())
+    }
+
+    /// Coupling extraction: one block per interface, corners staged
+    /// through shared memory.
+    fn extract(&self) -> Option<SimTime> {
+        let (kl, ku, t) = (self.part.kl, self.part.ku, self.params.threads);
         let elems = kl * kl + ku * ku;
         let mut c = KernelCounters::default();
         c.global_read += (elems * S::BYTES) as u64;
         c.global_write += (elems * S::BYTES) as u64;
         c.smem_elems += 2.0 * frac(elems, t as usize);
         c.syncs += 2;
-        let cfg = LaunchConfig::new(t, crate::spike::extract_smem_bytes::<S>(kl, ku) as u32)
-            .with_precision(prec);
-        total += predict_time(dev, &cfg, part.interfaces(), &c)?;
+        let cfg = self.cfg(t, crate::spike::extract_smem_bytes::<S>(kl, ku));
+        predict_time(self.dev, &cfg, self.part.interfaces(), &c)
     }
 
-    // All P diagonal blocks factor concurrently as one window launch.
-    {
-        let cfg = LaunchConfig::new(
-            t,
-            crate::window::window_smem_bytes::<S>(&bl, params.nb) as u32,
-        )
-        .with_precision(prec);
-        total += predict_time(
-            dev,
-            &cfg,
-            part.parts,
-            &predict_window::<S>(&bl, params.nb, t),
-        )?;
-    }
-
-    // Blocked solve over the augmented RHS (true columns + both spikes).
-    let solve_time = |cols: usize| -> Option<SimTime> {
-        let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(&bl, params.nb, cols).max(
-            crate::gbtrs_blocked::backward_smem_bytes::<S>(&bl, params.nb, cols),
-        );
-        let cfg = LaunchConfig::new(t, smem as u32).with_precision(prec);
+    /// Window factorization of `batch` systems of layout `l`.
+    fn window(&self, l: &BandLayout, batch: usize) -> Option<SimTime> {
+        let p = self.params.window(l);
+        let cfg = self.cfg(p.threads, crate::window::window_smem_bytes::<S>(l, p.nb));
         predict_time(
-            dev,
+            self.dev,
             &cfg,
-            part.parts,
-            &predict_gbtrs_blocked::<S>(&bl, params.nb, cols, t),
+            batch,
+            &predict_window::<S>(l, p.nb, p.threads),
         )
-    };
-    total += solve_time(nrhs + kl + ku)?;
+    }
 
-    // Combine: stage the interface slice, broadcast it, sweep owned rows.
-    let combine = |c: &mut KernelCounters| {
+    /// Blocked solve of `batch` systems of layout `l` over `cols` columns.
+    fn solve(&self, l: &BandLayout, batch: usize, cols: usize) -> Option<SimTime> {
+        let p = self.params.solve(l);
+        let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(l, p.nb, cols).max(
+            crate::gbtrs_blocked::backward_smem_bytes::<S>(l, p.nb, cols),
+        );
+        let cfg = self.cfg(p.threads, smem);
+        predict_time(
+            self.dev,
+            &cfg,
+            batch,
+            &predict_gbtrs_blocked::<S>(l, p.nb, cols, p.threads),
+        )
+    }
+
+    /// Combine: stage the interface slice, broadcast it, sweep owned rows.
+    fn combine(&self, nrhs: usize) -> Option<SimTime> {
+        let (kl, ku, blk, t) = (
+            self.part.kl,
+            self.part.ku,
+            self.part.block,
+            self.params.threads,
+        );
         let slice = (kl + ku) * nrhs;
+        let mut c = KernelCounters::default();
         c.global_read += ((slice + blk * (nrhs + ku + kl)) * S::BYTES) as u64;
         c.global_write += (blk * nrhs * S::BYTES) as u64;
         c.smem_elems += 2.0 * frac(slice, t as usize);
         c.syncs += 2;
         c.flops += (2 * blk * nrhs * (ku + kl)) as u64;
         c.cycles += frac(blk * nrhs * (ku + kl), t as usize);
-    };
-    let combine_time = |dev: &DeviceSpec| -> Option<SimTime> {
-        let mut c = KernelCounters::default();
-        combine(&mut c);
-        let cfg = LaunchConfig::new(
-            t,
-            crate::spike::combine_smem_bytes::<S>(kl, ku, nrhs) as u32,
-        )
-        .with_precision(prec);
-        predict_time(dev, &cfg, part.parts, &c)
-    };
-    // Residual: lane-private row sweep over the block rows.
-    let residual_time = |dev: &DeviceSpec| -> Option<SimTime> {
+        let cfg = self.cfg(t, crate::spike::combine_smem_bytes::<S>(kl, ku, nrhs));
+        predict_time(self.dev, &cfg, self.part.parts, &c)
+    }
+
+    /// Residual: lane-private row sweep over the block rows.
+    fn residual(&self, nrhs: usize) -> Option<SimTime> {
+        let (kl, ku, blk, t) = (
+            self.part.kl,
+            self.part.ku,
+            self.part.block,
+            self.params.threads,
+        );
         let w = kl + ku + 1;
         let mut c = KernelCounters::default();
         c.global_read += (blk * (w * (1 + nrhs) + nrhs) * S::BYTES) as u64;
         c.global_write += (blk * nrhs * S::BYTES) as u64;
         c.flops += (2 * blk * w * nrhs) as u64;
         c.cycles += frac(blk * w * nrhs, t as usize);
-        let cfg = LaunchConfig::new(t, 0).with_precision(prec);
-        predict_time(dev, &cfg, part.parts, &c)
-    };
-    total += combine_time(dev)?;
-    total += residual_time(dev)?; // residual guard / first refinement check
-    if params.mode == crate::spike::SpikeMode::Truncated {
-        // Two assumed refinement rounds.
-        for _ in 0..2 {
-            total += residual_time(dev)?;
-            total += solve_time(nrhs)?;
-            total += combine_time(dev)?;
-        }
+        predict_time(self.dev, &self.cfg(t, 0), self.part.parts, &c)
     }
-    Some(total)
+
+    /// The factor phase every split lane runs before its reduced solve:
+    /// extract, the window factorization of the `P` diagonal blocks as
+    /// one launch, the blocked sweep over `cols` augmented columns (the
+    /// true RHS plus both spikes).
+    fn factor_phase(&self, cols: usize) -> Option<SimTime> {
+        let parts = self.part.parts;
+        Some(self.extract()? + self.window(&self.bl, parts)? + self.solve(&self.bl, parts, cols)?)
+    }
+}
+
+/// Predicted modeled time of the SPIKE split solve of **one** lane
+/// ([`crate::spike::spike_gbsv_batch`]) on its **exact** path: extract,
+/// the window factorization of the `P` diagonal blocks, the blocked solve
+/// over the augmented RHS (`nrhs + kl + ku` columns), the batch-1 window
+/// factorization and blocked solve of the reduced band, combine and the
+/// residual guard. This is the worst case a lane can take given only its
+/// shape: a lane whose spikes decay takes the cheaper truncated path
+/// (a fused factorization and blocked solve over the `P - 1` interface
+/// blocks instead of the reduced band). `None` when the partition
+/// degenerates to one block or a launch cannot fit.
+pub fn predict_spike_time<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    params: &crate::spike::SpikeParams,
+) -> Option<SimTime> {
+    let p = SpikePrices::<S>::new(dev, l, params)?;
+    Some(
+        p.factor_phase(nrhs + l.kl + l.ku)?
+            + p.window(&p.rl, 1)?
+            + p.solve(&p.rl, 1, nrhs)?
+            + p.combine(nrhs)?
+            + p.residual(nrhs)?,
+    )
+}
+
+/// Predicted modeled time of one lane's exact SPIKE *factorization* — what
+/// a retained split factor costs: extract, the block window
+/// factorization, the spike sweep over the `kl + ku` corner columns and
+/// the reduced band LU. `None` when the partition degenerates to one
+/// block or a launch cannot fit.
+pub fn predict_spike_factor_time<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    params: &crate::spike::SpikeParams,
+) -> Option<SimTime> {
+    let p = SpikePrices::<S>::new(dev, l, params)?;
+    Some(p.factor_phase(l.kl + l.ku)? + p.window(&p.rl, 1)?)
 }
 
 /// Predicted modeled time of one lane's warm SPIKE solve over retained
-/// factors: the blocked triangular solve of the `P` diagonal blocks over
-/// the true RHS columns, then the combine sweep. `None` when the
-/// partition degenerates to one block or a launch cannot fit.
+/// factors: the blocked solve of the `P` diagonal blocks over the true
+/// RHS columns, the reduced band solve, then the combine sweep. `None`
+/// when the partition degenerates to one block or a launch cannot fit.
 pub fn predict_spike_warm_time<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
     nrhs: usize,
     params: &crate::spike::SpikeParams,
 ) -> Option<SimTime> {
-    use gbatch_core::spike::SpikePartition;
-    let part = SpikePartition::new(l.n, l.kl, l.ku, params.parts);
-    if part.parts < 2 {
-        return None;
+    let p = SpikePrices::<S>::new(dev, l, params)?;
+    Some(p.solve(&p.bl, p.part.parts, nrhs)? + p.solve(&p.rl, 1, nrhs)? + p.combine(nrhs)?)
+}
+
+/// The SPIKE block count for one lane of layout `l`: the power of two
+/// `P >= 2` within the partition clamp (`P * (kl + ku + 1) <= n`) whose
+/// exact path ([`predict_spike_time`]) is priced cheapest, with that
+/// price. Splitting finer shortens the block sweeps as `1/P` while the
+/// reduced band grows as `P`; the argmin balances the two. Ties keep the
+/// smaller `P`. `None` when no split can be priced.
+pub fn choose_spike_parts<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    params: &crate::spike::SpikeParams,
+) -> Option<(usize, SimTime)> {
+    let max_parts = l.n / (l.kl + l.ku + 1);
+    let mut best: Option<(usize, SimTime)> = None;
+    for parts in (1..usize::BITS)
+        .map(|k| 1usize << k)
+        .take_while(|&p| p <= max_parts)
+    {
+        let Some(t) = predict_spike_time::<S>(dev, l, nrhs, &params.with_parts(parts)) else {
+            continue;
+        };
+        if best.is_none_or(|(_, b)| t.secs() < b.secs()) {
+            best = Some((parts, t));
+        }
     }
-    let bl = part.block_layout().ok()?;
-    let (kl, ku, blk) = (l.kl, l.ku, part.block);
-    let t = params.threads;
-    let prec = crate::flop_class::<S>();
-
-    let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(&bl, params.nb, nrhs).max(
-        crate::gbtrs_blocked::backward_smem_bytes::<S>(&bl, params.nb, nrhs),
-    );
-    let cfg = LaunchConfig::new(t, smem as u32).with_precision(prec);
-    let mut total = predict_time(
-        dev,
-        &cfg,
-        part.parts,
-        &predict_gbtrs_blocked::<S>(&bl, params.nb, nrhs, t),
-    )?;
-
-    let slice = (kl + ku) * nrhs;
-    let mut c = KernelCounters::default();
-    c.global_read += ((slice + blk * (nrhs + ku + kl)) * S::BYTES) as u64;
-    c.global_write += (blk * nrhs * S::BYTES) as u64;
-    c.smem_elems += 2.0 * frac(slice, t as usize);
-    c.syncs += 2;
-    c.flops += (2 * blk * nrhs * (ku + kl)) as u64;
-    c.cycles += frac(blk * nrhs * (ku + kl), t as usize);
-    let ccfg = LaunchConfig::new(
-        t,
-        crate::spike::combine_smem_bytes::<S>(kl, ku, nrhs) as u32,
-    )
-    .with_precision(prec);
-    total += predict_time(dev, &ccfg, part.parts, &c)?;
-    Some(total)
+    best
 }
 
 /// Lower bound on the §5.1 fork–join reference factorization:
@@ -976,6 +1023,51 @@ mod tests {
             floor_many.us(),
             inter_many.us()
         );
+    }
+
+    #[test]
+    fn chosen_spike_parts_stay_in_the_clamp_and_beat_eight() {
+        use crate::spike::SpikeParams;
+        for dev in [DeviceSpec::h100_pcie(), DeviceSpec::mi250x_gcd()] {
+            for n in [crate::dispatch::SPIKE_MIN_N, 10_000, 65_536] {
+                for (kl, ku) in [(2, 2), (8, 8), (3, 5), (16, 4), (1, 0)] {
+                    let l = BandLayout::factor(n, n, kl, ku).unwrap();
+                    let params = SpikeParams::auto(&dev, kl);
+                    let (parts, t) = choose_spike_parts::<f64>(&dev, &l, 1, &params).unwrap();
+                    let at =
+                        |p: usize| predict_spike_time::<f64>(&dev, &l, 1, &params.with_parts(p));
+                    assert!(
+                        parts.is_power_of_two() && parts >= 2,
+                        "{n} ({kl},{ku}): P={parts}"
+                    );
+                    assert!(
+                        parts * (kl + ku + 1) <= n,
+                        "{n} ({kl},{ku}): P={parts} past the clamp"
+                    );
+                    assert_eq!(at(parts), Some(t));
+                    let p8 = at(8).unwrap();
+                    assert!(
+                        t.secs() <= p8.secs(),
+                        "{n} ({kl},{ku}): P={parts} above P=8"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn headline_spike_parts_are_pinned() {
+        // n = 65536, kl = ku = 8: the block sweeps shrink as 1/P until the
+        // reduced band LU (order 16 (P - 1)) takes over.
+        let l = BandLayout::factor(65_536, 65_536, 8, 8).unwrap();
+        for (dev, want) in [
+            (DeviceSpec::h100_pcie(), 32),
+            (DeviceSpec::mi250x_gcd(), 64),
+        ] {
+            let params = crate::spike::SpikeParams::auto(&dev, 8);
+            let (parts, _) = choose_spike_parts::<f64>(&dev, &l, 1, &params).unwrap();
+            assert_eq!(parts, want, "{}", dev.name);
+        }
     }
 
     #[test]

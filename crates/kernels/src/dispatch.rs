@@ -30,8 +30,8 @@
 //! the column-major API forces on it.
 
 use crate::cost::{
-    predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch, predict_reference_floor,
-    predict_spike_time, predict_time, predict_window,
+    choose_spike_parts, predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch,
+    predict_reference_floor, predict_time, predict_window,
 };
 use crate::fused::{fused_smem_bytes, gbtrf_batch_fused, FusedParams};
 use crate::gbsv_fused::{gbsv_batch_fused, gbsv_smem_bytes, FUSED_GBSV_MAX_N};
@@ -137,9 +137,11 @@ pub struct GbsvOptions {
     /// SPIKE split-solve parameters. `Some(_)` *forces* the split driver
     /// for `gbsv` calls whose band storage it supports (square, LAPACK
     /// factor layout, `kl + ku >= 1`), regardless of matrix size or
-    /// pricing; `None` (the default) lets the `Auto` policy route
-    /// large-`n` systems (`n >= SPIKE_MIN_N`) through the split when it
-    /// is priced at least 10% below the unsplit path.
+    /// pricing, at exactly the block count it carries; `None` (the
+    /// default) lets the `Auto` policy route large-`n` systems
+    /// (`n >= SPIKE_MIN_N`) through the split, at the block count
+    /// [`choose_spike_parts`] picks, when it is priced at least 10% below
+    /// the unsplit path.
     pub spike: Option<SpikeParams>,
     /// Engine mode for every launch this dispatch issues (default: the
     /// caller's ambient mode, i.e. [`EngineMode::PerLaunch`] unless the
@@ -229,8 +231,10 @@ enum Solve {
 /// 2. **SPIKE** for square LAPACK-storage systems with a nonempty band,
 ///    unless an algorithm or the interleaved layout is forced: always
 ///    when [`GbsvOptions::spike`] is set, otherwise from
-///    [`SPIKE_MIN_N`] on when the split is priced below 90% of the unsplit
-///    window factorization plus blocked solve.
+///    [`SPIKE_MIN_N`] on when the split — at the block count
+///    [`choose_spike_parts`] prices cheapest, on the exact path a lane
+///    takes at worst — is priced below 90% of the unsplit window
+///    factorization plus blocked solve.
 /// 3. **Layout**: under `Auto` with no forced algorithm, the interleaved
 ///    path when its price (conversion passes included) beats the
 ///    column-major one. A column path that cannot be priced exactly is
@@ -333,13 +337,13 @@ fn plan<S: Scalar>(
         return Plan::Spike(spike);
     }
     if spike_storage && l.n >= SPIKE_MIN_N && matches!(factor, Factor::Window(_)) {
-        if let (Some(f), Some(s), Some(lane)) = (
+        if let (Some(f), Some(s), Some((parts, lane))) = (
             factor_time,
             solve_time,
-            predict_spike_time::<S>(dev, l, nrhs, &spike),
+            choose_spike_parts::<S>(dev, l, nrhs, &spike),
         ) {
             if lane.secs() * (batch as f64) < 0.9 * (f + s).secs() {
-                return Plan::Spike(spike);
+                return Plan::Spike(spike.with_parts(parts));
             }
         }
     }
@@ -879,6 +883,24 @@ mod tests {
         };
         let algo = solve_and_check(120, 2, 3, 2, &opts);
         assert_eq!(algo, ChosenAlgo::Spike);
+    }
+
+    #[test]
+    fn auto_spike_takes_the_chosen_parts_and_forcing_bypasses_them() {
+        let l = BandLayout::factor(65_536, 65_536, 8, 8).unwrap();
+        for dev in [DeviceSpec::h100_pcie(), DeviceSpec::mi250x_gcd()] {
+            let auto = SpikeParams::auto(&dev, 8);
+            let (chosen, _) = choose_spike_parts::<f64>(&dev, &l, 1, &auto).unwrap();
+            assert_ne!(chosen, 4);
+            let planned = plan::<f64>(&dev, &l, 1, 1, &GbsvOptions::default());
+            assert!(matches!(planned, Plan::Spike(p) if p == auto.with_parts(chosen)));
+            let forced = GbsvOptions {
+                spike: Some(SpikeParams::default().with_parts(4)),
+                ..Default::default()
+            };
+            let planned = plan::<f64>(&dev, &l, 1, 1, &forced);
+            assert!(matches!(planned, Plan::Spike(p) if p.parts == 4));
+        }
     }
 
     #[test]

@@ -33,7 +33,9 @@ use gbatch_cpu::{cpu_gbsv_batch, CpuSpec};
 use gbatch_gpu_sim::engine::LaunchError;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, MegabatchQueue, ParallelPolicy, SimTime};
-use gbatch_kernels::cost::{predict_spike_time, predict_spike_warm_time};
+use gbatch_kernels::cost::{
+    choose_spike_parts, predict_spike_factor_time, predict_spike_warm_time,
+};
 use gbatch_kernels::dispatch::{
     gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, GbsvOptions, MatrixLayout, SPIKE_MIN_N,
 };
@@ -296,10 +298,24 @@ fn factor_outcome(
     }
 }
 
-/// Price of the split factor phase of `lanes` operators on `dev`, when it
-/// can be priced there at all.
-fn spike_factor_time<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, lanes: usize) -> Option<SimTime> {
-    let per = predict_spike_time::<S>(dev, l, 0, &SpikeParams::auto(dev, l.kl))?;
+/// The split parameters dispatch would run on `dev` for operators of
+/// layout `l` solved against `nrhs` columns: the block count is the one
+/// the planner prices cheapest. `None` when no split can be priced there.
+fn spike_params<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, nrhs: usize) -> Option<SpikeParams> {
+    let params = SpikeParams::auto(dev, l.kl);
+    let (parts, _) = choose_spike_parts::<S>(dev, l, nrhs, &params)?;
+    Some(params.with_parts(parts))
+}
+
+/// Price of the exact split factorization of `lanes` operators on `dev`
+/// (what a retained SPIKE factor costs), when it can be priced there.
+fn spike_factor_time<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    params: &SpikeParams,
+    lanes: usize,
+) -> Option<SimTime> {
+    let per = predict_spike_factor_time::<S>(dev, l, params)?;
     Some(SimTime(per.secs() * lanes as f64))
 }
 
@@ -427,23 +443,30 @@ impl GpuBackend {
             let mut info = InfoArray::new(hi - lo);
             let rep = gbsv_batch::<S>(dev, &mut a, &mut piv, &mut rhs, &mut info, &opts)
                 .map_err(BackendError::Launch)?;
-            let spike = rep.algo == ChosenAlgo::Spike;
+            // The block count dispatch chose for a split flush.
+            let spike = match rep.algo {
+                ChosenAlgo::Spike => spike_params::<S>(dev, &l, shape.nrhs),
+                _ => None,
+            };
             let mut split = 0usize;
             for (k, r) in part.iter().enumerate() {
                 info_out[lo + k] = info.get(k);
                 x[lo + k] = answer(r, info.get(k), rhs.block(k));
                 if retain && info.get(k) == 0 {
-                    lanes[lo + k] = if spike {
-                        split += 1;
-                        host_factor::<S>(&l, &r.ab, Some(SpikeParams::auto(dev, l.kl).parts)).ok()
-                    } else {
-                        Some(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k)))
+                    lanes[lo + k] = match &spike {
+                        Some(p) => {
+                            split += 1;
+                            host_factor::<S>(&l, &r.ab, Some(p.parts)).ok()
+                        }
+                        None => Some(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k))),
                     };
                 }
             }
-            let retention = match split {
-                0 => SimTime::ZERO,
-                n => spike_factor_time::<S>(dev, &l, n).unwrap_or(SimTime::ZERO),
+            let retention = match &spike {
+                Some(p) if split > 0 => {
+                    spike_factor_time::<S>(dev, &l, p, split).unwrap_or(SimTime::ZERO)
+                }
+                _ => SimTime::ZERO,
             };
             Ok(self.flush_time(dev, rep.time + retention, rep.launches))
         })?;
@@ -492,7 +515,8 @@ impl GpuBackend {
                         BackendError::Fault("warm SPIKE solve cannot be priced".into())
                     })?;
                 let t = SimTime(lane.secs() * (hi - lo) as f64);
-                return Ok(self.flush_time(dev, t, 2 * (hi - lo)));
+                // Per lane: block solve pair, reduced solve pair, combine.
+                return Ok(self.flush_time(dev, t, 5 * (hi - lo)));
             }
             let mut rhs = rhs_batch::<S>(shape, part)?;
             let lanes: Vec<(&[S], &[i32])> = fs
@@ -530,22 +554,22 @@ impl GpuBackend {
         // split, and priceable on every group member.
         let split = l.n >= SPIKE_MIN_N
             && l.kl + l.ku > 0
-            && self
-                .group
-                .devices
-                .iter()
-                .all(|dev| spike_factor_time::<S>(dev, &l, batch).is_some());
+            && (self.group.devices.iter())
+                .all(|dev| spike_params::<S>(dev, &l, shape.nrhs).is_some());
         let opts = self.options();
         let time = self.group.run_split(batch, |dev, lo, hi| {
             let ops = &operators[lo..hi];
             if split {
-                let parts = SpikeParams::auto(dev, l.kl).parts;
+                let params = spike_params::<S>(dev, &l, shape.nrhs).expect("priceability checked");
                 for (k, op) in ops.iter().enumerate() {
-                    lanes[lo + k] = host_factor::<S>(&l, op, Some(parts))
+                    lanes[lo + k] = host_factor::<S>(&l, op, Some(params.parts))
                         .or_else(|_| host_factor::<S>(&l, op, None));
                 }
-                let t = spike_factor_time::<S>(dev, &l, hi - lo).expect("priceability checked");
-                return Ok(self.flush_time(dev, t, 3 * (hi - lo)));
+                let t = spike_factor_time::<S>(dev, &l, &params, hi - lo)
+                    .expect("priceability checked");
+                // Per lane: extract, block factor, spike sweep pair and
+                // the reduced band factor.
+                return Ok(self.flush_time(dev, t, 5 * (hi - lo)));
             }
             let mut a = band_batch::<S>(l, ops.iter().copied())?;
             let mut piv = PivotBatch::new(hi - lo, l.m, l.n);

@@ -218,32 +218,32 @@ cpu f64 n48 factorize service=0x3ee3792b2577d2ad info=[0, 0, 0, 0, 0, 0, 1, 0, 0
 cpu f64 n48 solve_with(factorize) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(retained) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(gpu factors) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve service=0x3f43ecba665fc898 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve_retaining service=0x3f58d5d787649f9b info=[0, 0] x=0xaed6e57a0ca60d26 retained=DD:0x596480e4070676ed\n\
-gpu-h100/per_launch f64 n4096 factorize service=0x3f4dbef4a869769e info=[0, 0] x=- retained=DD:0x596480e4070676ed\n\
-gpu-h100/per_launch f64 n4096 solve_with(factorize) service=0x3f25ad481bd0bf61 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve_with(retained) service=0x3f25ad481bd0bf61 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-h100/resident f64 n4096 solve service=0x3f43060a997e0315 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-h100/resident f64 n4096 solve_retaining service=0x3f580e9ccad02f35 info=[0, 0] x=0xaed6e57a0ca60d26 retained=DD:0x596480e4070676ed\n\
-gpu-h100/resident f64 n4096 factorize service=0x3f4da9fbf2e09335 info=[0, 0] x=- retained=DD:0x596480e4070676ed\n\
-gpu-h100/resident f64 n4096 solve_with(factorize) service=0x3f257af334ee9d98 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-h100/resident f64 n4096 solve_with(retained) service=0x3f257af334ee9d98 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve service=0x3f417c7a5156e3b5 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve_retaining service=0x3f5138fbcd93e822 info=[0, 0] x=0xaed6e57a0ca60d26 retained=DD:0x596480e4070676ed\n\
-gpu-mi250x/per_launch f64 n4096 factorize service=0x3f40f57d49d0ec8f info=[0, 0] x=- retained=DD:0x596480e4070676ed\n\
-gpu-mi250x/per_launch f64 n4096 solve_with(factorize) service=0x3f19d9cd6de410bd info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve_with(retained) service=0x3f19d9cd6de410bd info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve service=0x3f41507007510626 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve_retaining service=0x3f50a522675ba4e5 info=[0, 0] x=0xaed6e57a0ca60d26 retained=DD:0x596480e4070676ed\n\
-gpu-mi250x/resident f64 n4096 factorize service=0x3f40e8e81018641d info=[0, 0] x=- retained=DD:0x596480e4070676ed\n\
-gpu-mi250x/resident f64 n4096 solve_with(factorize) service=0x3f19a7788701eef4 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve_with(retained) service=0x3f19a7788701eef4 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
+gpu-h100/per_launch f64 n4096 solve service=0x3f2c27701c6bf90c info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/per_launch f64 n4096 solve_retaining service=0x3f4171e96bb4a17c info=[0, 0] x=0xeed6306251342d95 retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/per_launch f64 n4096 factorize service=0x3f34d01ac9334671 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/per_launch f64 n4096 solve_with(factorize) service=0x3f1b7a5b9c74bc08 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/per_launch f64 n4096 solve_with(retained) service=0x3f1b7a5b9c74bc08 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/resident f64 n4096 solve service=0x3f2567627ac2c67a info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/resident f64 n4096 solve_retaining service=0x3f3e3440ae06731f info=[0, 0] x=0xeed6306251342d95 retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/resident f64 n4096 factorize service=0x3f34849b6ee013c4 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/resident f64 n4096 solve_with(factorize) service=0x3f1a4c5e3327f154 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/resident f64 n4096 solve_with(retained) service=0x3f1a4c5e3327f154 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/per_launch f64 n4096 solve service=0x3f279bdde9503e87 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/per_launch f64 n4096 solve_retaining service=0x3f35a9220925016a info=[0, 0] x=0xeed6306251342d95 retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/per_launch f64 n4096 factorize service=0x3f23b66628f9c44d info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/per_launch f64 n4096 solve_with(factorize) service=0x3f103687bfc0b907 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/per_launch f64 n4096 solve_with(retained) service=0x3f103687bfc0b907 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/resident f64 n4096 solve service=0x3f248fb9ee9f32de info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/resident f64 n4096 solve_retaining service=0x3f322bbf06f729bf info=[0, 0] x=0xeed6306251342d95 retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/resident f64 n4096 factorize service=0x3f2351bc5b3580bc info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/resident f64 n4096 solve_with(factorize) service=0x3f0eda68487063c9 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/resident f64 n4096 solve_with(retained) service=0x3f0eda68487063c9 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 cpu f64 n4096 solve service=0x3f1ad829947c62f8 info=[0, 0] x=0x0d7fa27bb1f289ae retained=-\n\
 cpu f64 n4096 solve_retaining service=0x3f1ad829947c62f8 info=[0, 0] x=0x0d7fa27bb1f289ae retained=dd:0x3eaa2445c78427b9\n\
 cpu f64 n4096 factorize service=0x3f1036df033df499 info=[0, 0] x=- retained=dd:0x3eaa2445c78427b9\n\
 cpu f64 n4096 solve_with(factorize) service=0x3f09aa02efdfd180 info=[0, 0] x=0x0d7fa27bb1f289ae retained=-\n\
 cpu f64 n4096 solve_with(retained) service=0x3f09aa02efdfd180 info=[0, 0] x=0x0d7fa27bb1f289ae retained=-\n\
-cpu f64 n4096 solve_with(gpu factors) service=0x3f09aa02efdfd180 info=[0, 0] x=0xaed6e57a0ca60d26 retained=-\n\
+cpu f64 n4096 solve_with(gpu factors) service=0x3f09aa02efdfd180 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-h100/per_launch f32 n48 solve service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 gpu-h100/per_launch f32 n48 solve_retaining service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-h100/per_launch f32 n48 factorize service=0x3ee96411bcece8a8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
@@ -270,32 +270,32 @@ cpu f32 n48 factorize service=0x3ee28b712d81d2da info=[0, 0, 0, 0, 0, 0, 1, 0, 0
 cpu f32 n48 solve_with(factorize) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(retained) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(gpu factors) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-h100/per_launch f32 n4096 solve service=0x3f43eb02b3df0af6 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-h100/per_launch f32 n4096 solve_retaining service=0x3f58d3e8cd65be5c info=[0, 0] x=0x39df372e3375d45a retained=SS:0xe64a8f3072d3094d\n\
-gpu-h100/per_launch f32 n4096 factorize service=0x3f4dbccee6ec71c1 info=[0, 0] x=- retained=SS:0xe64a8f3072d3094d\n\
-gpu-h100/per_launch f32 n4096 solve_with(factorize) service=0x3f25ad481bd0bf61 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-h100/per_launch f32 n4096 solve_with(retained) service=0x3f25ad481bd0bf61 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-h100/resident f32 n4096 solve service=0x3f430452e6fd4574 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-h100/resident f32 n4096 solve_retaining service=0x3f580cae10d14df6 info=[0, 0] x=0x39df372e3375d45a retained=SS:0xe64a8f3072d3094d\n\
-gpu-h100/resident f32 n4096 factorize service=0x3f4da7d631638e58 info=[0, 0] x=- retained=SS:0xe64a8f3072d3094d\n\
-gpu-h100/resident f32 n4096 solve_with(factorize) service=0x3f257af334ee9d98 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-h100/resident f32 n4096 solve_with(retained) service=0x3f257af334ee9d98 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-mi250x/per_launch f32 n4096 solve service=0x3f417b3818c9a4f4 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-mi250x/per_launch f32 n4096 solve_retaining service=0x3f513791415e0294 info=[0, 0] x=0x39df372e3375d45a retained=SS:0xe64a8f3072d3094d\n\
-gpu-mi250x/per_launch f32 n4096 factorize service=0x3f40f3ea69f26035 info=[0, 0] x=- retained=SS:0xe64a8f3072d3094d\n\
-gpu-mi250x/per_launch f32 n4096 solve_with(factorize) service=0x3f19d9cd6de410bd info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-mi250x/per_launch f32 n4096 solve_with(retained) service=0x3f19d9cd6de410bd info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-mi250x/resident f32 n4096 solve service=0x3f414f2dcec3c765 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-mi250x/resident f32 n4096 solve_retaining service=0x3f50a3b7db25bf57 info=[0, 0] x=0x39df372e3375d45a retained=SS:0xe64a8f3072d3094d\n\
-gpu-mi250x/resident f32 n4096 factorize service=0x3f40e7553039d7c3 info=[0, 0] x=- retained=SS:0xe64a8f3072d3094d\n\
-gpu-mi250x/resident f32 n4096 solve_with(factorize) service=0x3f19a7788701eef4 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
-gpu-mi250x/resident f32 n4096 solve_with(retained) service=0x3f19a7788701eef4 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
+gpu-h100/per_launch f32 n4096 solve service=0x3f2c209152690284 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/per_launch f32 n4096 solve_retaining service=0x3f417031b933e3da info=[0, 0] x=0xbc49c85e0b716ee4 retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/per_launch f32 n4096 factorize service=0x3f34d01ac9334671 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/per_launch f32 n4096 solve_with(factorize) service=0x3f1b7a5b9c74bc08 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/per_launch f32 n4096 solve_with(retained) service=0x3f1b7a5b9c74bc08 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/resident f32 n4096 solve service=0x3f256083b0bfcff2 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/resident f32 n4096 solve_retaining service=0x3f3e30d14904f7db info=[0, 0] x=0xbc49c85e0b716ee4 retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/resident f32 n4096 factorize service=0x3f34849b6ee013c4 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/resident f32 n4096 solve_with(factorize) service=0x3f1a4c5e3327f154 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/resident f32 n4096 solve_with(retained) service=0x3f1a4c5e3327f154 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/per_launch f32 n4096 solve service=0x3f2796d5071b4383 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/per_launch f32 n4096 solve_retaining service=0x3f35a69d980a83e8 info=[0, 0] x=0xbc49c85e0b716ee4 retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/per_launch f32 n4096 factorize service=0x3f23b66628f9c44d info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/per_launch f32 n4096 solve_with(factorize) service=0x3f103687bfc0b907 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/per_launch f32 n4096 solve_with(retained) service=0x3f103687bfc0b907 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/resident f32 n4096 solve service=0x3f248ab10c6a37da info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/resident f32 n4096 solve_retaining service=0x3f32293a95dcac3d info=[0, 0] x=0xbc49c85e0b716ee4 retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/resident f32 n4096 factorize service=0x3f2351bc5b3580bc info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/resident f32 n4096 solve_with(factorize) service=0x3f0eda68487063c9 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/resident f32 n4096 solve_with(retained) service=0x3f0eda68487063c9 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 cpu f32 n4096 solve service=0x3f0d0be07b2ddd59 info=[0, 0] x=0x02f601b99be37fea retained=-\n\
 cpu f32 n4096 solve_retaining service=0x3f0d0be07b2ddd59 info=[0, 0] x=0x02f601b99be37fea retained=ss:0xc4f614469e2bd3b1\n\
 cpu f32 n4096 factorize service=0x3f026a95e9ef6ef9 info=[0, 0] x=- retained=ss:0xc4f614469e2bd3b1\n\
 cpu f32 n4096 solve_with(factorize) service=0x3efe1170bd42c642 info=[0, 0] x=0x02f601b99be37fea retained=-\n\
 cpu f32 n4096 solve_with(retained) service=0x3efe1170bd42c642 info=[0, 0] x=0x02f601b99be37fea retained=-\n\
-cpu f32 n4096 solve_with(gpu factors) service=0x3efe1170bd42c642 info=[0, 0] x=0x39df372e3375d45a retained=-\n\
+cpu f32 n4096 solve_with(gpu factors) service=0x3efe1170bd42c642 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 ";
 
 #[test]

@@ -433,22 +433,22 @@ mi250x_gcd f64 PerLaunch percol_solve algo=Reference launches=479 time=0x3f69739
 mi250x_gcd f32 PerLaunch percol_solve algo=Window launches=287 time=0x3f6c62efc78bbadc singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
 mi250x_gcd f64 Resident percol_solve algo=Reference launches=479 time=0x3f43673a13dbc6b4 singular=[] info=0xcf21924e7b0ff7c7 a=0xf3bf167b3349d5e3 piv=0x8e778e9fd6c80e85 x=0x4327032d11b7b4aa\n\
 mi250x_gcd f32 Resident percol_solve algo=Window launches=287 time=0x3f600b0d8866e1db singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
-h100_pcie f64 PerLaunch spike_auto algo=Spike launches=6 time=0x3f33ecba665fc898 singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
-h100_pcie f32 PerLaunch spike_auto algo=Spike launches=6 time=0x3f33eb02b3df0af6 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
-h100_pcie f64 Resident spike_auto algo=Spike launches=6 time=0x3f328c681630dc1b singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
-h100_pcie f32 Resident spike_auto algo=Spike launches=6 time=0x3f328ab063b01e79 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
-mi250x_gcd f64 PerLaunch spike_auto algo=Spike launches=6 time=0x3f417c7a5156e3b5 singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
-mi250x_gcd f32 PerLaunch spike_auto algo=Spike launches=6 time=0x3f417b3818c9a4f4 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
-mi250x_gcd f64 Resident spike_auto algo=Spike launches=6 time=0x3f40743c9533b258 singular=[] info=0x392209f14dea4c24 a=0xde719169c1f06d90 piv=0x880df12a20921e15 x=0x2539d8e68e6c4d8b\n\
-mi250x_gcd f32 Resident spike_auto algo=Spike launches=6 time=0x3f4072fa5ca67397 singular=[] info=0x392209f14dea4c24 a=0xc809508952b1c9ea piv=0x880df12a20921e15 x=0xad7f1b3dd77c1908\n\
-h100_pcie f64 PerLaunch spike_forced algo=Spike launches=16 time=0x3f1beb911a9ed549 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
-h100_pcie f32 PerLaunch spike_forced algo=Spike launches=12 time=0x3f1659bb77bbdc17 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
-h100_pcie f64 Resident spike_forced algo=Spike launches=16 time=0x3f0a7af0dbff4adb singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
-h100_pcie f32 Resident spike_forced algo=Spike launches=12 time=0x3f06ae51ec88f063 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
-mi250x_gcd f64 PerLaunch spike_forced algo=Spike launches=16 time=0x3f26f465ce8d29e3 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
-mi250x_gcd f32 PerLaunch spike_forced algo=Spike launches=12 time=0x3f2294984bda7de3 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
-mi250x_gcd f64 Resident spike_forced algo=Spike launches=16 time=0x3f17e3a69a2b8bfd singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xb46cd253b515e3e5\n\
-mi250x_gcd f32 Resident spike_forced algo=Spike launches=12 time=0x3f14a554d581e5ee singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0xbccd6f1e922939bb\n\
+h100_pcie f64 PerLaunch spike_auto algo=Spike launches=9 time=0x3f1c27701c6bf90e singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
+h100_pcie f32 PerLaunch spike_auto algo=Spike launches=9 time=0x3f1c209152690286 singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
+h100_pcie f64 Resident spike_auto algo=Spike launches=9 time=0x3f13e5823b526e21 singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
+h100_pcie f32 Resident spike_auto algo=Spike launches=9 time=0x3f13dea3714f7799 singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
+mi250x_gcd f64 PerLaunch spike_auto algo=Spike launches=9 time=0x3f279bdde9503e87 singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
+mi250x_gcd f32 PerLaunch spike_auto algo=Spike launches=9 time=0x3f2796d5071b4383 singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
+mi250x_gcd f64 Resident spike_auto algo=Spike launches=9 time=0x3f216a6b807d1654 singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
+mi250x_gcd f32 Resident spike_auto algo=Spike launches=9 time=0x3f2165629e481b50 singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
+h100_pcie f64 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1f95def4f492cb singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
+h100_pcie f32 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1f95577978cedd singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
+h100_pcie f64 Resident spike_forced algo=Spike launches=18 time=0x3f0e24066582f9e6 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
+h100_pcie f32 Resident spike_forced algo=Spike launches=18 time=0x3f0e22f76e8b720a singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
+mi250x_gcd f64 PerLaunch spike_forced algo=Spike launches=18 time=0x3f29fd63d61bb4ad singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
+mi250x_gcd f32 PerLaunch spike_forced algo=Spike launches=18 time=0x3f29fcdac3bd7cba singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
+mi250x_gcd f64 Resident spike_forced algo=Spike launches=18 time=0x3f1b34fe08eac899 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
+mi250x_gcd f32 Resident spike_forced algo=Spike launches=18 time=0x3f1b33ebe42e58b1 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
 h100_pcie f64 PerLaunch spike_blocked algo=Window launches=3 time=0x3f5de473bfc0d19b singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
 h100_pcie f32 PerLaunch spike_blocked algo=Window launches=3 time=0x3f5de473bfc0d19b singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
 h100_pcie f64 Resident spike_blocked algo=Window launches=3 time=0x3f5db86975baf40c singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\

@@ -8,7 +8,10 @@
 //! bound or falls back cleanly. The grid here drives the dispatch layer
 //! (forced `GbsvOptions::spike`) over both precisions, `P ∈ {1, 2, 3, 8}`
 //! blocks and `{1, 2, 8}` host workers, plus the headline large system:
-//! `n = 65536`, `kl = ku = 8`, exact mode at `P = 8`.
+//! `n = 65536`, `kl = ku = 8`, exact mode at `P = 8`. The mode choice is
+//! pinned too: a lane whose spikes decay takes the truncated path, any
+//! other goes straight to exact, and a truncated lane that cannot refine
+//! walks on to exact.
 
 use gbatch::core::gbsv::gbsv;
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
@@ -378,4 +381,122 @@ fn truncated_falls_back_cleanly_on_non_dominant_operators() {
             assert!(r <= 1e-10, "lane {id} col {c}: fallback residual {r:.3e}");
         }
     }
+}
+
+/// Weakly dominant tridiagonal operator (diagonal 3, off-diagonals -1):
+/// its spikes decay by about 0.38 per row, so 24-row blocks leave dropped
+/// tips near 1e-10 — under the decay bound, yet far above `f64` working
+/// accuracy, so the unrefined truncated answer misses the target.
+fn weakly_dominant(n: usize) -> BandBatch<f64> {
+    BandBatch::<f64>::from_fn(1, n, n, 1, 1, |_, m| {
+        for j in 0..n {
+            let (s, e) = m.layout.col_rows(j);
+            for i in s..e {
+                m.set(i, j, if i == j { 3.0 } else { -1.0 });
+            }
+        }
+    })
+    .unwrap()
+}
+
+/// Run the split driver on one operator; returns the report and the
+/// solution batch.
+fn run_split(
+    a0: &BandBatch<f64>,
+    b0: &RhsBatch<f64>,
+    params: SpikeParams,
+) -> (gbatch::kernels::spike::SpikeReport, RhsBatch<f64>) {
+    let dev = dev();
+    let n = a0.layout().n;
+    let (mut a, mut b) = (a0.clone(), b0.clone());
+    let mut piv = PivotBatch::new(a.batch(), n, n);
+    let mut info = InfoArray::new(a.batch());
+    let rep = spike_gbsv_batch::<f64>(&dev, &mut a, &mut piv, &mut b, &mut info, params).unwrap();
+    assert!(info.all_ok(), "split driver must answer");
+    (rep, b)
+}
+
+/// The worst relative residual over a batch's lanes (one RHS column).
+fn worst_residual(a0: &BandBatch<f64>, b0: &RhsBatch<f64>, x: &RhsBatch<f64>) -> f64 {
+    let n = a0.layout().n;
+    (0..a0.batch())
+        .map(|id| {
+            let xs: Vec<f64> = (0..n).map(|i| x.get(id, i, 0)).collect();
+            rel_residual(a0, id, &xs, &b0.block(id)[..n])
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Mode choice reads each lane's spike decay. A dominant lane's tips
+/// vanish and it takes the truncated path; a non-dominant lane's do not,
+/// and it goes straight to the exact reduced system — its launch count is
+/// exactly the exact path's (extract, block factor, augmented solve pair,
+/// reduced band factor, reduced solve pair, combine, residual guard), with
+/// no truncated attempt or refinement round before it.
+#[test]
+fn lanes_choose_their_mode_from_the_spike_decay() {
+    let dev = dev();
+    let (n, kl, ku) = (768, 3, 3);
+    let params = SpikeParams::auto(&dev, kl)
+        .with_parts(4)
+        .with_mode(SpikeMode::Truncated);
+    let b0 = rhs::<f64>(1, n, 1);
+
+    let dominant = dominant_band::<f64>(1, n, kl, ku);
+    let (rep, x) = run_split(&dominant, &b0, params);
+    assert!(
+        matches!(rep.outcomes[0], SpikeOutcome::Truncated { .. }),
+        "dominant lane: {:?}",
+        rep.outcomes[0]
+    );
+    assert!(worst_residual(&dominant, &b0, &x) <= 10.0 * f64::EPSILON);
+
+    let uniform = nondominant_band::<f64>(1, n, kl, ku);
+    let (rep, x) = run_split(&uniform, &b0, params);
+    assert_eq!(rep.outcomes[0], SpikeOutcome::Exact, "non-dominant lane");
+    assert_eq!(rep.launches, 9, "exact path only, no refinement round");
+    assert!(worst_residual(&uniform, &b0, &x) <= 1e-10);
+}
+
+/// The stall fallback: a weakly dominant lane passes the decay test, but
+/// with `max_refine = 0` its unrefined truncated answer misses the target
+/// and must walk on to the exact reduced system. Skipping that step would
+/// leave a residual near the dropped tips (~1e-10) and fail the bound.
+#[test]
+fn weak_decay_with_no_refinement_walks_truncated_then_exact() {
+    let dev = dev();
+    let n = 96;
+    let a0 = weakly_dominant(n);
+    let b0 = rhs::<f64>(1, n, 1);
+    let params = SpikeParams {
+        parts: 4,
+        mode: SpikeMode::Truncated,
+        max_refine: 0,
+        ..SpikeParams::auto(&dev, 1)
+    };
+    let (rep, x) = run_split(&a0, &b0, params);
+    assert_eq!(
+        rep.outcomes[0],
+        SpikeOutcome::ExactFallback { refine_iters: 0 }
+    );
+    // Both reduced systems ran: 4 shared + 5 truncated + 5 exact launches.
+    assert_eq!(rep.launches, 14);
+    let r = worst_residual(&a0, &b0, &x);
+    assert!(r <= 10.0 * f64::EPSILON, "fallback residual {r:.3e}");
+
+    // With refinement allowed the same lane converges on the truncated
+    // path, after at least one round.
+    let (rep, _) = run_split(
+        &a0,
+        &b0,
+        SpikeParams {
+            max_refine: 8,
+            ..params
+        },
+    );
+    assert!(
+        matches!(rep.outcomes[0], SpikeOutcome::Truncated { refine_iters } if refine_iters >= 1),
+        "{:?}",
+        rep.outcomes[0]
+    );
 }
