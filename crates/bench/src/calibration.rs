@@ -118,7 +118,7 @@ fn run_ms(dev: &DeviceSpec, a0: &BandBatch, layout: MatrixLayout) -> (f64, Matri
 
 fn predicted_interleaved_ms(dev: &DeviceSpec, l: &BandLayout, batch: usize) -> f64 {
     let params = InterleavedParams::auto(dev, l, 0);
-    predict_interleaved_dispatch::<f64>(dev, l, batch, 0, &params)
+    predict_interleaved_dispatch::<f64>(dev, l, batch, 0, true, &params)
         .map(|t| t.secs() * 1e3)
         .unwrap_or(f64::INFINITY)
 }

@@ -479,7 +479,7 @@ fn conform_interleaved<S: Scalar>(dev: &DeviceSpec, shape: &Shape) -> Result<usi
         parallel: ParallelPolicy::Serial,
     };
     let _guard = trace_mode();
-    let rep0 = interleave_launch(dev, &a, params)
+    let rep0 = interleave_launch(dev, &a.layout(), a.data(), params)
         .map_err(|e| format!("interleave at {shape:?}: launch failed: {e}"))?;
     let mut piv = PivotBatch::new(CONFORMANCE_BATCH, shape.n, shape.n);
     let mut info = InfoArray::new(CONFORMANCE_BATCH);
@@ -487,7 +487,7 @@ fn conform_interleaved<S: Scalar>(dev: &DeviceSpec, shape: &Shape) -> Result<usi
         .map_err(|e| format!("gbtrf_interleaved at {shape:?}: launch failed: {e}"))?;
     let mut rhs = RhsBatch::<S>::from_fn(CONFORMANCE_BATCH, shape.n, shape.nrhs, seed_rhs::<S>)
         .expect("valid rhs shape");
-    let rep2 = gbtrs_batch_interleaved(dev, &a, &piv, &mut rhs, &info, params)
+    let rep2 = gbtrs_batch_interleaved(dev, &a.layout(), a.data(), &piv, &mut rhs, &info, params)
         .map_err(|e| format!("gbtrs_interleaved at {shape:?}: launch failed: {e}"))?;
     for (rep, which) in [(&rep0, "relayout"), (&rep1, "factor"), (&rep2, "solve")] {
         if !rep.hazards.is_empty() {

@@ -61,6 +61,7 @@
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::gbtf2::gbtf2;
 use gbatch_core::gbtrs::{gbtrs, Transpose};
+use gbatch_core::layout::BandLayout;
 use gbatch_core::scalar::Scalar;
 use gbatch_gpu_sim::{launch, DeviceSpec, LaunchConfig, LaunchError, LaunchReport, ParallelPolicy};
 
@@ -93,17 +94,13 @@ impl Default for InterleavedParams {
 /// Shared-memory footprint of the factor kernel's resident lane window:
 /// `kv + 2` columns (capped at `n`) of `ldab` band rows for `lanes` lanes
 /// of `S` elements.
-pub fn factor_smem_bytes<S: Scalar>(l: &gbatch_core::BandLayout, lanes: usize) -> usize {
+pub fn factor_smem_bytes<S: Scalar>(l: &BandLayout, lanes: usize) -> usize {
     (l.kv() + 2).min(l.n) * l.ldab * lanes * S::BYTES
 }
 
 /// Shared-memory footprint of the solve kernel's resident RHS scratch:
 /// the chunk's full `n x nrhs` solution panel of `S` elements.
-pub fn solve_smem_bytes<S: Scalar>(
-    l: &gbatch_core::BandLayout,
-    nrhs: usize,
-    lanes: usize,
-) -> usize {
+pub fn solve_smem_bytes<S: Scalar>(l: &BandLayout, nrhs: usize, lanes: usize) -> usize {
     l.n * nrhs * lanes * S::BYTES
 }
 
@@ -120,11 +117,7 @@ pub enum LaneTrafficMode {
 
 /// Mode [`gbtrf_batch_interleaved`] will run in on `dev` with `lanes`
 /// lanes per block.
-pub fn factor_mode<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &gbatch_core::BandLayout,
-    lanes: usize,
-) -> LaneTrafficMode {
+pub fn factor_mode<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, lanes: usize) -> LaneTrafficMode {
     if factor_smem_bytes::<S>(l, lanes) <= dev.max_smem_per_block as usize {
         LaneTrafficMode::Windowed
     } else {
@@ -136,7 +129,7 @@ pub fn factor_mode<S: Scalar>(
 /// lanes per block.
 pub fn solve_mode<S: Scalar>(
     dev: &DeviceSpec,
-    l: &gbatch_core::BandLayout,
+    l: &BandLayout,
     nrhs: usize,
     lanes: usize,
 ) -> LaneTrafficMode {
@@ -154,13 +147,13 @@ impl InterleavedParams {
     /// the chunk; when even one lane's window exceeds the block's
     /// shared-memory limit the kernels run in [`LaneTrafficMode::Streaming`]
     /// and the chunk goes back to one lane per thread (no window to fit).
-    pub fn auto(dev: &DeviceSpec, l: &gbatch_core::BandLayout, nrhs: usize) -> Self {
+    pub fn auto(dev: &DeviceSpec, l: &BandLayout, nrhs: usize) -> Self {
         Self::auto_for::<f64>(dev, l, nrhs)
     }
 
     /// Precision-aware variant of [`Self::auto`]: the resident windows
     /// shrink with `S::BYTES`, so f32 fits twice the lanes per block.
-    pub fn auto_for<S: Scalar>(dev: &DeviceSpec, l: &gbatch_core::BandLayout, nrhs: usize) -> Self {
+    pub fn auto_for<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, nrhs: usize) -> Self {
         let threads = 256u32.min(dev.max_threads_per_block).max(dev.warp_size);
         let cap = dev.max_smem_per_block as usize;
         // Only windows that *can* fit one lane constrain the chunk: a
@@ -273,7 +266,9 @@ pub fn gbtrf_batch_interleaved<S: Scalar>(
 }
 
 /// Batched band triangular solve (`A x = b`, no transpose), priced in the
-/// interleaved layout.
+/// interleaved layout, over the factored band `factors` (`batch`
+/// contiguous matrices of layout `l`, the storage
+/// [`crate::gbtrs_blocked::gbtrs_batch_blocked`] takes).
 ///
 /// Lanes whose `info` code is non-zero (singular factorization) are masked
 /// out entirely: their RHS blocks are left untouched, siblings are solved
@@ -282,25 +277,25 @@ pub fn gbtrf_batch_interleaved<S: Scalar>(
 /// [`gbatch_core::gbtrs::gbtrs`].
 pub fn gbtrs_batch_interleaved<S: Scalar>(
     dev: &DeviceSpec,
-    a: &BandBatch<S>,
+    l: &BandLayout,
+    factors: &[S],
     piv: &PivotBatch,
     rhs: &mut RhsBatch<S>,
     info: &InfoArray,
     params: InterleavedParams,
 ) -> Result<LaunchReport, LaunchError> {
-    let l = a.layout();
-    let batch = a.batch();
+    let batch = rhs.batch();
     assert_eq!(l.m, l.n, "interleaved gbtrs requires square factorizations");
+    assert_eq!(factors.len(), l.len() * batch, "factor batch mismatch");
     assert_eq!(piv.batch(), batch, "pivot batch mismatch");
-    assert_eq!(rhs.batch(), batch, "rhs batch mismatch");
     assert_eq!(info.len(), batch, "info batch mismatch");
     assert_eq!(rhs.n(), l.n, "rhs order mismatch");
     let n = l.n;
     let (ldb, nrhs, bs) = (rhs.ldb(), rhs.nrhs(), rhs.block_stride());
     let lpb = params.lanes_clamped(batch);
-    let windowed = solve_mode::<S>(dev, &l, nrhs, lpb) == LaneTrafficMode::Windowed;
+    let windowed = solve_mode::<S>(dev, l, nrhs, lpb) == LaneTrafficMode::Windowed;
     let smem = if windowed {
-        u32::try_from(solve_smem_bytes::<S>(&l, nrhs, lpb)).unwrap_or(u32::MAX)
+        u32::try_from(solve_smem_bytes::<S>(l, nrhs, lpb)).unwrap_or(u32::MAX)
     } else {
         0
     };
@@ -317,8 +312,7 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
     }
 
     let elems = l.len();
-    let mut chunks: Vec<Chunk<'_, S>> = a
-        .data()
+    let mut chunks: Vec<Chunk<'_, S>> = factors
         .chunks(elems * lpb)
         .zip(rhs.data_mut().chunks_mut(bs * lpb))
         .zip(piv.as_slice().chunks(n * lpb))
@@ -328,7 +322,7 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
 
     launch(dev, &cfg, &mut chunks, |p, ctx| {
         ctx.record(&predict_interleaved_solve::<S>(
-            &l,
+            l,
             nrhs,
             p.info.len(),
             ctx.threads,
@@ -341,22 +335,23 @@ pub fn gbtrs_batch_interleaved<S: Scalar>(
                 .zip(p.info);
         for (((ab, piv), b), &info) in lanes {
             if info == 0 {
-                gbtrs(Transpose::No, &l, ab, piv, b, ldb, nrhs);
+                gbtrs(Transpose::No, l, ab, piv, b, ldb, nrhs);
             }
         }
     })
 }
 
 /// The pack pass of a dispatch-level layout switch (column-major to
-/// interleaved) as a priced launch. Host storage stays column-major, so
-/// the launch moves no data; it records the pass's modeled traffic per
-/// lane chunk.
+/// interleaved) over the band `factors` (contiguous matrices of layout
+/// `l`) as a priced launch. Host storage stays column-major, so the launch
+/// moves no data; it records the pass's modeled traffic per lane chunk.
 pub fn interleave_launch<S: Scalar>(
     dev: &DeviceSpec,
-    a: &BandBatch<S>,
+    l: &BandLayout,
+    factors: &[S],
     params: InterleavedParams,
 ) -> Result<LaunchReport, LaunchError> {
-    layout_pass(dev, a, params, "interleave")
+    layout_pass(dev, l, factors, params, "interleave")
 }
 
 /// The unpack pass of a dispatch-level layout switch (interleaved back to
@@ -364,26 +359,28 @@ pub fn interleave_launch<S: Scalar>(
 /// no host data.
 pub fn deinterleave_launch<S: Scalar>(
     dev: &DeviceSpec,
-    a: &BandBatch<S>,
+    l: &BandLayout,
+    factors: &[S],
     params: InterleavedParams,
 ) -> Result<LaunchReport, LaunchError> {
-    layout_pass(dev, a, params, "deinterleave")
+    layout_pass(dev, l, factors, params, "deinterleave")
 }
 
 fn layout_pass<S: Scalar>(
     dev: &DeviceSpec,
-    a: &BandBatch<S>,
+    l: &BandLayout,
+    factors: &[S],
     params: InterleavedParams,
     label: &'static str,
 ) -> Result<LaunchReport, LaunchError> {
-    let l = a.layout();
+    let batch = factors.len() / l.len().max(1);
     let cfg = LaunchConfig::new(params.threads, 0)
         .with_parallel(params.parallel)
         .with_label(label)
         .with_precision(crate::flop_class::<S>());
-    let mut chunks = lane_chunks(a.batch(), params.lanes_clamped(a.batch()));
+    let mut chunks = lane_chunks(batch, params.lanes_clamped(batch));
     launch(dev, &cfg, &mut chunks, |&mut (_, lanes), ctx| {
-        ctx.record(&predict_interleave_pass::<S>(&l, lanes, ctx.threads));
+        ctx.record(&predict_interleave_pass::<S>(l, lanes, ctx.threads));
     })
 }
 
@@ -574,9 +571,16 @@ mod tests {
                     with_lane_mode(mode, || {
                         let (fa, piv, info, rep) = factor_interleaved(&a, params);
                         let mut rhs = rhs0.clone();
-                        let srep =
-                            gbtrs_batch_interleaved(&dev, &fa, &piv, &mut rhs, &info, params)
-                                .unwrap();
+                        let srep = gbtrs_batch_interleaved(
+                            &dev,
+                            &fa.layout(),
+                            fa.data(),
+                            &piv,
+                            &mut rhs,
+                            &info,
+                            params,
+                        )
+                        .unwrap();
                         (fa, piv, info, rhs, rep.counters, srep.counters)
                     })
                 })
@@ -601,7 +605,8 @@ mod tests {
             let mut rhs = rhs0.clone();
             let _ = gbtrs_batch_interleaved(
                 &dev,
-                &fa,
+                &fa.layout(),
+                fa.data(),
                 &piv,
                 &mut rhs,
                 &info,
@@ -641,7 +646,8 @@ mod tests {
         let mut rhs = rhs0.clone();
         let _ = gbtrs_batch_interleaved(
             &dev,
-            &fa,
+            &fa.layout(),
+            fa.data(),
             &piv,
             &mut rhs,
             &info,
@@ -672,11 +678,11 @@ mod tests {
             ..Default::default()
         };
         let bytes = (a.layout().len() * 11 * F64) as u64;
-        let rep_in = interleave_launch(&dev, &a, params).unwrap();
+        let rep_in = interleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
         assert_eq!(rep_in.grid, 3, "chunks of 4, 4, 3");
         assert_eq!(rep_in.counters.global_read, bytes);
         assert_eq!(rep_in.counters.global_write, bytes);
-        let rep_out = deinterleave_launch(&dev, &a, params).unwrap();
+        let rep_out = deinterleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
         assert_eq!(rep_out.grid, 3);
         assert_eq!(rep_out.counters, rep_in.counters);
         assert_eq!(rep_out.time, rep_in.time);
@@ -705,13 +711,13 @@ mod tests {
     fn auto_params_respect_device_limits() {
         let dev = DeviceSpec::h100_pcie();
         // Narrow band: the window is tiny, one lane per thread.
-        let tri = gbatch_core::BandLayout::factor(64, 64, 1, 1).unwrap();
+        let tri = BandLayout::factor(64, 64, 1, 1).unwrap();
         let p = InterleavedParams::auto(&dev, &tri, 0);
         assert!(p.threads <= dev.max_threads_per_block);
         assert_eq!(p.lanes_per_block, p.threads as usize);
         // Wide band: the resident window clamps the chunk well below the
         // thread count.
-        let wide = gbatch_core::BandLayout::factor(512, 512, 24, 24).unwrap();
+        let wide = BandLayout::factor(512, 512, 24, 24).unwrap();
         let pw = InterleavedParams::auto(&dev, &wide, 0);
         assert!(pw.lanes_per_block < p.lanes_per_block);
         assert_eq!(
@@ -730,7 +736,7 @@ mod tests {
         // Absurd bandwidth: even one lane's window exceeds the block limit,
         // so the kernels will run in streaming mode — the chunk goes back
         // to one lane per thread.
-        let huge = gbatch_core::BandLayout::factor(4096, 4096, 512, 512).unwrap();
+        let huge = BandLayout::factor(4096, 4096, 512, 512).unwrap();
         assert!(factor_smem_bytes::<f64>(&huge, 1) > dev.max_smem_per_block as usize);
         let ph = InterleavedParams::auto(&dev, &huge, 0);
         assert_eq!(ph.lanes_per_block, ph.threads as usize);
@@ -790,8 +796,9 @@ mod tests {
         })
         .unwrap();
         let mut rhs = rhs0.clone();
-        let _ = gbtrs_batch_interleaved(&dev, &fa, &piv, &mut rhs, &info, params)
-            .expect("streaming solve must not require shared memory");
+        let _ =
+            gbtrs_batch_interleaved(&dev, &fa.layout(), fa.data(), &piv, &mut rhs, &info, params)
+                .expect("streaming solve must not require shared memory");
         for id in 0..batch {
             let mut expect = rhs0.block(id).to_vec();
             gbtrs(Transpose::No, &l, &fs[id], &ps[id], &mut expect, n, nrhs);

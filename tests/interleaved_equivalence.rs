@@ -98,8 +98,8 @@ proptest! {
             ..InterleavedParams::auto(&dev, &a0.layout(), 0)
         };
         let a = a0.clone();
-        let pack = interleave_launch(&dev, &a, params).unwrap();
-        let unpack = deinterleave_launch(&dev, &a, params).unwrap();
+        let pack = interleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
+        let unpack = deinterleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
         prop_assert_eq!(a.data(), a0.data());
 
         let bytes = (a0.layout().len() * batch * std::mem::size_of::<f64>()) as u64;
@@ -214,7 +214,8 @@ fn interleaved_solve_matches_gbtrs_and_masks_singular_lanes() {
         let params = InterleavedParams::auto(&dev, &l, nrhs).with_parallel(policy);
         let _ = gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params).unwrap();
         let mut b = b0.clone();
-        let _ = gbtrs_batch_interleaved(&dev, &fa, &piv, &mut b, &info, params).unwrap();
+        let _ = gbtrs_batch_interleaved(&dev, &fa.layout(), fa.data(), &piv, &mut b, &info, params)
+            .unwrap();
         for id in 0..batch {
             if is[id] == 0 {
                 assert_eq!(
@@ -391,16 +392,17 @@ fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[
     for policy in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
         let params = params.with_parallel(policy);
         let mut a = a0.clone();
-        let rep = interleave_launch(&dev, &a, params).unwrap();
+        let rep = interleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
         assert_eq!(priced(&rep), pass, "{policy:?}: pack");
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let rep = gbtrf_batch_interleaved(&dev, &mut a, &mut piv, &mut info, params).unwrap();
         assert_eq!(priced(&rep), factor, "{policy:?}: factor");
         let mut b = b0.clone();
-        let rep = gbtrs_batch_interleaved(&dev, &a, &piv, &mut b, &info, params).unwrap();
+        let rep = gbtrs_batch_interleaved(&dev, &a.layout(), a.data(), &piv, &mut b, &info, params)
+            .unwrap();
         assert_eq!(priced(&rep), solve, "{policy:?}: solve");
-        let rep = deinterleave_launch(&dev, &a, params).unwrap();
+        let rep = deinterleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
         assert_eq!(priced(&rep), pass, "{policy:?}: unpack");
         check(&format!("{policy:?} kernels"), &a, &piv, &info, &b);
 

@@ -174,7 +174,16 @@ fn interleaved_case<S: Scalar>(
                 let _ =
                     gbtrf_batch_interleaved(&dev, &mut fa, &mut piv, &mut info, params).unwrap();
                 let mut rhs = rhs0.clone();
-                let _ = gbtrs_batch_interleaved(&dev, &fa, &piv, &mut rhs, &info, params).unwrap();
+                let _ = gbtrs_batch_interleaved(
+                    &dev,
+                    &fa.layout(),
+                    fa.data(),
+                    &piv,
+                    &mut rhs,
+                    &info,
+                    params,
+                )
+                .unwrap();
                 (
                     bits(fa.data()),
                     piv,

@@ -170,12 +170,12 @@ fn launch_interleaved_solve(dev: &DeviceSpec, n: usize) -> bool {
         threads: 8,
         parallel: ParallelPolicy::Serial,
     };
-    let _ = interleave_launch(dev, &a, params).unwrap();
+    let _ = interleave_launch(dev, &a.layout(), a.data(), params).unwrap();
     let mut piv = PivotBatch::new(1, n, n);
     let mut info = InfoArray::new(1);
     let _ = gbtrf_batch_interleaved(dev, &mut a, &mut piv, &mut info, params).unwrap();
     let mut rhs = RhsBatch::<f64>::from_fn(1, n, NRHS, |_, r, c| (r + c) as f64).unwrap();
-    gbtrs_batch_interleaved(dev, &a, &piv, &mut rhs, &info, params).is_ok()
+    gbtrs_batch_interleaved(dev, &a.layout(), a.data(), &piv, &mut rhs, &info, params).is_ok()
 }
 
 #[test]
