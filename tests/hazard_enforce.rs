@@ -164,15 +164,20 @@ fn enforce_solve_kernels_run_hazard_free() {
                 gbtrs_batch_blocked_trans(&dev, &l, a.data(), &piv, &mut rhs, params).unwrap();
                 assert!(rhs.data().iter().all(|v| v.is_finite()));
 
-                // Dispatch-level solve, both transpose settings.
+                // Dispatch-level solve, both transpose settings, both
+                // layouts (the interleaved one packs, then solves).
                 for trans in [Transpose::No, Transpose::Yes] {
-                    let mut rhs = rhs_batch(BATCH, N, nrhs);
-                    let opts = GbsvOptions {
-                        parallel: Some(policy),
-                        ..GbsvOptions::default()
-                    };
-                    let _ = dgbtrs_batch(&dev, trans, &l, a.data(), &piv, &mut rhs, &opts).unwrap();
-                    assert!(rhs.data().iter().all(|v| v.is_finite()));
+                    for layout in [MatrixLayout::ColumnMajor, MatrixLayout::Interleaved] {
+                        let mut rhs = rhs_batch(BATCH, N, nrhs);
+                        let opts = GbsvOptions {
+                            parallel: Some(policy),
+                            layout,
+                            ..GbsvOptions::default()
+                        };
+                        let _ =
+                            dgbtrs_batch(&dev, trans, &l, a.data(), &piv, &mut rhs, &opts).unwrap();
+                        assert!(rhs.data().iter().all(|v| v.is_finite()));
+                    }
                 }
             }
         }
@@ -246,7 +251,16 @@ fn enforce_interleaved_kernels_run_hazard_free() {
             assert!(info.all_ok(), "igbtrf ({kl},{ku}) {policy:?}");
             for nrhs in [1usize, 10] {
                 let mut rhs = rhs_batch(BATCH, N, nrhs);
-                let _ = gbtrs_batch_interleaved(&dev, &a, &piv, &mut rhs, &info, params).unwrap();
+                let _ = gbtrs_batch_interleaved(
+                    &dev,
+                    &a.layout(),
+                    a.data(),
+                    &piv,
+                    &mut rhs,
+                    &info,
+                    params,
+                )
+                .unwrap();
                 assert!(rhs.data().iter().all(|v| v.is_finite()));
             }
         }
@@ -389,7 +403,16 @@ fn enforce_f32_kernel_instantiations_run_hazard_free() {
             let _ = gbtrf_batch_interleaved(&dev, &mut ia, &mut piv, &mut info, iparams).unwrap();
             assert!(info.all_ok(), "f32 igbtrf ({kl},{ku}) {policy:?}");
             let mut rhs = rhs_batch_f32(BATCH, N, 1);
-            let _ = gbtrs_batch_interleaved(&dev, &ia, &piv, &mut rhs, &info, iparams).unwrap();
+            let _ = gbtrs_batch_interleaved(
+                &dev,
+                &ia.layout(),
+                ia.data(),
+                &piv,
+                &mut rhs,
+                &info,
+                iparams,
+            )
+            .unwrap();
             assert!(rhs.data().iter().all(|v| v.is_finite()));
         }
     }

@@ -1,0 +1,261 @@
+//! The solve-only plan. Under `Auto`, `gbtrs_batch` and
+//! `gbtrs_batch_lanes` price the blocked column-major solve against one
+//! pack pass plus the interleaved solve, and run the cheaper. This suite
+//! checks:
+//!
+//! - the choice at the `serve_timestep` geometry ((128,2,3), batch 64)
+//!   and at the raw-speed trajectory's (n = 16, (2,3), batch 4096);
+//! - the interleaved report against the predictors, bitwise;
+//! - the solutions against a forced column-major run, bitwise, under the
+//!   serial and a threaded executor;
+//! - that a forced algorithm, a forced column-major layout and the
+//!   transpose solve keep the blocked kernels.
+
+use gbatch::core::gbtrs::Transpose;
+use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
+use gbatch::gpu_sim::{registry, DeviceSpec, ParallelPolicy};
+use gbatch::kernels::cost::{
+    predict_interleave_pass, predict_interleaved_dispatch, predict_interleaved_solve,
+    predict_interleaved_time,
+};
+use gbatch::kernels::dispatch::{
+    gbtrf_batch, gbtrs_batch, gbtrs_batch_lanes, BatchReport, ChosenAlgo, FactorAlgo, GbsvOptions,
+    MatrixLayout,
+};
+use gbatch::kernels::interleaved::{
+    solve_mode, solve_smem_bytes, InterleavedParams, LaneTrafficMode,
+};
+
+/// `(n, kl, ku, batch)` of a `serve_timestep` warm flush.
+const TIMESTEP: (usize, usize, usize, usize) = (128, 2, 3, 64);
+/// `(n, kl, ku, batch)` of the raw-speed trajectory.
+const RAW_SPEED: (usize, usize, usize, usize) = (16, 2, 3, 4096);
+
+fn h100() -> DeviceSpec {
+    registry::device(registry::H100_PCIE).unwrap()
+}
+
+fn mi250x() -> DeviceSpec {
+    registry::device(registry::MI250X_GCD).unwrap()
+}
+
+/// A diagonally dominant batch, factored with the default options.
+fn factored<S: Scalar>(
+    dev: &DeviceSpec,
+    (n, kl, ku, batch): (usize, usize, usize, usize),
+) -> (BandBatch<S>, PivotBatch) {
+    let mut a = BandBatch::<S>::from_fn(batch, n, n, kl, ku, |id, m| {
+        for j in 0..n {
+            let (s, e) = m.layout.col_rows(j);
+            let mut sum = 0.0;
+            for i in (s..e).filter(|&i| i != j) {
+                let v = ((i * 7 + j * 3 + id) % 5) as f64 * 0.1 + 0.05;
+                sum += v;
+                m.set(i, j, S::from_f64(v));
+            }
+            m.set(j, j, S::from_f64(sum + 1.0));
+        }
+    })
+    .unwrap();
+    let mut piv = PivotBatch::new(batch, n, n);
+    let mut info = InfoArray::new(batch);
+    let _ = gbtrf_batch::<S>(dev, &mut a, &mut piv, &mut info, &GbsvOptions::default()).unwrap();
+    assert!(info.all_ok());
+    (a, piv)
+}
+
+/// Solve one RHS per lane over `a`'s factors, through `gbtrs_batch` or,
+/// with `lanes`, through `gbtrs_batch_lanes` over per-lane slices.
+fn solve<S: Scalar>(
+    dev: &DeviceSpec,
+    (a, piv): &(BandBatch<S>, PivotBatch),
+    trans: Transpose,
+    lanes: bool,
+    opts: &GbsvOptions,
+) -> (BatchReport, RhsBatch<S>) {
+    let l = a.layout();
+    let mut b = RhsBatch::<S>::from_fn(a.batch(), l.n, 1, |id, i, _| {
+        S::from_f64(((i * 13 + id) % 11) as f64 * 0.1 - 0.5)
+    })
+    .unwrap();
+    let rep = if lanes {
+        let stride = a.matrix_stride();
+        let lanes: Vec<(&[S], &[i32])> = (0..a.batch())
+            .map(|k| (&a.data()[k * stride..(k + 1) * stride], piv.pivots(k)))
+            .collect();
+        gbtrs_batch_lanes::<S>(dev, trans, &l, &lanes, &mut b, opts)
+    } else {
+        gbtrs_batch::<S>(dev, trans, &l, a.data(), piv, &mut b, opts)
+    };
+    (rep.unwrap(), b)
+}
+
+fn layout(layout: MatrixLayout) -> GbsvOptions {
+    GbsvOptions {
+        layout,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn auto_interleaves_the_timestep_flush_and_keeps_blocked_at_raw_speed() {
+    let auto = GbsvOptions::default();
+    let column = layout(MatrixLayout::ColumnMajor);
+    let interleaved = layout(MatrixLayout::Interleaved);
+    for (dev, shape, want) in [
+        (h100(), TIMESTEP, ChosenAlgo::Interleaved),
+        (mi250x(), TIMESTEP, ChosenAlgo::Interleaved),
+        (h100(), RAW_SPEED, ChosenAlgo::Window),
+    ] {
+        let f = factored::<f64>(&dev, shape);
+        for lanes in [false, true] {
+            let (rep, _) = solve(&dev, &f, Transpose::No, lanes, &auto);
+            assert_eq!(rep.algo, want, "{} {shape:?} lanes={lanes}", dev.name);
+            assert_eq!(rep.launches, 2, "pack + solve, or forward + backward");
+            // The plan's pick is the executed minimum of the two layouts.
+            let (col, _) = solve(&dev, &f, Transpose::No, lanes, &column);
+            let (int, _) = solve(&dev, &f, Transpose::No, lanes, &interleaved);
+            let best = if col.time.secs() < int.time.secs() {
+                col.time
+            } else {
+                int.time
+            };
+            assert_eq!(
+                rep.time, best,
+                "{} {shape:?}: Auto is the cheaper",
+                dev.name
+            );
+        }
+    }
+}
+
+fn report_is_priced_exactly<S: Scalar>() {
+    let dev = h100();
+    let f = factored::<S>(&dev, TIMESTEP);
+    let l = f.0.layout();
+    let (n, batch, nrhs) = (l.n, f.0.batch(), 1);
+    let (rep, _) = solve(&dev, &f, Transpose::No, false, &GbsvOptions::default());
+    assert_eq!(rep.algo, ChosenAlgo::Interleaved);
+
+    let params = InterleavedParams::auto(&dev, &l, nrhs);
+    let (t, lpb) = (params.threads, params.lanes_per_block.min(batch));
+    let windowed = solve_mode::<S>(&dev, &l, nrhs, lpb) == LaneTrafficMode::Windowed;
+    assert!(windowed, "the n = {n} solve scratch fits shared memory");
+    let smem = solve_smem_bytes::<S>(&l, nrhs, lpb) as u32;
+    let pack = predict_interleaved_time::<S>(&dev, batch, &params, 0, |lanes| {
+        predict_interleave_pass::<S>(&l, lanes, t)
+    })
+    .unwrap();
+    let gbtrs = predict_interleaved_time::<S>(&dev, batch, &params, smem, |lanes| {
+        predict_interleaved_solve::<S>(&l, nrhs, lanes, t, windowed)
+    })
+    .unwrap();
+    assert_eq!(rep.time, pack + gbtrs, "{}: pack + solve", S::PRECISION);
+    let planned = predict_interleaved_dispatch::<S>(&dev, &l, batch, nrhs, false, &params);
+    assert_eq!(
+        Some(rep.time),
+        planned,
+        "{}: the plan's price",
+        S::PRECISION
+    );
+}
+
+#[test]
+fn interleaved_report_is_pack_plus_solve_prices_bitwise() {
+    report_is_priced_exactly::<f64>();
+    report_is_priced_exactly::<f32>();
+}
+
+fn matches_column_major<S: Scalar>() {
+    for dev in [h100(), mi250x()] {
+        let f = factored::<S>(&dev, TIMESTEP);
+        for parallel in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
+            let auto = GbsvOptions {
+                parallel: Some(parallel),
+                ..Default::default()
+            };
+            let column = GbsvOptions {
+                layout: MatrixLayout::ColumnMajor,
+                ..auto
+            };
+            for lanes in [false, true] {
+                let (rep, x) = solve(&dev, &f, Transpose::No, lanes, &auto);
+                let (col, want) = solve(&dev, &f, Transpose::No, lanes, &column);
+                assert_eq!(rep.algo, ChosenAlgo::Interleaved);
+                assert_eq!(col.algo, ChosenAlgo::Window);
+                assert_eq!(
+                    x.data(),
+                    want.data(),
+                    "{} {} {parallel:?} lanes={lanes}",
+                    dev.name,
+                    S::PRECISION
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn auto_solutions_match_forced_column_major_bitwise() {
+    matches_column_major::<f64>();
+    matches_column_major::<f32>();
+}
+
+#[test]
+fn forced_choices_and_the_transpose_keep_the_blocked_kernels() {
+    let dev = h100();
+    let f = factored::<f64>(&dev, TIMESTEP);
+    let (_, want) = solve(&dev, &f, Transpose::No, false, &GbsvOptions::default());
+    let forced = |algo| GbsvOptions {
+        algo,
+        ..Default::default()
+    };
+    for opts in [
+        forced(FactorAlgo::Fused),
+        forced(FactorAlgo::Window),
+        forced(FactorAlgo::Reference),
+        layout(MatrixLayout::ColumnMajor),
+    ] {
+        for lanes in [false, true] {
+            let (rep, x) = solve(&dev, &f, Transpose::No, lanes, &opts);
+            assert_eq!(rep.algo, ChosenAlgo::Window, "{opts:?}");
+            assert_eq!(rep.launches, 2, "{opts:?}");
+            assert_eq!(x.data(), want.data(), "{opts:?}");
+        }
+    }
+
+    // The transpose solve has no interleaved kernel: every layout runs
+    // the blocked transpose pair.
+    let (col, want) = solve(
+        &dev,
+        &f,
+        Transpose::Yes,
+        false,
+        &layout(MatrixLayout::ColumnMajor),
+    );
+    for opts in [GbsvOptions::default(), layout(MatrixLayout::Interleaved)] {
+        for lanes in [false, true] {
+            let (rep, x) = solve(&dev, &f, Transpose::Yes, lanes, &opts);
+            assert_eq!(rep.algo, ChosenAlgo::Window, "{opts:?}");
+            assert_eq!((rep.launches, rep.time), (col.launches, col.time));
+            assert_eq!(x.data(), want.data(), "{opts:?}");
+        }
+    }
+
+    // Forcing the interleaved layout runs it even where Auto keeps the
+    // blocked solve, with the same answer.
+    let f = factored::<f64>(&dev, RAW_SPEED);
+    let (_, want) = solve(&dev, &f, Transpose::No, false, &GbsvOptions::default());
+    for lanes in [false, true] {
+        let (rep, x) = solve(
+            &dev,
+            &f,
+            Transpose::No,
+            lanes,
+            &layout(MatrixLayout::Interleaved),
+        );
+        assert_eq!(rep.algo, ChosenAlgo::Interleaved);
+        assert_eq!(rep.launches, 2);
+        assert_eq!(x.data(), want.data());
+    }
+}
