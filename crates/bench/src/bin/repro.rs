@@ -96,6 +96,13 @@ fn main() {
             r.factor_cache.warm_speedup
         )
         .unwrap();
+        let ts = &r.factor_cache.timestep;
+        writeln!(
+            out,
+            "  factor cache at batch {}, n = {}: cold {:.4} ms | warm (GBTRS-only) {:.4} ms | {:.3}x (resident)",
+            ts.batch, ts.n, ts.cold.resident_ms, ts.warm.resident_ms, ts.warm_speedup
+        )
+        .unwrap();
         writeln!(
             out,
             "  repeated-operator mini-soak hit rate: {:.4}",

@@ -14,8 +14,10 @@
 //!    one-time pool spin-up is reported separately as `serve_spinup_ms`;
 //! 5. **factor cache** — the same flush cold (factorize + solve) versus
 //!    warm (GBTRS-only over cached factors through
-//!    [`SolveBackend::solve_with`]), plus the cache hit rate of a
-//!    deterministic repeated-operator mini-soak through the [`Server`];
+//!    [`SolveBackend::solve_with`]), the same comparison at the
+//!    `serve_timestep` workload's geometry (batch 64, order 128), plus the
+//!    cache hit rate of a deterministic repeated-operator mini-soak
+//!    through the [`Server`];
 //! 6. **spike** — the large-`n` split regime: one `n = 65536`,
 //!    `kl = ku = 8` system solved by the SPIKE driver at
 //!    `P ∈ {1, 2, 4, ..., 64}` blocks in both precisions under the resident
@@ -58,6 +60,16 @@ pub const RAW_KU: usize = 3;
 /// Right-hand sides.
 pub const RAW_NRHS: usize = 1;
 
+/// Batch of the `serve_timestep` warm-flush cell: one flush of the
+/// workload's reused operators.
+pub const TIMESTEP_BATCH: usize = 64;
+/// Matrix order of the `serve_timestep` cell.
+pub const TIMESTEP_N: usize = 128;
+/// Acceptance floor: at the `serve_timestep` geometry a warm (GBTRS-only)
+/// resident flush beats the cold factorize-and-solve by at least this
+/// factor.
+pub const TIMESTEP_WARM_FLOOR: f64 = 1.5;
+
 /// One measurement under both engine modes, in model milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineSample {
@@ -92,10 +104,30 @@ pub struct FactorCacheSample {
     /// `cold.resident_ms / warm.resident_ms` — what skipping `gbtrf`
     /// saves at steady state. Floor-gated at 1.8x.
     pub warm_speedup: f64,
+    /// The same cold-versus-warm comparison at the `serve_timestep`
+    /// geometry: [`TIMESTEP_BATCH`] lanes of order [`TIMESTEP_N`], the
+    /// trajectory's bandwidths and one right-hand side.
+    pub timestep: CacheFlushes,
     /// Cache hit rate of the mini-soak (`SOAK_REQUESTS` timestepping
     /// arrivals over `SOAK_POOL` operators at `SOAK_CHURN` churn) through
     /// the full [`Server`] admission path. Floor-gated at 0.85.
     pub soak_hit_rate: f64,
+}
+
+/// One cold and one warm serve flush of the same batch.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CacheFlushes {
+    /// Lanes in the flush.
+    pub batch: usize,
+    /// Matrix order.
+    pub n: usize,
+    /// Full factorize + solve.
+    pub cold: EngineSample,
+    /// GBTRS-only over cached factors.
+    pub warm: EngineSample,
+    /// `cold.resident_ms / warm.resident_ms`. Floor-gated at
+    /// [`TIMESTEP_WARM_FLOOR`].
+    pub warm_speedup: f64,
 }
 
 /// Matrix order of the spike (large-`n` split) measurement.
@@ -250,10 +282,10 @@ pub struct RawSpeedReport {
     pub fleet: FleetSample,
 }
 
-fn band(batch: usize) -> BandBatch {
+fn band(batch: usize, n: usize) -> BandBatch {
     // Diagonally dominant so every lane factors without a zero pivot.
-    BandBatch::from_fn(batch, RAW_N, RAW_N, RAW_KL, RAW_KU, |id, m| {
-        for j in 0..RAW_N {
+    BandBatch::from_fn(batch, n, n, RAW_KL, RAW_KU, |id, m| {
+        for j in 0..n {
             let (s, e) = m.layout.col_rows(j);
             for i in s..e {
                 m.set(i, j, ((i * 7 + j * 3 + id) % 5) as f64 * 0.1 + 0.05);
@@ -265,8 +297,8 @@ fn band(batch: usize) -> BandBatch {
     .unwrap()
 }
 
-fn rhs(batch: usize) -> RhsBatch {
-    RhsBatch::from_fn(batch, RAW_N, RAW_NRHS, |id, i, c| {
+fn rhs(batch: usize, n: usize) -> RhsBatch {
+    RhsBatch::from_fn(batch, n, RAW_NRHS, |id, i, c| {
         ((id * 13 + c * 5 + i) as f64 * 0.29).sin()
     })
     .unwrap()
@@ -283,8 +315,8 @@ fn opts(engine: EngineMode) -> GbsvOptions {
 /// Run the full trajectory on the paper's flagship device.
 pub fn measure() -> RawSpeedReport {
     let dev = registry::device(registry::H100_PCIE).expect("catalog entry");
-    let a0 = band(RAW_BATCH);
-    let b0 = rhs(RAW_BATCH);
+    let a0 = band(RAW_BATCH, RAW_N);
+    let b0 = rhs(RAW_BATCH, RAW_N);
 
     let factor_under = |engine: EngineMode| {
         let mut a = a0.clone();
@@ -339,67 +371,26 @@ pub fn measure() -> RawSpeedReport {
     assert_eq!(xi_cold.data(), xi_warm.data());
     let interleaved = EngineSample::new(inter_cold, inter_warm);
 
-    // Serve flush: same geometry through the backend. The resident
-    // backend's first flush carries the one-time pool spin-up; steady
-    // state is the second flush.
-    let shape = ShapeKey::gbsv(RAW_N, RAW_KL, RAW_KU, RAW_NRHS);
-    let stride = a0.matrix_stride();
-    let reqs: Vec<SolveRequest> = (0..RAW_BATCH)
-        .map(|k| SolveRequest {
-            id: k as u64,
-            shape,
-            ab: a0.data()[k * stride..(k + 1) * stride].to_vec(),
-            rhs: b0.block(k).to_vec(),
-            submitted_s: 0.0,
-            deadline_s: 1.0,
-        })
-        .collect();
-    let group = || DeviceGroup::new(vec![dev.clone()]);
-    let par = ParallelPolicy::threads(4);
-    let cold_backend = GpuBackend::new(group(), par);
-    let warm_backend = GpuBackend::new(group(), par).with_engine(EngineMode::Resident);
-    let cold_flush = cold_backend.solve(&shape, &reqs).unwrap();
-    let first_flush = warm_backend.solve(&shape, &reqs).unwrap();
-    let steady_flush = warm_backend.solve(&shape, &reqs).unwrap();
-    assert_eq!(cold_flush.x, first_flush.x, "engine mode changed the flush");
-    assert_eq!(first_flush.x, steady_flush.x);
-    let serve_flush = EngineSample::new(cold_flush.service_s * 1e3, steady_flush.service_s * 1e3);
-    let serve_spinup_ms = (first_flush.service_s - steady_flush.service_s) * 1e3;
-
-    // Factor cache: the cold side *is* the serve flush above (one full
-    // factorize-and-solve of the batch). The warm side re-solves the
-    // identical batch as a GBTRS-only launch over factors cached by an
-    // explicit factorize pass — the factorization cost is deliberately
-    // outside the sample; amortizing it is the cache's whole point.
-    let operators: Vec<&[f64]> = (0..RAW_BATCH)
-        .map(|k| &a0.data()[k * stride..(k + 1) * stride])
-        .collect();
-    let warm_under = |backend: &GpuBackend| {
-        let fac = backend.factorize(&shape, &operators).unwrap();
-        let factors: Vec<_> = fac
-            .factors
-            .into_iter()
-            .map(|f| f.expect("trajectory operators are nonsingular"))
-            .collect();
-        // Steady state: the second warm flush (the first one absorbs any
-        // one-time resident spin-up not already consumed by factorize).
-        let first = backend.solve_with(&shape, &reqs, &factors).unwrap();
-        let steady = backend.solve_with(&shape, &reqs, &factors).unwrap();
-        assert_eq!(first.x, steady.x);
-        assert_eq!(
-            first.x, cold_flush.x,
-            "warm GBTRS-only flush diverged from the cold factorize+solve"
+    let (serve_flush, serve_spinup_ms, warm) = serve_flushes(&dev, &a0, &b0);
+    let timestep = {
+        let (cold, _, warm) = serve_flushes(
+            &dev,
+            &band(TIMESTEP_BATCH, TIMESTEP_N),
+            &rhs(TIMESTEP_BATCH, TIMESTEP_N),
         );
-        steady.service_s * 1e3
+        CacheFlushes {
+            batch: TIMESTEP_BATCH,
+            n: TIMESTEP_N,
+            cold,
+            warm,
+            warm_speedup: cold.resident_ms / warm.resident_ms,
+        }
     };
-    let warm = EngineSample::new(
-        warm_under(&GpuBackend::new(group(), par)),
-        warm_under(&GpuBackend::new(group(), par).with_engine(EngineMode::Resident)),
-    );
     let factor_cache = FactorCacheSample {
         cold: serve_flush,
         warm,
         warm_speedup: serve_flush.resident_ms / warm.resident_ms,
+        timestep,
         soak_hit_rate: soak_hit_rate(&dev),
     };
 
@@ -427,6 +418,75 @@ pub fn measure() -> RawSpeedReport {
         spike,
         fleet: fleet_sample(),
     }
+}
+
+/// One cold serve flush of `a0`/`b0` (factorize + solve) and one warm
+/// flush over cached factors (GBTRS-only), each under both engine modes,
+/// plus the one-time resident spin-up the first cold flush carries.
+fn serve_flushes(
+    dev: &DeviceSpec,
+    a0: &BandBatch,
+    b0: &RhsBatch,
+) -> (EngineSample, f64, EngineSample) {
+    // The cold flush through the backend. The resident backend's first
+    // flush carries the one-time pool spin-up; steady state is the second
+    // flush.
+    let (batch, n) = (a0.batch(), a0.layout().n);
+    let shape = ShapeKey::gbsv(n, RAW_KL, RAW_KU, RAW_NRHS);
+    let stride = a0.matrix_stride();
+    let reqs: Vec<SolveRequest> = (0..batch)
+        .map(|k| SolveRequest {
+            id: k as u64,
+            shape,
+            ab: a0.data()[k * stride..(k + 1) * stride].to_vec(),
+            rhs: b0.block(k).to_vec(),
+            submitted_s: 0.0,
+            deadline_s: 1.0,
+        })
+        .collect();
+    let group = || DeviceGroup::new(vec![dev.clone()]);
+    let par = ParallelPolicy::threads(4);
+    let cold_backend = GpuBackend::new(group(), par);
+    let warm_backend = GpuBackend::new(group(), par).with_engine(EngineMode::Resident);
+    let cold_flush = cold_backend.solve(&shape, &reqs).unwrap();
+    let first_flush = warm_backend.solve(&shape, &reqs).unwrap();
+    let steady_flush = warm_backend.solve(&shape, &reqs).unwrap();
+    assert_eq!(cold_flush.x, first_flush.x, "engine mode changed the flush");
+    assert_eq!(first_flush.x, steady_flush.x);
+    let serve_flush = EngineSample::new(cold_flush.service_s * 1e3, steady_flush.service_s * 1e3);
+    let serve_spinup_ms = (first_flush.service_s - steady_flush.service_s) * 1e3;
+
+    // Factor cache: the cold side *is* the serve flush above (one full
+    // factorize-and-solve of the batch). The warm side re-solves the
+    // identical batch as a GBTRS-only launch over factors cached by an
+    // explicit factorize pass — the factorization cost is deliberately
+    // outside the sample; amortizing it is the cache's whole point.
+    let operators: Vec<&[f64]> = (0..batch)
+        .map(|k| &a0.data()[k * stride..(k + 1) * stride])
+        .collect();
+    let warm_under = |backend: &GpuBackend| {
+        let fac = backend.factorize(&shape, &operators).unwrap();
+        let factors: Vec<_> = fac
+            .factors
+            .into_iter()
+            .map(|f| f.expect("trajectory operators are nonsingular"))
+            .collect();
+        // Steady state: the second warm flush (the first one absorbs any
+        // one-time resident spin-up not already consumed by factorize).
+        let first = backend.solve_with(&shape, &reqs, &factors).unwrap();
+        let steady = backend.solve_with(&shape, &reqs, &factors).unwrap();
+        assert_eq!(first.x, steady.x);
+        assert_eq!(
+            first.x, cold_flush.x,
+            "warm GBTRS-only flush diverged from the cold factorize+solve"
+        );
+        steady.service_s * 1e3
+    };
+    let warm = EngineSample::new(
+        warm_under(&GpuBackend::new(group(), par)),
+        warm_under(&GpuBackend::new(group(), par).with_engine(EngineMode::Resident)),
+    );
+    (serve_flush, serve_spinup_ms, warm)
 }
 
 /// Drain the fleet comparison's adversarial trace through a fleet
@@ -657,6 +717,12 @@ mod tests {
             r.factor_cache.warm_speedup
         );
         assert!(r.factor_cache.warm.resident_ms < r.factor_cache.cold.resident_ms);
+        let ts = &r.factor_cache.timestep;
+        assert!(
+            ts.warm_speedup >= TIMESTEP_WARM_FLOOR,
+            "timestep warm flush speedup {} below the {TIMESTEP_WARM_FLOOR}x floor",
+            ts.warm_speedup
+        );
         assert!(
             r.factor_cache.soak_hit_rate >= 0.85,
             "mini-soak hit rate {} below the 0.85 floor",

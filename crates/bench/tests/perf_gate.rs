@@ -72,6 +72,19 @@ fn checked_in_trajectory_replays_exactly() {
         got.factor_cache.warm_speedup,
         want.factor_cache.warm_speedup,
     );
+    let (g, w) = (got.factor_cache.timestep, want.factor_cache.timestep);
+    assert_eq!(
+        (g.batch, g.n),
+        (w.batch, w.n),
+        "timestep cell shape drifted"
+    );
+    assert_sample("factor_cache.timestep.cold", g.cold, w.cold);
+    assert_sample("factor_cache.timestep.warm", g.warm, w.warm);
+    assert_close(
+        "factor_cache.timestep.warm_speedup",
+        g.warm_speedup,
+        w.warm_speedup,
+    );
     assert_close(
         "factor_cache.soak_hit_rate",
         got.factor_cache.soak_hit_rate,
@@ -171,6 +184,21 @@ fn factor_cache_floors_hold() {
     assert!(want.factor_cache.warm.resident_ms < want.factor_cache.cold.resident_ms);
     // Skipping gbtrf helps per-launch too, just less dramatically.
     assert!(want.factor_cache.warm.per_launch_ms < want.factor_cache.cold.per_launch_ms);
+    // Acceptance floor at the serve_timestep geometry (batch 64, n 128):
+    // the warm flush runs the interleaved solve where it is priced
+    // cheaper, so reuse beats refactoring there too.
+    let ts = want.factor_cache.timestep;
+    assert_eq!(
+        (ts.batch, ts.n),
+        (raw_speed::TIMESTEP_BATCH, raw_speed::TIMESTEP_N)
+    );
+    assert!(
+        ts.warm_speedup >= raw_speed::TIMESTEP_WARM_FLOOR,
+        "timestep warm flush speedup {} below the {}x floor",
+        ts.warm_speedup,
+        raw_speed::TIMESTEP_WARM_FLOOR
+    );
+    assert!(ts.warm.per_launch_ms < ts.cold.per_launch_ms);
     // Acceptance floor: the repeated-operator mini-soak keeps the cache
     // hot through the real admission path.
     assert!(
