@@ -1,16 +1,14 @@
 //! Layout bench: interleaved (batch-major) versus column-major GBTRF
 //! across a `(batch, n, kl, ku)` grid.
 //!
-//! Three contenders per grid point:
+//! Two contenders per grid point:
 //!
 //! - `column` — the dispatched column-major path (fused / window per §5.4),
 //!   forced with [`MatrixLayout::ColumnMajor`];
-//! - `interleaved+conv` — the dispatched interleaved path, forced with
-//!   [`MatrixLayout::Interleaved`]: pack, factor, unpack (what a
-//!   column-major caller actually pays);
-//! - `interleaved` — the interleaved factor kernel alone, without the
-//!   pack/unpack passes (what a caller keeping data interleaved end-to-end
-//!   on the device pays).
+//! - `interleaved` — the dispatched interleaved path, forced with
+//!   [`MatrixLayout::Interleaved`]. Every grid point's factor window fits
+//!   shared memory, so this is the windowed factor launch alone, with no
+//!   pack or unpack pass.
 //!
 //! Criterion measures host wall-clock; the modeled `SimTime` per contender
 //! is deterministic, so the summary at the end records it into a
@@ -24,14 +22,13 @@ use gbatch_bench::report::Figure;
 use gbatch_core::batch::{InfoArray, PivotBatch};
 use gbatch_gpu_sim::DeviceSpec;
 use gbatch_kernels::dispatch::{dgbtrf_batch, GbsvOptions, MatrixLayout};
-use gbatch_kernels::interleaved::{gbtrf_batch_interleaved, InterleavedParams};
 use gbatch_workloads::random::{random_band_batch, BandDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// `(batch, n, kl, ku)` grid: the Gloster-style large-batch/small-n corner
-/// (where interleaving must win), the paper's mid-size band, and a
-/// window-kernel corner (where column-major must win).
+/// (where interleaving must win), the paper's mid-size band, and two
+/// shapes the column-major path runs with the window kernel.
 const GRID: [(usize, usize, usize, usize); 4] = [
     (4096, 16, 1, 2),
     (1024, 48, 2, 3),
@@ -59,17 +56,6 @@ fn dispatch_ms(dev: &DeviceSpec, a0: &gbatch_core::BandBatch, layout: MatrixLayo
     rep.time.secs() * 1e3
 }
 
-/// Modeled `SimTime` (ms) of the interleaved factor kernel alone (no
-/// conversion passes).
-fn native_ms(dev: &DeviceSpec, a0: &gbatch_core::BandBatch) -> f64 {
-    let params = InterleavedParams::auto(dev, &a0.layout(), 0);
-    let mut a = a0.clone();
-    let mut piv = PivotBatch::new(a0.batch(), a0.layout().m, a0.layout().n);
-    let mut info = InfoArray::new(a0.batch());
-    let rep = gbtrf_batch_interleaved(dev, &mut a, &mut piv, &mut info, params).unwrap();
-    rep.time.secs() * 1e3
-}
-
 fn bench_layouts(c: &mut Criterion) {
     let dev = DeviceSpec::h100_pcie();
     let mut group = c.benchmark_group("interleaved_layout_gbtrf");
@@ -79,7 +65,7 @@ fn bench_layouts(c: &mut Criterion) {
         let label = format!("b{batch}_n{n}_kl{kl}_ku{ku}");
         for (name, layout) in [
             ("column", MatrixLayout::ColumnMajor),
-            ("interleaved+conv", MatrixLayout::Interleaved),
+            ("interleaved", MatrixLayout::Interleaved),
         ] {
             group.bench_with_input(BenchmarkId::new(name, &label), &layout, |bench, &layout| {
                 bench.iter_batched(
@@ -97,26 +83,6 @@ fn bench_layouts(c: &mut Criterion) {
                 );
             });
         }
-        let params = InterleavedParams::auto(&dev, &a0.layout(), 0);
-        group.bench_with_input(
-            BenchmarkId::new("interleaved", &label),
-            &params,
-            |bench, params| {
-                bench.iter_batched(
-                    || {
-                        (
-                            a0.clone(),
-                            PivotBatch::new(batch, n, n),
-                            InfoArray::new(batch),
-                        )
-                    },
-                    |(mut a, mut piv, mut info)| {
-                        gbtrf_batch_interleaved(&dev, &mut a, &mut piv, &mut info, *params).unwrap()
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
     }
     group.finish();
 
@@ -135,29 +101,25 @@ fn summarize(dev: &DeviceSpec) {
         "ms",
     );
     let mut col = gbatch_bench::report::Series::new("column-major dispatch");
-    let mut conv = gbatch_bench::report::Series::new("interleaved dispatch (+conversion)");
-    let mut native = gbatch_bench::report::Series::new("interleaved native (pre-packed)");
+    let mut inter = gbatch_bench::report::Series::new("interleaved dispatch");
     let mut accept: Option<(f64, f64)> = None;
     for &(batch, n, kl, ku) in &GRID {
         let mut rng = StdRng::seed_from_u64(7);
         let a0 = random_band_batch(&mut rng, batch, n, kl, ku, BandDistribution::Uniform);
         let c_ms = dispatch_ms(dev, &a0, MatrixLayout::ColumnMajor);
         let i_ms = dispatch_ms(dev, &a0, MatrixLayout::Interleaved);
-        let n_ms = native_ms(dev, &a0);
         col.push(n, c_ms);
-        conv.push(n, i_ms);
-        native.push(n, n_ms);
+        inter.push(n, i_ms);
         eprintln!(
             "[interleaved_layout] batch {batch} n {n} (kl,ku)=({kl},{ku}): \
-             column {c_ms:.4} ms, interleaved+conv {i_ms:.4} ms, native {n_ms:.4} ms"
+             column {c_ms:.4} ms, interleaved {i_ms:.4} ms"
         );
         if (batch, n, kl, ku) == ACCEPT {
-            accept = Some((c_ms, n_ms));
+            accept = Some((c_ms, i_ms));
         }
     }
     fig.series.push(col);
-    fig.series.push(conv);
-    fig.series.push(native);
+    fig.series.push(inter);
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -167,16 +129,16 @@ fn summarize(dev: &DeviceSpec) {
     std::fs::write(path, json + "\n").unwrap();
     eprintln!("[interleaved_layout] wrote {path}");
 
-    let (c_ms, n_ms) = accept.expect("acceptance config is in the grid");
+    let (c_ms, i_ms) = accept.expect("acceptance config is in the grid");
     assert!(
-        n_ms < c_ms,
-        "large-batch/small-n acceptance: interleaved ({n_ms:.4} ms) must beat \
+        i_ms < c_ms,
+        "large-batch/small-n acceptance: interleaved ({i_ms:.4} ms) must beat \
          column-major ({c_ms:.4} ms) at (batch,n,kl,ku)={ACCEPT:?}"
     );
     eprintln!(
         "[interleaved_layout] acceptance (batch,n,kl,ku)={ACCEPT:?}: \
          interleaved speedup {:.2}x over column-major",
-        c_ms / n_ms
+        c_ms / i_ms
     );
 }
 

@@ -72,9 +72,10 @@ impl LayoutCalibration {
     }
 }
 
-/// The calibration grid: small-n/large-batch (interleaved territory),
-/// mid-size bands (column territory), and band shapes near the measured
-/// crossover.
+/// The calibration grid: small-n/large-batch, mid-size bands, and a band
+/// too wide for any column-major kernel. With no layout passes around
+/// windowed interleaved launches, the interleaved layout wins at every
+/// point on both devices.
 const GRID: [(usize, usize, usize, usize); 6] = [
     (16, 1, 2, 2048),
     (24, 1, 1, 64),

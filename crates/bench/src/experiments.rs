@@ -634,11 +634,12 @@ pub fn extensions(p: &Platforms) -> String {
         )
         .expect("launch");
         out.push_str(&format!(
-            "  {:<26} mixed {:.4} ms ({} of {} converged) vs f64 fused {:.4} ms\n",
+            "  {:<26} mixed {:.4} ms ({} of {} converged) vs f64 {:?} {:.4} ms\n",
             dev.name,
             mrep.time.ms(),
             converged,
             EXEC_BATCH,
+            frep.algo,
             frep.time.ms()
         ));
     }

@@ -330,17 +330,22 @@ pub fn predict_interleaved_solve<S: Scalar>(
             }
         }
     }
-    for _c_rhs in 0..nrhs {
+    for c_rhs in 0..nrhs {
+        // Windowed, the whole RHS panel is resident, so each U column
+        // (diagonal plus reach) is read once and applied to every RHS
+        // column; streaming re-reads it per column.
+        let read_u = !windowed || c_rhs == 0;
         for j in (0..n).rev() {
             let reach = kv.min(j);
-            c.global_read += (lanes * S::BYTES) as u64; // diagonal of U
+            if read_u {
+                c.global_read += ((reach + 1) * lanes * S::BYTES) as u64; // U column
+            }
             vec(&mut c, lanes, 1, threads);
             if !windowed {
                 c.global_read += (lanes * S::BYTES) as u64; // x[j] RMW
                 c.global_write += (lanes * S::BYTES) as u64;
             }
             if reach > 0 {
-                c.global_read += (reach * lanes * S::BYTES) as u64; // U column
                 vec(&mut c, reach * lanes, 2, threads);
                 if !windowed {
                     c.global_read += (reach * lanes * S::BYTES) as u64; // dst RMW
@@ -409,11 +414,13 @@ pub fn predict_interleaved_time<S: Scalar>(
 /// Predicted cost of the whole interleaved dispatch path — the launches
 /// [`crate::dispatch`] issues for
 /// [`crate::dispatch::MatrixLayout::Interleaved`]. With `factor`, a
-/// `gbtrf` (`nrhs == 0`) or `gbsv` call: pack, factor, solve when
-/// `nrhs > 0`, unpack. Without, a solve-only `gbtrs` call over a factored
-/// band: pack, then solve; the band is read-only, so nothing is unpacked.
-/// Every term is the exact price of its launch. `None` when a launch
-/// cannot run.
+/// `gbtrf` (`nrhs == 0`) or `gbsv` call: factor, then solve when
+/// `nrhs > 0`. Without, a solve-only `gbtrs` call over a factored band:
+/// the solve. When a launch streams
+/// ([`crate::interleaved::needs_layout_passes`]) the plan adds a pack
+/// pass, and an unpack pass when it factors (a solve-only band is
+/// read-only). Every term is the exact price of its launch. `None` when a
+/// launch cannot run.
 pub fn predict_interleaved_dispatch<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
@@ -422,10 +429,23 @@ pub fn predict_interleaved_dispatch<S: Scalar>(
     factor: bool,
     params: &InterleavedParams,
 ) -> Option<SimTime> {
-    use crate::interleaved::{factor_mode, solve_mode, LaneTrafficMode};
+    use crate::interleaved::{factor_mode, needs_layout_passes, solve_mode, LaneTrafficMode};
     let t = params.threads;
     let lpb = params.lanes_clamped(batch);
+    let pass = if needs_layout_passes::<S>(dev, l, batch, nrhs, factor, params) {
+        let pass = predict_interleaved_time::<S>(dev, batch, params, 0, |lanes| {
+            predict_interleave_pass::<S>(l, lanes, t)
+        })?;
+        Some(pass)
+    } else {
+        None
+    };
+    // Summed in launch order, so the price equals the executed report's
+    // time bitwise.
     let mut total = SimTime(0.0);
+    if let Some(pack) = pass {
+        total += pack;
+    }
     if factor {
         let fwin = factor_mode::<S>(dev, l, lpb) == LaneTrafficMode::Windowed;
         let fsmem = if fwin {
@@ -448,12 +468,8 @@ pub fn predict_interleaved_dispatch<S: Scalar>(
             predict_interleaved_solve::<S>(l, nrhs, lanes, t, swin)
         })?;
     }
-    let pass = predict_interleaved_time::<S>(dev, batch, params, 0, |lanes| {
-        predict_interleave_pass::<S>(l, lanes, t)
-    })?;
-    total += pass; // pack
-    if factor {
-        total += pass; // unpack
+    if let (Some(unpack), true) = (pass, factor) {
+        total += unpack;
     }
     Some(total)
 }
@@ -929,24 +945,57 @@ mod tests {
     }
 
     #[test]
+    fn windowed_solve_reads_u_once_for_all_rhs_columns() {
+        // Windowed, the RHS panel is resident, so one more RHS column adds
+        // only its own gather; streaming re-reads every U column (diagonal
+        // plus reach) per RHS column, with the RHS read-modify-writes.
+        let (lanes, t) = (8usize, 64u32);
+        let b = (lanes * std::mem::size_of::<f64>()) as u64;
+        for (n, kl, ku) in [(64usize, 2usize, 3usize), (40, 10, 7), (9, 0, 2)] {
+            let l = BandLayout::factor(n, n, kl, ku).unwrap();
+            let kv = l.kv() as u64;
+            let reads = |nrhs, windowed| {
+                predict_interleaved_solve::<f64>(&l, nrhs, lanes, t, windowed).global_read
+            };
+            let mut streaming_per_rhs = 0u64;
+            for j in 0..n as u64 {
+                let reach = kv.min(j);
+                streaming_per_rhs += (reach + 1) + 1 + reach; // U column, x[j] RMW, dst RMW
+                if kl > 0 && j + 1 < n as u64 {
+                    let lm = (kl as u64).min(n as u64 - 1 - j);
+                    streaming_per_rhs += 2 + if lm > 0 { 1 + lm } else { 0 }; // swap, axpy
+                }
+            }
+            for nrhs in 1..5 {
+                let grow = |windowed| reads(nrhs + 1, windowed) - reads(nrhs, windowed);
+                assert_eq!(grow(true), n as u64 * b, "n={n} ({kl},{ku}) windowed");
+                assert_eq!(
+                    grow(false),
+                    streaming_per_rhs * b,
+                    "n={n} ({kl},{ku}) streaming"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn crossover_has_three_regimes() {
         // The layout dimension of the §5.4 selection logic has three
         // regimes on the calibration grid:
         //
-        // 1. small n, large batch, *native* interleaved storage: the fused
-        //    kernel pays 3 barriers per column, the interleaved kernel pays
-        //    none — interleaved wins (this is the Gloster et al. regime the
-        //    bench measures on native layouts);
-        // 2. mid-size bands, column-major API: the pack/unpack conversion
-        //    (~3x the once-through traffic plus two extra launches) hands
-        //    the win back to the sliding window;
+        // 1. small n, large batch: the fused kernel pays 3 barriers per
+        //    column, the interleaved kernel pays none — interleaved wins
+        //    (the Gloster et al. regime). Its factor launch is windowed, so
+        //    the column-major API adds no conversion pass;
+        // 2. mid-size bands at large batch: the sliding window wins even
+        //    against the pass-free windowed interleaved factor;
         // 3. very wide bands: no column-major kernel fits shared memory, so
         //    the column path is the 2n+1-launch reference fallback, and
-        //    streaming interleaved wins *despite* paying the conversion.
+        //    streaming interleaved wins *despite* paying both conversion
+        //    passes.
         let dev = DeviceSpec::h100_pcie();
 
-        // Regime 1: native layouts — the factor launch alone, no
-        // conversion passes.
+        // Regime 1: the factor launch alone.
         let small = BandLayout::factor(16, 16, 1, 1).unwrap();
         let params = InterleavedParams::auto(&dev, &small, 0);
         let fused_cfg = LaunchConfig::new(32, (small.len() * 8) as u32);
@@ -970,11 +1019,18 @@ mod tests {
             column.us()
         );
 
-        // Regime 2: conversion included, mid-size band at large batch —
-        // the sliding window wins. Its per-block barrier/LDS latency is
-        // paid once per occupancy wave, so it amortizes across a full
-        // device, while the interleaved side keeps paying the ~3x
-        // conversion traffic per matrix.
+        // ... and through the column-major API the plan prices exactly that
+        // launch: a windowed factor needs no pack or unpack pass.
+        assert!(!crate::interleaved::needs_layout_passes::<f64>(
+            &dev, &small, 10_000, 0, true, &params
+        ));
+        let inter_api =
+            predict_interleaved_dispatch::<f64>(&dev, &small, 10_000, 0, true, &params).unwrap();
+        assert_eq!(inter_api, inter, "batch=10000 n=16: no conversion passes");
+
+        // Regime 2: mid-size band at large batch — the sliding window
+        // wins. Its per-block barrier/LDS latency is paid once per
+        // occupancy wave, so it amortizes across a full device.
         let big = BandLayout::factor(512, 512, 8, 8).unwrap();
         let params_big = InterleavedParams::auto(&dev, &big, 0);
         let wide_cfg = LaunchConfig::new(
@@ -990,16 +1046,6 @@ mod tests {
             "batch=4000 n=512 kl=ku=8: window {:.1}us should beat interleaved {:.1}us",
             column_big.us(),
             inter_big.us()
-        );
-        // ... and regime 2 also holds at the small-n point: through the
-        // column-major API the conversion eats the native win there.
-        let inter_conv =
-            predict_interleaved_dispatch::<f64>(&dev, &small, 10_000, 0, true, &params).unwrap();
-        assert!(
-            inter_conv.secs() >= column.secs(),
-            "batch=10000 n=16 with conversion: fused {:.1}us should beat interleaved {:.1}us",
-            column.us(),
-            inter_conv.us()
         );
 
         // Regime 3: band too wide for any column-major kernel (fused and
@@ -1021,6 +1067,29 @@ mod tests {
         let params_huge = InterleavedParams::auto(&dev, &huge, 0);
         let inter_huge =
             predict_interleaved_dispatch::<f64>(&dev, &huge, 4, 0, true, &params_huge).unwrap();
+        // The streaming factor pays both conversion passes.
+        assert!(crate::interleaved::needs_layout_passes::<f64>(
+            &dev,
+            &huge,
+            4,
+            0,
+            true,
+            &params_huge
+        ));
+        let t = params_huge.threads;
+        let pass = predict_interleaved_time::<f64>(&dev, 4, &params_huge, 0, |lanes| {
+            predict_interleave_pass::<f64>(&huge, lanes, t)
+        })
+        .unwrap();
+        let factor_huge = predict_interleaved_time::<f64>(&dev, 4, &params_huge, 0, |lanes| {
+            predict_interleaved_factor::<f64>(&huge, lanes, t, false)
+        })
+        .unwrap();
+        assert_eq!(
+            inter_huge,
+            pass + factor_huge + pass,
+            "pack + factor + unpack"
+        );
         let reference_floor = predict_reference_floor::<f64>(&dev, &huge, 4);
         assert!(
             inter_huge.secs() < reference_floor.secs(),

@@ -27,10 +27,11 @@
 //! and issues no launch; the entry points then execute that plan. The plan
 //! prices the candidates with the exact launch predictors of
 //! [`crate::cost`], with no fitted constants: the interleaved layout wins
-//! when it beats the column-major price *including* the conversion passes
-//! the column-major API forces on it (pack and unpack around a
-//! factorization; one pack pass before a solve-only call, whose band is
-//! read-only).
+//! when it beats the column-major price. Its windowed launches run on the
+//! caller's column-major storage directly; only a plan with a streaming
+//! launch ([`needs_layout_passes`]) pays conversion passes, pack and
+//! unpack around a factorization, or one pack pass before a solve-only
+//! call, whose band is read-only.
 
 use crate::cost::{
     choose_spike_parts, predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch,
@@ -45,7 +46,7 @@ use crate::gbtrs_cols::gbtrs_batch_cols;
 use crate::gbtrs_trans::gbtrs_batch_blocked_trans;
 use crate::interleaved::{
     deinterleave_launch, gbtrf_batch_interleaved, gbtrs_batch_interleaved, interleave_launch,
-    InterleavedParams,
+    needs_layout_passes, InterleavedParams,
 };
 use crate::reference::gbtrf_batch_reference;
 use crate::spike::{spike_gbsv_batch, SpikeParams};
@@ -85,8 +86,9 @@ pub enum ChosenAlgo {
     Reference,
     /// Single-kernel factorize-and-solve (`GBSV` only).
     FusedGbsv,
-    /// Batch-major interleaved kernels behind pack/unpack conversion
-    /// passes ([`crate::interleaved`]).
+    /// Batch-major interleaved kernels ([`crate::interleaved`]): one
+    /// launch per factor or solve, plus pack/unpack conversion passes
+    /// when one of them streams.
     Interleaved,
     /// SPIKE-style split solve for large single systems
     /// ([`crate::spike`]): `P` diagonal blocks factored as an
@@ -98,14 +100,14 @@ pub enum ChosenAlgo {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatrixLayout {
     /// Price both layouts with the exact launch predictors and pick the
-    /// cheaper (conversion passes included on the interleaved side — the
-    /// API accepts and returns column-major storage).
+    /// cheaper (on the interleaved side, conversion passes included when a
+    /// launch streams — the API accepts and returns column-major storage).
     #[default]
     Auto,
     /// Keep the paper's column-major kernels (§5.1–§5.3).
     ColumnMajor,
-    /// Force the batch-major interleaved kernels (pack, factor/solve,
-    /// unpack).
+    /// Force the batch-major interleaved kernels: factor and/or solve,
+    /// between pack and unpack passes only when a launch streams.
     Interleaved,
 }
 
@@ -223,9 +225,14 @@ enum Plan {
     },
     /// SPIKE split driver.
     Spike(SpikeParams),
-    /// Pack, then the interleaved kernels: factor and unpack when the call
-    /// factors, solve when it has a RHS.
-    Interleaved(InterleavedParams),
+    /// The interleaved kernels: factor when the call factors, solve when
+    /// it has a RHS. With `passes` (a launch streams,
+    /// [`needs_layout_passes`]) a pack pass comes first, and an unpack
+    /// pass last when the call factors.
+    Interleaved {
+        params: InterleavedParams,
+        passes: bool,
+    },
     /// The paper's column-major kernels: a factorization, a solve, or
     /// both, as the call asks.
     Column { factor: Factor, solve: Solve },
@@ -259,9 +266,9 @@ enum Solve {
 ///    takes at worst — is priced below 90% of the unsplit window
 ///    factorization plus blocked solve.
 /// 3. **Layout**: under `Auto` with no forced algorithm, the interleaved
-///    path when its price (conversion passes included) beats the
-///    column-major one. A solve-only call compares the column-major solve
-///    with one pack pass plus the interleaved solve. A column path that
+///    path when its price (conversion passes included when a launch
+///    streams) beats the column-major one. A solve-only call compares the
+///    column-major solve with the interleaved solve. A column path that
 ///    cannot be priced exactly is priced by a floor — the reference
 ///    factorization's launch and traffic floor, the per-column solve's
 ///    launch floor — which biases the decision toward column-major, never
@@ -296,6 +303,10 @@ fn plan<S: Scalar>(
         interleaved = interleaved.with_parallel(p);
     }
     let solve = opts.column_solve::<S>(dev, l, nrhs);
+    let interleaved_plan = Plan::Interleaved {
+        params: interleaved,
+        passes: needs_layout_passes::<S>(dev, l, batch, nrhs, factoring, &interleaved),
+    };
 
     if call == Call::FactorSolve(1)
         && opts.allow_fused_gbsv.unwrap_or(true)
@@ -331,7 +342,7 @@ fn plan<S: Scalar>(
     let column = Plan::Column { factor, solve };
     if opts.algo != FactorAlgo::Auto || batch == 0 {
         return match opts.layout {
-            MatrixLayout::Interleaved if interleavable => Plan::Interleaved(interleaved),
+            MatrixLayout::Interleaved if interleavable => interleaved_plan,
             _ => column,
         };
     }
@@ -417,7 +428,7 @@ fn plan<S: Scalar>(
         }
     };
     if interleaved_wins {
-        Plan::Interleaved(interleaved)
+        interleaved_plan
     } else {
         column
     }
@@ -459,9 +470,10 @@ impl BatchReport {
     }
 }
 
-/// The interleaved plan, one launch per step: pack, factor, solve when
-/// `rhs` is given, unpack. The kernels run on the caller's column-major
-/// storage; pack and unpack are priced passes that move no host data.
+/// The interleaved plan, one launch per step: factor, then solve when
+/// `rhs` is given, between a pack and an unpack pass when `passes`. The
+/// kernels run on the caller's column-major storage; pack and unpack are
+/// priced passes that move no host data.
 fn run_interleaved<S: Scalar>(
     dev: &DeviceSpec,
     a: &mut BandBatch<S>,
@@ -469,16 +481,23 @@ fn run_interleaved<S: Scalar>(
     rhs: Option<&mut RhsBatch<S>>,
     info: &mut InfoArray,
     params: InterleavedParams,
+    passes: bool,
 ) -> Result<BatchReport, LaunchError> {
     let l = a.layout();
-    let mut time = interleave_launch(dev, &l, a.data(), params)?.time;
+    let mut time = SimTime(0.0);
+    let mut launches = 1;
+    if passes {
+        time += interleave_launch(dev, &l, a.data(), params)?.time;
+        launches += 2;
+    }
     time += gbtrf_batch_interleaved(dev, a, piv, info, params)?.time;
-    let mut launches = 3;
     if let Some(rhs) = rhs {
         time += gbtrs_batch_interleaved(dev, &l, a.data(), piv, rhs, info, params)?.time;
         launches += 1;
     }
-    time += deinterleave_launch(dev, &l, a.data(), params)?.time;
+    if passes {
+        time += deinterleave_launch(dev, &l, a.data(), params)?.time;
+    }
     Ok(BatchReport {
         algo: ChosenAlgo::Interleaved,
         time,
@@ -487,9 +506,10 @@ fn run_interleaved<S: Scalar>(
     })
 }
 
-/// The interleaved plan of a solve-only call: pack the factored band, then
-/// solve every lane (the caller vouches for its factors, so no lane is
-/// masked). The band is read-only, so there is no unpack.
+/// The interleaved plan of a solve-only call: solve every lane (the
+/// caller vouches for its factors, so no lane is masked), after a pack
+/// pass over the factored band when `passes`. The band is read-only, so
+/// there is no unpack.
 fn run_interleaved_solve<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
@@ -497,14 +517,18 @@ fn run_interleaved_solve<S: Scalar>(
     piv: &PivotBatch,
     rhs: &mut RhsBatch<S>,
     params: InterleavedParams,
+    passes: bool,
 ) -> Result<BatchReport, LaunchError> {
     let info = InfoArray::new(rhs.batch());
-    let mut time = interleave_launch(dev, l, factors, params)?.time;
+    let mut time = SimTime(0.0);
+    if passes {
+        time += interleave_launch(dev, l, factors, params)?.time;
+    }
     time += gbtrs_batch_interleaved(dev, l, factors, piv, rhs, &info, params)?.time;
     Ok(BatchReport {
         algo: ChosenAlgo::Interleaved,
         time,
-        launches: 2,
+        launches: 1 + passes as usize,
         singular: Vec::new(),
     })
 }
@@ -607,7 +631,9 @@ pub fn gbtrf_batch<S: Scalar>(
 ) -> Result<BatchReport, LaunchError> {
     let _engine = opts.engine_scope();
     match plan::<S>(dev, &a.layout(), a.batch(), Call::Factor, opts) {
-        Plan::Interleaved(p) => run_interleaved(dev, a, piv, None, info, p),
+        Plan::Interleaved { params, passes } => {
+            run_interleaved(dev, a, piv, None, info, params, passes)
+        }
         Plan::Column { factor, .. } => run_factor(dev, a, piv, info, factor),
         Plan::FusedGbsv { .. } | Plan::Spike(_) => {
             unreachable!("a plan without right-hand sides never solves")
@@ -619,7 +645,8 @@ pub fn gbtrf_batch<S: Scalar>(
 /// the interface's `transpose_t transA` argument. The no-transpose solve
 /// executes the plan: under `Auto` the cheaper of the blocked column-major
 /// kernels (or the column-wise reference when the RHS cache cannot fit in
-/// shared memory) and one pack pass plus the interleaved solve. The
+/// shared memory) and the interleaved solve, after one pack pass when it
+/// streams. The
 /// transpose solve always uses the blocked transpose kernels, whose cache
 /// is never larger.
 pub fn dgbtrs_batch(
@@ -661,7 +688,9 @@ pub fn gbtrs_batch<S: Scalar>(
     let _engine = opts.engine_scope();
     match trans {
         Transpose::No => match plan::<S>(dev, l, rhs.batch(), Call::Solve(rhs.nrhs()), opts) {
-            Plan::Interleaved(p) => run_interleaved_solve(dev, l, factors, piv, rhs, p),
+            Plan::Interleaved { params, passes } => {
+                run_interleaved_solve(dev, l, factors, piv, rhs, params, passes)
+            }
             Plan::Column { solve, .. } => run_solve(dev, l, factors, piv, rhs, solve),
             Plan::FusedGbsv { .. } | Plan::Spike(_) => {
                 unreachable!("a solve-only plan never factors")
@@ -785,7 +814,9 @@ pub fn gbsv_batch<S: Scalar>(
                 singular: info.failures(),
             })
         }
-        Plan::Interleaved(p) => run_interleaved(dev, a, piv, Some(rhs), info, p),
+        Plan::Interleaved { params, passes } => {
+            run_interleaved(dev, a, piv, Some(rhs), info, params, passes)
+        }
         Plan::Column { factor, solve } => {
             let f = run_factor(dev, a, piv, info, factor)?;
             // DGBSV is per-system: solve only the healthy systems. The
@@ -984,7 +1015,7 @@ mod tests {
         let pure = BandLayout::pure(128, 128, 2, 3).unwrap();
         for opts in [GbsvOptions::default(), interleaved] {
             let planned = plan::<f64>(&dev, &factor, 64, Call::Solve(1), &opts);
-            assert!(matches!(planned, Plan::Interleaved(_)), "{opts:?}");
+            assert!(matches!(planned, Plan::Interleaved { .. }), "{opts:?}");
             let planned = plan::<f64>(&dev, &pure, 64, Call::Solve(1), &opts);
             assert!(matches!(planned, Plan::Column { .. }), "{opts:?}");
         }
@@ -1155,7 +1186,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rep.algo, ChosenAlgo::Interleaved);
-        assert_eq!(rep.launches, 4);
+        assert_eq!(rep.launches, 2, "windowed: factor and solve, no passes");
         assert_eq!(a_col.data(), a_int.data(), "factors differ across layouts");
         assert_eq!(piv_col, piv_int, "pivots differ across layouts");
         assert_eq!(
@@ -1171,7 +1202,7 @@ mod tests {
         let mut info_f = InfoArray::new(batch);
         let rep = dgbtrf_batch(&dev, &mut a_f, &mut piv_f, &mut info_f, &int_opts).unwrap();
         assert_eq!(rep.algo, ChosenAlgo::Interleaved);
-        assert_eq!(rep.launches, 3);
+        assert_eq!(rep.launches, 1);
         assert_eq!(a_col.data(), a_f.data());
         assert_eq!(piv_col, piv_f);
     }

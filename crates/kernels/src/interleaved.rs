@@ -22,18 +22,32 @@
 //!   `j + kv`), so the block keeps that window of its lanes resident in
 //!   shared memory — lane-private, hence still barrier-free — and each
 //!   band element streams through DRAM exactly once in and once out, like
-//!   the fused kernel. The window footprint
+//!   the fused kernel. The solve keeps its chunk's whole RHS panel
+//!   resident, so it reads each L and U column once and applies it to
+//!   every RHS column. The window footprint
 //!   ([`factor_smem_bytes`]/[`solve_smem_bytes`]) is the launch's
 //!   shared-memory request: it prices occupancy honestly and makes wide
 //!   bands clamp `lanes_per_block` down.
 //! - **Streaming**: when even one lane's window exceeds the block limit
 //!   (very wide bands), the kernel runs with *zero* shared memory and
 //!   every primitive touches DRAM directly — roughly 3× the once-through
-//!   traffic, but still one launch with no barriers. This is precisely the
+//!   traffic, and the solve re-reads each U column per RHS column, but
+//!   still one launch with no barriers. This is precisely the
 //!   regime where the column-major designs have already fallen off their
 //!   own shared-memory cliff onto the per-column `reference` path (one
 //!   launch overhead *per column*), which the streaming mode undercuts —
 //!   the wide-band corner of the layout crossover.
+//!
+//! Layout passes only around streaming: a windowed launch moves each
+//! lane's data in contiguous runs — the factor streams the lane's band
+//! slab in and out, the solve reads the lane's column runs and gathers its
+//! RHS from column-major storage — so it works on the caller's
+//! column-major batch directly. Only a streaming launch, which touches
+//! DRAM element by element, needs the batch in interleaved order: then a
+//! dispatch plan adds a pack pass ([`interleave_launch`]) before, and an
+//! unpack pass ([`deinterleave_launch`]) after a factorization.
+//! [`needs_layout_passes`] is that rule, shared by the plan, its price and
+//! its execution.
 //!
 //! Cost recording: a SIMT machine runs the lanes in lockstep and pays
 //! every masked sweep at the worst lane's reach, so the modeled cost is
@@ -55,8 +69,8 @@
 //! lane to completion, in place. Factors, pivots, info codes and
 //! solutions are **bitwise identical** to the sequential reference on
 //! every lane, singular or not, by construction. The pack and unpack
-//! passes ([`interleave_launch`] / [`deinterleave_launch`]) are priced
-//! launches over the same chunk grid that move no host data.
+//! passes are priced launches over the same chunk grid that move no host
+//! data.
 
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::gbtf2::gbtf2;
@@ -138,6 +152,25 @@ pub fn solve_mode<S: Scalar>(
     } else {
         LaneTrafficMode::Streaming
     }
+}
+
+/// Whether an interleaved plan over `batch` lanes needs the pack and
+/// unpack passes ([`interleave_launch`] / [`deinterleave_launch`]): true
+/// when one of its launches streams — the factor launch if the call
+/// factors, the solve launch if `nrhs > 0`. A windowed launch moves its
+/// lanes' band and RHS in contiguous per-lane runs, so it works on the
+/// caller's column-major batch directly.
+pub fn needs_layout_passes<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    batch: usize,
+    nrhs: usize,
+    factor: bool,
+    params: &InterleavedParams,
+) -> bool {
+    let lpb = params.lanes_clamped(batch);
+    (factor && factor_mode::<S>(dev, l, lpb) == LaneTrafficMode::Streaming)
+        || (nrhs > 0 && solve_mode::<S>(dev, l, nrhs, lpb) == LaneTrafficMode::Streaming)
 }
 
 impl InterleavedParams {

@@ -194,24 +194,24 @@ fn render() -> String {
 const PINS: &str = "\
 gpu-h100/per_launch f64 n48 solve service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 gpu-h100/per_launch f64 n48 solve_retaining service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-h100/per_launch f64 n48 factorize service=0x3ee9823e50f305c2 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-h100/per_launch f64 n48 solve_with(factorize) service=0x3ee0ee4999765871 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-h100/per_launch f64 n48 solve_with(retained) service=0x3ee0ee4999765871 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-h100/per_launch f64 n48 factorize service=0x3ed120a724f16e3a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
+gpu-h100/per_launch f64 n48 solve_with(factorize) service=0x3ed0eef3f76c6bf2 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-h100/per_launch f64 n48 solve_with(retained) service=0x3ed0eef3f76c6bf2 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 gpu-h100/resident f64 n48 solve service=0x3f043a3bbcae51c8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 gpu-h100/resident f64 n48 solve_retaining service=0x3ef37bc1f0793a9e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-h100/resident f64 n48 factorize service=0x3ea643a59ed8047e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-h100/resident f64 n48 solve_with(factorize) service=0x3ea33c172cbc9bcb info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-h100/resident f64 n48 solve_with(retained) service=0x3ea33c172cbc9bcb info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-h100/resident f64 n48 factorize service=0x3ea39473c291f2f6 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
+gpu-h100/resident f64 n48 solve_with(factorize) service=0x3ea206da5669e0b6 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-h100/resident f64 n48 solve_with(retained) service=0x3ea206da5669e0b6 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 gpu-mi250x/per_launch f64 n48 solve service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 gpu-mi250x/per_launch f64 n48 solve_retaining service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-mi250x/per_launch f64 n48 factorize service=0x3ef2fa4235b0e8ea info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-mi250x/per_launch f64 n48 solve_with(factorize) service=0x3ee944c5ce3df9c6 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-mi250x/per_launch f64 n48 solve_with(retained) service=0x3ee944c5ce3df9c6 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-mi250x/per_launch f64 n48 factorize service=0x3ed9552ef9dbecef info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
+gpu-mi250x/per_launch f64 n48 solve_with(factorize) service=0x3ed93f9eae08182f info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-mi250x/per_launch f64 n48 solve_with(retained) service=0x3ed93f9eae08182f info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 gpu-mi250x/resident f64 n48 solve service=0x3f0fece986fbec5a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 gpu-mi250x/resident f64 n48 solve_retaining service=0x3f00326160515da5 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-mi250x/resident f64 n48 factorize service=0x3eac77e78d9899ac info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
-gpu-mi250x/resident f64 n48 solve_with(factorize) service=0x3eaacf9943e23b6e info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-mi250x/resident f64 n48 solve_with(retained) service=0x3eaacf9943e23b6e info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-mi250x/resident f64 n48 factorize service=0x3eaa804fb769292a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
+gpu-mi250x/resident f64 n48 solve_with(factorize) service=0x3ea9d3cd58ca832d info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
+gpu-mi250x/resident f64 n48 solve_with(retained) service=0x3ea9d3cd58ca832d info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve service=0x3ee4bdde39b5171e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 cpu f64 n48 solve_retaining service=0x3ee4bdde39b5171e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 cpu f64 n48 factorize service=0x3ee3792b2577d2ad info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
@@ -246,24 +246,24 @@ cpu f64 n4096 solve_with(retained) service=0x3f09aa02efdfd180 info=[0, 0] x=0x0d
 cpu f64 n4096 solve_with(gpu factors) service=0x3f09aa02efdfd180 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-h100/per_launch f32 n48 solve service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 gpu-h100/per_launch f32 n48 solve_retaining service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-h100/per_launch f32 n48 factorize service=0x3ee96411bcece8a8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-h100/per_launch f32 n48 solve_with(factorize) service=0x3ee0daa09d1622ff info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-h100/per_launch f32 n48 solve_with(retained) service=0x3ee0daa09d1622ff info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-h100/per_launch f32 n48 factorize service=0x3ed10f411aa9951e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
+gpu-h100/per_launch f32 n48 solve_with(factorize) service=0x3ed0daf5cc112cc0 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-h100/per_launch f32 n48 solve_with(retained) service=0x3ed0daf5cc112cc0 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 gpu-h100/resident f32 n48 solve service=0x3f043a3bbcae51c8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 gpu-h100/resident f32 n48 solve_retaining service=0x3ef37bc1f0793a9e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-h100/resident f32 n48 factorize service=0x3ea460dc5e7632da info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-h100/resident f32 n48 solve_with(factorize) service=0x3ea2018766b944ab info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-h100/resident f32 n48 solve_with(retained) service=0x3ea2018766b944ab info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-h100/resident f32 n48 factorize service=0x3ea3094370532a14 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
+gpu-h100/resident f32 n48 solve_with(factorize) service=0x3ea166e8fb8fe721 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-h100/resident f32 n48 solve_with(retained) service=0x3ea166e8fb8fe721 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 gpu-mi250x/per_launch f32 n48 solve service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 gpu-mi250x/per_launch f32 n48 solve_retaining service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-mi250x/per_launch f32 n48 factorize service=0x3ef2f0514851de78 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-mi250x/per_launch f32 n48 solve_with(factorize) service=0x3ee9379c9fa76f0d info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-mi250x/per_launch f32 n48 solve_with(retained) service=0x3ee9379c9fa76f0d info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-mi250x/per_launch f32 n48 factorize service=0x3ed94ce4c1c2ba31 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
+gpu-mi250x/per_launch f32 n48 solve_with(factorize) service=0x3ed935090f8c7e42 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-mi250x/per_launch f32 n48 solve_with(retained) service=0x3ed935090f8c7e42 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 gpu-mi250x/resident f32 n48 solve service=0x3f0fece986fbec5a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 gpu-mi250x/resident f32 n48 solve_retaining service=0x3f00326160515da5 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-mi250x/resident f32 n48 factorize service=0x3eab39c9e1b74b80 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
-gpu-mi250x/resident f32 n48 solve_with(factorize) service=0x3ea9fd065a798fe2 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-mi250x/resident f32 n48 solve_with(retained) service=0x3ea9fd065a798fe2 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-mi250x/resident f32 n48 factorize service=0x3eaa3dfdf69f933d info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
+gpu-mi250x/resident f32 n48 solve_with(factorize) service=0x3ea97f2064edb3c1 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
+gpu-mi250x/resident f32 n48 solve_with(retained) service=0x3ea97f2064edb3c1 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve service=0x3ee32dcab7a07513 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 cpu f32 n48 solve_retaining service=0x3ee32dcab7a07513 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 cpu f32 n48 factorize service=0x3ee28b712d81d2da info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\

@@ -351,46 +351,46 @@ mi250x_gcd f64 PerLaunch window_factor algo=Window launches=1 time=0x3f36feca1ff
 mi250x_gcd f32 PerLaunch window_factor algo=Window launches=1 time=0x3f36feca1ff43c27 singular=[] info=0x11dac35ef0813626 a=0xd74cc85ba8e82e22 piv=0xa4025740ca1faa67 x=-\n\
 mi250x_gcd f64 Resident window_factor algo=Window launches=1 time=0x3f36a6b58be88108 singular=[] info=0x11dac35ef0813626 a=0x7bef3546acb1fcd9 piv=0xa4025740ca1faa67 x=-\n\
 mi250x_gcd f32 Resident window_factor algo=Window launches=1 time=0x3f36a6b58be88108 singular=[] info=0x11dac35ef0813626 a=0xd74cc85ba8e82e22 piv=0xa4025740ca1faa67 x=-\n\
-h100_pcie f64 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3ef204809e3123fd singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
-h100_pcie f32 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3ef19b6eab5efe76 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
-h100_pcie f64 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ecab33f8c8fa10f singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
-h100_pcie f32 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ec76aaff5fe74d0 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
-mi250x_gcd f64 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3efaace435cfe75a singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
-mi250x_gcd f32 PerLaunch auto_gbsv algo=Interleaved launches=4 time=0x3efa18268dc21080 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
-mi250x_gcd f64 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ed29efccb847e42 singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
-mi250x_gcd f32 Resident auto_gbsv algo=Interleaved launches=4 time=0x3ed04c062b4d22da singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
-h100_pcie f64 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3eeb141e5f41287e singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
-h100_pcie f32 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3eea8aadfffff1ca singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
-h100_pcie f64 Resident auto_factor algo=Interleaved launches=3 time=0x3ec43be5714982d6 singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
-h100_pcie f32 Resident auto_factor algo=Interleaved launches=3 time=0x3ec21623f444a803 singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
-mi250x_gcd f64 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3ef4112ca01cffb6 singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
-mi250x_gcd f32 PerLaunch auto_factor algo=Interleaved launches=3 time=0x3ef3aae5d95db11c singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
-mi250x_gcd f64 Resident auto_factor algo=Interleaved launches=3 time=0x3ecc6a86ef4f4efa singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
-mi250x_gcd f32 Resident auto_factor algo=Interleaved launches=3 time=0x3ec93850b954da25 singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
-h100_pcie f64 PerLaunch auto_column algo=Interleaved launches=4 time=0x3ef10f5190197e44 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
-h100_pcie f32 PerLaunch auto_column algo=Interleaved launches=4 time=0x3ef0f491334ea0d9 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
-h100_pcie f64 Resident auto_column algo=Interleaved launches=4 time=0x3ec309c71bd2734d singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
-h100_pcie f32 Resident auto_column algo=Interleaved launches=4 time=0x3ec233c4357b87e8 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
-mi250x_gcd f64 PerLaunch auto_column algo=Interleaved launches=4 time=0x3ef98b67de150d4b singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
-mi250x_gcd f32 PerLaunch auto_column algo=Interleaved launches=4 time=0x3ef95ec544d1cd3e singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
-mi250x_gcd f64 Resident auto_column algo=Interleaved launches=4 time=0x3ecc3216d9322c04 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
-mi250x_gcd f32 Resident auto_column algo=Interleaved launches=4 time=0x3ecacd020f182ba8 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
-h100_pcie f64 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee0c8756713db97 singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
-h100_pcie f32 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee0c8756713db97 singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
-h100_pcie f64 Resident auto_column_factor algo=Fused launches=1 time=0x3ed2e2d221888753 singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
-h100_pcie f32 Resident auto_column_factor algo=Fused launches=1 time=0x3ed2e2d221888753 singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
-mi250x_gcd f64 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee8ad644009c99c singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
-mi250x_gcd f32 PerLaunch auto_column_factor algo=Fused launches=1 time=0x3ee8ad644009c99c singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
-mi250x_gcd f64 Resident auto_column_factor algo=Fused launches=1 time=0x3edb55a37d24cb6e singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
-mi250x_gcd f32 Resident auto_column_factor algo=Fused launches=1 time=0x3edb55a37d24cb6e singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
-h100_pcie f64 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef0da2d7f75c2ca singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
-h100_pcie f32 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef0d307e514ae90 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
-h100_pcie f64 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec160a696b49780 singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
-h100_pcie f32 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec12779c3abf5a7 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
-mi250x_gcd f64 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef94202cef9f53d singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
-mi250x_gcd f32 PerLaunch forced_interleaved algo=Interleaved launches=4 time=0x3ef93842ae8415b3 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
-mi250x_gcd f64 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec9e6ee60596ba3 singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
-mi250x_gcd f32 Resident forced_interleaved algo=Interleaved launches=4 time=0x3ec998ed5caa6f49 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+h100_pcie f64 PerLaunch auto_gbsv algo=Interleaved launches=2 time=0x3ee22f28dd29ed04 singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+h100_pcie f32 PerLaunch auto_gbsv algo=Interleaved launches=2 time=0x3ee1e67556c6d8a9 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+h100_pcie f64 Resident auto_gbsv algo=Interleaved launches=2 time=0x3ebc08818455e946 singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+h100_pcie f32 Resident auto_gbsv algo=Interleaved launches=2 time=0x3eb9c2e5513d4670 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+mi250x_gcd f64 PerLaunch auto_gbsv algo=Interleaved launches=2 time=0x3eea9c751c02905e singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+mi250x_gcd f32 PerLaunch auto_gbsv algo=Interleaved launches=2 time=0x3eea3c69bb2d0fab singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+mi250x_gcd f64 Resident auto_gbsv algo=Interleaved launches=2 time=0x3ec25d40644f2252 singular=[] info=0x7e74ccb5438367ad a=0x8579474cdb9a782d piv=0x16910826b7f0cef0 x=0x732b5d63c1f2dcf8\n\
+mi250x_gcd f32 Resident auto_gbsv algo=Interleaved launches=2 time=0x3ec0dd12e0f91f87 singular=[] info=0x7e74ccb5438367ad a=0xfedc4b8f1379dd0d piv=0x16910826b7f0cef0 x=0xfc6b684d7866af95\n\
+h100_pcie f64 PerLaunch auto_factor algo=Interleaved launches=1 time=0x3ed2748c00119b10 singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f32 PerLaunch auto_factor algo=Interleaved launches=1 time=0x3ed2748c00119b10 singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f64 Resident auto_factor algo=Interleaved launches=1 time=0x3eae339a9b9359a8 singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f32 Resident auto_factor algo=Interleaved launches=1 time=0x3eae339a9b9359a8 singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f64 PerLaunch auto_factor algo=Interleaved launches=1 time=0x3edaca0be139822d singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f32 PerLaunch auto_factor algo=Interleaved launches=1 time=0x3edac3d0a4c8a1c5 singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f64 Resident auto_factor algo=Interleaved launches=1 time=0x3eb3139b792ae990 singular=[7] info=0xa50b52e39c92998c a=0x1f07188289e78287 piv=0x16910826b7f0cef0 x=-\n\
+mi250x_gcd f32 Resident auto_factor algo=Interleaved launches=1 time=0x3eb2faae876767ee singular=[7] info=0xa50b52e39c92998c a=0x51f9a8ec6adb7975 piv=0x16910826b7f0cef0 x=-\n\
+h100_pcie f64 PerLaunch auto_column algo=Interleaved launches=2 time=0x3ee120b1bfc95f82 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+h100_pcie f32 PerLaunch auto_column algo=Interleaved launches=2 time=0x3ee106ade60d7c66 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+h100_pcie f64 Resident auto_column algo=Interleaved launches=2 time=0x3eb394c899517d32 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+h100_pcie f32 Resident auto_column algo=Interleaved launches=2 time=0x3eb2c4a9cb726454 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+mi250x_gcd f64 PerLaunch auto_column algo=Interleaved launches=2 time=0x3ee989b010176fce singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+mi250x_gcd f32 PerLaunch auto_column algo=Interleaved launches=2 time=0x3ee9672a2b9d8d95 singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+mi250x_gcd f64 Resident auto_column algo=Interleaved launches=2 time=0x3ebc245869454025 singular=[] info=0x1d4d63e57f86ea05 a=0x1e56ff4e719f3b4b piv=0x0d3d91a2d58288a3 x=0x51be4f9ed8ff14bd\n\
+mi250x_gcd f32 Resident auto_column algo=Interleaved launches=2 time=0x3ebb102945762e5e singular=[] info=0x1d4d63e57f86ea05 a=0x6c9bfdc8da4a5eef piv=0x0d3d91a2d58288a3 x=0xee500f9583fd3ba9\n\
+h100_pcie f64 PerLaunch auto_column_factor algo=Interleaved launches=1 time=0x3ed1b63d48e9c819 singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f32 PerLaunch auto_column_factor algo=Interleaved launches=1 time=0x3ed1b63d48e9c819 singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f64 Resident auto_column_factor algo=Interleaved launches=1 time=0x3ea84124e254c1ee singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f32 Resident auto_column_factor algo=Interleaved launches=1 time=0x3ea84124e254c1ee singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f64 PerLaunch auto_column_factor algo=Interleaved launches=1 time=0x3edbed946104924f singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f32 PerLaunch auto_column_factor algo=Interleaved launches=1 time=0x3eda0e7692dbe7cb singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f64 Resident auto_column_factor algo=Interleaved launches=1 time=0x3eb7a1bd78572a18 singular=[] info=0x2557fe638573a6ea a=0x5723b6e41a5fc0a0 piv=0xdd8d9088dc990c15 x=-\n\
+mi250x_gcd f32 Resident auto_column_factor algo=Interleaved launches=1 time=0x3eb025463fb48004 singular=[] info=0x2557fe638573a6ea a=0x05084ffe03ddad83 piv=0xdd8d9088dc990c15 x=-\n\
+h100_pcie f64 PerLaunch forced_interleaved algo=Interleaved launches=2 time=0x3ee0df12544977ac singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+h100_pcie f32 PerLaunch forced_interleaved algo=Interleaved launches=2 time=0x3ee0d7efa47d5f64 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+h100_pcie f64 Resident forced_interleaved algo=Interleaved launches=2 time=0x3eb187cd3d523e86 singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+h100_pcie f32 Resident forced_interleaved algo=Interleaved launches=2 time=0x3eb14eb7bef17c4a singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+mi250x_gcd f64 PerLaunch forced_interleaved algo=Interleaved launches=2 time=0x3ee943436c5bf2bf singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+mi250x_gcd f32 PerLaunch forced_interleaved algo=Interleaved launches=2 time=0x3ee93a9f083e62e2 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
+mi250x_gcd f64 Resident forced_interleaved algo=Interleaved launches=2 time=0x3eb9f0f34b6957b0 singular=[2] info=0x7768651b1296d980 a=0xb7481c913b7d088b piv=0x421685347eae767a x=0x09571ca8409460f9\n\
+mi250x_gcd f32 Resident forced_interleaved algo=Interleaved launches=2 time=0x3eb9abd02a7cd8c6 singular=[2] info=0x7768651b1296d980 a=0x8af87a952a2848b5 piv=0x421685347eae767a x=0x08b457584b73ba21\n\
 h100_pcie f64 PerLaunch forced_fused algo=Fused launches=3 time=0x3f0170519c65d796 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
 h100_pcie f32 PerLaunch forced_fused algo=Fused launches=3 time=0x3f0170519c65d796 singular=[] info=0x11dac35ef0813626 a=0x0c10d30186ce86f9 piv=0xc4efdfaac20c3b55 x=0x3d227d846b9a1674\n\
 h100_pcie f64 Resident forced_fused algo=Fused launches=3 time=0x3ef7de10b7544b48 singular=[] info=0x11dac35ef0813626 a=0xbeb3a727b0c07754 piv=0xc4efdfaac20c3b55 x=0x3921c607de37ccf0\n\
@@ -558,38 +558,38 @@ fn render_solves() -> String {
 }
 
 const SOLVE_PINS: &str = "\
-h100_pcie f64 PerLaunch timestep gbtrs_batch algo=Interleaved launches=2 time=0x3ee32459d3ed9016 x=0x20cfe35f1655c035\n\
-h100_pcie f64 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3ee32459d3ed9016 x=0x20cfe35f1655c035\n\
-h100_pcie f32 PerLaunch timestep gbtrs_batch algo=Interleaved launches=2 time=0x3ee1f5a8ba51bed2 x=0x8e93d3c0978c8564\n\
-h100_pcie f32 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3ee1f5a8ba51bed2 x=0x8e93d3c0978c8564\n\
-h100_pcie f64 Resident timestep gbtrs_batch algo=Interleaved launches=2 time=0x3ec1d9049d3980ea x=0x20cfe35f1655c035\n\
-h100_pcie f64 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3ec1d9049d3980ea x=0x20cfe35f1655c035\n\
-h100_pcie f32 Resident timestep gbtrs_batch algo=Interleaved launches=2 time=0x3eba3c806d9477b1 x=0x8e93d3c0978c8564\n\
-h100_pcie f32 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3eba3c806d9477b1 x=0x8e93d3c0978c8564\n\
-mi250x_gcd f64 PerLaunch timestep gbtrs_batch algo=Interleaved launches=2 time=0x3eed8f826a0ca27b x=0x20cfe35f1655c035\n\
-mi250x_gcd f64 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3eed8f826a0ca27b x=0x20cfe35f1655c035\n\
-mi250x_gcd f32 PerLaunch timestep gbtrs_batch algo=Interleaved launches=2 time=0x3eeab779f5f7706e x=0x8e93d3c0978c8564\n\
-mi250x_gcd f32 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3eeab779f5f7706e x=0x8e93d3c0978c8564\n\
-mi250x_gcd f64 Resident timestep gbtrs_batch algo=Interleaved launches=2 time=0x3ece29759c776ac6 x=0x20cfe35f1655c035\n\
-mi250x_gcd f64 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3ece29759c776ac6 x=0x20cfe35f1655c035\n\
-mi250x_gcd f32 Resident timestep gbtrs_batch algo=Interleaved launches=2 time=0x3ec2c953cc22a291 x=0x8e93d3c0978c8564\n\
-mi250x_gcd f32 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=2 time=0x3ec2c953cc22a291 x=0x8e93d3c0978c8564\n\
-h100_pcie f64 PerLaunch raw_speed gbtrs_batch algo=Window launches=2 time=0x3ee9e8e7462c83c4 x=0xd3c16c40ecde87c5\n\
-h100_pcie f64 PerLaunch raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ee9e8e7462c83c4 x=0xd3c16c40ecde87c5\n\
-h100_pcie f32 PerLaunch raw_speed gbtrs_batch algo=Window launches=2 time=0x3ee9e8e7462c83c4 x=0x268f6bff918927b6\n\
-h100_pcie f32 PerLaunch raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ee9e8e7462c83c4 x=0x268f6bff918927b6\n\
-h100_pcie f64 Resident raw_speed gbtrs_batch algo=Window launches=2 time=0x3ed6759d331aa7d2 x=0xd3c16c40ecde87c5\n\
-h100_pcie f64 Resident raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ed6759d331aa7d2 x=0xd3c16c40ecde87c5\n\
-h100_pcie f32 Resident raw_speed gbtrs_batch algo=Window launches=2 time=0x3ed6759d331aa7d2 x=0x268f6bff918927b6\n\
-h100_pcie f32 Resident raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ed6759d331aa7d2 x=0x268f6bff918927b6\n\
-mi250x_gcd f64 PerLaunch raw_speed gbtrs_batch algo=Window launches=2 time=0x3ef3edda4a4a8daa x=0xd3c16c40ecde87c5\n\
-mi250x_gcd f64 PerLaunch raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ef3edda4a4a8daa x=0xd3c16c40ecde87c5\n\
-mi250x_gcd f32 PerLaunch raw_speed gbtrs_batch algo=Window launches=2 time=0x3ef3edda4a4a8daa x=0x268f6bff918927b6\n\
-mi250x_gcd f32 PerLaunch raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ef3edda4a4a8daa x=0x268f6bff918927b6\n\
-mi250x_gcd f64 Resident raw_speed gbtrs_batch algo=Window launches=2 time=0x3ee1d68f91a6538a x=0xd3c16c40ecde87c5\n\
-mi250x_gcd f64 Resident raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ee1d68f91a6538a x=0xd3c16c40ecde87c5\n\
-mi250x_gcd f32 Resident raw_speed gbtrs_batch algo=Window launches=2 time=0x3ee1d68f91a6538a x=0x268f6bff918927b6\n\
-mi250x_gcd f32 Resident raw_speed gbtrs_batch_lanes algo=Window launches=2 time=0x3ee1d68f91a6538a x=0x268f6bff918927b6\n\
+h100_pcie f64 PerLaunch timestep gbtrs_batch algo=Interleaved launches=1 time=0x3ed337540a533825 x=0x20cfe35f1655c035\n\
+h100_pcie f64 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ed337540a533825 x=0x20cfe35f1655c035\n\
+h100_pcie f32 PerLaunch timestep gbtrs_batch algo=Interleaved launches=1 time=0x3ed1ff25d58492d9 x=0x8e93d3c0978c8564\n\
+h100_pcie f32 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ed1ff25d58492d9 x=0x8e93d3c0978c8564\n\
+h100_pcie f64 Resident timestep gbtrs_batch algo=Interleaved launches=1 time=0x3eb224ed76d02125 x=0x20cfe35f1655c035\n\
+h100_pcie f64 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3eb224ed76d02125 x=0x20cfe35f1655c035\n\
+h100_pcie f32 Resident timestep gbtrs_batch algo=Interleaved launches=1 time=0x3eaa8869472b17ec x=0x8e93d3c0978c8564\n\
+h100_pcie f32 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3eaa8869472b17ec x=0x8e93d3c0978c8564\n\
+mi250x_gcd f64 PerLaunch timestep gbtrs_batch algo=Interleaved launches=1 time=0x3ede991a32ee0704 x=0x20cfe35f1655c035\n\
+mi250x_gcd f64 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ede991a32ee0704 x=0x20cfe35f1655c035\n\
+mi250x_gcd f32 PerLaunch timestep gbtrs_batch algo=Interleaved launches=1 time=0x3eda96c4e2d0cfb9 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f32 PerLaunch timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3eda96c4e2d0cfb9 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f64 Resident timestep gbtrs_batch algo=Interleaved launches=1 time=0x3ec127ea5ffe7e76 x=0x20cfe35f1655c035\n\
+mi250x_gcd f64 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ec127ea5ffe7e76 x=0x20cfe35f1655c035\n\
+mi250x_gcd f32 Resident timestep gbtrs_batch algo=Interleaved launches=1 time=0x3eb2467f7f881fbd x=0x8e93d3c0978c8564\n\
+mi250x_gcd f32 Resident timestep gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3eb2467f7f881fbd x=0x8e93d3c0978c8564\n\
+h100_pcie f64 PerLaunch raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3edb7a9571daebc0 x=0xd3c16c40ecde87c5\n\
+h100_pcie f64 PerLaunch raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3edb7a9571daebc0 x=0xd3c16c40ecde87c5\n\
+h100_pcie f32 PerLaunch raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ed6657eb8e90801 x=0x268f6bff918927b6\n\
+h100_pcie f32 PerLaunch raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ed6657eb8e90801 x=0x268f6bff918927b6\n\
+h100_pcie f64 Resident raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ec998f98a7777c9 x=0xd3c16c40ecde87c5\n\
+h100_pcie f64 Resident raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ec998f98a7777c9 x=0xd3c16c40ecde87c5\n\
+h100_pcie f32 Resident raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ebedd9831276096 x=0x268f6bff918927b6\n\
+h100_pcie f32 Resident raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ebedd9831276096 x=0x268f6bff918927b6\n\
+mi250x_gcd f64 PerLaunch raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ee46ce222e5ff80 x=0xd3c16c40ecde87c5\n\
+mi250x_gcd f64 PerLaunch raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ee46ce222e5ff80 x=0xd3c16c40ecde87c5\n\
+mi250x_gcd f32 PerLaunch raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ee0b369e988c415 x=0x268f6bff918927b6\n\
+mi250x_gcd f32 PerLaunch raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ee0b369e988c415 x=0x268f6bff918927b6\n\
+mi250x_gcd f64 Resident raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ed2d49f42dd3737 x=0xd3c16c40ecde87c5\n\
+mi250x_gcd f64 Resident raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ed2d49f42dd3737 x=0xd3c16c40ecde87c5\n\
+mi250x_gcd f32 Resident raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ec6c35da04580c2 x=0x268f6bff918927b6\n\
+mi250x_gcd f32 Resident raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ec6c35da04580c2 x=0x268f6bff918927b6\n\
 ";
 
 #[test]

@@ -1,23 +1,28 @@
 //! Interleaved-layout equivalence suite: bitwise cross-algorithm
 //! agreement with the sequential `gbtf2`/`gbtrs` ground truth (mixed
 //! singular batches included), invariance under the parallel host
-//! executor (1/2/8 workers), and exact cost-predictor pricing at the
+//! executor (1/2/8 workers), exact cost-predictor pricing at the
 //! benchmark's own geometry, kernel by kernel and through `Auto`
-//! dispatch.
+//! dispatch, and the rule that puts the layout passes only around
+//! streaming launches.
 
 use gbatch::core::gbtf2::gbtf2;
 use gbatch::core::gbtrs::{gbtrs, Transpose};
+use gbatch::core::layout::BandLayout;
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
-use gbatch::gpu_sim::{DeviceSpec, KernelCounters, LaunchReport, ParallelPolicy};
+use gbatch::gpu_sim::{DeviceSpec, KernelCounters, LaunchReport, ParallelPolicy, SimTime};
 use gbatch::kernels::cost::{
-    predict_interleave_pass, predict_interleaved_factor, predict_interleaved_solve,
-    predict_interleaved_time,
+    predict_interleave_pass, predict_interleaved_dispatch, predict_interleaved_factor,
+    predict_interleaved_solve, predict_interleaved_time,
 };
-use gbatch::kernels::dispatch::{dgbsv_batch, gbsv_batch, ChosenAlgo, GbsvOptions, MatrixLayout};
+use gbatch::kernels::dispatch::{
+    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, BatchReport, ChosenAlgo, GbsvOptions,
+    MatrixLayout,
+};
 use gbatch::kernels::interleaved::{
     deinterleave_launch, factor_mode, factor_smem_bytes, gbtrf_batch_interleaved,
-    gbtrs_batch_interleaved, interleave_launch, solve_mode, solve_smem_bytes, InterleavedParams,
-    LaneTrafficMode,
+    gbtrs_batch_interleaved, interleave_launch, needs_layout_passes, solve_mode, solve_smem_bytes,
+    InterleavedParams, LaneTrafficMode,
 };
 use proptest::prelude::*;
 
@@ -299,13 +304,14 @@ fn cast_batch<S: Scalar>(a: &BandBatch) -> BandBatch<S> {
     out
 }
 
-/// Pack, factor, solve and unpack at the benchmark's n512 (10,7) geometry
-/// with the auto parameters dispatch uses, one singular lane, under
-/// `Serial` and `Threads(2)`, kernel by kernel and through `Auto`
-/// `gbsv_batch`: factors, pivots, info and solutions are bitwise equal to
-/// per-lane `gbtf2`/`gbtrs` (the singular lane's RHS untouched), every
-/// launch's counters and modeled time equal the cost predictors, and the
-/// dispatch report's time is the sum of its four launches.
+/// Factor and solve at the benchmark's n512 (10,7) geometry with the auto
+/// parameters dispatch uses, one singular lane, under `Serial` and
+/// `Threads(2)`, kernel by kernel and through `Auto` `gbsv_batch`:
+/// factors, pivots, info and solutions are bitwise equal to per-lane
+/// `gbtf2`/`gbtrs` (the singular lane's RHS untouched), every launch's
+/// counters and modeled time equal the cost predictors, and the dispatch
+/// report's time is the sum of its two launches — both are windowed, so
+/// there is no pack or unpack pass.
 fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[usize]) {
     let dev = DeviceSpec::h100_pcie();
     let (n, kl, ku, singular) = (512usize, 10usize, 7usize, 6usize);
@@ -340,18 +346,16 @@ fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[
         .collect();
     assert_eq!(chunks, want_chunks, "chunk geometry");
     let t = params.threads;
-    let fwin = factor_mode::<S>(&dev, &l, lpb) == LaneTrafficMode::Windowed;
-    let swin = solve_mode::<S>(&dev, &l, nrhs, lpb) == LaneTrafficMode::Windowed;
-    let fsmem = if fwin {
-        factor_smem_bytes::<S>(&l, lpb) as u32
-    } else {
-        0
-    };
-    let ssmem = if swin {
-        solve_smem_bytes::<S>(&l, nrhs, lpb) as u32
-    } else {
-        0
-    };
+    assert_eq!(factor_mode::<S>(&dev, &l, lpb), LaneTrafficMode::Windowed);
+    assert_eq!(
+        solve_mode::<S>(&dev, &l, nrhs, lpb),
+        LaneTrafficMode::Windowed
+    );
+    assert!(!needs_layout_passes::<S>(
+        &dev, &l, batch, nrhs, true, &params
+    ));
+    let fsmem = factor_smem_bytes::<S>(&l, lpb) as u32;
+    let ssmem = solve_smem_bytes::<S>(&l, nrhs, lpb) as u32;
     let predicted = |smem: u32, per_chunk: &dyn Fn(usize) -> KernelCounters| {
         let mut agg = KernelCounters::default();
         for &lanes in &chunks {
@@ -360,12 +364,11 @@ fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[
         let time = predict_interleaved_time::<S>(&dev, batch, &params, smem, per_chunk).unwrap();
         (agg, time)
     };
-    let pass = predicted(0, &|lanes| predict_interleave_pass::<S>(&l, lanes, t));
     let factor = predicted(fsmem, &|lanes| {
-        predict_interleaved_factor::<S>(&l, lanes, t, fwin)
+        predict_interleaved_factor::<S>(&l, lanes, t, true)
     });
     let solve = predicted(ssmem, &|lanes| {
-        predict_interleaved_solve::<S>(&l, nrhs, lanes, t, swin)
+        predict_interleaved_solve::<S>(&l, nrhs, lanes, t, true)
     });
     // `threads_spawned` is host provenance, not a modeled quantity.
     let priced = |rep: &LaunchReport| {
@@ -392,8 +395,6 @@ fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[
     for policy in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
         let params = params.with_parallel(policy);
         let mut a = a0.clone();
-        let rep = interleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
-        assert_eq!(priced(&rep), pass, "{policy:?}: pack");
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let rep = gbtrf_batch_interleaved(&dev, &mut a, &mut piv, &mut info, params).unwrap();
@@ -402,11 +403,9 @@ fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[
         let rep = gbtrs_batch_interleaved(&dev, &a.layout(), a.data(), &piv, &mut b, &info, params)
             .unwrap();
         assert_eq!(priced(&rep), solve, "{policy:?}: solve");
-        let rep = deinterleave_launch(&dev, &a.layout(), a.data(), params).unwrap();
-        assert_eq!(priced(&rep), pass, "{policy:?}: unpack");
         check(&format!("{policy:?} kernels"), &a, &piv, &info, &b);
 
-        // The same plan through `Auto` dispatch: four launches whose
+        // The same plan through `Auto` dispatch: two launches whose
         // modeled times sum to the report's.
         let mut a = a0.clone();
         let mut piv = PivotBatch::new(batch, n, n);
@@ -418,12 +417,8 @@ fn benchmark_geometry_case<S: Scalar>(nrhs: usize, batch: usize, want_chunks: &[
         };
         let rep = gbsv_batch::<S>(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
         assert_eq!(rep.algo, ChosenAlgo::Interleaved, "{policy:?}: Auto layout");
-        assert_eq!(rep.launches, 4, "{policy:?}: pack, factor, solve, unpack");
-        assert_eq!(
-            rep.time,
-            pass.1 + factor.1 + solve.1 + pass.1,
-            "{policy:?}: time"
-        );
+        assert_eq!(rep.launches, 2, "{policy:?}: factor, solve");
+        assert_eq!(rep.time, factor.1 + solve.1, "{policy:?}: time");
         check(&format!("{policy:?} dispatch"), &a, &piv, &info, &b);
     }
 }
@@ -438,4 +433,166 @@ fn benchmark_geometry_f64_ten_rhs_is_bitwise_and_priced_exactly() {
 #[test]
 fn benchmark_geometry_f32_one_rhs_is_bitwise_and_priced_exactly() {
     benchmark_geometry_case::<f32>(1, 13, &[13]);
+}
+
+/// The interleaved launch prices of one `Auto` call in launch order: a
+/// pack pass when the plan needs one, the factor when the call factors,
+/// the solve when `nrhs > 0`, an unpack pass after a factorization that
+/// was packed. Also returns the launch count.
+fn executed_prices(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    batch: usize,
+    nrhs: usize,
+    factor: bool,
+) -> (SimTime, usize) {
+    let params = InterleavedParams::auto(dev, l, nrhs);
+    let (t, lpb) = (params.threads, params.lanes_per_block.min(batch));
+    let price = |smem: usize, per_chunk: &dyn Fn(usize) -> KernelCounters| {
+        predict_interleaved_time::<f64>(dev, batch, &params, smem as u32, per_chunk).unwrap()
+    };
+    let passes = needs_layout_passes::<f64>(dev, l, batch, nrhs, factor, &params);
+    let pass = price(0, &|lanes| predict_interleave_pass::<f64>(l, lanes, t));
+    let (mut time, mut launches) = (SimTime(0.0), 0);
+    if passes {
+        time += pass;
+        launches += 1;
+    }
+    if factor {
+        let win = factor_mode::<f64>(dev, l, lpb) == LaneTrafficMode::Windowed;
+        let smem = if win {
+            factor_smem_bytes::<f64>(l, lpb)
+        } else {
+            0
+        };
+        time += price(smem, &|lanes| {
+            predict_interleaved_factor::<f64>(l, lanes, t, win)
+        });
+        launches += 1;
+    }
+    if nrhs > 0 {
+        let win = solve_mode::<f64>(dev, l, nrhs, lpb) == LaneTrafficMode::Windowed;
+        let smem = if win {
+            solve_smem_bytes::<f64>(l, nrhs, lpb)
+        } else {
+            0
+        };
+        time += price(smem, &|lanes| {
+            predict_interleaved_solve::<f64>(l, nrhs, lanes, t, win)
+        });
+        launches += 1;
+    }
+    if passes && factor {
+        time += pass;
+        launches += 1;
+    }
+    (time, launches)
+}
+
+/// `Auto` `gbtrf`, `gbsv` and `gbtrs` on one shape, under `Serial` and
+/// `Threads(2)`, each against a forced column-major run. Every call
+/// interleaves with `launches` launches; its report time is the executed
+/// launch prices in order and the plan's price, bitwise; its factors,
+/// pivots, info and solutions equal the column-major run's, bitwise.
+fn layout_passes_case(
+    dev: &DeviceSpec,
+    (n, kl, ku, batch): (usize, usize, usize, usize),
+    nrhs: usize,
+    passes: bool,
+    launches: [usize; 3],
+) {
+    let a0 = filled_batch(batch, n, kl, ku, 0.47);
+    let l = a0.layout();
+    let b0 = RhsBatch::from_fn(batch, n, nrhs, |id, i, c| {
+        ((id * 5 + i * 3 + c) as f64 * 0.29).sin()
+    })
+    .unwrap();
+    let what = format!("{} n={n} ({kl},{ku}) batch={batch} nrhs={nrhs}", dev.name);
+    for (call_nrhs, factor) in [(0, true), (nrhs, true), (nrhs, false)] {
+        let params = InterleavedParams::auto(dev, &l, call_nrhs);
+        assert_eq!(
+            needs_layout_passes::<f64>(dev, &l, batch, call_nrhs, factor, &params),
+            passes,
+            "{what}: nrhs={call_nrhs} factor={factor}"
+        );
+    }
+
+    // gbtrf, gbsv, then gbtrs over the gbsv factors, under one layout.
+    type Run = (BandBatch, PivotBatch, InfoArray, RhsBatch, RhsBatch);
+    let run = |opts: &GbsvOptions| -> ([BatchReport; 3], Run) {
+        let mut af = a0.clone();
+        let mut pf = PivotBatch::new(batch, n, n);
+        let mut inf = InfoArray::new(batch);
+        let trf = dgbtrf_batch(dev, &mut af, &mut pf, &mut inf, opts).unwrap();
+        let (mut a, mut piv, mut info, mut b) = (
+            a0.clone(),
+            PivotBatch::new(batch, n, n),
+            InfoArray::new(batch),
+            b0.clone(),
+        );
+        let sv = dgbsv_batch(dev, &mut a, &mut piv, &mut b, &mut info, opts).unwrap();
+        assert_eq!((af.data(), &pf, &inf), (a.data(), &piv, &info), "{what}");
+        let mut x = b0.clone();
+        let trs = dgbtrs_batch(dev, Transpose::No, &l, a.data(), &piv, &mut x, opts).unwrap();
+        ([trf, sv, trs], (a, piv, info, b, x))
+    };
+    let column = GbsvOptions {
+        layout: MatrixLayout::ColumnMajor,
+        allow_fused_gbsv: Some(false),
+        ..Default::default()
+    };
+    let (_, want) = run(&column);
+    for policy in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
+        let auto = GbsvOptions {
+            parallel: Some(policy),
+            allow_fused_gbsv: Some(false),
+            ..Default::default()
+        };
+        let (reps, got) = run(&auto);
+        for ((rep, (call_nrhs, factor)), want_launches) in reps
+            .iter()
+            .zip([(0, true), (nrhs, true), (nrhs, false)])
+            .zip(launches)
+        {
+            let call = format!("{what} {policy:?} nrhs={call_nrhs} factor={factor}");
+            assert_eq!(rep.algo, ChosenAlgo::Interleaved, "{call}");
+            assert_eq!(rep.launches, want_launches, "{call}");
+            let (time, count) = executed_prices(dev, &l, batch, call_nrhs, factor);
+            assert_eq!((rep.time, rep.launches), (time, count), "{call}: priced");
+            let params = InterleavedParams::auto(dev, &l, call_nrhs);
+            let planned =
+                predict_interleaved_dispatch::<f64>(dev, &l, batch, call_nrhs, factor, &params);
+            assert_eq!(Some(rep.time), planned, "{call}: the plan's price");
+        }
+        assert_eq!(got.0.data(), want.0.data(), "{what} {policy:?}: factors");
+        assert_eq!(got.1, want.1, "{what} {policy:?}: pivots");
+        assert_eq!(got.2, want.2, "{what} {policy:?}: info");
+        assert_eq!(got.3.data(), want.3.data(), "{what} {policy:?}: gbsv x");
+        assert_eq!(got.4.data(), want.4.data(), "{what} {policy:?}: gbtrs x");
+    }
+}
+
+#[test]
+fn windowed_plans_issue_no_layout_passes() {
+    // Every launch fits its window: gbtrf 1 launch, gbsv 2, gbtrs 1.
+    layout_passes_case(
+        &DeviceSpec::h100_pcie(),
+        (96, 2, 3, 40),
+        2,
+        false,
+        [1, 2, 1],
+    );
+}
+
+#[test]
+fn streaming_plans_keep_both_layout_passes() {
+    // Neither the (200,200) factor window nor a 64-column RHS panel fits
+    // the H100's shared memory: gbtrf 3 launches, gbsv 4, gbtrs 2.
+    layout_passes_case(
+        &DeviceSpec::h100_pcie(),
+        (512, 200, 200, 4),
+        64,
+        true,
+        [3, 4, 2],
+    );
 }

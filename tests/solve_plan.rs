@@ -1,11 +1,14 @@
 //! The solve-only plan. Under `Auto`, `gbtrs_batch` and
-//! `gbtrs_batch_lanes` price the blocked column-major solve against one
-//! pack pass plus the interleaved solve, and run the cheaper. This suite
-//! checks:
+//! `gbtrs_batch_lanes` price the blocked column-major solve against the
+//! interleaved solve (after a pack pass only when the solve streams), and
+//! run the cheaper. This suite checks:
 //!
-//! - the choice at the `serve_timestep` geometry ((128,2,3), batch 64)
-//!   and at the raw-speed trajectory's (n = 16, (2,3), batch 4096);
-//! - the interleaved report against the predictors, bitwise;
+//! - the choice at the `serve_timestep` geometry ((128,2,3), batch 64),
+//!   at the raw-speed trajectory's (n = 16, (2,3), batch 4096), both
+//!   interleaved, and at n = 64, (2,3), batch 4096 on the MI250x GCD,
+//!   where the blocked solve wins;
+//! - the interleaved report against the predictors, bitwise, for a
+//!   windowed and a streaming solve;
 //! - the solutions against a forced column-major run, bitwise, under the
 //!   serial and a threaded executor;
 //! - that a forced algorithm, a forced column-major layout and the
@@ -30,6 +33,11 @@ use gbatch::kernels::interleaved::{
 const TIMESTEP: (usize, usize, usize, usize) = (128, 2, 3, 64);
 /// `(n, kl, ku, batch)` of the raw-speed trajectory.
 const RAW_SPEED: (usize, usize, usize, usize) = (16, 2, 3, 4096);
+/// `(n, kl, ku, batch)` where the MI250x GCD keeps the blocked solve.
+const BLOCKED: (usize, usize, usize, usize) = (64, 2, 3, 4096);
+/// `(n, kl, ku, batch)` of a solve whose 64-column RHS panel does not fit
+/// the H100's shared memory, so it streams.
+const STREAMING: (usize, usize, usize, usize) = (512, 2, 3, 4);
 
 fn h100() -> DeviceSpec {
     registry::device(registry::H100_PCIE).unwrap()
@@ -68,14 +76,26 @@ fn factored<S: Scalar>(
 /// with `lanes`, through `gbtrs_batch_lanes` over per-lane slices.
 fn solve<S: Scalar>(
     dev: &DeviceSpec,
-    (a, piv): &(BandBatch<S>, PivotBatch),
+    f: &(BandBatch<S>, PivotBatch),
     trans: Transpose,
     lanes: bool,
     opts: &GbsvOptions,
 ) -> (BatchReport, RhsBatch<S>) {
+    solve_cols(dev, f, trans, lanes, opts, 1)
+}
+
+/// [`solve`] with `nrhs` right-hand sides per lane.
+fn solve_cols<S: Scalar>(
+    dev: &DeviceSpec,
+    (a, piv): &(BandBatch<S>, PivotBatch),
+    trans: Transpose,
+    lanes: bool,
+    opts: &GbsvOptions,
+    nrhs: usize,
+) -> (BatchReport, RhsBatch<S>) {
     let l = a.layout();
-    let mut b = RhsBatch::<S>::from_fn(a.batch(), l.n, 1, |id, i, _| {
-        S::from_f64(((i * 13 + id) % 11) as f64 * 0.1 - 0.5)
+    let mut b = RhsBatch::<S>::from_fn(a.batch(), l.n, nrhs, |id, i, c| {
+        S::from_f64(((i * 13 + c * 5 + id) % 11) as f64 * 0.1 - 0.5)
     })
     .unwrap();
     let rep = if lanes {
@@ -98,20 +118,23 @@ fn layout(layout: MatrixLayout) -> GbsvOptions {
 }
 
 #[test]
-fn auto_interleaves_the_timestep_flush_and_keeps_blocked_at_raw_speed() {
+fn auto_interleaves_small_solves_and_keeps_blocked_where_it_wins() {
     let auto = GbsvOptions::default();
     let column = layout(MatrixLayout::ColumnMajor);
     let interleaved = layout(MatrixLayout::Interleaved);
-    for (dev, shape, want) in [
-        (h100(), TIMESTEP, ChosenAlgo::Interleaved),
-        (mi250x(), TIMESTEP, ChosenAlgo::Interleaved),
-        (h100(), RAW_SPEED, ChosenAlgo::Window),
+    // A windowed interleaved solve is one launch (no pack pass); the
+    // blocked solve is its forward and backward launches.
+    for (dev, shape, want, launches) in [
+        (h100(), TIMESTEP, ChosenAlgo::Interleaved, 1),
+        (mi250x(), TIMESTEP, ChosenAlgo::Interleaved, 1),
+        (h100(), RAW_SPEED, ChosenAlgo::Interleaved, 1),
+        (mi250x(), BLOCKED, ChosenAlgo::Window, 2),
     ] {
         let f = factored::<f64>(&dev, shape);
         for lanes in [false, true] {
             let (rep, _) = solve(&dev, &f, Transpose::No, lanes, &auto);
             assert_eq!(rep.algo, want, "{} {shape:?} lanes={lanes}", dev.name);
-            assert_eq!(rep.launches, 2, "pack + solve, or forward + backward");
+            assert_eq!(rep.launches, launches, "{} {shape:?}", dev.name);
             // The plan's pick is the executed minimum of the two layouts.
             let (col, _) = solve(&dev, &f, Transpose::No, lanes, &column);
             let (int, _) = solve(&dev, &f, Transpose::No, lanes, &interleaved);
@@ -129,41 +152,61 @@ fn auto_interleaves_the_timestep_flush_and_keeps_blocked_at_raw_speed() {
     }
 }
 
-fn report_is_priced_exactly<S: Scalar>() {
+/// The report of an `Auto` solve-only call that interleaves: the solve's
+/// price alone when it is windowed, the pack pass plus the solve when it
+/// streams, bitwise, and equal to the plan's price.
+fn report_is_priced_exactly<S: Scalar>(shape: (usize, usize, usize, usize), nrhs: usize) {
     let dev = h100();
-    let f = factored::<S>(&dev, TIMESTEP);
+    let f = factored::<S>(&dev, shape);
     let l = f.0.layout();
-    let (n, batch, nrhs) = (l.n, f.0.batch(), 1);
-    let (rep, _) = solve(&dev, &f, Transpose::No, false, &GbsvOptions::default());
-    assert_eq!(rep.algo, ChosenAlgo::Interleaved);
+    let batch = f.0.batch();
+    let (rep, _) = solve_cols(
+        &dev,
+        &f,
+        Transpose::No,
+        false,
+        &GbsvOptions::default(),
+        nrhs,
+    );
+    assert_eq!(rep.algo, ChosenAlgo::Interleaved, "{shape:?}");
 
     let params = InterleavedParams::auto(&dev, &l, nrhs);
     let (t, lpb) = (params.threads, params.lanes_per_block.min(batch));
     let windowed = solve_mode::<S>(&dev, &l, nrhs, lpb) == LaneTrafficMode::Windowed;
-    assert!(windowed, "the n = {n} solve scratch fits shared memory");
-    let smem = solve_smem_bytes::<S>(&l, nrhs, lpb) as u32;
-    let pack = predict_interleaved_time::<S>(&dev, batch, &params, 0, |lanes| {
-        predict_interleave_pass::<S>(&l, lanes, t)
-    })
-    .unwrap();
+    let smem = if windowed {
+        solve_smem_bytes::<S>(&l, nrhs, lpb) as u32
+    } else {
+        0
+    };
     let gbtrs = predict_interleaved_time::<S>(&dev, batch, &params, smem, |lanes| {
         predict_interleaved_solve::<S>(&l, nrhs, lanes, t, windowed)
     })
     .unwrap();
-    assert_eq!(rep.time, pack + gbtrs, "{}: pack + solve", S::PRECISION);
+    let what = format!("{} {shape:?} nrhs={nrhs}", S::PRECISION);
+    if windowed {
+        assert_eq!(rep.launches, 1, "{what}");
+        assert_eq!(rep.time, gbtrs, "{what}: the solve alone");
+    } else {
+        let pack = predict_interleaved_time::<S>(&dev, batch, &params, 0, |lanes| {
+            predict_interleave_pass::<S>(&l, lanes, t)
+        })
+        .unwrap();
+        assert_eq!(rep.launches, 2, "{what}");
+        assert_eq!(rep.time, pack + gbtrs, "{what}: pack + solve");
+    }
     let planned = predict_interleaved_dispatch::<S>(&dev, &l, batch, nrhs, false, &params);
-    assert_eq!(
-        Some(rep.time),
-        planned,
-        "{}: the plan's price",
-        S::PRECISION
-    );
+    assert_eq!(Some(rep.time), planned, "{what}: the plan's price");
 }
 
 #[test]
-fn interleaved_report_is_pack_plus_solve_prices_bitwise() {
-    report_is_priced_exactly::<f64>();
-    report_is_priced_exactly::<f32>();
+fn interleaved_report_is_the_solve_or_pack_plus_solve_price_bitwise() {
+    // Even one lane's f64 RHS panel exceeds the block's shared memory.
+    let streaming_nrhs = 64;
+    assert!(STREAMING.0 * streaming_nrhs * 8 > h100().max_smem_per_block as usize);
+    for (shape, nrhs) in [(TIMESTEP, 1), (STREAMING, streaming_nrhs)] {
+        report_is_priced_exactly::<f64>(shape, nrhs);
+    }
+    report_is_priced_exactly::<f32>(TIMESTEP, 1);
 }
 
 fn matches_column_major<S: Scalar>() {
@@ -219,7 +262,7 @@ fn forced_choices_and_the_transpose_keep_the_blocked_kernels() {
         for lanes in [false, true] {
             let (rep, x) = solve(&dev, &f, Transpose::No, lanes, &opts);
             assert_eq!(rep.algo, ChosenAlgo::Window, "{opts:?}");
-            assert_eq!(rep.launches, 2, "{opts:?}");
+            assert_eq!(rep.launches, 2, "{opts:?}: forward + backward");
             assert_eq!(x.data(), want.data(), "{opts:?}");
         }
     }
@@ -244,8 +287,10 @@ fn forced_choices_and_the_transpose_keep_the_blocked_kernels() {
 
     // Forcing the interleaved layout runs it even where Auto keeps the
     // blocked solve, with the same answer.
-    let f = factored::<f64>(&dev, RAW_SPEED);
-    let (_, want) = solve(&dev, &f, Transpose::No, false, &GbsvOptions::default());
+    let dev = mi250x();
+    let f = factored::<f64>(&dev, BLOCKED);
+    let (auto, want) = solve(&dev, &f, Transpose::No, false, &GbsvOptions::default());
+    assert_eq!(auto.algo, ChosenAlgo::Window);
     for lanes in [false, true] {
         let (rep, x) = solve(
             &dev,
@@ -255,7 +300,7 @@ fn forced_choices_and_the_transpose_keep_the_blocked_kernels() {
             &layout(MatrixLayout::Interleaved),
         );
         assert_eq!(rep.algo, ChosenAlgo::Interleaved);
-        assert_eq!(rep.launches, 2);
+        assert_eq!(rep.launches, 1, "a windowed solve needs no pack pass");
         assert_eq!(x.data(), want.data());
     }
 }
