@@ -1,4 +1,4 @@
-//! Lowering of [`Expr`](crate::expr::Expr) trees to linear forms.
+//! Lowering of [`Expr`] trees to linear forms.
 //!
 //! The race prover reasons over systems of linear inequalities, so model
 //! expressions are lowered to [`Lin`] — an integer-coefficient affine form

@@ -1,13 +1,13 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! - in-kernel window shifting vs one launch per window step (§5.3);
-//! - the fused-GBSV size cutoff (§7, paper picks 64);
+//! - the fused GBSV driver below its size cutoff (§7, paper picks 64);
 //! - blocked vs unblocked CPU factorization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbatch_core::batch::{InfoArray, PivotBatch, RhsBatch};
 use gbatch_gpu_sim::DeviceSpec;
-use gbatch_kernels::dispatch::{dgbsv_batch, GbsvOptions};
+use gbatch_kernels::dispatch::{dgbsv_batch, FactorAlgo, GbsvOptions};
 use gbatch_kernels::window::{gbtrf_batch_window, gbtrf_batch_window_relaunch, WindowParams};
 use gbatch_workloads::random::{random_band_batch, BandDistribution};
 use rand::rngs::StdRng;
@@ -77,20 +77,20 @@ fn ablation_window_shift(c: &mut Criterion) {
 
 fn ablation_gbsv_cutoff(c: &mut Criterion) {
     let dev = DeviceSpec::h100_pcie();
-    let (batch, kl, ku) = (32usize, 2usize, 3usize);
+    let (batch, n, kl, ku) = (32usize, 48usize, 2usize, 3usize);
     let mut group = c.benchmark_group("ablation_gbsv_cutoff");
-    // Sweep the cutoff across the paper's decision point (64): for n = 48
-    // a cutoff of 64 uses the fused driver, a cutoff of 32 does not.
-    for cutoff in [32usize, 64, 128] {
-        let n = 48;
-        let mut rng = StdRng::seed_from_u64(2);
-        let a0 = random_band_batch(&mut rng, batch, n, kl, ku, BandDistribution::Uniform);
-        let b0 = RhsBatch::from_fn(batch, n, 1, |id, i, _| (id + i) as f64 * 0.01).unwrap();
+    let mut rng = StdRng::seed_from_u64(2);
+    let a0 = random_band_batch(&mut rng, batch, n, kl, ku, BandDistribution::Uniform);
+    let b0 = RhsBatch::from_fn(batch, n, 1, |id, i, _| (id + i) as f64 * 0.01).unwrap();
+    for (name, algo) in [
+        ("fused_gbsv", FactorAlgo::FusedGbsv),
+        ("factor_then_solve", FactorAlgo::Fused),
+    ] {
         let opts = GbsvOptions {
-            fused_cutoff: Some(cutoff),
+            algo,
             ..Default::default()
         };
-        group.bench_with_input(BenchmarkId::from_parameter(cutoff), &cutoff, |bench, _| {
+        group.bench_function(name, |bench| {
             bench.iter_batched(
                 || {
                     (

@@ -1,10 +1,11 @@
 //! Figure 7 bench: single-kernel fused GBSV versus the standard separate
-//! factorization + solve, across small system orders.
+//! `dgbtrf_batch` + `dgbtrs_batch` (`ColumnMajor`), across small orders.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbatch_core::batch::{InfoArray, PivotBatch, RhsBatch};
+use gbatch_core::gbtrs::Transpose;
 use gbatch_gpu_sim::DeviceSpec;
-use gbatch_kernels::dispatch::{dgbsv_batch, GbsvOptions};
+use gbatch_kernels::dispatch::{dgbtrf_batch, dgbtrs_batch, FactorAlgo, GbsvOptions};
 use gbatch_kernels::fused::FusedParams;
 use gbatch_kernels::gbsv_fused::gbsv_batch_fused;
 use gbatch_workloads::random::{random_band_batch, BandDistribution};
@@ -47,7 +48,7 @@ fn bench_fig7(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("standard", n), &n, |bench, _| {
             let opts = GbsvOptions {
-                allow_fused_gbsv: Some(false),
+                algo: FactorAlgo::ColumnMajor,
                 ..Default::default()
             };
             bench.iter_batched(
@@ -60,7 +61,10 @@ fn bench_fig7(c: &mut Criterion) {
                     )
                 },
                 |(mut a, mut b, mut piv, mut info)| {
-                    dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap()
+                    let f = dgbtrf_batch(&dev, &mut a, &mut piv, &mut info, &opts).unwrap();
+                    let l = a.layout();
+                    let s = dgbtrs_batch(&dev, Transpose::No, &l, a.data(), &piv, &mut b, &opts);
+                    (f, s.unwrap())
                 },
                 criterion::BatchSize::LargeInput,
             );

@@ -4,9 +4,9 @@
 //! Two contenders per grid point:
 //!
 //! - `column` — the dispatched column-major path (fused / window per §5.4),
-//!   forced with [`MatrixLayout::ColumnMajor`];
+//!   under [`FactorAlgo::ColumnMajor`];
 //! - `interleaved` — the dispatched interleaved path, forced with
-//!   [`MatrixLayout::Interleaved`]. Every grid point's factor window fits
+//!   [`FactorAlgo::Interleaved`]. Every grid point's factor window fits
 //!   shared memory, so this is the windowed factor launch alone, with no
 //!   pack or unpack pass.
 //!
@@ -21,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbatch_bench::report::Figure;
 use gbatch_core::batch::{InfoArray, PivotBatch};
 use gbatch_gpu_sim::DeviceSpec;
-use gbatch_kernels::dispatch::{dgbtrf_batch, GbsvOptions, MatrixLayout};
+use gbatch_kernels::dispatch::{dgbtrf_batch, FactorAlgo, GbsvOptions};
 use gbatch_workloads::random::{random_band_batch, BandDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,20 +39,19 @@ const GRID: [(usize, usize, usize, usize); 4] = [
 /// The acceptance configuration: large batch, small n.
 const ACCEPT: (usize, usize, usize, usize) = GRID[0];
 
-fn opts(layout: MatrixLayout) -> GbsvOptions {
+fn opts(algo: FactorAlgo) -> GbsvOptions {
     GbsvOptions {
-        layout,
+        algo,
         ..Default::default()
     }
 }
 
-/// Modeled `SimTime` (ms) of the dispatched factorization under a forced
-/// layout.
-fn dispatch_ms(dev: &DeviceSpec, a0: &gbatch_core::BandBatch, layout: MatrixLayout) -> f64 {
+/// Modeled `SimTime` (ms) of the dispatched factorization under `algo`.
+fn dispatch_ms(dev: &DeviceSpec, a0: &gbatch_core::BandBatch, algo: FactorAlgo) -> f64 {
     let mut a = a0.clone();
     let mut piv = PivotBatch::new(a0.batch(), a0.layout().m, a0.layout().n);
     let mut info = InfoArray::new(a0.batch());
-    let rep = dgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts(layout)).unwrap();
+    let rep = dgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts(algo)).unwrap();
     rep.time.secs() * 1e3
 }
 
@@ -63,11 +62,11 @@ fn bench_layouts(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(7);
         let a0 = random_band_batch(&mut rng, batch, n, kl, ku, BandDistribution::Uniform);
         let label = format!("b{batch}_n{n}_kl{kl}_ku{ku}");
-        for (name, layout) in [
-            ("column", MatrixLayout::ColumnMajor),
-            ("interleaved", MatrixLayout::Interleaved),
+        for (name, algo) in [
+            ("column", FactorAlgo::ColumnMajor),
+            ("interleaved", FactorAlgo::Interleaved),
         ] {
-            group.bench_with_input(BenchmarkId::new(name, &label), &layout, |bench, &layout| {
+            group.bench_with_input(BenchmarkId::new(name, &label), &algo, |bench, &algo| {
                 bench.iter_batched(
                     || {
                         (
@@ -77,7 +76,7 @@ fn bench_layouts(c: &mut Criterion) {
                         )
                     },
                     |(mut a, mut piv, mut info)| {
-                        dgbtrf_batch(&dev, &mut a, &mut piv, &mut info, &opts(layout)).unwrap()
+                        dgbtrf_batch(&dev, &mut a, &mut piv, &mut info, &opts(algo)).unwrap()
                     },
                     criterion::BatchSize::LargeInput,
                 );
@@ -106,8 +105,8 @@ fn summarize(dev: &DeviceSpec) {
     for &(batch, n, kl, ku) in &GRID {
         let mut rng = StdRng::seed_from_u64(7);
         let a0 = random_band_batch(&mut rng, batch, n, kl, ku, BandDistribution::Uniform);
-        let c_ms = dispatch_ms(dev, &a0, MatrixLayout::ColumnMajor);
-        let i_ms = dispatch_ms(dev, &a0, MatrixLayout::Interleaved);
+        let c_ms = dispatch_ms(dev, &a0, FactorAlgo::ColumnMajor);
+        let i_ms = dispatch_ms(dev, &a0, FactorAlgo::Interleaved);
         col.push(n, c_ms);
         inter.push(n, i_ms);
         eprintln!(

@@ -13,7 +13,7 @@ use gbatch_core::{BandBatch, BandLayout};
 use gbatch_gpu_sim::registry;
 use gbatch_gpu_sim::DeviceSpec;
 use gbatch_kernels::cost::predict_interleaved_dispatch;
-use gbatch_kernels::dispatch::{dgbtrf_batch, GbsvOptions, MatrixLayout};
+use gbatch_kernels::dispatch::{dgbtrf_batch, ChosenAlgo, FactorAlgo, GbsvOptions};
 use gbatch_kernels::interleaved::InterleavedParams;
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +40,7 @@ pub struct CalibrationPoint {
     pub predicted_interleaved_ms: f64,
     /// Layout the executed times favour.
     pub measured_winner: String,
-    /// Layout `MatrixLayout::Auto` actually picked.
+    /// Layout `FactorAlgo::Auto` actually picked.
     pub auto_pick: String,
     /// Executed time of the auto pick divided by the best executed time
     /// (the ISSUE bound: never above 1.10 on this grid).
@@ -99,22 +99,19 @@ fn deterministic_batch(batch: usize, n: usize, kl: usize, ku: usize) -> BandBatc
     .expect("non-empty calibration batch")
 }
 
-fn run_ms(dev: &DeviceSpec, a0: &BandBatch, layout: MatrixLayout) -> (f64, MatrixLayout) {
+/// Executed time (ms) of `dgbtrf_batch` under `algo`, and whether it ran
+/// interleaved.
+fn run_ms(dev: &DeviceSpec, a0: &BandBatch, algo: FactorAlgo) -> (f64, bool) {
     let l = a0.layout();
     let mut a = a0.clone();
     let mut piv = PivotBatch::new(a0.batch(), l.m, l.n);
     let mut info = InfoArray::new(a0.batch());
     let opts = GbsvOptions {
-        layout,
+        algo,
         ..Default::default()
     };
     let rep = dgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts).expect("calibration launch");
-    let picked = if rep.algo == gbatch_kernels::dispatch::ChosenAlgo::Interleaved {
-        MatrixLayout::Interleaved
-    } else {
-        MatrixLayout::ColumnMajor
-    };
-    (rep.time.secs() * 1e3, picked)
+    (rep.time.secs() * 1e3, rep.algo == ChosenAlgo::Interleaved)
 }
 
 fn predicted_interleaved_ms(dev: &DeviceSpec, l: &BandLayout, batch: usize) -> f64 {
@@ -133,18 +130,19 @@ pub fn calibrate_layout() -> LayoutCalibration {
     let mut points = Vec::new();
     let mut agree = 0usize;
     let mut max_auto_regret: f64 = 0.0;
+    let layout = |interleaved| match interleaved {
+        true => FactorAlgo::Interleaved,
+        false => FactorAlgo::ColumnMajor,
+    };
     for dev in &devices {
         for &(n, kl, ku, batch) in &GRID {
             let a0 = deterministic_batch(batch, n, kl, ku);
-            let (column_ms, _) = run_ms(dev, &a0, MatrixLayout::ColumnMajor);
-            let (interleaved_ms, _) = run_ms(dev, &a0, MatrixLayout::Interleaved);
-            let (auto_ms, auto_pick) = run_ms(dev, &a0, MatrixLayout::Auto);
+            let (column_ms, _) = run_ms(dev, &a0, FactorAlgo::ColumnMajor);
+            let (interleaved_ms, _) = run_ms(dev, &a0, FactorAlgo::Interleaved);
+            let (auto_ms, auto_interleaved) = run_ms(dev, &a0, FactorAlgo::Auto);
             let predicted = predicted_interleaved_ms(dev, &a0.layout(), batch);
-            let measured_winner = if interleaved_ms < column_ms {
-                MatrixLayout::Interleaved
-            } else {
-                MatrixLayout::ColumnMajor
-            };
+            let (measured_winner, auto_pick) =
+                (layout(interleaved_ms < column_ms), layout(auto_interleaved));
             if measured_winner == auto_pick {
                 agree += 1;
             }

@@ -37,7 +37,6 @@ use gbatch_gpu_sim::registry;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, ParallelPolicy};
 use gbatch_kernels::dispatch::{
     dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, ChosenAlgo, FactorAlgo, GbsvOptions,
-    MatrixLayout,
 };
 use gbatch_kernels::spike::SpikeParams;
 use gbatch_serve::{
@@ -361,9 +360,10 @@ pub fn measure() -> RawSpeedReport {
         let mut piv = PivotBatch::new(RAW_BATCH, RAW_N, RAW_N);
         let mut info = InfoArray::new(RAW_BATCH);
         let mut o = opts(engine);
-        o.layout = MatrixLayout::Interleaved;
+        o.algo = FactorAlgo::Interleaved;
         let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &o).unwrap();
         assert!(info.all_ok());
+        assert_eq!(rep.algo, ChosenAlgo::Interleaved);
         (b, rep.time.ms())
     };
     let (xi_cold, inter_cold) = interleaved_under(EngineMode::PerLaunch);
@@ -600,6 +600,7 @@ fn spike_line<S: Scalar>(dev: &DeviceSpec) -> SpikeLine {
         .iter()
         .map(|&parts| {
             let opts = GbsvOptions {
+                algo: FactorAlgo::Spike,
                 spike: Some(SpikeParams::auto(dev, SPIKE_KL).with_parts(parts)),
                 engine: Some(EngineMode::Resident),
                 parallel: Some(ParallelPolicy::threads(4)),

@@ -136,6 +136,15 @@ pub enum LaunchError {
         /// Device per-block limit.
         limit: u32,
     },
+    /// A call's containers disagree with its layout or each other.
+    ArgMismatch {
+        /// The disagreeing quantity.
+        arg: &'static str,
+        /// The value the layout and the other containers imply.
+        expected: usize,
+        /// The value the caller passed.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for LaunchError {
@@ -149,6 +158,9 @@ impl std::fmt::Display for LaunchError {
             }
             LaunchError::BadThreadCount { requested, limit } => {
                 write!(f, "thread count {requested} invalid (device limit {limit})")
+            }
+            LaunchError::ArgMismatch { arg, expected, got } => {
+                write!(f, "{arg} is {got}, expected {expected}")
             }
         }
     }

@@ -4,13 +4,13 @@
 //! elements each lane touches — as symbolic expressions over the shape
 //! parameters — plus the family's shared-memory byte formula and the
 //! parameter envelope it is verified over. The analyzer proves the
-//! templates race-free across the whole envelope ([`prove_model`]), audits
+//! templates race-free across the whole envelope (`prove_model`), audits
 //! the byte formula against device limits, and replays the
 //! [`schedule`](KernelModel::schedule) against the real kernel's
 //! `HazardMode::Trace` footprint so model and kernel cannot drift apart.
 //!
 //! The factor families (fused, window, gbsv) share one column-step
-//! sub-model ([`col_templates`]) because they share the real column step
+//! sub-model (the `col_*` templates) because they share the real column step
 //! ([`crate::step::smem_column_step`]): an IAMAX *head* epoch (which also
 //! carries the fill-in writes and, on the very first column, the `DGBTF2`
 //! prologue), a pivot-row *swap* epoch, and a fused *scal + rank-1* epoch.

@@ -2,7 +2,7 @@
 //!
 //! For every modeled family and a grid of concrete shapes, this module
 //! runs the *real* kernel under
-//! [`HazardMode::Trace`](gbatch_gpu_sim::hazard::HazardMode::Trace),
+//! [`HazardMode::Trace`],
 //! harvests the data-dependent facts the model's schedule needs (pivot
 //! offsets, nonzero flags) by replaying the numerics on the host, and
 //! asserts that the model's predicted footprint

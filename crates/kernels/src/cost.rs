@@ -413,7 +413,7 @@ pub fn predict_interleaved_time<S: Scalar>(
 
 /// Predicted cost of the whole interleaved dispatch path — the launches
 /// [`crate::dispatch`] issues for
-/// [`crate::dispatch::MatrixLayout::Interleaved`]. With `factor`, a
+/// [`crate::dispatch::FactorAlgo::Interleaved`]. With `factor`, a
 /// `gbtrf` (`nrhs == 0`) or `gbsv` call: factor, then solve when
 /// `nrhs > 0`. Without, a solve-only `gbtrs` call over a factored band:
 /// the solve. When a launch streams

@@ -1,10 +1,10 @@
 //! The batched band routines' user interface (paper Section 4) and the
 //! kernel-selection logic of §5.4 ("The Complete Picture").
 //!
-//! Selection policy, exactly as the paper describes:
+//! The paper's selection policy, [`FactorAlgo::ColumnMajor`]:
 //!
-//! - **fused** for very small matrices (`n <= 64` by default): no window
-//!   shifting, no extra synchronization;
+//! - **fused** for very small matrices (`n <= 64`): no window shifting, no
+//!   extra synchronization;
 //! - **sliding window** for everything else ("in most cases the sliding
 //!   window approach is selected, since it covers a very wide range of band
 //!   sizes regardless of the matrix size");
@@ -16,22 +16,19 @@
 //! The C-style interface of the paper (`dgbtrf_batch`, `dgbtrs_batch`,
 //! `dgbsv_batch` over `double**` pointer arrays) maps to the batch
 //! containers of `gbatch_core`; the `info` array and per-matrix pivot
-//! vectors are preserved verbatim.
+//! vectors are preserved verbatim; containers that disagree fail with
+//! [`LaunchError::ArgMismatch`] before any launch.
 //!
-//! On top of the paper's algorithm dimension this dispatcher adds two
-//! regimes: the batch-major interleaved kernels of [`crate::interleaved`]
-//! (a **storage-layout** dimension, [`MatrixLayout`]) and the SPIKE split
-//! of [`crate::spike`] for large single systems. Each call — factor,
-//! factor-and-solve, or solve-only over factors the caller kept — is
-//! decided once, by a pure plan that reads only the shape and the options
-//! and issues no launch; the entry points then execute that plan. The plan
-//! prices the candidates with the exact launch predictors of
-//! [`crate::cost`], with no fitted constants: the interleaved layout wins
-//! when it beats the column-major price. Its windowed launches run on the
-//! caller's column-major storage directly; only a plan with a streaming
-//! launch ([`needs_layout_passes`]) pays conversion passes, pack and
-//! unpack around a factorization, or one pack pass before a solve-only
-//! call, whose band is read-only.
+//! `ColumnMajor` adds the SPIKE split of [`crate::spike`] for large single
+//! systems, and the default, [`FactorAlgo::Auto`], adds the batch-major
+//! interleaved kernels of [`crate::interleaved`] on top of that. Each
+//! call — factor, factor-and-solve, or solve-only over factors the caller
+//! kept — is decided once, by a pure plan that reads only the shape and
+//! the options and issues no launch; the entry points then execute that
+//! plan. [`GbsvOptions::algo`] is the one forcing option. The plan prices
+//! the candidates with the exact launch predictors of [`crate::cost`],
+//! with no fitted constants; only an interleaved plan with a streaming
+//! launch ([`needs_layout_passes`]) pays conversion passes.
 
 use crate::cost::{
     choose_spike_parts, predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch,
@@ -60,19 +57,40 @@ use gbatch_gpu_sim::{
     DeviceSpec, EngineMode, EngineScope, LaunchConfig, LaunchError, ParallelPolicy, SimTime,
 };
 
-/// Factorization algorithm selection.
+/// The plan of a batched call: the one forcing option of [`GbsvOptions`].
+///
+/// `Auto` and `ColumnMajor` select (see the module doc). Every other value
+/// forces the candidate it names: on `gbsv` nothing preempts it, and one
+/// that does not fit the device returns its [`LaunchError`]. A call that
+/// cannot offer the forced candidate runs a substitute:
+///
+/// - a solve-only call runs the column solve, except that `Interleaved`
+///   over factor storage (`row_offset == kv`) runs the interleaved solve;
+/// - the transpose solve runs the blocked transpose pair;
+/// - `FusedGbsv` or `Spike` on [`gbtrf_batch`], and `Spike` on storage the
+///   split does not support (square LAPACK factor storage with
+///   `kl + ku >= 1`), run the `ColumnMajor` plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorAlgo {
-    /// §5.4 policy: fused below the cutoff, window otherwise, reference as
-    /// the safety net.
+    /// The full cascade, the interleaved layout and SPIKE included.
     #[default]
     Auto,
-    /// Force the fully fused kernel (§5.2).
+    /// The paper's policy (§5.4, §7) plus SPIKE from [`SPIKE_MIN_N`] on:
+    /// the cascade without the interleaved layout.
+    ColumnMajor,
+    /// Force the single-kernel factorize-and-solve (§7).
+    FusedGbsv,
+    /// Force the fully fused factorization (§5.2).
     Fused,
-    /// Force the sliding-window kernel (§5.3).
+    /// Force the sliding-window factorization (§5.3).
     Window,
     /// Force the fork–join reference (§5.1).
     Reference,
+    /// Force the batch-major interleaved kernels ([`crate::interleaved`]).
+    Interleaved,
+    /// Force the SPIKE split driver ([`crate::spike`]) at the block count
+    /// [`GbsvOptions::spike`] carries.
+    Spike,
 }
 
 /// Which kernel the dispatcher actually ran.
@@ -96,57 +114,26 @@ pub enum ChosenAlgo {
     Spike,
 }
 
-/// Storage-layout selection for the batched routines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatrixLayout {
-    /// Price both layouts with the exact launch predictors and pick the
-    /// cheaper (on the interleaved side, conversion passes included when a
-    /// launch streams — the API accepts and returns column-major storage).
-    #[default]
-    Auto,
-    /// Keep the paper's column-major kernels (§5.1–§5.3).
-    ColumnMajor,
-    /// Force the batch-major interleaved kernels: factor and/or solve,
-    /// between pack and unpack passes only when a launch streams.
-    Interleaved,
-}
-
-/// Options for the batched routines. `Default` reproduces the paper's
-/// published configuration.
+/// Options for the batched routines. `Default` runs [`FactorAlgo::Auto`];
+/// the paper's published policy is [`FactorAlgo::ColumnMajor`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GbsvOptions {
-    /// Factorization algorithm (default: auto).
+    /// The plan (default: [`FactorAlgo::Auto`]).
     pub algo: FactorAlgo,
-    /// Matrix-order cutoff for the fused kernels (default 64, §5.4/§7).
-    pub fused_cutoff: Option<usize>,
     /// Sliding-window tuning parameters (default: [`WindowParams::auto`];
     /// the `gbatch-tuning` crate produces better values per band shape).
     pub window: Option<WindowParams>,
     /// Blocked-solve tuning parameters (default: [`SolveParams::auto`]).
     pub solve: Option<SolveParams>,
-    /// Allow the single-kernel fused GBSV for small single-RHS systems
-    /// (default true; disable for the Figure 7 "standard" baseline).
-    pub allow_fused_gbsv: Option<bool>,
     /// Host-side scheduling of the per-matrix blocks inside the simulated
     /// engine (default: serial). Results are bitwise-identical for every
     /// policy; `Some(_)` overrides the policy carried by explicit
-    /// `window`/`solve`/`interleaved`/`spike` parameter structs.
+    /// `window`/`solve`/`spike` parameter structs.
     pub parallel: Option<ParallelPolicy>,
-    /// Storage layout (default: [`MatrixLayout::Auto`]). The layout
-    /// dimension is independent of `algo`: forcing a column-major `algo`
-    /// pins the layout to column-major under `Auto`, while forcing
-    /// [`MatrixLayout::Interleaved`] overrides `algo` entirely.
-    pub layout: MatrixLayout,
-    /// Interleaved-kernel geometry (default: [`InterleavedParams::auto`]).
-    pub interleaved: Option<InterleavedParams>,
-    /// SPIKE split-solve parameters. `Some(_)` *forces* the split driver
-    /// for `gbsv` calls whose band storage it supports (square, LAPACK
-    /// factor layout, `kl + ku >= 1`), regardless of matrix size or
-    /// pricing, at exactly the block count it carries; `None` (the
-    /// default) lets the `Auto` policy route large-`n` systems
-    /// (`n >= SPIKE_MIN_N`) through the split, at the block count
-    /// [`choose_spike_parts`] picks, when it is priced at least 10% below
-    /// the unsplit path.
+    /// SPIKE split-solve parameters (default: [`SpikeParams::auto`]). A
+    /// forced [`FactorAlgo::Spike`] runs at the block count they carry;
+    /// the cascade replaces it with the one [`choose_spike_parts`] prices
+    /// cheapest.
     pub spike: Option<SpikeParams>,
     /// Engine mode for every launch this dispatch issues (default: the
     /// caller's ambient mode, i.e. [`EngineMode::PerLaunch`] unless the
@@ -189,10 +176,10 @@ fn blocked_solve_smem<S: Scalar>(l: &BandLayout, p: &SolveParams, nrhs: usize) -
     forward_smem_bytes::<S>(l, p.nb, nrhs).max(backward_smem_bytes::<S>(l, p.nb, nrhs))
 }
 
-/// Minimum matrix order for the SPIKE split regime under `Auto` routing.
-/// Below this the per-matrix parallelism a split exposes cannot amortize
-/// its extra launches (extract, combine, residual guard); an explicit
-/// [`GbsvOptions::spike`] bypasses the floor.
+/// Minimum matrix order for the SPIKE split regime in the selection
+/// cascade. Below this the per-matrix parallelism a split exposes cannot
+/// amortize its extra launches (extract, combine, residual guard); a
+/// forced [`FactorAlgo::Spike`] bypasses the floor.
 pub const SPIKE_MIN_N: usize = 4096;
 
 /// The work one batched call asks for.
@@ -204,15 +191,6 @@ enum Call {
     FactorSolve(usize),
     /// `gbtrs`: solve `nrhs` columns over a band the caller factored.
     Solve(usize),
-}
-
-impl Call {
-    fn nrhs(self) -> usize {
-        match self {
-            Call::Factor => 0,
-            Call::FactorSolve(nrhs) | Call::Solve(nrhs) => nrhs,
-        }
-    }
 }
 
 /// What one batched call runs, with every parameter resolved.
@@ -254,26 +232,25 @@ enum Solve {
 }
 
 /// Decide one call on a batch of `batch` matrices of layout `l`. Pure:
-/// reads no matrix data and issues no launch. The decisions, in order:
+/// reads no matrix data and issues no launch.
 ///
-/// 1. **Fused GBSV** for single-RHS `gbsv` systems up to the cutoff whose
-///    working set fits shared memory (unless disallowed).
+/// A forced [`FactorAlgo`] maps straight to its candidate, or to the
+/// substitute its doc lists when the call cannot offer it. `Auto` and
+/// `ColumnMajor` run the cascade, in order:
+///
+/// 1. **Fused GBSV** for single-RHS `gbsv` systems up to
+///    [`FUSED_GBSV_MAX_N`] whose working set fits shared memory.
 /// 2. **SPIKE** for `gbsv` on square LAPACK-storage systems with a
-///    nonempty band, unless an algorithm or the interleaved layout is
-///    forced: always when [`GbsvOptions::spike`] is set, otherwise from
-///    [`SPIKE_MIN_N`] on when the split — at the block count
-///    [`choose_spike_parts`] prices cheapest, on the exact path a lane
-///    takes at worst — is priced below 90% of the unsplit window
-///    factorization plus blocked solve.
-/// 3. **Layout**: under `Auto` with no forced algorithm, the interleaved
-///    path when its price (conversion passes included when a launch
-///    streams) beats the column-major one. A solve-only call compares the
-///    column-major solve with the interleaved solve. A column path that
-///    cannot be priced exactly is priced by a floor — the reference
-///    factorization's launch and traffic floor, the per-column solve's
-///    launch floor — which biases the decision toward column-major, never
-///    toward a slower pick. Only factor storage (`row_offset == kv`)
-///    interleaves a solve-only call, forced or not.
+///    nonempty band, from [`SPIKE_MIN_N`] on, when the split — at the
+///    block count [`choose_spike_parts`] prices cheapest, on the exact
+///    path a lane takes at worst — is priced below 90% of the unsplit
+///    window factorization plus blocked solve.
+/// 3. **Layout** (`Auto` only, factor storage `row_offset == kv` only):
+///    the interleaved path when its price (conversion passes included when
+///    a launch streams) beats the column-major price, the solve's alone
+///    for a solve-only call. A column path that cannot be priced exactly
+///    is priced by a floor (reference factorization, per-column solve),
+///    which biases the decision toward column-major.
 /// 4. **§5.4 algorithm**: fused below the cutoff, window otherwise,
 ///    fused when only it fits, reference as the safety net; the solve is
 ///    blocked unless its RHS caches cannot fit.
@@ -284,18 +261,17 @@ fn plan<S: Scalar>(
     call: Call,
     opts: &GbsvOptions,
 ) -> Plan {
-    let nrhs = call.nrhs();
+    let (nrhs, factoring) = match call {
+        Call::Factor => (0, true),
+        Call::FactorSolve(nrhs) => (nrhs, true),
+        Call::Solve(nrhs) => (nrhs, false),
+    };
     let factor_storage = l.row_offset == l.kv();
-    let factoring = !matches!(call, Call::Solve(_));
-    // A solve-only call interleaves only factor storage, forced or not.
-    let interleavable = factoring || factor_storage;
     let parallel = opts.parallel.unwrap_or_default();
-    let cutoff = opts.fused_cutoff.unwrap_or(FUSED_GBSV_MAX_N);
     let mut fused = FusedParams::auto(dev, l.kl);
     let mut window = opts.window.unwrap_or_else(|| WindowParams::auto(dev, l.kl));
     let mut spike = opts.spike.unwrap_or_else(|| SpikeParams::auto(dev, l.kl));
-    let mut interleaved =
-        (opts.interleaved).unwrap_or_else(|| InterleavedParams::auto(dev, l, nrhs));
+    let mut interleaved = InterleavedParams::auto(dev, l, nrhs);
     if let Some(p) = opts.parallel {
         fused = fused.with_parallel(p);
         window = window.with_parallel(p);
@@ -307,21 +283,16 @@ fn plan<S: Scalar>(
         params: interleaved,
         passes: needs_layout_passes::<S>(dev, l, batch, nrhs, factoring, &interleaved),
     };
-
-    if call == Call::FactorSolve(1)
-        && opts.allow_fused_gbsv.unwrap_or(true)
-        && l.n <= cutoff
-        && validate(
-            dev,
-            &LaunchConfig::new(fused.threads, gbsv_smem_bytes::<S>(l, nrhs) as u32),
-        )
-        .is_ok()
-    {
-        return Plan::FusedGbsv {
-            threads: fused.threads,
-            parallel,
-        };
-    }
+    let fused_gbsv = Plan::FusedGbsv {
+        threads: fused.threads,
+        parallel,
+    };
+    let spike_storage = factoring
+        && nrhs > 0
+        && l.m == l.n
+        && factor_storage
+        && l.kl + l.ku > 0
+        && BandLayout::factor(l.n, l.n, l.kl, l.ku).is_ok_and(|min| min.ldab == l.ldab);
 
     let prec = crate::flop_class::<S>();
     let fused_cfg = LaunchConfig::new(fused.threads, fused_smem_bytes::<S>(l.ldab, l.n) as u32)
@@ -330,21 +301,37 @@ fn plan<S: Scalar>(
         .with_precision(prec);
     let fused_fits = validate(dev, &fused_cfg).is_ok();
     let window_fits = validate(dev, &window_cfg).is_ok();
-    let factor = match opts.algo {
-        FactorAlgo::Fused => Factor::Fused(fused),
-        FactorAlgo::Window => Factor::Window(window),
-        FactorAlgo::Reference => Factor::Reference(parallel),
-        FactorAlgo::Auto if l.n.max(l.m) <= cutoff && fused_fits => Factor::Fused(fused),
-        FactorAlgo::Auto if window_fits => Factor::Window(window),
-        FactorAlgo::Auto if fused_fits => Factor::Fused(fused),
-        FactorAlgo::Auto => Factor::Reference(parallel),
+    let factor = if fused_fits && (l.n.max(l.m) <= FUSED_GBSV_MAX_N || !window_fits) {
+        Factor::Fused(fused)
+    } else if window_fits {
+        Factor::Window(window)
+    } else {
+        Factor::Reference(parallel)
     };
-    let column = Plan::Column { factor, solve };
-    if opts.algo != FactorAlgo::Auto || batch == 0 {
-        return match opts.layout {
-            MatrixLayout::Interleaved if interleavable => interleaved_plan,
-            _ => column,
-        };
+    let column = |factor| Plan::Column { factor, solve };
+
+    match opts.algo {
+        FactorAlgo::Auto | FactorAlgo::ColumnMajor => {}
+        FactorAlgo::Interleaved if factoring || factor_storage => return interleaved_plan,
+        _ if !factoring => return column(factor),
+        FactorAlgo::FusedGbsv if nrhs > 0 => return fused_gbsv,
+        FactorAlgo::Spike if spike_storage => return Plan::Spike(spike),
+        FactorAlgo::Fused => return column(Factor::Fused(fused)),
+        FactorAlgo::Window => return column(Factor::Window(window)),
+        FactorAlgo::Reference => return column(Factor::Reference(parallel)),
+        // A forced value the call cannot offer: the `ColumnMajor` cascade.
+        FactorAlgo::FusedGbsv | FactorAlgo::Spike | FactorAlgo::Interleaved => {}
+    }
+
+    if call == Call::FactorSolve(1)
+        && l.n <= FUSED_GBSV_MAX_N
+        && validate(
+            dev,
+            &LaunchConfig::new(fused.threads, gbsv_smem_bytes::<S>(l, nrhs) as u32),
+        )
+        .is_ok()
+    {
+        return fused_gbsv;
     }
 
     // The column-major price, shared by the SPIKE and layout tests. The
@@ -377,16 +364,6 @@ fn plan<S: Scalar>(
         _ => None,
     };
 
-    let spike_storage = factoring
-        && nrhs > 0
-        && l.m == l.n
-        && factor_storage
-        && l.kl + l.ku > 0
-        && BandLayout::factor(l.n, l.n, l.kl, l.ku).is_ok_and(|min| min.ldab == l.ldab)
-        && opts.layout != MatrixLayout::Interleaved;
-    if spike_storage && opts.spike.is_some() {
-        return Plan::Spike(spike);
-    }
     if spike_storage && l.n >= SPIKE_MIN_N && matches!(factor, Factor::Window(_)) {
         if let (Some(f), Some(s), Some((parts, lane))) = (
             factor_time,
@@ -399,38 +376,25 @@ fn plan<S: Scalar>(
         }
     }
 
-    let interleaved_wins = match opts.layout {
-        MatrixLayout::Interleaved => interleavable,
-        MatrixLayout::ColumnMajor => false,
-        MatrixLayout::Auto => {
-            let inter = if factor_storage {
-                predict_interleaved_dispatch::<S>(dev, l, batch, nrhs, factoring, &interleaved)
-            } else {
-                None
-            };
-            // An unpriced blocked solve means the per-column kernels (~2n
-            // launches): their launch floor plus one pass over factors and
-            // RHS.
-            let solve_time = (nrhs > 0).then(|| {
-                solve_time.unwrap_or_else(|| {
-                    let bytes = ((l.len() + 2 * l.n * nrhs) * batch * S::BYTES) as f64;
-                    SimTime(2.0 * l.n as f64 * dev.launch_overhead_s + bytes / dev.mem_bw)
-                })
-            });
-            let column_time = match call {
-                Call::Solve(_) => solve_time,
-                _ => factor_time.map(|f| solve_time.map_or(f, |s| f + s)),
-            };
-            match (inter, column_time) {
-                (Some(inter), Some(column)) => inter.secs() < column.secs(),
-                _ => false,
-            }
-        }
+    if opts.algo != FactorAlgo::Auto || !factor_storage {
+        return column(factor);
+    }
+    let inter = predict_interleaved_dispatch::<S>(dev, l, batch, nrhs, factoring, &interleaved);
+    // An unpriced blocked solve means the per-column kernels (~2n
+    // launches): their launch floor plus one pass over factors and RHS.
+    let solve_time = (nrhs > 0).then(|| {
+        solve_time.unwrap_or_else(|| {
+            let bytes = ((l.len() + 2 * l.n * nrhs) * batch * S::BYTES) as f64;
+            SimTime(2.0 * l.n as f64 * dev.launch_overhead_s + bytes / dev.mem_bw)
+        })
+    });
+    let column_time = match call {
+        Call::Solve(_) => solve_time,
+        _ => factor_time.map(|f| solve_time.map_or(f, |s| f + s)),
     };
-    if interleaved_wins {
-        interleaved_plan
-    } else {
-        column
+    match (inter, column_time) {
+        (Some(inter), Some(col)) if inter.secs() < col.secs() => interleaved_plan,
+        _ => column(factor),
     }
 }
 
@@ -596,6 +560,31 @@ fn run_solve<S: Scalar>(
     })
 }
 
+/// `Err(ArgMismatch)` unless the caller's `got` equals `expected`.
+fn agree(arg: &'static str, expected: usize, got: usize) -> Result<(), LaunchError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(LaunchError::ArgMismatch { arg, expected, got })
+    }
+}
+
+/// Check the pivots of `batch` factorizations of layout `l`.
+fn check_pivots(l: &BandLayout, batch: usize, piv: &PivotBatch) -> Result<(), LaunchError> {
+    agree("pivot batch", batch, piv.batch())?;
+    agree("pivots per matrix", l.m.min(l.n), piv.per_matrix())
+}
+
+/// Check the right-hand sides of `batch` systems of layout `l`.
+fn check_rhs<S: Scalar>(
+    l: &BandLayout,
+    batch: usize,
+    rhs: &RhsBatch<S>,
+) -> Result<(), LaunchError> {
+    agree("rhs batch", batch, rhs.batch())?;
+    agree("rhs rows", l.n, rhs.n())
+}
+
 /// Batched band LU factorization (`dgbtrf_batch`, paper Section 4).
 pub fn dgbtrf_batch(
     dev: &DeviceSpec,
@@ -629,8 +618,11 @@ pub fn gbtrf_batch<S: Scalar>(
     info: &mut InfoArray,
     opts: &GbsvOptions,
 ) -> Result<BatchReport, LaunchError> {
+    let l = a.layout();
+    check_pivots(&l, a.batch(), piv)?;
+    agree("info length", a.batch(), info.len())?;
     let _engine = opts.engine_scope();
-    match plan::<S>(dev, &a.layout(), a.batch(), Call::Factor, opts) {
+    match plan::<S>(dev, &l, a.batch(), Call::Factor, opts) {
         Plan::Interleaved { params, passes } => {
             run_interleaved(dev, a, piv, None, info, params, passes)
         }
@@ -642,13 +634,11 @@ pub fn gbtrf_batch<S: Scalar>(
 }
 
 /// Batched band triangular solve (`dgbtrs_batch`, paper Section 4), with
-/// the interface's `transpose_t transA` argument. The no-transpose solve
-/// executes the plan: under `Auto` the cheaper of the blocked column-major
-/// kernels (or the column-wise reference when the RHS cache cannot fit in
-/// shared memory) and the interleaved solve, after one pack pass when it
-/// streams. The
-/// transpose solve always uses the blocked transpose kernels, whose cache
-/// is never larger.
+/// the interface's `transpose_t transA` argument. Under `Auto` the
+/// no-transpose solve is the cheaper of the blocked column-major kernels
+/// (column-wise when the RHS cache cannot fit in shared memory) and the
+/// interleaved solve, after one pack pass when it streams; the transpose
+/// solve always runs the blocked transpose kernels.
 pub fn dgbtrs_batch(
     dev: &DeviceSpec,
     trans: Transpose,
@@ -685,9 +675,13 @@ pub fn gbtrs_batch<S: Scalar>(
     rhs: &mut RhsBatch<S>,
     opts: &GbsvOptions,
 ) -> Result<BatchReport, LaunchError> {
+    let batch = rhs.batch();
+    agree("factor length", l.len() * batch, factors.len())?;
+    check_pivots(l, batch, piv)?;
+    check_rhs(l, batch, rhs)?;
     let _engine = opts.engine_scope();
     match trans {
-        Transpose::No => match plan::<S>(dev, l, rhs.batch(), Call::Solve(rhs.nrhs()), opts) {
+        Transpose::No => match plan::<S>(dev, l, batch, Call::Solve(rhs.nrhs()), opts) {
             Plan::Interleaved { params, passes } => {
                 run_interleaved_solve(dev, l, factors, piv, rhs, params, passes)
             }
@@ -730,14 +724,14 @@ pub fn gbtrs_batch_lanes<S: Scalar>(
     opts: &GbsvOptions,
 ) -> Result<BatchReport, LaunchError> {
     let batch = lanes.len();
-    assert_eq!(batch, rhs.batch(), "one RHS block per retained lane");
+    check_rhs(l, batch, rhs)?;
     let stride = l.len();
     let mut factors = vec![S::ZERO; stride * batch];
     let mut piv = PivotBatch::new(batch, l.m, l.n);
     let npiv = piv.per_matrix();
     for (k, (ab, ipiv)) in lanes.iter().enumerate() {
-        assert_eq!(ab.len(), stride, "lane {k}: factored band length");
-        assert_eq!(ipiv.len(), npiv, "lane {k}: pivot length");
+        agree("factor length per lane", stride, ab.len())?;
+        agree("pivots per lane", npiv, ipiv.len())?;
         factors[k * stride..(k + 1) * stride].copy_from_slice(ab);
         piv.pivots_mut(k).copy_from_slice(ipiv);
     }
@@ -787,9 +781,12 @@ pub fn gbsv_batch<S: Scalar>(
     info: &mut InfoArray,
     opts: &GbsvOptions,
 ) -> Result<BatchReport, LaunchError> {
-    let _engine = opts.engine_scope();
     let l = a.layout();
-    assert_eq!(l.m, l.n, "dgbsv_batch requires square systems");
+    agree("rows of a square system", l.n, l.m)?;
+    check_pivots(&l, a.batch(), piv)?;
+    agree("info length", a.batch(), info.len())?;
+    check_rhs(&l, a.batch(), rhs)?;
+    let _engine = opts.engine_scope();
     match plan::<S>(dev, &l, a.batch(), Call::FactorSolve(rhs.nrhs()), opts) {
         Plan::FusedGbsv { threads, parallel } => {
             // The fused kernel eliminates the RHS in lockstep with the
@@ -944,7 +941,7 @@ mod tests {
         // among the column-major kernels (at batch = 5 the layout
         // dimension would pick interleaved).
         let opts = GbsvOptions {
-            layout: MatrixLayout::ColumnMajor,
+            algo: FactorAlgo::ColumnMajor,
             ..Default::default()
         };
         let algo = solve_and_check(200, 2, 3, 1, &opts);
@@ -966,7 +963,6 @@ mod tests {
         ] {
             let opts = GbsvOptions {
                 algo: force,
-                allow_fused_gbsv: Some(false),
                 ..Default::default()
             };
             let algo = solve_and_check(48, 2, 3, 1, &opts);
@@ -979,7 +975,8 @@ mod tests {
         // Explicit `spike` bypasses the size floor and pricing; the split
         // driver must still deliver the dispatcher's accuracy contract.
         let opts = GbsvOptions {
-            spike: Some(crate::spike::SpikeParams::default().with_parts(4)),
+            algo: FactorAlgo::Spike,
+            spike: Some(SpikeParams::default().with_parts(4)),
             ..Default::default()
         };
         let algo = solve_and_check(120, 2, 3, 2, &opts);
@@ -996,6 +993,7 @@ mod tests {
             let planned = plan::<f64>(&dev, &l, 1, Call::FactorSolve(1), &GbsvOptions::default());
             assert!(matches!(planned, Plan::Spike(p) if p == auto.with_parts(chosen)));
             let forced = GbsvOptions {
+                algo: FactorAlgo::Spike,
                 spike: Some(SpikeParams::default().with_parts(4)),
                 ..Default::default()
             };
@@ -1008,7 +1006,7 @@ mod tests {
     fn solve_only_plans_interleave_only_factor_storage() {
         let dev = DeviceSpec::h100_pcie();
         let interleaved = GbsvOptions {
-            layout: MatrixLayout::Interleaved,
+            algo: FactorAlgo::Interleaved,
             ..Default::default()
         };
         let factor = BandLayout::factor(128, 128, 2, 3).unwrap();
@@ -1045,7 +1043,7 @@ mod tests {
     #[test]
     fn auto_stays_unsplit_below_spike_floor() {
         let opts = GbsvOptions {
-            layout: MatrixLayout::ColumnMajor,
+            algo: FactorAlgo::ColumnMajor,
             ..Default::default()
         };
         let algo = solve_and_check(1024, 4, 4, 1, &opts);
@@ -1059,7 +1057,7 @@ mod tests {
         // per-column fallback must start from the caller's RHS, not from
         // one the blocked forward sweep already overwrote.
         let opts = GbsvOptions {
-            layout: MatrixLayout::ColumnMajor,
+            algo: FactorAlgo::ColumnMajor,
             ..Default::default()
         };
         assert_eq!(solve_and_check(100, 2, 60, 500, &opts), ChosenAlgo::Window);
@@ -1098,7 +1096,7 @@ mod tests {
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let opts = GbsvOptions {
-            layout: MatrixLayout::ColumnMajor,
+            algo: FactorAlgo::ColumnMajor,
             ..Default::default()
         };
         let rep = dgbtrf_batch(&dev, &mut a, &mut piv, &mut info, &opts).unwrap();
@@ -1134,7 +1132,7 @@ mod tests {
         // take this regime over (see
         // `auto_layout_picks_interleaved_when_nothing_column_major_fits`).
         let opts = GbsvOptions {
-            layout: MatrixLayout::ColumnMajor,
+            algo: FactorAlgo::ColumnMajor,
             ..Default::default()
         };
         let rep = dgbtrf_batch(&dev, &mut a, &mut piv, &mut info, &opts).unwrap();
@@ -1153,8 +1151,7 @@ mod tests {
         let mut piv_col = PivotBatch::new(batch, n, n);
         let mut info_col = InfoArray::new(batch);
         let col_opts = GbsvOptions {
-            layout: MatrixLayout::ColumnMajor,
-            allow_fused_gbsv: Some(false),
+            algo: FactorAlgo::ColumnMajor,
             ..Default::default()
         };
         let _ = dgbsv_batch(
@@ -1172,8 +1169,7 @@ mod tests {
         let mut piv_int = PivotBatch::new(batch, n, n);
         let mut info_int = InfoArray::new(batch);
         let int_opts = GbsvOptions {
-            layout: MatrixLayout::Interleaved,
-            allow_fused_gbsv: Some(false),
+            algo: FactorAlgo::Interleaved,
             ..Default::default()
         };
         let rep = dgbsv_batch(
@@ -1254,16 +1250,16 @@ mod tests {
         for (dev, n, kl, ku, batch) in grid {
             let (a0, _) = random_system(*batch, *n, *kl, *ku, 1);
             let mut times = Vec::new();
-            for layout in [
-                MatrixLayout::Auto,
-                MatrixLayout::ColumnMajor,
-                MatrixLayout::Interleaved,
+            for algo in [
+                FactorAlgo::Auto,
+                FactorAlgo::ColumnMajor,
+                FactorAlgo::Interleaved,
             ] {
                 let mut a = a0.clone();
                 let mut piv = PivotBatch::new(*batch, *n, *n);
                 let mut info = InfoArray::new(*batch);
                 let opts = GbsvOptions {
-                    layout,
+                    algo,
                     ..Default::default()
                 };
                 let rep = dgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts).unwrap();
@@ -1293,8 +1289,7 @@ mod tests {
             // Pin layout and algorithm so both modes run the same plan;
             // the engine dimension must not change the numerics anyway.
             let opts = GbsvOptions {
-                layout: MatrixLayout::ColumnMajor,
-                allow_fused_gbsv: Some(false),
+                algo: FactorAlgo::ColumnMajor,
                 engine: Some(engine),
                 ..Default::default()
             };
@@ -1337,7 +1332,7 @@ mod tests {
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let opts = GbsvOptions {
-            layout: MatrixLayout::Interleaved,
+            algo: FactorAlgo::Interleaved,
             ..Default::default()
         };
         let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
@@ -1364,7 +1359,7 @@ mod tests {
             (
                 100,
                 GbsvOptions {
-                    layout: MatrixLayout::Interleaved,
+                    algo: FactorAlgo::Interleaved,
                     ..Default::default()
                 },
             ),

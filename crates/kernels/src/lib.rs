@@ -21,9 +21,9 @@
 //! - [`gbsv_fused`] — the single-kernel factorize-and-solve on the
 //!   augmented system `[A|B]` for small matrices (§7).
 //! - [`dispatch`] — the paper's user interface (Section 4): `dgbtrf_batch`,
-//!   `dgbtrs_batch`, `dgbsv_batch`, with the §5.4 selection logic (fused
-//!   below the size cutoff, sliding window otherwise, reference as the
-//!   safety net).
+//!   `dgbtrs_batch`, `dgbsv_batch`, planned by [`FactorAlgo`]: `ColumnMajor`
+//!   is the §5.4/§7 selection plus SPIKE, `Auto` adds the interleaved
+//!   regime, and every other value forces the kernel it names.
 //! - [`specialized`] — compile-time band-specialized register-file kernels,
 //!   emulating the paper's §8.1 JIT-compilation proposal.
 //! - [`pbtrf`] — batched SPD band Cholesky (fused + window), extending the
@@ -77,7 +77,7 @@ pub mod window;
 
 pub use dispatch::{
     dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, gbtrf_batch, gbtrs_batch, sgbsv_batch,
-    sgbtrf_batch, sgbtrs_batch, BatchReport, ChosenAlgo, GbsvOptions, MatrixLayout,
+    sgbtrf_batch, sgbtrs_batch, BatchReport, ChosenAlgo, FactorAlgo, GbsvOptions,
 };
 
 /// gpu-sim throughput class of a core scalar type: every launch in this

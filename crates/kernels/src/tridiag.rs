@@ -12,7 +12,7 @@
 //! otherwise pivot-free) systems — exactly the implicit-integrator
 //! matrices `I - gamma*J` of the SUNDIALS workload (§2.3). The dispatch
 //! contract: use [`pcr_solve_batch`] when
-//! [`is_diagonally_dominant`] holds, fall back to the pivoted band LU
+//! [`TridiagBatch::is_diagonally_dominant`] holds, fall back to the pivoted band LU
 //! otherwise.
 
 use gbatch_core::batch::RhsBatch;
@@ -320,7 +320,7 @@ mod tests {
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
         let mut b2 = rhs.clone();
-        // Pin the column-major layout: the claim is about the O(n)
+        // Pin the paper's column-major policy: the claim is about the O(n)
         // sequential-column designs (the batch-major interleaved LU has no
         // per-column barriers and is itself competitive with PCR here).
         let lu = crate::dispatch::dgbsv_batch(
@@ -330,7 +330,7 @@ mod tests {
             &mut b2,
             &mut info,
             &crate::dispatch::GbsvOptions {
-                layout: crate::dispatch::MatrixLayout::ColumnMajor,
+                algo: crate::dispatch::FactorAlgo::ColumnMajor,
                 ..Default::default()
             },
         )

@@ -37,7 +37,7 @@ use gbatch_kernels::cost::{
     choose_spike_parts, predict_spike_factor_time, predict_spike_warm_time,
 };
 use gbatch_kernels::dispatch::{
-    gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, GbsvOptions, MatrixLayout, SPIKE_MIN_N,
+    gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, FactorAlgo, GbsvOptions, SPIKE_MIN_N,
 };
 use gbatch_kernels::spike::SpikeParams;
 
@@ -332,7 +332,7 @@ pub struct GpuBackend {
     group: DeviceGroup,
     parallel: ParallelPolicy,
     engine: EngineMode,
-    layout: MatrixLayout,
+    algo: FactorAlgo,
     megabatch: Mutex<MegabatchQueue>,
     spun_up: AtomicBool,
 }
@@ -347,17 +347,17 @@ impl GpuBackend {
             group,
             parallel,
             engine: EngineMode::PerLaunch,
-            layout: MatrixLayout::Auto,
+            algo: FactorAlgo::Auto,
             megabatch: Mutex::new(MegabatchQueue::new()),
             spun_up: AtomicBool::new(false),
         }
     }
 
-    /// Builder: pin the storage-layout dimension of every dispatch
-    /// ([`MatrixLayout::Auto`] — price and choose — is the default).
+    /// Builder: the plan of every dispatch ([`FactorAlgo::Auto`] — price
+    /// and choose — is the default).
     #[must_use]
-    pub fn with_layout(mut self, layout: MatrixLayout) -> Self {
-        self.layout = layout;
+    pub fn with_algo(mut self, algo: FactorAlgo) -> Self {
+        self.algo = algo;
         self
     }
 
@@ -387,7 +387,7 @@ impl GpuBackend {
         GbsvOptions {
             parallel: Some(self.parallel),
             engine: Some(self.engine),
-            layout: self.layout,
+            algo: self.algo,
             ..Default::default()
         }
     }

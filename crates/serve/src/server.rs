@@ -36,7 +36,7 @@
 //! The primary route is a **fleet** of device workers, each wrapping one
 //! [`SolveBackend`] with its own busy horizon, resident-engine state and
 //! per-worker statistics. Every flush is priced against every worker by a
-//! deterministic router (see [`Server::route`]): the bucket's estimated
+//! deterministic router (see `Server::route`): the bucket's estimated
 //! service time on each device (bandwidth + launch-overhead floor from
 //! the kernel cost model) is adjusted for fused-kernel shared-memory fit
 //! (small-`n` buckets prefer devices whose smem holds the fused working

@@ -196,7 +196,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: an exact `usize` or a range.
+    /// Length specification for [`vec()`]: an exact `usize` or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

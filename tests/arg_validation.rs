@@ -5,13 +5,16 @@
 //! answer, and never an untyped panic.
 
 use gbatch::core::error::BandError;
+use gbatch::core::gbtrs::Transpose;
 use gbatch::core::layout::{BandLayout, BandStorage};
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, ShapeKey};
 use gbatch::cpu::CpuSpec;
 use gbatch::gpu_sim::engine::validate;
 use gbatch::gpu_sim::multi::DeviceGroup;
 use gbatch::gpu_sim::{DeviceSpec, LaunchConfig, LaunchError, ParallelPolicy};
-use gbatch::kernels::dispatch::{dgbsv_batch, dgbtrf_batch, GbsvOptions};
+use gbatch::kernels::dispatch::{
+    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbtrs_batch_lanes, FactorAlgo, GbsvOptions,
+};
 use gbatch::serve::{AdmitError, FactorizeError, Server, ServerConfig, SolveRequest};
 
 // ---------------------------------------------------------------- ldab --
@@ -164,6 +167,118 @@ fn bad_thread_count_is_a_typed_launch_error() {
         validate(&dev, &LaunchConfig::new(dev.max_threads_per_block + 1, 0)),
         Err(LaunchError::BadThreadCount { .. })
     ));
+}
+
+// ------------------------------------------------ container agreement --
+
+const EVERY_ALGO: [FactorAlgo; 8] = [
+    FactorAlgo::Auto,
+    FactorAlgo::ColumnMajor,
+    FactorAlgo::FusedGbsv,
+    FactorAlgo::Fused,
+    FactorAlgo::Window,
+    FactorAlgo::Reference,
+    FactorAlgo::Interleaved,
+    FactorAlgo::Spike,
+];
+
+fn dominant(batch: usize, m: usize, n: usize) -> BandBatch {
+    BandBatch::from_fn(batch, m, n, 2, 3, |id, mat| {
+        for j in 0..n {
+            let (s, e) = mat.layout.col_rows(j);
+            for i in s..e {
+                let v = ((i * 5 + j * 3 + id) % 7) as f64 * 0.1;
+                mat.set(i, j, if i == j { 4.0 + v } else { v - 0.3 });
+            }
+        }
+    })
+    .unwrap()
+}
+
+fn rhs(batch: usize, n: usize, nrhs: usize) -> RhsBatch {
+    RhsBatch::from_fn(batch, n, nrhs, |id, i, c| (id + 2 * i + 3 * c) as f64 * 0.1).unwrap()
+}
+
+fn mismatch(arg: &'static str, expected: usize, got: usize) -> LaunchError {
+    LaunchError::ArgMismatch { arg, expected, got }
+}
+
+/// Every entry point checks that its containers agree with the band
+/// layout and with each other before it plans: under every `FactorAlgo`,
+/// at an order the fused kernels take and one they do not, a mismatch is
+/// a typed error and the band and the right-hand sides are bitwise
+/// untouched.
+#[test]
+fn container_mismatch_is_a_typed_error_before_any_launch() {
+    let dev = DeviceSpec::h100_pcie();
+    for (n, nrhs) in [(16usize, 1usize), (100, 2)] {
+        let a0 = dominant(8, n, n);
+        let l = a0.layout();
+        for algo in EVERY_ALGO {
+            let opts = GbsvOptions {
+                algo,
+                ..Default::default()
+            };
+            let what = format!("n={n} {algo:?}");
+            let gbsv = |a0: &BandBatch, piv: PivotBatch, b0: RhsBatch, info: InfoArray| {
+                let (mut a, mut piv, mut b, mut info) = (a0.clone(), piv, b0.clone(), info);
+                let err = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts);
+                assert_eq!(a.data(), a0.data(), "{what}: band touched");
+                assert_eq!(b.data(), b0.data(), "{what}: rhs touched");
+                err.unwrap_err()
+            };
+            let (piv, info) = (PivotBatch::new(8, n, n), InfoArray::new(8));
+
+            // gbsv: 8 matrices against 4 RHS blocks, RHS of another
+            // order, pivots and info for another batch, a non-square band.
+            let err = gbsv(&a0, piv.clone(), rhs(4, n, nrhs), info.clone());
+            assert_eq!(err, mismatch("rhs batch", 8, 4), "{what}");
+            let err = gbsv(&a0, piv.clone(), rhs(8, n + 1, nrhs), info.clone());
+            assert_eq!(err, mismatch("rhs rows", n, n + 1), "{what}");
+            let err = gbsv(&a0, PivotBatch::new(4, n, n), rhs(8, n, nrhs), info.clone());
+            assert_eq!(err, mismatch("pivot batch", 8, 4), "{what}");
+            let err = gbsv(&a0, piv.clone(), rhs(8, n, nrhs), InfoArray::new(4));
+            assert_eq!(err, mismatch("info length", 8, 4), "{what}");
+            let wide = dominant(8, n - 1, n);
+            let err = gbsv(&wide, PivotBatch::new(8, n - 1, n), rhs(8, n, nrhs), info);
+            assert_eq!(err, mismatch("rows of a square system", n, n - 1), "{what}");
+
+            // gbtrf: pivots sized for another order.
+            let mut a = a0.clone();
+            let mut short = PivotBatch::new(8, n - 1, n - 1);
+            let err = dgbtrf_batch(&dev, &mut a, &mut short, &mut InfoArray::new(8), &opts);
+            assert_eq!(err.unwrap_err(), mismatch("pivots per matrix", n, n - 1));
+            assert_eq!(a.data(), a0.data(), "{what}: gbtrf band touched");
+
+            // gbtrs: a factor slice one lane short, RHS of another order.
+            let b0 = rhs(8, n, nrhs);
+            let mut b = b0.clone();
+            let short = &a0.data()[..l.len() * 7];
+            let err = dgbtrs_batch(&dev, Transpose::No, &l, short, &piv, &mut b, &opts);
+            assert_eq!(
+                err.unwrap_err(),
+                mismatch("factor length", l.len() * 8, l.len() * 7)
+            );
+            let mut wrong = rhs(8, n + 1, nrhs);
+            let err = dgbtrs_batch(&dev, Transpose::Yes, &l, a0.data(), &piv, &mut wrong, &opts);
+            assert_eq!(err.unwrap_err(), mismatch("rhs rows", n, n + 1));
+
+            // The retained-lane solve: one pivot vector a pivot short.
+            let stride = l.len();
+            let ipiv = vec![0i32; n];
+            let lanes: Vec<(&[f64], &[i32])> = (0..8)
+                .map(|k| {
+                    (
+                        &a0.data()[k * stride..(k + 1) * stride],
+                        &ipiv[..n - (k == 5) as usize],
+                    )
+                })
+                .collect();
+            let err = gbtrs_batch_lanes::<f64>(&dev, Transpose::No, &l, &lanes, &mut b, &opts);
+            assert_eq!(err.unwrap_err(), mismatch("pivots per lane", n, n - 1));
+            assert_eq!(b.data(), b0.data(), "{what}: gbtrs rhs touched");
+        }
+    }
 }
 
 // ------------------------------------------- well-formed inputs still run --

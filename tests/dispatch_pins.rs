@@ -6,7 +6,8 @@
 //! digests of the factors, pivots and solutions. The case grid reaches
 //! every selection branch:
 //!
-//! - the fused GBSV kernel, and the same shape with it disallowed;
+//! - the fused GBSV kernel, and the same shape with the fused
+//!   factorization forced;
 //! - the fused factorization under a 10-RHS solve;
 //! - the sliding window;
 //! - the layout priced by `Auto` either way, and the interleaved layout
@@ -17,7 +18,11 @@
 //! - the per-column solve, when the blocked solve's RHS cache cannot fit;
 //! - SPIKE picked by `Auto` (n = 4096, (2,2)), forced, and blocked by a
 //!   forced algorithm;
-//! - singular lanes on the fused, column-major and interleaved paths.
+//! - singular lanes on the fused, column-major and interleaved paths;
+//! - every forced [`FactorAlgo`] on a one-RHS `gbsv` at n = 16 and n = 48
+//!   ((2,3)), where each must report the kernel it names, and the
+//!   documented substitutes: `FusedGbsv` and `Spike` on `gbtrf`, and
+//!   `Spike` on a diagonal band, run the `ColumnMajor` plan.
 //!
 //! Each case runs at f64 and f32, on `h100_pcie` and `mi250x_gcd`, under
 //! the per-launch and the resident engine.
@@ -26,7 +31,10 @@
 //! `gbtrs_batch_lanes`, over factors from `gbtrf_batch`: the chosen
 //! algorithm, launch count, time bits and the solution digest, at the
 //! `serve_timestep` geometry ((128,2,3), batch 64) and at the raw-speed
-//! trajectory's (n = 16, (2,3), batch 4096).
+//! trajectory's (n = 16, (2,3), batch 4096). Two forced values that no
+//! solve-only call can offer, `FusedGbsv` and `Spike`, pin the substitutes
+//! at the timestep geometry: the `ColumnMajor` factorization, then the
+//! column solve.
 
 use std::fmt::Write as _;
 use std::iter::once;
@@ -35,7 +43,7 @@ use gbatch::core::gbtrs::Transpose;
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
 use gbatch::gpu_sim::{registry, EngineMode};
 use gbatch::kernels::dispatch::{
-    gbsv_batch, gbtrf_batch, gbtrs_batch, gbtrs_batch_lanes, FactorAlgo, GbsvOptions, MatrixLayout,
+    gbsv_batch, gbtrf_batch, gbtrs_batch, gbtrs_batch_lanes, FactorAlgo, GbsvOptions,
 };
 use gbatch::kernels::spike::SpikeParams;
 
@@ -71,15 +79,11 @@ struct Case {
 }
 
 fn cases() -> Vec<Case> {
-    let column = GbsvOptions {
-        layout: MatrixLayout::ColumnMajor,
-        ..Default::default()
-    };
     let forced = |algo| GbsvOptions {
         algo,
-        allow_fused_gbsv: Some(false),
         ..Default::default()
     };
+    let column = forced(FactorAlgo::ColumnMajor);
     let case = |name, nrhs, (n, kl, ku), batch, singular, opts| Case {
         name,
         nrhs,
@@ -105,10 +109,7 @@ fn cases() -> Vec<Case> {
             (32, 2, 3),
             6,
             None,
-            GbsvOptions {
-                allow_fused_gbsv: Some(false),
-                ..column
-            },
+            forced(FactorAlgo::Fused),
         ),
         case("fused_10rhs", Some(10), (48, 2, 3), 4, None, column),
         case("window", Some(1), (200, 2, 3), 6, Some(1), column),
@@ -151,10 +152,7 @@ fn cases() -> Vec<Case> {
             (100, 1, 1),
             4,
             Some(2),
-            GbsvOptions {
-                layout: MatrixLayout::Interleaved,
-                ..Default::default()
-            },
+            forced(FactorAlgo::Interleaved),
         ),
         case(
             "forced_fused",
@@ -214,7 +212,7 @@ fn cases() -> Vec<Case> {
             None,
             GbsvOptions {
                 spike: Some(SpikeParams::default().with_parts(4)),
-                ..Default::default()
+                ..forced(FactorAlgo::Spike)
             },
         ),
         case(
@@ -223,10 +221,127 @@ fn cases() -> Vec<Case> {
             (4096, 2, 2),
             1,
             None,
-            GbsvOptions {
-                algo: FactorAlgo::Window,
-                ..Default::default()
-            },
+            forced(FactorAlgo::Window),
+        ),
+        case(
+            "n16_fused_gbsv",
+            Some(1),
+            (16, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::FusedGbsv),
+        ),
+        case(
+            "n16_fused",
+            Some(1),
+            (16, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Fused),
+        ),
+        case(
+            "n16_window",
+            Some(1),
+            (16, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Window),
+        ),
+        case(
+            "n16_reference",
+            Some(1),
+            (16, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Reference),
+        ),
+        case(
+            "n16_interleaved",
+            Some(1),
+            (16, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Interleaved),
+        ),
+        case(
+            "n16_spike",
+            Some(1),
+            (16, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Spike),
+        ),
+        case(
+            "n48_fused_gbsv",
+            Some(1),
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::FusedGbsv),
+        ),
+        case(
+            "n48_fused",
+            Some(1),
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Fused),
+        ),
+        case(
+            "n48_window",
+            Some(1),
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Window),
+        ),
+        case(
+            "n48_reference",
+            Some(1),
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Reference),
+        ),
+        case(
+            "n48_interleaved",
+            Some(1),
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Interleaved),
+        ),
+        case(
+            "n48_spike",
+            Some(1),
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Spike),
+        ),
+        case(
+            "gbtrf_fused_gbsv",
+            None,
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::FusedGbsv),
+        ),
+        case(
+            "gbtrf_spike",
+            None,
+            (48, 2, 3),
+            4,
+            None,
+            forced(FactorAlgo::Spike),
+        ),
+        case(
+            "diagonal_spike",
+            Some(1),
+            (48, 0, 0),
+            4,
+            None,
+            forced(FactorAlgo::Spike),
         ),
     ]
 }
@@ -471,6 +586,126 @@ mi250x_gcd f64 PerLaunch spike_blocked algo=Window launches=3 time=0x3f67a0277fc
 mi250x_gcd f32 PerLaunch spike_blocked algo=Window launches=3 time=0x3f67a0277fce43f2 singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
 mi250x_gcd f64 Resident spike_blocked algo=Window launches=3 time=0x3f677f1fc849ddc7 singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
 mi250x_gcd f32 Resident spike_blocked algo=Window launches=3 time=0x3f677f1fc849ddc7 singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
+h100_pcie f64 PerLaunch n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3ee40c7dfc6550b4 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 PerLaunch n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3ee40c7dfc6550b4 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 Resident n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3ed96ae34c2b718e singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 Resident n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3ed96ae34c2b718e singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 PerLaunch n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3eef14be230bc3a9 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 PerLaunch n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3eef14be230bc3a9 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 Resident n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3ee4122ba1945fc4 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 Resident n16_fused_gbsv algo=FusedGbsv launches=1 time=0x3ee4122ba1945fc4 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 PerLaunch n16_fused algo=Fused launches=3 time=0x3ef36390b3dacfc8 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 PerLaunch n16_fused algo=Fused launches=3 time=0x3ef36390b3dacfc8 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 Resident n16_fused algo=Fused launches=3 time=0x3ee0c1fc64c6d7c6 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 Resident n16_fused algo=Fused launches=3 time=0x3ee0c1fc64c6d7c6 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 PerLaunch n16_fused algo=Fused launches=3 time=0x3efd72242d295156 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 PerLaunch n16_fused algo=Fused launches=3 time=0x3efd72242d295156 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 Resident n16_fused algo=Fused launches=3 time=0x3ee9dc90d5ec76fd singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 Resident n16_fused algo=Fused launches=3 time=0x3ee9dc90d5ec76fd singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 PerLaunch n16_window algo=Window launches=3 time=0x3ef3b8129ca5809a singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 PerLaunch n16_window algo=Window launches=3 time=0x3ef3b8129ca5809a singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 Resident n16_window algo=Window launches=3 time=0x3ee16b00365c396b singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 Resident n16_window algo=Window launches=3 time=0x3ee16b00365c396b singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 PerLaunch n16_window algo=Window launches=3 time=0x3efe1cad4178d2dc singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 PerLaunch n16_window algo=Window launches=3 time=0x3efe1cad4178d2dc singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 Resident n16_window algo=Window launches=3 time=0x3eeb31a2fe8b7a0a singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 Resident n16_window algo=Window launches=3 time=0x3eeb31a2fe8b7a0a singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 PerLaunch n16_reference algo=Reference launches=35 time=0x3f22a2e2a1e0a7ea singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 PerLaunch n16_reference algo=Reference launches=35 time=0x3f22a2cc4f78a6ea singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 Resident n16_reference algo=Reference launches=35 time=0x3ef4a3bd28945c90 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 Resident n16_reference algo=Reference launches=35 time=0x3ef4a30a95545475 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 PerLaunch n16_reference algo=Reference launches=35 time=0x3f2bfc44e35594cd singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 PerLaunch n16_reference algo=Reference launches=35 time=0x3f2bfc1f6eebe42a singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 Resident n16_reference algo=Reference launches=35 time=0x3eff352341035244 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 Resident n16_reference algo=Reference launches=35 time=0x3eff33f79db5cd17 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 PerLaunch n16_interleaved algo=Interleaved launches=2 time=0x3ee0cc54f4f27b29 singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 PerLaunch n16_interleaved algo=Interleaved launches=2 time=0x3ee0cb46886ff28c singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 Resident n16_interleaved algo=Interleaved launches=2 time=0x3eb0f1e2429a5a6c singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+h100_pcie f32 Resident n16_interleaved algo=Interleaved launches=2 time=0x3eb0e96ede86158a singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 PerLaunch n16_interleaved algo=Interleaved launches=2 time=0x3ee92feed71b4c1a singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 PerLaunch n16_interleaved algo=Interleaved launches=2 time=0x3ee92e944b61136a singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+mi250x_gcd f64 Resident n16_interleaved algo=Interleaved launches=2 time=0x3eb9564ea164228a singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
+mi250x_gcd f32 Resident n16_interleaved algo=Interleaved launches=2 time=0x3eb94b7a43925d04 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
+h100_pcie f64 PerLaunch n16_spike algo=Spike launches=36 time=0x3f2624d663e8492d singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
+h100_pcie f32 PerLaunch n16_spike algo=Spike launches=36 time=0x3f2624d663e8492d singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
+h100_pcie f64 Resident n16_spike algo=Spike launches=36 time=0x3f0683ea86d4cd56 singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
+h100_pcie f32 Resident n16_spike algo=Spike launches=36 time=0x3f0683ea86d4cd56 singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
+mi250x_gcd f64 PerLaunch n16_spike algo=Spike launches=36 time=0x3f30e67fc70d044f singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
+mi250x_gcd f32 PerLaunch n16_spike algo=Spike launches=36 time=0x3f30e674f8a5617a singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
+mi250x_gcd f64 Resident n16_spike algo=Spike launches=36 time=0x3f120e6bd59acfb6 singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
+mi250x_gcd f32 Resident n16_spike algo=Spike launches=36 time=0x3f120e409bfc4461 singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
+h100_pcie f64 PerLaunch n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3ef5e10edadddfc3 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 PerLaunch n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3ef5e10edadddfc3 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 Resident n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3ef23588afb613cc singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 Resident n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3ef23588afb613cc singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 PerLaunch n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3f0148af4de872cd singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 PerLaunch n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3f0148af4de872cd singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 Resident n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3efd10155b1533a8 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 Resident n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3efd10155b1533a8 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 PerLaunch n48_fused algo=Fused launches=3 time=0x3f00baa15e5f8db3 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 PerLaunch n48_fused algo=Fused launches=3 time=0x3f00baa15e5f8db3 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 Resident n48_fused algo=Fused launches=3 time=0x3ef672b03b47b781 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 Resident n48_fused algo=Fused launches=3 time=0x3ef672b03b47b781 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 PerLaunch n48_fused algo=Fused launches=3 time=0x3f09d62bb1f64888 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 PerLaunch n48_fused algo=Fused launches=3 time=0x3f09d62bb1f64888 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 Resident n48_fused algo=Fused launches=3 time=0x3f01943dd0dcbd9c singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 Resident n48_fused algo=Fused launches=3 time=0x3f01943dd0dcbd9c singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 PerLaunch n48_window algo=Window launches=3 time=0x3f018de6245a47c1 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 PerLaunch n48_window algo=Window launches=3 time=0x3f018de6245a47c1 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 Resident n48_window algo=Window launches=3 time=0x3ef81939c73d2b9e singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 Resident n48_window algo=Window launches=3 time=0x3ef81939c73d2b9e singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 PerLaunch n48_window algo=Window launches=3 time=0x3f0b808264bd0c59 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 PerLaunch n48_window algo=Window launches=3 time=0x3f0b808264bd0c59 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 Resident n48_window algo=Window launches=3 time=0x3f033e9483a3816e singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 Resident n48_window algo=Window launches=3 time=0x3f033e9483a3816e singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 PerLaunch n48_reference algo=Reference launches=99 time=0x3f3a663d3c7af78b singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 PerLaunch n48_reference algo=Reference launches=99 time=0x3f3a6618d0851a1a singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 Resident n48_reference algo=Reference launches=99 time=0x3f0d87788ba5cc17 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 Resident n48_reference algo=Reference launches=99 time=0x3f0d86552bf6e099 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 PerLaunch n48_reference algo=Reference launches=99 time=0x3f43d41d5c05d490 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 PerLaunch n48_reference algo=Reference launches=99 time=0x3f43d3ff03427bc0 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 Resident n48_reference algo=Reference launches=99 time=0x3f166115de09306e singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 Resident n48_reference algo=Reference launches=99 time=0x3f16602317ee6a02 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 PerLaunch n48_interleaved algo=Interleaved launches=2 time=0x3ee0d897fea175b2 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 PerLaunch n48_interleaved algo=Interleaved launches=2 time=0x3ee0d50d4782605a singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 Resident n48_interleaved algo=Interleaved launches=2 time=0x3eb153fa90122eb4 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+h100_pcie f32 Resident n48_interleaved algo=Interleaved launches=2 time=0x3eb137a4d71983fb singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 PerLaunch n48_interleaved algo=Interleaved launches=2 time=0x3ee93b982f460d29 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 PerLaunch n48_interleaved algo=Interleaved launches=2 time=0x3ee937df6a5e42ac singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+mi250x_gcd f64 Resident n48_interleaved algo=Interleaved launches=2 time=0x3eb9b39962ba2afd singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
+mi250x_gcd f32 Resident n48_interleaved algo=Interleaved launches=2 time=0x3eb995d33b7bd711 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
+h100_pcie f64 PerLaunch n48_spike algo=Spike launches=36 time=0x3f30909c7c3561e5 singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
+h100_pcie f32 PerLaunch n48_spike algo=Spike launches=36 time=0x3f30908513dec264 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
+h100_pcie f64 Resident n48_spike algo=Spike launches=36 time=0x3f209d5d3637adf6 singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
+h100_pcie f32 Resident n48_spike algo=Spike launches=36 time=0x3f209d2e658a6ef3 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
+mi250x_gcd f64 PerLaunch n48_spike algo=Spike launches=36 time=0x3f3bd02469fd9e5f singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
+mi250x_gcd f32 PerLaunch n48_spike algo=Spike launches=36 time=0x3f3bd0021b53aad3 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
+mi250x_gcd f64 Resident n48_spike algo=Spike launches=36 time=0x3f2eda7f30ae9bfd singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
+mi250x_gcd f32 Resident n48_spike algo=Spike launches=36 time=0x3f2eda3a935ab4e1 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
+h100_pcie f64 PerLaunch gbtrf_fused_gbsv algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f32 PerLaunch gbtrf_fused_gbsv algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f64 Resident gbtrf_fused_gbsv algo=Fused launches=1 time=0x3eec884d809c827a singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f32 Resident gbtrf_fused_gbsv algo=Fused launches=1 time=0x3eec884d809c827a singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f64 PerLaunch gbtrf_fused_gbsv algo=Fused launches=1 time=0x3efb75d9d3781440 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f32 PerLaunch gbtrf_fused_gbsv algo=Fused launches=1 time=0x3efb75d9d3781440 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f64 Resident gbtrf_fused_gbsv algo=Fused launches=1 time=0x3ef5f49092bc624e singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f32 Resident gbtrf_fused_gbsv algo=Fused launches=1 time=0x3ef5f49092bc624e singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f64 PerLaunch gbtrf_spike algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f32 PerLaunch gbtrf_spike algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f64 Resident gbtrf_spike algo=Fused launches=1 time=0x3eec884d809c827a singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f32 Resident gbtrf_spike algo=Fused launches=1 time=0x3eec884d809c827a singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f64 PerLaunch gbtrf_spike algo=Fused launches=1 time=0x3efb75d9d3781440 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f32 PerLaunch gbtrf_spike algo=Fused launches=1 time=0x3efb75d9d3781440 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f64 Resident gbtrf_spike algo=Fused launches=1 time=0x3ef5f49092bc624e singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
+mi250x_gcd f32 Resident gbtrf_spike algo=Fused launches=1 time=0x3ef5f49092bc624e singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
+h100_pcie f64 PerLaunch diagonal_spike algo=FusedGbsv launches=1 time=0x3ee7a23ca6915852 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x10fc659f97bd641b\n\
+h100_pcie f32 PerLaunch diagonal_spike algo=FusedGbsv launches=1 time=0x3ee7a23ca6915852 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x346383835985fa90\n\
+h100_pcie f64 Resident diagonal_spike algo=FusedGbsv launches=1 time=0x3ee04b305041c065 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x10fc659f97bd641b\n\
+h100_pcie f32 Resident diagonal_spike algo=FusedGbsv launches=1 time=0x3ee04b305041c065 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x346383835985fa90\n\
+mi250x_gcd f64 PerLaunch diagonal_spike algo=FusedGbsv launches=1 time=0x3ef10620ea9a7c57 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x10fc659f97bd641b\n\
+mi250x_gcd f32 PerLaunch diagonal_spike algo=FusedGbsv launches=1 time=0x3ef10620ea9a7c57 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x346383835985fa90\n\
+mi250x_gcd f64 Resident diagonal_spike algo=FusedGbsv launches=1 time=0x3ee709af53bd94c9 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x10fc659f97bd641b\n\
+mi250x_gcd f32 Resident diagonal_spike algo=FusedGbsv launches=1 time=0x3ee709af53bd94c9 singular=[] info=0xc6667ae325abf1c1 a=0x86856638deb81e85 piv=0x45ff175c7875e685 x=0x346383835985fa90\n\
 ";
 
 #[test]
@@ -487,7 +722,7 @@ fn dispatch_cells_are_pinned_bitwise() {
 /// The solve-only grid: one single-RHS case per geometry, each solved
 /// through both entry points.
 fn solve_cases() -> Vec<Case> {
-    let case = |name, (n, kl, ku), batch| Case {
+    let case = |name, (n, kl, ku), batch, algo| Case {
         name,
         nrhs: Some(1),
         n,
@@ -495,11 +730,21 @@ fn solve_cases() -> Vec<Case> {
         ku,
         batch,
         singular: None,
-        opts: GbsvOptions::default(),
+        opts: GbsvOptions {
+            algo,
+            ..Default::default()
+        },
     };
     vec![
-        case("timestep", (128, 2, 3), 64),
-        case("raw_speed", (16, 2, 3), 4096),
+        case("timestep", (128, 2, 3), 64, FactorAlgo::Auto),
+        case("raw_speed", (16, 2, 3), 4096, FactorAlgo::Auto),
+        case(
+            "timestep_fused_gbsv",
+            (128, 2, 3),
+            64,
+            FactorAlgo::FusedGbsv,
+        ),
+        case("timestep_spike", (128, 2, 3), 64, FactorAlgo::Spike),
     ]
 }
 
@@ -590,6 +835,38 @@ mi250x_gcd f64 Resident raw_speed gbtrs_batch algo=Interleaved launches=1 time=0
 mi250x_gcd f64 Resident raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ed2d49f42dd3737 x=0xd3c16c40ecde87c5\n\
 mi250x_gcd f32 Resident raw_speed gbtrs_batch algo=Interleaved launches=1 time=0x3ec6c35da04580c2 x=0x268f6bff918927b6\n\
 mi250x_gcd f32 Resident raw_speed gbtrs_batch_lanes algo=Interleaved launches=1 time=0x3ec6c35da04580c2 x=0x268f6bff918927b6\n\
+h100_pcie f64 PerLaunch timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3efba5a10c322adb x=0x20cfe35f1655c035\n\
+h100_pcie f64 PerLaunch timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3efba5a10c322adb x=0x20cfe35f1655c035\n\
+h100_pcie f32 PerLaunch timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3efba5a10c322adb x=0x8e93d3c0978c8564\n\
+h100_pcie f32 PerLaunch timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3efba5a10c322adb x=0x8e93d3c0978c8564\n\
+h100_pcie f64 Resident timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x20cfe35f1655c035\n\
+h100_pcie f64 Resident timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x20cfe35f1655c035\n\
+h100_pcie f32 Resident timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x8e93d3c0978c8564\n\
+h100_pcie f32 Resident timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x8e93d3c0978c8564\n\
+mi250x_gcd f64 PerLaunch timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x20cfe35f1655c035\n\
+mi250x_gcd f64 PerLaunch timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x20cfe35f1655c035\n\
+mi250x_gcd f32 PerLaunch timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f32 PerLaunch timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f64 Resident timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x20cfe35f1655c035\n\
+mi250x_gcd f64 Resident timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x20cfe35f1655c035\n\
+mi250x_gcd f32 Resident timestep_fused_gbsv gbtrs_batch algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f32 Resident timestep_fused_gbsv gbtrs_batch_lanes algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x8e93d3c0978c8564\n\
+h100_pcie f64 PerLaunch timestep_spike gbtrs_batch algo=Window launches=2 time=0x3efba5a10c322adb x=0x20cfe35f1655c035\n\
+h100_pcie f64 PerLaunch timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3efba5a10c322adb x=0x20cfe35f1655c035\n\
+h100_pcie f32 PerLaunch timestep_spike gbtrs_batch algo=Window launches=2 time=0x3efba5a10c322adb x=0x8e93d3c0978c8564\n\
+h100_pcie f32 PerLaunch timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3efba5a10c322adb x=0x8e93d3c0978c8564\n\
+h100_pcie f64 Resident timestep_spike gbtrs_batch algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x20cfe35f1655c035\n\
+h100_pcie f64 Resident timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x20cfe35f1655c035\n\
+h100_pcie f32 Resident timestep_spike gbtrs_batch algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x8e93d3c0978c8564\n\
+h100_pcie f32 Resident timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3ef44e94b5e292ee x=0x8e93d3c0978c8564\n\
+mi250x_gcd f64 PerLaunch timestep_spike gbtrs_batch algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x20cfe35f1655c035\n\
+mi250x_gcd f64 PerLaunch timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x20cfe35f1655c035\n\
+mi250x_gcd f32 PerLaunch timestep_spike gbtrs_batch algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f32 PerLaunch timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3f060d6f3b07fa87 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f64 Resident timestep_spike gbtrs_batch algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x20cfe35f1655c035\n\
+mi250x_gcd f64 Resident timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x20cfe35f1655c035\n\
+mi250x_gcd f32 Resident timestep_spike gbtrs_batch algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x8e93d3c0978c8564\n\
+mi250x_gcd f32 Resident timestep_spike gbtrs_batch_lanes algo=Window launches=2 time=0x3f008c25fa4c4895 x=0x8e93d3c0978c8564\n\
 ";
 
 #[test]

@@ -17,7 +17,7 @@ use gbatch::cpu::CpuSpec;
 use gbatch::gpu_sim::hazard::{set_global_mode, HazardMode};
 use gbatch::gpu_sim::multi::DeviceGroup;
 use gbatch::gpu_sim::ParallelPolicy;
-use gbatch::kernels::dispatch::MatrixLayout;
+use gbatch::kernels::dispatch::FactorAlgo;
 use gbatch::serve::{
     CpuBackend, FlushPolicy, GpuBackend, Server, ServerConfig, SolveRequest, SolveStatus,
 };
@@ -67,21 +67,21 @@ fn req(id: u64, shape: ShapeKey, op_seed: u64, rhs_seed: u64, at: f64) -> SolveR
     }
 }
 
-fn server(policy: ParallelPolicy, layout: MatrixLayout, target_batch: usize) -> Server {
+fn server(policy: ParallelPolicy, algo: FactorAlgo, target_batch: usize) -> Server {
     Server::new(
         ServerConfig {
             queue_capacity: 1024,
             policy: FlushPolicy::default().with_target_batch(target_batch),
         },
-        Box::new(GpuBackend::new(DeviceGroup::mi250x_full(), policy).with_layout(layout)),
+        Box::new(GpuBackend::new(DeviceGroup::mi250x_full(), policy).with_algo(algo)),
         Box::new(CpuBackend::new(CpuSpec::xeon_gold_6140())),
     )
 }
 
 /// Cold reference: a fresh (empty-cache) server solves exactly this
 /// request once.
-fn cold_solve(policy: ParallelPolicy, layout: MatrixLayout, r: &SolveRequest) -> Vec<f64> {
-    let mut s = server(policy, layout, 1);
+fn cold_solve(policy: ParallelPolicy, algo: FactorAlgo, r: &SolveRequest) -> Vec<f64> {
+    let mut s = server(policy, algo, 1);
     let mut r = r.clone();
     r.submitted_s = 0.0;
     r.deadline_s = 1.0;
@@ -93,25 +93,25 @@ fn cold_solve(policy: ParallelPolicy, layout: MatrixLayout, r: &SolveRequest) ->
 }
 
 /// Run the warm-vs-cold comparison for one shape under one
-/// (parallelism, layout) point: two operators are primed cold, then
+/// (parallelism, plan) point: two operators are primed cold, then
 /// re-solved against fresh right-hand sides both as singleton warm
 /// flushes and as one mixed-operator warm batch.
-fn check_grid_point(shape: ShapeKey, policy: ParallelPolicy, layout: MatrixLayout) {
+fn check_grid_point(shape: ShapeKey, policy: ParallelPolicy, algo: FactorAlgo) {
     // --- singleton warm flushes -------------------------------------
-    let mut s = server(policy, layout, 1);
+    let mut s = server(policy, algo, 1);
     for (i, (op, rh)) in [(1u64, 10u64), (2, 11), (1, 12), (2, 13)]
         .iter()
         .enumerate()
     {
         let r = req(i as u64, shape, *op, *rh, i as f64 * 1e-3);
-        let want = cold_solve(policy, layout, &r);
+        let want = cold_solve(policy, algo, &r);
         s.submit(r).unwrap();
         let resp = s.take_responses();
         assert_eq!(resp.len(), 1);
         assert_eq!(resp[0].status, SolveStatus::Solved);
         assert_eq!(
             resp[0].x, want,
-            "warm/cold divergence: shape {shape:?} policy {policy:?} layout {layout:?} req {i}"
+            "warm/cold divergence: shape {shape:?} policy {policy:?} algo {algo:?} req {i}"
         );
     }
     let rep = s.report();
@@ -124,7 +124,7 @@ fn check_grid_point(shape: ShapeKey, policy: ParallelPolicy, layout: MatrixLayou
     assert!(rep.is_conserved());
 
     // --- mixed-operator warm batch ----------------------------------
-    let mut s = server(policy, layout, 2);
+    let mut s = server(policy, algo, 2);
     s.submit(req(0, shape, 1, 20, 0.0)).unwrap();
     s.submit(req(1, shape, 2, 21, 1e-6)).unwrap();
     assert_eq!(s.take_responses().len(), 2, "cold priming flush");
@@ -133,8 +133,8 @@ fn check_grid_point(shape: ShapeKey, policy: ParallelPolicy, layout: MatrixLayou
     // lanes gather from two distinct cached factorizations.
     let wa = req(2, shape, 1, 22, 1e-3);
     let wb = req(3, shape, 2, 23, 1e-3 + 1e-6);
-    let want_a = cold_solve(policy, layout, &wa);
-    let want_b = cold_solve(policy, layout, &wb);
+    let want_a = cold_solve(policy, algo, &wa);
+    let want_b = cold_solve(policy, algo, &wb);
     s.submit(wa).unwrap();
     s.submit(wb).unwrap();
     let resp = s.take_responses();
@@ -145,7 +145,7 @@ fn check_grid_point(shape: ShapeKey, policy: ParallelPolicy, layout: MatrixLayou
         let want = if r.id == 2 { &want_a } else { &want_b };
         assert_eq!(
             &r.x, want,
-            "batched warm divergence: shape {shape:?} policy {policy:?} layout {layout:?}"
+            "batched warm divergence: shape {shape:?} policy {policy:?} algo {algo:?}"
         );
     }
     let rep = s.report();
@@ -158,7 +158,7 @@ const POLICIES: [ParallelPolicy; 3] = [
     ParallelPolicy::Threads(2),
     ParallelPolicy::Threads(8),
 ];
-const LAYOUTS: [MatrixLayout; 2] = [MatrixLayout::Auto, MatrixLayout::Interleaved];
+const ALGOS: [FactorAlgo; 2] = [FactorAlgo::Auto, FactorAlgo::Interleaved];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
@@ -173,8 +173,8 @@ proptest! {
     ) {
         for shape in [ShapeKey::gbsv(n, kl, ku, 1), ShapeKey::sgbsv(n, kl, ku, 1)] {
             for policy in POLICIES {
-                for layout in LAYOUTS {
-                    check_grid_point(shape, policy, layout);
+                for algo in ALGOS {
+                    check_grid_point(shape, policy, algo);
                 }
             }
         }
@@ -189,8 +189,8 @@ fn warm_equals_cold_under_hazard_enforce() {
     set_global_mode(HazardMode::Enforce);
     for shape in [ShapeKey::gbsv(17, 2, 2, 1), ShapeKey::sgbsv(17, 2, 2, 1)] {
         for policy in POLICIES {
-            for layout in LAYOUTS {
-                check_grid_point(shape, policy, layout);
+            for algo in ALGOS {
+                check_grid_point(shape, policy, algo);
             }
         }
     }

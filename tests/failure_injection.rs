@@ -3,9 +3,7 @@
 
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch::gpu_sim::{launch, DeviceSpec, LaunchConfig, LaunchError, ParallelPolicy};
-use gbatch::kernels::dispatch::{
-    dgbsv_batch, dgbtrf_batch, ChosenAlgo, FactorAlgo, GbsvOptions, MatrixLayout,
-};
+use gbatch::kernels::dispatch::{dgbsv_batch, dgbtrf_batch, ChosenAlgo, FactorAlgo, GbsvOptions};
 use gbatch::kernels::fused::{gbtrf_batch_fused, FusedParams};
 
 fn healthy_batch(batch: usize, n: usize, kl: usize, ku: usize) -> BandBatch {
@@ -120,11 +118,11 @@ fn fused_overflow_is_a_clean_error_and_dispatch_recovers() {
     assert!(matches!(err, LaunchError::SharedMemExceeded { .. }));
     assert_eq!(a.data(), &before[..], "failed launch must not touch data");
 
-    // Pin the column-major layout: the claim under test is the fused ->
-    // window *algorithm* recovery (at batch = 3 the layout dimension
-    // would route to the interleaved kernels instead).
+    // Pin the paper's column-major policy: the claim under test is the
+    // fused -> window *algorithm* recovery (at batch = 3 `Auto` would
+    // route to the interleaved kernels instead).
     let opts = GbsvOptions {
-        layout: MatrixLayout::ColumnMajor,
+        algo: FactorAlgo::ColumnMajor,
         ..Default::default()
     };
     let rep = dgbtrf_batch(&dev, &mut a, &mut piv, &mut info, &opts).unwrap();

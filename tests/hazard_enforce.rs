@@ -20,7 +20,7 @@ use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch::gpu_sim::hazard::{set_global_mode, HazardKind, HazardMode};
 use gbatch::gpu_sim::{launch, registry, DeviceSpec, LaunchConfig, ParallelPolicy};
 use gbatch::kernels::dispatch::{
-    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, sgbsv_batch, GbsvOptions, MatrixLayout,
+    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, sgbsv_batch, FactorAlgo, GbsvOptions,
 };
 use gbatch::kernels::fused::{gbtrf_batch_fused, FusedParams};
 use gbatch::kernels::gbsv_fused::gbsv_batch_fused;
@@ -167,11 +167,11 @@ fn enforce_solve_kernels_run_hazard_free() {
                 // Dispatch-level solve, both transpose settings, both
                 // layouts (the interleaved one packs, then solves).
                 for trans in [Transpose::No, Transpose::Yes] {
-                    for layout in [MatrixLayout::ColumnMajor, MatrixLayout::Interleaved] {
+                    for algo in [FactorAlgo::ColumnMajor, FactorAlgo::Interleaved] {
                         let mut rhs = rhs_batch(BATCH, N, nrhs);
                         let opts = GbsvOptions {
                             parallel: Some(policy),
-                            layout,
+                            algo,
                             ..GbsvOptions::default()
                         };
                         let _ =
@@ -273,7 +273,7 @@ fn enforce_dispatch_grid_both_layouts() {
     let dev = dev();
     for &(kl, ku) in SHAPES {
         for policy in policies() {
-            for layout in [MatrixLayout::ColumnMajor, MatrixLayout::Interleaved] {
+            for algo in [FactorAlgo::ColumnMajor, FactorAlgo::Interleaved] {
                 for nrhs in [1usize, 10] {
                     let mut a = band_batch(BATCH, N, kl, ku);
                     let mut piv = PivotBatch::new(BATCH, N, N);
@@ -281,14 +281,14 @@ fn enforce_dispatch_grid_both_layouts() {
                     let mut info = InfoArray::new(BATCH);
                     let opts = GbsvOptions {
                         parallel: Some(policy),
-                        layout,
+                        algo,
                         ..GbsvOptions::default()
                     };
                     let _ =
                         dgbsv_batch(&dev, &mut a, &mut piv, &mut rhs, &mut info, &opts).unwrap();
                     assert!(
                         info.all_ok(),
-                        "dgbsv ({kl},{ku}) nrhs {nrhs} {layout:?} {policy:?}"
+                        "dgbsv ({kl},{ku}) nrhs {nrhs} {algo:?} {policy:?}"
                     );
                     assert!(rhs.data().iter().all(|v| v.is_finite()));
                 }
@@ -425,7 +425,7 @@ fn enforce_f32_dispatch_grid_both_layouts() {
     let dev = dev();
     for &(kl, ku) in SHAPES {
         for policy in policies() {
-            for layout in [MatrixLayout::ColumnMajor, MatrixLayout::Interleaved] {
+            for algo in [FactorAlgo::ColumnMajor, FactorAlgo::Interleaved] {
                 for nrhs in [1usize, 10] {
                     let mut a = band_batch_f32(BATCH, N, kl, ku);
                     let mut piv = PivotBatch::new(BATCH, N, N);
@@ -433,14 +433,14 @@ fn enforce_f32_dispatch_grid_both_layouts() {
                     let mut info = InfoArray::new(BATCH);
                     let opts = GbsvOptions {
                         parallel: Some(policy),
-                        layout,
+                        algo,
                         ..GbsvOptions::default()
                     };
                     let _ =
                         sgbsv_batch(&dev, &mut a, &mut piv, &mut rhs, &mut info, &opts).unwrap();
                     assert!(
                         info.all_ok(),
-                        "sgbsv ({kl},{ku}) nrhs {nrhs} {layout:?} {policy:?}"
+                        "sgbsv ({kl},{ku}) nrhs {nrhs} {algo:?} {policy:?}"
                     );
                     assert!(rhs.data().iter().all(|v| v.is_finite()));
                 }

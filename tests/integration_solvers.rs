@@ -79,10 +79,11 @@ fn gpu_and_cpu_agree_bitwise() {
     let (mut ag, mut bg) = (a0.clone(), b0.clone());
     let mut pg = PivotBatch::new(batch, n, n);
     let mut ig = InfoArray::new(batch);
-    // Separate factor+solve (disable the fused driver so both sides run
-    // the same decomposition-then-substitution sequence).
+    // Separate factor+solve (the interleaved kernels rather than the
+    // fused driver, so both sides run the same
+    // decomposition-then-substitution sequence).
     let opts = GbsvOptions {
-        allow_fused_gbsv: Some(false),
+        algo: FactorAlgo::Interleaved,
         ..Default::default()
     };
     let _ = dgbsv_batch(&dev, &mut ag, &mut pg, &mut bg, &mut ig, &opts).unwrap();

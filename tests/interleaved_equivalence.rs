@@ -16,8 +16,8 @@ use gbatch::kernels::cost::{
     predict_interleaved_solve, predict_interleaved_time,
 };
 use gbatch::kernels::dispatch::{
-    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, BatchReport, ChosenAlgo, GbsvOptions,
-    MatrixLayout,
+    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, BatchReport, ChosenAlgo, FactorAlgo,
+    GbsvOptions,
 };
 use gbatch::kernels::interleaved::{
     deinterleave_launch, factor_mode, factor_smem_bytes, gbtrf_batch_interleaved,
@@ -247,28 +247,28 @@ fn dispatch_layouts_agree_on_mixed_singular_batches() {
     make_singular(&mut a0, 3, 6);
     let b0 = RhsBatch::from_fn(batch, n, nrhs, |id, i, _| (id + i + 1) as f64).unwrap();
 
-    let run = |layout: MatrixLayout, policy: ParallelPolicy| {
+    let run = |algo: FactorAlgo, policy: ParallelPolicy| {
         let mut a = a0.clone();
         let mut b = b0.clone();
         let mut piv = PivotBatch::new(batch, n, n);
         let mut info = InfoArray::new(batch);
-        // Disable the single-kernel fused GBSV so the column-major side
-        // goes through the same factor-then-solve shape (the augmented
-        // [A|B] kernel stores no separate factors to compare against).
+        // The column-major side forces the fused factorization, not the
+        // single-kernel fused GBSV, so it goes through the same
+        // factor-then-solve shape (the augmented [A|B] kernel stores no
+        // separate factors to compare against).
         let opts = GbsvOptions {
-            layout,
+            algo,
             parallel: Some(policy),
-            allow_fused_gbsv: Some(false),
             ..Default::default()
         };
         let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
         (a, piv, b, info, rep.algo)
     };
 
-    let (ca, cp, cb, ci, _) = run(MatrixLayout::ColumnMajor, ParallelPolicy::Serial);
+    let (ca, cp, cb, ci, _) = run(FactorAlgo::Fused, ParallelPolicy::Serial);
     assert_eq!(ci.failures(), vec![3]);
     for policy in policies() {
-        let (ia, ip, ib, ii, algo) = run(MatrixLayout::Interleaved, policy);
+        let (ia, ip, ib, ii, algo) = run(FactorAlgo::Interleaved, policy);
         assert_eq!(algo, ChosenAlgo::Interleaved);
         assert_eq!(ii, ci, "{policy:?}: info codes");
         assert_eq!(ip, cp, "{policy:?}: pivots");
@@ -537,15 +537,13 @@ fn layout_passes_case(
         ([trf, sv, trs], (a, piv, info, b, x))
     };
     let column = GbsvOptions {
-        layout: MatrixLayout::ColumnMajor,
-        allow_fused_gbsv: Some(false),
+        algo: FactorAlgo::ColumnMajor,
         ..Default::default()
     };
     let (_, want) = run(&column);
     for policy in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
         let auto = GbsvOptions {
             parallel: Some(policy),
-            allow_fused_gbsv: Some(false),
             ..Default::default()
         };
         let (reps, got) = run(&auto);

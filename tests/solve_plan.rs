@@ -23,7 +23,6 @@ use gbatch::kernels::cost::{
 };
 use gbatch::kernels::dispatch::{
     gbtrf_batch, gbtrs_batch, gbtrs_batch_lanes, BatchReport, ChosenAlgo, FactorAlgo, GbsvOptions,
-    MatrixLayout,
 };
 use gbatch::kernels::interleaved::{
     solve_mode, solve_smem_bytes, InterleavedParams, LaneTrafficMode,
@@ -110,9 +109,9 @@ fn solve_cols<S: Scalar>(
     (rep.unwrap(), b)
 }
 
-fn layout(layout: MatrixLayout) -> GbsvOptions {
+fn with_algo(algo: FactorAlgo) -> GbsvOptions {
     GbsvOptions {
-        layout,
+        algo,
         ..Default::default()
     }
 }
@@ -120,8 +119,8 @@ fn layout(layout: MatrixLayout) -> GbsvOptions {
 #[test]
 fn auto_interleaves_small_solves_and_keeps_blocked_where_it_wins() {
     let auto = GbsvOptions::default();
-    let column = layout(MatrixLayout::ColumnMajor);
-    let interleaved = layout(MatrixLayout::Interleaved);
+    let column = with_algo(FactorAlgo::ColumnMajor);
+    let interleaved = with_algo(FactorAlgo::Interleaved);
     // A windowed interleaved solve is one launch (no pack pass); the
     // blocked solve is its forward and backward launches.
     for (dev, shape, want, launches) in [
@@ -218,7 +217,7 @@ fn matches_column_major<S: Scalar>() {
                 ..Default::default()
             };
             let column = GbsvOptions {
-                layout: MatrixLayout::ColumnMajor,
+                algo: FactorAlgo::ColumnMajor,
                 ..auto
             };
             for lanes in [false, true] {
@@ -249,16 +248,18 @@ fn forced_choices_and_the_transpose_keep_the_blocked_kernels() {
     let dev = h100();
     let f = factored::<f64>(&dev, TIMESTEP);
     let (_, want) = solve(&dev, &f, Transpose::No, false, &GbsvOptions::default());
-    let forced = |algo| GbsvOptions {
-        algo,
-        ..Default::default()
-    };
+    // A solve-only call runs the column solve under every forced value
+    // but `Interleaved`.
     for opts in [
-        forced(FactorAlgo::Fused),
-        forced(FactorAlgo::Window),
-        forced(FactorAlgo::Reference),
-        layout(MatrixLayout::ColumnMajor),
-    ] {
+        FactorAlgo::ColumnMajor,
+        FactorAlgo::FusedGbsv,
+        FactorAlgo::Fused,
+        FactorAlgo::Window,
+        FactorAlgo::Reference,
+        FactorAlgo::Spike,
+    ]
+    .map(with_algo)
+    {
         for lanes in [false, true] {
             let (rep, x) = solve(&dev, &f, Transpose::No, lanes, &opts);
             assert_eq!(rep.algo, ChosenAlgo::Window, "{opts:?}");
@@ -267,16 +268,26 @@ fn forced_choices_and_the_transpose_keep_the_blocked_kernels() {
         }
     }
 
-    // The transpose solve has no interleaved kernel: every layout runs
-    // the blocked transpose pair.
+    // The transpose solve has no interleaved kernel: every value runs the
+    // blocked transpose pair.
     let (col, want) = solve(
         &dev,
         &f,
         Transpose::Yes,
         false,
-        &layout(MatrixLayout::ColumnMajor),
+        &with_algo(FactorAlgo::ColumnMajor),
     );
-    for opts in [GbsvOptions::default(), layout(MatrixLayout::Interleaved)] {
+    for opts in [
+        FactorAlgo::Auto,
+        FactorAlgo::FusedGbsv,
+        FactorAlgo::Fused,
+        FactorAlgo::Window,
+        FactorAlgo::Reference,
+        FactorAlgo::Interleaved,
+        FactorAlgo::Spike,
+    ]
+    .map(with_algo)
+    {
         for lanes in [false, true] {
             let (rep, x) = solve(&dev, &f, Transpose::Yes, lanes, &opts);
             assert_eq!(rep.algo, ChosenAlgo::Window, "{opts:?}");
@@ -297,7 +308,7 @@ fn forced_choices_and_the_transpose_keep_the_blocked_kernels() {
             &f,
             Transpose::No,
             lanes,
-            &layout(MatrixLayout::Interleaved),
+            &with_algo(FactorAlgo::Interleaved),
         );
         assert_eq!(rep.algo, ChosenAlgo::Interleaved);
         assert_eq!(rep.launches, 1, "a windowed solve needs no pack pass");

@@ -162,6 +162,7 @@ fn exact_grid<S: Scalar>(sol_tol: f64) {
         let mut per_worker = Vec::new();
         for workers in WORKERS {
             let opts = GbsvOptions {
+                algo: FactorAlgo::Spike,
                 spike: Some(
                     SpikeParams::auto(&dev, kl)
                         .with_parts(parts)
@@ -230,6 +231,7 @@ fn exact_p8_headline_system_meets_residual_and_determinism() {
     let mut per_worker = Vec::new();
     for workers in WORKERS {
         let opts = GbsvOptions {
+            algo: FactorAlgo::Spike,
             spike: Some(
                 SpikeParams::auto(&dev, kl)
                     .with_parts(8)
