@@ -118,14 +118,17 @@ fn main() {
         for line in &r.spike.lines {
             writeln!(
                 out,
-                "    {}: unsplit {:>9.4} ms | {}",
+                "    {}: unsplit {:>9.4} ms | {} | Auto P={} nb={} {:.3}x",
                 line.precision,
                 line.unsplit_ms,
                 line.points
                     .iter()
                     .map(|p| format!("P={} {:.3}x", p.parts, p.speedup))
                     .collect::<Vec<_>>()
-                    .join(" | ")
+                    .join(" | "),
+                line.auto.parts,
+                line.auto.nb,
+                line.auto.speedup
             )
             .unwrap();
         }

@@ -20,9 +20,10 @@
 //!    through the [`Server`];
 //! 6. **spike** — the large-`n` split regime: one `n = 65536`,
 //!    `kl = ku = 8` system solved by the SPIKE driver at
-//!    `P ∈ {1, 2, 4, ..., 64}` blocks in both precisions under the resident
-//!    engine, against the unsplit window + blocked-solve baseline the
-//!    split competes with. Floor-gated at 3.0x for `P = 8`, f64.
+//!    `P ∈ {1, 2, 4, ..., 64}` blocks (untuned `nb = 8`) and at the
+//!    planner's `(P, nb)` (`Auto` dispatch) in both precisions under the
+//!    resident engine, against the unsplit window + blocked-solve baseline
+//!    the split competes with. Floor-gated at 3.0x for `P = 8`, f64.
 //!
 //! Every time is the simulator's analytic model, so the report is exactly
 //! reproducible on any machine: the perf gate replays the measurement and
@@ -35,6 +36,7 @@ use gbatch_cpu::CpuSpec;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::registry;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, ParallelPolicy};
+use gbatch_kernels::cost::choose_spike_params;
 use gbatch_kernels::dispatch::{
     dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, ChosenAlgo, FactorAlgo, GbsvOptions,
 };
@@ -141,11 +143,14 @@ pub const SPIKE_PARTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// at least this factor.
 pub const SPIKE_FLOOR: f64 = 3.0;
 
-/// One point of the spike sweep: the split solve at a given block count.
+/// One point of the spike sweep: the split solve at a given block count
+/// and stage block size.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpikePoint {
     /// Requested block count `P`.
     pub parts: usize,
+    /// Window/solve block size `nb` of every stage.
+    pub nb: usize,
     /// Split solve, resident engine, in model milliseconds.
     pub split_ms: f64,
     /// `unsplit_ms / split_ms` of the owning line.
@@ -160,8 +165,10 @@ pub struct SpikeLine {
     /// Unsplit window + blocked-solve baseline (the path the split
     /// competes with), resident engine, in model milliseconds.
     pub unsplit_ms: f64,
-    /// One point per entry of [`SPIKE_PARTS`].
+    /// One point per entry of [`SPIKE_PARTS`], each at `nb = 8`.
     pub points: Vec<SpikePoint>,
+    /// `Auto` dispatch: the `(P, nb)` the planner prices cheapest.
+    pub auto: SpikePoint,
 }
 
 /// The large-`n` split-regime section of the trajectory.
@@ -552,8 +559,10 @@ fn fleet_sample() -> FleetSample {
     }
 }
 
-/// Sweep the SPIKE block count over one `n = 65536` diagonally dominant
-/// system at precision `S`, resident engine. The baseline is the unsplit
+/// Sweep the SPIKE block count at the untuned `nb = 8` over one
+/// `n = 65536` diagonally dominant system at precision `S`, resident
+/// engine, then solve it through `Auto` dispatch, which runs the
+/// planner's `(P, nb)`. The baseline is the unsplit
 /// window + blocked-solve path (`FactorAlgo::Window` disables `Auto`'s
 /// split routing) — exactly what a large lone system cost before the
 /// split regime existed. Every split answer is checked against the
@@ -588,48 +597,61 @@ fn spike_line<S: Scalar>(dev: &DeviceSpec) -> SpikeLine {
         (b.data().to_vec(), rep.time.ms())
     };
 
-    let base = GbsvOptions {
-        algo: FactorAlgo::Window,
+    let resident = GbsvOptions {
         engine: Some(EngineMode::Resident),
         parallel: Some(ParallelPolicy::threads(4)),
         ..Default::default()
     };
+    let base = GbsvOptions {
+        algo: FactorAlgo::Window,
+        ..resident
+    };
     let (x_ref, unsplit_ms) = run(&base, ChosenAlgo::Window);
 
+    // Every split answer agrees with the unsplit solve to a small multiple
+    // of working precision (refined truncated-SPIKE answers included).
+    let point = |opts: &GbsvOptions, params: SpikeParams| {
+        let (x, split_ms) = run(opts, ChosenAlgo::Spike);
+        let (mut err, mut scale) = (0.0f64, 0.0f64);
+        for (g, w) in x.iter().zip(&x_ref) {
+            err = err.max((g.to_f64() - w.to_f64()).abs());
+            scale = scale.max(w.to_f64().abs());
+        }
+        assert!(
+            err <= 1e3 * S::EPSILON.to_f64() * scale.max(1.0),
+            "P = {} nb = {} split answer drifted from unsplit: |dx| = {err:.3e}",
+            params.parts,
+            params.nb
+        );
+        SpikePoint {
+            parts: params.parts,
+            nb: params.nb,
+            split_ms,
+            speedup: unsplit_ms / split_ms,
+        }
+    };
     let points = SPIKE_PARTS
         .iter()
         .map(|&parts| {
+            let params = SpikeParams::auto(dev, SPIKE_KL).with_parts(parts);
             let opts = GbsvOptions {
                 algo: FactorAlgo::Spike,
-                spike: Some(SpikeParams::auto(dev, SPIKE_KL).with_parts(parts)),
-                engine: Some(EngineMode::Resident),
-                parallel: Some(ParallelPolicy::threads(4)),
-                ..Default::default()
+                spike: Some(params),
+                ..resident
             };
-            let (x, split_ms) = run(&opts, ChosenAlgo::Spike);
-            // Refined truncated-SPIKE answers agree with the unsplit
-            // solve to a small multiple of working precision.
-            let (mut err, mut scale) = (0.0f64, 0.0f64);
-            for (g, w) in x.iter().zip(&x_ref) {
-                err = err.max((g.to_f64() - w.to_f64()).abs());
-                scale = scale.max(w.to_f64().abs());
-            }
-            assert!(
-                err <= 1e3 * S::EPSILON.to_f64() * scale.max(1.0),
-                "P = {parts} split answer drifted from unsplit: |dx| = {err:.3e}"
-            );
-            SpikePoint {
-                parts,
-                split_ms,
-                speedup: unsplit_ms / split_ms,
-            }
+            point(&opts, params)
         })
         .collect();
+    let layout = a0.layout();
+    let (planned, _) = choose_spike_params::<S>(dev, &layout, 1, &SpikeParams::auto(dev, SPIKE_KL))
+        .expect("the trajectory split is priced");
+    let auto = point(&resident, planned);
 
     SpikeLine {
         precision: S::PRECISION.name().to_string(),
         unsplit_ms,
         points,
+        auto,
     }
 }
 

@@ -123,8 +123,13 @@ fn checked_in_trajectory_replays_exactly() {
             w.unsplit_ms,
         );
         assert_eq!(g.points.len(), w.points.len());
-        for (gp, wp) in g.points.iter().zip(&w.points) {
-            assert_eq!(gp.parts, wp.parts);
+        for (gp, wp) in g
+            .points
+            .iter()
+            .chain([&g.auto])
+            .zip(w.points.iter().chain([&w.auto]))
+        {
+            assert_eq!((gp.parts, gp.nb), (wp.parts, wp.nb), "spike plan drifted");
             assert_close(
                 &format!("spike.{}.p{}.split_ms", w.precision, wp.parts),
                 gp.split_ms,

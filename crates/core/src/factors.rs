@@ -97,22 +97,26 @@ impl RetainedFactor {
         }
     }
 
-    /// Factor one operator on the host at precision `S`: split into
-    /// `parts` SPIKE blocks when given, else monolithic `gbtrf`. `Err`
-    /// carries the failing `info` code (of a block or the reduced system,
-    /// for a split).
+    /// Factor one operator on the host at precision `S`: split as a SPIKE
+    /// factorization when `split` gives the `(parts, nb)` of its device
+    /// plan ([`spike_factorize`]), else monolithic `gbtrf`. `Err` carries
+    /// the failing `info` code (of a block or the reduced system, for a
+    /// split).
     pub fn factor<S: FactorScalar>(
         layout: BandLayout,
         mut ab: Vec<S>,
-        parts: Option<usize>,
+        split: Option<(usize, usize)>,
     ) -> Result<Self, i32> {
-        let (payload, pivots) = match parts {
-            Some(parts) => {
+        let (payload, pivots) = match split {
+            Some((parts, nb)) => {
                 let aref = BandMatrixRef {
                     layout,
                     data: &ab[..],
                 };
-                (S::spike_payload(spike_factorize(&aref, parts)?), Vec::new())
+                (
+                    S::spike_payload(spike_factorize(&aref, parts, nb)?),
+                    Vec::new(),
+                )
             }
             None => {
                 let mut ipiv = vec![0i32; layout.m.min(layout.n)];
@@ -262,7 +266,7 @@ mod tests {
         assert_eq!(b, want);
 
         // Split: a SPIKE payload with no monolithic pivots, same answer.
-        let split = RetainedFactor::factor(l, ab.clone(), Some(4)).unwrap();
+        let split = RetainedFactor::factor(l, ab.clone(), Some((4, 8))).unwrap();
         assert!(split.spike::<f64>().is_some() && split.pivots.is_empty());
         let mut b = b0.clone();
         split.solve(&mut b, 1);

@@ -212,10 +212,12 @@ pub fn extract_blocks<S: Scalar>(
             let len = part.len(p);
             for jj in 0..part.block {
                 if jj < len {
+                    // The column's band rows inside the block, one slice.
                     let (rs, re) = m.layout.col_rows(jj);
-                    for ii in rs..re.min(len) {
-                        m.set(ii, jj, a.get(s + ii, s + jj));
-                    }
+                    let rows = re.min(len) - rs;
+                    let src = a.layout.idx_full(s + rs, s + jj).expect("band entry");
+                    let dst = m.layout.idx_full(rs, jj).expect("band entry");
+                    m.data[dst..dst + rows].copy_from_slice(&a.data[src..src + rows]);
                 } else {
                     m.set(jj, jj, S::ONE);
                 }
@@ -477,6 +479,10 @@ pub struct SpikeFactor<S: Scalar = f64> {
     pub reduced_lu: Vec<S>,
     /// 0-based pivots of the reduced LU.
     pub reduced_piv: Vec<i32>,
+    /// Stage block size `nb` of the device plan that chose this split: a
+    /// warm solve prices its launches at it. The host numerics never read
+    /// it; 0 when no plan prices the split.
+    pub nb: usize,
 }
 
 impl<S: Scalar> SpikeFactor<S> {
@@ -507,13 +513,16 @@ impl<S: Scalar> SpikeFactor<S> {
     }
 }
 
-/// Host-side SPIKE factorization of one band operator. Errors with the
-/// first failing block's LAPACK info code (mapped to a global 1-based
-/// column) when a block factors singular, or with `-1` when the reduced
-/// system is singular — callers fall back to the sequential path on `Err`.
+/// Host-side SPIKE factorization of one band operator into (at most)
+/// `parts` blocks, for a device plan running its stages at block size
+/// `nb` ([`SpikeFactor::nb`]). Errors with the first failing block's
+/// LAPACK info code (mapped to a global 1-based column) when a block
+/// factors singular, or with `-1` when the reduced system is singular —
+/// callers fall back to the sequential path on `Err`.
 pub fn spike_factorize<S: Scalar>(
     a: &BandMatrixRef<'_, S>,
     parts: usize,
+    nb: usize,
 ) -> std::result::Result<SpikeFactor<S>, i32> {
     let l = a.layout;
     assert_eq!(l.m, l.n, "spike requires a square system");
@@ -568,6 +577,7 @@ pub fn spike_factorize<S: Scalar>(
         spikes,
         reduced_lu: Vec::new(),
         reduced_piv: Vec::new(),
+        nb,
     };
     let Some(mut reduced) = assemble_reduced(
         &part,
@@ -654,7 +664,8 @@ pub fn spike_gbsv<S: Scalar>(
     assert_eq!(l.m, l.n, "spike requires a square system");
     let part = SpikePartition::new(l.n, l.kl, l.ku, parts);
     if part.parts > 1 {
-        if let Ok(f) = spike_factorize(a, parts) {
+        // Solved at once: no plan prices this split.
+        if let Ok(f) = spike_factorize(a, parts, 0) {
             spike_solve_retained(&f, rhs, nrhs);
             return 0;
         }
@@ -798,7 +809,7 @@ mod tests {
     fn band_reduced_matrix_holds_the_dense_assembly() {
         for (n, kl, ku, parts) in [(96, 2, 3, 4), (129, 3, 1, 8), (64, 0, 2, 5), (80, 2, 0, 3)] {
             let a = random_band(n, kl, ku, 0.31, false);
-            let f = spike_factorize(&a.as_ref(), parts).unwrap();
+            let f = spike_factorize(&a.as_ref(), parts, 8).unwrap();
             let part = f.partition;
             let v = |p, row, c| f.v(p, row, c);
             let w = |p, row, c| f.w(p, row, c);
@@ -927,7 +938,7 @@ mod tests {
         a.set(s, s, 0.0);
         a.set(s + 1, s, 0.0);
         // a[s-1][s] stays nonzero, so the unsplit matrix is nonsingular.
-        assert!(spike_factorize::<f64>(&a.as_ref(), 2).is_err());
+        assert!(spike_factorize::<f64>(&a.as_ref(), 2, 8).is_err());
         let mut b = vec![1.0; n];
         let b0 = b.clone();
         let info = spike_gbsv(&a.as_ref(), &mut b, 1, 2);
@@ -940,7 +951,7 @@ mod tests {
     fn retained_factor_warm_solve_matches_cold() {
         let (n, kl, ku, parts, nrhs) = (96, 2, 2, 4, 2);
         let a = random_band(n, kl, ku, 0.5, true);
-        let f = spike_factorize(&a.as_ref(), parts).unwrap();
+        let f = spike_factorize(&a.as_ref(), parts, 8).unwrap();
         assert!(f.bytes() > 0);
         let mut rhs = vec![0.0; n * nrhs];
         for (k, v) in rhs.iter_mut().enumerate() {

@@ -130,54 +130,101 @@ pub fn predict_gbtrs_blocked<S: Scalar>(
     nrhs: usize,
     lanes: u32,
 ) -> KernelCounters {
+    let mut c = KernelCounters::default();
+    predict_forward_sweep::<S>(l, nb, nrhs, None, lanes, true, &mut c);
+    predict_backward_sweep::<S>(l, nb, nrhs, lanes, &mut c);
+    c
+}
+
+/// [`predict_gbtrs_blocked`] for RHS columns whose forward sweep starts
+/// at step `first[c]` ([`crate::gbtrs_blocked::gbtrs_batch_blocked_from`]):
+/// swap and update work are priced for the active columns only.
+pub fn predict_gbtrs_blocked_from<S: Scalar>(
+    l: &BandLayout,
+    nb: usize,
+    first: &[usize],
+    lanes: u32,
+) -> KernelCounters {
+    let mut c = KernelCounters::default();
+    let nrhs = first.len();
+    predict_forward_sweep::<S>(l, nb, nrhs, Some(first), lanes, true, &mut c);
+    predict_backward_sweep::<S>(l, nb, nrhs, lanes, &mut c);
+    c
+}
+
+/// Forward-sweep counters of the blocked solve over `nrhs` columns
+/// starting at `first` (all at row 0 when `None`); nothing when
+/// `kl == 0`. `swaps` prices a pivot interchange at every step, the worst
+/// case a plan assumes; without it the counters are exactly what a
+/// swap-free operator records.
+fn predict_forward_sweep<S: Scalar>(
+    l: &BandLayout,
+    nb: usize,
+    nrhs: usize,
+    first: Option<&[usize]>,
+    lanes: u32,
+    swaps: bool,
+    c: &mut KernelCounters,
+) {
+    let t = lanes as usize;
+    let n = l.n;
+    let kl = l.kl;
+    if kl == 0 || n <= 1 {
+        return;
+    }
+    let cache_rows = (nb + kl).min(n);
+    c.global_read += (cache_rows * nrhs * S::BYTES) as u64;
+    c.syncs += 1;
+    let mut j0 = 0usize;
+    let mut loaded = cache_rows;
+    while j0 < n {
+        let jb = nb.min(n - j0);
+        for j in j0..j0 + jb {
+            if j >= n - 1 {
+                break;
+            }
+            let active = first.map_or(nrhs, |f| f.iter().filter(|&&s| s <= j).count());
+            let lm = kl.min(n - 1 - j);
+            if swaps {
+                c.smem_elems += frac(active, t);
+            }
+            if lm > 0 {
+                c.global_read += (lm * S::BYTES) as u64;
+                c.smem_elems += frac(active * lm, t);
+                c.flops += (2 * active * lm) as u64;
+            }
+            c.syncs += 1;
+        }
+        c.global_write += (jb * nrhs * S::BYTES) as u64;
+        let next_j0 = j0 + jb;
+        if next_j0 >= n {
+            break;
+        }
+        let keep = loaded - next_j0;
+        c.smem_elems += frac(keep * nrhs, t);
+        let new_end = (next_j0 + cache_rows).min(n);
+        if new_end > loaded {
+            c.global_read += ((new_end - loaded) * nrhs * S::BYTES) as u64;
+            loaded = new_end;
+        }
+        c.syncs += 1;
+        j0 = next_j0;
+    }
+}
+
+/// Backward-sweep counters of the blocked solve.
+fn predict_backward_sweep<S: Scalar>(
+    l: &BandLayout,
+    nb: usize,
+    nrhs: usize,
+    lanes: u32,
+    c: &mut KernelCounters,
+) {
     let t = lanes as usize;
     let n = l.n;
     let kv = l.kv();
-    let kl = l.kl;
-    let mut c = KernelCounters::default();
-
-    // ---- forward sweep (skipped when kl == 0) ----
-    if kl > 0 && n > 1 {
-        let cache_rows = (nb + kl).min(n);
-        c.global_read += (cache_rows.min(n) * nrhs * S::BYTES) as u64;
-        c.syncs += 1;
-        let mut j0 = 0usize;
-        let mut loaded = cache_rows.min(n);
-        while j0 < n {
-            let jb = nb.min(n - j0);
-            for j in j0..j0 + jb {
-                if j >= n - 1 {
-                    break;
-                }
-                let lm = kl.min(n - 1 - j);
-                c.smem_elems += frac(nrhs, t); // pivot swap (worst case)
-                if lm > 0 {
-                    c.global_read += (lm * S::BYTES) as u64;
-                    c.smem_elems += frac(nrhs * lm, t);
-                    c.flops += (2 * nrhs * lm) as u64;
-                }
-                c.syncs += 1;
-            }
-            c.global_write += (jb * nrhs * S::BYTES) as u64;
-            let next_j0 = j0 + jb;
-            if next_j0 >= n {
-                break;
-            }
-            let keep = loaded - next_j0;
-            c.smem_elems += frac(keep * nrhs, t);
-            let new_end = (next_j0 + cache_rows).min(n);
-            if new_end > loaded {
-                c.global_read += ((new_end - loaded) * nrhs * S::BYTES) as u64;
-                loaded = new_end;
-            }
-            c.syncs += 1;
-            j0 = next_j0;
-        }
-    }
-
-    // ---- backward sweep ----
     let cache_rows = (nb + kv).min(n);
-    c.global_read += (cache_rows.min(n) * nrhs * S::BYTES) as u64;
+    c.global_read += (cache_rows * nrhs * S::BYTES) as u64;
     c.syncs += 1;
     let mut j1 = n;
     while j1 > 0 {
@@ -200,7 +247,6 @@ pub fn predict_gbtrs_blocked<S: Scalar>(
         c.syncs += 1;
         j1 = j0;
     }
-    c
 }
 
 /// Mirror of [`BlockContext::vec_work`] recording into a plain counter
@@ -543,19 +589,26 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         )
     }
 
-    /// Blocked solve of `batch` systems of layout `l` over `cols` columns.
-    fn solve(&self, l: &BandLayout, batch: usize, cols: usize) -> Option<SimTime> {
+    /// Blocked solve of `batch` systems of layout `l` over `cols` columns
+    /// whose forward sweeps start at `first` (all at row 0 when `None`).
+    fn solve(
+        &self,
+        l: &BandLayout,
+        batch: usize,
+        cols: usize,
+        first: Option<&[usize]>,
+    ) -> Option<SimTime> {
         let p = self.params.solve(l);
         let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(l, p.nb, cols).max(
             crate::gbtrs_blocked::backward_smem_bytes::<S>(l, p.nb, cols),
         );
         let cfg = self.cfg(p.threads, smem);
-        predict_time(
-            self.dev,
-            &cfg,
-            batch,
-            &predict_gbtrs_blocked::<S>(l, p.nb, cols, self.lanes(p.threads)),
-        )
+        let lanes = self.lanes(p.threads);
+        let counters = match first {
+            Some(first) => predict_gbtrs_blocked_from::<S>(l, p.nb, first, lanes),
+            None => predict_gbtrs_blocked::<S>(l, p.nb, cols, lanes),
+        };
+        predict_time(self.dev, &cfg, batch, &counters)
     }
 
     /// Combine: stage the interface slice, broadcast it, sweep owned rows.
@@ -597,11 +650,17 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
 
     /// The factor phase every split lane runs before its reduced solve:
     /// extract, the window factorization of the `P` diagonal blocks as
-    /// one launch, the blocked sweep over `cols` augmented columns (the
-    /// true RHS plus both spikes).
-    fn factor_phase(&self, cols: usize) -> Option<SimTime> {
+    /// one launch, the blocked sweep over the augmented columns (`nrhs`
+    /// true RHS columns plus both spikes), whose right-spike columns start
+    /// at their structural nonzeros ([`crate::spike::augmented_starts`]).
+    fn factor_phase(&self, nrhs: usize) -> Option<SimTime> {
         let parts = self.part.parts;
-        Some(self.extract()? + self.window(&self.bl, parts)? + self.solve(&self.bl, parts, cols)?)
+        let first = crate::spike::augmented_starts(&self.part, nrhs);
+        Some(
+            self.extract()?
+                + self.window(&self.bl, parts)?
+                + self.solve(&self.bl, parts, first.len(), Some(&first))?,
+        )
     }
 }
 
@@ -623,9 +682,9 @@ pub fn predict_spike_time<S: Scalar>(
 ) -> Option<SimTime> {
     let p = SpikePrices::<S>::new(dev, l, params)?;
     Some(
-        p.factor_phase(nrhs + l.kl + l.ku)?
+        p.factor_phase(nrhs)?
             + p.window(&p.rl, 1)?
-            + p.solve(&p.rl, 1, nrhs)?
+            + p.solve(&p.rl, 1, nrhs, None)?
             + p.combine(nrhs)?
             + p.residual(nrhs)?,
     )
@@ -642,7 +701,7 @@ pub fn predict_spike_factor_time<S: Scalar>(
     params: &crate::spike::SpikeParams,
 ) -> Option<SimTime> {
     let p = SpikePrices::<S>::new(dev, l, params)?;
-    Some(p.factor_phase(l.kl + l.ku)? + p.window(&p.rl, 1)?)
+    Some(p.factor_phase(0)? + p.window(&p.rl, 1)?)
 }
 
 /// Predicted modeled time of one lane's warm SPIKE solve over retained
@@ -656,32 +715,80 @@ pub fn predict_spike_warm_time<S: Scalar>(
     params: &crate::spike::SpikeParams,
 ) -> Option<SimTime> {
     let p = SpikePrices::<S>::new(dev, l, params)?;
-    Some(p.solve(&p.bl, p.part.parts, nrhs)? + p.solve(&p.rl, 1, nrhs)? + p.combine(nrhs)?)
+    Some(
+        p.solve(&p.bl, p.part.parts, nrhs, None)?
+            + p.solve(&p.rl, 1, nrhs, None)?
+            + p.combine(nrhs)?,
+    )
 }
 
-/// The SPIKE block count for one lane of layout `l`: the power of two
-/// `P >= 2` within the partition clamp (`P * (kl + ku + 1) <= n`) whose
-/// exact path ([`predict_spike_time`]) is priced cheapest, with that
-/// price. Splitting finer shortens the block sweeps as `1/P` while the
-/// reduced band grows as `P`; the argmin balances the two. Ties keep the
-/// smaller `P`. `None` when no split can be priced.
-pub fn choose_spike_parts<S: Scalar>(
+/// The block sizes `nb` the paper's §5.3 tuning sweep tries.
+pub const NB_GRID: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+
+/// The SPIKE plan for one lane of layout `l`: the block count `P` (a
+/// power of two `>= 2` within the partition clamp `P * (kl + ku + 1) <=
+/// n`) and the stage block size `nb` (one of [`NB_GRID`]) whose exact
+/// path ([`predict_spike_time`]) is priced cheapest, with that price.
+/// Every other field comes from `base`. Splitting finer shortens the
+/// block sweeps as `1/P` while the reduced band grows as `P`; `nb` trades
+/// barriers against window traffic in every stage. Ties keep the smaller
+/// `P`, then the smaller `nb`. `None` when no split can be priced.
+///
+/// The sweep prices about a hundred candidates, so its outcome is
+/// memoized per device, shape, precision, `nrhs` and `base.threads`,
+/// the only inputs the prices read.
+pub fn choose_spike_params<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
     nrhs: usize,
-    params: &crate::spike::SpikeParams,
-) -> Option<(usize, SimTime)> {
+    base: &crate::spike::SpikeParams,
+) -> Option<(crate::spike::SpikeParams, SimTime)> {
+    type Key = (DeviceSpec, [usize; 4], gbatch_core::scalar::Precision, u32);
+    type Memo = Vec<(Key, Option<(usize, usize, SimTime)>)>;
+    static MEMO: std::sync::Mutex<Memo> = std::sync::Mutex::new(Vec::new());
+    const MEMO_CAP: usize = 64;
+
+    let key: Key = (
+        dev.clone(),
+        [l.n, l.kl, l.ku, nrhs],
+        S::PRECISION,
+        base.threads,
+    );
+    let lock = || MEMO.lock().expect("no thread panics holding the plan memo");
+    let memo = lock().iter().find(|(k, _)| *k == key).map(|e| e.1);
+    let best = memo.unwrap_or_else(|| {
+        let best = spike_argmin::<S>(dev, l, nrhs, base);
+        let mut m = lock();
+        if m.len() == MEMO_CAP {
+            m.remove(0);
+        }
+        m.push((key, best));
+        best
+    });
+    best.map(|(parts, nb, t)| (base.with_parts(parts).with_nb(nb), t))
+}
+
+/// The sweep behind [`choose_spike_params`]: `(P, nb, price)`.
+fn spike_argmin<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    base: &crate::spike::SpikeParams,
+) -> Option<(usize, usize, SimTime)> {
     let max_parts = l.n / (l.kl + l.ku + 1);
-    let mut best: Option<(usize, SimTime)> = None;
+    let mut best: Option<(usize, usize, SimTime)> = None;
     for parts in (1..usize::BITS)
         .map(|k| 1usize << k)
         .take_while(|&p| p <= max_parts)
     {
-        let Some(t) = predict_spike_time::<S>(dev, l, nrhs, &params.with_parts(parts)) else {
-            continue;
-        };
-        if best.is_none_or(|(_, b)| t.secs() < b.secs()) {
-            best = Some((parts, t));
+        for nb in NB_GRID {
+            let params = base.with_parts(parts).with_nb(nb);
+            let Some(t) = predict_spike_time::<S>(dev, l, nrhs, &params) else {
+                continue;
+            };
+            if best.is_none_or(|(_, _, b)| t.secs() < b.secs()) {
+                best = Some((parts, nb, t));
+            }
         }
     }
     best
@@ -1113,16 +1220,15 @@ mod tests {
     }
 
     #[test]
-    fn chosen_spike_parts_stay_in_the_clamp_and_beat_eight() {
+    fn chosen_spike_params_stay_in_the_clamp_and_beat_nb_eight() {
         use crate::spike::SpikeParams;
         for dev in [DeviceSpec::h100_pcie(), DeviceSpec::mi250x_gcd()] {
             for n in [crate::dispatch::SPIKE_MIN_N, 10_000, 65_536] {
                 for (kl, ku) in [(2, 2), (8, 8), (3, 5), (16, 4), (1, 0)] {
                     let l = BandLayout::factor(n, n, kl, ku).unwrap();
-                    let params = SpikeParams::auto(&dev, kl);
-                    let (parts, t) = choose_spike_parts::<f64>(&dev, &l, 1, &params).unwrap();
-                    let at =
-                        |p: usize| predict_spike_time::<f64>(&dev, &l, 1, &params.with_parts(p));
+                    let base = SpikeParams::auto(&dev, kl);
+                    let (params, t) = choose_spike_params::<f64>(&dev, &l, 1, &base).unwrap();
+                    let parts = params.parts;
                     assert!(
                         parts.is_power_of_two() && parts >= 2,
                         "{n} ({kl},{ku}): P={parts}"
@@ -1131,29 +1237,107 @@ mod tests {
                         parts * (kl + ku + 1) <= n,
                         "{n} ({kl},{ku}): P={parts} past the clamp"
                     );
-                    assert_eq!(at(parts), Some(t));
-                    let p8 = at(8).unwrap();
-                    assert!(
-                        t.secs() <= p8.secs(),
-                        "{n} ({kl},{ku}): P={parts} above P=8"
-                    );
+                    assert!(NB_GRID.contains(&params.nb));
+                    assert_eq!(params, base.with_parts(parts).with_nb(params.nb));
+                    assert_eq!(predict_spike_time::<f64>(&dev, &l, 1, &params), Some(t));
+                    // The untuned `nb = 8` at every block count is one of
+                    // the candidates, so it never prices below the choice.
+                    for p in (1..usize::BITS)
+                        .map(|k| 1usize << k)
+                        .take_while(|&p| p * (kl + ku + 1) <= n)
+                    {
+                        let at8 = base.with_parts(p).with_nb(8);
+                        if let Some(t8) = predict_spike_time::<f64>(&dev, &l, 1, &at8) {
+                            assert!(
+                                t.secs() <= t8.secs(),
+                                "{n} ({kl},{ku}): chosen {params:?} above P={p} nb=8"
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn headline_spike_parts_are_pinned() {
+    fn headline_spike_plan_is_pinned() {
         // n = 65536, kl = ku = 8: the block sweeps shrink as 1/P until the
-        // reduced band LU (order 16 (P - 1)) takes over.
+        // reduced band LU (order 16 (P - 1)) takes over, at P = 32 on both
+        // devices. Every stage gets cheaper with fewer, longer window
+        // iterations up to the top of the grid, so the untuned nb = 8
+        // gives way to nb = 64 (H100 exact path 7.93 -> 6.86 ms).
         let l = BandLayout::factor(65_536, 65_536, 8, 8).unwrap();
         for (dev, want) in [
-            (DeviceSpec::h100_pcie(), 32),
-            (DeviceSpec::mi250x_gcd(), 32),
+            (DeviceSpec::h100_pcie(), (32, 64)),
+            (DeviceSpec::mi250x_gcd(), (32, 64)),
         ] {
-            let params = crate::spike::SpikeParams::auto(&dev, 8);
-            let (parts, _) = choose_spike_parts::<f64>(&dev, &l, 1, &params).unwrap();
-            assert_eq!(parts, want, "{}", dev.name);
+            let base = crate::spike::SpikeParams::auto(&dev, 8);
+            let (params, _) = choose_spike_params::<f64>(&dev, &l, 1, &base).unwrap();
+            assert_eq!((params.parts, params.nb), want, "{}", dev.name);
+        }
+    }
+
+    #[test]
+    fn augmented_sweep_prices_what_a_swap_free_operator_records() {
+        // Diagonally dominant blocks never pivot, so the forward launch
+        // records no swap work; everything else the predictor prices for
+        // the active columns, bit for bit.
+        use crate::gbtrs_blocked::{gbtrs_batch_blocked_from, SolveParams};
+        use gbatch_core::batch::RhsBatch;
+        let dev = DeviceSpec::h100_pcie();
+        for (n, kl, ku, nb) in [
+            (40usize, 3usize, 2usize, 8usize),
+            (64, 8, 8, 4),
+            (33, 2, 5, 32),
+        ] {
+            let batch = 2;
+            let mut a = random_batch(batch, n, kl, ku);
+            for id in 0..batch {
+                let mut m = a.matrix_mut(id);
+                for j in 0..n {
+                    let d = m.get(j, j);
+                    m.set(j, j, d + 10.0);
+                }
+            }
+            let l = a.layout();
+            let mut piv = PivotBatch::new(batch, n, n);
+            let mut info = InfoArray::new(batch);
+            let _ = crate::window::gbtrf_batch_window(
+                &dev,
+                &mut a,
+                &mut piv,
+                &mut info,
+                crate::window::WindowParams::auto(&dev, kl),
+            )
+            .unwrap();
+            assert!((0..batch).all(|id| {
+                let p = piv.pivots(id);
+                (0..n).all(|j| p[j] as usize == j)
+            }));
+            let first = [0, n - 10, n / 2, 0, 3];
+            let mut rhs = RhsBatch::from_fn(batch, n, first.len(), |_, i, c| {
+                if i < first[c] + kl {
+                    0.0
+                } else {
+                    (i + c) as f64 * 0.1 - 1.0
+                }
+            })
+            .unwrap();
+            let params = SolveParams {
+                nb,
+                threads: 32,
+                ..Default::default()
+            };
+            let rep = gbtrs_batch_blocked_from(&dev, &l, a.data(), &piv, &mut rhs, &first, params)
+                .unwrap();
+            let got = rep.forward.unwrap().counters;
+            let mut want = KernelCounters::default();
+            predict_forward_sweep::<f64>(&l, nb, first.len(), Some(&first), 32, false, &mut want);
+            assert_eq!(got.global_read, want.global_read * batch as u64);
+            assert_eq!(got.global_write, want.global_write * batch as u64);
+            assert_eq!(got.flops, want.flops * batch as u64);
+            assert_eq!(got.syncs, want.syncs);
+            assert_eq!(got.smem_elems.to_bits(), want.smem_elems.to_bits());
         }
     }
 

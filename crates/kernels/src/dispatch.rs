@@ -19,9 +19,9 @@
 //! vectors are preserved verbatim; containers that disagree fail with
 //! [`LaunchError::ArgMismatch`] before any launch.
 //!
-//! `ColumnMajor` adds the SPIKE split of [`crate::spike`] for large single
-//! systems, and the default, [`FactorAlgo::Auto`], adds the batch-major
-//! interleaved kernels of [`crate::interleaved`] on top of that. Each
+//! The default, [`FactorAlgo::Auto`], adds the SPIKE split of
+//! [`crate::spike`] for large single systems and the batch-major
+//! interleaved kernels of [`crate::interleaved`] to that policy. Each
 //! call — factor, factor-and-solve, or solve-only over factors the caller
 //! kept — is decided once, by a pure plan that reads only the shape and
 //! the options and issues no launch; the entry points then execute that
@@ -31,7 +31,7 @@
 //! launch ([`needs_layout_passes`]) pays conversion passes.
 
 use crate::cost::{
-    choose_spike_parts, predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch,
+    choose_spike_params, predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch,
     predict_reference_floor, predict_time, predict_window,
 };
 use crate::fused::{fused_smem_bytes, gbtrf_batch_fused, FusedParams};
@@ -72,11 +72,11 @@ use gbatch_gpu_sim::{
 ///   `kl + ku >= 1`), run the `ColumnMajor` plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorAlgo {
-    /// The full cascade, the interleaved layout and SPIKE included.
+    /// The full cascade, SPIKE and the interleaved layout included.
     #[default]
     Auto,
-    /// The paper's policy (§5.4, §7) plus SPIKE from [`SPIKE_MIN_N`] on:
-    /// the cascade without the interleaved layout.
+    /// The paper's policy (§5.4, §7): the cascade without SPIKE and
+    /// without the interleaved layout.
     ColumnMajor,
     /// Force the single-kernel factorize-and-solve (§7).
     FusedGbsv,
@@ -88,8 +88,8 @@ pub enum FactorAlgo {
     Reference,
     /// Force the batch-major interleaved kernels ([`crate::interleaved`]).
     Interleaved,
-    /// Force the SPIKE split driver ([`crate::spike`]) at the block count
-    /// [`GbsvOptions::spike`] carries.
+    /// Force the SPIKE split driver ([`crate::spike`]) with exactly the
+    /// parameters [`GbsvOptions::spike`] carries.
     Spike,
 }
 
@@ -131,9 +131,9 @@ pub struct GbsvOptions {
     /// `window`/`solve`/`spike` parameter structs.
     pub parallel: Option<ParallelPolicy>,
     /// SPIKE split-solve parameters (default: [`SpikeParams::auto`]). A
-    /// forced [`FactorAlgo::Spike`] runs at the block count they carry;
-    /// the cascade replaces it with the one [`choose_spike_parts`] prices
-    /// cheapest.
+    /// forced [`FactorAlgo::Spike`] runs exactly these; `Auto` replaces
+    /// their block count and `nb` with the pair [`choose_spike_params`]
+    /// prices cheapest.
     pub spike: Option<SpikeParams>,
     /// Engine mode for every launch this dispatch issues (default: the
     /// caller's ambient mode, i.e. [`EngineMode::PerLaunch`] unless the
@@ -240,11 +240,11 @@ enum Solve {
 ///
 /// 1. **Fused GBSV** for single-RHS `gbsv` systems up to
 ///    [`FUSED_GBSV_MAX_N`] whose working set fits shared memory.
-/// 2. **SPIKE** for `gbsv` on square LAPACK-storage systems with a
-///    nonempty band, from [`SPIKE_MIN_N`] on, when the split — at the
-///    block count [`choose_spike_parts`] prices cheapest, on the exact
-///    path a lane takes at worst — is priced below 90% of the unsplit
-///    window factorization plus blocked solve.
+/// 2. **SPIKE** (`Auto` only) for `gbsv` on square LAPACK-storage
+///    systems with a nonempty band, from [`SPIKE_MIN_N`] on, when the
+///    split — at the block count and `nb` [`choose_spike_params`] prices
+///    cheapest, on the exact path a lane takes at worst — is priced below
+///    90% of the unsplit window factorization plus blocked solve.
 /// 3. **Layout** (`Auto` only, factor storage `row_offset == kv` only):
 ///    the interleaved path when its price (conversion passes included when
 ///    a launch streams) beats the column-major price, the solve's alone
@@ -364,19 +364,20 @@ fn plan<S: Scalar>(
         _ => None,
     };
 
-    if spike_storage && l.n >= SPIKE_MIN_N && matches!(factor, Factor::Window(_)) {
-        if let (Some(f), Some(s), Some((parts, lane))) = (
+    let auto = opts.algo == FactorAlgo::Auto;
+    if auto && spike_storage && l.n >= SPIKE_MIN_N && matches!(factor, Factor::Window(_)) {
+        if let (Some(f), Some(s), Some((params, lane))) = (
             factor_time,
             solve_time,
-            choose_spike_parts::<S>(dev, l, nrhs, &spike),
+            choose_spike_params::<S>(dev, l, nrhs, &spike),
         ) {
             if lane.secs() * (batch as f64) < 0.9 * (f + s).secs() {
-                return Plan::Spike(spike.with_parts(parts));
+                return Plan::Spike(params);
             }
         }
     }
 
-    if opts.algo != FactorAlgo::Auto || !factor_storage {
+    if !auto || !factor_storage {
         return column(factor);
     }
     let inter = predict_interleaved_dispatch::<S>(dev, l, batch, nrhs, factoring, &interleaved);
@@ -984,21 +985,46 @@ mod tests {
     }
 
     #[test]
-    fn auto_spike_takes_the_chosen_parts_and_forcing_bypasses_them() {
+    fn auto_spike_takes_the_chosen_params_and_forcing_bypasses_them() {
         let l = BandLayout::factor(65_536, 65_536, 8, 8).unwrap();
         for dev in [DeviceSpec::h100_pcie(), DeviceSpec::mi250x_gcd()] {
             let auto = SpikeParams::auto(&dev, 8);
-            let (chosen, _) = choose_spike_parts::<f64>(&dev, &l, 1, &auto).unwrap();
-            assert_ne!(chosen, 4);
+            let (chosen, _) = choose_spike_params::<f64>(&dev, &l, 1, &auto).unwrap();
+            assert_ne!((chosen.parts, chosen.nb), (4, 8));
             let planned = plan::<f64>(&dev, &l, 1, Call::FactorSolve(1), &GbsvOptions::default());
-            assert!(matches!(planned, Plan::Spike(p) if p == auto.with_parts(chosen)));
+            assert!(matches!(planned, Plan::Spike(p) if p == chosen));
+            let given = SpikeParams::default().with_parts(4);
             let forced = GbsvOptions {
                 algo: FactorAlgo::Spike,
-                spike: Some(SpikeParams::default().with_parts(4)),
+                spike: Some(given),
                 ..Default::default()
             };
             let planned = plan::<f64>(&dev, &l, 1, Call::FactorSolve(1), &forced);
-            assert!(matches!(planned, Plan::Spike(p) if p.parts == 4));
+            assert!(matches!(planned, Plan::Spike(p) if p == given));
+        }
+    }
+
+    #[test]
+    fn column_major_never_splits() {
+        // At the SPIKE floor `Auto` splits this shape; the paper's policy
+        // runs the window kernel.
+        let dev = DeviceSpec::h100_pcie();
+        let (batch, n) = (2, SPIKE_MIN_N);
+        let (a0, b0) = random_system(batch, n, 8, 8, 1);
+        for (algo, want) in [
+            (FactorAlgo::Auto, ChosenAlgo::Spike),
+            (FactorAlgo::ColumnMajor, ChosenAlgo::Window),
+        ] {
+            let (mut a, mut b) = (a0.clone(), b0.clone());
+            let mut piv = PivotBatch::new(batch, n, n);
+            let mut info = InfoArray::new(batch);
+            let opts = GbsvOptions {
+                algo,
+                ..Default::default()
+            };
+            let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
+            assert_eq!(rep.algo, want, "{algo:?}");
+            assert!(info.all_ok());
         }
     }
 

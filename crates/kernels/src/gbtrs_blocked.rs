@@ -13,6 +13,8 @@
 //!   solved rows back and shifts the remainder down.
 //!
 //! Numerically identical (bit-for-bit) to `gbatch_core::gbtrs::gbtrs`.
+//! [`gbtrs_batch_blocked_from`] also skips the forward steps above each
+//! RHS column's structural leading zeros, exactly.
 
 use gbatch_core::batch::{PivotBatch, RhsBatch};
 use gbatch_core::layout::BandLayout;
@@ -107,6 +109,41 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
     rhs: &mut RhsBatch<S>,
     params: SolveParams,
 ) -> Result<BlockedSolveReport, LaunchError> {
+    blocked_solve(dev, l, factors, piv, rhs, None, params)
+}
+
+/// [`gbtrs_batch_blocked`] over RHS columns with structural leading zeros:
+/// the forward sweep of column `c` starts at step `first[c]`. The caller
+/// guarantees that column `c` of every problem is zero in its leading
+/// `first[c] + kl` rows. Above `first[c]` every pivot swap of that column
+/// would exchange two zeros and every update would be skipped
+/// (`b_j == 0`), so skipping those steps is exact: the answer is bitwise
+/// the one of the full sweep. Swap and update work, and their
+/// hazard-tracker calls, are recorded for the active columns only, the
+/// rule [`crate::cost::predict_gbtrs_blocked_from`] prices.
+pub fn gbtrs_batch_blocked_from<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    factors: &[S],
+    piv: &PivotBatch,
+    rhs: &mut RhsBatch<S>,
+    first: &[usize],
+    params: SolveParams,
+) -> Result<BlockedSolveReport, LaunchError> {
+    assert_eq!(first.len(), rhs.nrhs(), "one first row per RHS column");
+    blocked_solve(dev, l, factors, piv, rhs, Some(first), params)
+}
+
+/// The solve pair; `first` is `None` when every column starts at row 0.
+fn blocked_solve<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    factors: &[S],
+    piv: &PivotBatch,
+    rhs: &mut RhsBatch<S>,
+    first: Option<&[usize]>,
+    params: SolveParams,
+) -> Result<BlockedSolveReport, LaunchError> {
     let n = l.n;
     assert_eq!(l.m, n, "gbtrs requires square factors");
     let batch = rhs.batch();
@@ -115,6 +152,7 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
     assert_eq!(factors.len(), stride * batch);
     assert!(params.nb > 0);
     let nrhs = rhs.nrhs();
+    let start = |c: usize| first.map_or(0, |f| f[c]);
     let ldb = rhs.ldb();
     let kv = l.kv();
     let kl = l.kl;
@@ -145,11 +183,9 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
             let off = ctx.smem.alloc_scalar(cache_rows * nrhs, S::BYTES);
             let mut cache = vec![S::ZERO; cache_rows * nrhs];
             // Initial fill: rows [0, loaded).
-            let mut loaded = cache_rows.min(n);
-            for c in 0..nrhs {
-                for r in 0..loaded {
-                    cache[c * cache_rows + r] = p.b[c * ldb + r];
-                }
+            let mut loaded = cache_rows;
+            for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
+                col[..loaded].copy_from_slice(&p.b[c * ldb..c * ldb + loaded]);
             }
             if let Some(t) = ctx.smem.tracker() {
                 for c in 0..nrhs {
@@ -166,12 +202,15 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                     if j >= n - 1 {
                         break; // the last row is never a forward pivot row
                     }
+                    // Columns whose sweep has started by step `j`.
+                    let live = |c: &usize| start(*c) <= j;
+                    let active = (0..nrhs).filter(live).count();
                     let pr = ipiv[j] as usize;
                     let (lj, lp) = (j - j0, pr - j0);
                     debug_assert!(lp < cache_rows, "pivot outside cache");
                     if pr != j {
                         if let Some(t) = ctx.smem.tracker() {
-                            for c in 0..nrhs {
+                            for c in (0..nrhs).filter(live) {
                                 let (lane, colbase) = (owner(c), off + c * cache_rows);
                                 t.read(lane, colbase + lj);
                                 t.read(lane, colbase + lp);
@@ -179,20 +218,23 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                                 t.write(lane, colbase + lp);
                             }
                         }
-                        for c in 0..nrhs {
-                            cache.swap(c * cache_rows + lj, c * cache_rows + lp);
+                        for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
+                            if start(c) <= j {
+                                col.swap(lj, lp);
+                            }
                         }
-                        ctx.smem_work(nrhs, 0);
+                        ctx.smem_work(active, 0);
                     }
                     let lm = kl.min(n - 1 - j);
                     if lm > 0 {
                         let base = l.idx(kv, j);
+                        let mult = &ab[base + 1..=base + lm];
                         ctx.gld(lm * S::BYTES); // the multiplier column (register file)
                         if let Some(t) = ctx.smem.tracker() {
                             // The swap above and this update touch the cache
                             // through the same owning lane, so no extra
                             // barrier is needed between them.
-                            for c in 0..nrhs {
+                            for c in (0..nrhs).filter(live) {
                                 let (lane, colbase) = (owner(c), off + c * cache_rows);
                                 t.read(lane, colbase + lj);
                                 if cache[c * cache_rows + lj] != S::ZERO {
@@ -201,16 +243,16 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                                 }
                             }
                         }
-                        for c in 0..nrhs {
-                            let bj = cache[c * cache_rows + lj];
-                            if bj == S::ZERO {
+                        for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
+                            let bj = col[lj];
+                            if start(c) > j || bj == S::ZERO {
                                 continue;
                             }
-                            for i in 1..=lm {
-                                cache[c * cache_rows + lj + i] -= ab[base + i] * bj;
+                            for (x, &m) in col[lj + 1..=lj + lm].iter_mut().zip(mult) {
+                                *x -= m * bj;
                             }
                         }
-                        ctx.smem_work(nrhs * lm, 2);
+                        ctx.smem_work(active * lm, 2);
                     }
                     ctx.sync();
                 }
@@ -220,10 +262,8 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                         t.range_read(owner(c), off + c * cache_rows, jb);
                     }
                 }
-                for c in 0..nrhs {
-                    for r in 0..jb {
-                        p.b[c * ldb + j0 + r] = cache[c * cache_rows + r];
-                    }
+                for (c, col) in cache.chunks_exact(cache_rows).enumerate() {
+                    p.b[c * ldb + j0..c * ldb + j0 + jb].copy_from_slice(&col[..jb]);
                 }
                 ctx.gst(jb * nrhs * S::BYTES);
                 let next_j0 = j0 + jb;
@@ -243,28 +283,23 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                         t.range_write(lane, colbase, keep);
                     }
                 }
-                for c in 0..nrhs {
-                    let colbase = c * cache_rows;
-                    cache.copy_within(colbase + jb..colbase + jb + keep, colbase);
+                for col in cache.chunks_exact_mut(cache_rows) {
+                    col.copy_within(jb..jb + keep, 0);
                 }
                 ctx.smem_work(keep * nrhs, 0);
                 let new_end = (next_j0 + cache_rows).min(n);
                 if new_end > loaded {
+                    let (dst, len) = (loaded - next_j0, new_end - loaded);
                     if let Some(t) = ctx.smem.tracker() {
                         for c in 0..nrhs {
-                            t.range_write(
-                                owner(c),
-                                off + c * cache_rows + (loaded - next_j0),
-                                new_end - loaded,
-                            );
+                            t.range_write(owner(c), off + c * cache_rows + dst, len);
                         }
                     }
-                    for c in 0..nrhs {
-                        for r in loaded..new_end {
-                            cache[c * cache_rows + (r - next_j0)] = p.b[c * ldb + r];
-                        }
+                    for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
+                        col[dst..dst + len]
+                            .copy_from_slice(&p.b[c * ldb + loaded..c * ldb + new_end]);
                     }
-                    ctx.gld((new_end - loaded) * nrhs * S::BYTES);
+                    ctx.gld(len * nrhs * S::BYTES);
                     loaded = new_end;
                 }
                 ctx.sync();
@@ -291,21 +326,18 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
         let ab = &factors[p.id * stride..(p.id + 1) * stride];
         let off = ctx.smem.alloc_scalar(cache_rows * nrhs, S::BYTES);
         let mut cache = vec![S::ZERO; cache_rows * nrhs];
-        // Cache covers global rows [lo, lo + cache_rows_eff); start at the
+        // Cache covers global rows [lo, lo + cache_rows); start at the
         // bottom of the RHS.
-        let mut lo = n.saturating_sub(cache_rows);
-        let have = n - lo;
-        for c in 0..nrhs {
-            for r in 0..have {
-                cache[c * cache_rows + r] = p.b[c * ldb + lo + r];
-            }
+        let mut lo = n - cache_rows;
+        for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
+            col.copy_from_slice(&p.b[c * ldb + lo..c * ldb + n]);
         }
         if let Some(t) = ctx.smem.tracker() {
             for c in 0..nrhs {
-                t.range_write(owner(c), off + c * cache_rows, have);
+                t.range_write(owner(c), off + c * cache_rows, cache_rows);
             }
         }
-        ctx.gld(have * nrhs * S::BYTES);
+        ctx.gld(cache_rows * nrhs * S::BYTES);
         ctx.sync();
 
         // Blocks of rows [j0, j0 + jb), processed last-first.
@@ -315,13 +347,15 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
             let j0 = j1 - jb;
             debug_assert!(j0 >= lo, "block escapes the cache");
             for j in (j0..j1).rev() {
-                let diag = ab[l.idx(kv, j)];
-                ctx.gld((kv.min(j) + 1) * S::BYTES); // U column (register file)
+                let reach = kv.min(j);
+                // The U column, diagonal last (register file).
+                let ucol = &ab[l.idx(kv - reach, j)..=l.idx(kv, j)];
+                let diag = ucol[reach];
+                ctx.gld((reach + 1) * S::BYTES);
                 let lj = j - lo;
                 if let Some(t) = ctx.smem.tracker() {
                     // Division result and the axpy into the rows above both
                     // stay inside the owning lane's column.
-                    let reach = kv.min(j);
                     for c in 0..nrhs {
                         let (lane, colbase) = (owner(c), off + c * cache_rows);
                         t.read(lane, colbase + lj);
@@ -332,29 +366,28 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                         }
                     }
                 }
-                for c in 0..nrhs {
-                    let bj = cache[c * cache_rows + lj] / diag;
-                    cache[c * cache_rows + lj] = bj;
+                for col in cache.chunks_exact_mut(cache_rows) {
+                    let bj = col[lj] / diag;
+                    col[lj] = bj;
                     if bj != S::ZERO {
-                        let reach = kv.min(j);
-                        for i in 1..=reach {
-                            cache[c * cache_rows + lj - i] -= ab[l.idx(kv - i, j)] * bj;
+                        let above = col[lj - reach..lj].iter_mut().rev();
+                        for (x, &u) in above.zip(ucol[..reach].iter().rev()) {
+                            *x -= u * bj;
                         }
                     }
                 }
-                ctx.smem_work(nrhs * (kv.min(j) + 1), 2);
+                ctx.smem_work(nrhs * (reach + 1), 2);
                 ctx.sync();
             }
             // Write the solved bottom jb rows back.
+            let top = j0 - lo;
             if let Some(t) = ctx.smem.tracker() {
                 for c in 0..nrhs {
-                    t.range_read(owner(c), off + c * cache_rows + (j0 - lo), jb);
+                    t.range_read(owner(c), off + c * cache_rows + top, jb);
                 }
             }
-            for c in 0..nrhs {
-                for r in 0..jb {
-                    p.b[c * ldb + j0 + r] = cache[c * cache_rows + (j0 - lo) + r];
-                }
+            for (c, col) in cache.chunks_exact(cache_rows).enumerate() {
+                p.b[c * ldb + j0..c * ldb + j1].copy_from_slice(&col[top..top + jb]);
             }
             ctx.gst(jb * nrhs * S::BYTES);
             if j0 == 0 {
@@ -377,12 +410,8 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                         t.range_write(lane, colbase + shift_to, keep);
                     }
                 }
-                for c in 0..nrhs {
-                    let colbase = c * cache_rows;
-                    // Move within the column: src [0, keep) -> dst [shift_to, shift_to + keep).
-                    for r in (0..keep).rev() {
-                        cache[colbase + shift_to + r] = cache[colbase + r];
-                    }
+                for col in cache.chunks_exact_mut(cache_rows) {
+                    col.copy_within(..keep, shift_to);
                 }
                 ctx.smem_work(keep * nrhs, 0);
             }
@@ -392,10 +421,8 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
                         t.range_write(owner(c), off + c * cache_rows, lo - new_lo);
                     }
                 }
-                for c in 0..nrhs {
-                    for r in new_lo..lo {
-                        cache[c * cache_rows + (r - new_lo)] = p.b[c * ldb + r];
-                    }
+                for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
+                    col[..lo - new_lo].copy_from_slice(&p.b[c * ldb + new_lo..c * ldb + lo]);
                 }
                 ctx.gld((lo - new_lo) * nrhs * S::BYTES);
             }

@@ -40,7 +40,9 @@
 //! `P = 1` *is* that unsplit path, bit for bit.
 
 use crate::fused::{gbtrf_batch_fused, FusedParams};
-use crate::gbtrs_blocked::{gbtrs_batch_blocked, BlockedSolveReport, SolveParams};
+use crate::gbtrs_blocked::{
+    gbtrs_batch_blocked, gbtrs_batch_blocked_from, BlockedSolveReport, SolveParams,
+};
 use crate::window::{gbtrf_batch_window, WindowParams};
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::layout::BandLayout;
@@ -134,8 +136,8 @@ impl Default for SpikeParams {
 impl SpikeParams {
     /// Untuned defaults for a bandwidth: one warp (or enough to cover
     /// `kl + 1` threads), eight blocks, per-lane mode choice with
-    /// refinement. Dispatch replaces the block count with the one
-    /// [`crate::cost::choose_spike_parts`] prices cheapest.
+    /// refinement. Dispatch replaces the block count and `nb` with the
+    /// pair [`crate::cost::choose_spike_params`] prices cheapest.
     pub fn auto(dev: &DeviceSpec, kl: usize) -> Self {
         SpikeParams {
             threads: ((kl + 1) as u32).div_ceil(dev.warp_size) * dev.warp_size,
@@ -146,6 +148,12 @@ impl SpikeParams {
     /// Builder: set the block count.
     pub fn with_parts(mut self, parts: usize) -> Self {
         self.parts = parts;
+        self
+    }
+
+    /// Builder: set the window/solve block size of every stage.
+    pub fn with_nb(mut self, nb: usize) -> Self {
+        self.nb = nb;
         self
     }
 
@@ -217,6 +225,21 @@ pub struct SpikeReport {
     pub time: SimTime,
     /// Number of device launches issued.
     pub launches: usize,
+}
+
+/// First forward-sweep step of each augmented column
+/// ([`augmented_rhs`]: `nrhs` true columns, `ku` right-spike, `kl`
+/// left-spike), the `first` of
+/// [`crate::gbtrs_blocked::gbtrs_batch_blocked_from`]. A right-spike
+/// column holds its `B` corner in the block's bottom `ku` true rows (and
+/// nothing in the last block), so its leading `block - ku` rows are zero
+/// and its sweep starts at `block - ku - kl`, saturating at 0. Every
+/// other column starts at 0.
+pub fn augmented_starts(part: &SpikePartition, nrhs: usize) -> Vec<usize> {
+    let v = part.block.saturating_sub(part.ku + part.kl);
+    let mut first = vec![0; nrhs + part.ku + part.kl];
+    first[nrhs..nrhs + part.ku].fill(v);
+    first
 }
 
 /// Shared bytes of the `spike_extract` kernel: both coupling corners of
@@ -451,6 +474,8 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
         .enumerate()
         .map(|(p, r)| ResidProb { p, r })
         .collect();
+    // Row `i` of the band runs through the array with stride `ldab - 1`.
+    let (band, ldab) = (aref.data, aref.layout.ldab);
     let rep = launch(dev, &cfg, &mut probs, |pr, ctx| {
         let s = part.start(pr.p);
         let len = part.len(pr.p);
@@ -458,10 +483,12 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
             let i = s + row;
             let j0 = i.saturating_sub(kl);
             let j1 = (i + ku + 1).min(n);
+            let first = aref.layout.idx_full(i, j0).expect("band entry");
             for cc in 0..nrhs {
                 let mut acc = f[cc * n + i];
-                for j in j0..j1 {
-                    acc -= aref.get(i, j) * x[cc * n + j];
+                let row_entries = band[first..].iter().step_by(ldab - 1);
+                for (&aij, &xj) in row_entries.zip(&x[cc * n + j0..cc * n + j1]) {
+                    acc -= aij * xj;
                 }
                 pr.r[cc * blk + row] = acc;
             }
@@ -729,9 +756,19 @@ fn solve_lane<S: Scalar>(
         return Ok(SpikeOutcome::Unsplit);
     }
 
-    // (3) One blocked solve over the augmented RHS yields g, V and W.
+    // (3) One blocked solve over the augmented RHS yields g, V and W; the
+    // right-spike columns skip the sweep steps above their corner.
     let mut aug = augmented_rhs(part, &coupling, &f, nrhs).expect("valid augmented rhs");
-    let rep = gbtrs_batch_blocked(dev, &bl, blocks.data(), &bpiv, &mut aug, params.solve(&bl))?;
+    let first = augmented_starts(part, nrhs);
+    let rep = gbtrs_batch_blocked_from(
+        dev,
+        &bl,
+        blocks.data(),
+        &bpiv,
+        &mut aug,
+        &first,
+        params.solve(&bl),
+    )?;
     tally.solve(&rep);
 
     let st = LaneState {

@@ -34,7 +34,7 @@ use gbatch_gpu_sim::engine::LaunchError;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, MegabatchQueue, ParallelPolicy, SimTime};
 use gbatch_kernels::cost::{
-    choose_spike_parts, predict_spike_factor_time, predict_spike_warm_time,
+    choose_spike_params, predict_spike_factor_time, predict_spike_warm_time,
 };
 use gbatch_kernels::dispatch::{
     gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, FactorAlgo, GbsvOptions, SPIKE_MIN_N,
@@ -260,15 +260,16 @@ fn check_factors(
 }
 
 /// Factor one wire operator on the host at precision `S` (see
-/// [`RetainedFactor::factor`]).
+/// [`RetainedFactor::factor`]): split at the block count of `split`,
+/// retaining its `nb`, when given.
 fn host_factor<S: FactorScalar>(
     l: &BandLayout,
     ab: &[f64],
-    parts: Option<usize>,
+    split: Option<&SpikeParams>,
 ) -> Result<Arc<RetainedFactor>, i32> {
     let mut band = vec![S::ZERO; ab.len()];
     narrow(&mut band, ab);
-    RetainedFactor::factor(*l, band, parts).map(Arc::new)
+    RetainedFactor::factor(*l, band, split.map(|p| (p.parts, p.nb))).map(Arc::new)
 }
 
 /// Solve one wire right-hand side on the host over retained factors at
@@ -299,12 +300,10 @@ fn factor_outcome(
 }
 
 /// The split parameters dispatch would run on `dev` for operators of
-/// layout `l` solved against `nrhs` columns: the block count is the one
+/// layout `l` solved against `nrhs` columns: the block count and `nb`
 /// the planner prices cheapest. `None` when no split can be priced there.
 fn spike_params<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, nrhs: usize) -> Option<SpikeParams> {
-    let params = SpikeParams::auto(dev, l.kl);
-    let (parts, _) = choose_spike_parts::<S>(dev, l, nrhs, &params)?;
-    Some(params.with_parts(parts))
+    choose_spike_params::<S>(dev, l, nrhs, &SpikeParams::auto(dev, l.kl)).map(|(p, _)| p)
 }
 
 /// Price of the exact split factorization of `lanes` operators on `dev`
@@ -443,7 +442,7 @@ impl GpuBackend {
             let mut info = InfoArray::new(hi - lo);
             let rep = gbsv_batch::<S>(dev, &mut a, &mut piv, &mut rhs, &mut info, &opts)
                 .map_err(BackendError::Launch)?;
-            // The block count dispatch chose for a split flush.
+            // The block count and `nb` dispatch chose for a split flush.
             let spike = match rep.algo {
                 ChosenAlgo::Spike => spike_params::<S>(dev, &l, shape.nrhs),
                 _ => None,
@@ -456,7 +455,7 @@ impl GpuBackend {
                     lanes[lo + k] = match &spike {
                         Some(p) => {
                             split += 1;
-                            host_factor::<S>(&l, &r.ab, Some(p.parts)).ok()
+                            host_factor::<S>(&l, &r.ab, Some(p)).ok()
                         }
                         None => Some(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k))),
                     };
@@ -508,10 +507,16 @@ impl GpuBackend {
                 for (k, (r, f)) in part.iter().zip(fs).enumerate() {
                     x[lo + k] = host_solve::<S>(f, &r.rhs, nrhs);
                 }
-                let parts = fs[0].spike::<S>().expect("all lanes split").partition.parts;
-                let params = SpikeParams::auto(dev, l.kl).with_parts(parts);
-                let lane =
-                    predict_spike_warm_time::<S>(dev, &l, nrhs, &params).ok_or_else(|| {
+                // Priced at the block count and `nb` the split was
+                // planned with.
+                let f = fs[0].spike::<S>().expect("all lanes split");
+                let params = (SpikeParams::auto(dev, l.kl))
+                    .with_parts(f.partition.parts)
+                    .with_nb(f.nb);
+                let lane = (f.nb > 0)
+                    .then(|| predict_spike_warm_time::<S>(dev, &l, nrhs, &params))
+                    .flatten()
+                    .ok_or_else(|| {
                         BackendError::Fault("warm SPIKE solve cannot be priced".into())
                     })?;
                 let t = SimTime(lane.secs() * (hi - lo) as f64);
@@ -562,7 +567,7 @@ impl GpuBackend {
             if split {
                 let params = spike_params::<S>(dev, &l, shape.nrhs).expect("priceability checked");
                 for (k, op) in ops.iter().enumerate() {
-                    lanes[lo + k] = host_factor::<S>(&l, op, Some(params.parts))
+                    lanes[lo + k] = host_factor::<S>(&l, op, Some(&params))
                         .or_else(|_| host_factor::<S>(&l, op, None));
                 }
                 let t = spike_factor_time::<S>(dev, &l, &params, hi - lo)

@@ -4,7 +4,7 @@
 use crate::table::{TuneEntry, TuningTable};
 use gbatch_core::layout::BandLayout;
 use gbatch_gpu_sim::{DeviceSpec, LaunchConfig};
-use gbatch_kernels::cost::{predict_gbtrs_blocked, predict_time, predict_window};
+use gbatch_kernels::cost::{predict_gbtrs_blocked, predict_time, predict_window, NB_GRID};
 use gbatch_kernels::gbtrs_blocked::{backward_smem_bytes, forward_smem_bytes};
 use gbatch_kernels::window::window_smem_bytes;
 
@@ -30,7 +30,7 @@ impl Default for SweepConfig {
         SweepConfig {
             n: 512,
             batch: 1000,
-            nb_candidates: vec![1, 2, 4, 8, 16, 32, 64],
+            nb_candidates: NB_GRID.to_vec(),
             thread_candidates: vec![32, 64, 128, 256],
             max_band: 32,
         }

@@ -19,6 +19,7 @@ use gbatch::core::layout::BandLayout;
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch::gpu_sim::hazard::{set_global_mode, HazardKind, HazardMode};
 use gbatch::gpu_sim::{launch, registry, DeviceSpec, LaunchConfig, ParallelPolicy};
+use gbatch::kernels::cost::choose_spike_params;
 use gbatch::kernels::dispatch::{
     dgbsv_batch, dgbtrf_batch, dgbtrs_batch, sgbsv_batch, FactorAlgo, GbsvOptions,
 };
@@ -190,24 +191,31 @@ fn enforce_spike_coupling_kernels_run_hazard_free() {
     let dev = dev();
     // Large enough that a 3-way partition survives the clamp for the wide
     // (10, 7) band; both reduced-system modes exercise every coupling
-    // kernel (extract, combine, residual) under the enforcing tracker.
+    // kernel (extract, combine, residual) under the enforcing tracker, at
+    // that fixed split and at the planner's `(P, nb)`.
     let n = 192;
     for &(kl, ku) in SHAPES {
-        for policy in policies() {
-            for mode in [SpikeMode::Exact, SpikeMode::Truncated] {
-                let mut a = band_batch(BATCH, n, kl, ku);
-                let mut piv = PivotBatch::new(BATCH, n, n);
-                let mut rhs = rhs_batch(BATCH, n, 2);
-                let mut info = InfoArray::new(BATCH);
-                let params = SpikeParams::auto(&dev, kl)
-                    .with_parts(3)
-                    .with_mode(mode)
-                    .with_parallel(policy);
-                let rep =
-                    spike_gbsv_batch(&dev, &mut a, &mut piv, &mut rhs, &mut info, params).unwrap();
-                assert!(info.all_ok(), "spike ({kl},{ku}) {mode:?} {policy:?}");
-                assert!(rep.parts > 1, "partition must actually split");
-                assert!(rhs.data().iter().all(|v| v.is_finite()));
+        let base = SpikeParams::auto(&dev, kl);
+        let l = BandLayout::factor(n, n, kl, ku).unwrap();
+        let (planned, _) = choose_spike_params::<f64>(&dev, &l, 2, &base).unwrap();
+        for split in [base.with_parts(3), planned] {
+            for policy in policies() {
+                for mode in [SpikeMode::Exact, SpikeMode::Truncated] {
+                    let mut a = band_batch(BATCH, n, kl, ku);
+                    let mut piv = PivotBatch::new(BATCH, n, n);
+                    let mut rhs = rhs_batch(BATCH, n, 2);
+                    let mut info = InfoArray::new(BATCH);
+                    let params = split.with_mode(mode).with_parallel(policy);
+                    let rep = spike_gbsv_batch(&dev, &mut a, &mut piv, &mut rhs, &mut info, params)
+                        .unwrap();
+                    let (p, nb) = (split.parts, split.nb);
+                    assert!(
+                        info.all_ok(),
+                        "spike ({kl},{ku}) P={p} nb={nb} {mode:?} {policy:?}"
+                    );
+                    assert!(rep.parts > 1, "partition must actually split");
+                    assert!(rhs.data().iter().all(|v| v.is_finite()));
+                }
             }
         }
     }
