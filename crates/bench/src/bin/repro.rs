@@ -118,7 +118,7 @@ fn main() {
         for line in &r.spike.lines {
             writeln!(
                 out,
-                "    {}: unsplit {:>9.4} ms | {} | Auto P={} nb={} {:.3}x",
+                "    {}: unsplit {:>9.4} ms | {} | Auto P={} nb={} {:.3}x | non-decaying Auto P={} nb={} {:.3}x",
                 line.precision,
                 line.unsplit_ms,
                 line.points
@@ -128,7 +128,10 @@ fn main() {
                     .join(" | "),
                 line.auto.parts,
                 line.auto.nb,
-                line.auto.speedup
+                line.auto.speedup,
+                line.auto_nondecaying.parts,
+                line.auto_nondecaying.nb,
+                line.auto_nondecaying.speedup
             )
             .unwrap();
         }

@@ -20,10 +20,12 @@
 //!    through the [`Server`];
 //! 6. **spike** — the large-`n` split regime: one `n = 65536`,
 //!    `kl = ku = 8` system solved by the SPIKE driver at
-//!    `P ∈ {1, 2, 4, ..., 64}` blocks (untuned `nb = 8`) and at the
-//!    planner's `(P, nb)` (`Auto` dispatch) in both precisions under the
-//!    resident engine, against the unsplit window + blocked-solve baseline
-//!    the split competes with. Floor-gated at 3.0x for `P = 8`, f64.
+//!    `P ∈ {1, 2, 4, ..., 64}` blocks (untuned `nb = 8`) and through
+//!    `Auto` dispatch (the `(P, nb)` the lane ran, after its decay probe)
+//!    in both precisions under the resident engine, against the unsplit
+//!    window + blocked-solve baseline the split competes with, plus one
+//!    `Auto` point on a non-decaying system, which pays the probe and
+//!    runs the exact plan. Floor-gated at 3.0x for `P = 8`, f64.
 //!
 //! Every time is the simulator's analytic model, so the report is exactly
 //! reproducible on any machine: the perf gate replays the measurement and
@@ -36,7 +38,6 @@ use gbatch_cpu::CpuSpec;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::registry;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, ParallelPolicy};
-use gbatch_kernels::cost::choose_spike_params;
 use gbatch_kernels::dispatch::{
     dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, ChosenAlgo, FactorAlgo, GbsvOptions,
 };
@@ -167,8 +168,13 @@ pub struct SpikeLine {
     pub unsplit_ms: f64,
     /// One point per entry of [`SPIKE_PARTS`], each at `nb = 8`.
     pub points: Vec<SpikePoint>,
-    /// `Auto` dispatch: the `(P, nb)` the planner prices cheapest.
+    /// `Auto` dispatch: the `(P, nb)` the lane ran after its decay
+    /// probe sized it.
     pub auto: SpikePoint,
+    /// `Auto` dispatch on a non-decaying (pivoting) system: its probe
+    /// measures no decay, so the lane runs the exact plan plus the probe.
+    /// Its speedup is against that system's own unsplit solve.
+    pub auto_nondecaying: SpikePoint,
 }
 
 /// The large-`n` split-regime section of the trajectory.
@@ -561,40 +567,32 @@ fn fleet_sample() -> FleetSample {
 
 /// Sweep the SPIKE block count at the untuned `nb = 8` over one
 /// `n = 65536` diagonally dominant system at precision `S`, resident
-/// engine, then solve it through `Auto` dispatch, which runs the
-/// planner's `(P, nb)`. The baseline is the unsplit
+/// engine, then solve it through `Auto` dispatch, which sizes the lane
+/// from its spike decay. The baseline is the unsplit
 /// window + blocked-solve path (`FactorAlgo::Window` disables `Auto`'s
 /// split routing) — exactly what a large lone system cost before the
-/// split regime existed. Every split answer is checked against the
-/// unsplit one before its time is recorded.
+/// split regime existed. A second, non-decaying system (pivoting, no
+/// dominance) goes through `Auto` too: its probe measures no decay, so it
+/// runs the exact plan plus the probe. Every point records the `(P, nb)`
+/// its lane ran, read from the split driver's report, and every split
+/// answer is checked against the unsplit one before its time is
+/// recorded.
 fn spike_line<S: Scalar>(dev: &DeviceSpec) -> SpikeLine {
-    let a0 = BandBatch::<S>::from_fn(1, SPIKE_N, SPIKE_N, SPIKE_KL, SPIKE_KU, |_, m| {
-        for j in 0..SPIKE_N {
-            let (s, e) = m.layout.col_rows(j);
-            for i in s..e {
-                m.set(i, j, S::from_f64(((i * 7 + j * 3) % 5) as f64 * 0.1 + 0.05));
-            }
-            let sum = (s..e)
-                .filter(|&i| i != j)
-                .fold(S::ZERO, |acc, i| acc + m.get(i, j).abs());
-            m.set(j, j, sum + S::ONE);
-        }
-    })
-    .unwrap();
+    let dominant = spike_system::<S>(true);
+    let nondecaying = spike_system::<S>(false);
     let b0 = RhsBatch::<S>::from_fn(1, SPIKE_N, 1, |_, i, c| {
         S::from_f64(((c * 5 + i) as f64 * 0.29).sin())
     })
     .unwrap();
 
-    let run = |opts: &GbsvOptions, want: ChosenAlgo| -> (Vec<S>, f64) {
+    let run = |a0: &BandBatch<S>, opts: &GbsvOptions| {
         let mut a = a0.clone();
         let mut b = b0.clone();
         let mut piv = PivotBatch::new(1, SPIKE_N, SPIKE_N);
         let mut info = InfoArray::new(1);
         let rep = gbsv_batch::<S>(dev, &mut a, &mut piv, &mut b, &mut info, opts).unwrap();
         assert!(info.all_ok(), "spike trajectory system is nonsingular");
-        assert_eq!(rep.algo, want);
-        (b.data().to_vec(), rep.time.ms())
+        (b.data().to_vec(), rep)
     };
 
     let resident = GbsvOptions {
@@ -606,53 +604,93 @@ fn spike_line<S: Scalar>(dev: &DeviceSpec) -> SpikeLine {
         algo: FactorAlgo::Window,
         ..resident
     };
-    let (x_ref, unsplit_ms) = run(&base, ChosenAlgo::Window);
 
     // Every split answer agrees with the unsplit solve to a small multiple
     // of working precision (refined truncated-SPIKE answers included).
-    let point = |opts: &GbsvOptions, params: SpikeParams| {
-        let (x, split_ms) = run(opts, ChosenAlgo::Spike);
+    let baseline = |a0: &BandBatch<S>| {
+        let (x, rep) = run(a0, &base);
+        assert_eq!(rep.algo, ChosenAlgo::Window);
+        (x, rep.time.ms())
+    };
+    let point = |a0: &BandBatch<S>, opts: &GbsvOptions, (x_ref, unsplit_ms): &(Vec<S>, f64)| {
+        let (x, rep) = run(a0, opts);
+        assert_eq!(rep.algo, ChosenAlgo::Spike);
+        let lane = rep
+            .spike
+            .as_ref()
+            .expect("a split call reports its lanes")
+            .lanes[0];
         let (mut err, mut scale) = (0.0f64, 0.0f64);
-        for (g, w) in x.iter().zip(&x_ref) {
+        for (g, w) in x.iter().zip(x_ref) {
             err = err.max((g.to_f64() - w.to_f64()).abs());
             scale = scale.max(w.to_f64().abs());
         }
         assert!(
             err <= 1e3 * S::EPSILON.to_f64() * scale.max(1.0),
             "P = {} nb = {} split answer drifted from unsplit: |dx| = {err:.3e}",
-            params.parts,
-            params.nb
+            lane.parts,
+            lane.nb
         );
+        let split_ms = rep.time.ms();
         SpikePoint {
-            parts: params.parts,
-            nb: params.nb,
+            parts: lane.parts,
+            nb: lane.nb,
             split_ms,
             speedup: unsplit_ms / split_ms,
         }
     };
+    let unsplit = baseline(&dominant);
     let points = SPIKE_PARTS
         .iter()
         .map(|&parts| {
-            let params = SpikeParams::auto(dev, SPIKE_KL).with_parts(parts);
             let opts = GbsvOptions {
                 algo: FactorAlgo::Spike,
-                spike: Some(params),
+                spike: Some(SpikeParams::auto(dev, SPIKE_KL).with_parts(parts)),
                 ..resident
             };
-            point(&opts, params)
+            point(&dominant, &opts, &unsplit)
         })
         .collect();
-    let layout = a0.layout();
-    let (planned, _) = choose_spike_params::<S>(dev, &layout, 1, &SpikeParams::auto(dev, SPIKE_KL))
-        .expect("the trajectory split is priced");
-    let auto = point(&resident, planned);
+    let auto = point(&dominant, &resident, &unsplit);
+    let auto_nondecaying = point(&nondecaying, &resident, &baseline(&nondecaying));
 
     SpikeLine {
         precision: S::PRECISION.name().to_string(),
-        unsplit_ms,
+        unsplit_ms: unsplit.1,
         points,
         auto,
+        auto_nondecaying,
     }
+}
+
+/// The `n = 65536` spike system at precision `S`. `dominant`: entries
+/// in `[0.05, 0.45]` with the diagonal raised above the column sum, so
+/// the spikes decay. Otherwise entries in `[-0.2, 0.2]` around a diagonal
+/// of `0.1`, so the factorization pivots and the spikes do not decay.
+fn spike_system<S: Scalar>(dominant: bool) -> BandBatch<S> {
+    let shift = if dominant { 0.05 } else { -0.2 };
+    BandBatch::<S>::from_fn(1, SPIKE_N, SPIKE_N, SPIKE_KL, SPIKE_KU, |_, m| {
+        for j in 0..SPIKE_N {
+            let (s, e) = m.layout.col_rows(j);
+            for i in s..e {
+                m.set(
+                    i,
+                    j,
+                    S::from_f64(((i * 7 + j * 3) % 5) as f64 * 0.1 + shift),
+                );
+            }
+            let sum = (s..e)
+                .filter(|&i| i != j)
+                .fold(S::ZERO, |acc, i| acc + m.get(i, j).abs());
+            let diag = if dominant {
+                sum + S::ONE
+            } else {
+                S::from_f64(0.1)
+            };
+            m.set(j, j, diag);
+        }
+    })
+    .unwrap()
 }
 
 /// The repeated-operator mini-soak: `SOAK_REQUESTS` timestepping arrivals

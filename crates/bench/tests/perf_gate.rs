@@ -126,8 +126,8 @@ fn checked_in_trajectory_replays_exactly() {
         for (gp, wp) in g
             .points
             .iter()
-            .chain([&g.auto])
-            .zip(w.points.iter().chain([&w.auto]))
+            .chain([&g.auto, &g.auto_nondecaying])
+            .zip(w.points.iter().chain([&w.auto, &w.auto_nondecaying]))
         {
             assert_eq!((gp.parts, gp.nb), (wp.parts, wp.nb), "spike plan drifted");
             assert_close(

@@ -226,6 +226,26 @@ pub fn extract_blocks<S: Scalar>(
     )
 }
 
+/// Gather one `rows`-row diagonal sample block ending at each cut of
+/// `part` into an `interfaces()`-lane factor-storage [`BandBatch`] (the
+/// decay probe of the device SPIKE driver). Needs `part.block >= rows`.
+pub fn extract_samples<S: Scalar>(
+    a: &BandMatrixRef<'_, S>,
+    part: &SpikePartition,
+    rows: usize,
+) -> crate::error::Result<BandBatch<S>> {
+    debug_assert!(part.block >= rows);
+    BandBatch::from_fn(part.interfaces(), rows, rows, part.kl, part.ku, |i, m| {
+        let s = part.start(i + 1) - rows;
+        for jj in 0..rows {
+            let (rs, re) = m.layout.col_rows(jj);
+            let src = a.layout.idx_full(s + rs, s + jj).expect("band entry");
+            let dst = m.layout.idx_full(rs, jj).expect("band entry");
+            m.data[dst..dst + re - rs].copy_from_slice(&a.data[src..src + re - rs]);
+        }
+    })
+}
+
 /// Read the coupling corners of `a` under `part` (host-side reference
 /// extraction; the device path stages the same entries through the
 /// `spike_extract` kernel).

@@ -566,7 +566,7 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         let mut c = KernelCounters::default();
         c.global_read += (elems * S::BYTES) as u64;
         c.global_write += (elems * S::BYTES) as u64;
-        c.smem_elems += 2.0 * frac(elems, t as usize);
+        c.smem_elems += 2.0 * frac(elems, self.lanes(t) as usize);
         c.syncs += 2;
         let cfg = self.cfg(t, crate::spike::extract_smem_bytes::<S>(kl, ku));
         predict_time(self.dev, &cfg, self.part.interfaces(), &c)
@@ -611,6 +611,46 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         predict_time(self.dev, &cfg, batch, &counters)
     }
 
+    /// [`Self::solve`] priced as the two launches it runs, forward (zero
+    /// when `kl == 0`, which runs none) then backward. [`Self::solve`]
+    /// prices the pair as one launch, as the exact-path and column-major
+    /// prices do; the probe and truncated-path prices take this one.
+    fn solve_launches(
+        &self,
+        l: &BandLayout,
+        batch: usize,
+        cols: usize,
+        first: Option<&[usize]>,
+    ) -> Option<(SimTime, SimTime)> {
+        let p = self.params.solve(l);
+        let lanes = self.lanes(p.threads);
+        let forward = if l.kl > 0 && l.n > 1 {
+            let mut c = KernelCounters::default();
+            predict_forward_sweep::<S>(l, p.nb, cols, first, lanes, true, &mut c);
+            let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(l, p.nb, cols);
+            predict_time(self.dev, &self.cfg(p.threads, smem), batch, &c)?
+        } else {
+            SimTime::ZERO
+        };
+        let mut c = KernelCounters::default();
+        predict_backward_sweep::<S>(l, p.nb, cols, lanes, &mut c);
+        let smem = crate::gbtrs_blocked::backward_smem_bytes::<S>(l, p.nb, cols);
+        let backward = predict_time(self.dev, &self.cfg(p.threads, smem), batch, &c)?;
+        Some((forward, backward))
+    }
+
+    /// [`Self::solve_launches`], summed.
+    fn solve_pair(
+        &self,
+        l: &BandLayout,
+        batch: usize,
+        cols: usize,
+        first: Option<&[usize]>,
+    ) -> Option<SimTime> {
+        let (forward, backward) = self.solve_launches(l, batch, cols, first)?;
+        Some(forward + backward)
+    }
+
     /// Combine: stage the interface slice, broadcast it, sweep owned rows.
     fn combine(&self, nrhs: usize) -> Option<SimTime> {
         let (kl, ku, blk, t) = (
@@ -623,7 +663,7 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         let mut c = KernelCounters::default();
         c.global_read += ((slice + blk * (nrhs + ku + kl)) * S::BYTES) as u64;
         c.global_write += (blk * nrhs * S::BYTES) as u64;
-        c.smem_elems += 2.0 * frac(slice, t as usize);
+        c.smem_elems += 2.0 * frac(slice, self.lanes(t) as usize);
         c.syncs += 2;
         c.flops += (2 * blk * nrhs * (ku + kl)) as u64;
         c.cycles += frac(blk * nrhs * (ku + kl), t as usize);
@@ -646,6 +686,48 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         c.flops += (2 * blk * w * nrhs) as u64;
         c.cycles += frac(blk * w * nrhs, t as usize);
         predict_time(self.dev, &self.cfg(t, 0), self.part.parts, &c)
+    }
+
+    /// Fused factorization of `batch` systems of layout `l`.
+    fn fused(&self, l: &BandLayout, batch: usize) -> Option<SimTime> {
+        let t = self.params.threads_for(l);
+        let cfg = self.cfg(t, crate::fused::fused_smem_bytes::<S>(l.ldab, l.n));
+        predict_time(self.dev, &cfg, batch, &predict_fused::<S>(l, self.lanes(t)))
+    }
+
+    /// The decay probe's launches ([`crate::spike`]), in order: extract
+    /// at the `P - 1` cuts, the window factorization of one sample block
+    /// per cut, and the forward and backward sweeps of the sample blocks
+    /// over their `kl + ku` spike columns (forward zero when `kl == 0`).
+    /// `None` when the blocks are shorter than a sample.
+    fn probe(&self) -> Option<[SimTime; 4]> {
+        let (kl, ku) = (self.part.kl, self.part.ku);
+        let rows = crate::spike::probe_rows(kl, ku);
+        if self.part.block < rows {
+            return None;
+        }
+        let sl = BandLayout::factor(rows, rows, kl, ku).ok()?;
+        let first = crate::spike::spike_starts(rows, kl, ku, 0);
+        let samples = self.part.interfaces();
+        let (forward, backward) = self.solve_launches(&sl, samples, first.len(), Some(&first))?;
+        Some([
+            self.extract()?,
+            self.window(&sl, samples)?,
+            forward,
+            backward,
+        ])
+    }
+
+    /// [`Self::factor_phase`] with the augmented sweep priced as the
+    /// launch pair it runs ([`Self::solve_launches`]).
+    fn factor_phase_launches(&self, nrhs: usize) -> Option<SimTime> {
+        let parts = self.part.parts;
+        let first = crate::spike::augmented_starts(&self.part, nrhs);
+        Some(
+            self.extract()?
+                + self.window(&self.bl, parts)?
+                + self.solve_pair(&self.bl, parts, first.len(), Some(&first))?,
+        )
     }
 
     /// The factor phase every split lane runs before its reduced solve:
@@ -688,6 +770,57 @@ pub fn predict_spike_time<S: Scalar>(
             + p.combine(nrhs)?
             + p.residual(nrhs)?,
     )
+}
+
+/// Predicted modeled time of one lane's split solve on its **truncated**
+/// path with no refinement round: the factor phase of
+/// [`predict_spike_time`], the fused factorization and blocked solve of
+/// the `P - 1` interface blocks, combine and one residual. This is the
+/// path a lane whose spikes decay takes. Each blocked solve is priced as
+/// the forward and backward launches it runs. `None` when the partition
+/// degenerates to one block or a launch cannot fit.
+pub fn predict_spike_truncated_time<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    params: &crate::spike::SpikeParams,
+) -> Option<SimTime> {
+    let p = SpikePrices::<S>::new(dev, l, params)?;
+    let ifaces = p.part.interfaces();
+    let il = p.part.interface_layout()?;
+    Some(
+        p.factor_phase_launches(nrhs)?
+            + p.fused(&il, ifaces)?
+            + p.solve_pair(&il, ifaces, nrhs, None)?
+            + p.combine(nrhs)?
+            + p.residual(nrhs)?,
+    )
+}
+
+/// Predicted modeled time of the factor phase alone — extract, the block
+/// window factorization and the augmented sweep over `nrhs` RHS columns
+/// and both spikes, priced launch by launch: what a sized lane spends
+/// before it reads its spike decay. `None` when the partition
+/// degenerates to one block or a launch cannot fit.
+pub fn predict_spike_factor_phase_time<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    params: &crate::spike::SpikeParams,
+) -> Option<SimTime> {
+    SpikePrices::<S>::new(dev, l, params)?.factor_phase_launches(nrhs)
+}
+
+/// Predicted modeled time of the decay probe an `Auto` lane runs at the
+/// exact plan `params` before it is sized ([`crate::spike`]). `None` when
+/// the plan has no interior cut to sample or a launch cannot fit.
+pub fn predict_spike_probe_time<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    params: &crate::spike::SpikeParams,
+) -> Option<SimTime> {
+    let [extract, window, forward, backward] = SpikePrices::<S>::new(dev, l, params)?.probe()?;
+    Some(extract + window + forward + backward)
 }
 
 /// Predicted modeled time of one lane's exact SPIKE *factorization* — what
@@ -743,47 +876,141 @@ pub fn choose_spike_params<S: Scalar>(
     nrhs: usize,
     base: &crate::spike::SpikeParams,
 ) -> Option<(crate::spike::SpikeParams, SimTime)> {
-    type Key = (DeviceSpec, [usize; 4], gbatch_core::scalar::Precision, u32);
-    type Memo = Vec<(Key, Option<(usize, usize, SimTime)>)>;
-    static MEMO: std::sync::Mutex<Memo> = std::sync::Mutex::new(Vec::new());
-    const MEMO_CAP: usize = 64;
-
-    let key: Key = (
-        dev.clone(),
-        [l.n, l.kl, l.ku, nrhs],
-        S::PRECISION,
-        base.threads,
-    );
-    let lock = || MEMO.lock().expect("no thread panics holding the plan memo");
-    let memo = lock().iter().find(|(k, _)| *k == key).map(|e| e.1);
-    let best = memo.unwrap_or_else(|| {
-        let best = spike_argmin::<S>(dev, l, nrhs, base);
-        let mut m = lock();
-        if m.len() == MEMO_CAP {
-            m.remove(0);
-        }
-        m.push((key, best));
-        best
+    static MEMO: SpikeMemo = std::sync::Mutex::new(Vec::new());
+    let range = [2, spike_max_parts(l)];
+    let key = spike_key::<S>(dev, l, nrhs, base.threads, range);
+    let best = memoized(&MEMO, key, || {
+        spike_argmin(range, |(parts, nb)| {
+            predict_spike_time::<S>(dev, l, nrhs, &base.with_parts(parts).with_nb(nb))
+        })
     });
     best.map(|(parts, nb, t)| (base.with_parts(parts).with_nb(nb), t))
 }
 
-/// The sweep behind [`choose_spike_params`]: `(P, nb, price)`.
-fn spike_argmin<S: Scalar>(
+/// The plan of a lane that takes the truncated path: the block count `P`
+/// (a power of two from `exact.parts` up to `max_parts`) and `nb` (one of
+/// [`NB_GRID`]) whose truncated path ([`predict_spike_truncated_time`])
+/// is priced cheapest, with that price. `exact` is the lane's exact plan
+/// ([`choose_spike_params`]); every other field comes from it. Ties keep
+/// the smaller `P`, then the smaller `nb`; memoized like
+/// [`choose_spike_params`], with `exact.parts` and `max_parts` in the key.
+/// `None` when no candidate can be priced.
+pub fn choose_spike_truncated_params<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
     nrhs: usize,
-    base: &crate::spike::SpikeParams,
+    exact: &crate::spike::SpikeParams,
+    max_parts: usize,
+) -> Option<(crate::spike::SpikeParams, SimTime)> {
+    static MEMO: SpikeMemo = std::sync::Mutex::new(Vec::new());
+    let range = [exact.parts, max_parts.min(spike_max_parts(l))];
+    let key = spike_key::<S>(dev, l, nrhs, exact.threads, range);
+    let best = memoized(&MEMO, key, || {
+        spike_argmin(range, |(parts, nb)| {
+            let params = exact.with_parts(parts).with_nb(nb);
+            predict_spike_truncated_time::<S>(dev, l, nrhs, &params)
+        })
+    });
+    best.map(|(parts, nb, t)| (exact.with_parts(parts).with_nb(nb), t))
+}
+
+/// Whether an `Auto` lane planned at `exact` should run the decay probe:
+/// its price must be below the most sizing can save, the truncated price
+/// at `exact` minus the cheapest truncated price up to the top of the
+/// partition clamp.
+pub fn spike_probe_pays<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    exact: &crate::spike::SpikeParams,
+) -> bool {
+    let prices = (
+        predict_spike_probe_time::<S>(dev, l, exact),
+        predict_spike_truncated_time::<S>(dev, l, nrhs, exact),
+        choose_spike_truncated_params::<S>(dev, l, nrhs, exact, usize::MAX),
+    );
+    match prices {
+        (Some(probe), Some(at_exact), Some((_, best))) => {
+            probe.secs() < at_exact.secs() - best.secs()
+        }
+        _ => false,
+    }
+}
+
+/// The largest block count the partition clamp allows, rounded down to a
+/// power of two: `P * (kl + ku + 1) <= n`.
+pub fn spike_max_parts(l: &BandLayout) -> usize {
+    let cap = l.n / (l.kl + l.ku + 1);
+    if cap == 0 {
+        0
+    } else {
+        1 << cap.ilog2()
+    }
+}
+
+/// Memo key of a SPIKE argmin: device, `[n, kl, ku, nrhs]`, precision,
+/// `threads` and the `[from, to]` block-count range, the only inputs the
+/// prices read.
+type SpikeKey = (
+    DeviceSpec,
+    [usize; 4],
+    gbatch_core::scalar::Precision,
+    u32,
+    [usize; 2],
+);
+type SpikeMemo = std::sync::Mutex<Vec<(SpikeKey, Option<(usize, usize, SimTime)>)>>;
+
+fn spike_key<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    threads: u32,
+    range: [usize; 2],
+) -> SpikeKey {
+    (
+        dev.clone(),
+        [l.n, l.kl, l.ku, nrhs],
+        S::PRECISION,
+        threads,
+        range,
+    )
+}
+
+/// Look `key` up in `memo`, or compute and insert it (the oldest of
+/// `MEMO_CAP` entries gives way).
+fn memoized(
+    memo: &SpikeMemo,
+    key: SpikeKey,
+    sweep: impl FnOnce() -> Option<(usize, usize, SimTime)>,
 ) -> Option<(usize, usize, SimTime)> {
-    let max_parts = l.n / (l.kl + l.ku + 1);
+    const MEMO_CAP: usize = 64;
+    let lock = || memo.lock().expect("no thread panics holding the plan memo");
+    if let Some(hit) = lock().iter().find(|(k, _)| *k == key) {
+        return hit.1;
+    }
+    let best = sweep();
+    let mut m = lock();
+    if m.len() == MEMO_CAP {
+        m.remove(0);
+    }
+    m.push((key, best));
+    best
+}
+
+/// The sweep behind both SPIKE argmins: `(P, nb, price)` over the powers
+/// of two `P` in `from..=to` and [`NB_GRID`], cheapest first found.
+fn spike_argmin(
+    [from, to]: [usize; 2],
+    price: impl Fn((usize, usize)) -> Option<SimTime>,
+) -> Option<(usize, usize, SimTime)> {
     let mut best: Option<(usize, usize, SimTime)> = None;
     for parts in (1..usize::BITS)
         .map(|k| 1usize << k)
-        .take_while(|&p| p <= max_parts)
+        .skip_while(|&p| p < from)
+        .take_while(|&p| p <= to)
     {
         for nb in NB_GRID {
-            let params = base.with_parts(parts).with_nb(nb);
-            let Some(t) = predict_spike_time::<S>(dev, l, nrhs, &params) else {
+            let Some(t) = price((parts, nb)) else {
                 continue;
             };
             if best.is_none_or(|(_, _, b)| t.secs() < b.secs()) {
@@ -1274,6 +1501,131 @@ mod tests {
             let base = crate::spike::SpikeParams::auto(&dev, 8);
             let (params, _) = choose_spike_params::<f64>(&dev, &l, 1, &base).unwrap();
             assert_eq!((params.parts, params.nb), want, "{}", dev.name);
+        }
+    }
+
+    /// One random operator of layout `(n, kl, ku)`, its diagonal raised
+    /// above the column sum when `dominant`.
+    fn operator(n: usize, kl: usize, ku: usize, dominant: bool) -> BandBatch {
+        let mut a = random_batch(1, n, kl, ku);
+        if dominant {
+            let mut m = a.matrix_mut(0);
+            for j in 0..n {
+                let d = m.get(j, j);
+                m.set(j, j, d + (kl + ku + 1) as f64);
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn probe_launches_are_priced() {
+        // Extract records data-independent work, so its price equals its
+        // report bitwise. The window factorization and the forward sweep
+        // are priced for a pivot swap at every step, and the backward
+        // sweep for a full cache shift per block, so their prices bound
+        // what any operator records.
+        use crate::spike::{decay_probe, SpikeParams, Tally};
+        use gbatch_core::spike::SpikePartition;
+        for dev in [DeviceSpec::h100_pcie(), DeviceSpec::mi250x_gcd()] {
+            for (n, kl, ku, parts) in [
+                (2048, 8, 8, 16),
+                (4096, 2, 2, 32),
+                (1024, 0, 4, 8),
+                (1024, 4, 0, 8),
+            ] {
+                for dominant in [true, false] {
+                    let a = operator(n, kl, ku, dominant);
+                    let l = a.layout();
+                    let params = SpikeParams::auto(&dev, kl).with_parts(parts).with_nb(16);
+                    let part = SpikePartition::new(n, kl, ku, parts);
+                    let mut tally = Tally::default();
+                    let block = decay_probe(&dev, &a, 0, &part, &params, &mut tally).unwrap();
+                    let case = format!("{} n={n} ({kl},{ku}) dominant={dominant}", dev.name);
+                    assert_eq!(block.is_some(), dominant, "{case}: {block:?}");
+                    let [extract, window, forward, backward] =
+                        SpikePrices::<f64>::new(&dev, &l, &params)
+                            .unwrap()
+                            .probe()
+                            .unwrap();
+                    let want: Vec<SimTime> = [extract, window]
+                        .into_iter()
+                        .chain((kl > 0).then_some(forward))
+                        .chain([backward])
+                        .collect();
+                    let got = &tally.calls;
+                    assert_eq!(got.len(), want.len(), "{case}: one price per launch");
+                    assert_eq!(got[0].secs().to_bits(), want[0].secs().to_bits(), "{case}");
+                    for k in 1..got.len() {
+                        assert!(got[k].secs() <= want[k].secs(), "{case}: launch {k}");
+                    }
+                    let probe = predict_spike_probe_time::<f64>(&dev, &l, &params).unwrap();
+                    assert!(tally.time.secs() <= probe.secs(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_price_bounds_the_zero_round_truncated_path() {
+        use crate::spike::{spike_gbsv_batch, SpikeOutcome, SpikeParams};
+        use gbatch_core::batch::RhsBatch;
+        for dev in [DeviceSpec::h100_pcie(), DeviceSpec::mi250x_gcd()] {
+            for (n, kl, ku, parts, nb) in [
+                (4096, 8, 8, 32, 64),
+                (4096, 2, 2, 128, 16),
+                (2048, 0, 4, 32, 8),
+                (2048, 4, 0, 32, 32),
+            ] {
+                let a0 = operator(n, kl, ku, true);
+                let params = SpikeParams::auto(&dev, kl).with_parts(parts).with_nb(nb);
+                let mut a = a0.clone();
+                let mut piv = PivotBatch::new(1, n, n);
+                let mut info = InfoArray::new(1);
+                let mut rhs = RhsBatch::from_fn(1, n, 1, |_, i, _| (i % 7) as f64 - 3.0).unwrap();
+                let rep =
+                    spike_gbsv_batch(&dev, &mut a, &mut piv, &mut rhs, &mut info, params).unwrap();
+                let case = format!("{} n={n} ({kl},{ku}) P={parts} nb={nb}", dev.name);
+                assert_eq!(
+                    rep.outcomes,
+                    vec![SpikeOutcome::Truncated { refine_iters: 0 }],
+                    "{case}"
+                );
+                let price =
+                    predict_spike_truncated_time::<f64>(&dev, &a0.layout(), 1, &params).unwrap();
+                assert!(
+                    rep.time.secs() <= price.secs(),
+                    "{case}: ran {:.4} ms, priced {:.4} ms",
+                    rep.time.ms(),
+                    price.ms()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sized_spike_plan_is_pinned() {
+        // The lone_large shape: the exact plan stays (32, 64) on both
+        // devices. Its dominant lanes' probe allows blocks of 128 rows
+        // (P = 512), where the truncated path, with no reduced band to
+        // grow, is cheapest at the top of the range.
+        let l = BandLayout::factor(65_536, 65_536, 8, 8).unwrap();
+        for (dev, sized) in [
+            (DeviceSpec::h100_pcie(), (512, 64)),
+            (DeviceSpec::mi250x_gcd(), (512, 32)),
+        ] {
+            let base = crate::spike::SpikeParams::auto(&dev, 8);
+            let (exact, _) = choose_spike_params::<f64>(&dev, &l, 1, &base).unwrap();
+            assert_eq!((exact.parts, exact.nb), (32, 64), "{}", dev.name);
+            assert!(spike_probe_pays::<f64>(&dev, &l, 1, &exact), "{}", dev.name);
+            let (params, t) =
+                choose_spike_truncated_params::<f64>(&dev, &l, 1, &exact, 512).unwrap();
+            assert_eq!((params.parts, params.nb), sized, "{}", dev.name);
+            assert_eq!(params, exact.with_parts(sized.0).with_nb(sized.1));
+            assert_eq!(
+                predict_spike_truncated_time::<f64>(&dev, &l, 1, &params),
+                Some(t)
+            );
         }
     }
 

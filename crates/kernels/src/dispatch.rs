@@ -46,7 +46,7 @@ use crate::interleaved::{
     needs_layout_passes, InterleavedParams,
 };
 use crate::reference::gbtrf_batch_reference;
-use crate::spike::{spike_gbsv_batch, SpikeParams};
+use crate::spike::{spike_gbsv_batch, spike_gbsv_batch_sized, SpikeParams, SpikeReport};
 use crate::window::{gbtrf_batch_window, window_smem_bytes, WindowParams};
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::gbtrs::Transpose;
@@ -133,7 +133,8 @@ pub struct GbsvOptions {
     /// SPIKE split-solve parameters (default: [`SpikeParams::auto`]). A
     /// forced [`FactorAlgo::Spike`] runs exactly these; `Auto` replaces
     /// their block count and `nb` with the pair [`choose_spike_params`]
-    /// prices cheapest.
+    /// prices cheapest, then sizes each lane whose spikes decay
+    /// ([`crate::spike`], "Sizing").
     pub spike: Option<SpikeParams>,
     /// Engine mode for every launch this dispatch issues (default: the
     /// caller's ambient mode, i.e. [`EngineMode::PerLaunch`] unless the
@@ -201,8 +202,9 @@ enum Plan {
         threads: u32,
         parallel: ParallelPolicy,
     },
-    /// SPIKE split driver.
-    Spike(SpikeParams),
+    /// SPIKE split driver at `params`; `sized` lets each lane first be
+    /// sized from its decay probe (`Auto` only).
+    Spike { params: SpikeParams, sized: bool },
     /// The interleaved kernels: factor when the call factors, solve when
     /// it has a RHS. With `passes` (a launch streams,
     /// [`needs_layout_passes`]) a pack pass comes first, and an unpack
@@ -244,7 +246,8 @@ enum Solve {
 ///    systems with a nonempty band, from [`SPIKE_MIN_N`] on, when the
 ///    split — at the block count and `nb` [`choose_spike_params`] prices
 ///    cheapest, on the exact path a lane takes at worst — is priced below
-///    90% of the unsplit window factorization plus blocked solve.
+///    90% of the unsplit window factorization plus blocked solve. The
+///    split driver then sizes each lane from its spike decay.
 /// 3. **Layout** (`Auto` only, factor storage `row_offset == kv` only):
 ///    the interleaved path when its price (conversion passes included when
 ///    a launch streams) beats the column-major price, the solve's alone
@@ -315,7 +318,12 @@ fn plan<S: Scalar>(
         FactorAlgo::Interleaved if factoring || factor_storage => return interleaved_plan,
         _ if !factoring => return column(factor),
         FactorAlgo::FusedGbsv if nrhs > 0 => return fused_gbsv,
-        FactorAlgo::Spike if spike_storage => return Plan::Spike(spike),
+        FactorAlgo::Spike if spike_storage => {
+            return Plan::Spike {
+                params: spike,
+                sized: false,
+            }
+        }
         FactorAlgo::Fused => return column(Factor::Fused(fused)),
         FactorAlgo::Window => return column(Factor::Window(window)),
         FactorAlgo::Reference => return column(Factor::Reference(parallel)),
@@ -372,7 +380,10 @@ fn plan<S: Scalar>(
             choose_spike_params::<S>(dev, l, nrhs, &spike),
         ) {
             if lane.secs() * (batch as f64) < 0.9 * (f + s).secs() {
-                return Plan::Spike(params);
+                return Plan::Spike {
+                    params,
+                    sized: true,
+                };
             }
         }
     }
@@ -419,6 +430,9 @@ pub struct BatchReport {
     /// ([`dgbtrs_batch`]) report the lanes the caller's `info` already
     /// flagged as skipped, or empty when all factors were healthy.
     pub singular: Vec<usize>,
+    /// The split driver's own report when the call ran SPIKE: each lane's
+    /// outcome and partition, and the decay probes' time.
+    pub spike: Option<SpikeReport>,
 }
 
 impl BatchReport {
@@ -468,6 +482,7 @@ fn run_interleaved<S: Scalar>(
         time,
         launches,
         singular: info.failures(),
+        spike: None,
     })
 }
 
@@ -495,6 +510,7 @@ fn run_interleaved_solve<S: Scalar>(
         time,
         launches: 1 + passes as usize,
         singular: Vec::new(),
+        spike: None,
     })
 }
 
@@ -527,6 +543,7 @@ fn run_factor<S: Scalar>(
         time,
         launches,
         singular: info.failures(),
+        spike: None,
     })
 }
 
@@ -558,6 +575,7 @@ fn run_solve<S: Scalar>(
         time,
         launches,
         singular: Vec::new(),
+        spike: None,
     })
 }
 
@@ -628,7 +646,7 @@ pub fn gbtrf_batch<S: Scalar>(
             run_interleaved(dev, a, piv, None, info, params, passes)
         }
         Plan::Column { factor, .. } => run_factor(dev, a, piv, info, factor),
-        Plan::FusedGbsv { .. } | Plan::Spike(_) => {
+        Plan::FusedGbsv { .. } | Plan::Spike { .. } => {
             unreachable!("a plan without right-hand sides never solves")
         }
     }
@@ -687,7 +705,7 @@ pub fn gbtrs_batch<S: Scalar>(
                 run_interleaved_solve(dev, l, factors, piv, rhs, params, passes)
             }
             Plan::Column { solve, .. } => run_solve(dev, l, factors, piv, rhs, solve),
-            Plan::FusedGbsv { .. } | Plan::Spike(_) => {
+            Plan::FusedGbsv { .. } | Plan::Spike { .. } => {
                 unreachable!("a solve-only plan never factors")
             }
         },
@@ -699,6 +717,7 @@ pub fn gbtrs_batch<S: Scalar>(
                 time: rep.time(),
                 launches: 1 + rep.lt.is_some() as usize,
                 singular: Vec::new(),
+                spike: None,
             })
         }
     }
@@ -801,15 +820,21 @@ pub fn gbsv_batch<S: Scalar>(
                 time: rep.time,
                 launches: 1,
                 singular: info.failures(),
+                spike: None,
             })
         }
-        Plan::Spike(params) => {
-            let rep = spike_gbsv_batch(dev, a, piv, rhs, info, params)?;
+        Plan::Spike { params, sized } => {
+            let rep = if sized {
+                spike_gbsv_batch_sized(dev, a, piv, rhs, info, params)?
+            } else {
+                spike_gbsv_batch(dev, a, piv, rhs, info, params)?
+            };
             Ok(BatchReport {
                 algo: ChosenAlgo::Spike,
                 time: rep.time,
                 launches: rep.launches,
                 singular: info.failures(),
+                spike: Some(rep),
             })
         }
         Plan::Interleaved { params, passes } => {
@@ -835,6 +860,7 @@ pub fn gbsv_batch<S: Scalar>(
                 time: f.time + s.time,
                 launches: f.launches + s.launches,
                 singular: f.singular,
+                spike: None,
             })
         }
     }
@@ -992,7 +1018,10 @@ mod tests {
             let (chosen, _) = choose_spike_params::<f64>(&dev, &l, 1, &auto).unwrap();
             assert_ne!((chosen.parts, chosen.nb), (4, 8));
             let planned = plan::<f64>(&dev, &l, 1, Call::FactorSolve(1), &GbsvOptions::default());
-            assert!(matches!(planned, Plan::Spike(p) if p == chosen));
+            assert!(
+                matches!(planned, Plan::Spike { params, sized: true } if params == chosen),
+                "Auto runs the exact plan, sized per lane"
+            );
             let given = SpikeParams::default().with_parts(4);
             let forced = GbsvOptions {
                 algo: FactorAlgo::Spike,
@@ -1000,7 +1029,10 @@ mod tests {
                 ..Default::default()
             };
             let planned = plan::<f64>(&dev, &l, 1, Call::FactorSolve(1), &forced);
-            assert!(matches!(planned, Plan::Spike(p) if p == given));
+            assert!(
+                matches!(planned, Plan::Spike { params, sized: false } if params == given),
+                "a forced split runs exactly its parameters"
+            );
         }
     }
 

@@ -38,6 +38,24 @@
 //! remaining failure falls back to the unsplit window+blocked path that
 //! dispatch would have run anyway, on the pristine right-hand side.
 //! `P = 1` *is* that unsplit path, bit for bit.
+//!
+//! **Sizing.** The exact plan `P_e` ([`crate::cost::choose_spike_params`])
+//! is priced on the exact path, whose reduced band grows with `P`; a lane
+//! whose spikes decay runs the truncated path, which splits finer for
+//! less. Under `Auto` dispatch, when the probe is priced below the most
+//! sizing can save ([`crate::cost::spike_probe_pays`]), each lane first
+//! runs a decay probe: one sample block of [`probe_rows`] rows ending at
+//! each cut of `P_e`, factored and swept over its spike columns by the
+//! same extract, window and blocked-solve launches (batch `P_e - 1`).
+//! Each sample's spike tips against its corner rows give a decay rate per
+//! row; extrapolated geometrically, the slowest sample names the shortest
+//! block whose tips reach [`DECAY_BOUND`]. The lane then runs the
+//! truncated-path argmin ([`crate::cost::choose_spike_truncated_params`])
+//! up to the block count that length allows. A sized lane that leaves
+//! the truncated path for any reason reruns the exact plan at `P_e` from
+//! its pristine band and right-hand side, with the full chain above; it
+//! never solves the exact reduced system at the sized `P`. A lane whose
+//! sample tips do not decay is not sized and runs `P_e` unchanged.
 
 use crate::fused::{gbtrf_batch_fused, FusedParams};
 use crate::gbtrs_blocked::{
@@ -49,7 +67,7 @@ use gbatch_core::layout::BandLayout;
 use gbatch_core::scalar::Scalar;
 use gbatch_core::spike::{
     assemble_reduced, assemble_reduced_rhs, assemble_truncated, augmented_rhs, extract_blocks,
-    SpikeCoupling, SpikePartition,
+    extract_samples, SpikeCoupling, SpikePartition,
 };
 use gbatch_gpu_sim::{
     launch, DeviceSpec, LaunchConfig, LaunchError, LaunchReport, ParallelPolicy, SimTime,
@@ -170,7 +188,7 @@ impl SpikeParams {
     }
 
     /// Threads of a launch over systems of layout `l`.
-    fn threads_for(&self, l: &BandLayout) -> u32 {
+    pub(crate) fn threads_for(&self, l: &BandLayout) -> u32 {
         self.threads.max((l.kl + 1) as u32)
     }
 
@@ -214,15 +232,34 @@ pub enum SpikeOutcome {
     Unsplit,
 }
 
+/// The partition one lane answered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpikeLanePlan {
+    /// Effective block count after partition clamping.
+    pub parts: usize,
+    /// Window/solve block size of every stage.
+    pub nb: usize,
+    /// The sized `(P, nb)` the lane tried first and abandoned when it left
+    /// the truncated path; `None` when the lane was not sized or its sized
+    /// attempt answered.
+    pub abandoned: Option<(usize, usize)>,
+}
+
 /// Aggregate report of a [`spike_gbsv_batch`] call.
 #[derive(Debug, Clone)]
 pub struct SpikeReport {
-    /// Effective block count after partition clamping.
+    /// Effective block count of the plan the call was given, after
+    /// partition clamping.
     pub parts: usize,
     /// Per-lane outcome.
     pub outcomes: Vec<SpikeOutcome>,
-    /// Total modeled time across every launch of every lane.
+    /// Per-lane partition.
+    pub lanes: Vec<SpikeLanePlan>,
+    /// Total modeled time across every launch of every lane: the decay
+    /// probes' time plus the split solves'.
     pub time: SimTime,
+    /// Modeled time of the decay probes (zero unless `Auto` sized).
+    pub probe_time: SimTime,
     /// Number of device launches issued.
     pub launches: usize,
 }
@@ -236,10 +273,22 @@ pub struct SpikeReport {
 /// and its sweep starts at `block - ku - kl`, saturating at 0. Every
 /// other column starts at 0.
 pub fn augmented_starts(part: &SpikePartition, nrhs: usize) -> Vec<usize> {
-    let v = part.block.saturating_sub(part.ku + part.kl);
-    let mut first = vec![0; nrhs + part.ku + part.kl];
-    first[nrhs..nrhs + part.ku].fill(v);
+    spike_starts(part.block, part.kl, part.ku, nrhs)
+}
+
+/// [`augmented_starts`] for blocks of `block` rows and bandwidths
+/// `(kl, ku)`.
+pub fn spike_starts(block: usize, kl: usize, ku: usize, nrhs: usize) -> Vec<usize> {
+    let mut first = vec![0; nrhs + ku + kl];
+    first[nrhs..nrhs + ku].fill(block.saturating_sub(ku + kl));
     first
+}
+
+/// Rows of one decay-probe sample block: twice the coupling width, so
+/// each spike runs `kl + ku` rows or more from its corner to the rows
+/// truncation would drop.
+pub fn probe_rows(kl: usize, ku: usize) -> usize {
+    2 * (kl + ku)
 }
 
 /// Shared bytes of the `spike_extract` kernel: both coupling corners of
@@ -501,21 +550,27 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
 }
 
 /// Modeled time and launch count accumulated over one driver call.
-struct Tally {
-    time: SimTime,
-    launches: usize,
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) time: SimTime,
+    pub(crate) launches: usize,
+    /// The time of each launch in order.
+    pub(crate) calls: Vec<SimTime>,
 }
 
 impl Tally {
     fn launch(&mut self, rep: &LaunchReport) {
         self.time += rep.time;
         self.launches += 1;
+        self.calls.push(rep.time);
     }
 
     /// A blocked solve counts as its forward/backward launch pair.
     fn solve(&mut self, rep: &BlockedSolveReport) {
         self.time += rep.time();
         self.launches += 2;
+        self.calls.extend(rep.forward.as_ref().map(|f| f.time));
+        self.calls.push(rep.backward.time);
     }
 }
 
@@ -601,6 +656,9 @@ struct LaneState<S: Scalar> {
     /// right-spike and `kl` left-spike columns.
     aug: RhsBatch<S>,
     nrhs: usize,
+    /// The lane's right-hand side as a dense column-major `n x nrhs`
+    /// panel.
+    f: Vec<S>,
 }
 
 impl<S: Scalar> LaneState<S> {
@@ -644,13 +702,14 @@ fn inf_norm<S: Scalar>(v: &[S]) -> S {
 }
 
 /// Split-solve driver: factor and solve every lane of `a` against `rhs`
-/// through the SPIKE decomposition, falling back per lane to the unsplit
-/// window+blocked path whenever the split cannot answer (so the result is
-/// never worse than dispatch's column-major path — and `P = 1` *is* that
-/// path, bitwise). On success each lane's band storage holds its block
-/// factors column-for-column (block-partitioned, same minimal `ldab`) and
-/// `piv` holds globally-indexed block-local pivots; `info` follows the
-/// `gbsv` convention per lane.
+/// through the SPIKE decomposition at exactly `params`, falling back per
+/// lane to the unsplit window+blocked path whenever the split cannot
+/// answer (so the result is never worse than dispatch's column-major
+/// path — and `P = 1` *is* that path, bitwise). On success each lane's
+/// band storage holds its block factors column-for-column
+/// (block-partitioned, same minimal `ldab`) and `piv` holds
+/// globally-indexed block-local pivots; `info` follows the `gbsv`
+/// convention per lane.
 pub fn spike_gbsv_batch<S: Scalar>(
     dev: &DeviceSpec,
     a: &mut BandBatch<S>,
@@ -658,6 +717,32 @@ pub fn spike_gbsv_batch<S: Scalar>(
     rhs: &mut RhsBatch<S>,
     info: &mut InfoArray,
     params: SpikeParams,
+) -> Result<SpikeReport, LaunchError> {
+    run_split(dev, a, piv, rhs, info, params, false)
+}
+
+/// [`spike_gbsv_batch`] as `Auto` dispatch runs it: `params` is the
+/// exact plan `P_e`, and each lane may first be sized from its decay
+/// probe (see the module doc).
+pub(crate) fn spike_gbsv_batch_sized<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &mut BandBatch<S>,
+    piv: &mut PivotBatch,
+    rhs: &mut RhsBatch<S>,
+    info: &mut InfoArray,
+    params: SpikeParams,
+) -> Result<SpikeReport, LaunchError> {
+    run_split(dev, a, piv, rhs, info, params, true)
+}
+
+fn run_split<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &mut BandBatch<S>,
+    piv: &mut PivotBatch,
+    rhs: &mut RhsBatch<S>,
+    info: &mut InfoArray,
+    params: SpikeParams,
+    sizing: bool,
 ) -> Result<SpikeReport, LaunchError> {
     let l = a.layout();
     assert_eq!(l.m, l.n, "spike requires square systems");
@@ -681,12 +766,15 @@ pub fn spike_gbsv_batch<S: Scalar>(
         bl.ldab, l.ldab,
         "spike requires the minimal factor ldab (block columns must tile the band)"
     );
+    let nrhs = rhs.nrhs();
+    let probe = sizing
+        && params.mode == SpikeMode::Truncated
+        && crate::cost::spike_probe_pays::<S>(dev, &l, nrhs, &params);
 
-    let mut tally = Tally {
-        time: SimTime::ZERO,
-        launches: 0,
-    };
+    let mut tally = Tally::default();
+    let mut probe_tally = Tally::default();
     let mut outcomes = Vec::with_capacity(batch);
+    let mut lanes = Vec::with_capacity(batch);
     for lane in 0..batch {
         let mut io = LaneIo {
             a: &mut *a,
@@ -695,13 +783,39 @@ pub fn spike_gbsv_batch<S: Scalar>(
             info: &mut *info,
             lane,
         };
+        let sized = if probe {
+            size_lane(dev, io.a, lane, &part, &params, nrhs, &mut probe_tally)?
+        } else {
+            None
+        };
+        let mut abandoned = None;
+        if let Some(sp) = sized {
+            let sp_part = SpikePartition::new(l.n, l.kl, l.ku, sp.parts);
+            if let Some(oc) = sized_attempt(dev, &mut io, &sp_part, &sp, &mut tally)? {
+                outcomes.push(oc);
+                lanes.push(SpikeLanePlan {
+                    parts: sp_part.parts,
+                    nb: sp.nb,
+                    abandoned: None,
+                });
+                continue;
+            }
+            abandoned = Some((sp_part.parts, sp.nb));
+        }
         outcomes.push(solve_lane(dev, &mut io, &part, &params, &mut tally)?);
+        lanes.push(SpikeLanePlan {
+            parts: part.parts,
+            nb: params.nb,
+            abandoned,
+        });
     }
     Ok(SpikeReport {
         parts: part.parts,
         outcomes,
-        time: tally.time,
-        launches: tally.launches,
+        lanes,
+        time: probe_tally.time + tally.time,
+        probe_time: probe_tally.time,
+        launches: probe_tally.launches + tally.launches,
     })
 }
 
@@ -714,6 +828,164 @@ struct LaneIo<'a, S: Scalar> {
     lane: usize,
 }
 
+/// The sized plan of one lane planned at `exact` (partition `part`): run
+/// the decay probe, take the largest power-of-two block count whose
+/// blocks are at least as long as the probe asks, and return the
+/// truncated-path argmin up to it. `None` when the lane is not sized:
+/// the probe measured no decay, or the argmin keeps `exact`.
+fn size_lane<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &BandBatch<S>,
+    lane: usize,
+    part: &SpikePartition,
+    exact: &SpikeParams,
+    nrhs: usize,
+    tally: &mut Tally,
+) -> Result<Option<SpikeParams>, LaunchError> {
+    let Some(block) = decay_probe(dev, a, lane, part, exact, tally)? else {
+        return Ok(None);
+    };
+    let l = a.layout();
+    let mut top = crate::cost::spike_max_parts(&l);
+    while top > exact.parts && l.n.div_ceil(top) < block {
+        top /= 2;
+    }
+    if top <= exact.parts {
+        return Ok(None);
+    }
+    let sized = crate::cost::choose_spike_truncated_params::<S>(dev, &l, nrhs, exact, top)
+        .map(|(p, _)| p)
+        .filter(|p| (p.parts, p.nb) != (exact.parts, exact.nb));
+    Ok(sized)
+}
+
+/// The decay probe of one lane at partition `part`: one sample block of
+/// [`probe_rows`] rows ending at each cut, factored by one window launch
+/// and swept over its right-spike (`B` corner in the bottom `ku` rows)
+/// and left-spike (`C` corner in the top `kl` rows) columns by one
+/// blocked solve, after the extract launch stages the cut corners. Each
+/// spike's tip (the rows truncation drops) against its head (the corner
+/// rows) gives a geometric decay rate per row; the result is the shortest
+/// block length at which the slowest sample's extrapolated tip reaches
+/// [`DECAY_BOUND`]. `None` when any sample's tip is at least its head or
+/// NaN, a sample is singular, or the blocks are shorter than a sample.
+pub(crate) fn decay_probe<S: Scalar>(
+    dev: &DeviceSpec,
+    a: &BandBatch<S>,
+    lane: usize,
+    part: &SpikePartition,
+    params: &SpikeParams,
+    tally: &mut Tally,
+) -> Result<Option<usize>, LaunchError> {
+    let (kl, ku) = (part.kl, part.ku);
+    let rows = probe_rows(kl, ku);
+    if part.parts < 2 || part.block < rows {
+        return Ok(None);
+    }
+    let (coupling, rep) = spike_extract_launch(dev, a, lane, part, params)?;
+    tally.launch(&rep);
+
+    let mut samples = extract_samples(&a.matrix(lane), part, rows).expect("valid sample batch");
+    let sl = samples.layout();
+    let count = part.interfaces();
+    let mut spiv = PivotBatch::new(count, rows, rows);
+    let mut sinfo = InfoArray::new(count);
+    let rep = gbtrf_batch_window(dev, &mut samples, &mut spiv, &mut sinfo, params.window(&sl))?;
+    tally.launch(&rep);
+    if !sinfo.all_ok() {
+        return Ok(None);
+    }
+    let mut spikes = RhsBatch::zeros(count, rows, ku + kl).expect("valid probe rhs");
+    for i in 0..count {
+        let dst = spikes.block_mut(i);
+        let (b, c) = (coupling.b_corner(i), coupling.c_corner(i));
+        for cc in 0..ku {
+            dst[cc * rows + rows - ku..(cc + 1) * rows].copy_from_slice(&b[cc * ku..(cc + 1) * ku]);
+        }
+        for cc in 0..kl {
+            let col = (ku + cc) * rows;
+            dst[col..col + kl].copy_from_slice(&c[cc * kl..(cc + 1) * kl]);
+        }
+    }
+    let first = spike_starts(rows, kl, ku, 0);
+    let rep = gbtrs_batch_blocked_from(
+        dev,
+        &sl,
+        samples.data(),
+        &spiv,
+        &mut spikes,
+        &first,
+        params.solve(&sl),
+    )?;
+    tally.solve(&rep);
+
+    // Largest magnitude over `rows` of spike columns `cols` of sample `i`;
+    // a NaN reads as infinite.
+    let peak = |i: usize, cols: std::ops::Range<usize>, rs: std::ops::Range<usize>| {
+        cols.flat_map(|c| rs.clone().map(move |r| (c, r)))
+            .fold(0.0f64, |m, (c, r)| {
+                let x = spikes.get(i, r, c).to_f64().abs();
+                if x.is_nan() {
+                    f64::INFINITY
+                } else {
+                    m.max(x)
+                }
+            })
+    };
+    let mut need = 0.0f64;
+    for i in 0..count {
+        // (head, tip, corner width) of the right then the left spike.
+        for (head, tip, k) in [
+            (peak(i, 0..ku, rows - ku..rows), peak(i, 0..ku, 0..ku), ku),
+            (
+                peak(i, ku..ku + kl, 0..kl),
+                peak(i, ku..ku + kl, rows - kl..rows),
+                kl,
+            ),
+        ] {
+            if head == 0.0 && tip == 0.0 {
+                continue; // no coupling on this side
+            }
+            if tip >= head || head.is_infinite() {
+                return Ok(None);
+            }
+            if head > DECAY_BOUND {
+                // head * (tip / head)^((len - k) / (rows - k)) <= DECAY_BOUND
+                let span = (DECAY_BOUND / head).ln() / (tip / head).ln();
+                need = need.max(k as f64 + (rows - k) as f64 * span);
+            }
+        }
+    }
+    Ok(Some((need.ceil() as usize).max(kl + ku + 1)))
+}
+
+/// One sized lane's truncated attempt at `part`: `Some` when it
+/// converged, its factors and answer written back. `None` when the lane
+/// leaves the truncated path — a singular block, tips above
+/// [`DECAY_BOUND`], a failed interface LU or stalled refinement — with
+/// the lane's band, pivots, right-hand side and `info` untouched.
+fn sized_attempt<S: Scalar>(
+    dev: &DeviceSpec,
+    io: &mut LaneIo<'_, S>,
+    part: &SpikePartition,
+    params: &SpikeParams,
+    tally: &mut Tally,
+) -> Result<Option<SpikeOutcome>, LaunchError> {
+    let Some(st) = split_front(dev, io, part, params, tally)? else {
+        return Ok(None);
+    };
+    if st.dropped_coupling() > DECAY_BOUND {
+        return Ok(None);
+    }
+    Ok(match truncated_solve(dev, io, &st, params, tally)? {
+        Ok(oc) => {
+            write_back(io, part, &st);
+            Some(oc)
+        }
+        Err(_) => None,
+    })
+}
+
 fn solve_lane<S: Scalar>(
     dev: &DeviceSpec,
     io: &mut LaneIo<'_, S>,
@@ -721,10 +993,50 @@ fn solve_lane<S: Scalar>(
     params: &SpikeParams,
     tally: &mut Tally,
 ) -> Result<SpikeOutcome, LaunchError> {
-    if part.parts == 1 {
+    let front = if part.parts == 1 {
+        None
+    } else {
+        split_front(dev, io, part, params, tally)?
+    };
+    let Some(st) = front else {
         unsplit_lane(dev, io, params, tally)?;
         return Ok(SpikeOutcome::Unsplit);
+    };
+
+    // Mode choice from the spike decay, then the reduced solve.
+    let truncate = params.mode == SpikeMode::Truncated && st.dropped_coupling() <= DECAY_BOUND;
+    let outcome = if truncate {
+        match truncated_solve(dev, io, &st, params, tally)? {
+            Ok(oc) => Some(oc),
+            Err(refine_iters) => exact_solve(dev, io, &st, params, tally)?
+                .then_some(SpikeOutcome::ExactFallback { refine_iters }),
+        }
+    } else {
+        exact_solve(dev, io, &st, params, tally)?.then_some(SpikeOutcome::Exact)
+    };
+    match outcome {
+        Some(oc) => {
+            write_back(io, part, &st);
+            Ok(oc)
+        }
+        None => {
+            unsplit_lane(dev, io, params, tally)?;
+            Ok(SpikeOutcome::Unsplit)
+        }
     }
+}
+
+/// The factor phase of one lane at `part`: gather its RHS, extract the
+/// coupling corners, factor the `P` diagonal blocks as one batched window
+/// launch and sweep the augmented RHS for `g`, `V` and `W`. `None` when
+/// a block is singular. Reads the lane's band and RHS, writes neither.
+fn split_front<S: Scalar>(
+    dev: &DeviceSpec,
+    io: &LaneIo<'_, S>,
+    part: &SpikePartition,
+    params: &SpikeParams,
+    tally: &mut Tally,
+) -> Result<Option<LaneState<S>>, LaunchError> {
     let n = part.n;
     let nrhs = io.rhs.nrhs();
 
@@ -752,8 +1064,7 @@ fn solve_lane<S: Scalar>(
     let rep = gbtrf_batch_window(dev, &mut blocks, &mut bpiv, &mut binfo, params.window(&bl))?;
     tally.launch(&rep);
     if !binfo.all_ok() {
-        unsplit_lane(dev, io, params, tally)?;
-        return Ok(SpikeOutcome::Unsplit);
+        return Ok(None);
     }
 
     // (3) One blocked solve over the augmented RHS yields g, V and W; the
@@ -777,25 +1088,9 @@ fn solve_lane<S: Scalar>(
         bpiv,
         aug,
         nrhs,
+        f,
     };
-
-    // (4) Mode choice from the spike decay, then the reduced solve.
-    let truncate = params.mode == SpikeMode::Truncated && st.dropped_coupling() <= DECAY_BOUND;
-    let outcome = if truncate {
-        truncated_solve(dev, io, &st, &f, params, tally)?
-    } else {
-        exact_solve(dev, io, &st, &f, params, tally)?.then_some(SpikeOutcome::Exact)
-    };
-    match outcome {
-        Some(oc) => {
-            write_back(io, part, &st);
-            Ok(oc)
-        }
-        None => {
-            unsplit_lane(dev, io, params, tally)?;
-            Ok(SpikeOutcome::Unsplit)
-        }
-    }
+    Ok(Some(st))
 }
 
 /// Exact reduced solve + combine; `false` when the reduced system is
@@ -805,11 +1100,10 @@ fn exact_solve<S: Scalar>(
     dev: &DeviceSpec,
     io: &mut LaneIo<'_, S>,
     st: &LaneState<S>,
-    f: &[S],
     params: &SpikeParams,
     tally: &mut Tally,
 ) -> Result<bool, LaunchError> {
-    let part = &st.part;
+    let (part, f) = (&st.part, &st.f);
     let reduced = assemble_reduced(
         part,
         |p, row, c| st.v(p, row, c),
@@ -838,17 +1132,19 @@ fn exact_solve<S: Scalar>(
     Ok(true)
 }
 
-/// Truncated preconditioner + iterative refinement; falls back to the
-/// exact reduced system on stall, `None` when that fails too.
+/// Truncated preconditioner + iterative refinement. `Ok` with the
+/// outcome once refinement meets [`TRUNCATED_TARGET`], the answer written
+/// to the lane's RHS; `Err` with the rounds spent when the lane must
+/// leave the truncated path (the interface LU failed, or refinement
+/// stalled), the lane's RHS untouched.
 fn truncated_solve<S: Scalar>(
     dev: &DeviceSpec,
     io: &mut LaneIo<'_, S>,
     st: &LaneState<S>,
-    f: &[S],
     params: &SpikeParams,
     tally: &mut Tally,
-) -> Result<Option<SpikeOutcome>, LaunchError> {
-    let part = &st.part;
+) -> Result<Result<SpikeOutcome, usize>, LaunchError> {
+    let (part, f) = (&st.part, &st.f);
     let (n, blk) = (part.n, part.block);
     let nrhs = st.nrhs;
     let blocks = assemble_truncated(
@@ -858,8 +1154,7 @@ fn truncated_solve<S: Scalar>(
     )
     .expect("split lanes have interfaces");
     let Some(lu) = factor_reduced(dev, blocks, false, params, tally)? else {
-        let ok = exact_solve(dev, io, st, f, params, tally)?;
-        return Ok(ok.then_some(SpikeOutcome::ExactFallback { refine_iters: 0 }));
+        return Ok(Err(0));
     };
 
     // Initial truncated solve from the already-computed g.
@@ -877,15 +1172,14 @@ fn truncated_solve<S: Scalar>(
         let rnorm = inf_norm(&res);
         if rnorm <= tol {
             write_lane(io.rhs, io.lane, nrhs, &x);
-            return Ok(Some(SpikeOutcome::Truncated { refine_iters: iter }));
+            return Ok(Ok(SpikeOutcome::Truncated { refine_iters: iter }));
         }
-        // Stall detection: refinement must keep contracting or we bail to
-        // the exact reduced system. The negated comparison is deliberate:
-        // a NaN residual must read as "stalled" and take the fallback.
+        // Stall detection: refinement must keep contracting or the lane
+        // leaves the truncated path. The negated comparison is
+        // deliberate: a NaN residual must read as "stalled".
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if iter == params.max_refine || !(rnorm.to_f64() < 0.5 * prev.to_f64()) {
-            let ok = exact_solve(dev, io, st, f, params, tally)?;
-            return Ok(ok.then_some(SpikeOutcome::ExactFallback { refine_iters: iter }));
+            return Ok(Err(iter));
         }
         prev = rnorm;
         // Preconditioner application: dx = M^{-1} r.

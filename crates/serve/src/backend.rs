@@ -442,7 +442,9 @@ impl GpuBackend {
             let mut info = InfoArray::new(hi - lo);
             let rep = gbsv_batch::<S>(dev, &mut a, &mut piv, &mut rhs, &mut info, &opts)
                 .map_err(BackendError::Launch)?;
-            // The block count and `nb` dispatch chose for a split flush.
+            // The exact plan's block count and `nb` for a split flush:
+            // what a retained split factor is built at, whatever
+            // partition a sized lane answered from.
             let spike = match rep.algo {
                 ChosenAlgo::Spike => spike_params::<S>(dev, &l, shape.nrhs),
                 _ => None,

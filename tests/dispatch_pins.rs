@@ -562,14 +562,14 @@ mi250x_gcd f64 PerLaunch percol_solve algo=Reference launches=479 time=0x3f69739
 mi250x_gcd f32 PerLaunch percol_solve algo=Window launches=287 time=0x3f6c62efc78bbadc singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
 mi250x_gcd f64 Resident percol_solve algo=Reference launches=479 time=0x3f43673a13dbc6b4 singular=[] info=0xcf21924e7b0ff7c7 a=0xf3bf167b3349d5e3 piv=0x8e778e9fd6c80e85 x=0x4327032d11b7b4aa\n\
 mi250x_gcd f32 Resident percol_solve algo=Window launches=287 time=0x3f600b0d8866e1db singular=[] info=0xcf21924e7b0ff7c7 a=0x351fd25ee05eaabd piv=0x8e778e9fd6c80e85 x=0x1eeaeca42c7c430a\n\
-h100_pcie f64 PerLaunch spike_auto algo=Spike launches=9 time=0x3f19f9afa584b7bf singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
-h100_pcie f32 PerLaunch spike_auto algo=Spike launches=9 time=0x3f19f2d0db81c137 singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
-h100_pcie f64 Resident spike_auto algo=Spike launches=9 time=0x3f11b7c1c46b2cd3 singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
-h100_pcie f32 Resident spike_auto algo=Spike launches=9 time=0x3f11b0e2fa68364b singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
-mi250x_gcd f64 PerLaunch spike_auto algo=Spike launches=9 time=0x3f2555cbcf8b8aa7 singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
-mi250x_gcd f32 PerLaunch spike_auto algo=Spike launches=9 time=0x3f2550c2ed568fa3 singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
-mi250x_gcd f64 Resident spike_auto algo=Spike launches=9 time=0x3f1e48b2cd70c4e9 singular=[] info=0x392209f14dea4c24 a=0x4cf7fbc13d81e4f0 piv=0x880df12a20921e15 x=0xbc986ee5d698e6d2\n\
-mi250x_gcd f32 Resident spike_auto algo=Spike launches=9 time=0x3f1e3ea10906cee2 singular=[] info=0x392209f14dea4c24 a=0xc3c1d21c8284b27a piv=0x880df12a20921e15 x=0x7f3d54449b5c3847\n\
+h100_pcie f64 PerLaunch spike_auto algo=Spike launches=19 time=0x3f1a9fb95215bb5c singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
+h100_pcie f32 PerLaunch spike_auto algo=Spike launches=13 time=0x3f13075c51618e47 singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
+h100_pcie f64 Resident spike_auto algo=Spike launches=19 time=0x3f0261f80a316511 singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
+h100_pcie f32 Resident spike_auto algo=Spike launches=13 time=0x3efc67a11480dd94 singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
+mi250x_gcd f64 PerLaunch spike_auto algo=Spike launches=19 time=0x3f2486b58addc5c2 singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
+mi250x_gcd f32 PerLaunch spike_auto algo=Spike launches=13 time=0x3f1d8c0a5f227b26 singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
+mi250x_gcd f64 Resident spike_auto algo=Spike launches=19 time=0x3f0dce9e447ffc89 singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
+mi250x_gcd f32 Resident spike_auto algo=Spike launches=13 time=0x3f074fb89980f1a6 singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
 h100_pcie f64 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1f51e85ccbeab4 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
 h100_pcie f32 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1f5160e15026c5 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
 h100_pcie f64 Resident spike_forced algo=Spike launches=18 time=0x3f0d9c193531a9b8 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
