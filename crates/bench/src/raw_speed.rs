@@ -143,6 +143,10 @@ pub const SPIKE_PARTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Acceptance floor: SPIKE at `P = 8`, f64, beats the unsplit solve by
 /// at least this factor.
 pub const SPIKE_FLOOR: f64 = 3.0;
+/// Acceptance floor: `Auto` on the non-decaying f64 system (the exact
+/// plan plus the decay probe, its sweeps spread over the idle SMs) beats
+/// that system's unsplit solve by at least this factor.
+pub const SPIKE_NONDECAYING_FLOOR: f64 = 15.0;
 
 /// One point of the spike sweep: the split solve at a given block count
 /// and stage block size.
@@ -193,14 +197,24 @@ pub struct SpikeSection {
 }
 
 impl SpikeSection {
+    /// The f64 sweep.
+    fn f64_line(&self) -> Option<&SpikeLine> {
+        self.lines.iter().find(|l| l.precision == "f64")
+    }
+
     /// The floor-gated headline number: speedup at `P = 8`, f64.
     #[must_use]
     pub fn speedup_at_p8_f64(&self) -> f64 {
-        self.lines
-            .iter()
-            .find(|l| l.precision == "f64")
+        self.f64_line()
             .and_then(|l| l.points.iter().find(|p| p.parts == 8))
             .map_or(0.0, |p| p.speedup)
+    }
+
+    /// The floor-gated `Auto` number on a system whose spikes do not
+    /// decay: the `auto_nondecaying` speedup, f64.
+    #[must_use]
+    pub fn nondecaying_speedup_f64(&self) -> f64 {
+        self.f64_line().map_or(0.0, |l| l.auto_nondecaying.speedup)
     }
 }
 
@@ -808,6 +822,11 @@ mod tests {
             r.spike.speedup_at_p8_f64() >= SPIKE_FLOOR,
             "spike P = 8 f64 speedup {:.3} below the {SPIKE_FLOOR}x floor",
             r.spike.speedup_at_p8_f64()
+        );
+        assert!(
+            r.spike.nondecaying_speedup_f64() >= SPIKE_NONDECAYING_FLOOR,
+            "spike non-decaying Auto f64 speedup {:.3} below the {SPIKE_NONDECAYING_FLOOR}x floor",
+            r.spike.nondecaying_speedup_f64()
         );
         // The fleet comparison: the heterogeneous fleet converts its
         // aggregate capacity into throughput the single device cannot

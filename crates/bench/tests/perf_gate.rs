@@ -249,6 +249,15 @@ fn spike_floors_hold() {
         want.spike.speedup_at_p8_f64(),
         raw_speed::SPIKE_FLOOR
     );
+    // Acceptance floor: Auto on the non-decaying f64 system, which runs
+    // the exact plan plus the decay probe, beats its unsplit solve by at
+    // least 15x.
+    assert!(
+        want.spike.nondecaying_speedup_f64() >= raw_speed::SPIKE_NONDECAYING_FLOOR,
+        "spike non-decaying Auto f64 speedup {:.3} below the {}x floor",
+        want.spike.nondecaying_speedup_f64(),
+        raw_speed::SPIKE_NONDECAYING_FLOOR
+    );
 }
 
 #[test]

@@ -22,7 +22,7 @@
 use crate::access_model::{registry, Rigor};
 use crate::fused::{gbtrf_batch_fused, FusedParams};
 use crate::gbsv_fused::gbsv_batch_fused;
-use crate::gbtrs_blocked::{gbtrs_batch_blocked, SolveParams};
+use crate::gbtrs_blocked::{blocked_solve, SolveParams};
 use crate::interleaved::{
     gbtrf_batch_interleaved, gbtrs_batch_interleaved, interleave_launch, InterleavedParams,
 };
@@ -400,12 +400,21 @@ fn conform_gbsv<S: Scalar>(
     check_blocks(model, shape, S::BYTES, &rep.hazards, &oracles)
 }
 
+/// The blocked solve at `shape`, split into `groups` column groups of
+/// equal width per system: each block is checked against the model at
+/// `nrhs = width` over its own columns.
 fn conform_gbtrs<S: Scalar>(
     dev: &DeviceSpec,
     forward: &KernelModel,
     backward: &KernelModel,
     shape: &Shape,
+    groups: usize,
 ) -> Result<usize, String> {
+    let (width, count) = crate::gbtrs_blocked::column_groups(shape.nrhs, groups);
+    assert!(
+        shape.nrhs.is_multiple_of(width),
+        "grouped conformance shape {shape:?} needs groups of equal width"
+    );
     // GBTRS wants (mostly) nonsingular factors: reuse the first three band
     // regimes and skip the singular one.
     let batch = 3usize;
@@ -426,31 +435,30 @@ fn conform_gbtrs<S: Scalar>(
     let rhs_blocks: Vec<Vec<S>> = (0..batch).map(|id| rhs.block(id).to_vec()).collect();
     let rep = {
         let _guard = trace_mode();
-        gbtrs_batch_blocked(
-            dev,
-            &l,
-            &factors,
-            &piv,
-            &mut rhs,
-            SolveParams {
-                nb: shape.nb,
-                threads: shape.threads as u32,
-                parallel: ParallelPolicy::Serial,
-            },
-        )
-        .map_err(|e| format!("gbtrs at {shape:?}: launch failed: {e}"))?
+        let params = SolveParams {
+            nb: shape.nb,
+            threads: shape.threads as u32,
+            parallel: ParallelPolicy::Serial,
+        };
+        blocked_solve(dev, &l, &factors, &piv, &mut rhs, None, params, groups)
+            .map_err(|e| format!("gbtrs at {shape:?}: launch failed: {e}"))?
     };
     let oracles: Vec<Oracle> = (0..batch)
-        .map(|id| {
+        .flat_map(|id| (0..count).map(move |g| (id, g * width * shape.n)))
+        .map(|(id, at)| {
             gbtrs_oracle::<S>(
                 &l,
                 &factors[id * stride..(id + 1) * stride],
                 piv.pivots(id),
-                &rhs_blocks[id],
-                shape.nrhs,
+                &rhs_blocks[id][at..at + width * shape.n],
+                width,
             )
         })
         .collect();
+    let shape = &Shape {
+        nrhs: width,
+        ..*shape
+    };
     let mut checks = 0;
     match (&rep.forward, shape.kl > 0 && shape.n > 1) {
         (Some(f), true) => {
@@ -637,6 +645,7 @@ pub fn run_conformance<S: Scalar>(rigor: Rigor) -> Result<usize, String> {
             by_family("gbtrs_forward"),
             by_family("gbtrs_backward"),
             &shape,
+            1,
         )?;
         checks += conform_interleaved::<S>(&dev, &shape)?;
         checks += conform_spike::<S>(
@@ -646,6 +655,25 @@ pub fn run_conformance<S: Scalar>(rigor: Rigor) -> Result<usize, String> {
             &shape,
         )?;
     }
+    // One grouped solve: three systems of six columns in two groups of
+    // three, so every system's second block starts at column 3 and numbers
+    // it 0, whatever the thread count.
+    let grouped = Shape {
+        n: 9,
+        kl: 2,
+        ku: 1,
+        nrhs: 6,
+        nb: 2,
+        threads: 4,
+        lanes: 2,
+    };
+    checks += conform_gbtrs::<S>(
+        &dev,
+        by_family("gbtrs_forward"),
+        by_family("gbtrs_backward"),
+        &grouped,
+        2,
+    )?;
     Ok(checks)
 }
 

@@ -136,27 +136,11 @@ pub fn predict_gbtrs_blocked<S: Scalar>(
     c
 }
 
-/// [`predict_gbtrs_blocked`] for RHS columns whose forward sweep starts
-/// at step `first[c]` ([`crate::gbtrs_blocked::gbtrs_batch_blocked_from`]):
-/// swap and update work are priced for the active columns only.
-pub fn predict_gbtrs_blocked_from<S: Scalar>(
-    l: &BandLayout,
-    nb: usize,
-    first: &[usize],
-    lanes: u32,
-) -> KernelCounters {
-    let mut c = KernelCounters::default();
-    let nrhs = first.len();
-    predict_forward_sweep::<S>(l, nb, nrhs, Some(first), lanes, true, &mut c);
-    predict_backward_sweep::<S>(l, nb, nrhs, lanes, &mut c);
-    c
-}
-
 /// Forward-sweep counters of the blocked solve over `nrhs` columns
-/// starting at `first` (all at row 0 when `None`); nothing when
-/// `kl == 0`. `swaps` prices a pivot interchange at every step, the worst
-/// case a plan assumes; without it the counters are exactly what a
-/// swap-free operator records.
+/// starting at `first`, sorted ascending (all at row 0 when `None`);
+/// nothing when `kl == 0`. `swaps` prices a pivot interchange at every
+/// step, the worst case a plan assumes; without it the counters are
+/// exactly what a swap-free operator records.
 fn predict_forward_sweep<S: Scalar>(
     l: &BandLayout,
     nb: usize,
@@ -175,6 +159,8 @@ fn predict_forward_sweep<S: Scalar>(
     let cache_rows = (nb + kl).min(n);
     c.global_read += (cache_rows * nrhs * S::BYTES) as u64;
     c.syncs += 1;
+    // `live` of the sorted starts are at most step `j`.
+    let mut live = 0usize;
     let mut j0 = 0usize;
     let mut loaded = cache_rows;
     while j0 < n {
@@ -183,7 +169,15 @@ fn predict_forward_sweep<S: Scalar>(
             if j >= n - 1 {
                 break;
             }
-            let active = first.map_or(nrhs, |f| f.iter().filter(|&&s| s <= j).count());
+            let active = match first {
+                Some(s) => {
+                    while live < s.len() && s[live] <= j {
+                        live += 1;
+                    }
+                    live
+                }
+                None => nrhs,
+            };
             let lm = kl.min(n - 1 - j);
             if swaps {
                 c.smem_elems += frac(active, t);
@@ -247,6 +241,148 @@ fn predict_backward_sweep<S: Scalar>(
         c.syncs += 1;
         j1 = j0;
     }
+}
+
+/// One system's counters of a launch whose blocks each hold one column
+/// group ([`crate::gbtrs_blocked::column_groups`]) of `cols` columns
+/// starting at `first`, merged over the groups as the engine merges
+/// blocks: traffic and flops summed, the latency terms the slowest
+/// group's. `group(width, starts)` predicts one block from its width and
+/// its columns' sorted starts; blocks alike are predicted once.
+fn merge_groups(
+    cols: usize,
+    groups: usize,
+    first: Option<&[usize]>,
+    group: impl Fn(usize, Option<&[usize]>) -> KernelCounters,
+) -> KernelCounters {
+    let (width, count) = crate::gbtrs_blocked::column_groups(cols, groups);
+    let mut seen: Vec<((usize, Vec<usize>), KernelCounters)> = Vec::new();
+    let mut c = KernelCounters::default();
+    for g in 0..count {
+        let r = g * width..((g + 1) * width).min(cols);
+        let mut starts = first.map_or_else(Vec::new, |f| f[r.clone()].to_vec());
+        starts.sort_unstable();
+        let key = (r.len(), starts);
+        let one = match seen.iter().find(|(k, _)| *k == key) {
+            Some(&(_, one)) => one,
+            None => {
+                let one = group(key.0, first.map(|_| &key.1[..]));
+                seen.push((key, one));
+                one
+            }
+        };
+        c.merge_wave(&one);
+    }
+    c
+}
+
+/// Per-system counters of the blocked solve's forward launch over `cols`
+/// columns in `groups` groups, starting at `first` (all at row 0 when
+/// `None`); `swaps` as in [`predict_forward_sweep`].
+fn grouped_forward<S: Scalar>(
+    l: &BandLayout,
+    nb: usize,
+    cols: usize,
+    first: Option<&[usize]>,
+    groups: usize,
+    lanes: u32,
+    swaps: bool,
+) -> KernelCounters {
+    merge_groups(cols, groups, first, |width, starts| {
+        let mut c = KernelCounters::default();
+        predict_forward_sweep::<S>(l, nb, width, starts, lanes, swaps, &mut c);
+        c
+    })
+}
+
+/// Per-system counters of the blocked solve's backward launch over
+/// `cols` columns in `groups` groups.
+fn grouped_backward<S: Scalar>(
+    l: &BandLayout,
+    nb: usize,
+    cols: usize,
+    groups: usize,
+    lanes: u32,
+) -> KernelCounters {
+    merge_groups(cols, groups, None, |width, _| {
+        let mut c = KernelCounters::default();
+        predict_backward_sweep::<S>(l, nb, width, lanes, &mut c);
+        c
+    })
+}
+
+/// Predicted times of the two launches of a blocked solve of `batch`
+/// systems of layout `l` over `cols` RHS columns whose forward sweeps
+/// start at `first` (all at row 0 when `None`), run with `params` in
+/// `groups` column groups per system: each launch has `batch` times the
+/// groups' count blocks, each caching its own group. The forward launch
+/// is priced for a pivot swap at every step and is zero when `kl == 0`,
+/// which runs none. `None` when a launch cannot run.
+fn predict_blocked_launches<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    batch: usize,
+    cols: usize,
+    first: Option<&[usize]>,
+    params: &crate::gbtrs_blocked::SolveParams,
+    groups: usize,
+) -> Option<(SimTime, SimTime)> {
+    use crate::gbtrs_blocked::{backward_smem_bytes, column_groups, forward_smem_bytes};
+    let nb = params.nb;
+    let threads = params.threads.max((l.kl + 1) as u32);
+    let lanes = threads.min(dev.lds_lanes);
+    let (width, count) = column_groups(cols, groups);
+    let cfg = |smem: usize| {
+        LaunchConfig::new(threads, smem as u32).with_precision(crate::flop_class::<S>())
+    };
+    let forward = if l.kl > 0 && l.n > 1 {
+        let c = grouped_forward::<S>(l, nb, cols, first, groups, lanes, true);
+        let smem = forward_smem_bytes::<S>(l, nb, width);
+        predict_grid_time(dev, &cfg(smem), batch, count, &c)?
+    } else {
+        SimTime::ZERO
+    };
+    let c = grouped_backward::<S>(l, nb, cols, groups, lanes);
+    let smem = backward_smem_bytes::<S>(l, nb, width);
+    let backward = predict_grid_time(dev, &cfg(smem), batch, count, &c)?;
+    Some((forward, backward))
+}
+
+/// The column-group count the SPIKE driver runs a blocked solve of
+/// `batch` systems of layout `l` over `cols` columns (forward sweeps
+/// starting at `first`, all at row 0 when `None`) with, and the forward
+/// and backward launch prices it runs at: the `g` in
+/// `1..=min(cols, dev.sms / batch)` whose launch pair is priced cheapest,
+/// ties keeping the smaller `g`. The cap leaves every split launch at
+/// most one block per SM: beyond the SMs a small batch leaves idle, extra
+/// blocks only share an SM's shared-memory throughput, which the timing
+/// model does not yet charge per SM. `None` when no launch pair fits.
+pub fn solve_groups<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    batch: usize,
+    cols: usize,
+    first: Option<&[usize]>,
+    params: &crate::gbtrs_blocked::SolveParams,
+) -> Option<(usize, (SimTime, SimTime))> {
+    let top = cols.min(dev.sms as usize / batch.max(1)).max(1);
+    let mut best: Option<(usize, (SimTime, SimTime))> = None;
+    let mut seen = None;
+    for g in 1..=top {
+        // Group counts that split the columns alike price alike.
+        let split = crate::gbtrs_blocked::column_groups(cols, g);
+        if seen.replace(split) == Some(split) {
+            continue;
+        }
+        let Some((f, b)) = predict_blocked_launches::<S>(dev, l, batch, cols, first, params, g)
+        else {
+            continue;
+        };
+        if best.is_none_or(|(_, (bf, bb))| (f + b).secs() < (bf + bb).secs()) {
+            best = Some((g, (f, b)));
+        }
+    }
+    best
 }
 
 /// Mirror of [`BlockContext::vec_work`] recording into a plain counter
@@ -521,7 +657,9 @@ pub fn predict_interleaved_dispatch<S: Scalar>(
 }
 
 /// Per-launch prices of the SPIKE driver ([`crate::spike`]) over one
-/// partition of one lane, each priced exactly as the engine would.
+/// partition of one lane, each priced exactly as the engine would. A
+/// blocked solve is priced as the forward and backward launches it runs,
+/// in the column groups [`solve_groups`] picks, as the driver runs them.
 struct SpikePrices<'a, S> {
     dev: &'a DeviceSpec,
     params: &'a crate::spike::SpikeParams,
@@ -589,33 +727,12 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         )
     }
 
-    /// Blocked solve of `batch` systems of layout `l` over `cols` columns
-    /// whose forward sweeps start at `first` (all at row 0 when `None`).
-    fn solve(
-        &self,
-        l: &BandLayout,
-        batch: usize,
-        cols: usize,
-        first: Option<&[usize]>,
-    ) -> Option<SimTime> {
-        let p = self.params.solve(l);
-        let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(l, p.nb, cols).max(
-            crate::gbtrs_blocked::backward_smem_bytes::<S>(l, p.nb, cols),
-        );
-        let cfg = self.cfg(p.threads, smem);
-        let lanes = self.lanes(p.threads);
-        let counters = match first {
-            Some(first) => predict_gbtrs_blocked_from::<S>(l, p.nb, first, lanes),
-            None => predict_gbtrs_blocked::<S>(l, p.nb, cols, lanes),
-        };
-        predict_time(self.dev, &cfg, batch, &counters)
-    }
-
-    /// [`Self::solve`] priced as the two launches it runs, forward (zero
-    /// when `kl == 0`, which runs none) then backward. [`Self::solve`]
-    /// prices the pair as one launch, as the exact-path and column-major
-    /// prices do; the probe and truncated-path prices take this one.
-    fn solve_launches(
+    /// The blocked sweep of `batch` systems of layout `l` over `cols`
+    /// columns whose forward sweeps start at `first` (all at row 0 when
+    /// `None`), as the forward and backward launches the driver runs, in
+    /// the column groups [`solve_groups`] picks (forward zero when
+    /// `kl == 0`, which runs none).
+    fn sweep_launches(
         &self,
         l: &BandLayout,
         batch: usize,
@@ -623,31 +740,18 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         first: Option<&[usize]>,
     ) -> Option<(SimTime, SimTime)> {
         let p = self.params.solve(l);
-        let lanes = self.lanes(p.threads);
-        let forward = if l.kl > 0 && l.n > 1 {
-            let mut c = KernelCounters::default();
-            predict_forward_sweep::<S>(l, p.nb, cols, first, lanes, true, &mut c);
-            let smem = crate::gbtrs_blocked::forward_smem_bytes::<S>(l, p.nb, cols);
-            predict_time(self.dev, &self.cfg(p.threads, smem), batch, &c)?
-        } else {
-            SimTime::ZERO
-        };
-        let mut c = KernelCounters::default();
-        predict_backward_sweep::<S>(l, p.nb, cols, lanes, &mut c);
-        let smem = crate::gbtrs_blocked::backward_smem_bytes::<S>(l, p.nb, cols);
-        let backward = predict_time(self.dev, &self.cfg(p.threads, smem), batch, &c)?;
-        Some((forward, backward))
+        solve_groups::<S>(self.dev, l, batch, cols, first, &p).map(|(_, launches)| launches)
     }
 
-    /// [`Self::solve_launches`], summed.
-    fn solve_pair(
+    /// [`Self::sweep_launches`], summed.
+    fn sweep(
         &self,
         l: &BandLayout,
         batch: usize,
         cols: usize,
         first: Option<&[usize]>,
     ) -> Option<SimTime> {
-        let (forward, backward) = self.solve_launches(l, batch, cols, first)?;
+        let (forward, backward) = self.sweep_launches(l, batch, cols, first)?;
         Some(forward + backward)
     }
 
@@ -709,25 +813,13 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         let sl = BandLayout::factor(rows, rows, kl, ku).ok()?;
         let first = crate::spike::spike_starts(rows, kl, ku, 0);
         let samples = self.part.interfaces();
-        let (forward, backward) = self.solve_launches(&sl, samples, first.len(), Some(&first))?;
+        let (forward, backward) = self.sweep_launches(&sl, samples, first.len(), Some(&first))?;
         Some([
             self.extract()?,
             self.window(&sl, samples)?,
             forward,
             backward,
         ])
-    }
-
-    /// [`Self::factor_phase`] with the augmented sweep priced as the
-    /// launch pair it runs ([`Self::solve_launches`]).
-    fn factor_phase_launches(&self, nrhs: usize) -> Option<SimTime> {
-        let parts = self.part.parts;
-        let first = crate::spike::augmented_starts(&self.part, nrhs);
-        Some(
-            self.extract()?
-                + self.window(&self.bl, parts)?
-                + self.solve_pair(&self.bl, parts, first.len(), Some(&first))?,
-        )
     }
 
     /// The factor phase every split lane runs before its reduced solve:
@@ -741,7 +833,7 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         Some(
             self.extract()?
                 + self.window(&self.bl, parts)?
-                + self.solve(&self.bl, parts, first.len(), Some(&first))?,
+                + self.sweep(&self.bl, parts, first.len(), Some(&first))?,
         )
     }
 }
@@ -766,7 +858,7 @@ pub fn predict_spike_time<S: Scalar>(
     Some(
         p.factor_phase(nrhs)?
             + p.window(&p.rl, 1)?
-            + p.solve(&p.rl, 1, nrhs, None)?
+            + p.sweep(&p.rl, 1, nrhs, None)?
             + p.combine(nrhs)?
             + p.residual(nrhs)?,
     )
@@ -776,8 +868,7 @@ pub fn predict_spike_time<S: Scalar>(
 /// path with no refinement round: the factor phase of
 /// [`predict_spike_time`], the fused factorization and blocked solve of
 /// the `P - 1` interface blocks, combine and one residual. This is the
-/// path a lane whose spikes decay takes. Each blocked solve is priced as
-/// the forward and backward launches it runs. `None` when the partition
+/// path a lane whose spikes decay takes. `None` when the partition
 /// degenerates to one block or a launch cannot fit.
 pub fn predict_spike_truncated_time<S: Scalar>(
     dev: &DeviceSpec,
@@ -789,9 +880,9 @@ pub fn predict_spike_truncated_time<S: Scalar>(
     let ifaces = p.part.interfaces();
     let il = p.part.interface_layout()?;
     Some(
-        p.factor_phase_launches(nrhs)?
+        p.factor_phase(nrhs)?
             + p.fused(&il, ifaces)?
-            + p.solve_pair(&il, ifaces, nrhs, None)?
+            + p.sweep(&il, ifaces, nrhs, None)?
             + p.combine(nrhs)?
             + p.residual(nrhs)?,
     )
@@ -799,8 +890,8 @@ pub fn predict_spike_truncated_time<S: Scalar>(
 
 /// Predicted modeled time of the factor phase alone — extract, the block
 /// window factorization and the augmented sweep over `nrhs` RHS columns
-/// and both spikes, priced launch by launch: what a sized lane spends
-/// before it reads its spike decay. `None` when the partition
+/// and both spikes: what a sized lane spends before it reads its spike
+/// decay. `None` when the partition
 /// degenerates to one block or a launch cannot fit.
 pub fn predict_spike_factor_phase_time<S: Scalar>(
     dev: &DeviceSpec,
@@ -808,7 +899,7 @@ pub fn predict_spike_factor_phase_time<S: Scalar>(
     nrhs: usize,
     params: &crate::spike::SpikeParams,
 ) -> Option<SimTime> {
-    SpikePrices::<S>::new(dev, l, params)?.factor_phase_launches(nrhs)
+    SpikePrices::<S>::new(dev, l, params)?.factor_phase(nrhs)
 }
 
 /// Predicted modeled time of the decay probe an `Auto` lane runs at the
@@ -849,8 +940,8 @@ pub fn predict_spike_warm_time<S: Scalar>(
 ) -> Option<SimTime> {
     let p = SpikePrices::<S>::new(dev, l, params)?;
     Some(
-        p.solve(&p.bl, p.part.parts, nrhs, None)?
-            + p.solve(&p.rl, 1, nrhs, None)?
+        p.sweep(&p.bl, p.part.parts, nrhs, None)?
+            + p.sweep(&p.rl, 1, nrhs, None)?
             + p.combine(nrhs)?,
     )
 }
@@ -1047,17 +1138,30 @@ pub fn predict_time(
     batch: usize,
     per_block: &KernelCounters,
 ) -> Option<gbatch_gpu_sim::SimTime> {
+    predict_grid_time(dev, cfg, batch, 1, per_block)
+}
+
+/// [`predict_time`] of a launch of `batch` systems that each run `blocks`
+/// blocks, whose counters merged over one system's blocks are
+/// `per_system`: the grid is `batch * blocks`.
+fn predict_grid_time(
+    dev: &DeviceSpec,
+    cfg: &LaunchConfig,
+    batch: usize,
+    blocks: usize,
+    per_system: &KernelCounters,
+) -> Option<gbatch_gpu_sim::SimTime> {
     let occ = gbatch_gpu_sim::engine::validate(dev, cfg).ok()?;
     let total = KernelCounters {
-        global_read: per_block.global_read * batch as u64,
-        global_write: per_block.global_write * batch as u64,
-        flops: per_block.flops * batch as u64,
-        ..*per_block
+        global_read: per_system.global_read * batch as u64,
+        global_write: per_system.global_write * batch as u64,
+        flops: per_system.flops * batch as u64,
+        ..*per_system
     };
     Some(gbatch_gpu_sim::timing::estimate(
         dev,
         &occ,
-        batch,
+        batch * blocks,
         &total,
         cfg.precision,
         dev.launch_overhead_s,
@@ -1555,9 +1659,13 @@ mod tests {
                         .collect();
                     let got = &tally.calls;
                     assert_eq!(got.len(), want.len(), "{case}: one price per launch");
-                    assert_eq!(got[0].secs().to_bits(), want[0].secs().to_bits(), "{case}");
+                    assert_eq!(
+                        got[0].time.secs().to_bits(),
+                        want[0].secs().to_bits(),
+                        "{case}"
+                    );
                     for k in 1..got.len() {
-                        assert!(got[k].secs() <= want[k].secs(), "{case}: launch {k}");
+                        assert!(got[k].time.secs() <= want[k].secs(), "{case}: launch {k}");
                     }
                     let probe = predict_spike_probe_time::<f64>(&dev, &l, &params).unwrap();
                     assert!(tally.time.secs() <= probe.secs(), "{case}");
@@ -1630,11 +1738,15 @@ mod tests {
     }
 
     #[test]
-    fn augmented_sweep_prices_what_a_swap_free_operator_records() {
+    fn grouped_sweeps_price_what_a_swap_free_operator_records() {
         // Diagonally dominant blocks never pivot, so the forward launch
-        // records no swap work; everything else the predictor prices for
-        // the active columns, bit for bit.
-        use crate::gbtrs_blocked::{gbtrs_batch_blocked_from, SolveParams};
+        // records no swap work; everything else the grouped predictor
+        // prices for each block's active columns, bit for bit, at every
+        // group count, and the launch time follows from the counters. The
+        // backward predictor charges an `nb`-row cache shift per block,
+        // while the kernel moves the `kv` rows it keeps, so it bounds the
+        // launch only where `nb >= kv`.
+        use crate::gbtrs_blocked::{blocked_solve, column_groups, SolveParams};
         use gbatch_core::batch::RhsBatch;
         let dev = DeviceSpec::h100_pcie();
         for (n, kl, ku, nb) in [
@@ -1667,29 +1779,69 @@ mod tests {
                 (0..n).all(|j| p[j] as usize == j)
             }));
             let first = [0, n - 10, n / 2, 0, 3];
-            let mut rhs = RhsBatch::from_fn(batch, n, first.len(), |_, i, c| {
-                if i < first[c] + kl {
-                    0.0
-                } else {
-                    (i + c) as f64 * 0.1 - 1.0
-                }
-            })
-            .unwrap();
-            let params = SolveParams {
-                nb,
-                threads: 32,
-                ..Default::default()
-            };
-            let rep = gbtrs_batch_blocked_from(&dev, &l, a.data(), &piv, &mut rhs, &first, params)
+            let cols = first.len();
+            for groups in 1..=cols {
+                let case = format!("n={n} ({kl},{ku}) nb={nb} groups={groups}");
+                let mut rhs = RhsBatch::from_fn(batch, n, cols, |_, i, c| {
+                    if i < first[c] + kl {
+                        0.0
+                    } else {
+                        (i + c) as f64 * 0.1 - 1.0
+                    }
+                })
                 .unwrap();
-            let got = rep.forward.unwrap().counters;
-            let mut want = KernelCounters::default();
-            predict_forward_sweep::<f64>(&l, nb, first.len(), Some(&first), 32, false, &mut want);
-            assert_eq!(got.global_read, want.global_read * batch as u64);
-            assert_eq!(got.global_write, want.global_write * batch as u64);
-            assert_eq!(got.flops, want.flops * batch as u64);
-            assert_eq!(got.syncs, want.syncs);
-            assert_eq!(got.smem_elems.to_bits(), want.smem_elems.to_bits());
+                let params = SolveParams {
+                    nb,
+                    threads: 32,
+                    ..Default::default()
+                };
+                let rep = blocked_solve(
+                    &dev,
+                    &l,
+                    a.data(),
+                    &piv,
+                    &mut rhs,
+                    Some(&first),
+                    params,
+                    groups,
+                )
+                .unwrap();
+                let (width, count) = column_groups(cols, groups);
+                let fwd = rep.forward.unwrap();
+                assert_eq!(fwd.grid, batch * count, "{case}");
+                let got = fwd.counters;
+                let want = grouped_forward::<f64>(&l, nb, cols, Some(&first), groups, 32, false);
+                assert_eq!(got.global_read, want.global_read * batch as u64, "{case}");
+                assert_eq!(got.global_write, want.global_write * batch as u64, "{case}");
+                assert_eq!(got.flops, want.flops * batch as u64, "{case}");
+                assert_eq!(got.syncs, want.syncs, "{case}");
+                assert_eq!(
+                    got.smem_elems.to_bits(),
+                    want.smem_elems.to_bits(),
+                    "{case}"
+                );
+                let cfg = LaunchConfig::new(
+                    32,
+                    crate::gbtrs_blocked::forward_smem_bytes::<f64>(&l, nb, width) as u32,
+                )
+                .with_precision(crate::flop_class::<f64>());
+                let time = predict_grid_time(&dev, &cfg, batch, count, &want).unwrap();
+                assert_eq!(fwd.time.secs().to_bits(), time.secs().to_bits(), "{case}");
+                let (_, backward) = predict_blocked_launches::<f64>(
+                    &dev,
+                    &l,
+                    batch,
+                    cols,
+                    Some(&first),
+                    &params,
+                    groups,
+                )
+                .unwrap();
+                assert_eq!(rep.backward.grid, batch * count, "{case}");
+                if nb >= l.kv() {
+                    assert!(rep.backward.time.secs() <= backward.secs(), "{case}");
+                }
+            }
         }
     }
 

@@ -12,6 +12,13 @@
 //!   to `kv = kl + ku` rows above them (`nb + kv` cached), writes the
 //!   solved rows back and shifts the remainder down.
 //!
+//! The paper runs one thread block per system, and so do the public entry
+//! points. The SPIKE driver ([`crate::spike`]) also splits each system's
+//! RHS columns into contiguous column groups, one block per
+//! `(system, group)`, each caching only its own columns: its small batch
+//! then fills more of the device. Every column's arithmetic is the same
+//! at any group count.
+//!
 //! Numerically identical (bit-for-bit) to `gbatch_core::gbtrs::gbtrs`.
 //! [`gbtrs_batch_blocked_from`] also skips the forward steps above each
 //! RHS column's structural leading zeros, exactly.
@@ -28,7 +35,7 @@ use gbatch_gpu_sim::{
 pub struct SolveParams {
     /// Factor columns processed per window iteration.
     pub nb: usize,
-    /// Threads per block (per matrix).
+    /// Threads per block.
     pub threads: u32,
     /// Host scheduling of the per-matrix blocks (results are
     /// bitwise-identical for every policy).
@@ -63,12 +70,27 @@ impl SolveParams {
     }
 }
 
-/// Shared bytes for the forward RHS cache (`S` elements).
+/// The split of `cols` RHS columns into `groups` contiguous groups, as
+/// `(width, count)`: every group is `width` columns wide but the last,
+/// which holds the rest. `groups` is clamped to `1..=cols`, and `count`
+/// can fall below it (17 columns asked for 7 groups run as 6 groups of 3,
+/// the last of 2).
+pub(crate) fn column_groups(cols: usize, groups: usize) -> (usize, usize) {
+    if cols == 0 {
+        return (0, 1);
+    }
+    let width = cols.div_ceil(groups.clamp(1, cols));
+    (width, cols.div_ceil(width))
+}
+
+/// Shared bytes for the forward RHS cache (`S` elements) of a block
+/// holding `nrhs` columns.
 pub fn forward_smem_bytes<S: Scalar>(l: &BandLayout, nb: usize, nrhs: usize) -> usize {
     (nb + l.kl).min(l.n) * nrhs * S::BYTES
 }
 
-/// Shared bytes for the backward RHS cache (`S` elements).
+/// Shared bytes for the backward RHS cache (`S` elements) of a block
+/// holding `nrhs` columns.
 pub fn backward_smem_bytes<S: Scalar>(l: &BandLayout, nb: usize, nrhs: usize) -> usize {
     (nb + l.kv()).min(l.n) * nrhs * S::BYTES
 }
@@ -94,9 +116,28 @@ impl BlockedSolveReport {
     }
 }
 
+/// One block's share of the RHS: columns `[c0, c0 + b.len() / ldb)` of
+/// system `id`.
 struct Prob<'a, S> {
     id: usize,
+    c0: usize,
     b: &'a mut [S],
+}
+
+/// The blocks of one launch, system-major: each system's columns in
+/// groups of `width`.
+fn problems<S: Scalar>(rhs: &mut RhsBatch<S>, width: usize) -> Vec<Prob<'_, S>> {
+    let (chunk, groups) = (width * rhs.ldb(), rhs.nrhs().div_ceil(width));
+    let mut probs = Vec::with_capacity(rhs.batch() * groups);
+    for (id, b) in rhs.blocks_mut().enumerate() {
+        let blocks = b.chunks_mut(chunk).enumerate();
+        probs.extend(blocks.map(|(g, b)| Prob {
+            id,
+            c0: g * width,
+            b,
+        }));
+    }
+    probs
 }
 
 /// Batched blocked `GBTRS` (no transpose). `factors` holds the batch of
@@ -109,7 +150,7 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
     rhs: &mut RhsBatch<S>,
     params: SolveParams,
 ) -> Result<BlockedSolveReport, LaunchError> {
-    blocked_solve(dev, l, factors, piv, rhs, None, params)
+    blocked_solve(dev, l, factors, piv, rhs, None, params, 1)
 }
 
 /// [`gbtrs_batch_blocked`] over RHS columns with structural leading zeros:
@@ -120,7 +161,7 @@ pub fn gbtrs_batch_blocked<S: Scalar>(
 /// (`b_j == 0`), so skipping those steps is exact: the answer is bitwise
 /// the one of the full sweep. Swap and update work, and their
 /// hazard-tracker calls, are recorded for the active columns only, the
-/// rule [`crate::cost::predict_gbtrs_blocked_from`] prices.
+/// rule the blocked-solve prices in [`crate::cost`] follow.
 pub fn gbtrs_batch_blocked_from<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
@@ -130,12 +171,14 @@ pub fn gbtrs_batch_blocked_from<S: Scalar>(
     first: &[usize],
     params: SolveParams,
 ) -> Result<BlockedSolveReport, LaunchError> {
-    assert_eq!(first.len(), rhs.nrhs(), "one first row per RHS column");
-    blocked_solve(dev, l, factors, piv, rhs, Some(first), params)
+    blocked_solve(dev, l, factors, piv, rhs, Some(first), params, 1)
 }
 
-/// The solve pair; `first` is `None` when every column starts at row 0.
-fn blocked_solve<S: Scalar>(
+/// The solve pair with each system's RHS columns split into `groups`
+/// contiguous column groups ([`column_groups`]), one block per
+/// `(system, group)`; `first` is `None` when every column starts at row 0.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn blocked_solve<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
     factors: &[S],
@@ -143,7 +186,11 @@ fn blocked_solve<S: Scalar>(
     rhs: &mut RhsBatch<S>,
     first: Option<&[usize]>,
     params: SolveParams,
+    groups: usize,
 ) -> Result<BlockedSolveReport, LaunchError> {
+    if let Some(f) = first {
+        assert_eq!(f.len(), rhs.nrhs(), "one first row per RHS column");
+    }
     let n = l.n;
     assert_eq!(l.m, n, "gbtrs requires square factors");
     let batch = rhs.batch();
@@ -151,7 +198,7 @@ fn blocked_solve<S: Scalar>(
     let stride = l.len();
     assert_eq!(factors.len(), stride * batch);
     assert!(params.nb > 0);
-    let nrhs = rhs.nrhs();
+    let (width, _) = column_groups(rhs.nrhs(), groups);
     let start = |c: usize| first.map_or(0, |f| f[c]);
     let ldb = rhs.ldb();
     let kv = l.kv();
@@ -160,39 +207,37 @@ fn blocked_solve<S: Scalar>(
     let threads = params.threads.max((kl + 1) as u32);
 
     // Hazard-model lane attribution for both solve directions: lane
-    // `c % threads` owns RHS column `c` outright (cache column `c` is a
-    // disjoint shared region, and the factor columns stay in registers),
-    // so the solver is race-free with only the per-iteration barriers.
+    // `c % threads` owns the block's column `c` outright (cache column `c`
+    // is a disjoint shared region, and the factor columns stay in
+    // registers), so the solver is race-free with only the per-iteration
+    // barriers.
     let owner = move |c: usize| (c % threads as usize) as u32;
 
     // ---------------- forward ----------------
     let forward = if kl > 0 && n > 1 {
-        let cfg = LaunchConfig::new(threads, forward_smem_bytes::<S>(l, nb, nrhs) as u32)
+        let cfg = LaunchConfig::new(threads, forward_smem_bytes::<S>(l, nb, width) as u32)
             .with_parallel(params.parallel)
             .with_label("gbtrs_forward")
             .with_precision(crate::flop_class::<S>());
         let cache_rows = (nb + kl).min(n);
-        let mut probs: Vec<Prob<'_, S>> = rhs
-            .blocks_mut()
-            .enumerate()
-            .map(|(id, b)| Prob { id, b })
-            .collect();
+        let mut probs = problems(rhs, width);
         let rep = launch(dev, &cfg, &mut probs, |p, ctx| {
             let ab = &factors[p.id * stride..(p.id + 1) * stride];
             let ipiv = piv.pivots(p.id);
-            let off = ctx.smem.alloc_scalar(cache_rows * nrhs, S::BYTES);
-            let mut cache = vec![S::ZERO; cache_rows * nrhs];
+            let (c0, k) = (p.c0, p.b.len() / ldb);
+            let off = ctx.smem.alloc_scalar(cache_rows * k, S::BYTES);
+            let mut cache = vec![S::ZERO; cache_rows * k];
             // Initial fill: rows [0, loaded).
             let mut loaded = cache_rows;
             for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
                 col[..loaded].copy_from_slice(&p.b[c * ldb..c * ldb + loaded]);
             }
             if let Some(t) = ctx.smem.tracker() {
-                for c in 0..nrhs {
+                for c in 0..k {
                     t.range_write(owner(c), off + c * cache_rows, loaded);
                 }
             }
-            ctx.gld(loaded * nrhs * S::BYTES);
+            ctx.gld(loaded * k * S::BYTES);
             ctx.sync();
 
             let mut j0 = 0usize;
@@ -203,14 +248,14 @@ fn blocked_solve<S: Scalar>(
                         break; // the last row is never a forward pivot row
                     }
                     // Columns whose sweep has started by step `j`.
-                    let live = |c: &usize| start(*c) <= j;
-                    let active = (0..nrhs).filter(live).count();
+                    let live = |c: &usize| start(c0 + *c) <= j;
+                    let active = (0..k).filter(live).count();
                     let pr = ipiv[j] as usize;
                     let (lj, lp) = (j - j0, pr - j0);
                     debug_assert!(lp < cache_rows, "pivot outside cache");
                     if pr != j {
                         if let Some(t) = ctx.smem.tracker() {
-                            for c in (0..nrhs).filter(live) {
+                            for c in (0..k).filter(live) {
                                 let (lane, colbase) = (owner(c), off + c * cache_rows);
                                 t.read(lane, colbase + lj);
                                 t.read(lane, colbase + lp);
@@ -218,10 +263,8 @@ fn blocked_solve<S: Scalar>(
                                 t.write(lane, colbase + lp);
                             }
                         }
-                        for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
-                            if start(c) <= j {
-                                col.swap(lj, lp);
-                            }
+                        for c in (0..k).filter(live) {
+                            cache.swap(c * cache_rows + lj, c * cache_rows + lp);
                         }
                         ctx.smem_work(active, 0);
                     }
@@ -234,7 +277,7 @@ fn blocked_solve<S: Scalar>(
                             // The swap above and this update touch the cache
                             // through the same owning lane, so no extra
                             // barrier is needed between them.
-                            for c in (0..nrhs).filter(live) {
+                            for c in (0..k).filter(live) {
                                 let (lane, colbase) = (owner(c), off + c * cache_rows);
                                 t.read(lane, colbase + lj);
                                 if cache[c * cache_rows + lj] != S::ZERO {
@@ -243,9 +286,12 @@ fn blocked_solve<S: Scalar>(
                                 }
                             }
                         }
-                        for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
+                        // Columns are indexed, not chunked: a chunk iterator
+                        // pays an integer division per step and block.
+                        for c in (0..k).filter(live) {
+                            let col = &mut cache[c * cache_rows..(c + 1) * cache_rows];
                             let bj = col[lj];
-                            if start(c) > j || bj == S::ZERO {
+                            if bj == S::ZERO {
                                 continue;
                             }
                             for (x, &m) in col[lj + 1..=lj + lm].iter_mut().zip(mult) {
@@ -258,14 +304,14 @@ fn blocked_solve<S: Scalar>(
                 }
                 // Write the finished top jb rows back.
                 if let Some(t) = ctx.smem.tracker() {
-                    for c in 0..nrhs {
+                    for c in 0..k {
                         t.range_read(owner(c), off + c * cache_rows, jb);
                     }
                 }
                 for (c, col) in cache.chunks_exact(cache_rows).enumerate() {
                     p.b[c * ldb + j0..c * ldb + j0 + jb].copy_from_slice(&col[..jb]);
                 }
-                ctx.gst(jb * nrhs * S::BYTES);
+                ctx.gst(jb * k * S::BYTES);
                 let next_j0 = j0 + jb;
                 if next_j0 >= n {
                     break;
@@ -277,7 +323,7 @@ fn blocked_solve<S: Scalar>(
                     // reads and writes its own column, so the in-place move
                     // is ordered within that thread — no barrier required
                     // (unlike the cross-lane striped shift in `window`).
-                    for c in 0..nrhs {
+                    for c in 0..k {
                         let (lane, colbase) = (owner(c), off + c * cache_rows);
                         t.range_read(lane, colbase + jb, keep);
                         t.range_write(lane, colbase, keep);
@@ -286,12 +332,12 @@ fn blocked_solve<S: Scalar>(
                 for col in cache.chunks_exact_mut(cache_rows) {
                     col.copy_within(jb..jb + keep, 0);
                 }
-                ctx.smem_work(keep * nrhs, 0);
+                ctx.smem_work(keep * k, 0);
                 let new_end = (next_j0 + cache_rows).min(n);
                 if new_end > loaded {
                     let (dst, len) = (loaded - next_j0, new_end - loaded);
                     if let Some(t) = ctx.smem.tracker() {
-                        for c in 0..nrhs {
+                        for c in 0..k {
                             t.range_write(owner(c), off + c * cache_rows + dst, len);
                         }
                     }
@@ -299,7 +345,7 @@ fn blocked_solve<S: Scalar>(
                         col[dst..dst + len]
                             .copy_from_slice(&p.b[c * ldb + loaded..c * ldb + new_end]);
                     }
-                    ctx.gld(len * nrhs * S::BYTES);
+                    ctx.gld(len * k * S::BYTES);
                     loaded = new_end;
                 }
                 ctx.sync();
@@ -312,20 +358,17 @@ fn blocked_solve<S: Scalar>(
     };
 
     // ---------------- backward ----------------
-    let cfg = LaunchConfig::new(threads, backward_smem_bytes::<S>(l, nb, nrhs) as u32)
+    let cfg = LaunchConfig::new(threads, backward_smem_bytes::<S>(l, nb, width) as u32)
         .with_parallel(params.parallel)
         .with_label("gbtrs_backward")
         .with_precision(crate::flop_class::<S>());
     let cache_rows = (nb + kv).min(n);
-    let mut probs: Vec<Prob<'_, S>> = rhs
-        .blocks_mut()
-        .enumerate()
-        .map(|(id, b)| Prob { id, b })
-        .collect();
+    let mut probs = problems(rhs, width);
     let backward = launch(dev, &cfg, &mut probs, |p, ctx| {
         let ab = &factors[p.id * stride..(p.id + 1) * stride];
-        let off = ctx.smem.alloc_scalar(cache_rows * nrhs, S::BYTES);
-        let mut cache = vec![S::ZERO; cache_rows * nrhs];
+        let k = p.b.len() / ldb;
+        let off = ctx.smem.alloc_scalar(cache_rows * k, S::BYTES);
+        let mut cache = vec![S::ZERO; cache_rows * k];
         // Cache covers global rows [lo, lo + cache_rows); start at the
         // bottom of the RHS.
         let mut lo = n - cache_rows;
@@ -333,11 +376,11 @@ fn blocked_solve<S: Scalar>(
             col.copy_from_slice(&p.b[c * ldb + lo..c * ldb + n]);
         }
         if let Some(t) = ctx.smem.tracker() {
-            for c in 0..nrhs {
+            for c in 0..k {
                 t.range_write(owner(c), off + c * cache_rows, cache_rows);
             }
         }
-        ctx.gld(cache_rows * nrhs * S::BYTES);
+        ctx.gld(cache_rows * k * S::BYTES);
         ctx.sync();
 
         // Blocks of rows [j0, j0 + jb), processed last-first.
@@ -356,7 +399,7 @@ fn blocked_solve<S: Scalar>(
                 if let Some(t) = ctx.smem.tracker() {
                     // Division result and the axpy into the rows above both
                     // stay inside the owning lane's column.
-                    for c in 0..nrhs {
+                    for c in 0..k {
                         let (lane, colbase) = (owner(c), off + c * cache_rows);
                         t.read(lane, colbase + lj);
                         t.write(lane, colbase + lj);
@@ -366,30 +409,32 @@ fn blocked_solve<S: Scalar>(
                         }
                     }
                 }
-                for col in cache.chunks_exact_mut(cache_rows) {
+                for c in 0..k {
+                    let col = &mut cache[c * cache_rows..(c + 1) * cache_rows];
                     let bj = col[lj] / diag;
                     col[lj] = bj;
                     if bj != S::ZERO {
-                        let above = col[lj - reach..lj].iter_mut().rev();
-                        for (x, &u) in above.zip(ucol[..reach].iter().rev()) {
+                        // Row `lj - reach + i` meets U entry `i`; each row
+                        // is updated once, so the order is free.
+                        for (x, &u) in col[lj - reach..lj].iter_mut().zip(&ucol[..reach]) {
                             *x -= u * bj;
                         }
                     }
                 }
-                ctx.smem_work(nrhs * (reach + 1), 2);
+                ctx.smem_work(k * (reach + 1), 2);
                 ctx.sync();
             }
             // Write the solved bottom jb rows back.
             let top = j0 - lo;
             if let Some(t) = ctx.smem.tracker() {
-                for c in 0..nrhs {
+                for c in 0..k {
                     t.range_read(owner(c), off + c * cache_rows + top, jb);
                 }
             }
             for (c, col) in cache.chunks_exact(cache_rows).enumerate() {
                 p.b[c * ldb + j0..c * ldb + j1].copy_from_slice(&col[top..top + jb]);
             }
-            ctx.gst(jb * nrhs * S::BYTES);
+            ctx.gst(jb * k * S::BYTES);
             if j0 == 0 {
                 break;
             }
@@ -404,7 +449,7 @@ fn blocked_solve<S: Scalar>(
             if keep > 0 && shift_to > 0 {
                 if let Some(t) = ctx.smem.tracker() {
                     // In-place downward move, ordered within the owning lane.
-                    for c in 0..nrhs {
+                    for c in 0..k {
                         let (lane, colbase) = (owner(c), off + c * cache_rows);
                         t.range_read(lane, colbase, keep);
                         t.range_write(lane, colbase + shift_to, keep);
@@ -413,18 +458,18 @@ fn blocked_solve<S: Scalar>(
                 for col in cache.chunks_exact_mut(cache_rows) {
                     col.copy_within(..keep, shift_to);
                 }
-                ctx.smem_work(keep * nrhs, 0);
+                ctx.smem_work(keep * k, 0);
             }
             if lo > new_lo {
                 if let Some(t) = ctx.smem.tracker() {
-                    for c in 0..nrhs {
+                    for c in 0..k {
                         t.range_write(owner(c), off + c * cache_rows, lo - new_lo);
                     }
                 }
                 for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
                     col[..lo - new_lo].copy_from_slice(&p.b[c * ldb + new_lo..c * ldb + lo]);
                 }
-                ctx.gld((lo - new_lo) * nrhs * S::BYTES);
+                ctx.gld((lo - new_lo) * k * S::BYTES);
             }
             lo = new_lo;
             ctx.sync();
@@ -587,5 +632,111 @@ mod tests {
             cols.time.ms(),
             blocked.time().ms()
         );
+    }
+
+    /// A factored batch of three pivoting operators of layout `(37, kl, ku)`.
+    fn factored_for_groups<S: Scalar>(kl: usize, ku: usize) -> (BandBatch<S>, PivotBatch) {
+        let (batch, n) = (3, 37);
+        let mut v = 0.31f64;
+        let mut a = BandBatch::<S>::from_fn(batch, n, n, kl, ku, |_, m| {
+            for j in 0..n {
+                let (s, e) = m.layout.col_rows(j);
+                for i in s..e {
+                    v = (v * 2.9 + 0.137).fract();
+                    let diag = if i == j { 0.25 } else { 0.0 };
+                    m.set(i, j, S::from_f64(v - 0.5 + diag));
+                }
+            }
+        })
+        .unwrap();
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        let params = crate::window::WindowParams {
+            nb: 4,
+            threads: 32,
+            ..Default::default()
+        };
+        let dev = DeviceSpec::h100_pcie();
+        let _ =
+            crate::window::gbtrf_batch_window(&dev, &mut a, &mut piv, &mut info, params).unwrap();
+        assert!(info.all_ok());
+        (a, piv)
+    }
+
+    /// Every group count of seven columns against one group, bitwise, over
+    /// two-sided, lower-only and upper-only (`kl = 0`, no forward launch)
+    /// bands, with and without ragged starts (one past the last row), under
+    /// both host policies. Groups of 2 and 3 leave an uneven last group; 5
+    /// groups run as 4 of width 2.
+    fn grouped_solve_is_bitwise_one_group<S: Scalar>() {
+        let dev = DeviceSpec::h100_pcie();
+        let (n, nrhs) = (37, 7);
+        let ragged = [0, 9, n - 1, 3, n + 4, 20, 0];
+        for (kl, ku) in [(2, 3), (5, 1), (3, 0), (0, 4)] {
+            let (a, piv) = factored_for_groups::<S>(kl, ku);
+            let l = a.layout();
+            for first in [None, Some(&ragged[..])] {
+                for parallel in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
+                    let run = |groups: usize| {
+                        let mut b = RhsBatch::<S>::from_fn(3, n, nrhs, |id, i, c| {
+                            if first.is_some_and(|f| i < f[c] + kl) {
+                                S::ZERO
+                            } else {
+                                S::from_f64(((id * 17 + c * 5 + i) as f64 * 0.29).cos())
+                            }
+                        })
+                        .unwrap();
+                        let params = SolveParams {
+                            nb: 5,
+                            threads: 32,
+                            parallel,
+                        };
+                        let rep =
+                            blocked_solve(&dev, &l, a.data(), &piv, &mut b, first, params, groups)
+                                .unwrap();
+                        let bits: Vec<u64> =
+                            b.data().iter().map(|x| x.to_f64().to_bits()).collect();
+                        (bits, rep)
+                    };
+                    let (want, _) = run(1);
+                    for groups in 1..=nrhs {
+                        let case = format!(
+                            "{} ({kl},{ku}) first={first:?} {parallel:?} groups={groups}",
+                            S::PRECISION
+                        );
+                        let (got, rep) = run(groups);
+                        assert!(got == want, "{case}: answers moved");
+                        let (_, count) = column_groups(nrhs, groups);
+                        assert_eq!(rep.forward.is_some(), kl > 0, "{case}");
+                        for r in rep.forward.iter().chain([&rep.backward]) {
+                            assert_eq!(r.grid, 3 * count, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_solve_is_bitwise_one_group_f64() {
+        grouped_solve_is_bitwise_one_group::<f64>();
+    }
+
+    #[test]
+    fn grouped_solve_is_bitwise_one_group_f32() {
+        grouped_solve_is_bitwise_one_group::<f32>();
+    }
+
+    #[test]
+    fn grouped_columns_cover_every_column_once() {
+        for cols in 1..=20 {
+            for groups in 0..=cols + 2 {
+                let (width, count) = column_groups(cols, groups);
+                assert!(count <= groups.clamp(1, cols), "{cols} / {groups}");
+                assert!(width * (count - 1) < cols && cols <= width * count);
+            }
+        }
+        assert_eq!(column_groups(17, 3), (6, 3));
+        assert_eq!(column_groups(17, 7), (3, 6));
     }
 }

@@ -11,6 +11,9 @@
 //! 2. one [`gbtrs_batch_blocked`] launch over the **augmented** RHS
 //!    (`nrhs` true columns + the coupling corners) produces every block
 //!    solution `g_p` and both spikes `V_p`, `W_p` at once;
+//!    like every blocked sweep of the split, it spreads each block's
+//!    columns over the SMs the `P` blocks leave idle, in the column
+//!    groups [`crate::cost::solve_groups`] prices cheapest;
 //! 3. the reduced system over the interfaces runs on the same batched
 //!    band kernels: the exact one as a batch-1 window factorization plus
 //!    blocked solve of its band form, the truncated one as a fused
@@ -58,9 +61,7 @@
 //! sample tips do not decay is not sized and runs `P_e` unchanged.
 
 use crate::fused::{gbtrf_batch_fused, FusedParams};
-use crate::gbtrs_blocked::{
-    gbtrs_batch_blocked, gbtrs_batch_blocked_from, BlockedSolveReport, SolveParams,
-};
+use crate::gbtrs_blocked::{blocked_solve, gbtrs_batch_blocked, BlockedSolveReport, SolveParams};
 use crate::window::{gbtrf_batch_window, WindowParams};
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::layout::BandLayout;
@@ -200,6 +201,7 @@ impl SpikeParams {
         }
     }
 
+    /// Blocked-solve params over systems of layout `l`.
     pub(crate) fn solve(&self, l: &BandLayout) -> SolveParams {
         SolveParams {
             nb: self.nb,
@@ -262,6 +264,10 @@ pub struct SpikeReport {
     pub probe_time: SimTime,
     /// Number of device launches issued.
     pub launches: usize,
+    /// Every launch of the call, kept for the unit tests: the decay
+    /// probes' in order, then the split solves' in order.
+    #[cfg(test)]
+    pub(crate) calls: Vec<Call>,
 }
 
 /// First forward-sweep step of each augmented column
@@ -549,29 +555,80 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
     Ok((res, rep))
 }
 
+/// One launch of a driver call.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Call {
+    pub(crate) time: SimTime,
+    /// Blocks of the launch.
+    pub(crate) grid: usize,
+    /// Column groups per system of a blocked-solve launch; 1 for every
+    /// other launch.
+    pub(crate) groups: usize,
+}
+
 /// Modeled time and launch count accumulated over one driver call.
 #[derive(Default)]
 pub(crate) struct Tally {
     pub(crate) time: SimTime,
     pub(crate) launches: usize,
-    /// The time of each launch in order.
-    pub(crate) calls: Vec<SimTime>,
+    /// Each launch in order, kept for the unit tests.
+    #[cfg(test)]
+    pub(crate) calls: Vec<Call>,
 }
 
 impl Tally {
     fn launch(&mut self, rep: &LaunchReport) {
         self.time += rep.time;
         self.launches += 1;
-        self.calls.push(rep.time);
+        self.record(rep, 1);
     }
 
-    /// A blocked solve counts as its forward/backward launch pair.
-    fn solve(&mut self, rep: &BlockedSolveReport) {
+    /// A blocked solve in `groups` column groups per system counts as its
+    /// forward/backward launch pair.
+    fn solve(&mut self, rep: &BlockedSolveReport, groups: usize) {
         self.time += rep.time();
         self.launches += 2;
-        self.calls.extend(rep.forward.as_ref().map(|f| f.time));
-        self.calls.push(rep.backward.time);
+        for r in rep.forward.iter().chain([&rep.backward]) {
+            self.record(r, groups);
+        }
     }
+
+    #[cfg(test)]
+    fn record(&mut self, rep: &LaunchReport, groups: usize) {
+        self.calls.push(Call {
+            time: rep.time,
+            grid: rep.grid,
+            groups,
+        });
+    }
+
+    #[cfg(not(test))]
+    fn record(&mut self, _: &LaunchReport, _: usize) {}
+}
+
+/// One blocked sweep of the split over the systems of layout `l` in
+/// `factors` / `piv` against `rhs`, forward sweeps starting at `first`
+/// (all at row 0 when `None`), in the column groups
+/// [`crate::cost::solve_groups`] prices cheapest (one when none fits).
+#[allow(clippy::too_many_arguments)]
+fn sweep<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    factors: &[S],
+    piv: &PivotBatch,
+    rhs: &mut RhsBatch<S>,
+    first: Option<&[usize]>,
+    params: &SpikeParams,
+    tally: &mut Tally,
+) -> Result<(), LaunchError> {
+    let p = params.solve(l);
+    let (batch, cols) = (rhs.batch(), rhs.nrhs());
+    let groups =
+        crate::cost::solve_groups::<S>(dev, l, batch, cols, first, &p).map_or(1, |(g, _)| g);
+    let rep = blocked_solve(dev, l, factors, piv, rhs, first, p, groups)?;
+    tally.solve(&rep, groups);
+    Ok(())
 }
 
 /// A launch refused for shared memory (a reduced system whose band is too
@@ -638,8 +695,7 @@ fn solve_reduced<S: Scalar>(
         y[c * r + id * rows + i]
     })
     .expect("valid reduced rhs");
-    let rep = gbtrs_batch_blocked(dev, &l, f.lu.data(), &f.piv, &mut rb, params.solve(&l))?;
-    tally.solve(&rep);
+    sweep(dev, &l, f.lu.data(), &f.piv, &mut rb, None, params, tally)?;
     for (k, v) in y.iter_mut().enumerate() {
         let (c, i) = (k / r, k % r);
         *v = rb.get(i / rows, i % rows, c);
@@ -816,6 +872,8 @@ fn run_split<S: Scalar>(
         time: probe_tally.time + tally.time,
         probe_time: probe_tally.time,
         launches: probe_tally.launches + tally.launches,
+        #[cfg(test)]
+        calls: [probe_tally.calls, tally.calls].concat(),
     })
 }
 
@@ -908,16 +966,8 @@ pub(crate) fn decay_probe<S: Scalar>(
         }
     }
     let first = spike_starts(rows, kl, ku, 0);
-    let rep = gbtrs_batch_blocked_from(
-        dev,
-        &sl,
-        samples.data(),
-        &spiv,
-        &mut spikes,
-        &first,
-        params.solve(&sl),
-    )?;
-    tally.solve(&rep);
+    let (first, factors) = (Some(&first[..]), samples.data());
+    sweep(dev, &sl, factors, &spiv, &mut spikes, first, params, tally)?;
 
     // Largest magnitude over `rows` of spike columns `cols` of sample `i`;
     // a NaN reads as infinite.
@@ -1071,16 +1121,8 @@ fn split_front<S: Scalar>(
     // right-spike columns skip the sweep steps above their corner.
     let mut aug = augmented_rhs(part, &coupling, &f, nrhs).expect("valid augmented rhs");
     let first = augmented_starts(part, nrhs);
-    let rep = gbtrs_batch_blocked_from(
-        dev,
-        &bl,
-        blocks.data(),
-        &bpiv,
-        &mut aug,
-        &first,
-        params.solve(&bl),
-    )?;
-    tally.solve(&rep);
+    let (first, factors) = (Some(&first[..]), blocks.data());
+    sweep(dev, &bl, factors, &bpiv, &mut aug, first, params, tally)?;
 
     let st = LaneState {
         part: *part,
@@ -1194,15 +1236,16 @@ fn truncated_solve<S: Scalar>(
             }
         }
         let bl = st.blocks.layout();
-        let rep = gbtrs_batch_blocked(
+        sweep(
             dev,
             &bl,
             st.blocks.data(),
             &st.bpiv,
             &mut rb,
-            params.solve(&bl),
+            None,
+            params,
+            tally,
         )?;
-        tally.solve(&rep);
         let mut yr = assemble_reduced_rhs(part, |p, row, c| rb.get(p, row, c), nrhs);
         solve_reduced(dev, &lu, &mut yr, nrhs, params, tally)?;
         let (dxb, rep) = spike_combine_launch(dev, part, &rb, &st.aug, nrhs, nrhs, &yr, params)?;
@@ -1256,7 +1299,7 @@ fn unsplit_lane<S: Scalar>(
         }
     }
     let rep = gbtrs_batch_blocked(dev, &l, one.data(), &opiv, &mut orhs, params.solve(&l))?;
-    tally.solve(&rep);
+    tally.solve(&rep, 1);
     write_lane(io.rhs, lane, nrhs, orhs.block(0));
     Ok(())
 }
@@ -1614,5 +1657,51 @@ mod tests {
         // fwd/bwd solve + combine + residual = 9.
         assert_eq!(rep.launches, 9);
         assert!(rep.time.secs() > 0.0);
+    }
+
+    #[test]
+    fn split_sweeps_fill_only_idle_sms() {
+        // The SPIKE cases of the dispatch pin grid: Auto at n = 4096 (2,2),
+        // the forced two-RHS split at P = 4, and the forced splits at
+        // n = 16 and 48. No launch split into column groups has more
+        // blocks than the device has SMs.
+        use crate::dispatch::{gbsv_batch, ChosenAlgo, FactorAlgo, GbsvOptions};
+        use gbatch_gpu_sim::registry;
+        let forced = GbsvOptions {
+            algo: FactorAlgo::Spike,
+            ..Default::default()
+        };
+        let four = GbsvOptions {
+            spike: Some(SpikeParams::default().with_parts(4)),
+            ..forced
+        };
+        let cases = [
+            (4096, 2, 2, 1, 1, GbsvOptions::default()),
+            (120, 2, 3, 2, 2, four),
+            (16, 2, 3, 4, 1, forced),
+            (48, 2, 3, 4, 1, forced),
+        ];
+        let mut split = 0;
+        for &name in registry::device_names() {
+            let dev = registry::device(name).unwrap();
+            for (n, kl, ku, batch, nrhs, opts) in cases {
+                let mut a = random_batch(batch, n, kl, ku, true);
+                let mut b = random_rhs(batch, n, nrhs);
+                let mut piv = PivotBatch::new(batch, n, n);
+                let mut info = InfoArray::new(batch);
+                let rep = gbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
+                assert_eq!(rep.algo, ChosenAlgo::Spike, "{name} n={n}");
+                for c in rep.spike.unwrap().calls.iter().filter(|c| c.groups > 1) {
+                    split += 1;
+                    assert!(
+                        c.grid <= dev.sms as usize,
+                        "{name} n={n} ({kl},{ku}): a split sweep of {} blocks on {} SMs",
+                        c.grid,
+                        dev.sms
+                    );
+                }
+            }
+        }
+        assert!(split > 0, "no sweep of the grid was split");
     }
 }

@@ -234,9 +234,13 @@ pub fn smem_column_step<S: Scalar>(
                     if u == S::ZERO {
                         continue;
                     }
+                    // Column `j + c` lies past column `j`'s multipliers, so
+                    // the two ranges are disjoint slices.
                     let dst = w.idx(kv - c, j + c);
-                    for i in 1..=km {
-                        w.data[dst + i] -= w.data[src + i] * u;
+                    let (head, tail) = w.data.split_at_mut(dst + 1);
+                    let mult = &head[src + 1..=src + km];
+                    for (x, &m) in tail[..km].iter_mut().zip(mult) {
+                        *x -= m * u;
                     }
                 }
                 ctx.smem_work((ju - j) * km, 2);

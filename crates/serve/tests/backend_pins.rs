@@ -218,26 +218,26 @@ cpu f64 n48 factorize service=0x3ee3792b2577d2ad info=[0, 0, 0, 0, 0, 0, 1, 0, 0
 cpu f64 n48 solve_with(factorize) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(retained) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(gpu factors) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve service=0x3f2a9fb95215bb5d info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve_retaining service=0x3f3fa454315140e8 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
-gpu-h100/per_launch f64 n4096 factorize service=0x3f3254778846633a info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
-gpu-h100/per_launch f64 n4096 solve_with(factorize) service=0x3f199ce4afa90744 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve_with(retained) service=0x3f199ce4afa90744 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-h100/resident f64 n4096 solve service=0x3f12c6a1d7f5a8a1 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
-gpu-h100/resident f64 n4096 solve_retaining service=0x3f35b694a5b596d3 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
-gpu-h100/resident f64 n4096 factorize service=0x3f3208f82df3308d info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
-gpu-h100/resident f64 n4096 solve_with(factorize) service=0x3f186ee7465c3c90 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-h100/resident f64 n4096 solve_with(retained) service=0x3f186ee7465c3c90 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve service=0x3f2486b58addc5c2 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve_retaining service=0x3f3b1e6f4e8dd5e6 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
-gpu-mi250x/per_launch f64 n4096 factorize service=0x3f30db14891ef305 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
-gpu-mi250x/per_launch f64 n4096 solve_with(factorize) service=0x3f159295f6d464cf info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve_with(retained) service=0x3f159295f6d464cf info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve service=0x3f133a9af9aee583 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve_retaining service=0x3f33b26a42b55a8f info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
-gpu-mi250x/resident f64 n4096 factorize service=0x3f30a8bfa23cd13c info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
-gpu-mi250x/resident f64 n4096 solve_with(factorize) service=0x3f14c9425b4bddac info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve_with(retained) service=0x3f14c9425b4bddac info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/per_launch f64 n4096 solve service=0x3f2a8fdda60c3ed0 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
+gpu-h100/per_launch f64 n4096 solve_retaining service=0x3f3f832164bf968c info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/per_launch f64 n4096 factorize service=0x3f323b3291b97724 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/per_launch f64 n4096 solve_with(factorize) service=0x3f1dcea297d682a8 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/per_launch f64 n4096 solve_with(retained) service=0x3f1dcea297d682a8 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/resident f64 n4096 solve service=0x3f12a6ea7fe2af85 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
+gpu-h100/resident f64 n4096 solve_retaining service=0x3f359561d923ec76 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/resident f64 n4096 factorize service=0x3f31efb337664477 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/resident f64 n4096 solve_with(factorize) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/resident f64 n4096 solve_with(retained) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/per_launch f64 n4096 solve service=0x3f2471fbfe9ec6e8 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
+gpu-mi250x/per_launch f64 n4096 solve_retaining service=0x3f3aa84daf26c2d7 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/per_launch f64 n4096 factorize service=0x3f306f4fafd75f63 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/per_launch f64 n4096 solve_with(factorize) service=0x3f18b7e464f68159 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/per_launch f64 n4096 solve_with(retained) service=0x3f18b7e464f68159 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/resident f64 n4096 solve service=0x3f131127e130e7ce info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
+gpu-mi250x/resident f64 n4096 solve_retaining service=0x3f333c48a34e4780 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/resident f64 n4096 factorize service=0x3f303cfac8f53d9a info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/resident f64 n4096 solve_with(factorize) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/resident f64 n4096 solve_with(retained) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 cpu f64 n4096 solve service=0x3f1ad829947c62f8 info=[0, 0] x=0x0d7fa27bb1f289ae retained=-\n\
 cpu f64 n4096 solve_retaining service=0x3f1ad829947c62f8 info=[0, 0] x=0x0d7fa27bb1f289ae retained=dd:0x3eaa2445c78427b9\n\
 cpu f64 n4096 factorize service=0x3f1036df033df499 info=[0, 0] x=- retained=dd:0x3eaa2445c78427b9\n\
@@ -270,26 +270,26 @@ cpu f32 n48 factorize service=0x3ee28b712d81d2da info=[0, 0, 0, 0, 0, 0, 1, 0, 0
 cpu f32 n48 solve_with(factorize) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(retained) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(gpu factors) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-h100/per_launch f32 n4096 solve service=0x3f23075c51618e47 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
-gpu-h100/per_launch f32 n4096 solve_retaining service=0x3f3bd825b0f72a5e info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
-gpu-h100/per_launch f32 n4096 factorize service=0x3f3254778846633a info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
-gpu-h100/per_launch f32 n4096 solve_with(factorize) service=0x3f199ce4afa90744 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-h100/per_launch f32 n4096 solve_with(retained) service=0x3f199ce4afa90744 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-h100/resident f32 n4096 solve service=0x3f102b218f15c0a0 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
-gpu-h100/resident f32 n4096 solve_retaining service=0x3f350fb4937d9cd3 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
-gpu-h100/resident f32 n4096 factorize service=0x3f3208f82df3308d info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
-gpu-h100/resident f32 n4096 solve_with(factorize) service=0x3f186ee7465c3c90 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-h100/resident f32 n4096 solve_with(retained) service=0x3f186ee7465c3c90 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-mi250x/per_launch f32 n4096 solve service=0x3f1d8c0a5f227b26 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
-gpu-mi250x/per_launch f32 n4096 solve_retaining service=0x3f383e1720e791ce info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
-gpu-mi250x/per_launch f32 n4096 factorize service=0x3f30db14891ef305 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
-gpu-mi250x/per_launch f32 n4096 solve_with(factorize) service=0x3f159295f6d464cf info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-mi250x/per_launch f32 n4096 solve_with(retained) service=0x3f159295f6d464cf info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-mi250x/resident f32 n4096 solve service=0x3f1129258d7c2ac5 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
-gpu-mi250x/resident f32 n4096 solve_retaining service=0x3f332e0ce7a8abe0 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
-gpu-mi250x/resident f32 n4096 factorize service=0x3f30a8bfa23cd13c info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
-gpu-mi250x/resident f32 n4096 solve_with(factorize) service=0x3f14c9425b4bddac info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-mi250x/resident f32 n4096 solve_with(retained) service=0x3f14c9425b4bddac info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/per_launch f32 n4096 solve service=0x3f22f780a55811ba info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
+gpu-h100/per_launch f32 n4096 solve_retaining service=0x3f3bb6f2e4658001 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/per_launch f32 n4096 factorize service=0x3f323b3291b97724 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/per_launch f32 n4096 solve_with(factorize) service=0x3f1dcea297d682a8 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/per_launch f32 n4096 solve_with(retained) service=0x3f1dcea297d682a8 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/resident f32 n4096 solve service=0x3f100b6a3702c784 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
+gpu-h100/resident f32 n4096 solve_retaining service=0x3f34ee81c6ebf276 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/resident f32 n4096 factorize service=0x3f31efb337664477 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/resident f32 n4096 solve_with(factorize) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/resident f32 n4096 solve_with(retained) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/per_launch f32 n4096 solve service=0x3f1d629746a47d72 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
+gpu-mi250x/per_launch f32 n4096 solve_retaining service=0x3f37c7f581807ec0 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/per_launch f32 n4096 factorize service=0x3f306f4fafd75f63 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/per_launch f32 n4096 solve_with(factorize) service=0x3f18b7e464f68159 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/per_launch f32 n4096 solve_with(retained) service=0x3f18b7e464f68159 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/resident f32 n4096 solve service=0x3f10ffb274fe2d11 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
+gpu-mi250x/resident f32 n4096 solve_retaining service=0x3f32b7eb484198d1 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/resident f32 n4096 factorize service=0x3f303cfac8f53d9a info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/resident f32 n4096 solve_with(factorize) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/resident f32 n4096 solve_with(retained) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 cpu f32 n4096 solve service=0x3f0d0be07b2ddd59 info=[0, 0] x=0x02f601b99be37fea retained=-\n\
 cpu f32 n4096 solve_retaining service=0x3f0d0be07b2ddd59 info=[0, 0] x=0x02f601b99be37fea retained=ss:0xc4f614469e2bd3b1\n\
 cpu f32 n4096 factorize service=0x3f026a95e9ef6ef9 info=[0, 0] x=- retained=ss:0xc4f614469e2bd3b1\n\

@@ -192,7 +192,9 @@ fn enforce_spike_coupling_kernels_run_hazard_free() {
     // Large enough that a 3-way partition survives the clamp for the wide
     // (10, 7) band; both reduced-system modes exercise every coupling
     // kernel (extract, combine, residual) under the enforcing tracker, at
-    // that fixed split and at the planner's `(P, nb)`.
+    // that fixed split and at the planner's `(P, nb)`. Their blocked sweeps
+    // run in column groups, the augmented one with ragged starts, so the
+    // grouped forward and backward launches run under it too.
     let n = 192;
     for &(kl, ku) in SHAPES {
         let base = SpikeParams::auto(&dev, kl);
