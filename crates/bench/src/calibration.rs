@@ -12,7 +12,7 @@ use gbatch_core::batch::{InfoArray, PivotBatch};
 use gbatch_core::{BandBatch, BandLayout};
 use gbatch_gpu_sim::registry;
 use gbatch_gpu_sim::DeviceSpec;
-use gbatch_kernels::cost::predict_interleaved_dispatch;
+use gbatch_kernels::cost::{interleaved_launches, total_time};
 use gbatch_kernels::dispatch::{dgbtrf_batch, ChosenAlgo, FactorAlgo, GbsvOptions};
 use gbatch_kernels::interleaved::InterleavedParams;
 use serde::{Deserialize, Serialize};
@@ -116,8 +116,8 @@ fn run_ms(dev: &DeviceSpec, a0: &BandBatch, algo: FactorAlgo) -> (f64, bool) {
 
 fn predicted_interleaved_ms(dev: &DeviceSpec, l: &BandLayout, batch: usize) -> f64 {
     let params = InterleavedParams::auto(dev, l, 0);
-    predict_interleaved_dispatch::<f64>(dev, l, batch, 0, true, &params)
-        .map(|t| t.secs() * 1e3)
+    interleaved_launches::<f64>(dev, l, batch, 0, true, &params)
+        .map(|list| total_time(&list).secs() * 1e3)
         .unwrap_or(f64::INFINITY)
 }
 

@@ -9,11 +9,78 @@
 //! full `kv + 1`-column window). Global traffic predictions are exact;
 //! critical-path cycles are an upper bound on what the executing kernels
 //! record.
+//!
+//! The SPIKE and interleaved plans are **launch lists** ([`Launch`], in
+//! driver order: [`spike_launches`], [`interleaved_launches`]). A plan's
+//! price is the launch-order sum of its list ([`total_time`]), and the
+//! driver reports the list it ran. A blocked solve is its forward and
+//! backward launches, the forward one only when `kl > 0`.
 
 use crate::interleaved::InterleavedParams;
 use gbatch_core::layout::BandLayout;
 use gbatch_core::scalar::Scalar;
-use gbatch_gpu_sim::{BlockContext, DeviceSpec, KernelCounters, LaunchConfig, SimTime};
+use gbatch_core::spike::SpikePartition;
+use gbatch_gpu_sim::{
+    BlockContext, DeviceSpec, KernelCounters, LaunchConfig, LaunchReport, SimTime,
+};
+
+/// Kernel family of one [`Launch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// `spike_extract`: the coupling corners of every cut.
+    Extract,
+    /// Sliding-window factorization (§5.3).
+    Window,
+    /// Fully fused factorization (§5.2).
+    Fused,
+    /// Forward launch of the blocked solve.
+    Forward,
+    /// Backward launch of the blocked solve.
+    Backward,
+    /// `spike_combine`: back-substitution of the interface values.
+    Combine,
+    /// `spike_residual`: the residual guard and refinement residuals.
+    Residual,
+    /// Pack pass of an interleaved plan.
+    Pack,
+    /// Interleaved factorization.
+    InterleavedFactor,
+    /// Interleaved solve.
+    InterleavedSolve,
+    /// Unpack pass of an interleaved plan.
+    Unpack,
+}
+
+/// One device launch: planned, with its predicted time, or run, with the
+/// engine's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Launch {
+    /// What the launch runs.
+    pub kernel: Kernel,
+    /// Blocks of the launch.
+    pub grid: usize,
+    /// Column groups per system of a blocked solve; 1 for other launches.
+    pub groups: usize,
+    /// Modeled time, launch overhead included.
+    pub time: SimTime,
+}
+
+impl Launch {
+    /// The record of a launch that ran as `rep`, in `groups` column groups.
+    pub fn ran(kernel: Kernel, rep: &LaunchReport, groups: usize) -> Self {
+        Launch {
+            kernel,
+            grid: rep.grid,
+            groups,
+            time: rep.time,
+        }
+    }
+}
+
+/// Launch-order sum of a list's times: a plan's price, or a run's time.
+pub fn total_time(list: &[Launch]) -> SimTime {
+    list.iter().fold(SimTime::ZERO, |t, l| t + l.time)
+}
 
 #[inline]
 fn frac(a: usize, t: usize) -> f64 {
@@ -311,13 +378,13 @@ fn grouped_backward<S: Scalar>(
     })
 }
 
-/// Predicted times of the two launches of a blocked solve of `batch`
-/// systems of layout `l` over `cols` RHS columns whose forward sweeps
-/// start at `first` (all at row 0 when `None`), run with `params` in
-/// `groups` column groups per system: each launch has `batch` times the
-/// groups' count blocks, each caching its own group. The forward launch
-/// is priced for a pivot swap at every step and is zero when `kl == 0`,
-/// which runs none. `None` when a launch cannot run.
+/// The launches of a blocked solve of `batch` systems of layout `l` over
+/// `cols` RHS columns whose forward sweeps start at `first` (all at row 0
+/// when `None`), run with `params` in `groups` column groups per system:
+/// each launch has `batch` times the groups' count blocks, each caching
+/// its own group. The forward launch, priced for a pivot swap at every
+/// step, is listed only when `kl > 0` and `n > 1`, as the kernel runs it.
+/// `None` when a launch cannot run.
 fn predict_blocked_launches<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
@@ -326,37 +393,43 @@ fn predict_blocked_launches<S: Scalar>(
     first: Option<&[usize]>,
     params: &crate::gbtrs_blocked::SolveParams,
     groups: usize,
-) -> Option<(SimTime, SimTime)> {
+) -> Option<Vec<Launch>> {
     use crate::gbtrs_blocked::{backward_smem_bytes, column_groups, forward_smem_bytes};
     let nb = params.nb;
     let threads = params.threads.max((l.kl + 1) as u32);
     let lanes = threads.min(dev.lds_lanes);
     let (width, count) = column_groups(cols, groups);
-    let cfg = |smem: usize| {
-        LaunchConfig::new(threads, smem as u32).with_precision(crate::flop_class::<S>())
+    let launch = |kernel, smem: usize, c: &KernelCounters| {
+        let cfg = LaunchConfig::new(threads, smem as u32).with_precision(crate::flop_class::<S>());
+        let time = predict_grid_time(dev, &cfg, batch, count, c)?;
+        Some(Launch {
+            kernel,
+            grid: batch * count,
+            groups,
+            time,
+        })
     };
-    let forward = if l.kl > 0 && l.n > 1 {
+    let mut list = Vec::with_capacity(2);
+    if l.kl > 0 && l.n > 1 {
         let c = grouped_forward::<S>(l, nb, cols, first, groups, lanes, true);
         let smem = forward_smem_bytes::<S>(l, nb, width);
-        predict_grid_time(dev, &cfg(smem), batch, count, &c)?
-    } else {
-        SimTime::ZERO
-    };
+        list.push(launch(Kernel::Forward, smem, &c)?);
+    }
     let c = grouped_backward::<S>(l, nb, cols, groups, lanes);
     let smem = backward_smem_bytes::<S>(l, nb, width);
-    let backward = predict_grid_time(dev, &cfg(smem), batch, count, &c)?;
-    Some((forward, backward))
+    list.push(launch(Kernel::Backward, smem, &c)?);
+    Some(list)
 }
 
-/// The column-group count the SPIKE driver runs a blocked solve of
-/// `batch` systems of layout `l` over `cols` columns (forward sweeps
-/// starting at `first`, all at row 0 when `None`) with, and the forward
-/// and backward launch prices it runs at: the `g` in
-/// `1..=min(cols, dev.sms / batch)` whose launch pair is priced cheapest,
-/// ties keeping the smaller `g`. The cap leaves every split launch at
-/// most one block per SM: beyond the SMs a small batch leaves idle, extra
-/// blocks only share an SM's shared-memory throughput, which the timing
-/// model does not yet charge per SM. `None` when no launch pair fits.
+/// The launches the SPIKE driver runs a blocked solve of `batch` systems
+/// of layout `l` over `cols` columns (forward sweeps starting at `first`,
+/// all at row 0 when `None`) as: those of the column-group count `g` in
+/// `1..=min(cols, dev.sms / batch)` priced cheapest, ties keeping the
+/// smaller `g`. The cap leaves
+/// every split launch at most one block per SM: beyond the SMs a small
+/// batch leaves idle, extra blocks only share an SM's shared-memory
+/// throughput, which the timing model does not yet charge per SM. `None`
+/// when no launch fits.
 pub fn solve_groups<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
@@ -364,9 +437,9 @@ pub fn solve_groups<S: Scalar>(
     cols: usize,
     first: Option<&[usize]>,
     params: &crate::gbtrs_blocked::SolveParams,
-) -> Option<(usize, (SimTime, SimTime))> {
+) -> Option<Vec<Launch>> {
     let top = cols.min(dev.sms as usize / batch.max(1)).max(1);
-    let mut best: Option<(usize, (SimTime, SimTime))> = None;
+    let mut best: Option<Vec<Launch>> = None;
     let mut seen = None;
     for g in 1..=top {
         // Group counts that split the columns alike price alike.
@@ -374,12 +447,15 @@ pub fn solve_groups<S: Scalar>(
         if seen.replace(split) == Some(split) {
             continue;
         }
-        let Some((f, b)) = predict_blocked_launches::<S>(dev, l, batch, cols, first, params, g)
+        let Some(list) = predict_blocked_launches::<S>(dev, l, batch, cols, first, params, g)
         else {
             continue;
         };
-        if best.is_none_or(|(_, (bf, bb))| (f + b).secs() < (bf + bb).secs()) {
-            best = Some((g, (f, b)));
+        if best
+            .as_ref()
+            .is_none_or(|b| total_time(&list).secs() < total_time(b).secs())
+        {
+            best = Some(list);
         }
     }
     best
@@ -593,170 +669,132 @@ pub fn predict_interleaved_time<S: Scalar>(
     ))
 }
 
-/// Predicted cost of the whole interleaved dispatch path — the launches
-/// [`crate::dispatch`] issues for
-/// [`crate::dispatch::FactorAlgo::Interleaved`]. With `factor`, a
-/// `gbtrf` (`nrhs == 0`) or `gbsv` call: factor, then solve when
-/// `nrhs > 0`. Without, a solve-only `gbtrs` call over a factored band:
-/// the solve. When a launch streams
-/// ([`crate::interleaved::needs_layout_passes`]) the plan adds a pack
-/// pass, and an unpack pass when it factors (a solve-only band is
-/// read-only). Every term is the exact price of its launch. `None` when a
+/// The launch list of the interleaved path: what [`crate::dispatch`] runs
+/// for [`crate::dispatch::FactorAlgo::Interleaved`], in order. With
+/// `factor`, a `gbtrf` (`nrhs == 0`) or `gbsv` call: factor, then solve
+/// when `nrhs > 0`. Without, a solve-only `gbtrs` call over a factored
+/// band: the solve. When a launch streams
+/// ([`crate::interleaved::needs_layout_passes`]) a pack pass comes first,
+/// and an unpack pass last when the call factors (a solve-only band is
+/// read-only). Every time is the exact price of its launch. `None` when a
 /// launch cannot run.
-pub fn predict_interleaved_dispatch<S: Scalar>(
+pub fn interleaved_launches<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
     batch: usize,
     nrhs: usize,
     factor: bool,
     params: &InterleavedParams,
-) -> Option<SimTime> {
+) -> Option<Vec<Launch>> {
     use crate::interleaved::{factor_mode, needs_layout_passes, solve_mode, LaneTrafficMode};
     let t = params.threads;
     let lpb = params.lanes_clamped(batch);
-    let pass = if needs_layout_passes::<S>(dev, l, batch, nrhs, factor, params) {
-        let pass = predict_interleaved_time::<S>(dev, batch, params, 0, |lanes| {
-            predict_interleave_pass::<S>(l, lanes, t)
-        })?;
-        Some(pass)
-    } else {
-        None
+    let launch = |kernel, smem: usize, per_chunk: &dyn Fn(usize) -> KernelCounters| {
+        let smem = u32::try_from(smem).ok()?;
+        Some(Launch {
+            kernel,
+            grid: batch.div_ceil(lpb),
+            groups: 1,
+            time: predict_interleaved_time::<S>(dev, batch, params, smem, per_chunk)?,
+        })
     };
-    // Summed in launch order, so the price equals the executed report's
-    // time bitwise.
-    let mut total = SimTime(0.0);
-    if let Some(pack) = pass {
-        total += pack;
+    let pass = |k| launch(k, 0, &|lanes| predict_interleave_pass::<S>(l, lanes, t));
+    let passes = needs_layout_passes::<S>(dev, l, batch, nrhs, factor, params);
+    let mut list = Vec::with_capacity(4);
+    if passes {
+        list.push(pass(Kernel::Pack)?);
     }
     if factor {
-        let fwin = factor_mode::<S>(dev, l, lpb) == LaneTrafficMode::Windowed;
-        let fsmem = if fwin {
-            u32::try_from(crate::interleaved::factor_smem_bytes::<S>(l, lpb)).ok()?
-        } else {
-            0
-        };
-        total += predict_interleaved_time::<S>(dev, batch, params, fsmem, |lanes| {
-            predict_interleaved_factor::<S>(l, lanes, t, fwin)
-        })?;
+        let win = factor_mode::<S>(dev, l, lpb) == LaneTrafficMode::Windowed;
+        let smem = win.then(|| crate::interleaved::factor_smem_bytes::<S>(l, lpb));
+        let smem = smem.unwrap_or(0);
+        list.push(launch(Kernel::InterleavedFactor, smem, &|lanes| {
+            predict_interleaved_factor::<S>(l, lanes, t, win)
+        })?);
     }
     if nrhs > 0 {
-        let swin = solve_mode::<S>(dev, l, nrhs, lpb) == LaneTrafficMode::Windowed;
-        let ssmem = if swin {
-            u32::try_from(crate::interleaved::solve_smem_bytes::<S>(l, nrhs, lpb)).ok()?
-        } else {
-            0
-        };
-        total += predict_interleaved_time::<S>(dev, batch, params, ssmem, |lanes| {
-            predict_interleaved_solve::<S>(l, nrhs, lanes, t, swin)
-        })?;
+        let win = solve_mode::<S>(dev, l, nrhs, lpb) == LaneTrafficMode::Windowed;
+        let smem = win.then(|| crate::interleaved::solve_smem_bytes::<S>(l, nrhs, lpb));
+        let smem = smem.unwrap_or(0);
+        list.push(launch(Kernel::InterleavedSolve, smem, &|lanes| {
+            predict_interleaved_solve::<S>(l, nrhs, lanes, t, win)
+        })?);
     }
-    if let (Some(unpack), true) = (pass, factor) {
-        total += unpack;
+    if passes && factor {
+        list.push(pass(Kernel::Unpack)?);
     }
-    Some(total)
+    Some(list)
 }
 
 /// Per-launch prices of the SPIKE driver ([`crate::spike`]) over one
-/// partition of one lane, each priced exactly as the engine would. A
-/// blocked solve is priced as the forward and backward launches it runs,
-/// in the column groups [`solve_groups`] picks, as the driver runs them.
+/// partition of one lane, each priced exactly as the engine would.
 struct SpikePrices<'a, S> {
     dev: &'a DeviceSpec,
     params: &'a crate::spike::SpikeParams,
-    part: gbatch_core::spike::SpikePartition,
-    /// Diagonal-block layout.
-    bl: BandLayout,
-    /// Exact reduced band layout (factored and solved at batch 1).
-    rl: BandLayout,
+    part: SpikePartition,
     _s: std::marker::PhantomData<S>,
 }
 
-impl<'a, S: Scalar> SpikePrices<'a, S> {
-    /// `None` when the partition degenerates to one block.
-    fn new(
-        dev: &'a DeviceSpec,
-        l: &BandLayout,
-        params: &'a crate::spike::SpikeParams,
-    ) -> Option<Self> {
-        let part = gbatch_core::spike::SpikePartition::new(l.n, l.kl, l.ku, params.parts);
-        if part.parts < 2 {
-            return None;
-        }
-        Some(SpikePrices {
-            dev,
-            params,
-            part,
-            bl: part.block_layout().ok()?,
-            rl: part.reduced_layout()?,
-            _s: std::marker::PhantomData,
+impl<S: Scalar> SpikePrices<'_, S> {
+    /// A launch of `grid` blocks of `threads` threads and `smem` shared
+    /// bytes, each recording `c`.
+    fn launch(
+        &self,
+        kernel: Kernel,
+        threads: u32,
+        smem: usize,
+        grid: usize,
+        c: &KernelCounters,
+    ) -> Option<Launch> {
+        let cfg = LaunchConfig::new(threads, smem as u32).with_precision(crate::flop_class::<S>());
+        let time = predict_time(self.dev, &cfg, grid, c)?;
+        let groups = 1;
+        Some(Launch {
+            kernel,
+            grid,
+            groups,
+            time,
         })
-    }
-
-    fn cfg(&self, threads: u32, smem: usize) -> LaunchConfig {
-        LaunchConfig::new(threads, smem as u32).with_precision(crate::flop_class::<S>())
     }
 
     /// Coupling extraction: one block per interface, corners staged
     /// through shared memory.
-    fn extract(&self) -> Option<SimTime> {
+    fn extract(&self) -> Option<Launch> {
         let (kl, ku, t) = (self.part.kl, self.part.ku, self.params.threads);
         let elems = kl * kl + ku * ku;
         let mut c = KernelCounters::default();
         c.global_read += (elems * S::BYTES) as u64;
         c.global_write += (elems * S::BYTES) as u64;
-        c.smem_elems += 2.0 * frac(elems, self.lanes(t) as usize);
+        c.smem_elems += 2.0 * frac(elems, t.min(self.dev.lds_lanes) as usize);
         c.syncs += 2;
-        let cfg = self.cfg(t, crate::spike::extract_smem_bytes::<S>(kl, ku));
-        predict_time(self.dev, &cfg, self.part.interfaces(), &c)
-    }
-
-    /// The shared-memory parallelism a launch of `threads` records.
-    fn lanes(&self, threads: u32) -> u32 {
-        threads.min(self.dev.lds_lanes)
+        let smem = crate::spike::extract_smem_bytes::<S>(kl, ku);
+        self.launch(Kernel::Extract, t, smem, self.part.interfaces(), &c)
     }
 
     /// Window factorization of `batch` systems of layout `l`.
-    fn window(&self, l: &BandLayout, batch: usize) -> Option<SimTime> {
+    fn window(&self, l: &BandLayout, batch: usize) -> Option<Launch> {
         let p = self.params.window(l);
-        let cfg = self.cfg(p.threads, crate::window::window_smem_bytes::<S>(l, p.nb));
-        predict_time(
-            self.dev,
-            &cfg,
-            batch,
-            &predict_window::<S>(l, p.nb, self.lanes(p.threads)),
-        )
+        let smem = crate::window::window_smem_bytes::<S>(l, p.nb);
+        let c = predict_window::<S>(l, p.nb, p.threads.min(self.dev.lds_lanes));
+        self.launch(Kernel::Window, p.threads, smem, batch, &c)
     }
 
     /// The blocked sweep of `batch` systems of layout `l` over `cols`
     /// columns whose forward sweeps start at `first` (all at row 0 when
-    /// `None`), as the forward and backward launches the driver runs, in
-    /// the column groups [`solve_groups`] picks (forward zero when
-    /// `kl == 0`, which runs none).
+    /// `None`), in the column groups [`solve_groups`] picks.
     fn sweep_launches(
         &self,
         l: &BandLayout,
         batch: usize,
         cols: usize,
         first: Option<&[usize]>,
-    ) -> Option<(SimTime, SimTime)> {
+    ) -> Option<Vec<Launch>> {
         let p = self.params.solve(l);
-        solve_groups::<S>(self.dev, l, batch, cols, first, &p).map(|(_, launches)| launches)
-    }
-
-    /// [`Self::sweep_launches`], summed.
-    fn sweep(
-        &self,
-        l: &BandLayout,
-        batch: usize,
-        cols: usize,
-        first: Option<&[usize]>,
-    ) -> Option<SimTime> {
-        let (forward, backward) = self.sweep_launches(l, batch, cols, first)?;
-        Some(forward + backward)
+        solve_groups::<S>(self.dev, l, batch, cols, first, &p)
     }
 
     /// Combine: stage the interface slice, broadcast it, sweep owned rows.
-    fn combine(&self, nrhs: usize) -> Option<SimTime> {
+    fn combine(&self, nrhs: usize) -> Option<Launch> {
         let (kl, ku, blk, t) = (
             self.part.kl,
             self.part.ku,
@@ -767,16 +805,16 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         let mut c = KernelCounters::default();
         c.global_read += ((slice + blk * (nrhs + ku + kl)) * S::BYTES) as u64;
         c.global_write += (blk * nrhs * S::BYTES) as u64;
-        c.smem_elems += 2.0 * frac(slice, self.lanes(t) as usize);
+        c.smem_elems += 2.0 * frac(slice, t.min(self.dev.lds_lanes) as usize);
         c.syncs += 2;
         c.flops += (2 * blk * nrhs * (ku + kl)) as u64;
         c.cycles += frac(blk * nrhs * (ku + kl), t as usize);
-        let cfg = self.cfg(t, crate::spike::combine_smem_bytes::<S>(kl, ku, nrhs));
-        predict_time(self.dev, &cfg, self.part.parts, &c)
+        let smem = crate::spike::combine_smem_bytes::<S>(kl, ku, nrhs);
+        self.launch(Kernel::Combine, t, smem, self.part.parts, &c)
     }
 
     /// Residual: lane-private row sweep over the block rows.
-    fn residual(&self, nrhs: usize) -> Option<SimTime> {
+    fn residual(&self, nrhs: usize) -> Option<Launch> {
         let (kl, ku, blk, t) = (
             self.part.kl,
             self.part.ku,
@@ -789,161 +827,122 @@ impl<'a, S: Scalar> SpikePrices<'a, S> {
         c.global_write += (blk * nrhs * S::BYTES) as u64;
         c.flops += (2 * blk * w * nrhs) as u64;
         c.cycles += frac(blk * w * nrhs, t as usize);
-        predict_time(self.dev, &self.cfg(t, 0), self.part.parts, &c)
+        self.launch(Kernel::Residual, t, 0, self.part.parts, &c)
     }
 
     /// Fused factorization of `batch` systems of layout `l`.
-    fn fused(&self, l: &BandLayout, batch: usize) -> Option<SimTime> {
+    fn fused(&self, l: &BandLayout, batch: usize) -> Option<Launch> {
         let t = self.params.threads_for(l);
-        let cfg = self.cfg(t, crate::fused::fused_smem_bytes::<S>(l.ldab, l.n));
-        predict_time(self.dev, &cfg, batch, &predict_fused::<S>(l, self.lanes(t)))
+        let smem = crate::fused::fused_smem_bytes::<S>(l.ldab, l.n);
+        let c = predict_fused::<S>(l, t.min(self.dev.lds_lanes));
+        self.launch(Kernel::Fused, t, smem, batch, &c)
     }
+}
 
-    /// The decay probe's launches ([`crate::spike`]), in order: extract
-    /// at the `P - 1` cuts, the window factorization of one sample block
-    /// per cut, and the forward and backward sweeps of the sample blocks
-    /// over their `kl + ku` spike columns (forward zero when `kl == 0`).
-    /// `None` when the blocks are shorter than a sample.
-    fn probe(&self) -> Option<[SimTime; 4]> {
-        let (kl, ku) = (self.part.kl, self.part.ku);
-        let rows = crate::spike::probe_rows(kl, ku);
-        if self.part.block < rows {
-            return None;
+/// A path one lane of the SPIKE driver ([`crate::spike`]) runs, as
+/// [`spike_launches`] lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpikePath {
+    /// The decay probe of an `Auto` lane: extract, the window factorization
+    /// of one sample block per cut, the sweep of their spike columns.
+    Probe,
+    /// The factor phase of every split lane: extract, the window
+    /// factorization of the `P` blocks, the sweep of the augmented columns
+    /// ([`crate::spike::augmented_starts`]).
+    Front,
+    /// The front, the reduced band's window factorization and sweep,
+    /// combine and the residual guard: the worst case given the shape.
+    Exact,
+    /// The front, the fused factorization and sweep of the `P - 1`
+    /// interface blocks, combine and one residual: no refinement round.
+    Truncated,
+    /// One refinement round: the block sweep of the residual, the
+    /// interface sweep, combine and the next residual.
+    Refine,
+    /// A retained split factor: the front over the spikes, the reduced LU.
+    Factor,
+    /// A warm solve over retained factors: the two sweeps and combine.
+    Warm,
+    /// The unsplit fallback: the whole lane's window factor and solve.
+    Unsplit,
+}
+
+/// The launches one lane of layout `l` runs on `path` at `params` against
+/// `nrhs` RHS columns, in the driver's order, each priced exactly as the
+/// engine would; the path's price is their [`total_time`]. Every split
+/// sweep runs in the column groups [`solve_groups`] picks. `None` when
+/// the partition degenerates to one block (every path but `Unsplit`), the
+/// blocks are shorter than a probe sample, or a launch cannot fit.
+pub fn spike_launches<S: Scalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    nrhs: usize,
+    params: &crate::spike::SpikeParams,
+    path: SpikePath,
+) -> Option<Vec<Launch>> {
+    let part = SpikePartition::new(l.n, l.kl, l.ku, params.parts);
+    let p = SpikePrices::<S> {
+        dev,
+        params,
+        part,
+        _s: std::marker::PhantomData,
+    };
+    let (parts, ifaces) = (part.parts, part.interfaces());
+    let front = |cols: usize| {
+        let bl = part.block_layout().ok()?;
+        let first = crate::spike::augmented_starts(&part, cols);
+        let sweep = p.sweep_launches(&bl, parts, first.len(), Some(&first))?;
+        Some([vec![p.extract()?, p.window(&bl, parts)?], sweep].concat())
+    };
+    let list = match path {
+        SpikePath::Unsplit => {
+            let solve = predict_blocked_launches::<S>(dev, l, 1, nrhs, None, &params.solve(l), 1);
+            [vec![p.window(l, 1)?], solve?].concat()
         }
-        let sl = BandLayout::factor(rows, rows, kl, ku).ok()?;
-        let first = crate::spike::spike_starts(rows, kl, ku, 0);
-        let samples = self.part.interfaces();
-        let (forward, backward) = self.sweep_launches(&sl, samples, first.len(), Some(&first))?;
-        Some([
-            self.extract()?,
-            self.window(&sl, samples)?,
-            forward,
-            backward,
-        ])
-    }
-
-    /// The factor phase every split lane runs before its reduced solve:
-    /// extract, the window factorization of the `P` diagonal blocks as
-    /// one launch, the blocked sweep over the augmented columns (`nrhs`
-    /// true RHS columns plus both spikes), whose right-spike columns start
-    /// at their structural nonzeros ([`crate::spike::augmented_starts`]).
-    fn factor_phase(&self, nrhs: usize) -> Option<SimTime> {
-        let parts = self.part.parts;
-        let first = crate::spike::augmented_starts(&self.part, nrhs);
-        Some(
-            self.extract()?
-                + self.window(&self.bl, parts)?
-                + self.sweep(&self.bl, parts, first.len(), Some(&first))?,
-        )
-    }
-}
-
-/// Predicted modeled time of the SPIKE split solve of **one** lane
-/// ([`crate::spike::spike_gbsv_batch`]) on its **exact** path: extract,
-/// the window factorization of the `P` diagonal blocks, the blocked solve
-/// over the augmented RHS (`nrhs + kl + ku` columns), the batch-1 window
-/// factorization and blocked solve of the reduced band, combine and the
-/// residual guard. This is the worst case a lane can take given only its
-/// shape: a lane whose spikes decay takes the cheaper truncated path
-/// (a fused factorization and blocked solve over the `P - 1` interface
-/// blocks instead of the reduced band). `None` when the partition
-/// degenerates to one block or a launch cannot fit.
-pub fn predict_spike_time<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    nrhs: usize,
-    params: &crate::spike::SpikeParams,
-) -> Option<SimTime> {
-    let p = SpikePrices::<S>::new(dev, l, params)?;
-    Some(
-        p.factor_phase(nrhs)?
-            + p.window(&p.rl, 1)?
-            + p.sweep(&p.rl, 1, nrhs, None)?
-            + p.combine(nrhs)?
-            + p.residual(nrhs)?,
-    )
-}
-
-/// Predicted modeled time of one lane's split solve on its **truncated**
-/// path with no refinement round: the factor phase of
-/// [`predict_spike_time`], the fused factorization and blocked solve of
-/// the `P - 1` interface blocks, combine and one residual. This is the
-/// path a lane whose spikes decay takes. `None` when the partition
-/// degenerates to one block or a launch cannot fit.
-pub fn predict_spike_truncated_time<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    nrhs: usize,
-    params: &crate::spike::SpikeParams,
-) -> Option<SimTime> {
-    let p = SpikePrices::<S>::new(dev, l, params)?;
-    let ifaces = p.part.interfaces();
-    let il = p.part.interface_layout()?;
-    Some(
-        p.factor_phase(nrhs)?
-            + p.fused(&il, ifaces)?
-            + p.sweep(&il, ifaces, nrhs, None)?
-            + p.combine(nrhs)?
-            + p.residual(nrhs)?,
-    )
-}
-
-/// Predicted modeled time of the factor phase alone — extract, the block
-/// window factorization and the augmented sweep over `nrhs` RHS columns
-/// and both spikes: what a sized lane spends before it reads its spike
-/// decay. `None` when the partition
-/// degenerates to one block or a launch cannot fit.
-pub fn predict_spike_factor_phase_time<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    nrhs: usize,
-    params: &crate::spike::SpikeParams,
-) -> Option<SimTime> {
-    SpikePrices::<S>::new(dev, l, params)?.factor_phase(nrhs)
-}
-
-/// Predicted modeled time of the decay probe an `Auto` lane runs at the
-/// exact plan `params` before it is sized ([`crate::spike`]). `None` when
-/// the plan has no interior cut to sample or a launch cannot fit.
-pub fn predict_spike_probe_time<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    params: &crate::spike::SpikeParams,
-) -> Option<SimTime> {
-    let [extract, window, forward, backward] = SpikePrices::<S>::new(dev, l, params)?.probe()?;
-    Some(extract + window + forward + backward)
-}
-
-/// Predicted modeled time of one lane's exact SPIKE *factorization* — what
-/// a retained split factor costs: extract, the block window
-/// factorization, the spike sweep over the `kl + ku` corner columns and
-/// the reduced band LU. `None` when the partition degenerates to one
-/// block or a launch cannot fit.
-pub fn predict_spike_factor_time<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    params: &crate::spike::SpikeParams,
-) -> Option<SimTime> {
-    let p = SpikePrices::<S>::new(dev, l, params)?;
-    Some(p.factor_phase(0)? + p.window(&p.rl, 1)?)
-}
-
-/// Predicted modeled time of one lane's warm SPIKE solve over retained
-/// factors: the blocked solve of the `P` diagonal blocks over the true
-/// RHS columns, the reduced band solve, then the combine sweep. `None`
-/// when the partition degenerates to one block or a launch cannot fit.
-pub fn predict_spike_warm_time<S: Scalar>(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    nrhs: usize,
-    params: &crate::spike::SpikeParams,
-) -> Option<SimTime> {
-    let p = SpikePrices::<S>::new(dev, l, params)?;
-    Some(
-        p.sweep(&p.bl, p.part.parts, nrhs, None)?
-            + p.sweep(&p.rl, 1, nrhs, None)?
-            + p.combine(nrhs)?,
-    )
+        _ if parts < 2 => return None,
+        SpikePath::Probe => {
+            let (kl, ku) = (part.kl, part.ku);
+            let rows = crate::spike::probe_rows(kl, ku);
+            if part.block < rows {
+                return None;
+            }
+            let sl = BandLayout::factor(rows, rows, kl, ku).ok()?;
+            let first = crate::spike::spike_starts(rows, kl, ku, 0);
+            let sweep = p.sweep_launches(&sl, ifaces, first.len(), Some(&first))?;
+            [vec![p.extract()?, p.window(&sl, ifaces)?], sweep].concat()
+        }
+        SpikePath::Front => front(nrhs)?,
+        SpikePath::Exact => {
+            let rl = part.reduced_layout()?;
+            let tail = vec![p.combine(nrhs)?, p.residual(nrhs)?];
+            let sweep = p.sweep_launches(&rl, 1, nrhs, None)?;
+            [front(nrhs)?, vec![p.window(&rl, 1)?], sweep, tail].concat()
+        }
+        SpikePath::Truncated => {
+            let il = part.interface_layout()?;
+            let tail = vec![p.combine(nrhs)?, p.residual(nrhs)?];
+            let sweep = p.sweep_launches(&il, ifaces, nrhs, None)?;
+            [front(nrhs)?, vec![p.fused(&il, ifaces)?], sweep, tail].concat()
+        }
+        SpikePath::Refine => {
+            let (bl, il) = (part.block_layout().ok()?, part.interface_layout()?);
+            let tail = vec![p.combine(nrhs)?, p.residual(nrhs)?];
+            let blocks = p.sweep_launches(&bl, parts, nrhs, None)?;
+            [blocks, p.sweep_launches(&il, ifaces, nrhs, None)?, tail].concat()
+        }
+        SpikePath::Factor => [front(0)?, vec![p.window(&part.reduced_layout()?, 1)?]].concat(),
+        SpikePath::Warm => {
+            let (bl, rl) = (part.block_layout().ok()?, part.reduced_layout()?);
+            let blocks = p.sweep_launches(&bl, parts, nrhs, None)?;
+            [
+                blocks,
+                p.sweep_launches(&rl, 1, nrhs, None)?,
+                vec![p.combine(nrhs)?],
+            ]
+            .concat()
+        }
+    };
+    Some(list)
 }
 
 /// The block sizes `nb` the paper's §5.3 tuning sweep tries.
@@ -952,7 +951,7 @@ pub const NB_GRID: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// The SPIKE plan for one lane of layout `l`: the block count `P` (a
 /// power of two `>= 2` within the partition clamp `P * (kl + ku + 1) <=
 /// n`) and the stage block size `nb` (one of [`NB_GRID`]) whose exact
-/// path ([`predict_spike_time`]) is priced cheapest, with that price.
+/// path ([`SpikePath::Exact`]) is priced cheapest, with that price.
 /// Every other field comes from `base`. Splitting finer shortens the
 /// block sweeps as `1/P` while the reduced band grows as `P`; `nb` trades
 /// barriers against window traffic in every stage. Ties keep the smaller
@@ -972,7 +971,9 @@ pub fn choose_spike_params<S: Scalar>(
     let key = spike_key::<S>(dev, l, nrhs, base.threads, range);
     let best = memoized(&MEMO, key, || {
         spike_argmin(range, |(parts, nb)| {
-            predict_spike_time::<S>(dev, l, nrhs, &base.with_parts(parts).with_nb(nb))
+            let params = base.with_parts(parts).with_nb(nb);
+            let list = spike_launches::<S>(dev, l, nrhs, &params, SpikePath::Exact)?;
+            Some(total_time(&list))
         })
     });
     best.map(|(parts, nb, t)| (base.with_parts(parts).with_nb(nb), t))
@@ -980,7 +981,7 @@ pub fn choose_spike_params<S: Scalar>(
 
 /// The plan of a lane that takes the truncated path: the block count `P`
 /// (a power of two from `exact.parts` up to `max_parts`) and `nb` (one of
-/// [`NB_GRID`]) whose truncated path ([`predict_spike_truncated_time`])
+/// [`NB_GRID`]) whose truncated path ([`SpikePath::Truncated`])
 /// is priced cheapest, with that price. `exact` is the lane's exact plan
 /// ([`choose_spike_params`]); every other field comes from it. Ties keep
 /// the smaller `P`, then the smaller `nb`; memoized like
@@ -999,7 +1000,8 @@ pub fn choose_spike_truncated_params<S: Scalar>(
     let best = memoized(&MEMO, key, || {
         spike_argmin(range, |(parts, nb)| {
             let params = exact.with_parts(parts).with_nb(nb);
-            predict_spike_truncated_time::<S>(dev, l, nrhs, &params)
+            let list = spike_launches::<S>(dev, l, nrhs, &params, SpikePath::Truncated)?;
+            Some(total_time(&list))
         })
     });
     best.map(|(parts, nb, t)| (exact.with_parts(parts).with_nb(nb), t))
@@ -1015,9 +1017,10 @@ pub fn spike_probe_pays<S: Scalar>(
     nrhs: usize,
     exact: &crate::spike::SpikeParams,
 ) -> bool {
+    let price = |path| spike_launches::<S>(dev, l, nrhs, exact, path).map(|l| total_time(&l));
     let prices = (
-        predict_spike_probe_time::<S>(dev, l, exact),
-        predict_spike_truncated_time::<S>(dev, l, nrhs, exact),
+        price(SpikePath::Probe),
+        price(SpikePath::Truncated),
         choose_spike_truncated_params::<S>(dev, l, nrhs, exact, usize::MAX),
     );
     match prices {
@@ -1462,8 +1465,10 @@ mod tests {
         assert!(!crate::interleaved::needs_layout_passes::<f64>(
             &dev, &small, 10_000, 0, true, &params
         ));
-        let inter_api =
-            predict_interleaved_dispatch::<f64>(&dev, &small, 10_000, 0, true, &params).unwrap();
+        let dispatch = |l: &BandLayout, batch: usize, params: &InterleavedParams| {
+            total_time(&interleaved_launches::<f64>(&dev, l, batch, 0, true, params).unwrap())
+        };
+        let inter_api = dispatch(&small, 10_000, &params);
         assert_eq!(inter_api, inter, "batch=10000 n=16: no conversion passes");
 
         // Regime 2: mid-size band at large batch — the sliding window
@@ -1477,8 +1482,7 @@ mod tests {
         );
         let column_big =
             predict_time(&dev, &wide_cfg, 4000, &predict_window::<f64>(&big, 16, 128)).unwrap();
-        let inter_big =
-            predict_interleaved_dispatch::<f64>(&dev, &big, 4000, 0, true, &params_big).unwrap();
+        let inter_big = dispatch(&big, 4000, &params_big);
         assert!(
             inter_big.secs() >= column_big.secs(),
             "batch=4000 n=512 kl=ku=8: window {:.1}us should beat interleaved {:.1}us",
@@ -1503,8 +1507,7 @@ mod tests {
         );
         assert!(gbatch_gpu_sim::engine::validate(&dev, &window_huge).is_err());
         let params_huge = InterleavedParams::auto(&dev, &huge, 0);
-        let inter_huge =
-            predict_interleaved_dispatch::<f64>(&dev, &huge, 4, 0, true, &params_huge).unwrap();
+        let inter_huge = dispatch(&huge, 4, &params_huge);
         // The streaming factor pays both conversion passes.
         assert!(crate::interleaved::needs_layout_passes::<f64>(
             &dev,
@@ -1538,8 +1541,7 @@ mod tests {
         );
         // At large batch the traffic term takes over and the ranking flips
         // back — the layout decision sees both sides of the regime.
-        let inter_many =
-            predict_interleaved_dispatch::<f64>(&dev, &huge, 256, 0, true, &params_huge).unwrap();
+        let inter_many = dispatch(&huge, 256, &params_huge);
         let floor_many = predict_reference_floor::<f64>(&dev, &huge, 256);
         assert!(
             inter_many.secs() >= floor_many.secs(),
@@ -1548,6 +1550,17 @@ mod tests {
             floor_many.us(),
             inter_many.us()
         );
+    }
+
+    /// The [`total_time`] of [`spike_launches`].
+    fn spike_price<S: Scalar>(
+        dev: &DeviceSpec,
+        l: &BandLayout,
+        nrhs: usize,
+        params: &crate::spike::SpikeParams,
+        path: SpikePath,
+    ) -> Option<SimTime> {
+        spike_launches::<S>(dev, l, nrhs, params, path).map(|list| total_time(&list))
     }
 
     #[test]
@@ -1570,7 +1583,9 @@ mod tests {
                     );
                     assert!(NB_GRID.contains(&params.nb));
                     assert_eq!(params, base.with_parts(parts).with_nb(params.nb));
-                    assert_eq!(predict_spike_time::<f64>(&dev, &l, 1, &params), Some(t));
+                    let exact =
+                        |p: &SpikeParams| spike_price::<f64>(&dev, &l, 1, p, SpikePath::Exact);
+                    assert_eq!(exact(&params), Some(t));
                     // The untuned `nb = 8` at every block count is one of
                     // the candidates, so it never prices below the choice.
                     for p in (1..usize::BITS)
@@ -1578,7 +1593,7 @@ mod tests {
                         .take_while(|&p| p * (kl + ku + 1) <= n)
                     {
                         let at8 = base.with_parts(p).with_nb(8);
-                        if let Some(t8) = predict_spike_time::<f64>(&dev, &l, 1, &at8) {
+                        if let Some(t8) = exact(&at8) {
                             assert!(
                                 t.secs() <= t8.secs(),
                                 "{n} ({kl},{ku}): chosen {params:?} above P={p} nb=8"
@@ -1624,12 +1639,13 @@ mod tests {
 
     #[test]
     fn probe_launches_are_priced() {
-        // Extract records data-independent work, so its price equals its
-        // report bitwise. The window factorization and the forward sweep
-        // are priced for a pivot swap at every step, and the backward
-        // sweep for a full cache shift per block, so their prices bound
-        // what any operator records.
-        use crate::spike::{decay_probe, SpikeParams, Tally};
+        // The probe runs its planned list launch for launch. Extract
+        // records data-independent work, so its price equals its report
+        // bitwise. The window factorization and the forward sweep are
+        // priced for a pivot swap at every step, and the backward sweep
+        // for a full cache shift per block, so their prices bound what
+        // any operator records.
+        use crate::spike::{decay_probe, SpikeParams};
         use gbatch_core::spike::SpikePartition;
         for dev in [DeviceSpec::h100_pcie(), DeviceSpec::mi250x_gcd()] {
             for (n, kl, ku, parts) in [
@@ -1643,32 +1659,24 @@ mod tests {
                     let l = a.layout();
                     let params = SpikeParams::auto(&dev, kl).with_parts(parts).with_nb(16);
                     let part = SpikePartition::new(n, kl, ku, parts);
-                    let mut tally = Tally::default();
-                    let block = decay_probe(&dev, &a, 0, &part, &params, &mut tally).unwrap();
+                    let mut got = Vec::new();
+                    let block = decay_probe(&dev, &a, 0, &part, &params, &mut got).unwrap();
                     let case = format!("{} n={n} ({kl},{ku}) dominant={dominant}", dev.name);
                     assert_eq!(block.is_some(), dominant, "{case}: {block:?}");
-                    let [extract, window, forward, backward] =
-                        SpikePrices::<f64>::new(&dev, &l, &params)
-                            .unwrap()
-                            .probe()
-                            .unwrap();
-                    let want: Vec<SimTime> = [extract, window]
-                        .into_iter()
-                        .chain((kl > 0).then_some(forward))
-                        .chain([backward])
-                        .collect();
-                    let got = &tally.calls;
+                    let want = spike_launches::<f64>(&dev, &l, 1, &params, SpikePath::Probe);
+                    let want = want.unwrap();
                     assert_eq!(got.len(), want.len(), "{case}: one price per launch");
-                    assert_eq!(
-                        got[0].time.secs().to_bits(),
-                        want[0].secs().to_bits(),
+                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let shape = |x: &Launch| (x.kernel, x.grid, x.groups);
+                        assert_eq!(shape(g), shape(w), "{case}: launch {k}");
+                        assert!(g.time.secs() <= w.time.secs(), "{case}: launch {k}");
+                    }
+                    let extract = |x: &[Launch]| x[0].time.secs().to_bits();
+                    assert_eq!(extract(&got), extract(&want), "{case}");
+                    assert!(
+                        total_time(&got).secs() <= total_time(&want).secs(),
                         "{case}"
                     );
-                    for k in 1..got.len() {
-                        assert!(got[k].time.secs() <= want[k].secs(), "{case}: launch {k}");
-                    }
-                    let probe = predict_spike_probe_time::<f64>(&dev, &l, &params).unwrap();
-                    assert!(tally.time.secs() <= probe.secs(), "{case}");
                 }
             }
         }
@@ -1699,12 +1707,17 @@ mod tests {
                     vec![SpikeOutcome::Truncated { refine_iters: 0 }],
                     "{case}"
                 );
-                let price =
-                    predict_spike_truncated_time::<f64>(&dev, &a0.layout(), 1, &params).unwrap();
+                let l = a0.layout();
+                let want = spike_launches::<f64>(&dev, &l, 1, &params, SpikePath::Truncated);
+                let want = want.unwrap();
+                let shape = |x: &Launch| (x.kernel, x.grid, x.groups);
+                let got: Vec<_> = rep.launches.iter().map(shape).collect();
+                assert_eq!(got, want.iter().map(shape).collect::<Vec<_>>(), "{case}");
+                let price = total_time(&want);
                 assert!(
-                    rep.time.secs() <= price.secs(),
+                    rep.time().secs() <= price.secs(),
                     "{case}: ran {:.4} ms, priced {:.4} ms",
-                    rep.time.ms(),
+                    rep.time().ms(),
                     price.ms()
                 );
             }
@@ -1731,7 +1744,7 @@ mod tests {
             assert_eq!((params.parts, params.nb), sized, "{}", dev.name);
             assert_eq!(params, exact.with_parts(sized.0).with_nb(sized.1));
             assert_eq!(
-                predict_spike_truncated_time::<f64>(&dev, &l, 1, &params),
+                spike_price::<f64>(&dev, &l, 1, &params, SpikePath::Truncated),
                 Some(t)
             );
         }
@@ -1827,7 +1840,7 @@ mod tests {
                 .with_precision(crate::flop_class::<f64>());
                 let time = predict_grid_time(&dev, &cfg, batch, count, &want).unwrap();
                 assert_eq!(fwd.time.secs().to_bits(), time.secs().to_bits(), "{case}");
-                let (_, backward) = predict_blocked_launches::<f64>(
+                let planned = predict_blocked_launches::<f64>(
                     &dev,
                     &l,
                     batch,
@@ -1837,6 +1850,7 @@ mod tests {
                     groups,
                 )
                 .unwrap();
+                let backward = planned.last().unwrap().time;
                 assert_eq!(rep.backward.grid, batch * count, "{case}");
                 if nb >= l.kv() {
                     assert!(rep.backward.time.secs() <= backward.secs(), "{case}");

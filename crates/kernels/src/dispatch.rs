@@ -28,11 +28,15 @@
 //! plan. [`GbsvOptions::algo`] is the one forcing option. The plan prices
 //! the candidates with the exact launch predictors of [`crate::cost`],
 //! with no fitted constants; only an interleaved plan with a streaming
-//! launch ([`needs_layout_passes`]) pays conversion passes.
+//! launch ([`crate::interleaved::needs_layout_passes`]) pays conversion
+//! passes. The interleaved and SPIKE plans are launch lists: the price
+//! is the launch-order sum of the list, the runner executes it, and the
+//! report carries what ran ([`BatchReport::list`],
+//! [`SpikeReport::launches`]).
 
 use crate::cost::{
-    choose_spike_params, predict_fused, predict_gbtrs_blocked, predict_interleaved_dispatch,
-    predict_reference_floor, predict_time, predict_window,
+    choose_spike_params, interleaved_launches, predict_fused, predict_gbtrs_blocked,
+    predict_reference_floor, predict_time, predict_window, total_time, Kernel, Launch,
 };
 use crate::fused::{fused_smem_bytes, gbtrf_batch_fused, FusedParams};
 use crate::gbsv_fused::{gbsv_batch_fused, gbsv_smem_bytes, FUSED_GBSV_MAX_N};
@@ -43,7 +47,7 @@ use crate::gbtrs_cols::gbtrs_batch_cols;
 use crate::gbtrs_trans::gbtrs_batch_blocked_trans;
 use crate::interleaved::{
     deinterleave_launch, gbtrf_batch_interleaved, gbtrs_batch_interleaved, interleave_launch,
-    needs_layout_passes, InterleavedParams,
+    InterleavedParams,
 };
 use crate::reference::gbtrf_batch_reference;
 use crate::spike::{spike_gbsv_batch, spike_gbsv_batch_sized, SpikeParams, SpikeReport};
@@ -67,9 +71,10 @@ use gbatch_gpu_sim::{
 /// - a solve-only call runs the column solve, except that `Interleaved`
 ///   over factor storage (`row_offset == kv`) runs the interleaved solve;
 /// - the transpose solve runs the blocked transpose pair;
-/// - `FusedGbsv` or `Spike` on [`gbtrf_batch`], and `Spike` on storage the
+/// - `FusedGbsv` or `Spike` on [`gbtrf_batch`], `Spike` on storage the
 ///   split does not support (square LAPACK factor storage with
-///   `kl + ku >= 1`), run the `ColumnMajor` plan.
+///   `kl + ku >= 1`), and `Interleaved` when its launch list cannot be
+///   priced, run the `ColumnMajor` plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorAlgo {
     /// The full cascade, SPIKE and the interleaved layout included.
@@ -195,7 +200,7 @@ enum Call {
 }
 
 /// What one batched call runs, with every parameter resolved.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Plan {
     /// Single-kernel factorize-and-solve.
     FusedGbsv {
@@ -205,13 +210,11 @@ enum Plan {
     /// SPIKE split driver at `params`; `sized` lets each lane first be
     /// sized from its decay probe (`Auto` only).
     Spike { params: SpikeParams, sized: bool },
-    /// The interleaved kernels: factor when the call factors, solve when
-    /// it has a RHS. With `passes` (a launch streams,
-    /// [`needs_layout_passes`]) a pack pass comes first, and an unpack
-    /// pass last when the call factors.
+    /// The interleaved kernels, run as the launch list
+    /// [`interleaved_launches`] prices.
     Interleaved {
         params: InterleavedParams,
-        passes: bool,
+        launches: Vec<Launch>,
     },
     /// The paper's column-major kernels: a factorization, a solve, or
     /// both, as the call asks.
@@ -282,9 +285,11 @@ fn plan<S: Scalar>(
         interleaved = interleaved.with_parallel(p);
     }
     let solve = opts.column_solve::<S>(dev, l, nrhs);
-    let interleaved_plan = Plan::Interleaved {
+    let interleaved_list =
+        || interleaved_launches::<S>(dev, l, batch, nrhs, factoring, &interleaved);
+    let interleaved_plan = |launches| Plan::Interleaved {
         params: interleaved,
-        passes: needs_layout_passes::<S>(dev, l, batch, nrhs, factoring, &interleaved),
+        launches,
     };
     let fused_gbsv = Plan::FusedGbsv {
         threads: fused.threads,
@@ -315,7 +320,11 @@ fn plan<S: Scalar>(
 
     match opts.algo {
         FactorAlgo::Auto | FactorAlgo::ColumnMajor => {}
-        FactorAlgo::Interleaved if factoring || factor_storage => return interleaved_plan,
+        FactorAlgo::Interleaved if factoring || factor_storage => {
+            if let Some(launches) = interleaved_list() {
+                return interleaved_plan(launches);
+            }
+        }
         _ if !factoring => return column(factor),
         FactorAlgo::FusedGbsv if nrhs > 0 => return fused_gbsv,
         FactorAlgo::Spike if spike_storage => {
@@ -391,7 +400,6 @@ fn plan<S: Scalar>(
     if !auto || !factor_storage {
         return column(factor);
     }
-    let inter = predict_interleaved_dispatch::<S>(dev, l, batch, nrhs, factoring, &interleaved);
     // An unpriced blocked solve means the per-column kernels (~2n
     // launches): their launch floor plus one pass over factors and RHS.
     let solve_time = (nrhs > 0).then(|| {
@@ -404,8 +412,10 @@ fn plan<S: Scalar>(
         Call::Solve(_) => solve_time,
         _ => factor_time.map(|f| solve_time.map_or(f, |s| f + s)),
     };
-    match (inter, column_time) {
-        (Some(inter), Some(col)) if inter.secs() < col.secs() => interleaved_plan,
+    match (interleaved_list(), column_time) {
+        (Some(launches), Some(col)) if total_time(&launches).secs() < col.secs() => {
+            interleaved_plan(launches)
+        }
         _ => column(factor),
     }
 }
@@ -431,11 +441,26 @@ pub struct BatchReport {
     /// flagged as skipped, or empty when all factors were healthy.
     pub singular: Vec<usize>,
     /// The split driver's own report when the call ran SPIKE: each lane's
-    /// outcome and partition, and the decay probes' time.
+    /// outcome and partition, and the decay probes' launches.
     pub spike: Option<SpikeReport>,
+    /// Every launch an interleaved plan ran, in order (a SPIKE call's are
+    /// [`SpikeReport::launches`]); empty for the other plans.
+    pub list: Vec<Launch>,
 }
 
 impl BatchReport {
+    /// The report of a plan that reports its launch count alone.
+    fn counted(algo: ChosenAlgo, time: SimTime, launches: usize, singular: Vec<usize>) -> Self {
+        BatchReport {
+            algo,
+            time,
+            launches,
+            singular,
+            spike: None,
+            list: Vec::new(),
+        }
+    }
+
     /// True when every lane factored without a zero pivot.
     #[must_use]
     pub fn all_lanes_ok(&self) -> bool {
@@ -449,68 +474,59 @@ impl BatchReport {
     }
 }
 
-/// The interleaved plan, one launch per step: factor, then solve when
-/// `rhs` is given, between a pack and an unpack pass when `passes`. The
-/// kernels run on the caller's column-major storage; pack and unpack are
-/// priced passes that move no host data.
-fn run_interleaved<S: Scalar>(
-    dev: &DeviceSpec,
-    a: &mut BandBatch<S>,
-    piv: &mut PivotBatch,
-    rhs: Option<&mut RhsBatch<S>>,
-    info: &mut InfoArray,
-    params: InterleavedParams,
-    passes: bool,
-) -> Result<BatchReport, LaunchError> {
-    let l = a.layout();
-    let mut time = SimTime(0.0);
-    let mut launches = 1;
-    if passes {
-        time += interleave_launch(dev, &l, a.data(), params)?.time;
-        launches += 2;
-    }
-    time += gbtrf_batch_interleaved(dev, a, piv, info, params)?.time;
-    if let Some(rhs) = rhs {
-        time += gbtrs_batch_interleaved(dev, &l, a.data(), piv, rhs, info, params)?.time;
-        launches += 1;
-    }
-    if passes {
-        time += deinterleave_launch(dev, &l, a.data(), params)?.time;
-    }
-    Ok(BatchReport {
-        algo: ChosenAlgo::Interleaved,
-        time,
-        launches,
-        singular: info.failures(),
-        spike: None,
-    })
+/// The band an interleaved plan runs over.
+enum Band<'a, S: Scalar> {
+    /// Factored in place (`gbtrf`, `gbsv`), with its pivots and `info`.
+    Factor(&'a mut BandBatch<S>, &'a mut PivotBatch, &'a mut InfoArray),
+    /// Factors a solve-only call vouches for, so no lane is masked.
+    Factored(&'a [S], &'a PivotBatch, InfoArray),
 }
 
-/// The interleaved plan of a solve-only call: solve every lane (the
-/// caller vouches for its factors, so no lane is masked), after a pack
-/// pass over the factored band when `passes`. The band is read-only, so
-/// there is no unpack.
-fn run_interleaved_solve<S: Scalar>(
+impl<S: Scalar> Band<'_, S> {
+    fn read(&self) -> (&[S], &PivotBatch, &InfoArray) {
+        match self {
+            Band::Factor(a, piv, info) => (a.data(), piv, info),
+            Band::Factored(factors, piv, info) => (factors, piv, info),
+        }
+    }
+}
+
+/// Run an interleaved plan's launches in order over `band` and `rhs`
+/// (which a plan with a solve launch has). The kernels run on the
+/// caller's column-major storage; pack and unpack are priced passes that
+/// move no host data.
+fn run_interleaved<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
-    factors: &[S],
-    piv: &PivotBatch,
-    rhs: &mut RhsBatch<S>,
+    mut band: Band<'_, S>,
+    mut rhs: Option<&mut RhsBatch<S>>,
     params: InterleavedParams,
-    passes: bool,
+    launches: &[Launch],
 ) -> Result<BatchReport, LaunchError> {
-    let info = InfoArray::new(rhs.batch());
-    let mut time = SimTime(0.0);
-    if passes {
-        time += interleave_launch(dev, l, factors, params)?.time;
+    let mut ran = Vec::with_capacity(launches.len());
+    for step in launches {
+        let rep = match (step.kernel, &mut band) {
+            (Kernel::InterleavedFactor, Band::Factor(a, piv, info)) => {
+                gbtrf_batch_interleaved(dev, a, piv, info, params)?
+            }
+            (Kernel::InterleavedSolve, band) => {
+                let (factors, piv, info) = band.read();
+                let rhs = rhs.as_deref_mut().expect("a solve launch has a RHS");
+                gbtrs_batch_interleaved(dev, l, factors, piv, rhs, info, params)?
+            }
+            (Kernel::Pack, band) => interleave_launch(dev, l, band.read().0, params)?,
+            (Kernel::Unpack, band) => deinterleave_launch(dev, l, band.read().0, params)?,
+            (kernel, _) => unreachable!("{kernel:?} in an interleaved plan"),
+        };
+        ran.push(Launch::ran(step.kernel, &rep, step.groups));
     }
-    time += gbtrs_batch_interleaved(dev, l, factors, piv, rhs, &info, params)?.time;
     Ok(BatchReport {
         algo: ChosenAlgo::Interleaved,
-        time,
-        launches: 1 + passes as usize,
-        singular: Vec::new(),
+        time: total_time(&ran),
+        launches: ran.len(),
+        singular: band.read().2.failures(),
         spike: None,
+        list: ran,
     })
 }
 
@@ -538,13 +554,7 @@ fn run_factor<S: Scalar>(
             (ChosenAlgo::Reference, rep.time, rep.launches)
         }
     };
-    Ok(BatchReport {
-        algo,
-        time,
-        launches,
-        singular: info.failures(),
-        spike: None,
-    })
+    Ok(BatchReport::counted(algo, time, launches, info.failures()))
 }
 
 /// Run one column-major no-transpose solve kernel.
@@ -570,17 +580,11 @@ fn run_solve<S: Scalar>(
             (ChosenAlgo::Reference, rep.time, rep.launches)
         }
     };
-    Ok(BatchReport {
-        algo,
-        time,
-        launches,
-        singular: Vec::new(),
-        spike: None,
-    })
+    Ok(BatchReport::counted(algo, time, launches, Vec::new()))
 }
 
 /// `Err(ArgMismatch)` unless the caller's `got` equals `expected`.
-fn agree(arg: &'static str, expected: usize, got: usize) -> Result<(), LaunchError> {
+pub(crate) fn agree(arg: &'static str, expected: usize, got: usize) -> Result<(), LaunchError> {
     if got == expected {
         Ok(())
     } else {
@@ -589,13 +593,17 @@ fn agree(arg: &'static str, expected: usize, got: usize) -> Result<(), LaunchErr
 }
 
 /// Check the pivots of `batch` factorizations of layout `l`.
-fn check_pivots(l: &BandLayout, batch: usize, piv: &PivotBatch) -> Result<(), LaunchError> {
+pub(crate) fn check_pivots(
+    l: &BandLayout,
+    batch: usize,
+    piv: &PivotBatch,
+) -> Result<(), LaunchError> {
     agree("pivot batch", batch, piv.batch())?;
     agree("pivots per matrix", l.m.min(l.n), piv.per_matrix())
 }
 
 /// Check the right-hand sides of `batch` systems of layout `l`.
-fn check_rhs<S: Scalar>(
+pub(crate) fn check_rhs<S: Scalar>(
     l: &BandLayout,
     batch: usize,
     rhs: &RhsBatch<S>,
@@ -642,8 +650,9 @@ pub fn gbtrf_batch<S: Scalar>(
     agree("info length", a.batch(), info.len())?;
     let _engine = opts.engine_scope();
     match plan::<S>(dev, &l, a.batch(), Call::Factor, opts) {
-        Plan::Interleaved { params, passes } => {
-            run_interleaved(dev, a, piv, None, info, params, passes)
+        Plan::Interleaved { params, launches } => {
+            let band = Band::Factor(a, piv, info);
+            run_interleaved(dev, &l, band, None, params, &launches)
         }
         Plan::Column { factor, .. } => run_factor(dev, a, piv, info, factor),
         Plan::FusedGbsv { .. } | Plan::Spike { .. } => {
@@ -701,8 +710,9 @@ pub fn gbtrs_batch<S: Scalar>(
     let _engine = opts.engine_scope();
     match trans {
         Transpose::No => match plan::<S>(dev, l, batch, Call::Solve(rhs.nrhs()), opts) {
-            Plan::Interleaved { params, passes } => {
-                run_interleaved_solve(dev, l, factors, piv, rhs, params, passes)
+            Plan::Interleaved { params, launches } => {
+                let band = Band::Factored(factors, piv, InfoArray::new(batch));
+                run_interleaved(dev, l, band, Some(rhs), params, &launches)
             }
             Plan::Column { solve, .. } => run_solve(dev, l, factors, piv, rhs, solve),
             Plan::FusedGbsv { .. } | Plan::Spike { .. } => {
@@ -712,13 +722,9 @@ pub fn gbtrs_batch<S: Scalar>(
         Transpose::Yes => {
             let params = opts.solve_params(dev, l.kl);
             let rep = gbtrs_batch_blocked_trans(dev, l, factors, piv, rhs, params)?;
-            Ok(BatchReport {
-                algo: ChosenAlgo::Window,
-                time: rep.time(),
-                launches: 1 + rep.lt.is_some() as usize,
-                singular: Vec::new(),
-                spike: None,
-            })
+            let launches = 1 + rep.lt.is_some() as usize;
+            let algo = ChosenAlgo::Window;
+            Ok(BatchReport::counted(algo, rep.time(), launches, Vec::new()))
         }
     }
 }
@@ -815,13 +821,8 @@ pub fn gbsv_batch<S: Scalar>(
             let saved = rhs.data().to_vec();
             let rep = gbsv_batch_fused(dev, a, piv, rhs, info, threads, parallel)?;
             restore_failed(rhs, info, &saved);
-            Ok(BatchReport {
-                algo: ChosenAlgo::FusedGbsv,
-                time: rep.time,
-                launches: 1,
-                singular: info.failures(),
-                spike: None,
-            })
+            let algo = ChosenAlgo::FusedGbsv;
+            Ok(BatchReport::counted(algo, rep.time, 1, info.failures()))
         }
         Plan::Spike { params, sized } => {
             let rep = if sized {
@@ -831,14 +832,16 @@ pub fn gbsv_batch<S: Scalar>(
             };
             Ok(BatchReport {
                 algo: ChosenAlgo::Spike,
-                time: rep.time,
-                launches: rep.launches,
+                time: rep.time(),
+                launches: rep.launches.len(),
                 singular: info.failures(),
                 spike: Some(rep),
+                list: Vec::new(),
             })
         }
-        Plan::Interleaved { params, passes } => {
-            run_interleaved(dev, a, piv, Some(rhs), info, params, passes)
+        Plan::Interleaved { params, launches } => {
+            let band = Band::Factor(a, piv, info);
+            run_interleaved(dev, &l, band, Some(rhs), params, &launches)
         }
         Plan::Column { factor, solve } => {
             let f = run_factor(dev, a, piv, info, factor)?;
@@ -855,13 +858,8 @@ pub fn gbsv_batch<S: Scalar>(
                 restore_failed(rhs, info, &saved);
                 s
             };
-            Ok(BatchReport {
-                algo: f.algo,
-                time: f.time + s.time,
-                launches: f.launches + s.launches,
-                singular: f.singular,
-                spike: None,
-            })
+            let (time, launches) = (f.time + s.time, f.launches + s.launches);
+            Ok(BatchReport::counted(f.algo, time, launches, f.singular))
         }
     }
 }

@@ -59,7 +59,14 @@
 //! its pristine band and right-hand side, with the full chain above; it
 //! never solves the exact reduced system at the sized `P`. A lane whose
 //! sample tips do not decay is not sized and runs `P_e` unchanged.
+//!
+//! **Launch lists.** Each path is priced as the list
+//! [`crate::cost::spike_launches`] builds for it; the driver records the
+//! launches it runs in the same form ([`SpikeReport::launches`]), from
+//! which the report's time and launch count come.
 
+use crate::cost::{total_time, Kernel, Launch};
+use crate::dispatch::{agree, check_pivots, check_rhs};
 use crate::fused::{gbtrf_batch_fused, FusedParams};
 use crate::gbtrs_blocked::{blocked_solve, gbtrs_batch_blocked, BlockedSolveReport, SolveParams};
 use crate::window::{gbtrf_batch_window, WindowParams};
@@ -257,17 +264,24 @@ pub struct SpikeReport {
     pub outcomes: Vec<SpikeOutcome>,
     /// Per-lane partition.
     pub lanes: Vec<SpikeLanePlan>,
+    /// Every launch of the call: the decay probes' in order, then the
+    /// split solves' in order.
+    pub launches: Vec<Launch>,
+    /// How many of [`Self::launches`] are the decay probes'.
+    pub probe_launches: usize,
+}
+
+impl SpikeReport {
+    /// Modeled time of the decay probes.
+    pub fn probe_time(&self) -> SimTime {
+        total_time(&self.launches[..self.probe_launches])
+    }
+
     /// Total modeled time across every launch of every lane: the decay
     /// probes' time plus the split solves'.
-    pub time: SimTime,
-    /// Modeled time of the decay probes (zero unless `Auto` sized).
-    pub probe_time: SimTime,
-    /// Number of device launches issued.
-    pub launches: usize,
-    /// Every launch of the call, kept for the unit tests: the decay
-    /// probes' in order, then the split solves' in order.
-    #[cfg(test)]
-    pub(crate) calls: Vec<Call>,
+    pub fn time(&self) -> SimTime {
+        self.probe_time() + total_time(&self.launches[self.probe_launches..])
+    }
 }
 
 /// First forward-sweep step of each augmented column
@@ -555,56 +569,13 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
     Ok((res, rep))
 }
 
-/// One launch of a driver call.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Call {
-    pub(crate) time: SimTime,
-    /// Blocks of the launch.
-    pub(crate) grid: usize,
-    /// Column groups per system of a blocked-solve launch; 1 for every
-    /// other launch.
-    pub(crate) groups: usize,
-}
-
-/// Modeled time and launch count accumulated over one driver call.
-#[derive(Default)]
-pub(crate) struct Tally {
-    pub(crate) time: SimTime,
-    pub(crate) launches: usize,
-    /// Each launch in order, kept for the unit tests.
-    #[cfg(test)]
-    pub(crate) calls: Vec<Call>,
-}
-
-impl Tally {
-    fn launch(&mut self, rep: &LaunchReport) {
-        self.time += rep.time;
-        self.launches += 1;
-        self.record(rep, 1);
+/// Record a blocked solve run in `groups` column groups per system as
+/// the launches it ran, in order.
+fn record_solve(ran: &mut Vec<Launch>, rep: &BlockedSolveReport, groups: usize) {
+    if let Some(r) = &rep.forward {
+        ran.push(Launch::ran(Kernel::Forward, r, groups));
     }
-
-    /// A blocked solve in `groups` column groups per system counts as its
-    /// forward/backward launch pair.
-    fn solve(&mut self, rep: &BlockedSolveReport, groups: usize) {
-        self.time += rep.time();
-        self.launches += 2;
-        for r in rep.forward.iter().chain([&rep.backward]) {
-            self.record(r, groups);
-        }
-    }
-
-    #[cfg(test)]
-    fn record(&mut self, rep: &LaunchReport, groups: usize) {
-        self.calls.push(Call {
-            time: rep.time,
-            grid: rep.grid,
-            groups,
-        });
-    }
-
-    #[cfg(not(test))]
-    fn record(&mut self, _: &LaunchReport, _: usize) {}
+    ran.push(Launch::ran(Kernel::Backward, &rep.backward, groups));
 }
 
 /// One blocked sweep of the split over the systems of layout `l` in
@@ -620,14 +591,14 @@ fn sweep<S: Scalar>(
     rhs: &mut RhsBatch<S>,
     first: Option<&[usize]>,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<(), LaunchError> {
     let p = params.solve(l);
     let (batch, cols) = (rhs.batch(), rhs.nrhs());
-    let groups =
-        crate::cost::solve_groups::<S>(dev, l, batch, cols, first, &p).map_or(1, |(g, _)| g);
+    let groups = crate::cost::solve_groups::<S>(dev, l, batch, cols, first, &p)
+        .map_or(1, |list| list[0].groups);
     let rep = blocked_solve(dev, l, factors, piv, rhs, first, p, groups)?;
-    tally.solve(&rep, groups);
+    record_solve(ran, &rep, groups);
     Ok(())
 }
 
@@ -657,7 +628,7 @@ fn factor_reduced<S: Scalar>(
     mut lu: BandBatch<S>,
     exact: bool,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<Option<ReducedLu<S>>, LaunchError> {
     let l = lu.layout();
     let mut piv = PivotBatch::new(lu.batch(), l.n, l.n);
@@ -674,7 +645,8 @@ fn factor_reduced<S: Scalar>(
     let Some(rep) = fitted(rep)? else {
         return Ok(None);
     };
-    tally.launch(&rep);
+    let kernel = if exact { Kernel::Window } else { Kernel::Fused };
+    ran.push(Launch::ran(kernel, &rep, 1));
     Ok(info.all_ok().then_some(ReducedLu { lu, piv }))
 }
 
@@ -687,7 +659,7 @@ fn solve_reduced<S: Scalar>(
     y: &mut [S],
     nrhs: usize,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<(), LaunchError> {
     let l = f.lu.layout();
     let (rows, r) = (l.n, l.n * f.lu.batch());
@@ -695,7 +667,7 @@ fn solve_reduced<S: Scalar>(
         y[c * r + id * rows + i]
     })
     .expect("valid reduced rhs");
-    sweep(dev, &l, f.lu.data(), &f.piv, &mut rb, None, params, tally)?;
+    sweep(dev, &l, f.lu.data(), &f.piv, &mut rb, None, params, ran)?;
     for (k, v) in y.iter_mut().enumerate() {
         let (c, i) = (k / r, k % r);
         *v = rb.get(i / rows, i % rows, c);
@@ -765,7 +737,8 @@ fn inf_norm<S: Scalar>(v: &[S]) -> S {
 /// band storage holds its block factors column-for-column
 /// (block-partitioned, same minimal `ldab`) and `piv` holds
 /// globally-indexed block-local pivots; `info` follows the `gbsv`
-/// convention per lane.
+/// convention per lane. Pivots, `info` or right-hand sides that disagree
+/// with `a` fail with [`LaunchError::ArgMismatch`] before any launch.
 pub fn spike_gbsv_batch<S: Scalar>(
     dev: &DeviceSpec,
     a: &mut BandBatch<S>,
@@ -813,9 +786,9 @@ fn run_split<S: Scalar>(
     );
     assert!(rhs.nrhs() >= 1, "spike solve needs at least one RHS column");
     let batch = a.batch();
-    assert_eq!(piv.batch(), batch);
-    assert_eq!(info.len(), batch);
-    assert_eq!(rhs.batch(), batch);
+    check_pivots(&l, batch, piv)?;
+    agree("info length", batch, info.len())?;
+    check_rhs(&l, batch, rhs)?;
     let part = SpikePartition::new(l.n, l.kl, l.ku, params.parts);
     let bl = part.block_layout().expect("valid block layout");
     assert_eq!(
@@ -827,8 +800,12 @@ fn run_split<S: Scalar>(
         && params.mode == SpikeMode::Truncated
         && crate::cost::spike_probe_pays::<S>(dev, &l, nrhs, &params);
 
-    let mut tally = Tally::default();
-    let mut probe_tally = Tally::default();
+    // Room for 64 launches a lane, reserved before the lanes' large
+    // buffers come and go: a record grown while they do leaves small
+    // chunks among them, and a caller's next band of their size faults
+    // its pages in afresh.
+    let mut ran = Vec::with_capacity(64 * batch);
+    let mut probes = Vec::new();
     let mut outcomes = Vec::with_capacity(batch);
     let mut lanes = Vec::with_capacity(batch);
     for lane in 0..batch {
@@ -840,14 +817,14 @@ fn run_split<S: Scalar>(
             lane,
         };
         let sized = if probe {
-            size_lane(dev, io.a, lane, &part, &params, nrhs, &mut probe_tally)?
+            size_lane(dev, io.a, lane, &part, &params, nrhs, &mut probes)?
         } else {
             None
         };
         let mut abandoned = None;
         if let Some(sp) = sized {
             let sp_part = SpikePartition::new(l.n, l.kl, l.ku, sp.parts);
-            if let Some(oc) = sized_attempt(dev, &mut io, &sp_part, &sp, &mut tally)? {
+            if let Some(oc) = sized_attempt(dev, &mut io, &sp_part, &sp, &mut ran)? {
                 outcomes.push(oc);
                 lanes.push(SpikeLanePlan {
                     parts: sp_part.parts,
@@ -858,22 +835,21 @@ fn run_split<S: Scalar>(
             }
             abandoned = Some((sp_part.parts, sp.nb));
         }
-        outcomes.push(solve_lane(dev, &mut io, &part, &params, &mut tally)?);
+        outcomes.push(solve_lane(dev, &mut io, &part, &params, &mut ran)?);
         lanes.push(SpikeLanePlan {
             parts: part.parts,
             nb: params.nb,
             abandoned,
         });
     }
+    let probe_launches = probes.len();
+    probes.append(&mut ran);
     Ok(SpikeReport {
         parts: part.parts,
         outcomes,
         lanes,
-        time: probe_tally.time + tally.time,
-        probe_time: probe_tally.time,
-        launches: probe_tally.launches + tally.launches,
-        #[cfg(test)]
-        calls: [probe_tally.calls, tally.calls].concat(),
+        launches: probes,
+        probe_launches,
     })
 }
 
@@ -898,9 +874,9 @@ fn size_lane<S: Scalar>(
     part: &SpikePartition,
     exact: &SpikeParams,
     nrhs: usize,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<Option<SpikeParams>, LaunchError> {
-    let Some(block) = decay_probe(dev, a, lane, part, exact, tally)? else {
+    let Some(block) = decay_probe(dev, a, lane, part, exact, ran)? else {
         return Ok(None);
     };
     let l = a.layout();
@@ -933,7 +909,7 @@ pub(crate) fn decay_probe<S: Scalar>(
     lane: usize,
     part: &SpikePartition,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<Option<usize>, LaunchError> {
     let (kl, ku) = (part.kl, part.ku);
     let rows = probe_rows(kl, ku);
@@ -941,7 +917,7 @@ pub(crate) fn decay_probe<S: Scalar>(
         return Ok(None);
     }
     let (coupling, rep) = spike_extract_launch(dev, a, lane, part, params)?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Extract, &rep, 1));
 
     let mut samples = extract_samples(&a.matrix(lane), part, rows).expect("valid sample batch");
     let sl = samples.layout();
@@ -949,7 +925,7 @@ pub(crate) fn decay_probe<S: Scalar>(
     let mut spiv = PivotBatch::new(count, rows, rows);
     let mut sinfo = InfoArray::new(count);
     let rep = gbtrf_batch_window(dev, &mut samples, &mut spiv, &mut sinfo, params.window(&sl))?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Window, &rep, 1));
     if !sinfo.all_ok() {
         return Ok(None);
     }
@@ -967,7 +943,7 @@ pub(crate) fn decay_probe<S: Scalar>(
     }
     let first = spike_starts(rows, kl, ku, 0);
     let (first, factors) = (Some(&first[..]), samples.data());
-    sweep(dev, &sl, factors, &spiv, &mut spikes, first, params, tally)?;
+    sweep(dev, &sl, factors, &spiv, &mut spikes, first, params, ran)?;
 
     // Largest magnitude over `rows` of spike columns `cols` of sample `i`;
     // a NaN reads as infinite.
@@ -1019,15 +995,15 @@ fn sized_attempt<S: Scalar>(
     io: &mut LaneIo<'_, S>,
     part: &SpikePartition,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<Option<SpikeOutcome>, LaunchError> {
-    let Some(st) = split_front(dev, io, part, params, tally)? else {
+    let Some(st) = split_front(dev, io, part, params, ran)? else {
         return Ok(None);
     };
     if st.dropped_coupling() > DECAY_BOUND {
         return Ok(None);
     }
-    Ok(match truncated_solve(dev, io, &st, params, tally)? {
+    Ok(match truncated_solve(dev, io, &st, params, ran)? {
         Ok(oc) => {
             write_back(io, part, &st);
             Some(oc)
@@ -1041,28 +1017,28 @@ fn solve_lane<S: Scalar>(
     io: &mut LaneIo<'_, S>,
     part: &SpikePartition,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<SpikeOutcome, LaunchError> {
     let front = if part.parts == 1 {
         None
     } else {
-        split_front(dev, io, part, params, tally)?
+        split_front(dev, io, part, params, ran)?
     };
     let Some(st) = front else {
-        unsplit_lane(dev, io, params, tally)?;
+        unsplit_lane(dev, io, params, ran)?;
         return Ok(SpikeOutcome::Unsplit);
     };
 
     // Mode choice from the spike decay, then the reduced solve.
     let truncate = params.mode == SpikeMode::Truncated && st.dropped_coupling() <= DECAY_BOUND;
     let outcome = if truncate {
-        match truncated_solve(dev, io, &st, params, tally)? {
+        match truncated_solve(dev, io, &st, params, ran)? {
             Ok(oc) => Some(oc),
-            Err(refine_iters) => exact_solve(dev, io, &st, params, tally)?
+            Err(refine_iters) => exact_solve(dev, io, &st, params, ran)?
                 .then_some(SpikeOutcome::ExactFallback { refine_iters }),
         }
     } else {
-        exact_solve(dev, io, &st, params, tally)?.then_some(SpikeOutcome::Exact)
+        exact_solve(dev, io, &st, params, ran)?.then_some(SpikeOutcome::Exact)
     };
     match outcome {
         Some(oc) => {
@@ -1070,7 +1046,7 @@ fn solve_lane<S: Scalar>(
             Ok(oc)
         }
         None => {
-            unsplit_lane(dev, io, params, tally)?;
+            unsplit_lane(dev, io, params, ran)?;
             Ok(SpikeOutcome::Unsplit)
         }
     }
@@ -1085,7 +1061,7 @@ fn split_front<S: Scalar>(
     io: &LaneIo<'_, S>,
     part: &SpikePartition,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<Option<LaneState<S>>, LaunchError> {
     let n = part.n;
     let nrhs = io.rhs.nrhs();
@@ -1103,7 +1079,7 @@ fn split_front<S: Scalar>(
 
     // (1) Coupling corners through the extract kernel.
     let (coupling, rep) = spike_extract_launch(dev, io.a, io.lane, part, params)?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Extract, &rep, 1));
 
     // (2) All P diagonal blocks factor concurrently as one batched
     // window launch.
@@ -1112,7 +1088,7 @@ fn split_front<S: Scalar>(
     let mut bpiv = PivotBatch::new(part.parts, part.block, part.block);
     let mut binfo = InfoArray::new(part.parts);
     let rep = gbtrf_batch_window(dev, &mut blocks, &mut bpiv, &mut binfo, params.window(&bl))?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Window, &rep, 1));
     if !binfo.all_ok() {
         return Ok(None);
     }
@@ -1122,7 +1098,7 @@ fn split_front<S: Scalar>(
     let mut aug = augmented_rhs(part, &coupling, &f, nrhs).expect("valid augmented rhs");
     let first = augmented_starts(part, nrhs);
     let (first, factors) = (Some(&first[..]), blocks.data());
-    sweep(dev, &bl, factors, &bpiv, &mut aug, first, params, tally)?;
+    sweep(dev, &bl, factors, &bpiv, &mut aug, first, params, ran)?;
 
     let st = LaneState {
         part: *part,
@@ -1143,7 +1119,7 @@ fn exact_solve<S: Scalar>(
     io: &mut LaneIo<'_, S>,
     st: &LaneState<S>,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<bool, LaunchError> {
     let (part, f) = (&st.part, &st.f);
     let reduced = assemble_reduced(
@@ -1152,21 +1128,21 @@ fn exact_solve<S: Scalar>(
         |p, row, c| st.w(p, row, c),
     )
     .expect("split lanes have interfaces");
-    let Some(lu) = factor_reduced(dev, reduced, true, params, tally)? else {
+    let Some(lu) = factor_reduced(dev, reduced, true, params, ran)? else {
         return Ok(false);
     };
     let mut y = assemble_reduced_rhs(part, |p, row, c| st.g(p, row, c), st.nrhs);
-    solve_reduced(dev, &lu, &mut y, st.nrhs, params, tally)?;
+    solve_reduced(dev, &lu, &mut y, st.nrhs, params, ran)?;
     let (xb, rep) =
         spike_combine_launch(dev, part, &st.aug, &st.aug, st.nrhs, st.nrhs, &y, params)?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Combine, &rep, 1));
     // Residual guard on a scratch panel: the exact split answer must be
     // as good as a direct solve before it is committed. The lane's RHS
     // still holds the original right-hand side on the `false` path,
     // which the unsplit fallback consumes verbatim.
     let x = unpack_block_solution(part, st.nrhs, &xb);
     let (res, rep) = spike_residual_launch(dev, io.a, io.lane, part, &x, f, st.nrhs, params)?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Residual, &rep, 1));
     if inf_norm(&res) > exact_guard(inf_norm(f)) {
         return Ok(false);
     }
@@ -1184,7 +1160,7 @@ fn truncated_solve<S: Scalar>(
     io: &mut LaneIo<'_, S>,
     st: &LaneState<S>,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<Result<SpikeOutcome, usize>, LaunchError> {
     let (part, f) = (&st.part, &st.f);
     let (n, blk) = (part.n, part.block);
@@ -1195,22 +1171,22 @@ fn truncated_solve<S: Scalar>(
         |p, row, c| st.w(p, row, c),
     )
     .expect("split lanes have interfaces");
-    let Some(lu) = factor_reduced(dev, blocks, false, params, tally)? else {
+    let Some(lu) = factor_reduced(dev, blocks, false, params, ran)? else {
         return Ok(Err(0));
     };
 
     // Initial truncated solve from the already-computed g.
     let mut y = assemble_reduced_rhs(part, |p, row, c| st.g(p, row, c), nrhs);
-    solve_reduced(dev, &lu, &mut y, nrhs, params, tally)?;
+    solve_reduced(dev, &lu, &mut y, nrhs, params, ran)?;
     let (xb, rep) = spike_combine_launch(dev, part, &st.aug, &st.aug, nrhs, nrhs, &y, params)?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Combine, &rep, 1));
     let mut x = unpack_block_solution(part, nrhs, &xb);
 
     let tol = truncated_tol(inf_norm(f));
     let mut prev = S::from_f64(f64::INFINITY);
     for iter in 0..=params.max_refine {
         let (res, rep) = spike_residual_launch(dev, io.a, io.lane, part, &x, f, nrhs, params)?;
-        tally.launch(&rep);
+        ran.push(Launch::ran(Kernel::Residual, &rep, 1));
         let rnorm = inf_norm(&res);
         if rnorm <= tol {
             write_lane(io.rhs, io.lane, nrhs, &x);
@@ -1244,12 +1220,12 @@ fn truncated_solve<S: Scalar>(
             &mut rb,
             None,
             params,
-            tally,
+            ran,
         )?;
         let mut yr = assemble_reduced_rhs(part, |p, row, c| rb.get(p, row, c), nrhs);
-        solve_reduced(dev, &lu, &mut yr, nrhs, params, tally)?;
+        solve_reduced(dev, &lu, &mut yr, nrhs, params, ran)?;
         let (dxb, rep) = spike_combine_launch(dev, part, &rb, &st.aug, nrhs, nrhs, &yr, params)?;
-        tally.launch(&rep);
+        ran.push(Launch::ran(Kernel::Combine, &rep, 1));
         for p in 0..part.parts {
             let s = part.start(p);
             let len = part.len(p);
@@ -1270,7 +1246,7 @@ fn unsplit_lane<S: Scalar>(
     dev: &DeviceSpec,
     io: &mut LaneIo<'_, S>,
     params: &SpikeParams,
-    tally: &mut Tally,
+    ran: &mut Vec<Launch>,
 ) -> Result<(), LaunchError> {
     let (lane, l) = (io.lane, io.a.layout());
     let n = l.n;
@@ -1282,7 +1258,7 @@ fn unsplit_lane<S: Scalar>(
     let mut opiv = PivotBatch::new(1, n, n);
     let mut oinfo = InfoArray::new(1);
     let rep = gbtrf_batch_window(dev, &mut one, &mut opiv, &mut oinfo, params.window(&l))?;
-    tally.launch(&rep);
+    ran.push(Launch::ran(Kernel::Window, &rep, 1));
     io.a.data_mut()[lane * stride..(lane + 1) * stride].copy_from_slice(one.data());
     io.piv.pivots_mut(lane).copy_from_slice(opiv.pivots(0));
     io.info.set(lane, oinfo.get(0));
@@ -1299,7 +1275,7 @@ fn unsplit_lane<S: Scalar>(
         }
     }
     let rep = gbtrs_batch_blocked(dev, &l, one.data(), &opiv, &mut orhs, params.solve(&l))?;
-    tally.solve(&rep, 1);
+    record_solve(ran, &rep, 1);
     write_lane(io.rhs, lane, nrhs, orhs.block(0));
     Ok(())
 }
@@ -1628,7 +1604,7 @@ mod tests {
         };
         let rep = spike_gbsv_batch(&dev, &mut a, &mut piv, &mut rhs, &mut info, params).unwrap();
         assert!(info.all_ok());
-        assert!(rep.time.secs() > 0.0);
+        assert!(rep.time().secs() > 0.0);
         for id in 0..2 {
             for c in 0..nrhs {
                 let x: Vec<f32> = (0..n).map(|i| rhs.get(id, i, c)).collect();
@@ -1655,8 +1631,9 @@ mod tests {
         let (_, _, _, _, rep) = run_spike(&a, &rhs, params);
         // extract + factor + fwd/bwd solve + reduced factor + reduced
         // fwd/bwd solve + combine + residual = 9.
-        assert_eq!(rep.launches, 9);
-        assert!(rep.time.secs() > 0.0);
+        assert_eq!(rep.launches.len(), 9);
+        assert_eq!(rep.time(), total_time(&rep.launches));
+        assert!(rep.time().secs() > 0.0);
     }
 
     #[test]
@@ -1691,7 +1668,7 @@ mod tests {
                 let mut info = InfoArray::new(batch);
                 let rep = gbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
                 assert_eq!(rep.algo, ChosenAlgo::Spike, "{name} n={n}");
-                for c in rep.spike.unwrap().calls.iter().filter(|c| c.groups > 1) {
+                for c in rep.spike.unwrap().launches.iter().filter(|c| c.groups > 1) {
                     split += 1;
                     assert!(
                         c.grid <= dev.sms as usize,

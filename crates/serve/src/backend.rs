@@ -33,9 +33,7 @@ use gbatch_cpu::{cpu_gbsv_batch, CpuSpec};
 use gbatch_gpu_sim::engine::LaunchError;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, MegabatchQueue, ParallelPolicy, SimTime};
-use gbatch_kernels::cost::{
-    choose_spike_params, predict_spike_factor_time, predict_spike_warm_time,
-};
+use gbatch_kernels::cost::{choose_spike_params, spike_launches, total_time, SpikePath};
 use gbatch_kernels::dispatch::{
     gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, FactorAlgo, GbsvOptions, SPIKE_MIN_N,
 };
@@ -184,6 +182,21 @@ fn layout_of(shape: &ShapeKey) -> Result<BandLayout, BackendError> {
         .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))
 }
 
+/// A fault naming the first lane whose `what` payload is not the `len`
+/// values the shape needs: the trait's callers need not have checked.
+fn check_lengths<'a>(
+    what: &str,
+    len: usize,
+    mut payloads: impl Iterator<Item = &'a [f64]>,
+) -> Result<(), BackendError> {
+    match payloads.position(|p| p.len() != len) {
+        None => Ok(()),
+        Some(k) => Err(BackendError::Fault(format!(
+            "lane {k}: {what} payload is not the {len} values the shape needs"
+        ))),
+    }
+}
+
 /// Narrow `f64` wire values into `S` storage (an exact copy at `f64`).
 fn narrow<S: Scalar>(dst: &mut [S], src: &[f64]) {
     assert_eq!(dst.len(), src.len(), "wire payload length");
@@ -241,6 +254,7 @@ fn check_factors(
     factors: &[Arc<RetainedFactor>],
 ) -> Result<BandLayout, BackendError> {
     let l = layout_of(shape)?;
+    check_lengths("rhs", shape.rhs_len(), reqs.iter().map(|r| &r.rhs[..]))?;
     if factors.len() != reqs.len() {
         return Err(BackendError::Fault(format!(
             "{} retained factors for {} requests",
@@ -306,16 +320,19 @@ fn spike_params<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, nrhs: usize) -> Opt
     choose_spike_params::<S>(dev, l, nrhs, &SpikeParams::auto(dev, l.kl)).map(|(p, _)| p)
 }
 
-/// Price of the exact split factorization of `lanes` operators on `dev`
-/// (what a retained SPIKE factor costs), when it can be priced there.
-fn spike_factor_time<S: Scalar>(
+/// Price and launch count of `lanes` operators each running the SPIKE
+/// `path`'s launch list on `dev` against `nrhs` columns, when priceable.
+fn spike_lanes<S: Scalar>(
     dev: &DeviceSpec,
     l: &BandLayout,
+    nrhs: usize,
     params: &SpikeParams,
+    path: SpikePath,
     lanes: usize,
-) -> Option<SimTime> {
-    let per = predict_spike_factor_time::<S>(dev, l, params)?;
-    Some(SimTime(per.secs() * lanes as f64))
+) -> Option<(SimTime, usize)> {
+    let list = spike_launches::<S>(dev, l, nrhs, params, path)?;
+    let per_lane = total_time(&list).secs();
+    Some((SimTime(per_lane * lanes as f64), list.len() * lanes))
 }
 
 /// Simulated-GPU backend: one `gbsv_batch` dispatch per device partition.
@@ -429,6 +446,8 @@ impl GpuBackend {
         retain: bool,
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
         let l = layout_of(shape)?;
+        check_lengths("band", shape.ab_len(), reqs.iter().map(|r| &r.ab[..]))?;
+        check_lengths("rhs", shape.rhs_len(), reqs.iter().map(|r| &r.rhs[..]))?;
         let batch = reqs.len();
         let mut x = vec![Vec::new(); batch];
         let mut info_out = vec![0i32; batch];
@@ -465,7 +484,8 @@ impl GpuBackend {
             }
             let retention = match &spike {
                 Some(p) if split > 0 => {
-                    spike_factor_time::<S>(dev, &l, p, split).unwrap_or(SimTime::ZERO)
+                    let priced = spike_lanes::<S>(dev, &l, 0, p, SpikePath::Factor, split);
+                    priced.map_or(SimTime::ZERO, |(t, _)| t)
                 }
                 _ => SimTime::ZERO,
             };
@@ -515,15 +535,13 @@ impl GpuBackend {
                 let params = (SpikeParams::auto(dev, l.kl))
                     .with_parts(f.partition.parts)
                     .with_nb(f.nb);
-                let lane = (f.nb > 0)
-                    .then(|| predict_spike_warm_time::<S>(dev, &l, nrhs, &params))
+                let (t, launches) = (f.nb > 0)
+                    .then(|| spike_lanes::<S>(dev, &l, nrhs, &params, SpikePath::Warm, hi - lo))
                     .flatten()
                     .ok_or_else(|| {
                         BackendError::Fault("warm SPIKE solve cannot be priced".into())
                     })?;
-                let t = SimTime(lane.secs() * (hi - lo) as f64);
-                // Per lane: block solve pair, reduced solve pair, combine.
-                return Ok(self.flush_time(dev, t, 5 * (hi - lo)));
+                return Ok(self.flush_time(dev, t, launches));
             }
             let mut rhs = rhs_batch::<S>(shape, part)?;
             let lanes: Vec<(&[S], &[i32])> = fs
@@ -555,6 +573,7 @@ impl GpuBackend {
         operators: &[&[f64]],
     ) -> Result<FactorOutcome, BackendError> {
         let l = layout_of(shape)?;
+        check_lengths("band", shape.ab_len(), operators.iter().copied())?;
         let batch = operators.len();
         let mut lanes = vec![Err(0); batch];
         // SPIKE-worthy: at or past the dispatch floor, with a band to
@@ -572,11 +591,10 @@ impl GpuBackend {
                     lanes[lo + k] = host_factor::<S>(&l, op, Some(&params))
                         .or_else(|_| host_factor::<S>(&l, op, None));
                 }
-                let t = spike_factor_time::<S>(dev, &l, &params, hi - lo)
-                    .expect("priceability checked");
-                // Per lane: extract, block factor, spike sweep pair and
-                // the reduced band factor.
-                return Ok(self.flush_time(dev, t, 5 * (hi - lo)));
+                let (t, launches) =
+                    spike_lanes::<S>(dev, &l, 0, &params, SpikePath::Factor, hi - lo)
+                        .expect("priceability checked");
+                return Ok(self.flush_time(dev, t, launches));
             }
             let mut a = band_batch::<S>(l, ops.iter().copied())?;
             let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
@@ -678,6 +696,8 @@ impl CpuBackend {
         retain: bool,
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
         let l = layout_of(shape)?;
+        check_lengths("band", shape.ab_len(), reqs.iter().map(|r| &r.ab[..]))?;
+        check_lengths("rhs", shape.rhs_len(), reqs.iter().map(|r| &r.rhs[..]))?;
         let mut a = band_batch::<S>(l, reqs.iter().map(|r| &r.ab[..]))?;
         let mut rhs = rhs_batch::<S>(shape, reqs)?;
         let mut piv = PivotBatch::new(reqs.len(), l.m, l.n);
@@ -736,6 +756,7 @@ impl CpuBackend {
         operators: &[&[f64]],
     ) -> Result<FactorOutcome, BackendError> {
         let l = layout_of(shape)?;
+        check_lengths("band", shape.ab_len(), operators.iter().copied())?;
         let bytes = scale_bytes::<S>(gbtrf_bytes(&l));
         let service_s = self.cpu.batch_time(operators.len(), gbtrf_flops(&l), bytes);
         let lanes = operators.iter().map(|op| host_factor::<S>(&l, op, None));
@@ -981,6 +1002,37 @@ mod tests {
         );
     }
 
+    /// A band or right-hand side whose length disagrees with the shape is
+    /// a typed fault naming its lane on every entry point, not a panic.
+    fn wrong_payload_length_faults(backend: &dyn SolveBackend) {
+        let shape = ShapeKey::gbsv(16, 1, 1, 1);
+        let reqs: Vec<_> = (0..3)
+            .map(|i| healthy_request(i, shape, 0.01 * i as f64))
+            .collect();
+        let (_, lanes) = backend.solve_retaining(&shape, &reqs).unwrap();
+        let factors: Vec<_> = lanes.into_iter().flatten().collect();
+        let fault = |got: Result<(), BackendError>, want: &str| {
+            let err = got.unwrap_err();
+            assert!(
+                matches!(&err, BackendError::Fault(why) if why.starts_with(want)),
+                "{} backend: {err}",
+                backend.kind()
+            );
+        };
+        let mut short_band = reqs.clone();
+        short_band[1].ab.pop();
+        let mut long_rhs = reqs.clone();
+        long_rhs[2].rhs.push(0.0);
+        fault(backend.solve(&shape, &short_band).map(drop), "lane 1: band");
+        let retained = backend.solve_retaining(&shape, &short_band);
+        fault(retained.map(drop), "lane 1: band");
+        fault(backend.solve(&shape, &long_rhs).map(drop), "lane 2: rhs");
+        let warm = backend.solve_with(&shape, &long_rhs, &factors);
+        fault(warm.map(drop), "lane 2: rhs");
+        let ops = [&reqs[0].ab[..], &reqs[1].ab[1..], &reqs[2].ab[..]];
+        fault(backend.factorize(&shape, &ops).map(drop), "lane 1: band");
+    }
+
     #[test]
     fn gpu_short_factor_slice_is_a_fault() {
         short_factor_slice_faults(&GpuBackend::new(
@@ -992,6 +1044,19 @@ mod tests {
     #[test]
     fn cpu_short_factor_slice_is_a_fault() {
         short_factor_slice_faults(&CpuBackend::new(CpuSpec::xeon_gold_6140()));
+    }
+
+    #[test]
+    fn gpu_wrong_payload_length_is_a_fault() {
+        wrong_payload_length_faults(&GpuBackend::new(
+            DeviceGroup::mi250x_full(),
+            ParallelPolicy::Serial,
+        ));
+    }
+
+    #[test]
+    fn cpu_wrong_payload_length_is_a_fault() {
+        wrong_payload_length_faults(&CpuBackend::new(CpuSpec::xeon_gold_6140()));
     }
 
     #[test]

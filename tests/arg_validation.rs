@@ -15,6 +15,7 @@ use gbatch::gpu_sim::{DeviceSpec, LaunchConfig, LaunchError, ParallelPolicy};
 use gbatch::kernels::dispatch::{
     dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbtrs_batch_lanes, FactorAlgo, GbsvOptions,
 };
+use gbatch::kernels::spike::{spike_gbsv_batch, SpikeParams};
 use gbatch::serve::{AdmitError, FactorizeError, Server, ServerConfig, SolveRequest};
 
 // ---------------------------------------------------------------- ldab --
@@ -205,9 +206,9 @@ fn mismatch(arg: &'static str, expected: usize, got: usize) -> LaunchError {
 
 /// Every entry point checks that its containers agree with the band
 /// layout and with each other before it plans: under every `FactorAlgo`,
-/// at an order the fused kernels take and one they do not, a mismatch is
-/// a typed error and the band and the right-hand sides are bitwise
-/// untouched.
+/// at an order the fused kernels take and one they do not, and on the
+/// split driver's own entry point, a mismatch is a typed error and the
+/// band and the right-hand sides are bitwise untouched.
 #[test]
 fn container_mismatch_is_a_typed_error_before_any_launch() {
     let dev = DeviceSpec::h100_pcie();
@@ -278,6 +279,27 @@ fn container_mismatch_is_a_typed_error_before_any_launch() {
             assert_eq!(err.unwrap_err(), mismatch("pivots per lane", n, n - 1));
             assert_eq!(b.data(), b0.data(), "{what}: gbtrs rhs touched");
         }
+
+        // The split driver's own entry point checks the same containers.
+        let split = |piv: PivotBatch, b0: RhsBatch, info: InfoArray| {
+            let (mut a, mut piv, mut b, mut info) = (a0.clone(), piv, b0.clone(), info);
+            let params = SpikeParams::default().with_parts(2);
+            let err = spike_gbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, params);
+            assert_eq!(a.data(), a0.data(), "n={n} split: band touched");
+            assert_eq!(b.data(), b0.data(), "n={n} split: rhs touched");
+            err.unwrap_err()
+        };
+        let (piv, info) = (PivotBatch::new(8, n, n), InfoArray::new(8));
+        let err = split(piv.clone(), rhs(4, n, nrhs), info.clone());
+        assert_eq!(err, mismatch("rhs batch", 8, 4), "n={n} split");
+        let err = split(piv.clone(), rhs(8, n + 1, nrhs), info.clone());
+        assert_eq!(err, mismatch("rhs rows", n, n + 1), "n={n} split");
+        let err = split(PivotBatch::new(4, n, n), rhs(8, n, nrhs), info.clone());
+        assert_eq!(err, mismatch("pivot batch", 8, 4), "n={n} split");
+        let err = split(PivotBatch::new(8, n - 1, n - 1), rhs(8, n, nrhs), info);
+        assert_eq!(err, mismatch("pivots per matrix", n, n - 1), "n={n} split");
+        let err = split(piv, rhs(8, n, nrhs), InfoArray::new(4));
+        assert_eq!(err, mismatch("info length", 8, 4), "n={n} split");
     }
 }
 

@@ -12,8 +12,8 @@ use gbatch::core::layout::BandLayout;
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
 use gbatch::gpu_sim::{DeviceSpec, KernelCounters, LaunchReport, ParallelPolicy, SimTime};
 use gbatch::kernels::cost::{
-    predict_interleave_pass, predict_interleaved_dispatch, predict_interleaved_factor,
-    predict_interleaved_solve, predict_interleaved_time,
+    interleaved_launches, predict_interleave_pass, predict_interleaved_factor,
+    predict_interleaved_solve, predict_interleaved_time, total_time,
 };
 use gbatch::kernels::dispatch::{
     dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbsv_batch, BatchReport, ChosenAlgo, FactorAlgo,
@@ -558,8 +558,8 @@ fn layout_passes_case(
             let (time, count) = executed_prices(dev, &l, batch, call_nrhs, factor);
             assert_eq!((rep.time, rep.launches), (time, count), "{call}: priced");
             let params = InterleavedParams::auto(dev, &l, call_nrhs);
-            let planned =
-                predict_interleaved_dispatch::<f64>(dev, &l, batch, call_nrhs, factor, &params);
+            let planned = interleaved_launches::<f64>(dev, &l, batch, call_nrhs, factor, &params);
+            let planned = planned.map(|list| total_time(&list));
             assert_eq!(Some(rep.time), planned, "{call}: the plan's price");
         }
         assert_eq!(got.0.data(), want.0.data(), "{what} {policy:?}: factors");

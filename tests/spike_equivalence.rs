@@ -456,7 +456,11 @@ fn lanes_choose_their_mode_from_the_spike_decay() {
     let uniform = nondominant_band::<f64>(1, n, kl, ku);
     let (rep, x) = run_split(&uniform, &b0, params);
     assert_eq!(rep.outcomes[0], SpikeOutcome::Exact, "non-dominant lane");
-    assert_eq!(rep.launches, 9, "exact path only, no refinement round");
+    assert_eq!(
+        rep.launches.len(),
+        9,
+        "exact path only, no refinement round"
+    );
     assert!(worst_residual(&uniform, &b0, &x) <= 1e-10);
 }
 
@@ -482,7 +486,7 @@ fn weak_decay_with_no_refinement_walks_truncated_then_exact() {
         SpikeOutcome::ExactFallback { refine_iters: 0 }
     );
     // Both reduced systems ran: 4 shared + 5 truncated + 5 exact launches.
-    assert_eq!(rep.launches, 14);
+    assert_eq!(rep.launches.len(), 14);
     let r = worst_residual(&a0, &b0, &x);
     assert!(r <= 10.0 * f64::EPSILON, "fallback residual {r:.3e}");
 

@@ -10,8 +10,7 @@ use gbatch::core::layout::BandLayout;
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, Scalar};
 use gbatch::gpu_sim::{registry, DeviceSpec};
 use gbatch::kernels::cost::{
-    choose_spike_params, predict_spike_factor_phase_time, predict_spike_probe_time,
-    predict_spike_time, spike_probe_pays,
+    choose_spike_params, spike_launches, spike_probe_pays, total_time, SpikePath,
 };
 use gbatch::kernels::dispatch::{gbsv_batch, BatchReport, ChosenAlgo, FactorAlgo, GbsvOptions};
 use gbatch::kernels::spike::{
@@ -155,7 +154,7 @@ fn invariant_grid<S: Scalar>() {
                 assert_eq!(lane.abandoned, None, "{case}");
                 let l = a0.layout();
                 let probes = spike_probe_pays::<S>(&dev, &l, 1, &exact);
-                assert_eq!(sp.probe_time.secs() > 0.0, probes, "{case}");
+                assert_eq!(sp.probe_time().secs() > 0.0, probes, "{case}");
                 if sized(&lane, &exact) {
                     // A sized lane answers from the truncated path, to
                     // the target its refinement checks.
@@ -180,19 +179,13 @@ fn invariant_grid<S: Scalar>() {
                 assert_eq!(sp.outcomes, want.spike().outcomes, "{case}");
                 assert_eq!(
                     auto.rep.time.secs().to_bits(),
-                    (sp.probe_time + want.rep.time).secs().to_bits(),
+                    (sp.probe_time() + want.rep.time).secs().to_bits(),
                     "{case}: only the probe's time is added"
                 );
-                let probe_launches = if probes { 4 } else { 0 };
-                assert_eq!(
-                    auto.rep.launches,
-                    want.rep.launches + probe_launches,
-                    "{case}"
-                );
-                if probes {
-                    let price = predict_spike_probe_time::<S>(&dev, &l, &exact).unwrap();
-                    assert!(sp.probe_time.secs() <= price.secs(), "{case}");
-                }
+                let probe = spike_launches::<S>(&dev, &l, 1, &exact, SpikePath::Probe);
+                let probe = probe.filter(|_| probes).unwrap_or_default();
+                assert_eq!(auto.rep.launches, want.rep.launches + probe.len(), "{case}");
+                assert!(sp.probe_time() <= total_time(&probe), "{case}");
             }
         }
     }
@@ -255,15 +248,12 @@ fn a_sized_lane_that_leaves_the_truncated_path_reruns_the_exact_plan() {
 
             // Probe, the abandoned factor phase, then the exact plan.
             let l = a0.layout();
-            let bound = predict_spike_probe_time::<f64>(&dev, &l, &exact).unwrap()
-                + predict_spike_factor_phase_time::<f64>(
-                    &dev,
-                    &l,
-                    1,
-                    &exact.with_parts(parts).with_nb(nb),
-                )
-                .unwrap()
-                + predict_spike_time::<f64>(&dev, &l, 1, &exact).unwrap();
+            let price = |params, path| {
+                total_time(&spike_launches::<f64>(&dev, &l, 1, params, path).unwrap())
+            };
+            let bound = price(&exact, SpikePath::Probe)
+                + price(&exact.with_parts(parts).with_nb(nb), SpikePath::Front)
+                + price(&exact, SpikePath::Exact);
             assert!(
                 auto.rep.time.secs() <= bound.secs(),
                 "{case}: ran {:.4} ms, bound {:.4} ms",
