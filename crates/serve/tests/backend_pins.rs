@@ -218,8 +218,8 @@ cpu f64 n48 factorize service=0x3ee3792b2577d2ad info=[0, 0, 0, 0, 0, 0, 1, 0, 0
 cpu f64 n48 solve_with(factorize) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(retained) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(gpu factors) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve service=0x3f2a8fdda60c3ed0 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve_retaining service=0x3f3f832164bf968c info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/per_launch f64 n4096 solve service=0x3f2a8fdda60c3ece info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
+gpu-h100/per_launch f64 n4096 solve_retaining service=0x3f3f832164bf968b info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
 gpu-h100/per_launch f64 n4096 factorize service=0x3f323b3291b97724 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
 gpu-h100/per_launch f64 n4096 solve_with(factorize) service=0x3f1dcea297d682a8 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-h100/per_launch f64 n4096 solve_with(retained) service=0x3f1dcea297d682a8 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
@@ -228,8 +228,8 @@ gpu-h100/resident f64 n4096 solve_retaining service=0x3f359561d923ec76 info=[0, 
 gpu-h100/resident f64 n4096 factorize service=0x3f31efb337664477 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
 gpu-h100/resident f64 n4096 solve_with(factorize) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-h100/resident f64 n4096 solve_with(retained) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve service=0x3f2471fbfe9ec6e8 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve_retaining service=0x3f3aa84daf26c2d7 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/per_launch f64 n4096 solve service=0x3f2471fbfe9ec6e9 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
+gpu-mi250x/per_launch f64 n4096 solve_retaining service=0x3f3aa84daf26c2d8 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
 gpu-mi250x/per_launch f64 n4096 factorize service=0x3f306f4fafd75f63 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
 gpu-mi250x/per_launch f64 n4096 solve_with(factorize) service=0x3f18b7e464f68159 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-mi250x/per_launch f64 n4096 solve_with(retained) service=0x3f18b7e464f68159 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
@@ -270,8 +270,8 @@ cpu f32 n48 factorize service=0x3ee28b712d81d2da info=[0, 0, 0, 0, 0, 0, 1, 0, 0
 cpu f32 n48 solve_with(factorize) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(retained) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(gpu factors) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-h100/per_launch f32 n4096 solve service=0x3f22f780a55811ba info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
-gpu-h100/per_launch f32 n4096 solve_retaining service=0x3f3bb6f2e4658001 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/per_launch f32 n4096 solve service=0x3f22f780a55811b9 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
+gpu-h100/per_launch f32 n4096 solve_retaining service=0x3f3bb6f2e4658000 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
 gpu-h100/per_launch f32 n4096 factorize service=0x3f323b3291b97724 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
 gpu-h100/per_launch f32 n4096 solve_with(factorize) service=0x3f1dcea297d682a8 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 gpu-h100/per_launch f32 n4096 solve_with(retained) service=0x3f1dcea297d682a8 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\

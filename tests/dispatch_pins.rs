@@ -566,18 +566,18 @@ h100_pcie f64 PerLaunch spike_auto algo=Spike launches=19 time=0x3f1a8fdda60c3ec
 h100_pcie f32 PerLaunch spike_auto algo=Spike launches=13 time=0x3f12f780a55811ba singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
 h100_pcie f64 Resident spike_auto algo=Spike launches=19 time=0x3f024240b21e6bf6 singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
 h100_pcie f32 Resident spike_auto algo=Spike launches=13 time=0x3efc2832645aeb5d singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
-mi250x_gcd f64 PerLaunch spike_auto algo=Spike launches=19 time=0x3f2471fbfe9ec6e8 singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
+mi250x_gcd f64 PerLaunch spike_auto algo=Spike launches=19 time=0x3f2471fbfe9ec6e9 singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
 mi250x_gcd f32 PerLaunch spike_auto algo=Spike launches=13 time=0x3f1d629746a47d72 singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
 mi250x_gcd f64 Resident spike_auto algo=Spike launches=19 time=0x3f0d7bb813840120 singular=[] info=0x392209f14dea4c24 a=0x74892976265a2970 piv=0x880df12a20921e15 x=0x6c9bd5abc56b0f7b\n\
 mi250x_gcd f32 Resident spike_auto algo=Spike launches=13 time=0x3f06fcd26884f63e singular=[] info=0x392209f14dea4c24 a=0x25faae2d618888ba piv=0x880df12a20921e15 x=0x4e686b04be5ab0ae\n\
-h100_pcie f64 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1ccfa7a54bb647 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
-h100_pcie f32 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1ccf2029cff259 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
+h100_pcie f64 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1ccfa7a54bb646 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
+h100_pcie f32 PerLaunch spike_forced algo=Spike launches=18 time=0x3f1ccf2029cff257 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
 h100_pcie f64 Resident spike_forced algo=Spike launches=18 time=0x3f089797c63140de singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
 h100_pcie f32 Resident spike_forced algo=Spike launches=18 time=0x3f089688cf39b902 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
 mi250x_gcd f64 PerLaunch spike_forced algo=Spike launches=18 time=0x3f265d37163afa5e singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
 mi250x_gcd f32 PerLaunch spike_forced algo=Spike launches=18 time=0x3f265cae03dcc26b singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
-mi250x_gcd f64 Resident spike_forced algo=Spike launches=18 time=0x3f13f4a4892953fb singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
-mi250x_gcd f32 Resident spike_forced algo=Spike launches=18 time=0x3f13f392646ce413 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
+mi250x_gcd f64 Resident spike_forced algo=Spike launches=18 time=0x3f13f4a4892953f9 singular=[] info=0xcf21924e7b0ff7c7 a=0x613fda72e1ee4c34 piv=0xdcf0f064a7785975 x=0xdf452987696d8b4c\n\
+mi250x_gcd f32 Resident spike_forced algo=Spike launches=18 time=0x3f13f392646ce411 singular=[] info=0xcf21924e7b0ff7c7 a=0x9f31b95e037f6bc8 piv=0xdcf0f064a7785975 x=0x7edbdd52d634a0db\n\
 h100_pcie f64 PerLaunch spike_blocked algo=Window launches=3 time=0x3f5de473bfc0d19b singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
 h100_pcie f32 PerLaunch spike_blocked algo=Window launches=3 time=0x3f5de473bfc0d19b singular=[] info=0x392209f14dea4c24 a=0xed76ba5ead0ea689 piv=0x880df12a20921e15 x=0x234eb7efcbc4f423\n\
 h100_pcie f64 Resident spike_blocked algo=Window launches=3 time=0x3f5db86975baf40c singular=[] info=0x392209f14dea4c24 a=0xe425217aab73cd11 piv=0x880df12a20921e15 x=0x4a3536f97505c963\n\
@@ -626,14 +626,14 @@ mi250x_gcd f64 PerLaunch n16_interleaved algo=Interleaved launches=2 time=0x3ee9
 mi250x_gcd f32 PerLaunch n16_interleaved algo=Interleaved launches=2 time=0x3ee92e944b61136a singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
 mi250x_gcd f64 Resident n16_interleaved algo=Interleaved launches=2 time=0x3eb9564ea164228a singular=[] info=0xc6667ae325abf1c1 a=0xa1fda5be41296cfd piv=0xd7baeedba0833205 x=0x5af12648f9f0b762\n\
 mi250x_gcd f32 Resident n16_interleaved algo=Interleaved launches=2 time=0x3eb94b7a43925d04 singular=[] info=0xc6667ae325abf1c1 a=0xb7129fa079c6b10b piv=0xd7baeedba0833205 x=0x5b5722ab68a9ec25\n\
-h100_pcie f64 PerLaunch n16_spike algo=Spike launches=36 time=0x3f25bca08ba9f21c singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
-h100_pcie f32 PerLaunch n16_spike algo=Spike launches=36 time=0x3f25bca08ba9f21c singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
+h100_pcie f64 PerLaunch n16_spike algo=Spike launches=36 time=0x3f25bca08ba9f21b singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
+h100_pcie f32 PerLaunch n16_spike algo=Spike launches=36 time=0x3f25bca08ba9f21b singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
 h100_pcie f64 Resident n16_spike algo=Spike launches=36 time=0x3f04e31325db7111 singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
 h100_pcie f32 Resident n16_spike algo=Spike launches=36 time=0x3f04e31325db7111 singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
 mi250x_gcd f64 PerLaunch n16_spike algo=Spike launches=36 time=0x3f305e4ebfb8306c singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
 mi250x_gcd f32 PerLaunch n16_spike algo=Spike launches=36 time=0x3f305e43f1508d98 singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
-mi250x_gcd f64 Resident n16_spike algo=Spike launches=36 time=0x3f0fdb4f708f0056 singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
-mi250x_gcd f32 Resident n16_spike algo=Spike launches=36 time=0x3f0fdaf8fd51e9ae singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
+mi250x_gcd f64 Resident n16_spike algo=Spike launches=36 time=0x3f0fdb4f708f0055 singular=[] info=0xc6667ae325abf1c1 a=0x515bb8eb451bdd99 piv=0xd7baeedba0833205 x=0x04b9094a1d0df25a\n\
+mi250x_gcd f32 Resident n16_spike algo=Spike launches=36 time=0x3f0fdaf8fd51e9ad singular=[] info=0xc6667ae325abf1c1 a=0x2b96fd851b20b4d5 piv=0xd7baeedba0833205 x=0x45786e221b929ac2\n\
 h100_pcie f64 PerLaunch n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3ef5e10edadddfc3 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
 h100_pcie f32 PerLaunch n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3ef5e10edadddfc3 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
 h100_pcie f64 Resident n48_fused_gbsv algo=FusedGbsv launches=1 time=0x3ef23588afb613cc singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
@@ -674,14 +674,14 @@ mi250x_gcd f64 PerLaunch n48_interleaved algo=Interleaved launches=2 time=0x3ee9
 mi250x_gcd f32 PerLaunch n48_interleaved algo=Interleaved launches=2 time=0x3ee937df6a5e42ac singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
 mi250x_gcd f64 Resident n48_interleaved algo=Interleaved launches=2 time=0x3eb9b39962ba2afd singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=0x07eb24ce1fbe6063\n\
 mi250x_gcd f32 Resident n48_interleaved algo=Interleaved launches=2 time=0x3eb995d33b7bd711 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=0x5c63df7127b1a26a\n\
-h100_pcie f64 PerLaunch n48_spike algo=Spike launches=36 time=0x3f306ea130210ddb singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
-h100_pcie f32 PerLaunch n48_spike algo=Spike launches=36 time=0x3f306e89c7ca6e5a singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
+h100_pcie f64 PerLaunch n48_spike algo=Spike launches=36 time=0x3f306ea130210dda singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
+h100_pcie f32 PerLaunch n48_spike algo=Spike launches=36 time=0x3f306e89c7ca6e59 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
 h100_pcie f64 Resident n48_spike algo=Spike launches=36 time=0x3f2059669e0f05e0 singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
 h100_pcie f32 Resident n48_spike algo=Spike launches=36 time=0x3f205937cd61c6dc singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
-mi250x_gcd f64 PerLaunch n48_spike algo=Spike launches=36 time=0x3f3b77525a143594 singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
-mi250x_gcd f32 PerLaunch n48_spike algo=Spike launches=36 time=0x3f3b77300b6a4207 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
-mi250x_gcd f64 Resident n48_spike algo=Spike launches=36 time=0x3f2e28db10dbca66 singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
-mi250x_gcd f32 Resident n48_spike algo=Spike launches=36 time=0x3f2e28967387e34b singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
+mi250x_gcd f64 PerLaunch n48_spike algo=Spike launches=36 time=0x3f3b77525a143592 singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
+mi250x_gcd f32 PerLaunch n48_spike algo=Spike launches=36 time=0x3f3b77300b6a4205 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
+mi250x_gcd f64 Resident n48_spike algo=Spike launches=36 time=0x3f2e28db10dbca64 singular=[] info=0xc6667ae325abf1c1 a=0x00f12652f97ed677 piv=0x45ff175c7875e685 x=0xa6bce45e3ac61dd9\n\
+mi250x_gcd f32 Resident n48_spike algo=Spike launches=36 time=0x3f2e28967387e349 singular=[] info=0xc6667ae325abf1c1 a=0x221ccfbdec9d1add piv=0x45ff175c7875e685 x=0x27009803fa4b0ddd\n\
 h100_pcie f64 PerLaunch gbtrf_fused_gbsv algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
 h100_pcie f32 PerLaunch gbtrf_fused_gbsv algo=Fused launches=1 time=0x3ef1efaceb760d34 singular=[] info=0xc6667ae325abf1c1 a=0xfdcdf5c5522f4903 piv=0x45ff175c7875e685 x=-\n\
 h100_pcie f64 Resident gbtrf_fused_gbsv algo=Fused launches=1 time=0x3eec884d809c827a singular=[] info=0xc6667ae325abf1c1 a=0x8e659009d4528bae piv=0x45ff175c7875e685 x=-\n\
