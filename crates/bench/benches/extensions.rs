@@ -1,11 +1,10 @@
 //! Benches for the beyond-the-paper extensions: band-specialized
-//! ("JIT") kernels, mixed-precision GBSV and SPD Cholesky. Host
-//! wall-clock of the real numerics.
+//! ("JIT") kernels and SPD Cholesky. Host wall-clock of the real
+//! numerics.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gbatch_core::batch::{InfoArray, PivotBatch, RhsBatch};
+use gbatch_core::batch::{InfoArray, PivotBatch};
 use gbatch_gpu_sim::DeviceSpec;
-use gbatch_kernels::mixed::msgbsv_batch_fused;
 use gbatch_kernels::pbtrf::{pbtrf_batch_window, PbBatch};
 use gbatch_kernels::specialized::specialized_gbtrf;
 use gbatch_kernels::window::{gbtrf_batch_window, WindowParams};
@@ -65,36 +64,6 @@ fn bench_specialized(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mixed(c: &mut Criterion) {
-    let dev = DeviceSpec::mi250x_gcd();
-    let (batch, n) = (24usize, 96usize);
-    let mut rng = StdRng::seed_from_u64(2);
-    let a = random_band_batch(
-        &mut rng,
-        batch,
-        n,
-        2,
-        3,
-        BandDistribution::DiagonallyDominant { margin: 1.0 },
-    );
-    let b0 = RhsBatch::from_fn(batch, n, 1, |id, i, _| ((id + i) as f64 * 0.21).sin()).unwrap();
-    c.bench_function("ext_mixed_precision_gbsv", |bench| {
-        bench.iter_batched(
-            || {
-                (
-                    b0.clone(),
-                    PivotBatch::new(batch, n, n),
-                    InfoArray::new(batch),
-                )
-            },
-            |(mut b, mut piv, mut info)| {
-                msgbsv_batch_fused(&dev, &a, &mut piv, &mut b, &mut info, 32).unwrap()
-            },
-            criterion::BatchSize::LargeInput,
-        );
-    });
-}
-
 fn bench_cholesky(c: &mut Criterion) {
     let dev = DeviceSpec::h100_pcie();
     let (batch, n, kd) = (24usize, 192usize, 9usize);
@@ -129,5 +98,5 @@ fn quick() -> Criterion {
         .measurement_time(std::time::Duration::from_secs(2))
 }
 
-criterion_group!(name = benches; config = quick(); targets = bench_specialized, bench_mixed, bench_cholesky);
+criterion_group!(name = benches; config = quick(); targets = bench_specialized, bench_cholesky);
 criterion_main!(benches);

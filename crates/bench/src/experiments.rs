@@ -544,7 +544,7 @@ pub fn tuning_sweep(p: &Platforms) -> String {
 }
 
 /// Beyond-the-paper extensions report: specialized ("JIT") kernels,
-/// mixed-precision GBSV, SPD Cholesky, multi-GCD.
+/// SPD Cholesky, the streamed-GBSV counterfactual, multi-GCD.
 pub fn extensions(p: &Platforms) -> String {
     use gbatch_core::layout::BandLayout;
     use gbatch_gpu_sim::multi::DeviceGroup;
@@ -586,54 +586,7 @@ pub fn extensions(p: &Platforms) -> String {
         ));
     }
 
-    // 2. Mixed precision: occupancy + time on the capacity-starved MI250x.
-    out.push_str("# Mixed-precision GBSV (f32 factor + f64 refinement), (2,3), n=96, 1 RHS\n");
-    for (dev, _) in p.gpus() {
-        let mut rng = seeded(96, 2, 3, 43);
-        let a = random_band_batch(
-            &mut rng,
-            EXEC_BATCH,
-            96,
-            2,
-            3,
-            BandDistribution::DiagonallyDominant { margin: 1.0 },
-        );
-        let b0 = gbatch_workloads::rhs::manufactured_rhs(&mut rng, EXEC_BATCH, 96, 1);
-        let mut b = b0.clone();
-        let mut piv = PivotBatch::new(EXEC_BATCH, 96, 96);
-        let mut info = InfoArray::new(EXEC_BATCH);
-        let (mrep, status) =
-            gbatch_kernels::mixed::msgbsv_batch_fused(dev, &a, &mut piv, &mut b, &mut info, 32)
-                .expect("launch");
-        let converged = status
-            .iter()
-            .filter(|s| matches!(s, gbatch_kernels::mixed::MixedStatus::Converged(_)))
-            .count();
-        let mut a64 = a.clone();
-        let mut b64 = b0.clone();
-        let mut piv64 = PivotBatch::new(EXEC_BATCH, 96, 96);
-        let mut info64 = InfoArray::new(EXEC_BATCH);
-        let frep = dgbsv_batch(
-            dev,
-            &mut a64,
-            &mut piv64,
-            &mut b64,
-            &mut info64,
-            &GbsvOptions::default(),
-        )
-        .expect("launch");
-        out.push_str(&format!(
-            "  {:<26} mixed {:.4} ms ({} of {} converged) vs f64 {:?} {:.4} ms\n",
-            dev.name,
-            mrep.time.ms(),
-            converged,
-            EXEC_BATCH,
-            frep.algo,
-            frep.time.ms()
-        ));
-    }
-
-    // 3. SPD Cholesky vs LU on an XGC-like symmetric batch.
+    // 2. SPD Cholesky vs LU on an XGC-like symmetric batch.
     out.push_str("# SPD Cholesky vs LU, n=192, kd=9 (XGC-like)\n");
     for (dev, _) in p.gpus() {
         let a0 = gbatch_kernels::pbtrf::PbBatch::from_fn(EXEC_BATCH, 192, 9, |id, l, ab| {
@@ -686,7 +639,7 @@ pub fn extensions(p: &Platforms) -> String {
         ));
     }
 
-    // 4. The streamed counterfactual: the paper notes a stream-based
+    // 3. The streamed counterfactual: the paper notes a stream-based
     // batched GBSV "is not possible since the band matrix processing is
     // absent from the single matrix API" — our simulator can price the
     // hypothetical anyway: one fused-GBSV kernel per matrix over 16
@@ -733,7 +686,7 @@ pub fn extensions(p: &Platforms) -> String {
         ));
     }
 
-    // 5. Multi-GCD MI250x: visible once the batch needs multiple waves
+    // 4. Multi-GCD MI250x: visible once the batch needs multiple waves
     // (a wave-saturating configuration — big batch, wide band).
     out.push_str("# Full MI250x (2 GCDs) vs a single GCD, GBTRF (10,7), n=512, batch 8000\n");
     {

@@ -13,7 +13,7 @@
 //! | Fig. 9 + Table 3 (GBSV, 10 RHS)          | [`experiments::fig9`], [`experiments::table_gbsv`] |
 //! | §5.3 tuning sweep                        | [`experiments::tuning_sweep`] |
 //! | §8 bandwidth probe                       | [`experiments::bandwidth`] |
-//! | Extensions (JIT, mixed, Cholesky, multi-GCD, streamed-GBSV counterfactual) | [`experiments::extensions`] |
+//! | Extensions (JIT, Cholesky, multi-GCD, streamed-GBSV counterfactual) | [`experiments::extensions`] |
 //!
 //! Times for the GPU platforms come from the simulator's analytic model;
 //! CPU times from the calibrated Skylake model; numerics execute for real

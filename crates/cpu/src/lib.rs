@@ -19,10 +19,8 @@
 // loops over band rows/columns; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-pub mod expert;
 pub mod model;
 pub mod solver;
 
-pub use expert::cpu_gbsvx_batch;
 pub use model::CpuSpec;
 pub use solver::{cpu_gbsv_batch, cpu_gbtrf_batch, cpu_gbtrs_batch, CpuReport};

@@ -28,9 +28,6 @@
 //!   emulating the paper's §8.1 JIT-compilation proposal.
 //! - [`pbtrf`] — batched SPD band Cholesky (fused + window), extending the
 //!   design space to the symmetric systems of §2.2.
-//! - [`tridiag`] — parallel cyclic reduction for tridiagonal batches: the
-//!   `O(log n)` critical-path counterpoint to §8's "not enough parallelism
-//!   within a single problem".
 //! - [`mod@spike`] — SPIKE-style split solver for *large* single systems
 //!   (Li/Serban/Negrut, arXiv:1509.07919): P diagonal blocks factor
 //!   concurrently as an intra-matrix batch, a tiny dense reduced system
@@ -66,13 +63,11 @@ pub mod gbtrs_trans;
 pub mod gemm;
 pub mod gemv;
 pub mod interleaved;
-pub mod mixed;
 pub mod pbtrf;
 pub mod reference;
 pub mod specialized;
 pub mod spike;
 pub mod step;
-pub mod tridiag;
 pub mod window;
 
 pub use dispatch::{

@@ -1075,7 +1075,7 @@ fn run_with_bisect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendError, BatchSolution};
+    use crate::backend::{BackendError, BatchSolution, RetainedLanes};
     use gbatch_core::ShapeKey;
 
     fn req(id: u64, shape: ShapeKey, at: f64, dl: f64) -> SolveRequest {
@@ -1396,19 +1396,20 @@ mod tests {
         fn kind(&self) -> BackendKind {
             BackendKind::Gpu
         }
-        fn solve(
+        fn solve_retaining(
             &self,
             _shape: &ShapeKey,
             reqs: &[SolveRequest],
-        ) -> Result<BatchSolution, BackendError> {
+        ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
             if reqs.iter().any(|r| r.id == self.bad) {
                 return Err(BackendError::Fault("poisoned batch".into()));
             }
-            Ok(BatchSolution {
+            let sol = BatchSolution {
                 x: reqs.iter().map(|r| vec![r.id as f64]).collect(),
                 info: vec![0; reqs.len()],
                 service_s: 1e-6 * reqs.len() as f64,
-            })
+            };
+            Ok((sol, vec![None; reqs.len()]))
         }
     }
 
@@ -1451,11 +1452,11 @@ mod tests {
         fn kind(&self) -> BackendKind {
             BackendKind::Gpu
         }
-        fn solve(
+        fn solve_retaining(
             &self,
             _shape: &ShapeKey,
             _reqs: &[SolveRequest],
-        ) -> Result<BatchSolution, BackendError> {
+        ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
             Err(BackendError::Fault("down".into()))
         }
     }

@@ -5,9 +5,9 @@
 //! `Resident`, plus the CPU backend. Cases, at f64 and f32: an n=48 (3,3)
 //! batch of 10 with one singular lane, and an n=4096 (2,2) pair the GPU
 //! serves through the SPIKE split regime. One backend instance runs a
-//! case's entry points in order (`solve`, `solve_retaining`, `factorize`,
-//! then `solve_with` over each set of retained factors), so resident
-//! spin-up and megabatch state are pinned too. Each cell pins the modeled
+//! case's entry points in order (`solve_retaining`, `factorize`, then
+//! `solve_with` over each set of retained factors), so resident spin-up
+//! and megabatch state are pinned too. Each cell pins the modeled
 //! `service_s` bits, the `info` codes, and FNV-1a digests of the solutions
 //! and of the retained payloads with their pivots.
 
@@ -160,8 +160,6 @@ fn render() -> String {
                     )
                     .unwrap();
                 };
-                let s = be.solve(&shape, &reqs).unwrap();
-                line("solve", s.service_s, &s.info, Some(&s.x), None);
                 let (s, kept) = be.solve_retaining(&shape, &reqs).unwrap();
                 line(
                     "solve_retaining",
@@ -192,105 +190,85 @@ fn render() -> String {
 }
 
 const PINS: &str = "\
-gpu-h100/per_launch f64 n48 solve service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 gpu-h100/per_launch f64 n48 solve_retaining service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-h100/per_launch f64 n48 factorize service=0x3ed120a724f16e3a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-h100/per_launch f64 n48 solve_with(factorize) service=0x3ed0eef3f76c6bf2 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 gpu-h100/per_launch f64 n48 solve_with(retained) service=0x3ed0eef3f76c6bf2 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-h100/resident f64 n48 solve service=0x3f043a3bbcae51c8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
-gpu-h100/resident f64 n48 solve_retaining service=0x3ef37bc1f0793a9e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
+gpu-h100/resident f64 n48 solve_retaining service=0x3f043a3bbcae51c8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-h100/resident f64 n48 factorize service=0x3ea39473c291f2f6 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-h100/resident f64 n48 solve_with(factorize) service=0x3ea206da5669e0b6 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 gpu-h100/resident f64 n48 solve_with(retained) service=0x3ea206da5669e0b6 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-mi250x/per_launch f64 n48 solve service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 gpu-mi250x/per_launch f64 n48 solve_retaining service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-mi250x/per_launch f64 n48 factorize service=0x3ed9552ef9dbecef info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-mi250x/per_launch f64 n48 solve_with(factorize) service=0x3ed93f9eae08182f info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 gpu-mi250x/per_launch f64 n48 solve_with(retained) service=0x3ed93f9eae08182f info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-mi250x/resident f64 n48 solve service=0x3f0fece986fbec5a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
-gpu-mi250x/resident f64 n48 solve_retaining service=0x3f00326160515da5 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
+gpu-mi250x/resident f64 n48 solve_retaining service=0x3f0fece986fbec5a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-mi250x/resident f64 n48 factorize service=0x3eaa804fb769292a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 gpu-mi250x/resident f64 n48 solve_with(factorize) service=0x3ea9d3cd58ca832d info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 gpu-mi250x/resident f64 n48 solve_with(retained) service=0x3ea9d3cd58ca832d info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-cpu f64 n48 solve service=0x3ee4bdde39b5171e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=-\n\
 cpu f64 n48 solve_retaining service=0x3ee4bdde39b5171e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0x64aa5bd2ee6f95a7 retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 cpu f64 n48 factorize service=0x3ee3792b2577d2ad info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=dddddd-ddd:0xaf2aafe16f72dd3f\n\
 cpu f64 n48 solve_with(factorize) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(retained) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
 cpu f64 n48 solve_with(gpu factors) service=0x3ee2e26a49c91778 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0x1373bae0e7f39717 retained=-\n\
-gpu-h100/per_launch f64 n4096 solve service=0x3f2a8fdda60c3ece info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
 gpu-h100/per_launch f64 n4096 solve_retaining service=0x3f3f832164bf968b info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
 gpu-h100/per_launch f64 n4096 factorize service=0x3f323b3291b97724 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
 gpu-h100/per_launch f64 n4096 solve_with(factorize) service=0x3f1dcea297d682a8 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-h100/per_launch f64 n4096 solve_with(retained) service=0x3f1dcea297d682a8 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-h100/resident f64 n4096 solve service=0x3f12a6ea7fe2af85 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
-gpu-h100/resident f64 n4096 solve_retaining service=0x3f359561d923ec76 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
-gpu-h100/resident f64 n4096 factorize service=0x3f31efb337664477 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
-gpu-h100/resident f64 n4096 solve_with(factorize) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-h100/resident f64 n4096 solve_with(retained) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/per_launch f64 n4096 solve service=0x3f2471fbfe9ec6e9 info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
+gpu-h100/resident f64 n4096 solve_retaining service=0x3f3445d68095b5e8 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/resident f64 n4096 factorize service=0x3f2f48feb8dac9fa info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-h100/resident f64 n4096 solve_with(factorize) service=0x3f1373d5c2a63a0b info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-h100/resident f64 n4096 solve_with(retained) service=0x3f1373d5c2a63a0b info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-mi250x/per_launch f64 n4096 solve_retaining service=0x3f3aa84daf26c2d8 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
 gpu-mi250x/per_launch f64 n4096 factorize service=0x3f306f4fafd75f63 info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
 gpu-mi250x/per_launch f64 n4096 solve_with(factorize) service=0x3f18b7e464f68159 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 gpu-mi250x/per_launch f64 n4096 solve_with(retained) service=0x3f18b7e464f68159 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve service=0x3f131127e130e7ce info=[0, 0] x=0xf64c3434cadd3ee0 retained=-\n\
 gpu-mi250x/resident f64 n4096 solve_retaining service=0x3f333c48a34e4780 info=[0, 0] x=0xf64c3434cadd3ee0 retained=DD:0x371b408d1d5b8928\n\
-gpu-mi250x/resident f64 n4096 factorize service=0x3f303cfac8f53d9a info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
-gpu-mi250x/resident f64 n4096 solve_with(factorize) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-mi250x/resident f64 n4096 solve_with(retained) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-cpu f64 n4096 solve service=0x3f1ad829947c62f8 info=[0, 0] x=0x0d7fa27bb1f289ae retained=-\n\
+gpu-mi250x/resident f64 n4096 factorize service=0x3f2d0927c9752bfd info=[0, 0] x=- retained=DD:0x371b408d1d5b8928\n\
+gpu-mi250x/resident f64 n4096 solve_with(factorize) service=0x3f110cf538835bc7 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
+gpu-mi250x/resident f64 n4096 solve_with(retained) service=0x3f110cf538835bc7 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
 cpu f64 n4096 solve_retaining service=0x3f1ad829947c62f8 info=[0, 0] x=0x0d7fa27bb1f289ae retained=dd:0x3eaa2445c78427b9\n\
 cpu f64 n4096 factorize service=0x3f1036df033df499 info=[0, 0] x=- retained=dd:0x3eaa2445c78427b9\n\
 cpu f64 n4096 solve_with(factorize) service=0x3f09aa02efdfd180 info=[0, 0] x=0x0d7fa27bb1f289ae retained=-\n\
 cpu f64 n4096 solve_with(retained) service=0x3f09aa02efdfd180 info=[0, 0] x=0x0d7fa27bb1f289ae retained=-\n\
 cpu f64 n4096 solve_with(gpu factors) service=0x3f09aa02efdfd180 info=[0, 0] x=0xeed6306251342d95 retained=-\n\
-gpu-h100/per_launch f32 n48 solve service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 gpu-h100/per_launch f32 n48 solve_retaining service=0x3ef727481ba10695 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-h100/per_launch f32 n48 factorize service=0x3ed10f411aa9951e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-h100/per_launch f32 n48 solve_with(factorize) service=0x3ed0daf5cc112cc0 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 gpu-h100/per_launch f32 n48 solve_with(retained) service=0x3ed0daf5cc112cc0 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-h100/resident f32 n48 solve service=0x3f043a3bbcae51c8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
-gpu-h100/resident f32 n48 solve_retaining service=0x3ef37bc1f0793a9e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
+gpu-h100/resident f32 n48 solve_retaining service=0x3f043a3bbcae51c8 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-h100/resident f32 n48 factorize service=0x3ea3094370532a14 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-h100/resident f32 n48 solve_with(factorize) service=0x3ea166e8fb8fe721 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 gpu-h100/resident f32 n48 solve_with(retained) service=0x3ea166e8fb8fe721 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-mi250x/per_launch f32 n48 solve service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 gpu-mi250x/per_launch f32 n48 solve_retaining service=0x3f02f30600af369e info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-mi250x/per_launch f32 n48 factorize service=0x3ed94ce4c1c2ba31 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-mi250x/per_launch f32 n48 solve_with(factorize) service=0x3ed935090f8c7e42 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 gpu-mi250x/per_launch f32 n48 solve_with(retained) service=0x3ed935090f8c7e42 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-mi250x/resident f32 n48 solve service=0x3f0fece986fbec5a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
-gpu-mi250x/resident f32 n48 solve_retaining service=0x3f00326160515da5 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
+gpu-mi250x/resident f32 n48 solve_retaining service=0x3f0fece986fbec5a info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-mi250x/resident f32 n48 factorize service=0x3eaa3dfdf69f933d info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 gpu-mi250x/resident f32 n48 solve_with(factorize) service=0x3ea97f2064edb3c1 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 gpu-mi250x/resident f32 n48 solve_with(retained) service=0x3ea97f2064edb3c1 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-cpu f32 n48 solve service=0x3ee32dcab7a07513 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=-\n\
 cpu f32 n48 solve_retaining service=0x3ee32dcab7a07513 info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=0xa4e234e06d0b48f5 retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 cpu f32 n48 factorize service=0x3ee28b712d81d2da info=[0, 0, 0, 0, 0, 0, 1, 0, 0, 0] x=- retained=ssssss-sss:0x7fb7c8987c1d890e\n\
 cpu f32 n48 solve_with(factorize) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(retained) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
 cpu f32 n48 solve_with(gpu factors) service=0x3ee24010bfaa7540 info=[0, 0, 0, 0, 0, 0, 0, 0, 0] x=0xf1212eb5276105fd retained=-\n\
-gpu-h100/per_launch f32 n4096 solve service=0x3f22f780a55811b9 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
 gpu-h100/per_launch f32 n4096 solve_retaining service=0x3f3bb6f2e4658000 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
 gpu-h100/per_launch f32 n4096 factorize service=0x3f323b3291b97724 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
 gpu-h100/per_launch f32 n4096 solve_with(factorize) service=0x3f1dcea297d682a8 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 gpu-h100/per_launch f32 n4096 solve_with(retained) service=0x3f1dcea297d682a8 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-h100/resident f32 n4096 solve service=0x3f100b6a3702c784 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
-gpu-h100/resident f32 n4096 solve_retaining service=0x3f34ee81c6ebf276 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
-gpu-h100/resident f32 n4096 factorize service=0x3f31efb337664477 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
-gpu-h100/resident f32 n4096 solve_with(factorize) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-h100/resident f32 n4096 solve_with(retained) service=0x3f1ca0a52e89b7f4 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-mi250x/per_launch f32 n4096 solve service=0x3f1d629746a47d72 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
+gpu-h100/resident f32 n4096 solve_retaining service=0x3f339ef66e5dbbe7 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/resident f32 n4096 factorize service=0x3f2f48feb8dac9fa info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-h100/resident f32 n4096 solve_with(factorize) service=0x3f1373d5c2a63a0b info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-h100/resident f32 n4096 solve_with(retained) service=0x3f1373d5c2a63a0b info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 gpu-mi250x/per_launch f32 n4096 solve_retaining service=0x3f37c7f581807ec0 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
 gpu-mi250x/per_launch f32 n4096 factorize service=0x3f306f4fafd75f63 info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
 gpu-mi250x/per_launch f32 n4096 solve_with(factorize) service=0x3f18b7e464f68159 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 gpu-mi250x/per_launch f32 n4096 solve_with(retained) service=0x3f18b7e464f68159 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-mi250x/resident f32 n4096 solve service=0x3f10ffb274fe2d11 info=[0, 0] x=0x4af958c3e8e5de64 retained=-\n\
 gpu-mi250x/resident f32 n4096 solve_retaining service=0x3f32b7eb484198d1 info=[0, 0] x=0x4af958c3e8e5de64 retained=SS:0x21a644eaf16ee81f\n\
-gpu-mi250x/resident f32 n4096 factorize service=0x3f303cfac8f53d9a info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
-gpu-mi250x/resident f32 n4096 solve_with(factorize) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-gpu-mi250x/resident f32 n4096 solve_with(retained) service=0x3f17ee90c96dfa36 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
-cpu f32 n4096 solve service=0x3f0d0be07b2ddd59 info=[0, 0] x=0x02f601b99be37fea retained=-\n\
+gpu-mi250x/resident f32 n4096 factorize service=0x3f2d0927c9752bfd info=[0, 0] x=- retained=SS:0x21a644eaf16ee81f\n\
+gpu-mi250x/resident f32 n4096 solve_with(factorize) service=0x3f110cf538835bc7 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
+gpu-mi250x/resident f32 n4096 solve_with(retained) service=0x3f110cf538835bc7 info=[0, 0] x=0xbc49c85e0b716ee4 retained=-\n\
 cpu f32 n4096 solve_retaining service=0x3f0d0be07b2ddd59 info=[0, 0] x=0x02f601b99be37fea retained=ss:0xc4f614469e2bd3b1\n\
 cpu f32 n4096 factorize service=0x3f026a95e9ef6ef9 info=[0, 0] x=- retained=ss:0xc4f614469e2bd3b1\n\
 cpu f32 n4096 solve_with(factorize) service=0x3efe1170bd42c642 info=[0, 0] x=0x02f601b99be37fea retained=-\n\

@@ -11,7 +11,7 @@ use gbatch_core::{
 };
 use gbatch_serve::{
     BackendError, BackendKind, BatchSolution, BucketMap, CacheConfig, FactorCache, FlushPolicy,
-    Server, ServerConfig, SolveBackend, SolveRequest, SolveStatus,
+    RetainedLanes, Server, ServerConfig, SolveBackend, SolveRequest, SolveStatus,
 };
 use proptest::prelude::*;
 
@@ -47,19 +47,20 @@ impl SolveBackend for Mock {
     fn kind(&self) -> BackendKind {
         self.kind
     }
-    fn solve(
+    fn solve_retaining(
         &self,
         _shape: &ShapeKey,
         reqs: &[SolveRequest],
-    ) -> Result<BatchSolution, BackendError> {
+    ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
         if reqs.iter().any(|r| self.poisoned.contains(&r.id)) {
             return Err(BackendError::Fault("poisoned".into()));
         }
-        Ok(BatchSolution {
+        let sol = BatchSolution {
             x: reqs.iter().map(|r| vec![r.id as f64]).collect(),
             info: vec![0; reqs.len()],
             service_s: 1e-6 * reqs.len() as f64,
-        })
+        };
+        Ok((sol, vec![None; reqs.len()]))
     }
 }
 

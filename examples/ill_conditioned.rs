@@ -1,15 +1,13 @@
 //! The conditioning toolkit on a PELE-style batch (paper §2.1: "a large
 //! range of condition numbers ... known numerical estimates and bounds"):
-//! condition estimation, equilibration, iterative refinement, and
-//! mixed-precision solving — end to end.
+//! condition estimation, equilibration and iterative refinement through
+//! the expert driver — end to end.
 //!
 //! ```text
 //! cargo run --release --example ill_conditioned
 //! ```
 
 use gbatch::core::gbsvx::{gbsvx_checked, is_reliable};
-use gbatch::core::mixed::{msgbsv, MixedOutcome};
-use gbatch::core::residual::backward_error;
 use gbatch::core::BandMatrix;
 
 /// A band matrix graded over `decades` orders of magnitude — condition
@@ -32,8 +30,8 @@ fn main() {
     let n = 50;
     println!("expert solves across a conditioning sweep (n = {n}, band (2,1)):\n");
     println!(
-        "{:>8} {:>12} {:>12} {:>7} {:>10} {:>14} {:>12}",
-        "decades", "rcond", "comp-berr", "equil", "refine-it", "mixed-path", "berr"
+        "{:>8} {:>12} {:>12} {:>7} {:>10} {:>12}",
+        "decades", "rcond", "comp-berr", "equil", "refine-it", "worst-berr"
     );
     for decades in [0.0, 3.0, 6.0, 9.0, 12.0] {
         let a = graded(n, 2, 1, decades, 0.37);
@@ -46,27 +44,14 @@ fn main() {
         assert_eq!(res.info, 0);
         assert!(worst < 1e-11, "expert solve certified: {worst:.2e}");
 
-        // Mixed precision: f32 factorization with f64 refinement, falling
-        // back automatically where f32 cannot reach.
-        let mut xm = vec![0.0; n];
-        let outcome = msgbsv(a.as_ref(), &b, &mut xm);
-        let berr_m = backward_error(a.as_ref(), &xm, &b);
-        assert!(berr_m < 1e-11, "mixed path certified: {berr_m:.2e}");
-        let path = match outcome {
-            MixedOutcome::Mixed(it) => format!("f32+{it} sweeps"),
-            MixedOutcome::FellBackToF64 => "f64 fallback".to_string(),
-            MixedOutcome::Singular(i) => format!("singular@{i}"),
-        };
-
         println!(
-            "{:>8} {:>12.2e} {:>12.2e} {:>7} {:>10} {:>14} {:>12.2e}",
+            "{:>8} {:>12.2e} {:>12.2e} {:>7} {:>10} {:>12.2e}",
             decades,
             res.rcond,
             res.berr[0],
             if res.equilibrated { "yes" } else { "no" },
             res.refine_iters[0],
-            path,
-            berr_m,
+            worst,
         );
         let _ = is_reliable(&res);
     }

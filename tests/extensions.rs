@@ -5,10 +5,8 @@ use gbatch::core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch::core::residual::backward_error;
 use gbatch::gpu_sim::multi::DeviceGroup;
 use gbatch::gpu_sim::DeviceSpec;
-use gbatch::kernels::dispatch::{dgbsv_batch, GbsvOptions};
-use gbatch::kernels::mixed::{msgbsv_batch_fused, MixedStatus};
+use gbatch::kernels::dispatch::{dgbsv_batch, ChosenAlgo, GbsvOptions};
 use gbatch::kernels::pbtrf::{pbsv_batch_fused, PbBatch};
-use gbatch::kernels::tridiag::{pcr_solve_batch, TridiagBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,61 +53,46 @@ fn xgc_systems_through_cholesky() {
     }
 }
 
-/// SUNDIALS-like single-species tridiagonal systems through PCR, checked
-/// against the pivoted LU path.
+/// SUNDIALS-like single-species tridiagonal systems (`I - gamma*J`, weak
+/// coupling): a batch of them runs the interleaved regime under `Auto`,
+/// and every solution certifies.
 #[test]
-fn sundials_tridiagonal_through_pcr() {
+fn sundials_tridiagonal_batch_runs_the_interleaved_regime() {
     let dev = DeviceSpec::mi250x_gcd();
-    let (batch, n) = (64usize, 72usize);
-    // I - gamma*J with weak coupling: diagonally dominant tridiagonal.
-    let gamma = 0.02;
-    let a = TridiagBatch::from_fn(
-        batch,
-        n,
-        |id, i| -gamma * ((id + i) as f64 * 0.29).sin(),
-        |id, i| 1.0 + gamma * (2.0 + ((id * 3 + i) as f64 * 0.11).cos()),
-        |id, i| -gamma * ((id * 7 + i) as f64 * 0.17).cos(),
-    );
-    for id in 0..batch {
-        assert!(a.is_diagonally_dominant(id));
-    }
-    let mut rhs =
-        RhsBatch::from_fn(batch, n, 1, |id, i, _| ((id + i) as f64 * 0.13).sin()).unwrap();
-    let rhs0 = rhs.clone();
-    let _ = pcr_solve_batch(&dev, &a, &mut rhs, 64).unwrap();
-    // Residual check through the tridiagonal matvec.
-    for id in 0..batch {
-        let mut y = vec![0.0; n];
-        a.matvec(id, rhs.block(id), &mut y);
-        for (i, (yi, r0)) in y.iter().zip(rhs0.block(id)).enumerate() {
-            assert!((yi - r0).abs() < 1e-11, "id={id} row {i}");
+    let (batch, n, gamma) = (64usize, 72usize, 0.02);
+    let a0 = BandBatch::from_fn(batch, n, n, 1, 1, |id, m| {
+        for i in 0..n {
+            m.set(
+                i,
+                i,
+                1.0 + gamma * (2.0 + ((id * 3 + i) as f64 * 0.11).cos()),
+            );
+            if i > 0 {
+                m.set(i, i - 1, -gamma * ((id + i) as f64 * 0.29).sin());
+            }
+            if i + 1 < n {
+                m.set(i, i + 1, -gamma * ((id * 7 + i) as f64 * 0.17).cos());
+            }
         }
-    }
-}
-
-/// Mixed precision on a PELE-like dominant batch: everything converges,
-/// everything certified.
-#[test]
-fn pele_like_batch_through_mixed_precision() {
-    let dev = DeviceSpec::h100_pcie();
-    let mut rng = StdRng::seed_from_u64(7);
-    let (batch, n, klu) = (24usize, 50usize, 4usize);
-    let a = gbatch::workloads::random::random_band_batch(
-        &mut rng,
-        batch,
-        n,
-        klu,
-        klu,
-        gbatch::workloads::random::BandDistribution::DiagonallyDominant { margin: 0.5 },
-    );
-    let b0 = RhsBatch::from_fn(batch, n, 1, |id, i, _| ((id * 3 + i) as f64 * 0.21).cos()).unwrap();
-    let mut b = b0.clone();
+    })
+    .unwrap();
+    let b0 = RhsBatch::from_fn(batch, n, 1, |id, i, _| ((id + i) as f64 * 0.13).sin()).unwrap();
+    let (mut a, mut b) = (a0.clone(), b0.clone());
     let mut piv = PivotBatch::new(batch, n, n);
     let mut info = InfoArray::new(batch);
-    let (_, status) = msgbsv_batch_fused(&dev, &a, &mut piv, &mut b, &mut info, 32).unwrap();
-    for (id, st) in status.iter().enumerate().take(batch) {
-        assert!(matches!(st, MixedStatus::Converged(_)));
-        let berr = backward_error(a.matrix(id), b.block(id), b0.block(id));
+    let rep = dgbsv_batch(
+        &dev,
+        &mut a,
+        &mut piv,
+        &mut b,
+        &mut info,
+        &GbsvOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(rep.algo, ChosenAlgo::Interleaved);
+    assert!(info.all_ok());
+    for id in 0..batch {
+        let berr = backward_error(a0.matrix(id), b.block(id), b0.block(id));
         assert!(berr < 1e-13, "id {id}: berr {berr:.2e}");
     }
 }

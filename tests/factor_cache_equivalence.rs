@@ -13,15 +13,18 @@
 //! kernel family solved the cold flush, so replaying them through the
 //! batched GBTRS driver cannot change a single bit of the answer.
 
+use std::sync::Arc;
+
 use gbatch::cpu::CpuSpec;
 use gbatch::gpu_sim::hazard::{set_global_mode, HazardMode};
 use gbatch::gpu_sim::multi::DeviceGroup;
-use gbatch::gpu_sim::ParallelPolicy;
+use gbatch::gpu_sim::{DeviceSpec, ParallelPolicy};
 use gbatch::kernels::dispatch::FactorAlgo;
 use gbatch::serve::{
-    CpuBackend, FlushPolicy, GpuBackend, Server, ServerConfig, SolveRequest, SolveStatus,
+    BackendError, BackendKind, BatchSolution, CpuBackend, FlushPolicy, GpuBackend, RetainedLanes,
+    Server, ServerConfig, SolveBackend, SolveRequest, SolveStatus,
 };
-use gbatch_core::{BandMatrixMut, ShapeKey};
+use gbatch_core::{BandMatrixMut, RetainedFactor, ShapeKey};
 use proptest::prelude::*;
 
 /// Deterministic diagonally-dominant operator for `shape`, keyed by `seed`.
@@ -195,4 +198,66 @@ fn warm_equals_cold_under_hazard_enforce() {
         }
     }
     set_global_mode(HazardMode::Off);
+}
+
+/// The simulated GPU backend, except that it refuses every warm flush.
+struct RefusesWarm(GpuBackend);
+
+impl SolveBackend for RefusesWarm {
+    fn kind(&self) -> BackendKind {
+        self.0.kind()
+    }
+    fn device(&self) -> Option<&DeviceSpec> {
+        self.0.device()
+    }
+    fn solve_retaining(
+        &self,
+        shape: &ShapeKey,
+        reqs: &[SolveRequest],
+    ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
+        self.0.solve_retaining(shape, reqs)
+    }
+    fn solve_with(
+        &self,
+        _shape: &ShapeKey,
+        _reqs: &[SolveRequest],
+        _factors: &[Arc<RetainedFactor>],
+    ) -> Result<BatchSolution, BackendError> {
+        Err(BackendError::Fault("warm flush refused".into()))
+    }
+}
+
+/// A backend that refuses a warm flush demotes it to the cold path: the
+/// answer is `Solved`, bitwise a fresh cold solve, and the demotion is
+/// counted once.
+#[test]
+fn refused_warm_flush_demotes_to_a_bitwise_cold_solve() {
+    for shape in [ShapeKey::gbsv(17, 2, 2, 1), ShapeKey::sgbsv(17, 2, 2, 1)] {
+        let gpu = GpuBackend::new(DeviceGroup::mi250x_full(), ParallelPolicy::Serial);
+        let mut s = Server::new(
+            ServerConfig {
+                queue_capacity: 1024,
+                policy: FlushPolicy::default().with_target_batch(1),
+            },
+            Box::new(RefusesWarm(gpu)),
+            Box::new(CpuBackend::new(CpuSpec::xeon_gold_6140())),
+        );
+        s.submit(req(0, shape, 1, 10, 0.0)).unwrap();
+        assert_eq!(s.take_responses().len(), 1, "cold priming flush");
+        let r = req(1, shape, 1, 11, 1e-3);
+        let want = cold_solve(ParallelPolicy::Serial, FactorAlgo::Auto, &r);
+        s.submit(r).unwrap();
+        let resp = s.take_responses();
+        assert_eq!(resp.len(), 1);
+        assert_eq!(resp[0].status, SolveStatus::Solved);
+        assert_eq!(resp[0].x, want, "{shape:?}: demoted answer is bitwise cold");
+        let rep = s.report();
+        assert_eq!(
+            rep.warm_requests, 1,
+            "{shape:?}: the repeat is admitted warm"
+        );
+        assert_eq!(rep.warm_flushes, 0);
+        assert_eq!(rep.warm_fallbacks, 1);
+        assert!(rep.is_conserved());
+    }
 }

@@ -369,8 +369,8 @@ fn resident_serve_bisect_retry_is_bitwise_identical_to_per_launch() {
     use gbatch::cpu::CpuSpec;
     use gbatch::gpu_sim::multi::DeviceGroup;
     use gbatch::serve::{
-        BackendError, BackendKind, BatchSolution, CpuBackend, FlushPolicy, GpuBackend, Server,
-        ServerConfig, ShapeKey, SolveBackend, SolveRequest, SolveStatus,
+        BackendError, BackendKind, BatchSolution, CpuBackend, FlushPolicy, GpuBackend,
+        RetainedLanes, Server, ServerConfig, ShapeKey, SolveBackend, SolveRequest, SolveStatus,
     };
 
     struct FaultOn {
@@ -381,15 +381,15 @@ fn resident_serve_bisect_retry_is_bitwise_identical_to_per_launch() {
         fn kind(&self) -> BackendKind {
             self.inner.kind()
         }
-        fn solve(
+        fn solve_retaining(
             &self,
             shape: &ShapeKey,
             reqs: &[SolveRequest],
-        ) -> Result<BatchSolution, BackendError> {
+        ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
             if reqs.iter().any(|r| r.id == self.bad) {
                 return Err(BackendError::Fault("poisoned batch".into()));
             }
-            self.inner.solve(shape, reqs)
+            self.inner.solve_retaining(shape, reqs)
         }
     }
 
