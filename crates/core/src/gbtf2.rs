@@ -431,4 +431,189 @@ mod tests {
         assert_eq!(ipiv1, ipiv2);
         assert_eq!(ab1, ab2, "bit-for-bit identical factors");
     }
+
+    /// A hand-rolled `f32` band LU, written before the stack went
+    /// precision-generic: the bitwise oracle for the generic
+    /// `gbtf2::<f32>` path.
+    fn legacy_gbtf2_f32(l: &super::BandLayout, ab: &mut [f32], ipiv: &mut [i32]) -> i32 {
+        let (m, n, kl, ku) = (l.m, l.n, l.kl, l.ku);
+        let kv = kl + ku;
+        let ldab = l.ldab;
+        let idx = |r: usize, c: usize| c * ldab + r;
+        for j in (ku + 1)..kv.min(n) {
+            for i in (kv - j)..kl {
+                ab[idx(i, j)] = 0.0;
+            }
+        }
+        let mut ju = 0usize;
+        let mut info = 0i32;
+        for j in 0..m.min(n) {
+            if j + kv < n {
+                for i in 0..kl {
+                    ab[idx(i, j + kv)] = 0.0;
+                }
+            }
+            let km = kl.min(m - j - 1);
+            let base = idx(kv, j);
+            let mut jp = 0usize;
+            let mut best = -1.0f32;
+            for k in 0..=km {
+                let a = ab[base + k].abs();
+                if a > best {
+                    best = a;
+                    jp = k;
+                }
+            }
+            ipiv[j] = (j + jp) as i32;
+            if ab[base + jp] != 0.0 {
+                ju = ju.max((j + ku + jp).min(n - 1));
+                if jp != 0 {
+                    for (k, c) in (j..=ju).enumerate() {
+                        ab.swap(idx(kv + jp - k, c), idx(kv - k, c));
+                    }
+                }
+                if km > 0 {
+                    let inv = 1.0 / ab[base];
+                    for k in 1..=km {
+                        ab[base + k] *= inv;
+                    }
+                    for c in 1..=(ju.saturating_sub(j)) {
+                        let u = ab[idx(kv - c, j + c)];
+                        if u == 0.0 {
+                            continue;
+                        }
+                        let dst = idx(kv - c, j + c);
+                        for i in 1..=km {
+                            ab[dst + i] -= ab[base + i] * u;
+                        }
+                    }
+                }
+            } else if info == 0 {
+                info = (j + 1) as i32;
+            }
+        }
+        info
+    }
+
+    /// A hand-rolled single-RHS `f32` triangular solve: the bitwise oracle
+    /// for the generic `gbtrs::<f32>` path.
+    fn legacy_gbtrs_f32(l: &super::BandLayout, ab: &[f32], ipiv: &[i32], b: &mut [f32]) {
+        let n = l.n;
+        let kv = l.kv();
+        let ldab = l.ldab;
+        let idx = |r: usize, c: usize| c * ldab + r;
+        if l.kl > 0 {
+            for j in 0..n.saturating_sub(1) {
+                let lm = l.kl.min(n - 1 - j);
+                let p = ipiv[j] as usize;
+                if p != j {
+                    b.swap(p, j);
+                }
+                let bj = b[j];
+                if bj != 0.0 {
+                    let base = idx(kv, j);
+                    for i in 1..=lm {
+                        b[j + i] -= ab[base + i] * bj;
+                    }
+                }
+            }
+        }
+        for j in (0..n).rev() {
+            let bj = b[j] / ab[idx(kv, j)];
+            b[j] = bj;
+            if bj != 0.0 {
+                let reach = kv.min(j);
+                for i in 1..=reach {
+                    b[j - i] -= ab[idx(kv - i, j)] * bj;
+                }
+            }
+        }
+    }
+
+    fn band(n: usize, kl: usize, ku: usize, seed: f64, dominance: f64) -> BandMatrix {
+        let mut a = BandMatrix::zeros_factor(n, n, kl, ku).unwrap();
+        let mut v = seed;
+        for j in 0..n {
+            let (s, e) = a.layout().col_rows(j);
+            for i in s..e {
+                v = (v * 2.3 + 0.17).fract();
+                a.set(i, j, v - 0.5 + if i == j { dominance } else { 0.0 });
+            }
+        }
+        a
+    }
+
+    /// The generic `f32` instantiation reproduces the hand-rolled
+    /// `f32` factorization and solve bit for bit: factors, pivots, info,
+    /// and solutions.
+    #[test]
+    fn generic_f32_path_matches_legacy_duplicates_bitwise() {
+        for (n, kl, ku, seed, dom) in [
+            (20, 2, 1, 0.13, 0.0),
+            (33, 2, 3, 0.29, 1.5),
+            (48, 10, 7, 0.41, 0.0),
+            (16, 1, 0, 0.55, 2.0),
+            (16, 0, 2, 0.67, 2.0),
+        ] {
+            let a = band(n, kl, ku, seed, dom);
+            let l = a.layout();
+            let ab32: Vec<f32> = a.data().iter().map(|&v| v as f32).collect();
+
+            let mut ab_legacy = ab32.clone();
+            let mut p_legacy = vec![0i32; n];
+            let info_legacy = legacy_gbtf2_f32(&l, &mut ab_legacy, &mut p_legacy);
+
+            let mut ab_generic = ab32.clone();
+            let mut p_generic = vec![0i32; n];
+            let info_generic = gbtf2::<f32>(&l, &mut ab_generic, &mut p_generic);
+
+            assert_eq!(info_legacy, info_generic, "n={n} kl={kl} ku={ku}");
+            assert_eq!(p_legacy, p_generic, "n={n} kl={kl} ku={ku}");
+            let legacy_bits: Vec<u32> = ab_legacy.iter().map(|v| v.to_bits()).collect();
+            let generic_bits: Vec<u32> = ab_generic.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(legacy_bits, generic_bits, "n={n} kl={kl} ku={ku}");
+
+            if info_legacy == 0 {
+                let b0: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.37).sin()).collect();
+                let mut b_legacy = b0.clone();
+                legacy_gbtrs_f32(&l, &ab_legacy, &p_legacy, &mut b_legacy);
+                let mut b_generic = b0;
+                crate::gbtrs::gbtrs::<f32>(
+                    crate::gbtrs::Transpose::No,
+                    &l,
+                    &ab_generic,
+                    &p_generic,
+                    &mut b_generic,
+                    n,
+                    1,
+                );
+                let lb: Vec<u32> = b_legacy.iter().map(|v| v.to_bits()).collect();
+                let gb: Vec<u32> = b_generic.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(lb, gb, "solve n={n} kl={kl} ku={ku}");
+            }
+        }
+    }
+
+    #[test]
+    fn f32_factorization_pivots_match_f64() {
+        // Values representable in f32 exactly: pivots must agree.
+        let n = 20;
+        let mut a = BandMatrix::zeros_factor(n, n, 2, 1).unwrap();
+        let mut v = 1i64;
+        for j in 0..n {
+            let (s, e) = a.layout().col_rows(j);
+            for i in s..e {
+                v = (v * 37 + 11) % 97;
+                a.set(i, j, (v - 48) as f64 / 16.0); // exact in f32
+            }
+        }
+        let l = a.layout();
+        let mut ab64 = a.data().to_vec();
+        let mut p64 = vec![0i32; n];
+        gbtf2(&l, &mut ab64, &mut p64);
+        let mut ab32: Vec<f32> = a.data().iter().map(|&x| x as f32).collect();
+        let mut p32 = vec![0i32; n];
+        gbtf2::<f32>(&l, &mut ab32, &mut p32);
+        assert_eq!(p64, p32);
+    }
 }
