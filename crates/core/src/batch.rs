@@ -55,6 +55,27 @@ impl<S: Scalar> BandBatch<S> {
         })
     }
 
+    /// Batch over `data` (`layout.len() * batch` elements, kept as they
+    /// are): the counterpart of [`BandBatch::into_vec`] for callers that
+    /// reuse one buffer across batches.
+    ///
+    /// # Panics
+    /// When `batch == 0` or `data` has the wrong length.
+    pub fn from_vec(layout: BandLayout, batch: usize, data: Vec<S>) -> Self {
+        assert!(batch > 0, "batch must be positive");
+        assert_eq!(data.len(), layout.len() * batch, "band batch storage");
+        BandBatch {
+            layout,
+            batch,
+            data,
+        }
+    }
+
+    /// The batch's storage, for reuse by [`BandBatch::from_vec`].
+    pub fn into_vec(self) -> Vec<S> {
+        self.data
+    }
+
     /// Build a batch from a closure producing each matrix's band data.
     pub fn from_fn(
         batch: usize,
@@ -176,6 +197,26 @@ impl PivotBatch {
             batch,
             data: vec![0; per_matrix * batch],
         }
+    }
+
+    /// [`PivotBatch::new`] over `data` (`min(m, n) * batch` entries, kept
+    /// as they are), for reuse of one buffer across batches.
+    ///
+    /// # Panics
+    /// When `data` has the wrong length.
+    pub fn from_vec(batch: usize, m: usize, n: usize, data: Vec<i32>) -> Self {
+        let per_matrix = m.min(n);
+        assert_eq!(data.len(), per_matrix * batch, "pivot batch storage");
+        PivotBatch {
+            per_matrix,
+            batch,
+            data,
+        }
+    }
+
+    /// The batch's storage, for reuse by [`PivotBatch::from_vec`].
+    pub fn into_vec(self) -> Vec<i32> {
+        self.data
     }
 
     /// Pivot count per matrix.
@@ -377,6 +418,29 @@ impl<S: Scalar> RhsBatch<S> {
             batch,
             data: vec![S::ZERO; ldb * nrhs * batch],
         })
+    }
+
+    /// Batch with minimal `ldb = n` over `data` (`n * nrhs * batch`
+    /// elements, kept as they are), for reuse of one buffer across
+    /// batches.
+    ///
+    /// # Panics
+    /// When a dimension is zero or `data` has the wrong length.
+    pub fn from_vec(batch: usize, n: usize, nrhs: usize, data: Vec<S>) -> Self {
+        assert!(n > 0 && nrhs > 0 && batch > 0, "n, nrhs and batch > 0");
+        assert_eq!(data.len(), n * nrhs * batch, "rhs batch storage");
+        RhsBatch {
+            n,
+            nrhs,
+            ldb: n,
+            batch,
+            data,
+        }
+    }
+
+    /// The batch's storage, for reuse by [`RhsBatch::from_vec`].
+    pub fn into_vec(self) -> Vec<S> {
+        self.data
     }
 
     /// Fill from a closure `value(matrix_id, row, rhs_col)`.

@@ -200,30 +200,50 @@ pub fn extract_blocks<S: Scalar>(
     a: &BandMatrixRef<'_, S>,
     part: &SpikePartition,
 ) -> crate::error::Result<BandBatch<S>> {
+    let bl = part.block_layout()?;
+    let mut data = vec![S::ZERO; bl.len() * part.parts];
+    extract_blocks_into(a, part, &mut data);
+    Ok(BandBatch::from_vec(bl, part.parts, data))
+}
+
+/// [`extract_blocks`] into `out`, the storage of a `parts`-lane batch of
+/// [`SpikePartition::block_layout`]. Every element of `out` is written,
+/// so it may hold anything beforehand.
+///
+/// # Panics
+/// When `out` does not hold exactly the batch.
+pub fn extract_blocks_into<S: Scalar>(
+    a: &BandMatrixRef<'_, S>,
+    part: &SpikePartition,
+    out: &mut [S],
+) {
     debug_assert_eq!(a.layout.n, part.n);
-    BandBatch::from_fn(
-        part.parts,
-        part.block,
-        part.block,
-        part.kl,
-        part.ku,
-        |p, m| {
-            let s = part.start(p);
-            let len = part.len(p);
-            for jj in 0..part.block {
-                if jj < len {
-                    // The column's band rows inside the block, one slice.
-                    let (rs, re) = m.layout.col_rows(jj);
-                    let rows = re.min(len) - rs;
-                    let src = a.layout.idx_full(s + rs, s + jj).expect("band entry");
-                    let dst = m.layout.idx_full(rs, jj).expect("band entry");
-                    m.data[dst..dst + rows].copy_from_slice(&a.data[src..src + rows]);
-                } else {
-                    m.set(jj, jj, S::ONE);
-                }
+    let bl = part
+        .block_layout()
+        .expect("partition produces a valid block layout");
+    let ldab = bl.ldab;
+    assert_eq!(out.len(), bl.len() * part.parts, "block batch storage");
+    for (p, m) in out.chunks_exact_mut(bl.len()).enumerate() {
+        let s = part.start(p);
+        let len = part.len(p);
+        for (jj, col) in m.chunks_exact_mut(ldab).enumerate() {
+            if jj < len {
+                // The column's band rows inside the block, one slice; the
+                // rest of the column (fill rows, rows outside the block)
+                // is zero.
+                let (rs, re) = bl.col_rows(jj);
+                let rows = re.min(len) - rs;
+                let src = a.layout.idx_full(s + rs, s + jj).expect("band entry");
+                let r0 = bl.idx_full(rs, jj).expect("band entry") - jj * ldab;
+                col[..r0].fill(S::ZERO);
+                col[r0..r0 + rows].copy_from_slice(&a.data[src..src + rows]);
+                col[r0 + rows..].fill(S::ZERO);
+            } else {
+                col.fill(S::ZERO);
+                col[bl.kv()] = S::ONE;
             }
-        },
-    )
+        }
+    }
 }
 
 /// Gather one `rows`-row diagonal sample block ending at each cut of
@@ -292,16 +312,35 @@ pub fn augmented_rhs<S: Scalar>(
     rhs: &[S],
     nrhs: usize,
 ) -> crate::error::Result<RhsBatch<S>> {
+    let mut out = RhsBatch::zeros(part.parts, part.block, nrhs + part.ku + part.kl)?;
+    augmented_rhs_into(part, coupling, rhs, nrhs, out.data_mut());
+    Ok(out)
+}
+
+/// [`augmented_rhs`] into `out`, the storage of its `parts`-lane batch
+/// (`block x (nrhs + ku + kl)` per lane, `ldb = block`). Every element of
+/// `out` is written, so it may hold anything beforehand.
+///
+/// # Panics
+/// When `out` does not hold exactly the batch.
+pub fn augmented_rhs_into<S: Scalar>(
+    part: &SpikePartition,
+    coupling: &SpikeCoupling<S>,
+    rhs: &[S],
+    nrhs: usize,
+    out: &mut [S],
+) {
     let (kl, ku, n, blk) = (part.kl, part.ku, part.n, part.block);
     let naug = nrhs + ku + kl;
-    let mut out = RhsBatch::zeros(part.parts, blk, naug)?;
-    for p in 0..part.parts {
+    assert_eq!(out.len(), part.parts * blk * naug, "augmented rhs storage");
+    for (p, dst) in out.chunks_exact_mut(blk * naug).enumerate() {
         let s = part.start(p);
         let len = part.len(p);
-        let dst = out.block_mut(p);
         for c in 0..nrhs {
             dst[c * blk..c * blk + len].copy_from_slice(&rhs[c * n + s..c * n + s + len]);
+            dst[c * blk + len..(c + 1) * blk].fill(S::ZERO);
         }
+        dst[nrhs * blk..].fill(S::ZERO);
         if p + 1 < part.parts {
             let corner = coupling.b_corner(p);
             for c in 0..ku {
@@ -319,7 +358,6 @@ pub fn augmented_rhs<S: Scalar>(
             }
         }
     }
-    Ok(out)
 }
 
 /// Visit every structural entry `(row, col, value)` of the reduced system

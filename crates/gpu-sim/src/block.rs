@@ -9,6 +9,7 @@
 //! `items` elements.
 
 use crate::counters::KernelCounters;
+use crate::scratch::Scratch;
 use crate::shared::SharedMem;
 
 /// Per-block execution state.
@@ -24,6 +25,7 @@ pub struct BlockContext {
     /// Simulated shared memory, sized by the launch configuration.
     pub smem: SharedMem,
     counters: KernelCounters,
+    scratch: Scratch,
 }
 
 impl BlockContext {
@@ -52,6 +54,7 @@ impl BlockContext {
             lds_lanes: lds_lanes.max(1),
             smem: SharedMem::with_bytes(smem_bytes),
             counters: KernelCounters::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -81,6 +84,7 @@ impl BlockContext {
             lds_lanes: self.lds_lanes,
             smem: SharedMem::with_bytes_reusing(smem_bytes, arena),
             counters: KernelCounters::default(),
+            scratch: Scratch::default(),
         };
         ctx.smem.set_label(self.smem.label());
         ctx.smem.set_hazard_mode(self.smem.hazard_mode());
@@ -91,6 +95,21 @@ impl BlockContext {
     /// [`BlockContext::fork_worker_with_arena`].
     pub fn into_arena(self) -> Vec<f64> {
         self.smem.into_buffer()
+    }
+
+    /// Take the worker's host scratch arena for the rest of a block; hand
+    /// it back with [`BlockContext::put_scratch`]. Slices it lends are
+    /// zeroed (see [`crate::scratch`]), so a block program borrows its
+    /// host buffers from it instead of allocating them per block. A block
+    /// that does not hand it back only costs the next block an
+    /// allocation.
+    pub fn take_scratch(&mut self) -> Scratch {
+        std::mem::take(&mut self.scratch)
+    }
+
+    /// Return the arena taken by [`BlockContext::take_scratch`].
+    pub fn put_scratch(&mut self, scratch: Scratch) {
+        self.scratch = scratch;
     }
 
     /// Reuse this context for another block (workers recycle arenas).

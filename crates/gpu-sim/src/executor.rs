@@ -20,6 +20,12 @@
 //! drains its own deque, then steals (FIFO) from siblings, so load
 //! imbalance from variable per-matrix cost self-corrects.
 //!
+//! Host scratch: every worker (the calling thread on the serial path)
+//! checks one [`crate::scratch::Scratch`] arena out of the process-wide
+//! pool before its first block and back in after its last, so block
+//! programs borrow zeroed buffers from an arena reused across blocks and
+//! launches instead of allocating per block.
+//!
 //! Failure isolation: a panicking block program (numerical `assert!`,
 //! index bug) is caught per block. Sibling blocks still run to
 //! completion — their problem entries keep their results — and the
@@ -39,6 +45,7 @@ use crate::device::DeviceSpec;
 use crate::engine::LaunchConfig;
 use crate::hazard::HazardReport;
 use crate::resident::EngineMode;
+use crate::scratch;
 
 /// How the engine schedules a launch's blocks onto host threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -182,6 +189,7 @@ where
     let workers = cfg.parallel.workers().min(grid);
     if workers <= 1 {
         let mut ctx = context_for(dev, cfg);
+        ctx.put_scratch(scratch::checkout());
         let mut agg = KernelCounters::default();
         let mut hazards = Vec::new();
         let mut panics = Vec::new();
@@ -194,6 +202,7 @@ where
             &mut panics,
             body,
         );
+        scratch::checkin(ctx.take_scratch());
         resume_first(panics);
         return (agg, hazards);
     }
@@ -240,6 +249,7 @@ where
             let proto = &proto;
             s.spawn(move |_| {
                 let mut ctx = proto.fork_worker();
+                ctx.put_scratch(scratch::checkout());
                 'work: loop {
                     // Own deque first (LIFO), then steal FIFO from
                     // siblings; exactly-once delivery is the deque's
@@ -285,6 +295,7 @@ where
                         panics.lock().append(&mut local_panics);
                     }
                 }
+                scratch::checkin(ctx.take_scratch());
             });
         }
     });
@@ -352,6 +363,7 @@ where
         // allocation on the hot path once the pool has run a launch of
         // this footprint.
         let mut ctx = proto.fork_worker_with_arena(pool.take_arena(idx));
+        ctx.put_scratch(scratch::checkout());
         loop {
             let c = next.fetch_add(1, Ordering::Relaxed);
             if c >= n_chunks {
@@ -383,6 +395,7 @@ where
                 panics.lock().append(&mut local_panics);
             }
         }
+        scratch::checkin(ctx.take_scratch());
         pool.store_arena(idx, ctx.into_arena());
     });
 
@@ -592,6 +605,42 @@ mod tests {
                 .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap().to_string());
             assert_eq!(msg, "boom at 3", "policy {policy:?}");
         }
+    }
+
+    /// Every block of `lens` lends `len` elements, checks they are zero,
+    /// then dirties them: later blocks and launches, larger and smaller,
+    /// must still see zeros.
+    fn scratch_lends_are_fresh<T>(junk: T)
+    where
+        T: Copy + PartialEq + Default + Send + Sync + 'static,
+    {
+        for policy in [ParallelPolicy::Serial, ParallelPolicy::threads(2)] {
+            let cfg = LaunchConfig::new(8, 0).with_parallel(policy);
+            for lens in [[64usize, 8, 200, 3], [5, 300, 17, 1]] {
+                let mut blocks: Vec<(usize, bool)> = lens.iter().map(|&n| (n, false)).collect();
+                let _ = launch(&dev(), &cfg, &mut blocks, |(len, clean), ctx| {
+                    let mut s = ctx.take_scratch();
+                    let buf = s.zeroed::<T>(*len);
+                    *clean = buf.iter().all(|v| *v == T::default());
+                    buf.fill(junk);
+                    ctx.put_scratch(s);
+                })
+                .unwrap();
+                for (len, clean) in blocks {
+                    assert!(clean, "{policy:?}: a {len}-element lend was dirty");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_lends_are_fresh_f64() {
+        scratch_lends_are_fresh(-7.25f64);
+    }
+
+    #[test]
+    fn scratch_lends_are_fresh_f32() {
+        scratch_lends_are_fresh(3.5f32);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //!   programs: serial, a fixed work-stealing thread pool, or auto-sized.
 //!   Aggregates and modeled time are bitwise-identical across policies
 //!   (counters merge associatively; the reduction order is stable).
+//! - [`scratch::Scratch`] — the per-worker host arena block programs
+//!   borrow their zeroed buffers from, reused across blocks and launches.
 //! - [`counters::KernelCounters`] — per-block counts of global traffic,
 //!   flops, shared-memory round trips, syncs and dependent cycles,
 //!   accumulated by the block program through [`block::BlockContext`].
@@ -71,6 +73,7 @@ pub mod multi;
 pub mod occupancy;
 pub mod registry;
 pub mod resident;
+pub mod scratch;
 pub mod shared;
 pub mod stream;
 pub mod timing;
@@ -87,4 +90,5 @@ pub use resident::{
     ambient_engine, global_pool, with_engine_mode, EngineMode, EngineScope, MegabatchQueue,
     ResidentPool,
 };
+pub use scratch::Scratch;
 pub use timing::{FlopPrecision, SimTime};

@@ -15,6 +15,9 @@ use crate::hazard::{HazardMode, HazardTracker};
 pub struct SharedMem {
     buf: Vec<f64>,
     used: usize,
+    /// End of the prefix of `buf` that mutable views have covered since
+    /// the last zeroing; everything past it is still zero.
+    dirty: usize,
     /// Kernel label of the owning launch; attributes overflow panics and
     /// hazard diagnostics to the kernel that caused them.
     label: &'static str,
@@ -35,6 +38,7 @@ impl SharedMem {
             // 8, so their capacity is unchanged.
             buf: vec![0.0; bytes.div_ceil(std::mem::size_of::<f64>())],
             used: 0,
+            dirty: 0,
             label: "kernel",
             block_id: 0,
             tracker: None,
@@ -53,6 +57,7 @@ impl SharedMem {
         SharedMem {
             buf,
             used: 0,
+            dirty: 0,
             label: "kernel",
             block_id: 0,
             tracker: None,
@@ -176,10 +181,13 @@ impl SharedMem {
 
     /// Reset all allocations (used when a worker reuses the arena for the
     /// next block) and zero the buffer, matching the "fresh" state a new
-    /// block observes.
+    /// block observes. Only the prefix mutable views have reached is
+    /// written: a block that never stores into the arena costs nothing
+    /// here.
     pub fn reset(&mut self) {
         self.used = 0;
-        self.buf.fill(0.0);
+        self.buf[..self.dirty].fill(0.0);
+        self.dirty = 0;
     }
 
     /// View of an allocation.
@@ -191,7 +199,9 @@ impl SharedMem {
     /// Mutable view of an allocation.
     #[inline]
     pub fn slice_mut(&mut self, off: usize, len: usize) -> &mut [f64] {
-        &mut self.buf[off..off + len]
+        let view = &mut self.buf[off..off + len];
+        self.dirty = self.dirty.max(off + len);
+        view
     }
 
     /// Two disjoint mutable views (e.g. the paper's factor window and RHS
@@ -207,6 +217,9 @@ impl SharedMem {
             off1 + len1 <= off2 || off2 + len2 <= off1,
             "overlapping shared slices"
         );
+        self.dirty = self
+            .dirty
+            .max((off1 + len1).max(off2 + len2).min(self.buf.len()));
         if off1 < off2 {
             let (a, b) = self.buf.split_at_mut(off2);
             (&mut a[off1..off1 + len1], &mut b[..len2])
@@ -221,6 +234,7 @@ impl SharedMem {
     /// sub-allocation).
     #[inline]
     pub fn raw_mut(&mut self) -> &mut [f64] {
+        self.dirty = self.buf.len();
         &mut self.buf
     }
 }
@@ -317,6 +331,15 @@ mod tests {
         assert_eq!(s.used(), 0);
         let a = s.alloc(8);
         assert!(s.slice(a, 8).iter().all(|&v| v == 0.0));
+        // Every way of writing is zeroed by the next reset.
+        let (x, y) = s.slice2_mut(6, 2, 0, 3);
+        x.fill(1.0);
+        y.fill(2.0);
+        s.reset();
+        assert!(s.slice(0, 8).iter().all(|&v| v == 0.0));
+        s.raw_mut()[7] = 3.0;
+        s.reset();
+        assert!(s.slice(0, 8).iter().all(|&v| v == 0.0));
     }
 
     #[test]

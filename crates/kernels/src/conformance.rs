@@ -43,7 +43,7 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 /// Restores the process-wide hazard mode on drop, so a failed conformance
 /// check cannot leak `Trace` mode into unrelated tests. The lock is
 /// released only after the mode is restored.
-struct ModeGuard {
+pub(crate) struct ModeGuard {
     prev: HazardMode,
     _lock: MutexGuard<'static, ()>,
 }
@@ -55,12 +55,18 @@ impl Drop for ModeGuard {
 }
 
 fn trace_mode() -> ModeGuard {
+    global_mode_scope(HazardMode::Trace)
+}
+
+/// Set the process-wide hazard mode to `mode` until the guard drops,
+/// serialized with every other such scope in this crate.
+pub(crate) fn global_mode_scope(mode: HazardMode) -> ModeGuard {
     let lock = TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let guard = ModeGuard {
         prev: hazard::global_mode(),
         _lock: lock,
     };
-    hazard::set_global_mode(HazardMode::Trace);
+    hazard::set_global_mode(mode);
     guard
 }
 
@@ -556,8 +562,18 @@ fn conform_spike<S: Scalar>(
     let y: Vec<S> = (0..part.reduced_order() * nrhs)
         .map(|i| seed_rhs::<S>(0, i % 7, i / 7))
         .collect();
-    let (_, rep) = spike_combine_launch(dev, &part, &aug, &aug, nrhs, nrhs, &y, &params)
-        .map_err(|e| format!("spike_combine at {shape:?}: launch failed: {e}"))?;
+    let rep = spike_combine_launch(
+        dev,
+        &part,
+        &aug,
+        &aug,
+        nrhs,
+        nrhs,
+        &y,
+        &params,
+        &mut Vec::new(),
+    )
+    .map_err(|e| format!("spike_combine at {shape:?}: launch failed: {e}"))?;
     let oracles = vec![Oracle::default(); part.parts];
     checks += check_blocks(combine, &sshape, S::BYTES, &rep.hazards, &oracles)?;
 
@@ -567,7 +583,7 @@ fn conform_spike<S: Scalar>(
     let f: Vec<S> = (0..n * nrhs)
         .map(|i| seed_rhs::<S>(2, i % 8, i / 8))
         .collect();
-    let (_, rep) = spike_residual_launch(dev, &a, 0, &part, &x, &f, nrhs, &params)
+    let rep = spike_residual_launch(dev, &a, 0, &part, &x, &f, nrhs, &params, &mut Vec::new())
         .map_err(|e| format!("spike_residual at {shape:?}: launch failed: {e}"))?;
     if !rep.hazards.is_empty() {
         return Err(format!(

@@ -102,7 +102,9 @@ pub fn gbtrf_batch_fused<S: Scalar>(
         // same capacity the launch declared, the tracker sees the striped
         // store, and the block factors a working copy of the band.
         let off = ctx.smem.alloc_scalar(l.len(), S::BYTES);
-        let mut local: Vec<S> = p.ab.to_vec();
+        let mut scratch = ctx.take_scratch();
+        let local = scratch.stale::<S>(l.len());
+        local.copy_from_slice(p.ab);
         if let Some(t) = ctx.smem.tracker() {
             t.striped_write(off, l.len(), ctx.threads);
         }
@@ -111,7 +113,7 @@ pub fn gbtrf_batch_fused<S: Scalar>(
 
         {
             let mut w = SmemBand {
-                data: &mut local,
+                data: &mut *local,
                 ldab: l.ldab,
                 col0: 0,
                 width: l.n,
@@ -126,7 +128,8 @@ pub fn gbtrf_batch_fused<S: Scalar>(
         }
 
         // Write the factors (and pivots) back to global memory.
-        p.ab.copy_from_slice(&local);
+        p.ab.copy_from_slice(local);
+        ctx.put_scratch(scratch);
         if let Some(t) = ctx.smem.tracker() {
             t.striped_read(off, l.len(), ctx.threads);
         }

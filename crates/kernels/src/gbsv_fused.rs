@@ -92,8 +92,11 @@ pub fn gbsv_batch_fused<S: Scalar>(
         let b_off = ctx.smem.alloc_scalar(rhs_len, S::BYTES);
 
         // Load the augmented system.
-        let mut band = p.ab.to_vec();
-        let mut bx = vec![S::ZERO; rhs_len];
+        let mut scratch = ctx.take_scratch();
+        let (band, bx) = scratch
+            .stale::<S>(band_len + rhs_len)
+            .split_at_mut(band_len);
+        band.copy_from_slice(p.ab);
         for c in 0..nrhs {
             bx[c * n..(c + 1) * n].copy_from_slice(&p.b[c * ldb..c * ldb + n]);
         }
@@ -108,7 +111,7 @@ pub fn gbsv_batch_fused<S: Scalar>(
         let mut st = ColumnStepState::default();
         {
             let mut w = SmemBand {
-                data: &mut band,
+                data: &mut *band,
                 ldab: l.ldab,
                 col0: 0,
                 width: n,
@@ -212,10 +215,11 @@ pub fn gbsv_batch_fused<S: Scalar>(
         }
 
         // Write everything back: factors, pivots, solution.
-        p.ab.copy_from_slice(&band);
+        p.ab.copy_from_slice(band);
         for c in 0..nrhs {
             p.b[c * ldb..c * ldb + n].copy_from_slice(&bx[c * n..(c + 1) * n]);
         }
+        ctx.put_scratch(scratch);
         if let Some(t) = ctx.smem.tracker() {
             t.striped_read(a_off, band_len, ctx.threads);
             t.striped_read(b_off, rhs_len, ctx.threads);

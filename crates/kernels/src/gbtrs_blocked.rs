@@ -220,13 +220,24 @@ pub(crate) fn blocked_solve<S: Scalar>(
             .with_label("gbtrs_forward")
             .with_precision(crate::flop_class::<S>());
         let cache_rows = (nb + kl).min(n);
+        // Each group's columns by first step (ties by column), as indices
+        // into the group: the columns live at step `j` are always a
+        // prefix of its order.
+        let mut order: Vec<usize> = (0..rhs.nrhs()).map(|c| c % width).collect();
+        for (g, group) in order.chunks_mut(width).enumerate() {
+            group.sort_unstable_by_key(|&c| (start(g * width + c), c));
+        }
         let mut probs = problems(rhs, width);
         let rep = launch(dev, &cfg, &mut probs, |p, ctx| {
             let ab = &factors[p.id * stride..(p.id + 1) * stride];
             let ipiv = piv.pivots(p.id);
             let (c0, k) = (p.c0, p.b.len() / ldb);
             let off = ctx.smem.alloc_scalar(cache_rows * k, S::BYTES);
-            let mut cache = vec![S::ZERO; cache_rows * k];
+            // The cache is filled before it is read.
+            let mut scratch = ctx.take_scratch();
+            let cache = scratch.stale::<S>(cache_rows * k);
+            let order = &order[c0..c0 + k];
+            let mut active = 0;
             // Initial fill: rows [0, loaded).
             let mut loaded = cache_rows;
             for (c, col) in cache.chunks_exact_mut(cache_rows).enumerate() {
@@ -249,7 +260,10 @@ pub(crate) fn blocked_solve<S: Scalar>(
                     }
                     // Columns whose sweep has started by step `j`.
                     let live = |c: &usize| start(c0 + *c) <= j;
-                    let active = (0..k).filter(live).count();
+                    while active < k && start(c0 + order[active]) <= j {
+                        active += 1;
+                    }
+                    let live_cols = &order[..active];
                     let pr = ipiv[j] as usize;
                     let (lj, lp) = (j - j0, pr - j0);
                     debug_assert!(lp < cache_rows, "pivot outside cache");
@@ -263,7 +277,7 @@ pub(crate) fn blocked_solve<S: Scalar>(
                                 t.write(lane, colbase + lp);
                             }
                         }
-                        for c in (0..k).filter(live) {
+                        for &c in live_cols {
                             cache.swap(c * cache_rows + lj, c * cache_rows + lp);
                         }
                         ctx.smem_work(active, 0);
@@ -288,7 +302,7 @@ pub(crate) fn blocked_solve<S: Scalar>(
                         }
                         // Columns are indexed, not chunked: a chunk iterator
                         // pays an integer division per step and block.
-                        for c in (0..k).filter(live) {
+                        for &c in live_cols {
                             let col = &mut cache[c * cache_rows..(c + 1) * cache_rows];
                             let bj = col[lj];
                             if bj == S::ZERO {
@@ -351,6 +365,7 @@ pub(crate) fn blocked_solve<S: Scalar>(
                 ctx.sync();
                 j0 = next_j0;
             }
+            ctx.put_scratch(scratch);
         })?;
         Some(rep)
     } else {
@@ -368,7 +383,8 @@ pub(crate) fn blocked_solve<S: Scalar>(
         let ab = &factors[p.id * stride..(p.id + 1) * stride];
         let k = p.b.len() / ldb;
         let off = ctx.smem.alloc_scalar(cache_rows * k, S::BYTES);
-        let mut cache = vec![S::ZERO; cache_rows * k];
+        let mut scratch = ctx.take_scratch();
+        let cache = scratch.stale::<S>(cache_rows * k);
         // Cache covers global rows [lo, lo + cache_rows); start at the
         // bottom of the RHS.
         let mut lo = n - cache_rows;
@@ -475,6 +491,7 @@ pub(crate) fn blocked_solve<S: Scalar>(
             ctx.sync();
             j1 = j0;
         }
+        ctx.put_scratch(scratch);
     })?;
 
     Ok(BlockedSolveReport { forward, backward })
@@ -738,5 +755,146 @@ mod tests {
         }
         assert_eq!(column_groups(17, 3), (6, 3));
         assert_eq!(column_groups(17, 7), (3, 6));
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Every counter field of a launch (the f64 ones by their bits) and
+    /// its modeled time.
+    fn counter_words(r: &LaunchReport) -> [u64; 12] {
+        let c = &r.counters;
+        [
+            c.global_read,
+            c.global_write,
+            c.flops,
+            c.smem_trips,
+            c.syncs,
+            c.cycles.to_bits(),
+            c.smem_elems.to_bits(),
+            c.lane_sweeps,
+            c.lane_elems,
+            c.hazards,
+            c.threads_spawned,
+            r.time.secs().to_bits(),
+        ]
+    }
+
+    /// `(n, kl, ku, nb, threads)` of the pinned grid: no forward launch
+    /// (`kl == 0`), `nb < kv`, `nb >= n`, a thread count whose shared-work
+    /// divisor `min(threads, lds_lanes)` is not a power of two, and a
+    /// plain two-sided band.
+    const PIN_SHAPES: [(usize, usize, usize, usize, u32); 5] = [
+        (37, 0, 4, 5, 32),
+        (41, 6, 5, 3, 32),
+        (13, 3, 2, 16, 32),
+        (45, 4, 3, 6, 20),
+        (50, 2, 3, 8, 32),
+    ];
+
+    /// One digest per shape and start pattern over every group count
+    /// `1..=6` of six columns: the answers' bits and every counter field
+    /// of both launches.
+    fn pin_digests<S: Scalar>() -> Vec<u64> {
+        let dev = DeviceSpec::h100_pcie();
+        let nrhs = 6;
+        let mut out = Vec::new();
+        for (n, kl, ku, nb, threads) in PIN_SHAPES {
+            let mut v = 0.37f64;
+            let mut a = BandBatch::<S>::from_fn(2, n, n, kl, ku, |_, m| {
+                for j in 0..n {
+                    let (s, e) = m.layout.col_rows(j);
+                    for i in s..e {
+                        v = (v * 2.9 + 0.137).fract();
+                        let diag = if i == j { 0.25 } else { 0.0 };
+                        m.set(i, j, S::from_f64(v - 0.5 + diag));
+                    }
+                }
+            })
+            .unwrap();
+            let mut piv = PivotBatch::new(2, n, n);
+            let mut info = InfoArray::new(2);
+            let wp = crate::window::WindowParams {
+                nb: 4,
+                threads: 32,
+                ..Default::default()
+            };
+            let _ =
+                crate::window::gbtrf_batch_window(&dev, &mut a, &mut piv, &mut info, wp).unwrap();
+            assert!(info.all_ok());
+            let l = a.layout();
+            // Row 0, mid-block, the last row, past the end.
+            let mixed = [0, n / 2 + 1, n - 1, 0, n + 3, nb + 1];
+            for first in [None, Some(&mixed[..])] {
+                let mut words = Vec::new();
+                for groups in 1..=nrhs {
+                    let mut b = RhsBatch::<S>::from_fn(2, n, nrhs, |id, i, c| {
+                        if first.is_some_and(|f| i < f[c] + kl) {
+                            S::ZERO
+                        } else {
+                            S::from_f64(((id * 13 + c * 7 + i) as f64 * 0.41).sin())
+                        }
+                    })
+                    .unwrap();
+                    let params = SolveParams {
+                        nb,
+                        threads,
+                        parallel: ParallelPolicy::Serial,
+                    };
+                    let rep =
+                        blocked_solve(&dev, &l, a.data(), &piv, &mut b, first, params, groups)
+                            .unwrap();
+                    words.extend(b.data().iter().map(|x| x.to_f64().to_bits()));
+                    for r in rep.forward.iter().chain([&rep.backward]) {
+                        words.extend(counter_words(r));
+                    }
+                }
+                out.push(fnv(words));
+            }
+        }
+        out
+    }
+
+    /// Answers and counters of the blocked solve, pinned over a shape grid
+    /// in both precisions and under both the untracked and the recording
+    /// hazard mode: a rewrite of the sweeps' host loops must move no bit.
+    #[test]
+    fn blocked_solve_pins() {
+        use gbatch_gpu_sim::HazardMode;
+        const F64: [u64; 10] = [
+            0xdb68fa130aa7110c,
+            0xf6d1d17dd6d0c3c4,
+            0x366ca507748eea4f,
+            0x473b1427c773ef05,
+            0x74b0322bd0bdb576,
+            0x08e582f20897c7ab,
+            0x6acfa58eb6702d5b,
+            0xf96d59dd9d29c4f5,
+            0x9137d252480924a2,
+            0xec47c14459b77737,
+        ];
+        const F32: [u64; 10] = [
+            0x8f7e28fd61da8c1d,
+            0xc7d08c038f7c105d,
+            0x1177194274212016,
+            0x18f5438c49f71a60,
+            0xb1f409634eca2a7b,
+            0xa09c60ac8f112b72,
+            0x6f184c913ea4dec7,
+            0xd2d992f5ed1f51a9,
+            0x632e4e8cbf05ce0f,
+            0xbbf39d75200fea06,
+        ];
+        for mode in [HazardMode::Off, HazardMode::Record] {
+            let _scope = crate::conformance::global_mode_scope(mode);
+            assert_eq!(pin_digests::<f64>(), F64, "f64 under {mode:?}");
+            assert_eq!(pin_digests::<f32>(), F32, "f32 under {mode:?}");
+        }
     }
 }

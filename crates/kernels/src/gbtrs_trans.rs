@@ -94,7 +94,8 @@ pub fn gbtrs_batch_blocked_trans<S: Scalar>(
         launch(dev, &cfg, &mut probs, |p, ctx| {
             let ab = &factors[p.id * stride..(p.id + 1) * stride];
             let _off = ctx.smem.alloc_scalar(cache_rows * nrhs, S::BYTES);
-            let mut cache = vec![S::ZERO; cache_rows * nrhs];
+            let mut scratch = ctx.take_scratch();
+            let cache = scratch.zeroed::<S>(cache_rows * nrhs);
             // Cache covers absolute rows [lo, abs_end); starts at the top.
             let mut lo = 0usize;
             let mut abs_end = cache_rows.min(n);
@@ -162,6 +163,7 @@ pub fn gbtrs_batch_blocked_trans<S: Scalar>(
                 ctx.sync();
                 j0 = next_j0;
             }
+            ctx.put_scratch(scratch);
         })?
     };
 
@@ -181,7 +183,8 @@ pub fn gbtrs_batch_blocked_trans<S: Scalar>(
             let ab = &factors[p.id * stride..(p.id + 1) * stride];
             let ipiv = piv.pivots(p.id);
             let _off = ctx.smem.alloc_scalar(cache_rows * nrhs, S::BYTES);
-            let mut cache = vec![S::ZERO; cache_rows * nrhs];
+            let mut scratch = ctx.take_scratch();
+            let cache = scratch.zeroed::<S>(cache_rows * nrhs);
             // Cache covers rows [lo, hi); start with the bottom rows.
             let mut lo = n.saturating_sub(cache_rows);
             let hi = n;
@@ -283,6 +286,7 @@ pub fn gbtrs_batch_blocked_trans<S: Scalar>(
                 ctx.sync();
                 j1 = j0;
             }
+            ctx.put_scratch(scratch);
         })?;
         Some(rep)
     } else {

@@ -149,16 +149,19 @@ pub fn pbtrf_batch_fused(
     launch(dev, &cfg, &mut probs, |p, ctx| {
         let len = l.len();
         let off = ctx.smem.alloc(len);
-        let mut buf = p.ab.to_vec();
+        let mut scratch = ctx.take_scratch();
+        let buf = scratch.stale::<f64>(len);
+        buf.copy_from_slice(p.ab);
         ctx.gld(len * 8);
         ctx.sync();
         let mut infoc = 0i32;
-        chol_column_steps(&l, &mut buf, 0, 0..l.n, &mut infoc, ctx);
+        chol_column_steps(&l, buf, 0, 0..l.n, &mut infoc, ctx);
         *p.info = infoc;
-        p.ab.copy_from_slice(&buf);
+        p.ab.copy_from_slice(buf);
         ctx.gst(len * 8);
         ctx.sync();
-        ctx.smem.slice_mut(off, len).copy_from_slice(&buf);
+        ctx.smem.slice_mut(off, len).copy_from_slice(buf);
+        ctx.put_scratch(scratch);
     })
 }
 
@@ -198,7 +201,8 @@ pub fn pbtrf_batch_window(
     launch(dev, &cfg, &mut probs, |p, ctx| {
         let wlen = wcols * ldab;
         let off = ctx.smem.alloc(wlen);
-        let mut buf = vec![0.0; wlen];
+        let mut scratch = ctx.take_scratch();
+        let buf = scratch.zeroed::<f64>(wlen);
         let mut loaded_end = wcols.min(n);
         buf[..loaded_end * ldab].copy_from_slice(&p.ab[..loaded_end * ldab]);
         ctx.gld(loaded_end * ldab * 8);
@@ -207,7 +211,7 @@ pub fn pbtrf_batch_window(
         let mut j0 = 0usize;
         while j0 < n && infoc == 0 {
             let jb = nb.min(n - j0);
-            chol_column_steps(&l, &mut buf, j0, j0..j0 + jb, &mut infoc, ctx);
+            chol_column_steps(&l, buf, j0, j0..j0 + jb, &mut infoc, ctx);
             p.ab[j0 * ldab..(j0 + jb) * ldab].copy_from_slice(&buf[..jb * ldab]);
             ctx.gst(jb * ldab * 8);
             ctx.sync();
@@ -231,7 +235,8 @@ pub fn pbtrf_batch_window(
             j0 = next_j0;
         }
         *p.info = infoc;
-        ctx.smem.slice_mut(off, wlen).copy_from_slice(&buf);
+        ctx.smem.slice_mut(off, wlen).copy_from_slice(buf);
+        ctx.put_scratch(scratch);
     })
 }
 
@@ -268,22 +273,25 @@ pub fn pbsv_batch_fused(
         let len = l.len();
         let a_off = ctx.smem.alloc(len);
         let b_off = ctx.smem.alloc(n * nrhs);
-        let mut buf = p.ab.to_vec();
+        let mut scratch = ctx.take_scratch();
+        let buf = scratch.stale::<f64>(len);
+        buf.copy_from_slice(p.ab);
         ctx.gld((len + n * nrhs) * 8);
         ctx.sync();
         let mut infoc = 0i32;
-        chol_column_steps(&l, &mut buf, 0, 0..n, &mut infoc, ctx);
+        chol_column_steps(&l, buf, 0, 0..n, &mut infoc, ctx);
         *p.info = infoc;
         if infoc == 0 {
-            gbatch_core::pb::pbtrs(&l, &buf, p.b, n, nrhs);
+            gbatch_core::pb::pbtrs(&l, buf, p.b, n, nrhs);
             ctx.smem_work(2 * n * (l.kd + 1) * nrhs, 2);
             ctx.seq_cycles(2.0 * n as f64);
             ctx.sync();
         }
-        p.ab.copy_from_slice(&buf);
+        p.ab.copy_from_slice(buf);
         ctx.gst((len + n * nrhs) * 8);
         ctx.sync();
-        ctx.smem.slice_mut(a_off, len).copy_from_slice(&buf);
+        ctx.smem.slice_mut(a_off, len).copy_from_slice(buf);
+        ctx.put_scratch(scratch);
         let _ = b_off;
     })
 }

@@ -74,12 +74,14 @@ use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::layout::BandLayout;
 use gbatch_core::scalar::Scalar;
 use gbatch_core::spike::{
-    assemble_reduced, assemble_reduced_rhs, assemble_truncated, augmented_rhs, extract_blocks,
-    extract_samples, SpikeCoupling, SpikePartition,
+    assemble_reduced, assemble_reduced_rhs, assemble_truncated, augmented_rhs_into,
+    extract_blocks_into, extract_samples, SpikeCoupling, SpikePartition,
 };
 use gbatch_gpu_sim::{
     launch, DeviceSpec, LaunchConfig, LaunchError, LaunchReport, ParallelPolicy, SimTime,
 };
+use std::any::Any;
+use std::cell::RefCell;
 
 // ---- Acceptance thresholds of the split driver ----
 
@@ -285,7 +287,7 @@ impl SpikeReport {
 }
 
 /// First forward-sweep step of each augmented column
-/// ([`augmented_rhs`]: `nrhs` true columns, `ku` right-spike, `kl`
+/// ([`gbatch_core::spike::augmented_rhs`]: `nrhs` true columns, `ku` right-spike, `kl`
 /// left-spike), the `first` of
 /// [`crate::gbtrs_blocked::gbtrs_batch_blocked_from`]. A right-spike
 /// column holds its `B` corner in the block's bottom `ku` true rows (and
@@ -418,9 +420,9 @@ struct CombineProb<'a, S> {
 /// vector in shared memory (each element broadcast-read once into
 /// registers), then runs the owned global row work. `g` supplies the
 /// block solutions (columns `0..nrhs`); `spikes` supplies the spike
-/// columns starting at `spike_off` (`ku` right then `kl` left). Returns
-/// the block solutions as one contiguous `block * nrhs` lane per
-/// partition.
+/// columns starting at `spike_off` (`ku` right then `kl` left). Writes
+/// the block solutions to `x` as one contiguous `block * nrhs` lane per
+/// partition ([`block_panel`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spike_combine_launch<S: Scalar>(
     dev: &DeviceSpec,
@@ -431,12 +433,13 @@ pub(crate) fn spike_combine_launch<S: Scalar>(
     nrhs: usize,
     y: &[S],
     params: &SpikeParams,
-) -> Result<(Vec<S>, LaunchReport), LaunchError> {
+    x: &mut Vec<S>,
+) -> Result<LaunchReport, LaunchError> {
     let (kl, ku, blk) = (part.kl, part.ku, part.block);
     let kb = kl + ku;
     let r = part.reduced_order();
     let slice_elems = kb * nrhs;
-    let mut x = vec![S::ZERO; part.parts * blk * nrhs];
+    block_panel(x, part, nrhs);
     let cfg = LaunchConfig::new(params.threads, combine_smem_bytes::<S>(kl, ku, nrhs) as u32)
         .with_parallel(params.parallel)
         .with_label("spike_combine")
@@ -446,7 +449,7 @@ pub(crate) fn spike_combine_launch<S: Scalar>(
         .enumerate()
         .map(|(p, x)| CombineProb { p, x })
         .collect();
-    let rep = launch(dev, &cfg, &mut probs, |pr, ctx| {
+    launch(dev, &cfg, &mut probs, |pr, ctx| {
         let p = pr.p;
         let len = part.len(p);
         let gb = g.block(p);
@@ -456,7 +459,8 @@ pub(crate) fn spike_combine_launch<S: Scalar>(
         // Stage the interface values this block consumes — `b_{p-1}` then
         // `t_{p+1}` per RHS column, zero-padded at the outer blocks so
         // every lane stages the same uniform slice.
-        let mut slice = vec![S::ZERO; slice_elems];
+        let mut scratch = ctx.take_scratch();
+        let slice = scratch.zeroed::<S>(slice_elems);
         for cc in 0..nrhs {
             if p > 0 {
                 for e in 0..kl {
@@ -502,12 +506,12 @@ pub(crate) fn spike_combine_launch<S: Scalar>(
                 pr.x[cc * blk + row] = val;
             }
         }
+        ctx.put_scratch(scratch);
         ctx.gld(len * (nrhs + ku + kl) * S::BYTES);
         ctx.par_work(len * nrhs * (ku + kl), 2);
         ctx.gst(len * nrhs * S::BYTES);
         ctx.sync();
-    })?;
-    Ok((x, rep))
+    })
 }
 
 struct ResidProb<'a, S> {
@@ -518,8 +522,8 @@ struct ResidProb<'a, S> {
 /// Device residual `r = f - A x` over the block rows: one block per
 /// partition, entirely lane-private (no shared memory, no barriers — the
 /// access-model registry records it template-free). `x` and `f` are
-/// column-major `n x nrhs`; the residual comes back as one contiguous
-/// `block * nrhs` lane per partition.
+/// column-major `n x nrhs`; the residual goes to `res` as one contiguous
+/// `block * nrhs` lane per partition ([`block_panel`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spike_residual_launch<S: Scalar>(
     dev: &DeviceSpec,
@@ -530,10 +534,11 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
     f: &[S],
     nrhs: usize,
     params: &SpikeParams,
-) -> Result<(Vec<S>, LaunchReport), LaunchError> {
+    res: &mut Vec<S>,
+) -> Result<LaunchReport, LaunchError> {
     let (kl, ku, blk, n) = (part.kl, part.ku, part.block, part.n);
     let aref = a.matrix(lane);
-    let mut res = vec![S::ZERO; part.parts * blk * nrhs];
+    block_panel(res, part, nrhs);
     let cfg = LaunchConfig::new(params.threads, 0)
         .with_parallel(params.parallel)
         .with_label("spike_residual")
@@ -545,7 +550,7 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
         .collect();
     // Row `i` of the band runs through the array with stride `ldab - 1`.
     let (band, ldab) = (aref.data, aref.layout.ldab);
-    let rep = launch(dev, &cfg, &mut probs, |pr, ctx| {
+    launch(dev, &cfg, &mut probs, |pr, ctx| {
         let s = part.start(pr.p);
         let len = part.len(pr.p);
         for row in 0..len {
@@ -565,8 +570,7 @@ pub(crate) fn spike_residual_launch<S: Scalar>(
             ctx.par_work((j1 - j0) * nrhs, 2);
         }
         ctx.gst(len * nrhs * S::BYTES);
-    })?;
-    Ok((res, rep))
+    })
 }
 
 /// Record a blocked solve run in `groups` column groups per system as
@@ -690,6 +694,14 @@ struct LaneState<S: Scalar> {
 }
 
 impl<S: Scalar> LaneState<S> {
+    /// Hand the lane's large buffers back for the next lane.
+    fn recycle(self, bufs: &mut LaneBufs<S>) {
+        bufs.f = self.f;
+        bufs.blocks = self.blocks.into_vec();
+        bufs.bpiv = self.bpiv.into_vec();
+        bufs.aug = self.aug.into_vec();
+    }
+
     fn g(&self, p: usize, row: usize, c: usize) -> S {
         self.aug.get(p, row, c)
     }
@@ -721,6 +733,66 @@ impl<S: Scalar> LaneState<S> {
             }
         }
         m
+    }
+}
+
+/// The split path's large host buffers: the lane's right-hand side, its
+/// block batch and pivots, the augmented RHS, and the solution, residual
+/// and correction panels. One set serves every lane of a call, a sized
+/// attempt and its exact rerun, and every later call of the same
+/// precision on the thread ([`LaneBufs::take`]), so a lane pays neither
+/// allocation nor fresh page faults for them. Each is resized before use
+/// and written in full, or has its structural zeros written, before any
+/// kernel reads it.
+#[derive(Default)]
+struct LaneBufs<S: Scalar> {
+    f: Vec<S>,
+    blocks: Vec<S>,
+    bpiv: Vec<i32>,
+    aug: Vec<S>,
+    /// Block-laid combine output.
+    xb: Vec<S>,
+    /// Column-major `n x nrhs` solution.
+    x: Vec<S>,
+    /// Block-laid residual, then the refinement RHS.
+    res: Vec<S>,
+    /// Block-laid refinement correction.
+    dxb: Vec<S>,
+}
+
+thread_local! {
+    /// Each thread's idle [`LaneBufs`], at most one set per precision.
+    static IDLE_BUFS: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl<S: Scalar> LaneBufs<S> {
+    /// This thread's idle buffers of precision `S`, or empty ones.
+    fn take() -> Self {
+        IDLE_BUFS.with_borrow_mut(|idle| {
+            let i = idle.iter().position(|b| b.is::<Self>());
+            i.and_then(|i| idle.swap_remove(i).downcast().ok())
+                .map_or_else(Self::default, |b| *b)
+        })
+    }
+
+    /// Keep the buffers for this thread's next call.
+    fn keep(self) {
+        IDLE_BUFS.with_borrow_mut(|idle| idle.push(Box::new(self)));
+    }
+}
+
+/// Size a block-laid panel (`block * nrhs` per part, `block` rows per
+/// column) for `part` and zero the pad rows of short blocks, which no
+/// kernel writes but norms and sweeps read. The other rows keep what
+/// they held; the caller writes them.
+fn block_panel<S: Scalar>(v: &mut Vec<S>, part: &SpikePartition, nrhs: usize) {
+    let blk = part.block;
+    v.resize(part.parts * blk * nrhs, S::ZERO);
+    for (p, lane) in v.chunks_exact_mut(blk * nrhs).enumerate() {
+        let len = part.len(p);
+        for col in lane.chunks_exact_mut(blk) {
+            col[len..].fill(S::ZERO);
+        }
     }
 }
 
@@ -808,6 +880,7 @@ fn run_split<S: Scalar>(
     let mut probes = Vec::new();
     let mut outcomes = Vec::with_capacity(batch);
     let mut lanes = Vec::with_capacity(batch);
+    let mut bufs = LaneBufs::take();
     for lane in 0..batch {
         let mut io = LaneIo {
             a: &mut *a,
@@ -824,7 +897,7 @@ fn run_split<S: Scalar>(
         let mut abandoned = None;
         if let Some(sp) = sized {
             let sp_part = SpikePartition::new(l.n, l.kl, l.ku, sp.parts);
-            if let Some(oc) = sized_attempt(dev, &mut io, &sp_part, &sp, &mut ran)? {
+            if let Some(oc) = sized_attempt(dev, &mut io, &sp_part, &sp, &mut ran, &mut bufs)? {
                 outcomes.push(oc);
                 lanes.push(SpikeLanePlan {
                     parts: sp_part.parts,
@@ -835,13 +908,16 @@ fn run_split<S: Scalar>(
             }
             abandoned = Some((sp_part.parts, sp.nb));
         }
-        outcomes.push(solve_lane(dev, &mut io, &part, &params, &mut ran)?);
+        outcomes.push(solve_lane(
+            dev, &mut io, &part, &params, &mut ran, &mut bufs,
+        )?);
         lanes.push(SpikeLanePlan {
             parts: part.parts,
             nb: params.nb,
             abandoned,
         });
     }
+    bufs.keep();
     let probe_launches = probes.len();
     probes.append(&mut ran);
     Ok(SpikeReport {
@@ -996,20 +1072,21 @@ fn sized_attempt<S: Scalar>(
     part: &SpikePartition,
     params: &SpikeParams,
     ran: &mut Vec<Launch>,
+    bufs: &mut LaneBufs<S>,
 ) -> Result<Option<SpikeOutcome>, LaunchError> {
-    let Some(st) = split_front(dev, io, part, params, ran)? else {
+    let Some(st) = split_front(dev, io, part, params, ran, bufs)? else {
         return Ok(None);
     };
-    if st.dropped_coupling() > DECAY_BOUND {
-        return Ok(None);
+    let outcome = if st.dropped_coupling() > DECAY_BOUND {
+        None
+    } else {
+        truncated_solve(dev, io, &st, params, ran, bufs)?.ok()
+    };
+    if outcome.is_some() {
+        write_back(io, part, &st);
     }
-    Ok(match truncated_solve(dev, io, &st, params, ran)? {
-        Ok(oc) => {
-            write_back(io, part, &st);
-            Some(oc)
-        }
-        Err(_) => None,
-    })
+    st.recycle(bufs);
+    Ok(outcome)
 }
 
 fn solve_lane<S: Scalar>(
@@ -1018,35 +1095,37 @@ fn solve_lane<S: Scalar>(
     part: &SpikePartition,
     params: &SpikeParams,
     ran: &mut Vec<Launch>,
+    bufs: &mut LaneBufs<S>,
 ) -> Result<SpikeOutcome, LaunchError> {
     let front = if part.parts == 1 {
         None
     } else {
-        split_front(dev, io, part, params, ran)?
+        split_front(dev, io, part, params, ran, bufs)?
     };
     let Some(st) = front else {
-        unsplit_lane(dev, io, params, ran)?;
+        unsplit_lane(dev, io, params, ran, bufs)?;
         return Ok(SpikeOutcome::Unsplit);
     };
 
     // Mode choice from the spike decay, then the reduced solve.
     let truncate = params.mode == SpikeMode::Truncated && st.dropped_coupling() <= DECAY_BOUND;
     let outcome = if truncate {
-        match truncated_solve(dev, io, &st, params, ran)? {
+        match truncated_solve(dev, io, &st, params, ran, bufs)? {
             Ok(oc) => Some(oc),
-            Err(refine_iters) => exact_solve(dev, io, &st, params, ran)?
+            Err(refine_iters) => exact_solve(dev, io, &st, params, ran, bufs)?
                 .then_some(SpikeOutcome::ExactFallback { refine_iters }),
         }
     } else {
-        exact_solve(dev, io, &st, params, ran)?.then_some(SpikeOutcome::Exact)
+        exact_solve(dev, io, &st, params, ran, bufs)?.then_some(SpikeOutcome::Exact)
     };
+    if outcome.is_some() {
+        write_back(io, part, &st);
+    }
+    st.recycle(bufs);
     match outcome {
-        Some(oc) => {
-            write_back(io, part, &st);
-            Ok(oc)
-        }
+        Some(oc) => Ok(oc),
         None => {
-            unsplit_lane(dev, io, params, ran)?;
+            unsplit_lane(dev, io, params, ran, bufs)?;
             Ok(SpikeOutcome::Unsplit)
         }
     }
@@ -1062,18 +1141,20 @@ fn split_front<S: Scalar>(
     part: &SpikePartition,
     params: &SpikeParams,
     ran: &mut Vec<Launch>,
+    bufs: &mut LaneBufs<S>,
 ) -> Result<Option<LaneState<S>>, LaunchError> {
     let n = part.n;
     let nrhs = io.rhs.nrhs();
 
     // Gather the lane's RHS as a dense column-major n x nrhs panel (host
     // assembly pass, unpriced — same convention as the serve lane gather).
-    let mut f = vec![S::ZERO; n * nrhs];
+    let mut f = std::mem::take(&mut bufs.f);
+    f.clear();
     {
         let b = io.rhs.block(io.lane);
         let ldb = io.rhs.ldb();
         for c in 0..nrhs {
-            f[c * n..(c + 1) * n].copy_from_slice(&b[c * ldb..c * ldb + n]);
+            f.extend_from_slice(&b[c * ldb..c * ldb + n]);
         }
     }
 
@@ -1083,19 +1164,31 @@ fn split_front<S: Scalar>(
 
     // (2) All P diagonal blocks factor concurrently as one batched
     // window launch.
-    let mut blocks = extract_blocks(&io.a.matrix(io.lane), part).expect("valid block batch");
-    let bl = blocks.layout();
-    let mut bpiv = PivotBatch::new(part.parts, part.block, part.block);
+    let bl = part.block_layout().expect("valid block layout");
+    let mut data = std::mem::take(&mut bufs.blocks);
+    data.resize(bl.len() * part.parts, S::ZERO);
+    extract_blocks_into(&io.a.matrix(io.lane), part, &mut data);
+    let mut blocks = BandBatch::from_vec(bl, part.parts, data);
+    let mut pv = std::mem::take(&mut bufs.bpiv);
+    pv.resize(part.parts * part.block, 0);
+    let mut bpiv = PivotBatch::from_vec(part.parts, part.block, part.block, pv);
     let mut binfo = InfoArray::new(part.parts);
     let rep = gbtrf_batch_window(dev, &mut blocks, &mut bpiv, &mut binfo, params.window(&bl))?;
     ran.push(Launch::ran(Kernel::Window, &rep, 1));
     if !binfo.all_ok() {
+        bufs.f = f;
+        bufs.blocks = blocks.into_vec();
+        bufs.bpiv = bpiv.into_vec();
         return Ok(None);
     }
 
     // (3) One blocked solve over the augmented RHS yields g, V and W; the
     // right-spike columns skip the sweep steps above their corner.
-    let mut aug = augmented_rhs(part, &coupling, &f, nrhs).expect("valid augmented rhs");
+    let naug = nrhs + part.ku + part.kl;
+    let mut data = std::mem::take(&mut bufs.aug);
+    data.resize(part.parts * part.block * naug, S::ZERO);
+    augmented_rhs_into(part, &coupling, &f, nrhs, &mut data);
+    let mut aug = RhsBatch::from_vec(part.parts, part.block, naug, data);
     let first = augmented_starts(part, nrhs);
     let (first, factors) = (Some(&first[..]), blocks.data());
     sweep(dev, &bl, factors, &bpiv, &mut aug, first, params, ran)?;
@@ -1120,6 +1213,7 @@ fn exact_solve<S: Scalar>(
     st: &LaneState<S>,
     params: &SpikeParams,
     ran: &mut Vec<Launch>,
+    bufs: &mut LaneBufs<S>,
 ) -> Result<bool, LaunchError> {
     let (part, f) = (&st.part, &st.f);
     let reduced = assemble_reduced(
@@ -1133,20 +1227,31 @@ fn exact_solve<S: Scalar>(
     };
     let mut y = assemble_reduced_rhs(part, |p, row, c| st.g(p, row, c), st.nrhs);
     solve_reduced(dev, &lu, &mut y, st.nrhs, params, ran)?;
-    let (xb, rep) =
-        spike_combine_launch(dev, part, &st.aug, &st.aug, st.nrhs, st.nrhs, &y, params)?;
+    let nrhs = st.nrhs;
+    let rep = spike_combine_launch(
+        dev,
+        part,
+        &st.aug,
+        &st.aug,
+        nrhs,
+        nrhs,
+        &y,
+        params,
+        &mut bufs.xb,
+    )?;
     ran.push(Launch::ran(Kernel::Combine, &rep, 1));
     // Residual guard on a scratch panel: the exact split answer must be
     // as good as a direct solve before it is committed. The lane's RHS
     // still holds the original right-hand side on the `false` path,
     // which the unsplit fallback consumes verbatim.
-    let x = unpack_block_solution(part, st.nrhs, &xb);
-    let (res, rep) = spike_residual_launch(dev, io.a, io.lane, part, &x, f, st.nrhs, params)?;
+    unpack_block_solution(part, nrhs, &bufs.xb, &mut bufs.x);
+    let (x, res) = (&bufs.x, &mut bufs.res);
+    let rep = spike_residual_launch(dev, io.a, io.lane, part, x, f, nrhs, params, res)?;
     ran.push(Launch::ran(Kernel::Residual, &rep, 1));
-    if inf_norm(&res) > exact_guard(inf_norm(f)) {
+    if inf_norm(res) > exact_guard(inf_norm(f)) {
         return Ok(false);
     }
-    write_lane(io.rhs, io.lane, st.nrhs, &x);
+    write_lane(io.rhs, io.lane, nrhs, x);
     Ok(true)
 }
 
@@ -1161,6 +1266,7 @@ fn truncated_solve<S: Scalar>(
     st: &LaneState<S>,
     params: &SpikeParams,
     ran: &mut Vec<Launch>,
+    bufs: &mut LaneBufs<S>,
 ) -> Result<Result<SpikeOutcome, usize>, LaunchError> {
     let (part, f) = (&st.part, &st.f);
     let (n, blk) = (part.n, part.block);
@@ -1178,18 +1284,29 @@ fn truncated_solve<S: Scalar>(
     // Initial truncated solve from the already-computed g.
     let mut y = assemble_reduced_rhs(part, |p, row, c| st.g(p, row, c), nrhs);
     solve_reduced(dev, &lu, &mut y, nrhs, params, ran)?;
-    let (xb, rep) = spike_combine_launch(dev, part, &st.aug, &st.aug, nrhs, nrhs, &y, params)?;
+    let rep = spike_combine_launch(
+        dev,
+        part,
+        &st.aug,
+        &st.aug,
+        nrhs,
+        nrhs,
+        &y,
+        params,
+        &mut bufs.xb,
+    )?;
     ran.push(Launch::ran(Kernel::Combine, &rep, 1));
-    let mut x = unpack_block_solution(part, nrhs, &xb);
+    unpack_block_solution(part, nrhs, &bufs.xb, &mut bufs.x);
 
     let tol = truncated_tol(inf_norm(f));
     let mut prev = S::from_f64(f64::INFINITY);
     for iter in 0..=params.max_refine {
-        let (res, rep) = spike_residual_launch(dev, io.a, io.lane, part, &x, f, nrhs, params)?;
+        let (x, res) = (&bufs.x, &mut bufs.res);
+        let rep = spike_residual_launch(dev, io.a, io.lane, part, x, f, nrhs, params, res)?;
         ran.push(Launch::ran(Kernel::Residual, &rep, 1));
-        let rnorm = inf_norm(&res);
+        let rnorm = inf_norm(res);
         if rnorm <= tol {
-            write_lane(io.rhs, io.lane, nrhs, &x);
+            write_lane(io.rhs, io.lane, nrhs, x);
             return Ok(Ok(SpikeOutcome::Truncated { refine_iters: iter }));
         }
         // Stall detection: refinement must keep contracting or the lane
@@ -1200,17 +1317,9 @@ fn truncated_solve<S: Scalar>(
             return Ok(Err(iter));
         }
         prev = rnorm;
-        // Preconditioner application: dx = M^{-1} r.
-        let mut rb = RhsBatch::zeros(part.parts, blk, nrhs).expect("valid refinement rhs");
-        for p in 0..part.parts {
-            let len = part.len(p);
-            let dst = rb.block_mut(p);
-            for c in 0..nrhs {
-                dst[c * blk..c * blk + len].copy_from_slice(
-                    &res[p * blk * nrhs + c * blk..p * blk * nrhs + c * blk + len],
-                );
-            }
-        }
+        // Preconditioner application: dx = M^{-1} r. The block-laid
+        // residual, pad rows zero, is the refinement RHS as it stands.
+        let mut rb = RhsBatch::from_vec(part.parts, blk, nrhs, std::mem::take(&mut bufs.res));
         let bl = st.blocks.layout();
         sweep(
             dev,
@@ -1224,14 +1333,16 @@ fn truncated_solve<S: Scalar>(
         )?;
         let mut yr = assemble_reduced_rhs(part, |p, row, c| rb.get(p, row, c), nrhs);
         solve_reduced(dev, &lu, &mut yr, nrhs, params, ran)?;
-        let (dxb, rep) = spike_combine_launch(dev, part, &rb, &st.aug, nrhs, nrhs, &yr, params)?;
+        let dxb = &mut bufs.dxb;
+        let rep = spike_combine_launch(dev, part, &rb, &st.aug, nrhs, nrhs, &yr, params, dxb)?;
         ran.push(Launch::ran(Kernel::Combine, &rep, 1));
+        bufs.res = rb.into_vec();
         for p in 0..part.parts {
             let s = part.start(p);
             let len = part.len(p);
             for c in 0..nrhs {
                 for row in 0..len {
-                    x[c * n + s + row] += dxb[p * blk * nrhs + c * blk + row];
+                    bufs.x[c * n + s + row] += bufs.dxb[p * blk * nrhs + c * blk + row];
                 }
             }
         }
@@ -1247,14 +1358,16 @@ fn unsplit_lane<S: Scalar>(
     io: &mut LaneIo<'_, S>,
     params: &SpikeParams,
     ran: &mut Vec<Launch>,
+    bufs: &mut LaneBufs<S>,
 ) -> Result<(), LaunchError> {
     let (lane, l) = (io.lane, io.a.layout());
     let n = l.n;
     let nrhs = io.rhs.nrhs();
     let stride = io.a.matrix_stride();
-    let mut one = BandBatch::zeros_with_layout(l, 1).expect("valid lane batch");
-    one.data_mut()
-        .copy_from_slice(&io.a.data()[lane * stride..(lane + 1) * stride]);
+    let mut data = std::mem::take(&mut bufs.blocks);
+    data.clear();
+    data.extend_from_slice(&io.a.data()[lane * stride..(lane + 1) * stride]);
+    let mut one = BandBatch::from_vec(l, 1, data);
     let mut opiv = PivotBatch::new(1, n, n);
     let mut oinfo = InfoArray::new(1);
     let rep = gbtrf_batch_window(dev, &mut one, &mut opiv, &mut oinfo, params.window(&l))?;
@@ -1262,29 +1375,28 @@ fn unsplit_lane<S: Scalar>(
     io.a.data_mut()[lane * stride..(lane + 1) * stride].copy_from_slice(one.data());
     io.piv.pivots_mut(lane).copy_from_slice(opiv.pivots(0));
     io.info.set(lane, oinfo.get(0));
-    if oinfo.get(0) != 0 {
-        return Ok(()); // gbsv convention: no solve over singular factors
-    }
-    let mut orhs = RhsBatch::zeros(1, n, nrhs).expect("valid lane rhs");
-    {
-        let src = io.rhs.block(lane);
-        let ldb = io.rhs.ldb();
-        let dst = orhs.block_mut(0);
+    if oinfo.get(0) == 0 {
+        let mut data = std::mem::take(&mut bufs.x);
+        data.clear();
+        let (src, ldb) = (io.rhs.block(lane), io.rhs.ldb());
         for c in 0..nrhs {
-            dst[c * n..(c + 1) * n].copy_from_slice(&src[c * ldb..c * ldb + n]);
+            data.extend_from_slice(&src[c * ldb..c * ldb + n]);
         }
-    }
-    let rep = gbtrs_batch_blocked(dev, &l, one.data(), &opiv, &mut orhs, params.solve(&l))?;
-    record_solve(ran, &rep, 1);
-    write_lane(io.rhs, lane, nrhs, orhs.block(0));
+        let mut orhs = RhsBatch::from_vec(1, n, nrhs, data);
+        let rep = gbtrs_batch_blocked(dev, &l, one.data(), &opiv, &mut orhs, params.solve(&l))?;
+        record_solve(ran, &rep, 1);
+        write_lane(io.rhs, lane, nrhs, orhs.block(0));
+        bufs.x = orhs.into_vec();
+    } // else the gbsv convention: no solve over singular factors
+    bufs.blocks = one.into_vec();
     Ok(())
 }
 
-/// Unpack per-block combine output (stride `block` per part) into a
-/// dense column-major `n x nrhs` panel.
-fn unpack_block_solution<S: Scalar>(part: &SpikePartition, nrhs: usize, xb: &[S]) -> Vec<S> {
+/// Unpack per-block combine output (stride `block` per part) into the
+/// dense column-major `n x nrhs` panel `x`, every element written.
+fn unpack_block_solution<S: Scalar>(part: &SpikePartition, nrhs: usize, xb: &[S], x: &mut Vec<S>) {
     let (n, blk) = (part.n, part.block);
-    let mut x = vec![S::ZERO; n * nrhs];
+    x.resize(n * nrhs, S::ZERO);
     for p in 0..part.parts {
         let s = part.start(p);
         let len = part.len(p);
@@ -1293,7 +1405,6 @@ fn unpack_block_solution<S: Scalar>(part: &SpikePartition, nrhs: usize, xb: &[S]
                 .copy_from_slice(&xb[p * blk * nrhs + c * blk..p * blk * nrhs + c * blk + len]);
         }
     }
-    x
 }
 
 /// Write a dense column-major panel into a lane's RHS columns.
@@ -1555,7 +1666,7 @@ mod tests {
         assert_eq!(rep.parts, parts);
         // Factors must equal an independent per-block factorization.
         let part = SpikePartition::new(n, kl, ku, parts);
-        let mut blocks = extract_blocks(&a0.matrix(0), &part).unwrap();
+        let mut blocks = gbatch_core::spike::extract_blocks(&a0.matrix(0), &part).unwrap();
         let bl = blocks.layout();
         let mut bp = PivotBatch::new(part.parts, part.block, part.block);
         for p in 0..part.parts {

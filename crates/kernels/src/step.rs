@@ -208,8 +208,8 @@ pub fn smem_column_step<S: Scalar>(
                 t.striped_write(base + 1, km, threads);
             }
             let inv = S::ONE / w.data[base];
-            for k in 1..=km {
-                w.data[base + k] *= inv;
+            for x in &mut w.data[base + 1..=base + km] {
+                *x *= inv;
             }
             ctx.smem_work(km, 1);
             ctx.smem_trip();
@@ -229,17 +229,27 @@ pub fn smem_column_step<S: Scalar>(
                         }
                     }
                 }
-                for c in 1..=(ju - j) {
-                    let u = w.get(kv - c, j + c);
+                // Band row `kv - c` of column `j + c` sits `c * (ldab - 1)`
+                // past the pivot: one region holds the multipliers and
+                // every updated column, each past the multipliers.
+                let stride = w.ldab - 1;
+                let cols = ju - j;
+                if cfg!(any(debug_assertions, feature = "verify")) {
+                    // The provenance gate of every updated column.
+                    for c in 1..=cols {
+                        assert_eq!(w.idx(kv - c, j + c), src + c * stride);
+                    }
+                }
+                let region = &mut w.data[src..=src + cols * stride + km];
+                let (mult, rest) = region.split_at_mut(km + 1);
+                let mult = &mult[1..];
+                for c in 1..=cols {
+                    let d = c * stride - (km + 1);
+                    let u = rest[d];
                     if u == S::ZERO {
                         continue;
                     }
-                    // Column `j + c` lies past column `j`'s multipliers, so
-                    // the two ranges are disjoint slices.
-                    let dst = w.idx(kv - c, j + c);
-                    let (head, tail) = w.data.split_at_mut(dst + 1);
-                    let mult = &head[src + 1..=src + km];
-                    for (x, &m) in tail[..km].iter_mut().zip(mult) {
+                    for (x, &m) in rest[d + 1..=d + km].iter_mut().zip(mult) {
                         *x -= m * u;
                     }
                 }

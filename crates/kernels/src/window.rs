@@ -160,15 +160,17 @@ fn window_body<S: Scalar>(
     let wlen = wcols * ldab;
 
     let _off = ctx.smem.alloc_scalar(wlen, S::BYTES);
-    let mut buf = vec![S::ZERO; wlen];
+    // Every window column is loaded before it is read.
+    let mut scratch = ctx.take_scratch();
+    let buf = scratch.stale::<S>(wlen);
 
     // Initial fill of the window.
     let mut loaded_end = wcols.min(n);
-    load_cols(l, p.ab, &mut buf, 0, 0, loaded_end, ctx);
+    load_cols(l, p.ab, buf, 0, 0, loaded_end, ctx);
     ctx.sync();
     {
         let mut w = SmemBand {
-            data: &mut buf,
+            data: &mut *buf,
             ldab,
             col0: 0,
             width: loaded_end,
@@ -183,7 +185,7 @@ fn window_body<S: Scalar>(
         let jb = nb.min(kmin - j0);
         {
             let mut w = SmemBand {
-                data: &mut buf,
+                data: &mut *buf,
                 ldab,
                 col0: j0,
                 width: loaded_end - j0,
@@ -194,7 +196,7 @@ fn window_body<S: Scalar>(
             }
         }
         // Write the factored columns back.
-        store_cols(l, p.ab, &buf, 0, j0, j0 + jb, ctx);
+        store_cols(l, p.ab, buf, 0, j0, j0 + jb, ctx);
         ctx.sync();
 
         let next_j0 = j0 + jb;
@@ -203,7 +205,7 @@ fn window_body<S: Scalar>(
             // fill-in zeroing but will not themselves be factored (the
             // wide-matrix case, n > m).
             if loaded_end > next_j0 {
-                store_cols(l, p.ab, &buf, jb, next_j0, loaded_end, ctx);
+                store_cols(l, p.ab, buf, jb, next_j0, loaded_end, ctx);
             }
             break;
         }
@@ -231,20 +233,13 @@ fn window_body<S: Scalar>(
         // Load the next columns into the tail of the window.
         let new_end = (next_j0 + wcols).min(n);
         if new_end > loaded_end {
-            load_cols(
-                l,
-                p.ab,
-                &mut buf,
-                loaded_end - next_j0,
-                loaded_end,
-                new_end,
-                ctx,
-            );
+            load_cols(l, p.ab, buf, loaded_end - next_j0, loaded_end, new_end, ctx);
             loaded_end = new_end;
         }
         ctx.sync();
         j0 = next_j0;
     }
+    ctx.put_scratch(scratch);
     *p.info = st.info;
     ctx.gst(kmin * std::mem::size_of::<i32>()); // pivot vector write-back
 }
@@ -319,13 +314,14 @@ pub fn gbtrf_batch_window_relaunch<S: Scalar>(
             let wcols = window_cols(l.kl, l.ku, params.nb).min(l.n - j0);
             let wlen = wcols * ldab;
             let _off = ctx.smem.alloc_scalar(wlen, S::BYTES);
-            let mut buf = vec![S::ZERO; wlen];
+            let mut scratch = ctx.take_scratch();
+            let buf = scratch.stale::<S>(wlen);
             let loaded_end = (j0 + wcols).min(l.n);
-            load_cols(&l, p.ab, &mut buf, 0, j0, loaded_end, ctx);
+            load_cols(&l, p.ab, buf, 0, j0, loaded_end, ctx);
             ctx.sync();
             {
                 let mut w = SmemBand {
-                    data: &mut buf,
+                    data: &mut *buf,
                     ldab,
                     col0: j0,
                     width: loaded_end - j0,
@@ -341,7 +337,8 @@ pub fn gbtrf_batch_window_relaunch<S: Scalar>(
             // Without a persistent window, everything loaded must go back
             // (updates and fill-in zeroing may have touched any resident
             // column) — the redundant traffic the in-kernel shift avoids.
-            store_cols(&l, p.ab, &buf, 0, j0, loaded_end, ctx);
+            store_cols(&l, p.ab, buf, 0, j0, loaded_end, ctx);
+            ctx.put_scratch(scratch);
             ctx.sync();
             let _ = kv;
         })?;

@@ -33,6 +33,7 @@ use gbatch::kernels::interleaved::{
 };
 use gbatch::kernels::reference::gbtrf_batch_reference;
 use gbatch::kernels::spike::{spike_gbsv_batch, SpikeMode, SpikeParams};
+#[cfg(debug_assertions)]
 use gbatch::kernels::step::SmemBand;
 use gbatch::kernels::window::{gbtrf_batch_window, gbtrf_batch_window_relaunch, WindowParams};
 
