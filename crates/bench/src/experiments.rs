@@ -543,103 +543,14 @@ pub fn tuning_sweep(p: &Platforms) -> String {
     out
 }
 
-/// Beyond-the-paper extensions report: specialized ("JIT") kernels,
-/// SPD Cholesky, the streamed-GBSV counterfactual, multi-GCD.
+/// Beyond-the-paper extensions report: the streamed-GBSV
+/// counterfactual and multi-GCD.
 pub fn extensions(p: &Platforms) -> String {
     use gbatch_core::layout::BandLayout;
     use gbatch_gpu_sim::multi::DeviceGroup;
     let mut out = String::new();
 
-    // 1. Specialized register kernels vs the generic window (both GPUs).
-    out.push_str(
-        "# Band-specialized (JIT-style) kernels vs generic window, (kl,ku)=(2,3), n=256\n",
-    );
-    for (dev, _) in p.gpus() {
-        let mut rng = seeded(256, 2, 3, 41);
-        let a0 = random_band_batch(&mut rng, EXEC_BATCH, 256, 2, 3, BandDistribution::Uniform);
-        let mut a1 = a0.clone();
-        let mut p1 = PivotBatch::new(EXEC_BATCH, 256, 256);
-        let mut i1 = InfoArray::new(EXEC_BATCH);
-        let spec =
-            gbatch_kernels::specialized::specialized_gbtrf(dev, &mut a1, &mut p1, &mut i1, 32)
-                .expect("compiled shape")
-                .expect("launch");
-        let mut a2 = a0.clone();
-        let mut p2 = PivotBatch::new(EXEC_BATCH, 256, 256);
-        let mut i2 = InfoArray::new(EXEC_BATCH);
-        let gen = gbtrf_batch_window(
-            dev,
-            &mut a2,
-            &mut p2,
-            &mut i2,
-            p.window_params(dev, 2, 3)
-                .unwrap_or_else(|| WindowParams::auto(dev, 2)),
-        )
-        .expect("launch");
-        assert_eq!(a1.data(), a2.data());
-        out.push_str(&format!(
-            "  {:<26} specialized {:.4} ms vs window {:.4} ms -> {:.2}x\n",
-            dev.name,
-            spec.time.ms(),
-            gen.time.ms(),
-            gen.time.secs() / spec.time.secs()
-        ));
-    }
-
-    // 2. SPD Cholesky vs LU on an XGC-like symmetric batch.
-    out.push_str("# SPD Cholesky vs LU, n=192, kd=9 (XGC-like)\n");
-    for (dev, _) in p.gpus() {
-        let a0 = gbatch_kernels::pbtrf::PbBatch::from_fn(EXEC_BATCH, 192, 9, |id, l, ab| {
-            let mut v = 0.17 + id as f64 * 1e-3;
-            for j in 0..192 {
-                let kn = 9usize.min(191 - j);
-                let mut sum = 0.0;
-                for k in 1..=kn {
-                    v = (v * 2.3 + 0.083) % 1.0;
-                    ab[l.idx(j + k, j)] = v - 0.5;
-                    sum += (v - 0.5f64).abs();
-                }
-                ab[l.idx(j, j)] = 2.0 * sum + 2.0;
-            }
-        });
-        let mut a = a0.clone();
-        let mut info = InfoArray::new(EXEC_BATCH);
-        let chol = gbatch_kernels::pbtrf::pbtrf_batch_window(dev, &mut a, &mut info, 8, 32)
-            .expect("launch");
-        let mut g = BandBatch::from_fn(EXEC_BATCH, 192, 192, 9, 9, |id, m| {
-            let l = a0.layout();
-            let ab = a0.matrix(id);
-            for j in 0..192 {
-                let kn = 9usize.min(191 - j);
-                m.set(j, j, ab[l.idx(j, j)]);
-                for k in 1..=kn {
-                    m.set(j + k, j, ab[l.idx(j + k, j)]);
-                    m.set(j, j + k, ab[l.idx(j + k, j)]);
-                }
-            }
-        })
-        .unwrap();
-        let mut piv = PivotBatch::new(EXEC_BATCH, 192, 192);
-        let mut ginfo = InfoArray::new(EXEC_BATCH);
-        let lu = gbtrf_batch_window(
-            dev,
-            &mut g,
-            &mut piv,
-            &mut ginfo,
-            p.window_params(dev, 9, 9)
-                .unwrap_or_else(|| WindowParams::auto(dev, 9)),
-        )
-        .expect("launch");
-        out.push_str(&format!(
-            "  {:<26} Cholesky {:.4} ms vs LU {:.4} ms -> {:.2}x\n",
-            dev.name,
-            chol.time.ms(),
-            lu.time.ms(),
-            lu.time.secs() / chol.time.secs()
-        ));
-    }
-
-    // 3. The streamed counterfactual: the paper notes a stream-based
+    // 1. The streamed counterfactual: the paper notes a stream-based
     // batched GBSV "is not possible since the band matrix processing is
     // absent from the single matrix API" — our simulator can price the
     // hypothetical anyway: one fused-GBSV kernel per matrix over 16
@@ -686,7 +597,7 @@ pub fn extensions(p: &Platforms) -> String {
         ));
     }
 
-    // 4. Multi-GCD MI250x: visible once the batch needs multiple waves
+    // 2. Multi-GCD MI250x: visible once the batch needs multiple waves
     // (a wave-saturating configuration — big batch, wide band).
     out.push_str("# Full MI250x (2 GCDs) vs a single GCD, GBTRF (10,7), n=512, batch 8000\n");
     {

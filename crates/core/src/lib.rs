@@ -76,7 +76,6 @@ pub mod gbtrf;
 pub mod gbtrs;
 pub mod lanes;
 pub mod layout;
-pub mod pb;
 pub mod residual;
 pub mod scalar;
 pub mod shape;

@@ -80,9 +80,6 @@ pub struct DeviceSpec {
     /// shared-memory-bound work (the effective divisor of `smem_work` is
     /// `min(threads, lds_lanes)`).
     pub lds_lanes: u32,
-    /// 32-bit registers per SM (occupancy limiter for register-blocked
-    /// kernels such as the §8.1-style specialized factorizations).
-    pub registers_per_sm: u32,
 }
 
 impl DeviceSpec {
@@ -117,7 +114,6 @@ impl DeviceSpec {
             fp64_lanes_per_sm: 64,
             work_scale: 175.0,
             lds_lanes: 32,
-            registers_per_sm: 65536,
         }
     }
 
@@ -151,7 +147,6 @@ impl DeviceSpec {
             fp64_lanes_per_sm: 64,
             work_scale: 120.0,
             lds_lanes: 8,
-            registers_per_sm: 65536,
         }
     }
 
@@ -179,7 +174,6 @@ impl DeviceSpec {
             fp64_lanes_per_sm: 8,
             work_scale: 1.0,
             lds_lanes: 8,
-            registers_per_sm: 4096,
         }
     }
 

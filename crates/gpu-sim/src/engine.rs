@@ -16,23 +16,19 @@ use crate::counters::KernelCounters;
 use crate::device::DeviceSpec;
 use crate::executor::{execute_blocks, ParallelPolicy};
 use crate::hazard::{global_mode, HazardMode, HazardReport};
-use crate::occupancy::{occupancy_with_regs, Occupancy};
+use crate::occupancy::{occupancy, Occupancy};
 use crate::resident::EngineMode;
 use crate::timing::{estimate, FlopPrecision, SimTime};
 
-/// Launch configuration: threads per block, dynamic shared memory,
-/// (for register-blocked kernels) registers per thread, and the host
-/// scheduling policy. The grid size is implied by the problem slice
-/// length.
+/// Launch configuration: threads per block, dynamic shared memory and
+/// the host scheduling policy. The grid size is implied by the problem
+/// slice length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Threads per block.
     pub threads: u32,
     /// Dynamic shared memory per block, in bytes.
     pub smem_bytes: u32,
-    /// 32-bit registers per thread (0 = compiler default, no explicit
-    /// pressure; occupancy then ignores the register file).
-    pub regs_per_thread: u32,
     /// How blocks are scheduled onto host threads. Purely a host-side
     /// throughput knob: results and modeled time are bitwise-identical
     /// for every policy (see [`crate::executor`]).
@@ -59,30 +55,21 @@ pub struct LaunchConfig {
 }
 
 impl LaunchConfig {
-    /// Convenience constructor (no explicit register pressure). The engine
-    /// mode defaults to the thread's ambient mode
-    /// ([`crate::resident::ambient_engine`]): [`EngineMode::PerLaunch`]
-    /// unless the caller sits inside a [`crate::resident::EngineScope`] —
-    /// which is how backends thread `Resident` through kernel stacks that
-    /// build their configurations internally.
+    /// Convenience constructor. The engine mode defaults to the thread's
+    /// ambient mode ([`crate::resident::ambient_engine`]):
+    /// [`EngineMode::PerLaunch`] unless the caller sits inside a
+    /// [`crate::resident::EngineScope`] — which is how backends thread
+    /// `Resident` through kernel stacks that build their configurations
+    /// internally.
     pub fn new(threads: u32, smem_bytes: u32) -> Self {
         LaunchConfig {
             threads,
             smem_bytes,
-            regs_per_thread: 0,
             parallel: ParallelPolicy::Serial,
             hazard: global_mode(),
             label: "kernel",
             precision: FlopPrecision::Fp64,
             engine: crate::resident::ambient_engine(),
-        }
-    }
-
-    /// Constructor with explicit register pressure.
-    pub fn with_registers(threads: u32, smem_bytes: u32, regs_per_thread: u32) -> Self {
-        LaunchConfig {
-            regs_per_thread,
-            ..LaunchConfig::new(threads, smem_bytes)
         }
     }
 
@@ -204,12 +191,10 @@ pub fn validate(dev: &DeviceSpec, cfg: &LaunchConfig) -> Result<Occupancy, Launc
             limit: dev.max_smem_per_block,
         });
     }
-    occupancy_with_regs(dev, cfg.threads, cfg.smem_bytes, cfg.regs_per_thread).ok_or(
-        LaunchError::BadThreadCount {
-            requested: cfg.threads,
-            limit: dev.max_threads_per_sm,
-        },
-    )
+    occupancy(dev, cfg.threads, cfg.smem_bytes).ok_or(LaunchError::BadThreadCount {
+        requested: cfg.threads,
+        limit: dev.max_threads_per_sm,
+    })
 }
 
 /// Execute `body` once per problem (= grid block) and price the launch.

@@ -32,8 +32,6 @@ pub enum Limiter {
     Threads,
     /// Hardware block cap.
     BlockCap,
-    /// Register-file capacity (register-blocked kernels, §8.1 style).
-    Registers,
 }
 
 /// Compute residency for a block of `threads` threads using `smem_bytes`
@@ -42,18 +40,6 @@ pub enum Limiter {
 /// launch failure, which the paper hits when the fused kernel's matrix no
 /// longer fits in shared memory ("even failing to run", §5.2).
 pub fn occupancy(dev: &DeviceSpec, threads: u32, smem_bytes: u32) -> Option<Occupancy> {
-    occupancy_with_regs(dev, threads, smem_bytes, 0)
-}
-
-/// Residency including register pressure: a block of `threads` threads at
-/// `regs_per_thread` registers each occupies `threads * regs` of the SM's
-/// register file (0 = ignore the register file, like [`occupancy`]).
-pub fn occupancy_with_regs(
-    dev: &DeviceSpec,
-    threads: u32,
-    smem_bytes: u32,
-    regs_per_thread: u32,
-) -> Option<Occupancy> {
     if threads == 0 || threads > dev.max_threads_per_block {
         return None;
     }
@@ -66,17 +52,8 @@ pub fn occupancy_with_regs(
         .unwrap_or(dev.max_blocks_per_sm)
         .min(dev.max_blocks_per_sm);
     let by_threads = dev.max_threads_per_sm / threads;
-    let regs_per_block = regs_per_thread.saturating_mul(threads);
-    if regs_per_block > dev.registers_per_sm {
-        return None; // cannot launch even one block: would spill
-    }
-    let by_regs = dev
-        .registers_per_sm
-        .checked_div(regs_per_block)
-        .unwrap_or(dev.max_blocks_per_sm)
-        .min(dev.max_blocks_per_sm);
     let cap = dev.max_blocks_per_sm;
-    let blocks_per_sm = by_smem.min(by_threads).min(by_regs).min(cap);
+    let blocks_per_sm = by_smem.min(by_threads).min(cap);
     if blocks_per_sm == 0 {
         // smem fits in a block but per-SM capacity is smaller than
         // per-block allowance cannot happen with these descriptors
@@ -86,8 +63,6 @@ pub fn occupancy_with_regs(
     }
     let limiter = if blocks_per_sm == by_smem && smem_bytes > 0 {
         Limiter::SharedMemory
-    } else if blocks_per_sm == by_regs && regs_per_block > 0 {
-        Limiter::Registers
     } else if blocks_per_sm == by_threads {
         Limiter::Threads
     } else {
@@ -164,21 +139,6 @@ mod tests {
         assert_eq!(waves(8, &occ), 1);
         assert_eq!(waves(9, &occ), 2);
         assert_eq!(waves(1000, &occ), 125);
-    }
-
-    #[test]
-    fn register_pressure_limits_occupancy() {
-        let dev = DeviceSpec::h100_pcie(); // 65536 regs/SM
-                                           // 64 threads x 256 regs = 16384 regs/block -> 4 blocks/SM.
-        let occ = occupancy_with_regs(&dev, 64, 0, 256).unwrap();
-        assert_eq!(occ.blocks_per_sm, 4);
-        assert_eq!(occ.limiter, Limiter::Registers);
-        // A block that alone overflows the register file cannot launch.
-        assert!(occupancy_with_regs(&dev, 1024, 0, 128).is_none());
-        // Zero register pressure behaves like the plain calculation.
-        let a = occupancy(&dev, 64, 1024).unwrap();
-        let b = occupancy_with_regs(&dev, 64, 1024, 0).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

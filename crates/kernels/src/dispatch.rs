@@ -16,7 +16,9 @@
 //! The C-style interface of the paper (`dgbtrf_batch`, `dgbtrs_batch`,
 //! `dgbsv_batch` over `double**` pointer arrays) maps to the batch
 //! containers of `gbatch_core`; the `info` array and per-matrix pivot
-//! vectors are preserved verbatim; containers that disagree fail with
+//! vectors are preserved verbatim; containers that disagree, and a
+//! factoring call on a band without room for the fill-in (any storage
+//! but factor storage, `row_offset == kl + ku`), fail with
 //! [`LaunchError::ArgMismatch`] before any launch.
 //!
 //! The default, [`FactorAlgo::Auto`], adds the SPIKE split of
@@ -71,10 +73,9 @@ use gbatch_gpu_sim::{
 /// - a solve-only call runs the column solve, except that `Interleaved`
 ///   over factor storage (`row_offset == kv`) runs the interleaved solve;
 /// - the transpose solve runs the blocked transpose pair;
-/// - `FusedGbsv` or `Spike` on [`gbtrf_batch`], `Spike` on storage the
-///   split does not support (square LAPACK factor storage with
-///   `kl + ku >= 1`), and `Interleaved` when its launch list cannot be
-///   priced, run the `ColumnMajor` plan.
+/// - `FusedGbsv` or `Spike` on [`gbtrf_batch`], `Spike` on storage
+///   [`crate::spike::check_storage`] refuses, and `Interleaved` when its
+///   launch list cannot be priced, run the `ColumnMajor` plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorAlgo {
     /// The full cascade, SPIKE and the interleaved layout included.
@@ -295,12 +296,7 @@ fn plan<S: Scalar>(
         threads: fused.threads,
         parallel,
     };
-    let spike_storage = factoring
-        && nrhs > 0
-        && l.m == l.n
-        && factor_storage
-        && l.kl + l.ku > 0
-        && BandLayout::factor(l.n, l.n, l.kl, l.ku).is_ok_and(|min| min.ldab == l.ldab);
+    let spike_storage = factoring && nrhs > 0 && crate::spike::check_storage(l).is_ok();
 
     let prec = crate::flop_class::<S>();
     let fused_cfg = LaunchConfig::new(fused.threads, fused_smem_bytes::<S>(l.ldab, l.n) as u32)
@@ -646,6 +642,7 @@ pub fn gbtrf_batch<S: Scalar>(
     opts: &GbsvOptions,
 ) -> Result<BatchReport, LaunchError> {
     let l = a.layout();
+    agree("band row offset", l.kv(), l.row_offset)?;
     check_pivots(&l, a.batch(), piv)?;
     agree("info length", a.batch(), info.len())?;
     let _engine = opts.engine_scope();
@@ -809,6 +806,7 @@ pub fn gbsv_batch<S: Scalar>(
 ) -> Result<BatchReport, LaunchError> {
     let l = a.layout();
     agree("rows of a square system", l.n, l.m)?;
+    agree("band row offset", l.kv(), l.row_offset)?;
     check_pivots(&l, a.batch(), piv)?;
     agree("info length", a.batch(), info.len())?;
     check_rhs(&l, a.batch(), rhs)?;

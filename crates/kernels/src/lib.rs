@@ -24,10 +24,6 @@
 //!   `dgbtrs_batch`, `dgbsv_batch`, planned by [`FactorAlgo`]: `ColumnMajor`
 //!   is the §5.4/§7 selection plus SPIKE, `Auto` adds the interleaved
 //!   regime, and every other value forces the kernel it names.
-//! - [`specialized`] — compile-time band-specialized register-file kernels,
-//!   emulating the paper's §8.1 JIT-compilation proposal.
-//! - [`pbtrf`] — batched SPD band Cholesky (fused + window), extending the
-//!   design space to the symmetric systems of §2.2.
 //! - [`mod@spike`] — SPIKE-style split solver for *large* single systems
 //!   (Li/Serban/Negrut, arXiv:1509.07919): P diagonal blocks factor
 //!   concurrently as an intra-matrix batch, a tiny dense reduced system
@@ -63,9 +59,7 @@ pub mod gbtrs_trans;
 pub mod gemm;
 pub mod gemv;
 pub mod interleaved;
-pub mod pbtrf;
 pub mod reference;
-pub mod specialized;
 pub mod spike;
 pub mod step;
 pub mod window;

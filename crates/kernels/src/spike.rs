@@ -71,7 +71,7 @@ use crate::fused::{gbtrf_batch_fused, FusedParams};
 use crate::gbtrs_blocked::{blocked_solve, gbtrs_batch_blocked, BlockedSolveReport, SolveParams};
 use crate::window::{gbtrf_batch_window, WindowParams};
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
-use gbatch_core::layout::BandLayout;
+use gbatch_core::layout::{BandLayout, BandStorage};
 use gbatch_core::scalar::Scalar;
 use gbatch_core::spike::{
     assemble_reduced, assemble_reduced_rhs, assemble_truncated, augmented_rhs_into,
@@ -801,6 +801,26 @@ fn inf_norm<S: Scalar>(v: &[S]) -> S {
     v.iter().fold(S::ZERO, |m, &x| m.max(x.abs()))
 }
 
+/// The storage the split runs on: a square system with a nonempty band,
+/// in factor storage (`row_offset == kv`) at the minimal `ldab`, so block
+/// columns tile the band. [`spike_gbsv_batch`] refuses any other layout
+/// with [`LaunchError::ArgMismatch`] before it checks its other
+/// arguments, and dispatch offers the SPIKE plan exactly where this holds.
+pub fn check_storage(l: &BandLayout) -> Result<(), LaunchError> {
+    agree("rows of a square system", l.n, l.m)?;
+    agree("band row offset", l.kv(), l.row_offset)?;
+    if l.kv() == 0 {
+        // A diagonal system has no coupling to split.
+        return Err(LaunchError::ArgMismatch {
+            arg: "kl + ku (at least)",
+            expected: 1,
+            got: 0,
+        });
+    }
+    let min = BandLayout::required_ldab(l.kl, l.ku, BandStorage::Factor);
+    agree("ldab", min, l.ldab)
+}
+
 /// Split-solve driver: factor and solve every lane of `a` against `rhs`
 /// through the SPIKE decomposition at exactly `params`, falling back per
 /// lane to the unsplit window+blocked path whenever the split cannot
@@ -809,8 +829,9 @@ fn inf_norm<S: Scalar>(v: &[S]) -> S {
 /// band storage holds its block factors column-for-column
 /// (block-partitioned, same minimal `ldab`) and `piv` holds
 /// globally-indexed block-local pivots; `info` follows the `gbsv`
-/// convention per lane. Pivots, `info` or right-hand sides that disagree
-/// with `a` fail with [`LaunchError::ArgMismatch`] before any launch.
+/// convention per lane. A layout [`check_storage`] refuses, and pivots,
+/// `info` or right-hand sides that disagree with `a`, fail with
+/// [`LaunchError::ArgMismatch`] before any launch.
 pub fn spike_gbsv_batch<S: Scalar>(
     dev: &DeviceSpec,
     a: &mut BandBatch<S>,
@@ -846,27 +867,12 @@ fn run_split<S: Scalar>(
     sizing: bool,
 ) -> Result<SpikeReport, LaunchError> {
     let l = a.layout();
-    assert_eq!(l.m, l.n, "spike requires square systems");
-    assert_eq!(
-        l.row_offset,
-        l.kv(),
-        "spike requires factor band storage (fill-in rows present)"
-    );
-    assert!(
-        l.kl + l.ku >= 1,
-        "diagonal systems have no coupling to split"
-    );
-    assert!(rhs.nrhs() >= 1, "spike solve needs at least one RHS column");
+    check_storage(&l)?;
     let batch = a.batch();
     check_pivots(&l, batch, piv)?;
     agree("info length", batch, info.len())?;
     check_rhs(&l, batch, rhs)?;
     let part = SpikePartition::new(l.n, l.kl, l.ku, params.parts);
-    let bl = part.block_layout().expect("valid block layout");
-    assert_eq!(
-        bl.ldab, l.ldab,
-        "spike requires the minimal factor ldab (block columns must tile the band)"
-    );
     let nrhs = rhs.nrhs();
     let probe = sizing
         && params.mode == SpikeMode::Truncated

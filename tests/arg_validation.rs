@@ -184,16 +184,28 @@ const EVERY_ALGO: [FactorAlgo; 8] = [
 ];
 
 fn dominant(batch: usize, m: usize, n: usize) -> BandBatch {
-    BandBatch::from_fn(batch, m, n, 2, 3, |id, mat| {
-        for j in 0..n {
-            let (s, e) = mat.layout.col_rows(j);
+    dominant_in(batch, BandLayout::factor(m, n, 2, 3).unwrap())
+}
+
+/// A diagonally dominant batch in `layout`, whatever its storage flavour
+/// and `ldab`.
+fn dominant_in(batch: usize, layout: BandLayout) -> BandBatch {
+    let mut a = BandBatch::zeros_with_layout(layout, batch).unwrap();
+    for id in 0..batch {
+        let mut mat = a.matrix_mut(id);
+        for j in 0..layout.n {
+            let (s, e) = layout.col_rows(j);
             for i in s..e {
                 let v = ((i * 5 + j * 3 + id) % 7) as f64 * 0.1;
                 mat.set(i, j, if i == j { 4.0 + v } else { v - 0.3 });
             }
         }
-    })
-    .unwrap()
+    }
+    a
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn rhs(batch: usize, n: usize, nrhs: usize) -> RhsBatch {
@@ -231,7 +243,8 @@ fn container_mismatch_is_a_typed_error_before_any_launch() {
             let (piv, info) = (PivotBatch::new(8, n, n), InfoArray::new(8));
 
             // gbsv: 8 matrices against 4 RHS blocks, RHS of another
-            // order, pivots and info for another batch, a non-square band.
+            // order, pivots and info for another batch, a band in pure
+            // storage (no rows for the fill-in), a non-square band.
             let err = gbsv(&a0, piv.clone(), rhs(4, n, nrhs), info.clone());
             assert_eq!(err, mismatch("rhs batch", 8, 4), "{what}");
             let err = gbsv(&a0, piv.clone(), rhs(8, n + 1, nrhs), info.clone());
@@ -240,16 +253,30 @@ fn container_mismatch_is_a_typed_error_before_any_launch() {
             assert_eq!(err, mismatch("pivot batch", 8, 4), "{what}");
             let err = gbsv(&a0, piv.clone(), rhs(8, n, nrhs), InfoArray::new(4));
             assert_eq!(err, mismatch("info length", 8, 4), "{what}");
+            let pure = dominant_in(8, BandLayout::pure(n, n, 2, 3).unwrap());
+            let err = gbsv(&pure, piv.clone(), rhs(8, n, nrhs), info.clone());
+            assert_eq!(err, mismatch("band row offset", 5, 3), "{what}");
             let wide = dominant(8, n - 1, n);
             let err = gbsv(&wide, PivotBatch::new(8, n - 1, n), rhs(8, n, nrhs), info);
             assert_eq!(err, mismatch("rows of a square system", n, n - 1), "{what}");
 
-            // gbtrf: pivots sized for another order.
+            // gbtrf: pivots sized for another order, a band in pure
+            // storage.
             let mut a = a0.clone();
             let mut short = PivotBatch::new(8, n - 1, n - 1);
             let err = dgbtrf_batch(&dev, &mut a, &mut short, &mut InfoArray::new(8), &opts);
             assert_eq!(err.unwrap_err(), mismatch("pivots per matrix", n, n - 1));
             assert_eq!(a.data(), a0.data(), "{what}: gbtrf band touched");
+            let mut a = pure.clone();
+            let err = dgbtrf_batch(
+                &dev,
+                &mut a,
+                &mut piv.clone(),
+                &mut InfoArray::new(8),
+                &opts,
+            );
+            assert_eq!(err.unwrap_err(), mismatch("band row offset", 5, 3));
+            assert_eq!(a.data(), pure.data(), "{what}: gbtrf band touched");
 
             // gbtrs: a factor slice one lane short, RHS of another order.
             let b0 = rhs(8, n, nrhs);
@@ -281,7 +308,7 @@ fn container_mismatch_is_a_typed_error_before_any_launch() {
         }
 
         // The split driver's own entry point checks the same containers.
-        let split = |piv: PivotBatch, b0: RhsBatch, info: InfoArray| {
+        let split = |a0: &BandBatch, piv: PivotBatch, b0: RhsBatch, info: InfoArray| {
             let (mut a, mut piv, mut b, mut info) = (a0.clone(), piv, b0.clone(), info);
             let params = SpikeParams::default().with_parts(2);
             let err = spike_gbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, params);
@@ -290,16 +317,67 @@ fn container_mismatch_is_a_typed_error_before_any_launch() {
             err.unwrap_err()
         };
         let (piv, info) = (PivotBatch::new(8, n, n), InfoArray::new(8));
-        let err = split(piv.clone(), rhs(4, n, nrhs), info.clone());
+        let err = split(&a0, piv.clone(), rhs(4, n, nrhs), info.clone());
         assert_eq!(err, mismatch("rhs batch", 8, 4), "n={n} split");
-        let err = split(piv.clone(), rhs(8, n + 1, nrhs), info.clone());
+        let err = split(&a0, piv.clone(), rhs(8, n + 1, nrhs), info.clone());
         assert_eq!(err, mismatch("rhs rows", n, n + 1), "n={n} split");
-        let err = split(PivotBatch::new(4, n, n), rhs(8, n, nrhs), info.clone());
+        let err = split(&a0, PivotBatch::new(4, n, n), rhs(8, n, nrhs), info.clone());
         assert_eq!(err, mismatch("pivot batch", 8, 4), "n={n} split");
-        let err = split(PivotBatch::new(8, n - 1, n - 1), rhs(8, n, nrhs), info);
+        let err = split(&a0, PivotBatch::new(8, n - 1, n - 1), rhs(8, n, nrhs), info);
         assert_eq!(err, mismatch("pivots per matrix", n, n - 1), "n={n} split");
-        let err = split(piv, rhs(8, n, nrhs), InfoArray::new(4));
+        let err = split(&a0, piv, rhs(8, n, nrhs), InfoArray::new(4));
         assert_eq!(err, mismatch("info length", 8, 4), "n={n} split");
+
+        // The split's storage rule: a layout its block columns cannot
+        // tile is refused before the containers are checked (these fit
+        // none of the systems), and a forced `Spike` on it runs exactly
+        // what `ColumnMajor` runs.
+        let untiled = [
+            (
+                BandLayout::factor(n - 1, n, 2, 3).unwrap(),
+                mismatch("rows of a square system", n, n - 1),
+            ),
+            (
+                BandLayout::pure(n, n, 2, 3).unwrap(),
+                mismatch("band row offset", 5, 3),
+            ),
+            (
+                BandLayout::factor(n, n, 0, 0).unwrap(),
+                mismatch("kl + ku (at least)", 1, 0),
+            ),
+            (
+                BandLayout::with_ldab(n, n, 2, 3, 9, BandStorage::Factor).unwrap(),
+                mismatch("ldab", 8, 9),
+            ),
+        ];
+        for (layout, expect) in untiled {
+            let a0 = dominant_in(8, layout);
+            let err = split(
+                &a0,
+                PivotBatch::new(4, n, n),
+                rhs(4, n, nrhs),
+                InfoArray::new(4),
+            );
+            assert_eq!(err, expect, "n={n} split");
+            let forced = |algo| {
+                let opts = GbsvOptions {
+                    algo,
+                    ..Default::default()
+                };
+                let mut a = a0.clone();
+                let mut piv = PivotBatch::new(8, layout.m, layout.n);
+                let mut b = rhs(8, n, nrhs);
+                let mut info = InfoArray::new(8);
+                let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts);
+                let rep = rep.map(|r| format!("{r:?}"));
+                (rep, bits(a.data()), piv, bits(b.data()), info)
+            };
+            assert_eq!(
+                forced(FactorAlgo::Spike),
+                forced(FactorAlgo::ColumnMajor),
+                "n={n} {expect:?}: forced Spike"
+            );
+        }
     }
 }
 

@@ -6,52 +6,8 @@ use gbatch::core::residual::backward_error;
 use gbatch::gpu_sim::multi::DeviceGroup;
 use gbatch::gpu_sim::DeviceSpec;
 use gbatch::kernels::dispatch::{dgbsv_batch, ChosenAlgo, GbsvOptions};
-use gbatch::kernels::pbtrf::{pbsv_batch_fused, PbBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// XGC-like SPD systems through the Cholesky path, residual-certified.
-#[test]
-fn xgc_systems_through_cholesky() {
-    let dev = DeviceSpec::h100_pcie();
-    let (batch, n, kd) = (32usize, 193usize, 3usize);
-    // Symmetrized XGC-style stencil, diagonally dominant.
-    let a0 = PbBatch::from_fn(batch, n, kd, |id, l, ab| {
-        let phase = id as f64 * 0.37;
-        for j in 0..n {
-            let coeff = 1.0 + 0.5 * ((j as f64 * 0.05 + phase).sin());
-            let mut sum = 0.0;
-            for k in 1..=kd.min(n - 1 - j) {
-                let w = -coeff / (k * k) as f64;
-                ab[l.idx(j + k, j)] = w;
-                sum += w.abs();
-            }
-            ab[l.idx(j, j)] = 2.0 * sum + 2.0 * coeff;
-        }
-    });
-    let mut xs = vec![0.0; batch * n];
-    for (k, v) in xs.iter_mut().enumerate() {
-        *v = ((k % 23) as f64) * 0.1 - 1.0;
-    }
-    let mut rhs = vec![0.0; batch * n];
-    for id in 0..batch {
-        let mut y = vec![0.0; n];
-        gbatch::core::pb::pbmv(
-            &a0.layout(),
-            a0.matrix(id),
-            &xs[id * n..(id + 1) * n],
-            &mut y,
-        );
-        rhs[id * n..(id + 1) * n].copy_from_slice(&y);
-    }
-    let mut a = a0.clone();
-    let mut info = InfoArray::new(batch);
-    let _ = pbsv_batch_fused(&dev, &mut a, &mut rhs, 1, &mut info, 32).unwrap();
-    assert!(info.all_ok());
-    for k in 0..batch * n {
-        assert!((rhs[k] - xs[k]).abs() < 1e-9);
-    }
-}
 
 /// SUNDIALS-like single-species tridiagonal systems (`I - gamma*J`, weak
 /// coupling): a batch of them runs the interleaved regime under `Auto`,
@@ -158,43 +114,6 @@ fn nonuniform_mix_per_size_on_multi_gcd() {
             assert!(berr < 1e-11, "n {n} id {id}: {berr:.2e}");
         }
     }
-}
-
-/// The specialized registry and generic dispatch agree on the XGC
-/// single-species band (3,3).
-#[test]
-fn specialized_on_xgc_band_shape() {
-    let dev = DeviceSpec::h100_pcie();
-    let mut rng = StdRng::seed_from_u64(11);
-    let (batch, n) = (16usize, 193usize);
-    let a0 = gbatch::workloads::random::random_band_batch(
-        &mut rng,
-        batch,
-        n,
-        3,
-        3,
-        gbatch::workloads::random::BandDistribution::Uniform,
-    );
-    let mut a1 = a0.clone();
-    let mut p1 = PivotBatch::new(batch, n, n);
-    let mut i1 = InfoArray::new(batch);
-    let _ = gbatch::kernels::specialized::specialized_gbtrf(&dev, &mut a1, &mut p1, &mut i1, 32)
-        .expect("(3,3) is compiled")
-        .unwrap();
-    let mut a2 = a0.clone();
-    let mut p2 = PivotBatch::new(batch, n, n);
-    let mut i2 = InfoArray::new(batch);
-    let _ = gbatch::kernels::dispatch::dgbtrf_batch(
-        &dev,
-        &mut a2,
-        &mut p2,
-        &mut i2,
-        &gbatch::kernels::dispatch::GbsvOptions::default(),
-    )
-    .unwrap();
-    assert_eq!(a1.data(), a2.data());
-    assert_eq!(p1, p2);
-    let _ = BandBatch::<f64>::zeros(1, 2, 2, 1, 1).unwrap();
 }
 
 /// RHS blocks with padding (`ldb > n`) flow through the blocked GPU

@@ -265,31 +265,6 @@ proptest! {
         prop_assert_eq!(rhs.data(), expect.data());
     }
 
-    /// The specialized register-file kernels agree with the generic path
-    /// for every compiled band shape.
-    #[test]
-    fn specialized_matches_generic(n in 2usize..48,
-                                   shape_idx in 0usize..5,
-                                   vals in proptest::collection::vec(-1.0f64..1.0, 16)) {
-        let shapes = [(1usize, 1usize), (2, 2), (2, 3), (3, 3), (10, 7)];
-        let (kl, ku) = shapes[shape_idx];
-        prop_assume!(kl < n && ku < n);
-        let dev = DeviceSpec::h100_pcie();
-        let a0 = fill_batch(2, n, kl, ku, &vals);
-        let mut a1 = a0.clone();
-        let mut p1 = PivotBatch::new(2, n, n);
-        let mut i1 = InfoArray::new(2);
-        let _ = gbatch::kernels::specialized::specialized_gbtrf(&dev, &mut a1, &mut p1, &mut i1, 32)
-            .expect("compiled shape").unwrap();
-        let mut a2 = a0.clone();
-        let mut p2 = PivotBatch::new(2, n, n);
-        let mut i2 = InfoArray::new(2);
-        let _ = gbtrf_batch_fused(&dev, &mut a2, &mut p2, &mut i2, FusedParams::auto(&dev, kl)).unwrap();
-        prop_assert_eq!(a1.data(), a2.data());
-        prop_assert_eq!(p1, p2);
-        prop_assert_eq!(i1, i2);
-    }
-
     /// Iterative refinement never worsens the componentwise backward error.
     #[test]
     fn refinement_never_regresses((n, kl, ku) in band_dims(),
