@@ -7,15 +7,16 @@
 use gbatch::core::error::BandError;
 use gbatch::core::gbtrs::Transpose;
 use gbatch::core::layout::{BandLayout, BandStorage};
+use gbatch::core::residual::backward_error;
 use gbatch::core::{BandBatch, InfoArray, PivotBatch, RhsBatch, ShapeKey};
 use gbatch::cpu::CpuSpec;
 use gbatch::gpu_sim::engine::validate;
 use gbatch::gpu_sim::multi::DeviceGroup;
 use gbatch::gpu_sim::{DeviceSpec, LaunchConfig, LaunchError, ParallelPolicy};
 use gbatch::kernels::dispatch::{
-    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbtrs_batch_lanes, FactorAlgo, GbsvOptions,
+    dgbsv_batch, dgbtrf_batch, dgbtrs_batch, gbtrs_batch_lanes, ChosenAlgo, FactorAlgo, GbsvOptions,
 };
-use gbatch::kernels::spike::{spike_gbsv_batch, SpikeParams};
+use gbatch::kernels::spike::{check_storage, spike_gbsv_batch, SpikeParams};
 use gbatch::serve::{AdmitError, FactorizeError, Server, ServerConfig, SolveRequest};
 
 // ---------------------------------------------------------------- ldab --
@@ -408,4 +409,90 @@ fn minimal_valid_arguments_reach_the_kernels() {
     let mut a = BandBatch::from_fn(1, 1, 1, 0, 0, |_, m| m.set(0, 0, 2.0)).unwrap();
     let _ = dgbtrf_batch(&dev, &mut a, &mut piv, &mut info, &GbsvOptions::default()).unwrap();
     assert!(info.all_ok());
+}
+
+/// The accepting side of the SPIKE storage rule: a square band in factor
+/// storage with at least one off-diagonal and the minimal `ldab` passes
+/// `check_storage`, the split driver solves it, and a forced `Spike`
+/// through dispatch runs the split.
+#[test]
+fn spike_split_runs_every_layout_its_rule_accepts() {
+    let dev = DeviceSpec::h100_pcie();
+    let (batch, n, nrhs) = (4usize, 100usize, 2usize);
+    for (kl, ku) in [(2usize, 3usize), (0, 1), (1, 0), (4, 4)] {
+        let layout = BandLayout::factor(n, n, kl, ku).unwrap();
+        assert_eq!(check_storage(&layout), Ok(()), "({kl},{ku})");
+        let a0 = dominant_in(batch, layout);
+        let b0 = rhs(batch, n, nrhs);
+
+        let (mut a, mut b) = (a0.clone(), b0.clone());
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        let params = SpikeParams::default().with_parts(2);
+        spike_gbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, params).unwrap();
+        assert!(info.all_ok(), "({kl},{ku}) split info");
+        certify(&a0, &b0, &b, &format!("({kl},{ku}) split"));
+
+        let opts = GbsvOptions {
+            algo: FactorAlgo::Spike,
+            spike: Some(params),
+            ..Default::default()
+        };
+        let (mut a, mut b) = (a0.clone(), b0.clone());
+        let mut piv = PivotBatch::new(batch, n, n);
+        let mut info = InfoArray::new(batch);
+        let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
+        assert_eq!(rep.algo, ChosenAlgo::Spike, "({kl},{ku})");
+        assert!(info.all_ok(), "({kl},{ku}) forced Spike info");
+        certify(&a0, &b0, &b, &format!("({kl},{ku}) forced Spike"));
+    }
+}
+
+/// The two layouts the split refuses but factoring accepts, a padded
+/// `ldab` and a diagonal band, still solve under every `FactorAlgo`: a
+/// forced value the call cannot offer falls back to another plan, never
+/// to the split, and every answer certifies.
+#[test]
+fn untiled_factor_layouts_solve_under_every_algo() {
+    let dev = DeviceSpec::h100_pcie();
+    let (batch, nrhs) = (8usize, 2usize);
+    for n in [16usize, 100] {
+        let layouts = [
+            BandLayout::with_ldab(n, n, 2, 3, 9, BandStorage::Factor).unwrap(),
+            BandLayout::factor(n, n, 0, 0).unwrap(),
+        ];
+        for layout in layouts {
+            assert!(check_storage(&layout).is_err());
+            let a0 = dominant_in(batch, layout);
+            let b0 = rhs(batch, n, nrhs);
+            for algo in EVERY_ALGO {
+                let what = format!("n={n} ldab={} kl+ku={} {algo:?}", layout.ldab, layout.kv());
+                let opts = GbsvOptions {
+                    algo,
+                    ..Default::default()
+                };
+                let (mut a, mut b) = (a0.clone(), b0.clone());
+                let mut piv = PivotBatch::new(batch, n, n);
+                let mut info = InfoArray::new(batch);
+                let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts);
+                let rep = rep.unwrap_or_else(|e| panic!("{what}: {e:?}"));
+                assert_ne!(rep.algo, ChosenAlgo::Spike, "{what}");
+                assert!(info.all_ok(), "{what}: info");
+                certify(&a0, &b0, &b, &what);
+            }
+        }
+    }
+}
+
+/// Every system of `x` solves `a0 x = b0` to a backward error near
+/// machine precision.
+fn certify(a0: &BandBatch, b0: &RhsBatch, x: &RhsBatch, what: &str) {
+    let (n, ldb) = (b0.n(), b0.ldb());
+    for id in 0..a0.batch() {
+        for c in 0..b0.nrhs() {
+            let col = |r: &RhsBatch| r.block(id)[c * ldb..c * ldb + n].to_vec();
+            let berr = backward_error(a0.matrix(id), &col(x), &col(b0));
+            assert!(berr < 1e-13, "{what}: id {id} col {c}: berr {berr:.2e}");
+        }
+    }
 }
